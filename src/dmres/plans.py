@@ -35,6 +35,13 @@ from .stateio import format_float
 RES_SCHEME = "res"
 SEQ_SCHEME = "seq"
 
+# One tolerance for singular strengths.  res needs |sin(2g)| above it,
+# since its estimator divides by sin^l(2g); seq needs |g| above it, since
+# its projector couplings otherwise leave the meters blank (at g = pi the
+# calibration reports the vanishing singular value instead).  Strength
+# grids drop points where |sin(2g)| (res) or |sin(g)| (seq) is below it.
+SINGULAR_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -166,12 +173,6 @@ def setting_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket, settin
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
     """(n_settings, outcomes_per_setting) Born probabilities."""
     return np.stack([setting_probabilities(plan, state, i) for i in range(plan.n_settings)])
-
-
-def batch_probabilities(plan: ProtocolPlan, rhos: np.ndarray, setting_index: int) -> np.ndarray:
-    """Probabilities for a stacked batch of density matrices (n, D, D)."""
-    a = plan.amplitudes[setting_index]
-    return np.einsum("ou,nuv,ov->no", a, rhos, a.conj()).real
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:

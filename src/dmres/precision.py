@@ -3,14 +3,15 @@
 Per-state shot variances are linear functionals of the state, so each
 plan contributes one Hermitian operator per quadrature and the Monte
 Carlo reduces to traces against sampled states.  Samples come from
-counter-based streams keyed by sample index, and chunks are fixed-size,
-so results are bit-identical for any worker count.
+counter-based streams keyed by sample index, so every strength, scheme
+and report sees the same states; each is drawn once per run and kept in
+a small memo.  Everything runs in one process, and the ``workers``
+options are accepted for compatibility without changing any output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,14 +19,16 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from .plans import ProtocolPlan, estimator_operators
+from .plans import SINGULAR_TOL, ProtocolPlan, estimator_operators
 from .res import plan_res
-from .sampling import sample_precision_state, stream
+from .sampling import precision_states
 from .seq import plan_seq
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-CHUNK_SIZE = 512
+# Distinct (n_qudits, d, seed) keys whose states are kept between calls.
+STATE_MEMO_KEYS = 2
+_STATE_MEMO: dict[tuple[int, int, int], np.ndarray] = {}
 
 REPORT_COLUMNS = (
     "scheme", "N", "d", "g", "policy", "samples",
@@ -92,24 +95,26 @@ def _mean_variance_operator(plans: list[ProtocolPlan]) -> np.ndarray:
     return acc / len(plans)
 
 
-def _states_chunk(system: SystemSpec, seed: int, start: int, count: int) -> np.ndarray:
-    tag = f"haar/{system.n_qudits}x{system.d}"
-    dim = system.d ** system.n_qudits
-    out = np.zeros((count, dim, dim), dtype=complex)
-    for i in range(count):
-        rho = sample_precision_state(system.n_qudits, system.d, stream(seed, tag, start + i))
-        out[i] = rho.entries
-    return out
+def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
+    """Read-only (samples, D, D) precision states for sample indices 0..samples-1.
 
-
-def _chunk_job(args) -> tuple[int, np.ndarray]:
-    (n_qudits, d, scheme, g, seed, start, count) = args
-    system = SystemSpec(n_qudits, d)
-    plans = build_plans(system, scheme, g)
-    w_mean = _mean_variance_operator(plans)
-    rhos = _states_chunk(system, seed, start, count)
-    vals = np.einsum("uv,nvu->n", w_mean, rhos).real
-    return start, vals
+    Each key keeps the longest batch drawn so far; a longer request draws
+    only the missing indices and a shorter one gets a prefix, so each
+    index is drawn once while its key stays in the memo.
+    """
+    key = (system.n_qudits, system.d, seed)
+    held = _STATE_MEMO.pop(key, None)
+    have = 0 if held is None else held.shape[0]
+    if have < samples:
+        fresh = precision_states(system.n_qudits, system.d, seed, samples - have, start=have)
+        if held is not None:
+            fresh = np.concatenate([held, fresh])
+            fresh.setflags(write=False)
+        held = fresh
+    _STATE_MEMO[key] = held
+    while len(_STATE_MEMO) > STATE_MEMO_KEYS:
+        del _STATE_MEMO[next(iter(_STATE_MEMO))]
+    return held[:samples]
 
 
 def per_state_values(
@@ -124,17 +129,10 @@ def per_state_values(
 
     The mean runs over the system's element set and both quadratures.
     Multiply by the plan's setting count for the split-total policy.
+    ``workers`` is accepted for compatibility; the values never depend on it.
     """
-    jobs = [
-        (system.n_qudits, system.d, scheme, g, seed, start, min(CHUNK_SIZE, samples - start))
-        for start in range(0, samples, CHUNK_SIZE)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = dict(pool.map(_chunk_job, jobs))
-    else:
-        parts = dict(map(_chunk_job, jobs))
-    return np.concatenate([parts[start] for start in sorted(parts)])
+    w_mean = _mean_variance_operator(build_plans(system, scheme, g))
+    return np.einsum("uv,nvu->n", w_mean, sampled_states(system, seed, samples)).real
 
 
 @dataclass
@@ -219,9 +217,9 @@ def filter_grid(scheme: str, grid) -> list[float]:
     """Drop strengths where the scheme's estimator is undefined."""
     out = []
     for g in grid:
-        if scheme == "res" and abs(math.sin(2.0 * g)) < 1e-9:
+        if scheme == "res" and abs(math.sin(2.0 * g)) <= SINGULAR_TOL:
             continue
-        if scheme == "seq" and abs(math.sin(g)) < 1e-9:
+        if scheme == "seq" and abs(math.sin(g)) <= SINGULAR_TOL:
             continue
         out.append(float(g))
     return out
@@ -364,17 +362,16 @@ def resource_report(
     element = plan_a.element
     if len(set(element.dims)) != 1:
         raise InvalidStateError("resource averages support homogeneous local dimensions only")
-    system = SystemSpec(element.n_qudits, element.dims[0])
-    tag = f"haar/{system.n_qudits}x{system.d}"
+    rhos = sampled_states(SystemSpec(element.n_qudits, element.dims[0]), seed, samples)
 
     budgets = []
     for plan in (plan_a, plan_b):
         w_re, w_im = estimator_operators(plan)
         w = 0.5 * (w_re + w_im)
         acc = 0.0
-        for i in range(samples):
-            rho = sample_precision_state(system.n_qudits, system.d, stream(seed, tag, i))
-            acc += float(np.einsum("uv,vu->", w, rho.entries).real)
+        # left-to-right sum, as a per-state accumulation would give
+        for v in np.einsum("uv,nvu->n", w, rhos).real.tolist():
+            acc += v
         mean_v = acc / samples
         budgets.append(plan.n_settings * mean_v / target_sigma ** 2)
 

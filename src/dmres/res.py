@@ -22,6 +22,7 @@ from .plans import (
     MeasurementSetting,
     ProtocolPlan,
     RES_SCHEME,
+    SINGULAR_TOL,
     all_probabilities,
     apply_estimator,
     base_amplitudes,
@@ -34,12 +35,9 @@ from .plans import (
     sign_products,
 )
 
-SIN2G_TOL = 1e-12
-
-
 def _check_strength(g: float, l: int) -> float:
     s = np.sin(2.0 * g)
-    if abs(s) <= SIN2G_TOL:
+    if abs(s) <= SINGULAR_TOL:
         raise InvalidCouplingError(
             f"sin(2g)=0 at g={g!r}: the 1/(2 sin^{l}(2g)) estimator normalization diverges"
         )

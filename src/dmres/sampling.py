@@ -1,8 +1,9 @@
 """Keyed random streams and Haar-distributed state sampling.
 
 Streams are counter-based (Philox) and keyed by (seed, tag, index), so
-any sample can be regenerated independently on any worker with
-bit-identical results.
+any sample can be regenerated independently with bit-identical results.
+Single draws return validated value types; ``precision_states`` draws a
+whole batch as one plain array.
 """
 
 from __future__ import annotations
@@ -22,17 +23,22 @@ def stream(seed: int, tag: str, index: int | None = None) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar-distributed unitary via Ginibre QR with the phase-fix convention.
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from (..., 2, d, d) real and imaginary Ginibre normals.
 
     Column phases are fixed so the triangular factor has a positive real
-    diagonal, which makes the QR construction exactly Haar.
+    diagonal, which makes the QR construction exactly Haar (Mezzadri
+    2007).  Stacked inputs run one batched QR.
     """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return UnitaryMatrix.create(q)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> UnitaryMatrix:
+    """Haar-distributed unitary via Ginibre QR with the phase-fix convention."""
+    return UnitaryMatrix.create(_haar_unitaries(rng.standard_normal((2, d, d))))
 
 
 def sample_single_qudit(
@@ -59,15 +65,24 @@ def sample_entangled(
     """
     if n_qudits < 2:
         raise ValueError("entangled sampling needs at least two qudits")
-    dims = (d,) * n_qudits
-    psi = np.zeros(dims, dtype=complex)
-    for m in range(d):
-        psi[(m,) * n_qudits] = 1.0 / np.sqrt(d)
     if unitaries is None:
         unitaries = [haar_unitary(d, rng) for _ in range(n_qudits)]
-    for n, u in enumerate(unitaries):
-        psi = np.moveaxis(np.tensordot(u.entries, psi, axes=(1, n)), 0, n)
-    return Ket.create(psi.reshape(-1), dims)
+    amplitudes = _entangled_amplitudes(np.stack([u.entries for u in unitaries])[None])
+    return Ket.create(amplitudes[0], (d,) * n_qudits)
+
+
+def _entangled_amplitudes(unitaries: np.ndarray) -> np.ndarray:
+    """(count, D) amplitudes of (U_1 x ... x U_N) applied to the maximally
+    entangled state, for stacked local unitaries of shape (count, N, d, d)."""
+    count, n_qudits, d, _ = unitaries.shape
+    psi = np.zeros((count,) + (d,) * n_qudits, dtype=complex)
+    for m in range(d):
+        psi[(slice(None),) + (m,) * n_qudits] = 1.0 / np.sqrt(d)
+    for n in range(n_qudits):
+        moved = np.moveaxis(psi, n + 1, 1)
+        out = np.matmul(unitaries[:, n], moved.reshape(count, d, d ** (n_qudits - 1)))
+        psi = np.moveaxis(out.reshape(moved.shape), 1, n + 1)
+    return psi.reshape(count, d ** n_qudits)
 
 
 def sample_precision_state(n_qudits: int, d: int, rng: np.random.Generator) -> DensityMatrix:
@@ -75,6 +90,26 @@ def sample_precision_state(n_qudits: int, d: int, rng: np.random.Generator) -> D
     if n_qudits == 1:
         return sample_single_qudit(d, rng)
     return sample_entangled(n_qudits, d, rng).density()
+
+
+def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Read-only (count, D, D) batch of the precision state family.
+
+    Entry ``j`` equals ``sample_precision_state(n_qudits, d, rng).entries``
+    for ``rng = stream(seed, f"haar/{n_qudits}x{d}", start + j)``, bit for
+    bit: each index draws its normals from its own keyed stream in the
+    same order, then one stacked QR builds every unitary.  The states are
+    valid by construction and are not validated one by one.
+    """
+    tag = f"haar/{n_qudits}x{d}"
+    normals = np.empty((count, n_qudits, 2, d, d))
+    for j in range(count):
+        normals[j] = stream(seed, tag, start + j).standard_normal((n_qudits, 2, d, d))
+    unitaries = _haar_unitaries(normals)
+    vecs = unitaries[:, 0, :, 0] if n_qudits == 1 else _entangled_amplitudes(unitaries)
+    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
+    rhos.setflags(write=False)
+    return rhos
 
 
 def random_mixed_state(dims, rng: np.random.Generator) -> DensityMatrix:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .plans import (
     Coupling,
     ProtocolPlan,
     SEQ_SCHEME,
+    SINGULAR_TOL,
     all_probabilities,
     apply_estimator,
     base_amplitudes,
@@ -71,13 +73,20 @@ class ResponseMap:
 
     ``matrix`` has one column per Hermitian basis element (diagonal
     units first, then paired re/im combinations) and one row per
-    (setting, outcome) in plan order.
+    (setting, outcome) in plan order.  It is computed on first use:
+    the default correlator calibration reads only the basis.
     """
 
     plan: ProtocolPlan
-    matrix: np.ndarray
     basis: np.ndarray
     basis_labels: list
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        cols = []
+        for a in self.plan.amplitudes:
+            cols.append(np.einsum("ou,buv,ov->bo", a, self.basis, a.conj()).real)
+        return np.concatenate(cols, axis=1).T  # rows: (setting, outcome); cols: basis
 
     def coordinates(self, hermitian: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a Hermitian matrix in the map's basis."""
@@ -112,12 +121,7 @@ def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
 def response_map(plan: ProtocolPlan) -> ResponseMap:
     """Propagate every Hermitian basis element through the measurement."""
     basis, labels = hermitian_basis(plan.element.dim)
-    cols = []
-    for i in range(plan.n_settings):
-        a = plan.amplitudes[i]
-        cols.append(np.einsum("ou,buv,ov->bo", a, basis, a.conj()).real)
-    matrix = np.concatenate(cols, axis=1).T  # rows: (setting, outcome); cols: basis
-    return ResponseMap(plan=plan, matrix=matrix, basis=basis, basis_labels=labels)
+    return ResponseMap(plan=plan, basis=basis, basis_labels=labels)
 
 
 def _targets(element: ElementIndex, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +132,9 @@ def _targets(element: ElementIndex, basis: np.ndarray) -> tuple[np.ndarray, np.n
     return t_re, t_im
 
 
-def _correlator_response(plan: ProtocolPlan, basis: np.ndarray, outcomes: list[int]) -> np.ndarray:
+def _correlator_response(
+    plan: ProtocolPlan, basis: np.ndarray, outcomes: list[int], base: np.ndarray
+) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
@@ -139,7 +145,6 @@ def _correlator_response(plan: ProtocolPlan, basis: np.ndarray, outcomes: list[i
     g, so no precision is lost to cancellation at weak coupling.
     """
     m = plan.n_meters
-    base = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
     rows = []
     for setting in plan.settings:
         sigma = kron_all([SIGMA_X if b == "x" else SIGMA_Y for b in setting.meter_bases])
@@ -171,6 +176,7 @@ def calibrate_estimator(
     weights: np.ndarray | None = None,
     residual_tol: float = RESIDUAL_TOL,
     sv_floor: float = SV_FLOOR,
+    base: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CalibrationInfo]:
     """Minimum-norm unbiased coefficients for the Re and Im functionals.
 
@@ -179,7 +185,9 @@ def calibrate_estimator(
     statistics the sequential readout actually uses.  ``support='full'``
     solves over the whole outcome space.  ``weights`` switches to the
     per-state-optimal variant: coefficients minimizing the predicted
-    shot variance sum(c^2 w) instead of the plain norm.
+    shot variance sum(c^2 w) instead of the plain norm.  ``base`` takes
+    the plan's unrotated amplitudes (``base_amplitudes``) when the caller
+    already has them.
     """
     plan = rmap.plan
     element = element or plan.element
@@ -189,7 +197,9 @@ def calibrate_estimator(
 
     if support == "correlator":
         outcomes = sorted(set(plan.post_selectors))
-        a_mat = _correlator_response(plan, rmap.basis, outcomes).T  # basis x subspace
+        if base is None:
+            base = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
+        a_mat = _correlator_response(plan, rmap.basis, outcomes, base).T  # basis x subspace
         subspace = _correlator_vectors(plan, outcomes)
     elif support == "full":
         a_mat = rmap.matrix.T
@@ -256,8 +266,11 @@ def plan_seq(
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    if g == 0.0:
-        raise InvalidCouplingError("g=0: no coupling, the sequential estimator is undefined")
+    if abs(g) <= SINGULAR_TOL:
+        raise InvalidCouplingError(
+            f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
+            "the sequential estimator is undefined"
+        )
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, g)
@@ -274,9 +287,9 @@ def plan_seq(
         amplitudes=amps,
         has_estimator=False,
     )
-    rmap = response_map(bare)
     c_re, c_im, info = calibrate_estimator(
-        rmap, element, support=support, weights=weights, residual_tol=residual_tol
+        response_map(bare), element, support=support, weights=weights,
+        residual_tol=residual_tol, base=base,
     )
     return ProtocolPlan(
         element=element,

@@ -66,12 +66,6 @@ def element_variance(
     return var_re, var_im
 
 
-def predicted_stderr(plan: ProtocolPlan, rho: DensityMatrix | Ket, policy: ShotPolicy) -> tuple[float, float]:
-    """Standard errors of the finite-statistics estimate at the policy's n_t."""
-    var_re, var_im = element_variance(plan, rho, policy)
-    return float(np.sqrt(var_re / policy.n_t)), float(np.sqrt(var_im / policy.n_t))
-
-
 def simulate_shots(
     plan: ProtocolPlan,
     rho: DensityMatrix | Ket,

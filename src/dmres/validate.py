@@ -16,9 +16,9 @@ import numpy as np
 
 from .elements import ElementIndex, all_offdiagonal_elements
 from .plans import ProtocolPlan, functional_matrix
-from .precision import SystemSpec, per_state_values
+from .precision import SystemSpec, per_state_values, sampled_states
 from .res import extract_element, plan_res
-from .sampling import random_mixed_state, stream
+from .sampling import random_mixed_state, sample_precision_state, stream
 from .seq import extract_element_seq, plan_seq
 from .shots import ShotPolicy, element_variance, simulate_shots
 
@@ -142,8 +142,12 @@ def check_determinism(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     system = SystemSpec(1, 3)
     a = per_state_values(system, "res", math.pi / 4, 9, 300, workers=1)
     b = per_state_values(system, "res", math.pi / 4, 9, 300, workers=2)
-    same = bool(np.array_equal(a, b))
-    return same, "per-state values bit-identical across worker counts" if same else "worker-count mismatch"
+    if not np.array_equal(a, b):
+        return False, "worker-count mismatch"
+    singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
+    if not np.array_equal(sampled_states(system, 9, 300), np.stack(singles)):
+        return False, "batched Haar states differ from single draws"
+    return True, "per-state values bit-identical across worker counts; batched states match single draws"
 
 
 GROUPS = {

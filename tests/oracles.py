@@ -91,3 +91,20 @@ def reference_setting_probabilities(rho, dims, s, sp, g, bases):
 def ks_critical_value(n, m, alpha=0.01):
     c = np.sqrt(-0.5 * np.log(alpha / 2.0))
     return c * np.sqrt((n + m) / (n * m))
+
+
+def exact_haar_mean(plans):
+    """Exact Haar mean of the per-state variance n_t*Delta^2 at unit exposure.
+
+    Both precision state families are invariant under local Haar twirls,
+    so E[rho] = 1/D and E[sum_o c_o^2 p_o] = sum_o c_o^2 |a_o|^2 / D.
+    Averaged over the plans and over the Re and Im quadratures; built from
+    the plans' coefficients and amplitudes only.
+    """
+    total = 0.0
+    for plan in plans:
+        for i, a in enumerate(plan.amplitudes):
+            norms = np.sum(np.abs(a) ** 2, axis=1)
+            weights = 0.5 * (plan.coeff_re[i] ** 2 + plan.coeff_im[i] ** 2)
+            total += float(np.sum(weights * norms))
+    return total / len(plans) / plans[0].element.dim

@@ -69,6 +69,19 @@ class TestExtract:
         assert code == 3
         assert "sin(2g)=0" in capsys.readouterr().err
 
+    def test_near_singular_res_strength_exits_3(self, mixed3, capsys):
+        # sin(2g) is about 2e-10 here: inside the shared singular tolerance
+        code = main(["extract", "--scheme", "res", "--element", "0,1",
+                     "--g", repr(math.pi / 2 - 1e-10), "--state", str(mixed3)])
+        assert code == 3
+        assert "sin(2g)=0" in capsys.readouterr().err
+
+    def test_near_singular_seq_strength_exits_3(self, mixed3, capsys):
+        code = main(["extract", "--scheme", "seq", "--element", "0,1",
+                     "--g", "1e-10", "--state", str(mixed3)])
+        assert code == 3
+        assert "no coupling" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["extract", "--scheme", "res", "--element", "0,1",
                      "--g", "0.3", "--state", str(tmp_path / "nope.state")])

@@ -18,8 +18,16 @@ from dmres import (
     stream,
 )
 from dmres.plans import estimator_operators
-from dmres.precision import SystemSpec, default_g_grid, per_state_values
+from dmres.precision import (
+    SystemSpec,
+    build_plans,
+    default_g_grid,
+    per_state_values,
+    sampled_states,
+)
 from dmres.sampling import sample_precision_state
+
+from oracles import exact_haar_mean
 
 PER = ShotPolicy(n_t=1.0)
 SPLIT = ShotPolicy(n_t=1.0, allocation="split-total")
@@ -127,6 +135,35 @@ class TestWeakCouplingScaling:
             means = [per_state_values(system, scheme, float(g), 12, 300).mean() for g in grid]
             slope = np.polyfit(np.log(grid), np.log(means), 1)[0]
             assert abs(slope - want) < 0.05 * abs(want)
+
+
+class TestExactHaarMean:
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("g", [0.3, math.pi / 4, 1.2])
+    def test_monte_carlo_mean_within_five_stderr(self, system, scheme, g):
+        exact = exact_haar_mean(build_plans(system, scheme, g))
+        vals = per_state_values(system, scheme, g, 21, 2000)
+        stderr = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - exact) <= 5 * stderr + 1e-12 * exact
+
+    @pytest.mark.parametrize("system,want", [(SystemSpec(1, 3), 1 / 6), (SystemSpec(2, 2), 1 / 4)])
+    def test_closed_form_at_quarter_pi(self, system, want):
+        assert_allclose(exact_haar_mean(build_plans(system, "res", math.pi / 4)), want, rtol=1e-12)
+
+
+class TestSampledStates:
+    def test_prefix_and_read_only(self):
+        system = SystemSpec(2, 2)
+        long = sampled_states(system, 31, 40)
+        short = sampled_states(system, 31, 15)
+        longer = sampled_states(system, 31, 60)
+        assert np.array_equal(short, long[:15])
+        assert np.array_equal(longer[:40], long)
+        for arr in (long, short, longer):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            longer[0, 0, 0] = 0.0
 
 
 class TestWorkers:

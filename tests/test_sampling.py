@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
@@ -12,6 +13,7 @@ from dmres import (
     stream,
 )
 from dmres.linalg import partial_trace
+from dmres.sampling import precision_states, sample_precision_state
 
 from oracles import ks_critical_value
 
@@ -114,3 +116,27 @@ class TestStateSamplers:
         rho = random_mixed_state((2, 2), stream(8, "mixed"))
         assert rho.dims == (2, 2)
         assert np.linalg.eigvalsh(rho.entries).min() > -1e-12
+
+
+class TestBatchedPrecisionStates:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        system=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]),
+        seed=st.integers(min_value=0, max_value=2 ** 32),
+        count=st.integers(min_value=0, max_value=24),
+        cut=st.integers(min_value=0, max_value=24),
+    )
+    def test_batch_matches_per_index_draws(self, system, seed, count, cut):
+        n, d = system
+        batch = precision_states(n, d, seed, count)
+        dim = d ** n
+        assert batch.shape == (count, dim, dim)
+        assert not batch.flags.writeable
+        singles = [
+            sample_precision_state(n, d, stream(seed, f"haar/{n}x{d}", i)).entries
+            for i in range(count)
+        ]
+        assert np.array_equal(batch, np.array(singles).reshape(count, dim, dim))
+        cut = min(cut, count)
+        assert np.array_equal(precision_states(n, d, seed, cut), batch[:cut])
+        assert np.array_equal(precision_states(n, d, seed, count - cut, start=cut), batch[cut:])
