@@ -8,7 +8,7 @@ time; downstream code can assume the invariants hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,35 +33,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices (left factor first)."""
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def embed_site(op: np.ndarray, dims: Sequence[int], site: int) -> np.ndarray:
-    """Embed a single-site operator into the product space of ``dims``."""
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[site] = np.asarray(op, dtype=complex)
-    return kron_all(mats)
-
-
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def projector(dim: int, index: int) -> np.ndarray:
     p = np.zeros((dim, dim), dtype=complex)
     p[index, index] = 1.0
     return p
-
-
-def dag(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_STRICT) -> bool:

@@ -51,35 +51,41 @@ def reflection(d: int, a_prime: int) -> Observable:
     return Observable.create(o)
 
 
-def coupling_unitary(c: Observable | np.ndarray, g: float) -> UnitaryMatrix:
-    """exp(-i g C (x) sigma_y) for an involution C, via the closed form.
+def coupling_gate(kind: str, op: np.ndarray, g: float) -> np.ndarray:
+    """exp(-i g op (x) sigma_y) on qudit (x) meter as a plain 2d x 2d array.
 
-    Only the integrated strength g enters; the closed form
-    cos(g) 1 - i sin(g) C (x) sigma_y requires C^2 = 1.
+    Only the integrated strength g enters.  An involution (op^2 = 1)
+    gives cos(g) 1 - i sin(g) op (x) sigma_y; a projector (op^2 = op)
+    gives (1 - op) (x) 1 + op (x) R(g), with R(g) the real rotation by g
+    in the meter plane.  The operator is not checked here.
     """
+    d = op.shape[0]
+    if kind == "involution":
+        return np.cos(g) * np.eye(2 * d, dtype=complex) - 1j * np.sin(g) * np.kron(op, SIGMA_Y)
+    if kind == "projector":
+        rot = np.array([[np.cos(g), -np.sin(g)], [np.sin(g), np.cos(g)]], dtype=complex)
+        return np.kron(np.eye(d) - op, np.eye(2)) + np.kron(op, rot)
+    raise InvalidCouplingError(f"unknown coupling kind {kind!r}")
+
+
+def coupling_unitary(c: Observable | np.ndarray, g: float) -> UnitaryMatrix:
+    """exp(-i g C (x) sigma_y) for an involution C (checked), via ``coupling_gate``."""
     mat = c.entries if isinstance(c, Observable) else np.asarray(c, dtype=complex)
     d = mat.shape[0]
     if np.max(np.abs(mat @ mat - np.eye(d))) > 1e-10:
         raise InvalidCouplingError("coupling operator is not an involution (C^2 != 1)")
     check_joint_dim(2 * d)
-    u = np.cos(g) * np.eye(2 * d, dtype=complex) - 1j * np.sin(g) * np.kron(mat, SIGMA_Y)
-    return UnitaryMatrix.create(u)
+    return UnitaryMatrix.create(coupling_gate("involution", mat, g))
 
 
 def projector_coupling_unitary(p: np.ndarray, g: float) -> UnitaryMatrix:
-    """exp(-i g P (x) sigma_y) for a projector P.
-
-    P^2 = P collapses the exponential to (1-P) (x) 1 + P (x) R(g) with
-    R(g) the real rotation by g in the meter plane.
-    """
+    """exp(-i g P (x) sigma_y) for a projector P (checked), via ``coupling_gate``."""
     p = np.asarray(p, dtype=complex)
     d = p.shape[0]
     if np.max(np.abs(p @ p - p)) > 1e-10:
         raise InvalidCouplingError("coupling operator is not a projector (P^2 != P)")
     check_joint_dim(2 * d)
-    rot = np.array([[np.cos(g), -np.sin(g)], [np.sin(g), np.cos(g)]], dtype=complex)
-    u = np.kron(np.eye(d) - p, np.eye(2)) + np.kron(p, rot)
-    return UnitaryMatrix.create(u)
+    return UnitaryMatrix.create(coupling_gate("projector", p, g))
 
 
 def uniform_superposition_projector(d: int) -> np.ndarray:

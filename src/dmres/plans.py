@@ -2,16 +2,22 @@
 
 A plan fixes the couplings, the meter readout settings and the
 estimator coefficients for one density-matrix element.  Everything a
-plan needs at evaluation time is captured by per-setting readout
-amplitude matrices: with ``A_s`` the (outcomes x system-dim) amplitude
-matrix of setting ``s``, the probability of outcome ``o`` for input
-``rho`` is ``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
+plan needs at evaluation time is captured by its readout amplitudes,
+one (n_settings, outcomes, system-dim) stack: with ``A_s`` the slice of
+setting ``s``, the probability of outcome ``o`` for input ``rho`` is
+``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
+
+The engine never forms a joint-space matrix.  Amplitudes live in a
+(d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
+closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
+rotations are applied meter by meter for all settings at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,17 +25,8 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import InvalidCouplingError
-from .linalg import (
-    DensityMatrix,
-    Ket,
-    SIGMA_Y,
-    as_density,
-    basis_ket,
-    check_joint_dim,
-    embed_site,
-    kron_all,
-)
-from .operators import meter_readout_basis
+from .linalg import DensityMatrix, Ket, check_joint_dim
+from .operators import coupling_gate, meter_readout_basis
 from .stateio import format_float
 
 RES_SCHEME = "res"
@@ -82,7 +79,7 @@ class ProtocolPlan:
     post_selectors: tuple[int, int]  # flat indices (s, s')
     coeff_re: np.ndarray  # (n_settings, n_outcomes)
     coeff_im: np.ndarray
-    amplitudes: tuple[np.ndarray, ...]  # per-setting readout amplitude matrices
+    amplitudes: np.ndarray  # read-only (n_settings, outcomes, dim) readout amplitudes
     calibration: CalibrationInfo | None = field(default=None, compare=False)
     has_estimator: bool = True
 
@@ -116,63 +113,111 @@ def sign_products(n_meters: int) -> np.ndarray:
     return patterns.prod(axis=1)
 
 
+def _apply_couplings(tensor: np.ndarray, dims: tuple[int, ...], couplings: Sequence[Coupling],
+                     g: float) -> np.ndarray:
+    """Apply each coupling's local gate, first coupling first.
+
+    ``tensor`` has axes (d_1, ..., d_N, 2, ..., 2, rest) with meter i on
+    axis N + i; each gate acts on the (qudit, meter) axis pair only.
+    """
+    n = len(dims)
+    for i, c in enumerate(couplings):
+        axes = (c.qudit, n + i)
+        moved = np.moveaxis(tensor, axes, (0, 1))
+        gate = coupling_gate(c.kind, c.op, g)
+        moved = (gate @ moved.reshape(gate.shape[0], -1)).reshape(moved.shape)
+        tensor = np.moveaxis(moved, (0, 1), axes)
+    return tensor
+
+
 def joint_unitary(dims: Sequence[int], couplings: Sequence[Coupling], g: float) -> np.ndarray:
     """Total coupling unitary on system (x) meters; first coupling acts first."""
     dims = tuple(dims)
-    d_sys = int(np.prod(dims))
     m = len(couplings)
-    joint = d_sys * 2 ** m
+    joint = math.prod(dims) * 2 ** m
     check_joint_dim(joint)
-    meter_dims = (2,) * m
-    u = np.eye(joint, dtype=complex)
-    for i, c in enumerate(couplings):
-        big_op = embed_site(c.op, dims, c.qudit)
-        if c.kind == "involution":
-            sy = embed_site(SIGMA_Y, meter_dims, i)
-            factor = np.cos(g) * np.eye(joint) - 1j * np.sin(g) * np.kron(big_op, sy)
-        elif c.kind == "projector":
-            rot = np.array([[np.cos(g), -np.sin(g)], [np.sin(g), np.cos(g)]], dtype=complex)
-            rot_i = embed_site(rot, meter_dims, i)
-            factor = np.kron(np.eye(d_sys) - big_op, np.eye(2 ** m)) + np.kron(big_op, rot_i)
-        else:
-            raise InvalidCouplingError(f"unknown coupling kind {c.kind!r}")
-        u = factor @ u
-    return u
+    eye = np.eye(joint, dtype=complex).reshape(dims + (2,) * m + (joint,))
+    return _apply_couplings(eye, dims, couplings, g).reshape(joint, joint)
 
 
 def base_amplitudes(dims: Sequence[int], couplings: Sequence[Coupling], g: float) -> np.ndarray:
-    """Columns are U |u> (x) |0...0> for each system basis ket |u>."""
-    d_sys = int(np.prod(dims))
+    """Columns are U |u> (x) |0...0> for each system basis ket |u>.
+
+    Rows are (system outcome, meter pattern) with meter 0 most
+    significant: shape (d_sys * 2^m, d_sys).
+    """
+    dims = tuple(dims)
+    d_sys = math.prod(dims)
     m = len(couplings)
-    u = joint_unitary(dims, couplings, g)
-    start = kron_all([np.eye(d_sys, dtype=complex)] + [basis_ket(2, 0).reshape(2, 1)] * m)
-    return u @ start  # (d_sys * 2^m) x d_sys
+    check_joint_dim(d_sys * 2 ** m)
+    start = np.zeros((d_sys, 2 ** m, d_sys), dtype=complex)
+    start[np.arange(d_sys), 0, np.arange(d_sys)] = 1.0
+    out = _apply_couplings(start.reshape(dims + (2,) * m + (d_sys,)), dims, couplings, g)
+    return out.reshape(d_sys * 2 ** m, d_sys)
+
+
+def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Apply one of the 2x2 matrices ``stack[b]`` to each meter, for every choice.
+
+    ``blocks`` is (rows, 2^m, cols) with meter 0 most significant in the
+    middle axis.  The result is (2^m, rows * 2^m, cols): one slice per
+    choice of b for every meter, in ``enumerate_settings`` order.
+    """
+    rows, n_patterns, cols = blocks.shape
+    m = n_patterns.bit_length() - 1
+    out = blocks[None]
+    for i in range(m):
+        tail = 2 ** (m - i - 1) * cols
+        out = np.einsum("boi,spir->sbpor", stack, out.reshape(-1, rows * 2 ** i, 2, tail))
+    return out.reshape(-1, rows * n_patterns, cols)
+
+
+READOUT_STACK = np.stack([meter_readout_basis(b).conj().T for b in ("x", "y")])
 
 
 def readout_amplitudes(
     base: np.ndarray,
     settings: Sequence[MeasurementSetting],
     d_sys: int,
-) -> tuple[np.ndarray, ...]:
-    """Rotate the meter factors of ``base`` into each setting's eigenbasis."""
-    out = []
-    for s in settings:
-        w = kron_all([meter_readout_basis(b) for b in s.meter_bases])
-        rot = np.kron(np.eye(d_sys, dtype=complex), w.conj().T)
-        out.append(rot @ base)
-    return tuple(out)
+) -> np.ndarray:
+    """Rotate the meter factors of ``base`` into each setting's eigenbasis.
+
+    Returns one read-only (n_settings, outcomes, d_sys) stack; slice i is
+    the readout amplitude matrix of ``settings[i]``.
+    """
+    full = per_meter(base.reshape(d_sys, -1, d_sys), READOUT_STACK)
+    m = full.shape[0].bit_length() - 1
+    order = [sum(1 << (m - 1 - j) for j, b in enumerate(s.meter_bases) if b == "y")
+             for s in settings]
+    if order != list(range(full.shape[0])):
+        full = full[order]
+    full.setflags(write=False)
+    return full
+
+
+def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:
+    """<a_o| rho |a_o> for every row a_o of an amplitude stack."""
+    flat = amps.reshape(-1, amps.shape[-1])
+    if isinstance(state, Ket):
+        p = np.abs(flat @ state.amplitudes) ** 2
+    else:
+        p = ((flat @ state.entries) * flat.conj()).sum(-1).real
+    return p.reshape(amps.shape[:-1])
 
 
 def setting_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket, setting_index: int) -> np.ndarray:
-    a = plan.amplitudes[setting_index]
-    if isinstance(state, Ket):
-        return np.abs(a @ state.amplitudes) ** 2
-    return np.einsum("ou,uv,ov->o", a, state.entries, a.conj()).real
+    return _born(plan.amplitudes[setting_index], state)
 
 
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
     """(n_settings, outcomes_per_setting) Born probabilities."""
-    return np.stack([setting_probabilities(plan, state, i) for i in range(plan.n_settings)])
+    return _born(plan.amplitudes, state)
+
+
+def _weighted_gram(plan: ProtocolPlan, weights: np.ndarray) -> np.ndarray:
+    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u]."""
+    a = plan.amplitudes.reshape(-1, plan.element.dim)
+    return a.conj().T @ (np.reshape(weights, (-1, 1)) * a)
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -181,12 +226,7 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     Unbiasedness means K is the single matrix unit at (s, s'), which is
     checkable without any quantum state.
     """
-    d = plan.element.dim
-    k = np.zeros((d, d), dtype=complex)
-    coeff = plan.coefficients()
-    for i, a in enumerate(plan.amplitudes):
-        k += np.einsum("o,ou,ov->uv", coeff[i], a, a.conj())
-    return k
+    return _weighted_gram(plan, plan.coefficients()).T
 
 
 def estimator_operators(plan: ProtocolPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +235,7 @@ def estimator_operators(plan: ProtocolPlan) -> tuple[np.ndarray, np.ndarray]:
     These give per-state shot variances at unit per-setting exposure as
     linear functionals of the state.
     """
-    d = plan.element.dim
-    w_re = np.zeros((d, d), dtype=complex)
-    w_im = np.zeros((d, d), dtype=complex)
-    for i, a in enumerate(plan.amplitudes):
-        w_re += np.einsum("o,ou,ov->vu", plan.coeff_re[i] ** 2, a, a.conj())
-        w_im += np.einsum("o,ou,ov->vu", plan.coeff_im[i] ** 2, a, a.conj())
-    return w_re, w_im
+    return _weighted_gram(plan, plan.coeff_re ** 2), _weighted_gram(plan, plan.coeff_im ** 2)
 
 
 def apply_estimator(plan: ProtocolPlan, probabilities: np.ndarray) -> complex:
@@ -258,7 +292,3 @@ def plan_document(plan: ProtocolPlan) -> str:
         return json.dumps(obj)
 
     return encode(doc) + "\n"
-
-
-def promote(state: DensityMatrix | Ket) -> DensityMatrix:
-    return as_density(state)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .elements import ElementIndex, element_from_flat
 from .errors import InvalidCouplingError, InvalidElementError
-from .linalg import DensityMatrix, Ket
+from .linalg import DensityMatrix, Ket, as_density
 from .operators import make_involution
 from .plans import (
     Coupling,
@@ -28,8 +28,6 @@ from .plans import (
     base_amplitudes,
     enumerate_settings,
     functional_matrix,
-    joint_unitary,
-    promote,
     readout_amplitudes,
     setting_probabilities,
     sign_products,
@@ -109,18 +107,19 @@ def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> Pr
 
 
 def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:
-    """System-meter state after coupling: U (rho (x) |0><0|^l) U^dag."""
-    rho = promote(rho)
+    """System-meter state after coupling: U (rho (x) |0><0|^l) U^dag.
+
+    With B = ``base_amplitudes`` (the columns U |u> (x) |0...0>) this is
+    B rho B^dag.
+    """
+    rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
-    u = joint_unitary(plan.element.dims, plan.couplings, plan.g)
-    m = plan.n_meters
-    meter0 = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    meter0[0, 0] = 1.0
-    jt = u @ np.kron(rho.entries, meter0) @ u.conj().T
+    b = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
+    jt = b @ rho.entries @ b.conj().T
     return DensityMatrix.create(
         jt,
-        plan.element.dims + (2,) * m,
+        plan.element.dims + (2,) * plan.n_meters,
         check_positive=rho.positive,
     )
 
@@ -143,7 +142,7 @@ class OutcomeDistribution:
 def outcome_distribution(
     rho: DensityMatrix | Ket, plan: ProtocolPlan, setting: MeasurementSetting | int
 ) -> OutcomeDistribution:
-    rho = promote(rho)
+    rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
@@ -152,7 +151,7 @@ def outcome_distribution(
 
 def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     """Estimate <s| rho |s'> from the plan's outcome probabilities."""
-    rho = promote(rho)
+    rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     return apply_estimator(plan, all_probabilities(plan, rho))
@@ -169,7 +168,7 @@ def extract_batch(plans, rhos: np.ndarray) -> np.ndarray:
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     """<s| rho |s>: the probability of system outcome s, no meters needed."""
-    rho = promote(rho)
+    rho = as_density(rho)
     idx = np.ravel_multi_index(tuple(int(a) for a in s), rho.dims)
     return float(rho.entries[idx, idx].real)
 
@@ -181,7 +180,7 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
     upper triangle is extracted per element and the lower triangle is
     filled by conjugation.  No positivity projection is applied.
     """
-    rho = promote(rho)
+    rho = as_density(rho)
     dims = rho.dims
     total = rho.dim
     est = np.zeros((total, total), dtype=complex)

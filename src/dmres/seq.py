@@ -19,7 +19,7 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import CalibrationError, InvalidCouplingError, InvalidElementError
-from .linalg import DensityMatrix, Ket, SIGMA_X, SIGMA_Y, kron_all, projector
+from .linalg import DensityMatrix, Ket, SIGMA_X, SIGMA_Y, as_density, projector
 from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
@@ -31,7 +31,7 @@ from .plans import (
     apply_estimator,
     base_amplitudes,
     enumerate_settings,
-    promote,
+    per_meter,
     readout_amplitudes,
     sign_products,
 )
@@ -43,28 +43,36 @@ RESIDUAL_TOL = 1e-8
 # below the floor are noise, not signal, and must not be inverted.
 SV_FLOOR = 1e-13
 
+PAULI_STACK = np.stack([SIGMA_X, SIGMA_Y])
 
-def hermitian_basis(dim: int) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    """Stacked Hermitian basis: diagonal units, then symmetric and
-    antisymmetric combinations for each upper-triangle pair."""
-    mats = []
-    labels = []
-    for u in range(dim):
-        b = np.zeros((dim, dim), dtype=complex)
-        b[u, u] = 1.0
-        mats.append(b)
-        labels.append((u, u, "d"))
+
+def hermitian_labels(dim: int) -> list[tuple[int, int, str]]:
+    """Hermitian basis order: diagonal units, then a symmetric ('re') and an
+    antisymmetric ('im') combination for each upper-triangle pair."""
+    labels = [(u, u, "d") for u in range(dim)]
     for u, v in itertools.combinations(range(dim), 2):
-        b = np.zeros((dim, dim), dtype=complex)
-        b[u, v] = b[v, u] = 1.0
-        mats.append(b)
-        labels.append((u, v, "re"))
-        b = np.zeros((dim, dim), dtype=complex)
-        b[u, v] = -1.0j
-        b[v, u] = 1.0j
-        mats.append(b)
-        labels.append((u, v, "im"))
-    return np.stack(mats), labels
+        labels += [(u, v, "re"), (u, v, "im")]
+    return labels
+
+
+def basis_traces(mats: np.ndarray) -> np.ndarray:
+    """Tr(B_b M) for every basis element B_b, read off the entries of M.
+
+    Works on stacks (..., dim, dim) and returns (..., dim^2) complex
+    values in ``hermitian_labels`` order: M[u,u], then M[u,v] + M[v,u]
+    and i (M[u,v] - M[v,u]) per pair.
+    """
+    iu, iv = np.triu_indices(mats.shape[-1], 1)
+    upper, lower = mats[..., iu, iv], mats[..., iv, iu]
+    pairs = np.stack([upper + lower, 1j * (upper - lower)], axis=-1)
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    return np.concatenate([diag, pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """The stacked dense basis, dim^4 entries: B_b[u, v] = Tr(B_b |v><u|)."""
+    units = np.eye(dim * dim, dtype=complex).reshape((dim,) * 4).swapaxes(2, 3)
+    return np.moveaxis(basis_traces(units), -1, 0)
 
 
 @dataclass(frozen=True)
@@ -73,33 +81,29 @@ class ResponseMap:
 
     ``matrix`` has one column per Hermitian basis element (diagonal
     units first, then paired re/im combinations) and one row per
-    (setting, outcome) in plan order.  It is computed on first use:
-    the default correlator calibration reads only the basis.
+    (setting, outcome) in plan order.  It and the dense ``basis`` are
+    computed on first use: the default correlator calibration reads
+    neither.
     """
 
     plan: ProtocolPlan
-    basis: np.ndarray
-    basis_labels: list
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return hermitian_basis(self.plan.element.dim)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        cols = []
-        for a in self.plan.amplitudes:
-            cols.append(np.einsum("ou,buv,ov->bo", a, self.basis, a.conj()).real)
-        return np.concatenate(cols, axis=1).T  # rows: (setting, outcome); cols: basis
+        a = self.plan.amplitudes.reshape(-1, self.plan.element.dim)
+        # <a| B |a> = Tr(B G) with G[v, u] = conj(a[v]) a[u]
+        return basis_traces(a.conj()[:, :, None] * a[:, None, :]).real
 
     def coordinates(self, hermitian: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a Hermitian matrix in the map's basis."""
         m = np.asarray(hermitian, dtype=complex)
-        coords = []
-        for b, (u, v, kind) in zip(self.basis, self.basis_labels):
-            if kind == "d":
-                coords.append(m[u, u].real)
-            elif kind == "re":
-                coords.append(m[u, v].real)
-            else:
-                coords.append(-m[u, v].imag)
-        return np.array(coords)
+        iu, iv = np.triu_indices(m.shape[0], 1)
+        pairs = np.stack([m[iu, iv].real, -m[iu, iv].imag], axis=-1).reshape(-1)
+        return np.concatenate([np.diagonal(m).real, pairs])
 
     def apply(self, hermitian: np.ndarray) -> np.ndarray:
         return self.matrix @ self.coordinates(hermitian)
@@ -119,54 +123,58 @@ def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
 
 
 def response_map(plan: ProtocolPlan) -> ResponseMap:
-    """Propagate every Hermitian basis element through the measurement."""
-    basis, labels = hermitian_basis(plan.element.dim)
-    return ResponseMap(plan=plan, basis=basis, basis_labels=labels)
+    """The plan's response map; its dense parts are built on first use."""
+    return ResponseMap(plan=plan)
 
 
-def _targets(element: ElementIndex, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the Re and Im element functionals in the basis."""
-    s, sp = element.s_flat, element.s_prime_flat
-    t_re = basis[:, s, sp].real
-    t_im = basis[:, s, sp].imag
-    return t_re, t_im
+def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the Re and Im element functionals: B_b[s, s'] per basis element."""
+    d = element.dim
+    unit = np.zeros((d, d), dtype=complex)
+    unit[element.s_prime_flat, element.s_flat] = 1.0
+    t = basis_traces(unit)  # Tr(B_b |s'><s|) = B_b[s, s']
+    return t.real, t.imag
 
 
-def _correlator_response(
-    plan: ProtocolPlan, basis: np.ndarray, outcomes: list[int], base: np.ndarray
-) -> np.ndarray:
+def _correlator_response(plan: ProtocolPlan, outcomes: list[int], base: np.ndarray) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
     Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) per basis element B, with
     A_k the meter-block amplitudes for outcome k and Sigma_b the tensor
-    product of the setting's Pauli readouts.  Computing the matrix
-    element directly keeps every term at the full correlator order in
-    g, so no precision is lost to cancellation at weak coupling.
+    product of the setting's Pauli readouts, applied meter by meter.
+    Computing the matrix element directly keeps every term at the full
+    correlator order in g, so no precision is lost to cancellation at
+    weak coupling.
+    """
+    d = plan.element.dim
+    blocks = base.reshape(d, 2 ** plan.n_meters, d)[outcomes]
+    sigma_blocks = per_meter(blocks, PAULI_STACK).reshape((-1,) + blocks.shape)
+    gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, outcomes, d, d)
+    rows = basis_traces(gmat).real / np.sqrt(2 ** plan.n_meters)
+    return rows.reshape(-1, rows.shape[-1])
+
+
+def _correlator_signs(n_meters: int) -> np.ndarray:
+    return sign_products(n_meters) / np.sqrt(2 ** n_meters)
+
+
+def _correlator_coefficients(plan: ProtocolPlan, outcomes: list[int], z: np.ndarray) -> np.ndarray:
+    """Scatter one weight per (setting, outcome k) onto that block's meter signs.
+
+    The blocks form an orthonormal basis of the restricted coefficient
+    subspace; the result is the full (n_settings, outcomes) table.
     """
     m = plan.n_meters
-    rows = []
-    for setting in plan.settings:
-        sigma = kron_all([SIGMA_X if b == "x" else SIGMA_Y for b in setting.meter_bases])
-        for k in outcomes:
-            blk = base[k * 2 ** m:(k + 1) * 2 ** m, :]
-            gmat = blk.conj().T @ sigma @ blk
-            rows.append(np.einsum("buv,vu->b", basis, gmat).real / np.sqrt(2 ** m))
-    return np.array(rows)
+    coeff = np.zeros((plan.n_settings, plan.element.dim, 2 ** m))
+    coeff[:, outcomes] = z.reshape(plan.n_settings, len(outcomes), 1) * _correlator_signs(m)
+    return coeff.reshape(plan.n_settings, -1)
 
 
-def _correlator_vectors(plan: ProtocolPlan, outcomes: list[int]) -> np.ndarray:
-    """Orthonormal coefficient-space basis of the restricted subspace."""
-    m = plan.n_meters
-    n_out = plan.outcomes_per_setting
-    signs = sign_products(m) / np.sqrt(2 ** m)
-    vecs = []
-    for i in range(plan.n_settings):
-        for k in outcomes:
-            v = np.zeros(plan.n_settings * n_out)
-            v[i * n_out + k * 2 ** m:i * n_out + (k + 1) * 2 ** m] = signs
-            vecs.append(v)
-    return np.array(vecs).T
+def _correlator_weights(plan: ProtocolPlan, outcomes: list[int], w: np.ndarray) -> np.ndarray:
+    """Diagonal of S^T diag(w) S for the scatter S: block sums of w sign^2."""
+    blocks = w.reshape(plan.n_settings, plan.element.dim, -1)[:, outcomes]
+    return (blocks * _correlator_signs(plan.n_meters) ** 2).sum(-1).reshape(-1)
 
 
 def calibrate_estimator(
@@ -193,17 +201,16 @@ def calibrate_estimator(
     element = element or plan.element
     if element != plan.element:
         raise InvalidElementError("calibration element does not match the plan's element")
-    t_re, t_im = _targets(element, rmap.basis)
+    t_re, t_im = _targets(element)
 
-    if support == "correlator":
+    restricted = support == "correlator"
+    if restricted:
         outcomes = sorted(set(plan.post_selectors))
         if base is None:
             base = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
-        a_mat = _correlator_response(plan, rmap.basis, outcomes, base).T  # basis x subspace
-        subspace = _correlator_vectors(plan, outcomes)
+        a_mat = _correlator_response(plan, outcomes, base).T  # basis x subspace
     elif support == "full":
         a_mat = rmap.matrix.T
-        subspace = None
     else:
         raise CalibrationError(f"unknown calibration support {support!r}")
 
@@ -211,7 +218,7 @@ def calibrate_estimator(
         w = np.asarray(weights, dtype=float).reshape(-1)
         # Restricted columns have disjoint outcome support, so the
         # quadratic form S^T diag(w) S is diagonal.
-        wz = (subspace ** 2).T @ w if subspace is not None else w
+        wz = _correlator_weights(plan, outcomes, w) if restricted else w
         scale = 1.0 / np.sqrt(np.maximum(wz, 1e-12))
         a_mat = a_mat * scale
     else:
@@ -239,9 +246,9 @@ def calibrate_estimator(
     if scale is not None:
         z_re = z_re * scale
         z_im = z_im * scale
-    if subspace is not None:
-        c_re = subspace @ z_re
-        c_im = subspace @ z_im
+    if restricted:
+        c_re = _correlator_coefficients(plan, outcomes, z_re)
+        c_im = _correlator_coefficients(plan, outcomes, z_im)
     else:
         c_re, c_im = z_re, z_im
     info = CalibrationInfo(
@@ -307,7 +314,7 @@ def plan_seq(
 
 def extract_element_seq(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     """Estimate <s| rho |s'> with the calibrated sequential plan."""
-    rho = promote(rho)
+    rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     return apply_estimator(plan, all_probabilities(plan, rho))

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError
-from .linalg import DensityMatrix, Ket
-from .plans import ProtocolPlan, all_probabilities, promote
+from .linalg import DensityMatrix, Ket, as_density
+from .plans import ProtocolPlan, all_probabilities
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -59,7 +59,7 @@ def element_variance(
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
     summed over settings.  The result does not depend on n_t.
     """
-    p = all_probabilities(plan, promote(rho))
+    p = all_probabilities(plan, as_density(rho))
     factor = allocation_factor(policy.allocation, plan.n_settings)
     var_re = factor * float(np.sum(plan.coeff_re ** 2 * p))
     var_im = factor * float(np.sum(plan.coeff_im ** 2 * p))
@@ -77,7 +77,7 @@ def simulate_shots(
     Counts are normalized by the known exposure, which keeps the
     estimator exactly unbiased.
     """
-    p = all_probabilities(plan, promote(rho))
+    p = all_probabilities(plan, as_density(rho))
     if p.min() < -1e-12:
         raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
     p = np.clip(p, 0.0, None)

@@ -108,3 +108,103 @@ def exact_haar_mean(plans):
             weights = 0.5 * (plan.coeff_re[i] ** 2 + plan.coeff_im[i] ** 2)
             total += float(np.sum(weights * norms))
     return total / len(plans) / plans[0].element.dim
+
+
+EIGENBRAS = {
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
+}  # rows: <+| and <-| of sigma_x / sigma_y
+
+
+def reference_couplings(dims, s, sp, scheme):
+    """(qudit, operator) per meter, in coupling order, from the element alone.
+
+    res couples each differing qudit through its swap involution; seq
+    couples it twice, through |s_n><s_n| and then the uniform projector.
+    """
+    out = []
+    for n, d in enumerate(dims):
+        if s[n] == sp[n]:
+            continue
+        if scheme == "res":
+            out.append((n, swap_op(d, s[n], sp[n])))
+        else:
+            target = np.zeros((d, d), dtype=complex)
+            target[s[n], s[n]] = 1
+            out += [(n, target), (n, np.full((d, d), 1.0 / d, dtype=complex))]
+    return out
+
+
+def _reference_readout(dims, s, sp, g, scheme):
+    """Coupled columns U |u>|0..0> and each setting's readout bra matrix."""
+    dims = tuple(dims)
+    couplings = reference_couplings(dims, s, sp, scheme)
+    m = len(couplings)
+    d_sys = int(np.prod(dims))
+    u = np.eye(d_sys * 2 ** m, dtype=complex)
+    for j, (n, op) in enumerate(couplings):
+        ham = g * np.kron(embed(op, dims, n), embed(SY, (2,) * m, j))
+        u = scipy.linalg.expm(-1j * ham) @ u
+    cols = u[:, ::2 ** m]
+    bras = [np.kron(np.eye(d_sys), kron(*[EIGENBRAS[b] for b in bases]))
+            for bases in itertools.product("xy", repeat=m)]
+    return cols, bras
+
+
+def reference_plan_amplitudes(dims, s, sp, g, scheme):
+    """(settings, outcomes, D) amplitudes <k, e_1..e_m| U |u, 0..0>.
+
+    U is the product of expm(-i g op (x) sigma_y) over the couplings,
+    first coupling applied first; settings and outcomes run in the
+    plans' order (meter 0 most significant, + before -).
+    """
+    cols, bras = _reference_readout(dims, s, sp, g, scheme)
+    return np.stack([r @ cols for r in bras])
+
+
+def reference_plan_probabilities(rho, dims, s, sp, g, scheme):
+    """(settings, outcomes) expectations of the explicit readout projectors
+    |k, e><k, e| on the joint state U (rho (x) |0..0><0..0|) U^dag."""
+    cols, bras = _reference_readout(dims, s, sp, g, scheme)
+    joint = cols @ rho @ cols.conj().T
+    return np.stack([np.einsum("ou,uv,ov->o", r, joint, r.conj()).real for r in bras])
+
+
+def hermitian_basis_element(dim, label):
+    """One dense element of the seq calibration basis: (u, u, 'd'),
+    (u, v, 're') = |u><v| + |v><u| or (u, v, 'im') = -i|u><v| + i|v><u|."""
+    u, v, kind = label
+    b = np.zeros((dim, dim), dtype=complex)
+    if kind == "d":
+        b[u, u] = 1
+    elif kind == "re":
+        b[u, v] = b[v, u] = 1
+    else:
+        b[u, v], b[v, u] = -1j, 1j
+    return b
+
+
+def basis_path_correlator_rows(plan, outcomes, base, labels):
+    """Correlator response rows Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) with a
+    dense Pauli product per setting and one explicit basis matrix at a time."""
+    m = plan.n_meters
+    pauli = {"x": SX, "y": SY}
+    gmats = []
+    for setting in plan.settings:
+        sigma = kron(*[pauli[b] for b in setting.meter_bases])
+        for k in outcomes:
+            blk = base[k * 2 ** m:(k + 1) * 2 ** m]
+            gmats.append(blk.conj().T @ sigma @ blk)
+    gmats = np.array(gmats)
+    dim = plan.element.dim
+    rows = np.empty((len(gmats), len(labels)))
+    for j, label in enumerate(labels):
+        rows[:, j] = np.einsum("uv,nvu->n", hermitian_basis_element(dim, label), gmats).real
+    return rows / np.sqrt(2 ** m)
+
+
+def basis_path_targets(element, labels):
+    """Re and Im of B[s, s'] for each explicit basis element B."""
+    vals = np.array([hermitian_basis_element(element.dim, lab)[element.s_flat, element.s_prime_flat]
+                     for lab in labels])
+    return vals.real, vals.imag

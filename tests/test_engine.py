@@ -1,0 +1,153 @@
+"""The tensor-form probability engine against independent dense oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
+
+import dmres.seq as seq_module
+from dmres import (
+    DimensionLimitError,
+    ElementIndex,
+    characterize,
+    extract_element_seq,
+    plan_res,
+    plan_seq,
+    random_mixed_state,
+    stream,
+)
+from dmres.plans import all_probabilities, functional_matrix, joint_unitary
+from dmres.precision import SystemSpec, per_state_values
+from dmres.seq import response_map
+
+from oracles import (
+    basis_path_correlator_rows,
+    basis_path_targets,
+    embed,
+    hermitian_basis_element,
+    reference_plan_amplitudes,
+    reference_plan_probabilities,
+    SY,
+)
+
+BUILDERS = {"res": plan_res, "seq": plan_seq}
+
+
+@st.composite
+def elements(draw):
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+    s = tuple(draw(st.integers(0, d - 1)) for d in dims)
+    sp = tuple(draw(st.integers(0, d - 1)) for d in dims)
+    if s == sp:
+        n = draw(st.integers(0, len(dims) - 1))
+        sp = sp[:n] + ((sp[n] + 1) % dims[n],) + sp[n + 1:]
+    return ElementIndex.create(dims, s, sp)
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(element=elements(), g=st.floats(0.1, 1.4), scheme=st.sampled_from(["res", "seq"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_amplitudes_and_probabilities(self, element, g, scheme, seed):
+        plan = BUILDERS[scheme](element, g)
+        args = (element.dims, element.s, element.s_prime, g, scheme)
+        assert plan.amplitudes.shape == (plan.n_settings, plan.outcomes_per_setting, element.dim)
+        assert not plan.amplitudes.flags.writeable
+        assert_allclose(plan.amplitudes, reference_plan_amplitudes(*args), rtol=0, atol=1e-12)
+        rho = random_mixed_state(element.dims, stream(seed, "engine-oracle"))
+        want = reference_plan_probabilities(rho.entries, *args)
+        assert_allclose(all_probabilities(plan, rho), want, rtol=0, atol=1e-12)
+
+    def test_joint_unitary_is_the_expm_product(self):
+        element = ElementIndex.create((2, 3), (0, 2), (1, 0))
+        plan = plan_seq(element, 0.45)
+        want = np.eye(6 * 16, dtype=complex)
+        for j, c in enumerate(plan.couplings):
+            ham = 0.45 * np.kron(embed(c.op, (2, 3), c.qudit), embed(SY, (2,) * 4, j))
+            want = scipy.linalg.expm(-1j * ham) @ want
+        assert_allclose(joint_unitary((2, 3), plan.couplings, 0.45), want, atol=1e-12)
+
+    def test_stacked_amplitudes_iterate_per_setting(self):
+        plan = plan_res(ElementIndex.create((3, 3), (0, 1), (2, 0)), 0.5)
+        slices = list(plan.amplitudes)
+        assert len(slices) == plan.n_settings
+        assert all(np.array_equal(a, plan.amplitudes[i]) for i, a in enumerate(slices))
+
+
+class TestLargerSystems:
+    def test_three_qutrit_seq_exact(self):
+        element = ElementIndex.create((3, 3, 3), (0, 1, 2), (2, 0, 1))
+        plan = plan_seq(element, 0.6)
+        target = np.zeros((27, 27), dtype=complex)
+        target[element.s_flat, element.s_prime_flat] = 1
+        assert np.max(np.abs(functional_matrix(plan) - target)) <= 1e-8
+        rho = random_mixed_state((3, 3, 3), stream(0, "engine-3x3"))
+        got = extract_element_seq(rho, plan)
+        assert abs(got - rho.entry(element.s_flat, element.s_prime_flat)) <= 1e-8
+
+    def test_four_qubit_res_exact(self):
+        rho = random_mixed_state((2, 2, 2, 2), stream(1, "engine-2x4"))
+        est = characterize(rho, 0.55)
+        assert np.max(np.abs(est.entries - rho.entries)) <= 1e-10
+
+    def test_oversized_element_rejected_before_allocating(self):
+        # 81 * 2^8 = 20,736 exceeds the joint limit; the dense path would
+        # have needed 20,736^2 complex entries
+        element = ElementIndex.create((3,) * 4, (0,) * 4, (1,) * 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError):
+                plan_seq(element, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+class TestIndexedCalibration:
+    ELEMENT = ElementIndex.create((2,) * 6, (0,) * 6, (1,) + (0,) * 5)
+
+    def test_matches_explicit_basis_path(self, monkeypatch):
+        # joint dimension 256, but 4,096 Hermitian basis elements of 64 x 64
+        plan = plan_seq(self.ELEMENT, 0.7)
+        labels = seq_module.hermitian_labels(self.ELEMENT.dim)
+        monkeypatch.setattr(seq_module, "_correlator_response",
+                            lambda p, outcomes, base: basis_path_correlator_rows(p, outcomes, base, labels))
+        monkeypatch.setattr(seq_module, "_targets", lambda e: basis_path_targets(e, labels))
+        ref = plan_seq(self.ELEMENT, 0.7)
+        assert_allclose(plan.coeff_re, ref.coeff_re, rtol=1e-12, atol=1e-12)
+        assert_allclose(plan.coeff_im, ref.coeff_im, rtol=1e-12, atol=1e-12)
+
+    def test_build_stays_small(self):
+        # traced allocations, not ru_maxrss: a child process inherits the
+        # test runner's high-water mark across fork and exec
+        tracemalloc.start()
+        try:
+            plan_seq(self.ELEMENT, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    def test_response_matrix_matches_dense_basis(self):
+        plan = plan_seq(ElementIndex.create((2, 2), (0, 1), (1, 1)), 0.4)
+        rmap = response_map(plan)
+        basis = np.stack([hermitian_basis_element(4, lab) for lab in seq_module.hermitian_labels(4)])
+        assert_allclose(rmap.basis, basis, rtol=0, atol=0)
+        a = plan.amplitudes
+        want = np.einsum("sou,buv,sov->sob", a, basis, a.conj()).real
+        assert_allclose(rmap.matrix, want.reshape(-1, len(basis)), rtol=0, atol=1e-15)
+
+
+def test_three_qubit_weak_coupling_ratio_slope():
+    # seq/res variance ratio ~ g^(-2N): slope 6 for three qubits.  Below
+    # g ~ 1e-2 the seq response (order g^6) drops under the calibration floor.
+    grid = np.geomspace(2e-2, 6e-2, 5)
+    system = SystemSpec(3, 2)
+    ratios = [per_state_values(system, "seq", float(g), 0, 500).mean()
+              / per_state_values(system, "res", float(g), 0, 500).mean() for g in grid]
+    slope = -float(np.polyfit(np.log(grid), np.log(ratios), 1)[0])
+    assert abs(slope - 6.0) <= 0.3, f"three-qubit ratio slope {slope:.3f}"
