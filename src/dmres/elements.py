@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,11 +37,11 @@ class ElementIndex:
     def n_qudits(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
+    @cached_property
     def coupled_set(self) -> tuple[int, ...]:
         return tuple(n for n in range(self.n_qudits) if self.s[n] != self.s_prime[n])
 
@@ -52,11 +53,11 @@ class ElementIndex:
     def is_diagonal(self) -> bool:
         return self.s == self.s_prime
 
-    @property
+    @cached_property
     def s_flat(self) -> int:
         return int(np.ravel_multi_index(self.s, self.dims))
 
-    @property
+    @cached_property
     def s_prime_flat(self) -> int:
         return int(np.ravel_multi_index(self.s_prime, self.dims))
 

@@ -51,20 +51,31 @@ def reflection(d: int, a_prime: int) -> Observable:
     return Observable.create(o)
 
 
-def coupling_gate(kind: str, op: np.ndarray, g: float) -> np.ndarray:
+def _kron_meter(op: np.ndarray, meter: np.ndarray) -> np.ndarray:
+    """op (x) M for a d x d ``op`` and a stack (..., 2, 2) of meter matrices."""
+    d = op.shape[0]
+    prod = op[:, None, :, None] * meter[..., None, :, None, :]
+    return prod.reshape(meter.shape[:-2] + (2 * d, 2 * d))
+
+
+def coupling_gate(kind: str, op: np.ndarray, g) -> np.ndarray:
     """exp(-i g op (x) sigma_y) on qudit (x) meter as a plain 2d x 2d array.
 
-    Only the integrated strength g enters.  An involution (op^2 = 1)
+    Only the integrated strength g enters; an array of strengths gives a
+    stack of gates, shape g.shape + (2d, 2d).  An involution (op^2 = 1)
     gives cos(g) 1 - i sin(g) op (x) sigma_y; a projector (op^2 = op)
     gives (1 - op) (x) 1 + op (x) R(g), with R(g) the real rotation by g
     in the meter plane.  The operator is not checked here.
     """
+    g = np.asarray(g, dtype=float)[..., None, None]
+    cos, sin = np.cos(g), np.sin(g)
     d = op.shape[0]
     if kind == "involution":
-        return np.cos(g) * np.eye(2 * d, dtype=complex) - 1j * np.sin(g) * np.kron(op, SIGMA_Y)
+        return cos * np.eye(2 * d, dtype=complex) - 1j * sin * _kron_meter(op, SIGMA_Y)
     if kind == "projector":
-        rot = np.array([[np.cos(g), -np.sin(g)], [np.sin(g), np.cos(g)]], dtype=complex)
-        return np.kron(np.eye(d) - op, np.eye(2)) + np.kron(op, rot)
+        rot = np.concatenate([np.concatenate([cos, -sin], -1),
+                              np.concatenate([sin, cos], -1)], -2).astype(complex)
+        return _kron_meter(np.eye(d) - op, np.eye(2)) + _kron_meter(op, rot)
     raise InvalidCouplingError(f"unknown coupling kind {kind!r}")
 
 

@@ -69,19 +69,8 @@ class CalibrationInfo:
     method: str
 
 
-@dataclass(frozen=True)
-class ProtocolPlan:
-    element: ElementIndex
-    scheme: str
-    g: float
-    couplings: tuple[Coupling, ...]
-    settings: tuple[MeasurementSetting, ...]
-    post_selectors: tuple[int, int]  # flat indices (s, s')
-    coeff_re: np.ndarray  # (n_settings, n_outcomes)
-    coeff_im: np.ndarray
-    amplitudes: np.ndarray  # read-only (n_settings, outcomes, dim) readout amplitudes
-    calibration: CalibrationInfo | None = field(default=None, compare=False)
-    has_estimator: bool = True
+class _PlanCounts:
+    """Meter, setting and outcome counts shared by plans and plan families."""
 
     @property
     def n_meters(self) -> int:
@@ -95,8 +84,67 @@ class ProtocolPlan:
     def outcomes_per_setting(self) -> int:
         return self.element.dim * 2 ** self.n_meters
 
+
+@dataclass(frozen=True)
+class ProtocolPlan(_PlanCounts):
+    element: ElementIndex
+    scheme: str
+    g: float
+    couplings: tuple[Coupling, ...]
+    settings: tuple[MeasurementSetting, ...]
+    post_selectors: tuple[int, int]  # flat indices (s, s')
+    coeff_re: np.ndarray  # (n_settings, n_outcomes)
+    coeff_im: np.ndarray
+    amplitudes: np.ndarray  # read-only (n_settings, outcomes, dim) readout amplitudes
+    calibration: CalibrationInfo | None = field(default=None, compare=False)
+    has_estimator: bool = True
+
     def coefficients(self) -> np.ndarray:
         return self.coeff_re + 1j * self.coeff_im
+
+
+@dataclass(frozen=True)
+class PlanFamily(_PlanCounts):
+    """One element's plans over a strength grid, stacked on a leading axis.
+
+    The arrays are those of ``ProtocolPlan`` with a leading axis of
+    ``len(gs)`` strengths; ``family[k]`` is the plan at ``gs[k]``, whose
+    arrays are views of slice k.  The engine's contractions accept a
+    family wherever they accept a plan and keep the strength axis.
+    """
+
+    element: ElementIndex
+    scheme: str
+    gs: tuple[float, ...]
+    couplings: tuple[Coupling, ...]
+    settings: tuple[MeasurementSetting, ...]
+    coeff_re: np.ndarray  # (G, n_settings, n_outcomes)
+    coeff_im: np.ndarray
+    amplitudes: np.ndarray  # read-only (G, n_settings, outcomes, dim)
+    calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
+    has_estimator: bool = True
+
+    @property
+    def post_selectors(self) -> tuple[int, int]:
+        return (self.element.s_flat, self.element.s_prime_flat)
+
+    def __len__(self) -> int:
+        return len(self.gs)
+
+    def __getitem__(self, k: int) -> ProtocolPlan:
+        return ProtocolPlan(
+            element=self.element,
+            scheme=self.scheme,
+            g=self.gs[k],
+            couplings=self.couplings,
+            settings=self.settings,
+            post_selectors=self.post_selectors,
+            coeff_re=self.coeff_re[k],
+            coeff_im=self.coeff_im[k],
+            amplitudes=self.amplitudes[k],
+            calibration=None if self.calibrations is None else self.calibrations[k],
+            has_estimator=self.has_estimator,
+        )
 
 
 def enumerate_settings(n_meters: int) -> tuple[MeasurementSetting, ...]:
@@ -114,19 +162,22 @@ def sign_products(n_meters: int) -> np.ndarray:
 
 
 def _apply_couplings(tensor: np.ndarray, dims: tuple[int, ...], couplings: Sequence[Coupling],
-                     g: float) -> np.ndarray:
-    """Apply each coupling's local gate, first coupling first.
+                     gs: np.ndarray) -> np.ndarray:
+    """Apply each coupling's local gate, first coupling first, at every strength.
 
-    ``tensor`` has axes (d_1, ..., d_N, 2, ..., 2, rest) with meter i on
-    axis N + i; each gate acts on the (qudit, meter) axis pair only.
+    ``tensor`` has axes (G, d_1, ..., d_N, 2, ..., 2, rest) with strength
+    ``gs[k]`` on slice k and meter i on axis 1 + N + i; each coupling is
+    one batched matmul of its (G, 2d, 2d) gate stack on the (qudit,
+    meter i) axis pair.
     """
     n = len(dims)
     for i, c in enumerate(couplings):
-        axes = (c.qudit, n + i)
-        moved = np.moveaxis(tensor, axes, (0, 1))
-        gate = coupling_gate(c.kind, c.op, g)
-        moved = (gate @ moved.reshape(gate.shape[0], -1)).reshape(moved.shape)
-        tensor = np.moveaxis(moved, (0, 1), axes)
+        pair = (1 + c.qudit, 1 + n + i)
+        order = (0,) + pair + tuple(k for k in range(1, tensor.ndim) if k not in pair)
+        moved = tensor.transpose(order)
+        gate = coupling_gate(c.kind, c.op, gs)
+        moved = (gate @ moved.reshape(gate.shape[:2] + (-1,))).reshape(moved.shape)
+        tensor = moved.transpose([order.index(k) for k in range(len(order))])
     return tensor
 
 
@@ -136,24 +187,28 @@ def joint_unitary(dims: Sequence[int], couplings: Sequence[Coupling], g: float) 
     m = len(couplings)
     joint = math.prod(dims) * 2 ** m
     check_joint_dim(joint)
-    eye = np.eye(joint, dtype=complex).reshape(dims + (2,) * m + (joint,))
-    return _apply_couplings(eye, dims, couplings, g).reshape(joint, joint)
+    eye = np.eye(joint, dtype=complex).reshape((1,) + dims + (2,) * m + (joint,))
+    return _apply_couplings(eye, dims, couplings, np.reshape(g, 1)).reshape(joint, joint)
 
 
-def base_amplitudes(dims: Sequence[int], couplings: Sequence[Coupling], g: float) -> np.ndarray:
+def base_amplitudes(dims: Sequence[int], couplings: Sequence[Coupling], g) -> np.ndarray:
     """Columns are U |u> (x) |0...0> for each system basis ket |u>.
 
     Rows are (system outcome, meter pattern) with meter 0 most
-    significant: shape (d_sys * 2^m, d_sys).
+    significant: shape (d_sys * 2^m, d_sys), or a leading strength axis
+    (G, d_sys * 2^m, d_sys) for an array ``g`` of G strengths.
     """
     dims = tuple(dims)
     d_sys = math.prod(dims)
     m = len(couplings)
     check_joint_dim(d_sys * 2 ** m)
-    start = np.zeros((d_sys, 2 ** m, d_sys), dtype=complex)
-    start[np.arange(d_sys), 0, np.arange(d_sys)] = 1.0
-    out = _apply_couplings(start.reshape(dims + (2,) * m + (d_sys,)), dims, couplings, g)
-    return out.reshape(d_sys * 2 ** m, d_sys)
+    gs = np.asarray(g, dtype=float)
+    stack = gs.reshape(-1)
+    start = np.zeros((stack.size, d_sys, 2 ** m, d_sys), dtype=complex)
+    start[:, np.arange(d_sys), 0, np.arange(d_sys)] = 1.0
+    out = _apply_couplings(start.reshape((stack.size,) + dims + (2,) * m + (d_sys,)),
+                           dims, couplings, stack)
+    return out.reshape(gs.shape + (d_sys * 2 ** m, d_sys))
 
 
 def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -183,14 +238,21 @@ def readout_amplitudes(
     """Rotate the meter factors of ``base`` into each setting's eigenbasis.
 
     Returns one read-only (n_settings, outcomes, d_sys) stack; slice i is
-    the readout amplitude matrix of ``settings[i]``.
+    the readout amplitude matrix of ``settings[i]``.  A strength stack
+    (G, outcomes, d_sys) of ``base`` is folded into the row axis and
+    gives (G, n_settings, outcomes, d_sys).
     """
-    full = per_meter(base.reshape(d_sys, -1, d_sys), READOUT_STACK)
-    m = full.shape[0].bit_length() - 1
+    lead = base.shape[:-2]
+    n_out = base.shape[-2]
+    full = per_meter(base.reshape(-1, n_out // d_sys, d_sys), READOUT_STACK)
+    n_set = full.shape[0]
+    full = np.ascontiguousarray(full.reshape(n_set, -1, n_out, d_sys).swapaxes(0, 1))
+    m = n_set.bit_length() - 1
     order = [sum(1 << (m - 1 - j) for j, b in enumerate(s.meter_bases) if b == "y")
              for s in settings]
-    if order != list(range(full.shape[0])):
-        full = full[order]
+    if order != list(range(n_set)):
+        full = full[:, order]
+    full = full.reshape(lead + full.shape[1:])
     full.setflags(write=False)
     return full
 
@@ -214,10 +276,11 @@ def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndar
     return _born(plan.amplitudes, state)
 
 
-def _weighted_gram(plan: ProtocolPlan, weights: np.ndarray) -> np.ndarray:
-    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u]."""
-    a = plan.amplitudes.reshape(-1, plan.element.dim)
-    return a.conj().T @ (np.reshape(weights, (-1, 1)) * a)
+def _weighted_gram(plan: ProtocolPlan | PlanFamily, weights: np.ndarray) -> np.ndarray:
+    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u], per strength of a family."""
+    amps = plan.amplitudes
+    a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
+    return a.conj().swapaxes(-1, -2) @ (np.reshape(weights, a.shape[:-1] + (1,)) * a)
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -229,11 +292,11 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     return _weighted_gram(plan, plan.coefficients()).T
 
 
-def estimator_operators(plan: ProtocolPlan) -> tuple[np.ndarray, np.ndarray]:
+def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian operators (W_re, W_im) with sum c^2 p = Tr(W rho).
 
     These give per-state shot variances at unit per-setting exposure as
-    linear functionals of the state.
+    linear functionals of the state; a family gives (G, dim, dim) stacks.
     """
     return _weighted_gram(plan, plan.coeff_re ** 2), _weighted_gram(plan, plan.coeff_im ** 2)
 

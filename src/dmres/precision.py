@@ -19,12 +19,15 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from .plans import SINGULAR_TOL, ProtocolPlan, estimator_operators
-from .res import plan_res
+from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, estimator_operators
+from .res import plan_res, plan_res_grid
 from .sampling import precision_states
-from .seq import plan_seq
+from .seq import plan_seq, plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
+
+# Stacked amplitude entries per element and sweep chunk (complex, 256 KiB).
+CHUNK_ENTRIES = 2 ** 14
 
 # Distinct (n_qudits, d, seed) keys whose states are kept between calls.
 STATE_MEMO_KEYS = 2
@@ -85,14 +88,34 @@ def build_plans(system: SystemSpec, scheme: str, g: float,
     return [builder(e, g) for e in elements]
 
 
-def _mean_variance_operator(plans: list[ProtocolPlan]) -> np.ndarray:
-    """Average of the Re and Im variance operators over the element set."""
+def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
+    """One element's plans at every strength of ``gs``, built in one stacked pass.
+
+    Slice k is bit for bit the plan ``plan_res``/``plan_seq`` builds at
+    ``gs[k]``; those single builds are this builder's one-strength case.
+    """
+    return (plan_res_grid if scheme == "res" else plan_seq_grid)(element, gs)
+
+
+def _mean_variance_operator(plans) -> np.ndarray:
+    """Average of the Re and Im variance operators over the element set.
+
+    Takes plans, or plan families for a (G, D, D) stack with one mean
+    per strength, in element order.
+    """
     acc = None
+    count = 0
     for plan in plans:
         w_re, w_im = estimator_operators(plan)
         w = 0.5 * (w_re + w_im)
         acc = w if acc is None else acc + w
-    return acc / len(plans)
+        count += 1
+    return acc / count
+
+
+def _trace(w_mean: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Tr(W rho) for every state of a (n, D, D) batch."""
+    return np.einsum("uv,nvu->n", w_mean, states).real
 
 
 def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
@@ -132,7 +155,26 @@ def per_state_values(
     ``workers`` is accepted for compatibility; the values never depend on it.
     """
     w_mean = _mean_variance_operator(build_plans(system, scheme, g))
-    return np.einsum("uv,nvu->n", w_mean, sampled_states(system, seed, samples)).real
+    return _trace(w_mean, sampled_states(system, seed, samples))
+
+
+def mean_variance_operators(system: SystemSpec, scheme: str, gs):
+    """Yield ``(g, W)`` for each strength of ``gs``, in order.
+
+    W is the mean variance operator ``per_state_values`` traces against
+    the states, bit for bit.  Each element's plans are built for a chunk
+    of strengths in one stacked pass; a chunk holds at most
+    ``CHUNK_ENTRIES`` stacked amplitude entries per element, which bounds
+    memory whatever the grid length.
+    """
+    elements = precision_element_set(system.n_qudits, system.d)
+    _, settings, outcomes = _plan_counts(system, scheme)
+    step = max(1, CHUNK_ENTRIES // (settings * outcomes * system.d ** system.n_qudits))
+    gs = list(gs)
+    for lo in range(0, len(gs), step):
+        chunk = gs[lo:lo + step]
+        yield from zip(chunk, _mean_variance_operator(plans_over_grid(e, scheme, chunk)
+                                                      for e in elements))
 
 
 @dataclass
@@ -250,10 +292,11 @@ def g_sweep(
     if not len(list(g_grid)):
         raise InvalidStateError("empty g grid")
     report = PrecisionReport(rows=[])
+    states = sampled_states(system, seed, samples)
     for scheme in schemes:
         couplings, settings, outcomes = _plan_counts(system, scheme)
-        for g in filter_grid(scheme, g_grid):
-            vals = per_state_values(system, scheme, g, seed, samples, workers)
+        for g, w_mean in mean_variance_operators(system, scheme, filter_grid(scheme, g_grid)):
+            vals = _trace(w_mean, states)
             for policy in policies:
                 factor = allocation_factor(policy.allocation, settings)
                 mean, stderr = _mean_stderr(factor * vals)
@@ -309,10 +352,13 @@ def error_histogram(
     vals = allocation_factor(policy.allocation, settings) * vals
     errors = np.sqrt(vals)
     lo, hi = float(errors.min()), float(errors.max())
-    # degenerate spread (single-coupling errors can be state independent)
+    # A degenerate spread (single-coupling errors can be state independent)
+    # gets bins of a fixed small width, placed so that the common value
+    # sits mid-bin and every state lands in that one bin.
     if hi - lo < 1e-9 * max(1.0, hi):
-        pad = 1e-6 * max(1.0, hi)
-        lo, hi = lo - pad, hi + pad
+        width = max(2e-6 * max(1.0, hi) / bins, 4.0 * (hi - lo))
+        lo = 0.5 * (lo + hi) - (bins // 2 + 0.5) * width
+        hi = lo + bins * width
     counts, edges = np.histogram(errors, bins=bins, range=(lo, hi))
     mean, stderr = _mean_stderr(vals)
     return HistogramReport(

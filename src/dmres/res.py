@@ -20,6 +20,7 @@ from .operators import make_involution
 from .plans import (
     Coupling,
     MeasurementSetting,
+    PlanFamily,
     ProtocolPlan,
     RES_SCHEME,
     SINGULAR_TOL,
@@ -42,30 +43,30 @@ def _check_strength(g: float, l: int) -> float:
     return float(s)
 
 
-def res_coefficients(element: ElementIndex, g: float, settings, n_meters: int):
+def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
     """Complex coefficients realizing the exact extraction identity.
 
     Per setting b the weight on the s'-outcome is prod_j (i if b_j = y)
     and its conjugate on the s-outcome, times the product of meter signs
-    and the 1/(2 sin^l 2g) normalization.
+    and the 1/(2 sin^l 2g) normalization.  A sequence of strengths gives
+    one table per strength, stacked on a leading axis.
     """
-    sin2g = _check_strength(g, n_meters)
-    norm = 1.0 / (2.0 * sin2g ** n_meters)
-    d = element.dim
-    n_out = d * 2 ** n_meters
+    gs = np.asarray(g, dtype=float)
+    norm = np.array([1.0 / (2.0 * _check_strength(float(x), n_meters) ** n_meters)
+                     for x in gs.reshape(-1)])
     signs = sign_products(n_meters)
-    coeff = np.zeros((len(settings), n_out), dtype=complex)
-    for i, setting in enumerate(settings):
-        w = np.prod([1j if b == "y" else 1.0 for b in setting.meter_bases])
-        block_sp = slice(element.s_prime_flat * 2 ** n_meters, (element.s_prime_flat + 1) * 2 ** n_meters)
-        block_s = slice(element.s_flat * 2 ** n_meters, (element.s_flat + 1) * 2 ** n_meters)
-        coeff[i, block_sp] += norm * w * signs
-        coeff[i, block_s] += norm * np.conj(w) * signs
-    return coeff
+    w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
+    unit = np.zeros((len(settings), element.dim, 2 ** n_meters), dtype=complex)
+    unit[:, element.s_prime_flat] += w[:, None] * signs
+    unit[:, element.s_flat] += w.conj()[:, None] * signs
+    unit = unit.reshape(len(settings), -1)
+    coeff = np.zeros((norm.size,) + unit.shape, dtype=complex)
+    coeff += norm[:, None, None] * unit
+    return coeff.reshape(gs.shape + unit.shape)
 
 
-def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> ProtocolPlan:
-    """Build the single-coupling plan for an off-diagonal element.
+def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> PlanFamily:
+    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``.
 
     ``with_estimator=False`` skips the coefficient construction so the
     measurement structure can be evaluated at singular strengths
@@ -75,6 +76,7 @@ def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> Pr
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
+    gs = tuple(float(g) for g in gs)
     couplings = tuple(
         Coupling(
             qudit=n,
@@ -87,23 +89,26 @@ def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> Pr
     settings = enumerate_settings(len(couplings))
     n_out = element.dim * 2 ** len(couplings)
     if with_estimator:
-        coeff = res_coefficients(element, g, settings, len(couplings))
+        coeff = res_coefficients(element, gs, settings, len(couplings))
     else:
-        coeff = np.zeros((len(settings), n_out), dtype=complex)
-    base = base_amplitudes(element.dims, couplings, g)
-    amps = readout_amplitudes(base, settings, element.dim)
-    return ProtocolPlan(
+        coeff = np.zeros((len(gs), len(settings), n_out), dtype=complex)
+    base = base_amplitudes(element.dims, couplings, gs)
+    return PlanFamily(
         element=element,
         scheme=RES_SCHEME,
-        g=float(g),
+        gs=gs,
         couplings=couplings,
         settings=settings,
-        post_selectors=(element.s_flat, element.s_prime_flat),
         coeff_re=coeff.real.copy(),
         coeff_im=coeff.imag.copy(),
-        amplitudes=amps,
+        amplitudes=readout_amplitudes(base, settings, element.dim),
         has_estimator=with_estimator,
     )
+
+
+def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> ProtocolPlan:
+    """Build the single-coupling plan for an off-diagonal element: ``plan_res_grid`` at one strength."""
+    return plan_res_grid(element, (g,), with_estimator)[0]
 
 
 def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:

@@ -12,7 +12,7 @@ minimum-norm linear solve.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +24,7 @@ from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
     Coupling,
+    PlanFamily,
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
@@ -94,9 +95,10 @@ class ResponseMap:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        a = self.plan.amplitudes.reshape(-1, self.plan.element.dim)
+        amps = self.plan.amplitudes
+        a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
         # <a| B |a> = Tr(B G) with G[v, u] = conj(a[v]) a[u]
-        return basis_traces(a.conj()[:, :, None] * a[:, None, :]).real
+        return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
 
     def coordinates(self, hermitian: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a Hermitian matrix in the map's basis."""
@@ -136,7 +138,8 @@ def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
     return t.real, t.imag
 
 
-def _correlator_response(plan: ProtocolPlan, outcomes: list[int], base: np.ndarray) -> np.ndarray:
+def _correlator_response(plan: ProtocolPlan | PlanFamily, outcomes: list[int],
+                         base: np.ndarray) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
@@ -145,36 +148,71 @@ def _correlator_response(plan: ProtocolPlan, outcomes: list[int], base: np.ndarr
     product of the setting's Pauli readouts, applied meter by meter.
     Computing the matrix element directly keeps every term at the full
     correlator order in g, so no precision is lost to cancellation at
-    weak coupling.
+    weak coupling.  A strength stack of ``base`` gives one row block per
+    strength, (G, rows, basis).
     """
     d = plan.element.dim
-    blocks = base.reshape(d, 2 ** plan.n_meters, d)[outcomes]
-    sigma_blocks = per_meter(blocks, PAULI_STACK).reshape((-1,) + blocks.shape)
-    gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, outcomes, d, d)
+    lead = base.shape[:-2]
+    blocks = base.reshape(lead + (d, 2 ** plan.n_meters, d))[..., outcomes, :, :]
+    sigma_blocks = per_meter(blocks.reshape((-1,) + blocks.shape[-2:]), PAULI_STACK)
+    sigma_blocks = sigma_blocks.reshape((-1,) + blocks.shape)
+    gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, ..., outcomes, d, d)
     rows = basis_traces(gmat).real / np.sqrt(2 ** plan.n_meters)
-    return rows.reshape(-1, rows.shape[-1])
+    rows = np.moveaxis(rows, 0, len(lead))
+    return rows.reshape(lead + (-1, rows.shape[-1]))
 
 
 def _correlator_signs(n_meters: int) -> np.ndarray:
     return sign_products(n_meters) / np.sqrt(2 ** n_meters)
 
 
-def _correlator_coefficients(plan: ProtocolPlan, outcomes: list[int], z: np.ndarray) -> np.ndarray:
+def _correlator_coefficients(plan: ProtocolPlan | PlanFamily, outcomes: list[int],
+                             z: np.ndarray) -> np.ndarray:
     """Scatter one weight per (setting, outcome k) onto that block's meter signs.
 
     The blocks form an orthonormal basis of the restricted coefficient
-    subspace; the result is the full (n_settings, outcomes) table.
+    subspace; the result is the full (..., n_settings, outcomes) table
+    for weights z of shape (..., n_settings * len(outcomes)).
     """
     m = plan.n_meters
-    coeff = np.zeros((plan.n_settings, plan.element.dim, 2 ** m))
-    coeff[:, outcomes] = z.reshape(plan.n_settings, len(outcomes), 1) * _correlator_signs(m)
-    return coeff.reshape(plan.n_settings, -1)
+    lead = z.shape[:-1]
+    coeff = np.zeros(lead + (plan.n_settings, plan.element.dim, 2 ** m))
+    z = z.reshape(lead + (plan.n_settings, len(outcomes), 1))
+    coeff[..., outcomes, :] = z * _correlator_signs(m)
+    return coeff.reshape(lead + (plan.n_settings, -1))
 
 
-def _correlator_weights(plan: ProtocolPlan, outcomes: list[int], w: np.ndarray) -> np.ndarray:
+def _correlator_weights(plan: ProtocolPlan | PlanFamily, outcomes: list[int], w: np.ndarray) -> np.ndarray:
     """Diagonal of S^T diag(w) S for the scatter S: block sums of w sign^2."""
-    blocks = w.reshape(plan.n_settings, plan.element.dim, -1)[:, outcomes]
-    return (blocks * _correlator_signs(plan.n_meters) ** 2).sum(-1).reshape(-1)
+    lead = w.shape[:-1]
+    blocks = w.reshape(lead + (plan.n_settings, plan.element.dim, -1))[..., outcomes, :]
+    sums = (blocks * _correlator_signs(plan.n_meters) ** 2).sum(-1)
+    return sums.reshape(lead + (-1,))
+
+
+def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray, sv_floor: float):
+    """Minimum-norm solutions of a_mat[k] z = t for a stack of matrices.
+
+    Directions with singular values at or below ``sv_floor`` are dropped.
+    The kept set is a prefix of the sorted singular values, so strengths
+    are solved in groups of equal kept rank, each with the same products
+    a single solve runs.  Returns the solutions (G, 2, n) for the two
+    targets, the residual norms (G, 2) and the smallest kept singular
+    values (G,), zero where none is kept.
+    """
+    u_svd, svals, vt_svd = np.linalg.svd(a_mat, full_matrices=False)
+    ranks = (svals > sv_floor).sum(-1)
+    z = np.zeros((a_mat.shape[0], len(targets), a_mat.shape[-1]))
+    for r in sorted(set(ranks.tolist()) - {0}):
+        idx = (ranks == r).nonzero()[0]
+        u_t = np.ascontiguousarray(u_svd[idx, :, :r]).swapaxes(-1, -2)
+        v_s = np.ascontiguousarray(vt_svd[idx, :r]).swapaxes(-1, -2) / svals[idx, None, :r]
+        for j, t in enumerate(targets):
+            z[idx, j] = (v_s @ (u_t @ t)[..., None])[..., 0]
+    resid = (a_mat[:, None] @ z[..., None])[..., 0] - targets
+    norms = np.sqrt((resid[..., None, :] @ resid[..., :, None])[..., 0, 0])
+    smallest = np.where(ranks > 0, svals[np.arange(len(ranks)), np.maximum(ranks, 1) - 1], 0.0)
+    return z, norms, smallest
 
 
 def calibrate_estimator(
@@ -185,7 +223,7 @@ def calibrate_estimator(
     residual_tol: float = RESIDUAL_TOL,
     sv_floor: float = SV_FLOOR,
     base: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, CalibrationInfo]:
+):
     """Minimum-norm unbiased coefficients for the Re and Im functionals.
 
     ``support='correlator'`` restricts the estimator to full-product
@@ -196,69 +234,116 @@ def calibrate_estimator(
     shot variance sum(c^2 w) instead of the plain norm.  ``base`` takes
     the plan's unrotated amplitudes (``base_amplitudes``) when the caller
     already has them.
+
+    For a plan this returns (coeff_re, coeff_im, info).  For a
+    ``PlanFamily`` every strength is solved in one stacked pass and the
+    tables gain a leading strength axis, with one ``CalibrationInfo`` per
+    strength; a plan is the stack of one.  The first strength, in grid
+    order, whose residual exceeds ``residual_tol`` raises
+    ``CalibrationError``.
     """
     plan = rmap.plan
     element = element or plan.element
     if element != plan.element:
         raise InvalidElementError("calibration element does not match the plan's element")
-    t_re, t_im = _targets(element)
+    family = isinstance(plan, PlanFamily)
+    gs = plan.gs if family else (plan.g,)
+    targets = np.stack(_targets(element))
 
     restricted = support == "correlator"
     if restricted:
         outcomes = sorted(set(plan.post_selectors))
         if base is None:
-            base = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
-        a_mat = _correlator_response(plan, outcomes, base).T  # basis x subspace
+            base = base_amplitudes(plan.element.dims, plan.couplings, gs)
+        rows = _correlator_response(plan, outcomes, base)
     elif support == "full":
-        a_mat = rmap.matrix.T
+        rows = rmap.matrix
     else:
         raise CalibrationError(f"unknown calibration support {support!r}")
+    a_mat = rows.reshape((len(gs),) + rows.shape[-2:]).swapaxes(-1, -2)  # basis x subspace
 
     if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        w = np.asarray(weights, dtype=float).reshape(-1, plan.n_settings * plan.outcomes_per_setting)
         # Restricted columns have disjoint outcome support, so the
         # quadratic form S^T diag(w) S is diagonal.
         wz = _correlator_weights(plan, outcomes, w) if restricted else w
         scale = 1.0 / np.sqrt(np.maximum(wz, 1e-12))
-        a_mat = a_mat * scale
+        a_mat = a_mat * scale[:, None, :]
     else:
         scale = None
 
-    u_svd, svals, vt_svd = np.linalg.svd(a_mat, full_matrices=False)
-    keep = svals > sv_floor
-    smallest = float(svals[keep][-1]) if keep.any() else 0.0
-
-    def solve(t):
-        if not keep.any():
-            return np.zeros(a_mat.shape[1])
-        return (vt_svd[keep].T / svals[keep]) @ (u_svd[:, keep].T @ t)
-
-    z_re = solve(t_re)
-    z_im = solve(t_im)
-    res_re = float(np.linalg.norm(a_mat @ z_re - t_re))
-    res_im = float(np.linalg.norm(a_mat @ z_im - t_im))
-    if max(res_re, res_im) > residual_tol:
-        raise CalibrationError(
-            f"calibration infeasible at g={plan.g!r}: residual {max(res_re, res_im):.3e} "
-            f"exceeds {residual_tol:g} (smallest usable singular value {smallest:.3e}, "
-            f"floor {sv_floor:g})"
-        )
+    z, residuals, smallest = _min_norm_solve(a_mat, targets, sv_floor)
+    for g, res, sv in zip(gs, residuals, smallest):
+        if max(res) > residual_tol:
+            raise CalibrationError(
+                f"calibration infeasible at g={g!r}: residual {max(res):.3e} "
+                f"exceeds {residual_tol:g} (smallest usable singular value {sv:.3e}, "
+                f"floor {sv_floor:g})"
+            )
     if scale is not None:
-        z_re = z_re * scale
-        z_im = z_im * scale
+        z = z * scale[:, None, :]
     if restricted:
-        c_re = _correlator_coefficients(plan, outcomes, z_re)
-        c_im = _correlator_coefficients(plan, outcomes, z_im)
+        coeff = _correlator_coefficients(plan, outcomes, z)
     else:
-        c_re, c_im = z_re, z_im
-    info = CalibrationInfo(
-        residual_re=res_re,
-        residual_im=res_im,
-        smallest_singular_value=smallest,
-        method=f"min-norm/{support}" + ("" if weights is None else "+weighted"),
+        coeff = z
+    method = f"min-norm/{support}" + ("" if weights is None else "+weighted")
+    infos = tuple(
+        CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
+                        smallest_singular_value=float(sv), method=method)
+        for res, sv in zip(residuals, smallest)
     )
-    shape = (plan.n_settings, plan.outcomes_per_setting)
-    return c_re.reshape(shape), c_im.reshape(shape), info
+    shape = (len(gs), plan.n_settings, plan.outcomes_per_setting)
+    c_re, c_im = coeff[:, 0].reshape(shape), coeff[:, 1].reshape(shape)
+    if family:
+        return c_re, c_im, infos
+    return c_re[0], c_im[0], infos[0]
+
+
+def plan_seq_grid(
+    element: ElementIndex,
+    gs,
+    support: str = "correlator",
+    weights: np.ndarray | None = None,
+    residual_tol: float = RESIDUAL_TOL,
+) -> PlanFamily:
+    """Build and calibrate the sequential baseline plans at every strength of ``gs``.
+
+    Amplitudes and calibration run once over the stacked strengths; the
+    first strength in grid order that is singular or fails calibration
+    raises the error its ``plan_seq`` would.
+    """
+    if element.is_diagonal:
+        raise InvalidElementError(
+            f"element {element.label()} is diagonal; use diagonal_element instead"
+        )
+    gs = tuple(float(g) for g in gs)
+    for g in gs:
+        if abs(g) <= SINGULAR_TOL:
+            raise InvalidCouplingError(
+                f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
+                "the sequential estimator is undefined"
+            )
+    couplings = seq_couplings(element)
+    settings = enumerate_settings(len(couplings))
+    base = base_amplitudes(element.dims, couplings, gs)
+    amps = readout_amplitudes(base, settings, element.dim)
+    no_coefficients = np.broadcast_to(0.0, amps.shape[:-1])
+    bare = PlanFamily(
+        element=element,
+        scheme=SEQ_SCHEME,
+        gs=gs,
+        couplings=couplings,
+        settings=settings,
+        coeff_re=no_coefficients,
+        coeff_im=no_coefficients,
+        amplitudes=amps,
+        has_estimator=False,
+    )
+    c_re, c_im, infos = calibrate_estimator(
+        response_map(bare), element, support=support, weights=weights,
+        residual_tol=residual_tol, base=base,
+    )
+    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, has_estimator=True)
 
 
 def plan_seq(
@@ -268,48 +353,8 @@ def plan_seq(
     weights: np.ndarray | None = None,
     residual_tol: float = RESIDUAL_TOL,
 ) -> ProtocolPlan:
-    """Build and calibrate the sequential baseline plan."""
-    if element.is_diagonal:
-        raise InvalidElementError(
-            f"element {element.label()} is diagonal; use diagonal_element instead"
-        )
-    if abs(g) <= SINGULAR_TOL:
-        raise InvalidCouplingError(
-            f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
-            "the sequential estimator is undefined"
-        )
-    couplings = seq_couplings(element)
-    settings = enumerate_settings(len(couplings))
-    base = base_amplitudes(element.dims, couplings, g)
-    amps = readout_amplitudes(base, settings, element.dim)
-    bare = ProtocolPlan(
-        element=element,
-        scheme=SEQ_SCHEME,
-        g=float(g),
-        couplings=couplings,
-        settings=settings,
-        post_selectors=(element.s_flat, element.s_prime_flat),
-        coeff_re=np.zeros((len(settings), element.dim * 2 ** len(couplings))),
-        coeff_im=np.zeros((len(settings), element.dim * 2 ** len(couplings))),
-        amplitudes=amps,
-        has_estimator=False,
-    )
-    c_re, c_im, info = calibrate_estimator(
-        response_map(bare), element, support=support, weights=weights,
-        residual_tol=residual_tol, base=base,
-    )
-    return ProtocolPlan(
-        element=element,
-        scheme=SEQ_SCHEME,
-        g=float(g),
-        couplings=couplings,
-        settings=settings,
-        post_selectors=(element.s_flat, element.s_prime_flat),
-        coeff_re=c_re,
-        coeff_im=c_im,
-        amplitudes=amps,
-        calibration=info,
-    )
+    """Build and calibrate the sequential baseline plan: ``plan_seq_grid`` at one strength."""
+    return plan_seq_grid(element, (g,), support, weights, residual_tol)[0]
 
 
 def extract_element_seq(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,30 @@ def element_variance(
     return var_re, var_im
 
 
+# One (plan, state) pair and its checked, clipped, read-only probabilities.
+# Both are held by weak reference, so the memo never keeps a plan alive.
+_PROBABILITY_MEMO: tuple = (None, None, None)
+
+
+def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndarray:
+    """Born probabilities for drawing counts, computed once per (plan, state) pair.
+
+    Plans and states are immutable (their arrays are read-only), so
+    repeated draws for the same two objects reuse the last probabilities.
+    """
+    global _PROBABILITY_MEMO
+    plan_ref, rho_ref, held = _PROBABILITY_MEMO
+    if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
+        return held
+    p = all_probabilities(plan, as_density(rho))
+    if p.min() < -1e-12:
+        raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
+    p = np.clip(p, 0.0, None)
+    p.setflags(write=False)
+    _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), p)
+    return p
+
+
 def simulate_shots(
     plan: ProtocolPlan,
     rho: DensityMatrix | Ket,
@@ -77,10 +102,7 @@ def simulate_shots(
     Counts are normalized by the known exposure, which keeps the
     estimator exactly unbiased.
     """
-    p = all_probabilities(plan, as_density(rho))
-    if p.min() < -1e-12:
-        raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
-    p = np.clip(p, 0.0, None)
+    p = _shot_probabilities(plan, rho)
     exposure = policy.exposure(plan.n_settings)
     counts = rng.poisson(policy.n_t * exposure * p)
     rates = counts / (policy.n_t * exposure)

@@ -16,11 +16,19 @@ import numpy as np
 
 from .elements import ElementIndex, all_offdiagonal_elements
 from .plans import ProtocolPlan, functional_matrix
-from .precision import SystemSpec, per_state_values, sampled_states
+from .precision import (
+    SystemSpec,
+    default_g_grid,
+    filter_grid,
+    g_sweep,
+    mean_variance_operators,
+    per_state_values,
+    sampled_states,
+)
 from .res import extract_element, plan_res
 from .sampling import random_mixed_state, sample_precision_state, stream
 from .seq import extract_element_seq, plan_seq
-from .shots import ShotPolicy, element_variance, simulate_shots
+from .shots import PER_SETTING, ShotPolicy, element_variance, simulate_shots
 
 FAULT_HOOK = Callable[[ProtocolPlan], ProtocolPlan]
 
@@ -143,6 +151,38 @@ def check_scaling(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
                     f"three qubits {qubits:.3f} (want -6.0 +- 0.3)")
 
 
+def check_haar_mean(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+    """Sweep means against the exact Haar mean Tr(W)/D at every default-grid point.
+
+    Both state families have E[rho] = 1/D, so the mean of Tr(W rho) is
+    Tr(W)/D exactly.  The exact values are anchored to the closed forms
+    1/6 (qutrit) and 1/4 (two qubits) for res at pi/4.
+    """
+    policy = ShotPolicy(n_t=1.0)
+    worst, points = 0.0, 0
+    for system, anchor in ((SystemSpec(1, 3), 1 / 6), (SystemSpec(2, 2), 1 / 4)):
+        exact = {}
+        for scheme in ("res", "seq"):
+            grid = filter_grid(scheme, default_g_grid())
+            for g, w in mean_variance_operators(system, scheme, grid):
+                exact[scheme, g] = float(np.trace(w).real) / w.shape[0]
+        got = exact["res", math.pi / 4]
+        if abs(got - anchor) > 1e-12 * anchor:
+            return False, f"{system.label} res exact mean at pi/4 is {got!r}, want {anchor!r}"
+        report = g_sweep(system, ("res", "seq"), default_g_grid(), 2000, policy, seed=13)
+        for row in report.rows:
+            want = exact[row.scheme, row.g]
+            gap = abs(row.nt_delta2 - want)
+            points += 1
+            if gap > 5 * row.mc_stderr + 1e-12 * want:
+                return False, (f"{system.label} {row.scheme} at g={row.g!r}: Monte Carlo mean "
+                               f"{row.nt_delta2!r} is {gap:.3e} from the exact {want!r}")
+            if row.mc_stderr > 1e-12 * want:
+                worst = max(worst, gap / row.mc_stderr)
+    return True, (f"{points} sweep points within 5 SE of Tr(W)/D (worst {worst:.2f} SE); "
+                  "res at pi/4 anchored to 1/6 and 1/4")
+
+
 def check_determinism(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     system = SystemSpec(1, 3)
     a = per_state_values(system, "res", math.pi / 4, 9, 300, workers=1)
@@ -152,7 +192,15 @@ def check_determinism(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
     if not np.array_equal(sampled_states(system, 9, 300), np.stack(singles)):
         return False, "batched Haar states differ from single draws"
-    return True, "per-state values bit-identical across worker counts; batched states match single draws"
+    # stacked sweep builds against single builds: first point, a chunk edge, pi/2
+    two_qubit, grid = SystemSpec(2, 2), default_g_grid()
+    report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9, keep_per_state=True)
+    for g in (grid[0], grid[4], grid[-1]):
+        swept = report.per_state[("seq", PER_SETTING, float(g))]
+        if not np.array_equal(swept, per_state_values(two_qubit, "seq", float(g), 9, 300)):
+            return False, f"sweep values differ from per_state_values at g={float(g)!r}"
+    return True, ("per-state values bit-identical across worker counts and between sweep and "
+                  "single builds; batched states match single draws")
 
 
 GROUPS = {
@@ -164,6 +212,7 @@ GROUPS = {
     "shot-model": check_shot_model,
     "scaling": check_scaling,
     "determinism": check_determinism,
+    "haar-mean": check_haar_mean,
 }
 
 

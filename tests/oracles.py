@@ -186,7 +186,10 @@ def hermitian_basis_element(dim, label):
 
 def basis_path_correlator_rows(plan, outcomes, base, labels):
     """Correlator response rows Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) with a
-    dense Pauli product per setting and one explicit basis matrix at a time."""
+    dense Pauli product per setting and one explicit basis matrix at a time.
+    A strength stack of ``base`` gives one row block per strength."""
+    if base.ndim == 3:
+        return np.stack([basis_path_correlator_rows(plan, outcomes, b, labels) for b in base])
     m = plan.n_meters
     pauli = {"x": SX, "y": SY}
     gmats = []

@@ -210,7 +210,8 @@ class TestValidateCommand:
         assert code == 0
         assert elapsed < 300
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
+        assert "haar-mean" in out
 
     def test_fault_injection_caught(self, capsys):
         # flipping one coefficient sign must trip the unbiasedness group

@@ -1,5 +1,6 @@
 """The tensor-form probability engine against independent dense oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import dmres.seq as seq_module
+import dmres.precision as precision_module
 from dmres import (
+    CalibrationError,
     DimensionLimitError,
     ElementIndex,
     characterize,
@@ -20,8 +23,17 @@ from dmres import (
     stream,
 )
 from dmres.plans import all_probabilities, functional_matrix, joint_unitary
-from dmres.precision import SystemSpec, per_state_values
-from dmres.seq import response_map
+from dmres.precision import (
+    SystemSpec,
+    default_g_grid,
+    filter_grid,
+    g_sweep,
+    per_state_values,
+    plans_over_grid,
+    sampled_states,
+)
+from dmres.shots import ShotPolicy
+from dmres.seq import plan_seq_grid, response_map
 
 from oracles import (
     basis_path_correlator_rows,
@@ -37,8 +49,8 @@ BUILDERS = {"res": plan_res, "seq": plan_seq}
 
 
 @st.composite
-def elements(draw):
-    dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def elements(draw, dims_choices=((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))):
+    dims = draw(st.sampled_from(dims_choices))
     s = tuple(draw(st.integers(0, d - 1)) for d in dims)
     sp = tuple(draw(st.integers(0, d - 1)) for d in dims)
     if s == sp:
@@ -151,3 +163,88 @@ def test_three_qubit_weak_coupling_ratio_slope():
               / per_state_values(system, "res", float(g), 0, 500).mean() for g in grid]
     slope = -float(np.polyfit(np.log(grid), np.log(ratios), 1)[0])
     assert abs(slope - 6.0) <= 0.3, f"three-qubit ratio slope {slope:.3f}"
+
+
+@st.composite
+def strength_grids(draw):
+    return sorted(set(draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=6))))
+
+
+class TestStrengthFamilies:
+    """Family builds over a grid against single builds at each strength, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))),
+           scheme=st.sampled_from(["res", "seq"]), grid=strength_grids())
+    def test_family_slices_equal_single_builds(self, element, scheme, grid):
+        family = plans_over_grid(element, scheme, grid)
+        assert len(family) == len(grid)
+        for k, g in enumerate(grid):
+            got, want = family[k], BUILDERS[scheme](element, g)
+            assert got.g == want.g
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert np.array_equal(got.coeff_re, want.coeff_re)
+            assert np.array_equal(got.coeff_im, want.coeff_im)
+            assert got.calibration == want.calibration
+            assert not got.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("element,grid,failing", [
+        (ElementIndex.create((2,), (0,), (1,)), [0.4, math.pi, 2 * math.pi], math.pi),
+        (ElementIndex.create((2, 2, 2), (0, 0, 0), (1, 1, 1)), [0.5, 1e-3, 0.7], 1e-3),
+    ])
+    def test_first_failing_strength_raises_the_single_build_error(self, element, grid, failing):
+        with pytest.raises(CalibrationError) as single:
+            plan_seq(element, failing)
+        with pytest.raises(CalibrationError) as family:
+            plans_over_grid(element, "seq", grid)
+        assert str(family.value) == str(single.value)
+
+    @pytest.mark.parametrize("options", [{"support": "full"}, {"weights": True},
+                                         {"support": "full", "weights": True}])
+    def test_full_support_and_weights_share_the_stacked_solve(self, options):
+        element = ElementIndex.create((2, 2), (0, 1), (1, 0))
+        if options.get("weights"):
+            options = dict(options, weights=np.linspace(0.5, 2.0, 16 * 64).reshape(16, 64))
+        grid = [0.3, 0.9, 1.3]
+        family = plan_seq_grid(element, grid, **options)
+        target = np.zeros((4, 4))
+        target[element.s_flat, element.s_prime_flat] = 1
+        for k, g in enumerate(grid):
+            want = plan_seq(element, g, **options)
+            assert np.array_equal(family[k].coeff_re, want.coeff_re)
+            assert np.array_equal(family[k].coeff_im, want.coeff_im)
+            assert family[k].calibration == want.calibration
+            assert np.max(np.abs(functional_matrix(want) - target)) <= 1e-8
+
+    @pytest.mark.parametrize("chunk", [1, 2 ** 14, 2 ** 30])
+    def test_sweep_values_equal_per_state_values(self, monkeypatch, chunk):
+        monkeypatch.setattr(precision_module, "CHUNK_ENTRIES", chunk)
+        policy = ShotPolicy(n_t=1.0)
+        for system in (SystemSpec(1, 3), SystemSpec(2, 2)):
+            report = g_sweep(system, ("res", "seq"), default_g_grid(), 150, policy, seed=4,
+                             keep_per_state=True)
+            for scheme in ("res", "seq"):
+                for g in filter_grid(scheme, default_g_grid()):
+                    got = report.per_state[(scheme, policy.allocation, g)]
+                    assert np.array_equal(got, per_state_values(system, scheme, g, 4, 150))
+
+    def test_sweep_peak_stays_under_per_strength_path(self):
+        # three qubits, seq: one strength's amplitudes (1 MiB) already fill a chunk
+        system, samples = SystemSpec(3, 2), 1000
+        grid = filter_grid("seq", default_g_grid())
+        sampled_states(system, 0, samples)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # every strength of the per-strength path peaks alike; two stand for all
+        per_strength = peak(lambda: [per_state_values(system, "seq", g, 0, samples)
+                                     for g in (grid[0], grid[-1])])
+        sweep = peak(lambda: g_sweep(system, ("seq",), grid, samples, ShotPolicy(n_t=1.0)))
+        assert sweep <= per_strength
+        assert sweep <= 26.5e6

@@ -186,6 +186,14 @@ class TestHistogram:
         with pytest.raises(InvalidStateError):
             error_histogram(SystemSpec(1, 3), "res", 0.5, 500, PER)
 
+    @pytest.mark.parametrize("bins", [40, 41])
+    def test_state_independent_errors_fill_one_bin(self, bins):
+        # fig4b: two-qubit res at pi/4 has the same error for every state
+        hist = error_histogram(SystemSpec(2, 2), "res", math.pi / 4, 10000, PER, bins=bins, seed=0)
+        assert hist.counts.max() == 10000
+        k = int(np.argmax(hist.counts))
+        assert hist.bin_edges[k] < hist.mean_error < hist.bin_edges[k + 1]
+
 
 class TestResourceReport:
     def test_identical_plans_ratio_one(self):

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dmres.shots as shots_module
 from dmres import (
     DensityMatrix,
     ElementIndex,
@@ -137,3 +140,34 @@ class TestSimulateShots:
         emp_im = draws.imag.var(ddof=1) * policy.n_t
         assert abs(emp_re - var_re) / var_re < 0.10
         assert abs(emp_im - var_im) / var_im < 0.10
+
+
+class TestProbabilityMemo:
+    def test_memo_hits_give_the_draws_of_fresh_computation(self, monkeypatch):
+        plan = plan_seq(ElementIndex.create((2, 2), (0, 1), (1, 0)), 0.6)
+        rho = random_mixed_state((2, 2), stream(12, "memo"))
+        policy = ShotPolicy(n_t=50.0)
+        calls = []
+        counted = shots_module.all_probabilities
+        monkeypatch.setattr(shots_module, "all_probabilities",
+                            lambda *args: calls.append(1) or counted(*args))
+        hits = [simulate_shots(plan, rho, policy, stream(12, "memo-draws", i)) for i in range(20)]
+        assert len(calls) == 1
+        fresh = []
+        for i in range(20):
+            # an equal state in a new object misses the memo
+            copy = DensityMatrix.create(rho.entries, rho.dims)
+            fresh.append(simulate_shots(plan, copy, policy, stream(12, "memo-draws", i)))
+        assert len(calls) == 21
+        assert hits == fresh
+        _, _, held = shots_module._PROBABILITY_MEMO
+        assert not held.flags.writeable
+
+    def test_dropped_plan_is_not_retained(self):
+        plan = plan_res(ElementIndex.create((3,), (0,), (2,)), 0.5)
+        rho = maximally_mixed(3)
+        simulate_shots(plan, rho, ShotPolicy(n_t=10.0), stream(13, "memo"))
+        ref = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert ref() is None
