@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -26,8 +24,11 @@ from .sampling import stream
 from .scenarios import SCENARIO_IDS, default_spec, run_scenario
 from .seq import plan_seq
 from .shots import ALLOCATIONS, PER_SETTING, ShotPolicy, element_variance, simulate_shots
-from .stateio import format_float, read_state, write_state
+from .stateio import format_float, read_state, write_manifest, write_state
 from .validate import GROUPS, run_validation
+
+# Everything runs in one process; the flag stays so existing scripts still run.
+_WORKERS_HELP = "accepted and ignored: outputs never depend on it"
 
 _ANGLE_RE = re.compile(r"^\s*(-?)\s*(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -64,11 +65,6 @@ def _load_density(path: str) -> DensityMatrix:
     return state
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
 def cmd_extract(args) -> int:
     rho = _load_density(args.state)
     g = parse_angle(args.g)
@@ -83,7 +79,7 @@ def cmd_extract(args) -> int:
     print(f"Re = {format_float(value.real)}")
     print(f"Im = {format_float(value.imag)}")
     if args.shots is not None and plan is not None:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy, seed=args.seed)
+        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
         rng = stream(args.seed, f"cli/extract/{element.label()}")
         sim = simulate_shots(plan, rho, policy, rng)
         var_re, var_im = element_variance(plan, rho, policy)
@@ -104,7 +100,7 @@ def cmd_characterize(args) -> int:
     if args.shots is None:
         estimate = characterize(rho, g)
     else:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy, seed=args.seed)
+        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
         estimate = _characterize_shots(rho, g, policy, args.seed)
     write_state(out_dir / "estimate.state", estimate)
 
@@ -121,7 +117,7 @@ def cmd_characterize(args) -> int:
         truth = _load_density(args.truth)
         _write_deviation_report(out_dir, estimate, truth, rho, g, args)
         manifest["truth"] = str(args.truth)
-    _write_manifest(out_dir, manifest)
+    write_manifest(out_dir, manifest)
     print(f"wrote {out_dir / 'estimate.state'}")
     return 0
 
@@ -158,7 +154,7 @@ def _write_deviation_report(out_dir, estimate, truth, rho, g, args) -> None:
 
     policy = None
     if args.shots is not None:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy, seed=args.seed)
+        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
     total = truth.dim
     for u in range(total):
         for v in range(total):
@@ -183,7 +179,7 @@ def _write_deviation_report(out_dir, estimate, truth, rho, g, args) -> None:
 def cmd_precision(args) -> int:
     system = SystemSpec.parse(args.system)
     schemes = [s.strip() for s in args.scheme.split(",")]
-    policy = ShotPolicy(n_t=args.n_t, allocation=args.policy, seed=args.seed)
+    policy = ShotPolicy(n_t=args.n_t, allocation=args.policy)
     if args.g_grid:
         if args.g_grid == "default":
             grid = default_g_grid()
@@ -191,12 +187,10 @@ def cmd_precision(args) -> int:
             grid = [parse_angle(tok) for tok in args.g_grid.split(",")]
         if not len(grid):
             raise DmresError("empty g grid")
-        report = g_sweep(system, schemes, grid, args.samples, policy,
-                         seed=args.seed, workers=args.workers)
+        report = g_sweep(system, schemes, grid, args.samples, policy, seed=args.seed)
     else:
         g = parse_angle(args.g)
-        report = haar_mean_precision(system, schemes[0], g, args.samples, policy,
-                                     seed=args.seed, workers=args.workers)
+        report = haar_mean_precision(system, schemes[0], g, args.samples, policy, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report.write(out)
@@ -212,7 +206,7 @@ def cmd_precision(args) -> int:
         "seed": args.seed,
         "argmin": {f"{k[0]}/{k[1]}": format_float(v) for k, v in report.argmin.items()},
     }
-    _write_manifest(out.parent, manifest)
+    write_manifest(out.parent, manifest)
     print(f"wrote {out}")
     return 0
 
@@ -220,7 +214,7 @@ def cmd_precision(args) -> int:
 def cmd_scenario(args) -> int:
     if args.scenario not in SCENARIO_IDS:
         raise DmresError(f"unknown scenario {args.scenario!r}")
-    overrides = {"seed": args.seed, "workers": args.workers}
+    overrides = {"seed": args.seed}
     if args.samples is not None:
         overrides["samples"] = args.samples
     if args.n_t is not None:
@@ -248,10 +242,6 @@ def cmd_validate(args) -> int:
         return 1
     print("all validation groups passed")
     return 0
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("DMRES_WORKERS", "1"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=ALLOCATIONS, default=PER_SETTING)
     p.add_argument("--n-t", type=float, default=1.0, dest="n_t")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=cmd_precision)
 
@@ -302,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-t", type=float, default=None, dest="n_t")
     p.add_argument("--g", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--sampled-run", type=int, default=0,
                    help="also shot-simulate this many random states")
     p.set_defaults(func=cmd_scenario)

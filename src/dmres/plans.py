@@ -16,7 +16,6 @@ rotations are applied meter by meter for all settings at once.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,7 +26,7 @@ from .elements import ElementIndex
 from .errors import InvalidCouplingError
 from .linalg import DensityMatrix, Ket, check_joint_dim
 from .operators import coupling_gate, meter_readout_basis
-from .stateio import format_float
+from .stateio import encode_json, format_float
 
 RES_SCHEME = "res"
 SEQ_SCHEME = "seq"
@@ -340,18 +339,4 @@ def plan_document(plan: ProtocolPlan) -> str:
         "post_selectors": list(plan.post_selectors),
         "coefficients": coeff_table,
     }
-
-    def encode(obj):
-        if isinstance(obj, dict):
-            return "{" + ", ".join(f"{json.dumps(k)}: {encode(v)}" for k, v in obj.items()) + "}"
-        if isinstance(obj, list):
-            return "[" + ", ".join(encode(v) for v in obj) + "]"
-        if isinstance(obj, str):
-            try:
-                float(obj)
-                return obj
-            except ValueError:
-                return json.dumps(obj)
-        return json.dumps(obj)
-
-    return encode(doc) + "\n"
+    return encode_json(doc) + "\n"

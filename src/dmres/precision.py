@@ -2,11 +2,13 @@
 
 Per-state shot variances are linear functionals of the state, so each
 plan contributes one Hermitian operator per quadrature and the Monte
-Carlo reduces to traces against sampled states.  Samples come from
-counter-based streams keyed by sample index, so every strength, scheme
-and report sees the same states; each is drawn once per run and kept in
-a small memo.  Everything runs in one process, and the ``workers``
-options are accepted for compatibility without changing any output.
+Carlo reduces to traces Tr(W rho) against sampled states, with W the
+mean variance operator over the element set.  Every Haar average takes
+W from one path, ``mean_variance_operators``, which builds each
+element's plans for a chunk of strengths in one stacked pass; a single
+strength is the grid of one.  Samples come from counter-based streams
+keyed by sample index, so every strength, scheme and report sees the
+same states; each is drawn once per run and kept in a small memo.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
 from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, estimator_operators
-from .res import plan_res, plan_res_grid
+from .res import plan_res_grid
 from .sampling import precision_states
-from .seq import plan_seq, plan_seq_grid
+from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
@@ -43,6 +45,9 @@ REFERENCE_TARGETS = {
     (1, 3): {"res": (math.pi / 4, 0.125), "seq": (math.pi / 2, 0.708), "efficiency": 11.3},
     (2, 2): {"res": (math.pi / 4, 0.208), "seq": (math.pi / 2, 0.458), "efficiency": 8.8},
 }
+
+# Relative deviation within which a measured value matches its reference.
+REFERENCE_REL_TOL = 0.2
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,6 @@ class SystemSpec:
         except ValueError as exc:
             raise InvalidStateError(f"cannot parse system spec {text!r}") from exc
         return cls(n, d)
-
-
-def build_plans(system: SystemSpec, scheme: str, g: float,
-                elements: list[ElementIndex] | None = None) -> list[ProtocolPlan]:
-    elements = elements if elements is not None else precision_element_set(system.n_qudits, system.d)
-    builder = plan_res if scheme == "res" else plan_seq
-    return [builder(e, g) for e in elements]
 
 
 def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
@@ -146,26 +144,25 @@ def per_state_values(
     g: float,
     seed: int,
     samples: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-state mean of n_t-normalized variances at unit per-setting exposure.
 
     The mean runs over the system's element set and both quadratures.
     Multiply by the plan's setting count for the split-total policy.
-    ``workers`` is accepted for compatibility; the values never depend on it.
+    This is the one-strength case of ``mean_variance_operators``.
     """
-    w_mean = _mean_variance_operator(build_plans(system, scheme, g))
+    ((_, w_mean),) = mean_variance_operators(system, scheme, [g])
     return _trace(w_mean, sampled_states(system, seed, samples))
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     """Yield ``(g, W)`` for each strength of ``gs``, in order.
 
-    W is the mean variance operator ``per_state_values`` traces against
-    the states, bit for bit.  Each element's plans are built for a chunk
-    of strengths in one stacked pass; a chunk holds at most
-    ``CHUNK_ENTRIES`` stacked amplitude entries per element, which bounds
-    memory whatever the grid length.
+    W is the mean variance operator over the element set and both
+    quadratures, the same bit for bit whatever the chunking.  Each
+    element's plans are built for a chunk of strengths in one stacked
+    pass; a chunk holds at most ``CHUNK_ENTRIES`` stacked amplitude
+    entries per element, which bounds memory whatever the grid length.
     """
     elements = precision_element_set(system.n_qudits, system.d)
     _, settings, outcomes = _plan_counts(system, scheme)
@@ -235,13 +232,11 @@ def haar_mean_precision(
     samples: int,
     policy: ShotPolicy,
     seed: int = 0,
-    workers: int = 1,
-    keep_per_state: bool = False,
 ) -> PrecisionReport:
     """Monte Carlo estimate of the Haar-averaged precision at one strength."""
     if samples < 100:
         raise InvalidStateError(f"precision averages need samples >= 100, got {samples}")
-    vals = per_state_values(system, scheme, g, seed, samples, workers)
+    vals = per_state_values(system, scheme, g, seed, samples)
     couplings, settings, outcomes = _plan_counts(system, scheme)
     factor = allocation_factor(policy.allocation, settings)
     mean, stderr = _mean_stderr(factor * vals)
@@ -249,10 +244,7 @@ def haar_mean_precision(
         scheme, system.n_qudits, system.d, g, policy.allocation, samples,
         mean, stderr, couplings, settings, outcomes,
     )
-    report = PrecisionReport(rows=[row])
-    if keep_per_state:
-        report.per_state[(scheme, policy.allocation, g)] = factor * vals
-    return report
+    return PrecisionReport(rows=[row])
 
 
 def filter_grid(scheme: str, grid) -> list[float]:
@@ -279,17 +271,18 @@ def g_sweep(
     samples: int,
     policies,
     seed: int = 0,
-    workers: int = 1,
     keep_per_state: bool = False,
 ) -> PrecisionReport:
     """Precision curves over a strength grid with matched sample streams.
 
     The Haar samples are keyed by sample index alone, so every scheme
-    and strength sees the same states.
+    and strength sees the same states.  ``g_grid`` may be any iterable;
+    it is read once.
     """
     if isinstance(policies, ShotPolicy):
         policies = (policies,)
-    if not len(list(g_grid)):
+    g_grid = list(g_grid)
+    if not g_grid:
         raise InvalidStateError("empty g grid")
     report = PrecisionReport(rows=[])
     states = sampled_states(system, seed, samples)
@@ -342,12 +335,11 @@ def error_histogram(
     policy: ShotPolicy,
     bins: int = 40,
     seed: int = 0,
-    workers: int = 1,
 ) -> HistogramReport:
     """Distribution of per-state standard errors sqrt(n_t delta^2)."""
     if samples < 1000:
         raise InvalidStateError(f"histograms need samples >= 1000, got {samples}")
-    vals = per_state_values(system, scheme, g, seed, samples, workers)
+    vals = per_state_values(system, scheme, g, seed, samples)
     _, settings, _ = _plan_counts(system, scheme)
     vals = allocation_factor(policy.allocation, settings) * vals
     errors = np.sqrt(vals)
@@ -382,7 +374,6 @@ class ResourceReport:
     photons_b: float
     ratio_b_over_a: float
     target_sigma: float
-    policy: str
     samples: int
 
 
@@ -391,7 +382,6 @@ def resource_report(
     plan_b: ProtocolPlan,
     target_sigma: float,
     samples: int = 2000,
-    policy: ShotPolicy | None = None,
     seed: int = 0,
 ) -> ResourceReport:
     """Photon budgets to reach a target standard error, Haar-averaged.
@@ -404,7 +394,6 @@ def resource_report(
         raise InvalidStateError("resource comparison needs both plans to target the same element")
     if target_sigma <= 0:
         raise InvalidStateError("target_sigma must be positive")
-    policy = policy or ShotPolicy(n_t=1.0)
     element = plan_a.element
     if len(set(element.dims)) != 1:
         raise InvalidStateError("resource averages support homogeneous local dimensions only")
@@ -412,11 +401,9 @@ def resource_report(
 
     budgets = []
     for plan in (plan_a, plan_b):
-        w_re, w_im = estimator_operators(plan)
-        w = 0.5 * (w_re + w_im)
         acc = 0.0
         # left-to-right sum, as a per-state accumulation would give
-        for v in np.einsum("uv,nvu->n", w, rhos).real.tolist():
+        for v in _trace(_mean_variance_operator([plan]), rhos).tolist():
             acc += v
         mean_v = acc / samples
         budgets.append(plan.n_settings * mean_v / target_sigma ** 2)
@@ -432,7 +419,6 @@ def resource_report(
         photons_a=budgets[0], photons_b=budgets[1],
         ratio_b_over_a=budgets[1] / budgets[0],
         target_sigma=target_sigma,
-        policy=policy.allocation,
         samples=samples,
     )
 
@@ -441,25 +427,23 @@ def reference_comparison(
     system: SystemSpec,
     samples: int = 10000,
     seed: int = 0,
-    workers: int = 1,
-    rel_tol: float = 0.2,
 ) -> dict:
     """Compare measured optima against the reference values.
 
     Measures n_t Delta^2 at the reference strengths under both exposure
     policies and reports relative deviations.  When no policy lands
-    within ``rel_tol`` of a target the entry carries a convention note:
-    the reference values presuppose a photon-accounting convention the
-    recorded policies do not pin down.
+    within ``REFERENCE_REL_TOL`` of a target the entry carries a
+    convention note: the reference values presuppose a photon-accounting
+    convention the recorded policies do not pin down.
     """
     key = (system.n_qudits, system.d)
     if key not in REFERENCE_TARGETS:
         raise DmresError(f"no reference targets for system {system.label}")
     targets = REFERENCE_TARGETS[key]
-    out = {"system": system.label, "samples": samples, "rel_tol": rel_tol, "schemes": {}}
+    out = {"system": system.label, "samples": samples, "rel_tol": REFERENCE_REL_TOL, "schemes": {}}
     for scheme in ("res", "seq"):
         g_ref, value_ref = targets[scheme]
-        vals = per_state_values(system, scheme, g_ref, seed, samples, workers)
+        vals = per_state_values(system, scheme, g_ref, seed, samples)
         _, settings, _ = _plan_counts(system, scheme)
         per_policy = {}
         matched = False
@@ -470,9 +454,9 @@ def reference_comparison(
                 "nt_delta2": mean,
                 "mc_stderr": stderr,
                 "relative_deviation": rel,
-                "within_tolerance": bool(rel <= rel_tol),
+                "within_tolerance": bool(rel <= REFERENCE_REL_TOL),
             }
-            matched = matched or rel <= rel_tol
+            matched = matched or rel <= REFERENCE_REL_TOL
         entry = {
             "g": g_ref,
             "target": value_ref,

@@ -32,7 +32,7 @@ from .res import extract_element, plan_res
 from .sampling import stream
 from .seq import plan_seq
 from .shots import PER_SETTING, SPLIT_TOTAL, ShotPolicy, simulate_shots
-from .stateio import format_float
+from .stateio import format_float, write_manifest
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -54,7 +54,6 @@ class ScenarioSpec:
     seed: int = 0
     n_t: float | None = None  # None: noiseless extraction only
     bins: int = 40
-    workers: int = 1
     sampled_run: int = 0  # optional extra run of shot-simulated random states
 
     def __post_init__(self) -> None:
@@ -144,22 +143,9 @@ class ScenarioResult:
             lines = [",".join(columns)]
             lines += [",".join(row) for row in rows]
             (out / name).write_text("\n".join(lines) + "\n")
-        (out / "manifest.json").write_text(_stable_json(self.manifest) + "\n")
+        write_manifest(out, self.manifest)
         (out / "README.md").write_text(self.readme)
         return out
-
-
-def _stable_json(obj) -> str:
-    import json
-
-    def default(o):
-        if isinstance(o, (np.floating, float)):
-            return format_float(float(o))
-        if isinstance(o, np.integer):
-            return int(o)
-        raise TypeError(f"cannot encode {type(o)}")
-
-    return json.dumps(obj, sort_keys=True, indent=1, default=default)
 
 
 def _manifest(spec: ScenarioSpec, policy_names) -> dict:
@@ -196,7 +182,7 @@ def _element_sweep(spec: ScenarioSpec, states, elements, theory, readme_intro: s
                    format_float(want.real), format_float(want.imag),
                    format_float(got.real), format_float(got.imag)]
             if shots:
-                policy = ShotPolicy(n_t=spec.n_t, seed=spec.seed)
+                policy = ShotPolicy(n_t=spec.n_t)
                 rng = stream(spec.seed, f"{spec.scenario_id}/shots/{e.label()}", j)
                 sim = simulate_shots(plan, rho, policy, rng)
                 row += [format_float(sim.real), format_float(sim.imag)]
@@ -298,8 +284,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
     system = SystemSpec(1, 3) if spec.scenario_id == "fig4a" else SystemSpec(2, 2)
     policies = (ShotPolicy(n_t=1.0, allocation=PER_SETTING),
                 ShotPolicy(n_t=1.0, allocation=SPLIT_TOTAL))
-    report = g_sweep(system, spec.schemes, spec.grid, spec.samples, policies,
-                     seed=spec.seed, workers=spec.workers)
+    report = g_sweep(system, spec.schemes, spec.grid, spec.samples, policies, seed=spec.seed)
 
     columns = ["scheme", "g", "policy", "nt_delta2", "mc_stderr", "samples", "argmin"]
     rows = []
@@ -321,7 +306,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
         if g_opt is None:
             continue
         hist = error_histogram(system, scheme, g_opt, max(spec.samples, 1000), per_setting,
-                               bins=spec.bins, seed=spec.seed, workers=spec.workers)
+                               bins=spec.bins, seed=spec.seed)
         histograms[scheme] = hist
         for i in range(hist.counts.size):
             hist_rows.append([
@@ -331,8 +316,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
             ])
     result.tables[f"{spec.scenario_id}_histograms.csv"] = (hist_columns, hist_rows)
 
-    comparison = reference_comparison(system, samples=spec.samples, seed=spec.seed,
-                                      workers=spec.workers)
+    comparison = reference_comparison(system, samples=spec.samples, seed=spec.seed)
     efficiency = _efficiency_summary(system, report, spec)
     result.extras["comparison"] = comparison
     result.extras["efficiency"] = efficiency
@@ -385,7 +369,7 @@ def _efficiency_summary(system: SystemSpec, report: PrecisionReport, spec: Scena
 def _sampled_run(spec: ScenarioSpec, system: SystemSpec):
     """Shot-simulated characterization errors for a small random batch."""
     n_t = spec.n_t if spec.n_t is not None else 1e5
-    policy = ShotPolicy(n_t=n_t, seed=spec.seed)
+    policy = ShotPolicy(n_t=n_t)
     columns = ["sample", "scheme", "element", "re_error", "im_error", "pred_stderr_re", "pred_stderr_im"]
     rows = []
     from .shots import element_variance

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import CalibrationError, InvalidCouplingError, InvalidElementError
-from .linalg import DensityMatrix, Ket, SIGMA_X, SIGMA_Y, as_density, projector
+from .linalg import SIGMA_X, SIGMA_Y, projector
 from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
@@ -28,14 +28,13 @@ from .plans import (
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
-    all_probabilities,
-    apply_estimator,
     base_amplitudes,
     enumerate_settings,
     per_meter,
     readout_amplitudes,
     sign_products,
 )
+from .res import extract_element
 
 RESIDUAL_TOL = 1e-8
 
@@ -190,10 +189,10 @@ def _correlator_weights(plan: ProtocolPlan | PlanFamily, outcomes: list[int], w:
     return sums.reshape(lead + (-1,))
 
 
-def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray, sv_floor: float):
+def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
     """Minimum-norm solutions of a_mat[k] z = t for a stack of matrices.
 
-    Directions with singular values at or below ``sv_floor`` are dropped.
+    Directions with singular values at or below ``SV_FLOOR`` are dropped.
     The kept set is a prefix of the sorted singular values, so strengths
     are solved in groups of equal kept rank, each with the same products
     a single solve runs.  Returns the solutions (G, 2, n) for the two
@@ -201,7 +200,7 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray, sv_floor: float):
     values (G,), zero where none is kept.
     """
     u_svd, svals, vt_svd = np.linalg.svd(a_mat, full_matrices=False)
-    ranks = (svals > sv_floor).sum(-1)
+    ranks = (svals > SV_FLOOR).sum(-1)
     z = np.zeros((a_mat.shape[0], len(targets), a_mat.shape[-1]))
     for r in sorted(set(ranks.tolist()) - {0}):
         idx = (ranks == r).nonzero()[0]
@@ -217,11 +216,8 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray, sv_floor: float):
 
 def calibrate_estimator(
     rmap: ResponseMap,
-    element: ElementIndex | None = None,
     support: str = "correlator",
     weights: np.ndarray | None = None,
-    residual_tol: float = RESIDUAL_TOL,
-    sv_floor: float = SV_FLOOR,
     base: np.ndarray | None = None,
 ):
     """Minimum-norm unbiased coefficients for the Re and Im functionals.
@@ -239,16 +235,13 @@ def calibrate_estimator(
     ``PlanFamily`` every strength is solved in one stacked pass and the
     tables gain a leading strength axis, with one ``CalibrationInfo`` per
     strength; a plan is the stack of one.  The first strength, in grid
-    order, whose residual exceeds ``residual_tol`` raises
+    order, whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
     plan = rmap.plan
-    element = element or plan.element
-    if element != plan.element:
-        raise InvalidElementError("calibration element does not match the plan's element")
     family = isinstance(plan, PlanFamily)
     gs = plan.gs if family else (plan.g,)
-    targets = np.stack(_targets(element))
+    targets = np.stack(_targets(plan.element))
 
     restricted = support == "correlator"
     if restricted:
@@ -272,13 +265,13 @@ def calibrate_estimator(
     else:
         scale = None
 
-    z, residuals, smallest = _min_norm_solve(a_mat, targets, sv_floor)
+    z, residuals, smallest = _min_norm_solve(a_mat, targets)
     for g, res, sv in zip(gs, residuals, smallest):
-        if max(res) > residual_tol:
+        if max(res) > RESIDUAL_TOL:
             raise CalibrationError(
                 f"calibration infeasible at g={g!r}: residual {max(res):.3e} "
-                f"exceeds {residual_tol:g} (smallest usable singular value {sv:.3e}, "
-                f"floor {sv_floor:g})"
+                f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {sv:.3e}, "
+                f"floor {SV_FLOOR:g})"
             )
     if scale is not None:
         z = z * scale[:, None, :]
@@ -304,7 +297,6 @@ def plan_seq_grid(
     gs,
     support: str = "correlator",
     weights: np.ndarray | None = None,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> PlanFamily:
     """Build and calibrate the sequential baseline plans at every strength of ``gs``.
 
@@ -339,10 +331,8 @@ def plan_seq_grid(
         amplitudes=amps,
         has_estimator=False,
     )
-    c_re, c_im, infos = calibrate_estimator(
-        response_map(bare), element, support=support, weights=weights,
-        residual_tol=residual_tol, base=base,
-    )
+    c_re, c_im, infos = calibrate_estimator(response_map(bare), support=support,
+                                            weights=weights, base=base)
     return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, has_estimator=True)
 
 
@@ -351,15 +341,10 @@ def plan_seq(
     g: float,
     support: str = "correlator",
     weights: np.ndarray | None = None,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> ProtocolPlan:
     """Build and calibrate the sequential baseline plan: ``plan_seq_grid`` at one strength."""
-    return plan_seq_grid(element, (g,), support, weights, residual_tol)[0]
+    return plan_seq_grid(element, (g,), support, weights)[0]
 
 
-def extract_element_seq(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
-    """Estimate <s| rho |s'> with the calibrated sequential plan."""
-    rho = as_density(rho)
-    if rho.dims != plan.element.dims:
-        raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
-    return apply_estimator(plan, all_probabilities(plan, rho))
+# Extraction is scheme independent: the plan carries the estimator.
+extract_element_seq = extract_element

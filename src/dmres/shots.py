@@ -27,7 +27,6 @@ class ShotPolicy:
 
     n_t: float
     allocation: str = PER_SETTING
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.n_t > 0:

@@ -1,7 +1,8 @@
-"""State file format: JSON with dims, kind and [re, im] entry pairs.
+"""File formats: state files, exported documents and run manifests.
 
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly.
+A state file is JSON with dims, kind and [re, im] entry pairs.  Floats
+are written with 17 significant digits, which round-trips IEEE doubles
+exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ def _pairs(arr: np.ndarray):
     return [[[format_float(z.real), format_float(z.imag)] for z in row] for row in arr]
 
 
-def _encode(obj) -> str:
+def encode_json(obj) -> str:
     """JSON dump with preformatted float strings emitted as raw numbers."""
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {encode_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
+        return "[" + ", ".join(encode_json(v) for v in obj) + "]"
     if isinstance(obj, str) and _is_number_token(obj):
         return obj
     return json.dumps(obj)
@@ -50,11 +51,25 @@ def state_document(state: Ket | DensityMatrix) -> str:
     else:
         kind, data = "density", _pairs(state.entries)
     doc = {"dims": list(state.dims), "kind": kind, "data": data}
-    return _encode(doc) + "\n"
+    return encode_json(doc) + "\n"
 
 
 def write_state(path: str | Path, state: Ket | DensityMatrix) -> None:
     Path(path).write_text(state_document(state))
+
+
+def _manifest_default(obj):
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot encode {type(obj)}")
+
+
+def write_manifest(out_dir: str | Path, payload: dict) -> None:
+    """Write ``manifest.json`` into ``out_dir``: keys sorted, one-space indent."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, sort_keys=True, indent=1, default=_manifest_default)
+    (out / "manifest.json").write_text(text + "\n")
 
 
 def _complex_array(data, depth: int) -> np.ndarray:

@@ -14,10 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import ElementIndex, all_offdiagonal_elements
+from .elements import ElementIndex, all_offdiagonal_elements, precision_element_set
 from .plans import ProtocolPlan, functional_matrix
 from .precision import (
     SystemSpec,
+    _mean_variance_operator,
+    _trace,
     default_g_grid,
     filter_grid,
     g_sweep,
@@ -184,23 +186,20 @@ def check_haar_mean(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
 
 
 def check_determinism(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
-    system = SystemSpec(1, 3)
-    a = per_state_values(system, "res", math.pi / 4, 9, 300, workers=1)
-    b = per_state_values(system, "res", math.pi / 4, 9, 300, workers=2)
-    if not np.array_equal(a, b):
-        return False, "worker-count mismatch"
     singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
-    if not np.array_equal(sampled_states(system, 9, 300), np.stack(singles)):
+    if not np.array_equal(sampled_states(SystemSpec(1, 3), 9, 300), np.stack(singles)):
         return False, "batched Haar states differ from single draws"
-    # stacked sweep builds against single builds: first point, a chunk edge, pi/2
+    # stacked sweep builds against single plan_seq builds: first point, a chunk edge, pi/2
     two_qubit, grid = SystemSpec(2, 2), default_g_grid()
+    states = sampled_states(two_qubit, 9, 300)
     report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9, keep_per_state=True)
-    for g in (grid[0], grid[4], grid[-1]):
-        swept = report.per_state[("seq", PER_SETTING, float(g))]
-        if not np.array_equal(swept, per_state_values(two_qubit, "seq", float(g), 9, 300)):
-            return False, f"sweep values differ from per_state_values at g={float(g)!r}"
-    return True, ("per-state values bit-identical across worker counts and between sweep and "
-                  "single builds; batched states match single draws")
+    for g in (float(grid[0]), float(grid[4]), float(grid[-1])):
+        plans = [plan_seq(e, g) for e in precision_element_set(2, 2)]
+        single = _trace(_mean_variance_operator(plans), states)
+        if not np.array_equal(report.per_state[("seq", PER_SETTING, g)], single):
+            return False, f"sweep values differ from single plan_seq builds at g={g!r}"
+    return True, ("sweep values bit-identical to single plan_seq builds; "
+                  "batched states match single draws")
 
 
 GROUPS = {

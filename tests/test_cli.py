@@ -166,14 +166,18 @@ class TestPrecisionCommand:
                      "--g-grid", ",", "--samples", "150", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
-    def test_worker_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DMRES_WORKERS", "2")
-        from dmres.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["precision", "--system", "qutrit", "--scheme", "res",
-             "--g", "0.5", "--samples", "150", "--out", str(tmp_path / "x.csv")])
-        assert args.workers == 2
+class TestWorkersEnvironment:
+    @pytest.mark.parametrize("command", [
+        ["precision", "--system", "qutrit", "--scheme", "res", "--g", "0.5", "--samples", "150"],
+        ["validate", "--group", "counts"],
+    ])
+    def test_workers_environment_is_ignored(self, tmp_path, monkeypatch, command):
+        # DMRES_WORKERS is not read, so even a non-number cannot break a run
+        monkeypatch.setenv("DMRES_WORKERS", "abc")
+        if command[0] == "precision":
+            command = command + ["--out", str(tmp_path / "x.csv")]
+        assert main(command) == 0
 
 
 class TestScenarioCommand:

@@ -22,6 +22,7 @@ from dmres import (
     random_mixed_state,
     stream,
 )
+from dmres.elements import precision_element_set
 from dmres.plans import all_probabilities, functional_matrix, joint_unitary
 from dmres.precision import (
     SystemSpec,
@@ -46,6 +47,13 @@ from oracles import (
 )
 
 BUILDERS = {"res": plan_res, "seq": plan_seq}
+
+
+def single_build_values(system, scheme, g, seed, samples):
+    """Per-state values from one ``plan_res``/``plan_seq`` build per element at one strength."""
+    plans = [BUILDERS[scheme](e, g) for e in precision_element_set(system.n_qudits, system.d)]
+    w_mean = precision_module._mean_variance_operator(plans)
+    return precision_module._trace(w_mean, sampled_states(system, seed, samples))
 
 
 @st.composite
@@ -226,6 +234,7 @@ class TestStrengthFamilies:
             for scheme in ("res", "seq"):
                 for g in filter_grid(scheme, default_g_grid()):
                     got = report.per_state[(scheme, policy.allocation, g)]
+                    assert np.array_equal(got, single_build_values(system, scheme, g, 4, 150))
                     assert np.array_equal(got, per_state_values(system, scheme, g, 4, 150))
 
     def test_sweep_peak_stays_under_per_strength_path(self):
@@ -243,7 +252,7 @@ class TestStrengthFamilies:
                 tracemalloc.stop()
 
         # every strength of the per-strength path peaks alike; two stand for all
-        per_strength = peak(lambda: [per_state_values(system, "seq", g, 0, samples)
+        per_strength = peak(lambda: [single_build_values(system, "seq", g, 0, samples)
                                      for g in (grid[0], grid[-1])])
         sweep = peak(lambda: g_sweep(system, ("seq",), grid, samples, ShotPolicy(n_t=1.0)))
         assert sweep <= per_strength

@@ -17,10 +17,10 @@ from dmres import (
     resource_report,
     stream,
 )
+from dmres.elements import precision_element_set
 from dmres.plans import estimator_operators
 from dmres.precision import (
     SystemSpec,
-    build_plans,
     default_g_grid,
     per_state_values,
     sampled_states,
@@ -31,6 +31,12 @@ from oracles import exact_haar_mean
 
 PER = ShotPolicy(n_t=1.0)
 SPLIT = ShotPolicy(n_t=1.0, allocation="split-total")
+
+
+def element_plans(system, scheme, g):
+    """One single build per element of the system's precision element set."""
+    builder = plan_res if scheme == "res" else plan_seq
+    return [builder(e, g) for e in precision_element_set(system.n_qudits, system.d)]
 
 
 class TestSystemSpec:
@@ -118,6 +124,14 @@ class TestGSweep:
         with pytest.raises(InvalidStateError):
             g_sweep(SystemSpec(1, 3), ["res"], [], 150, PER)
 
+    def test_one_shot_grid_is_read_once(self):
+        # a generator grid gives the rows a list does: 32 res and 33 seq points
+        grid = default_g_grid()
+        got = g_sweep(SystemSpec(1, 3), ["res", "seq"], (g for g in grid), 150, PER, seed=7)
+        want = g_sweep(SystemSpec(1, 3), ["res", "seq"], grid, 150, PER, seed=7)
+        assert len(got.rows) == 65
+        assert got.to_csv() == want.to_csv()
+
     def test_csv_shape(self):
         rep = g_sweep(SystemSpec(1, 3), ["res"], [0.4], 150, PER, seed=6)
         text = rep.to_csv()
@@ -142,14 +156,14 @@ class TestExactHaarMean:
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("g", [0.3, math.pi / 4, 1.2])
     def test_monte_carlo_mean_within_five_stderr(self, system, scheme, g):
-        exact = exact_haar_mean(build_plans(system, scheme, g))
+        exact = exact_haar_mean(element_plans(system, scheme, g))
         vals = per_state_values(system, scheme, g, 21, 2000)
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) <= 5 * stderr + 1e-12 * exact
 
     @pytest.mark.parametrize("system,want", [(SystemSpec(1, 3), 1 / 6), (SystemSpec(2, 2), 1 / 4)])
     def test_closed_form_at_quarter_pi(self, system, want):
-        assert_allclose(exact_haar_mean(build_plans(system, "res", math.pi / 4)), want, rtol=1e-12)
+        assert_allclose(exact_haar_mean(element_plans(system, "res", math.pi / 4)), want, rtol=1e-12)
 
 
 class TestSampledStates:
@@ -164,14 +178,6 @@ class TestSampledStates:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             longer[0, 0, 0] = 0.0
-
-
-class TestWorkers:
-    def test_values_independent_of_worker_count(self):
-        system = SystemSpec(1, 3)
-        a = per_state_values(system, "res", 0.7, 7, 1100, workers=1)
-        b = per_state_values(system, "res", 0.7, 7, 1100, workers=3)
-        assert np.array_equal(a, b)
 
 
 class TestHistogram:
