@@ -97,11 +97,12 @@ def cmd_characterize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    variances = {}
     if args.shots is None:
         estimate = characterize(rho, g)
     else:
         policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
-        estimate = _characterize_shots(rho, g, policy, args.seed)
+        estimate, variances = _characterize_shots(rho, g, policy, args.seed, bool(args.truth))
     write_state(out_dir / "estimate.state", estimate)
 
     manifest = {
@@ -115,19 +116,22 @@ def cmd_characterize(args) -> int:
     }
     if args.truth:
         truth = _load_density(args.truth)
-        _write_deviation_report(out_dir, estimate, truth, rho, g, args)
+        _write_deviation_report(out_dir, estimate, truth, variances, args)
         manifest["truth"] = str(args.truth)
     write_manifest(out_dir, manifest)
     print(f"wrote {out_dir / 'estimate.state'}")
     return 0
 
 
-def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: int) -> DensityMatrix:
+def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: int,
+                        with_variances: bool):
     """Estimate every entry from finite Poisson statistics.
 
     Diagonal probabilities come from the relative frequencies of one
     meterless post-selection run, which keeps the estimate unit trace;
-    each off-diagonal entry is one finite-statistics extraction.
+    each off-diagonal entry is one finite-statistics extraction.  Returns
+    the estimate and, ``with_variances``, n_t (var Re + var Im) of each
+    upper-triangle pair (u, v), from the plan that drew it.
     """
     import itertools
 
@@ -138,6 +142,7 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
     diag_rng = stream(seed, "cli/characterize/diag")
     diag_counts = diag_rng.poisson(policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
     est[np.diag_indices(total)] = diag_counts / max(diag_counts.sum(), 1)
+    variances = {}
     for u, v in itertools.combinations(range(total), 2):
         element = element_from_flat(rho.dims, u, v)
         plan = plan_res(element, g)
@@ -145,13 +150,19 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
         value = simulate_shots(plan, rho, policy, rng)
         est[u, v] = value
         est[v, u] = np.conj(value)
-    return DensityMatrix.create(est, rho.dims, check_positive=False)
+        if with_variances:
+            var_re, var_im = element_variance(plan, rho, policy)
+            variances[u, v] = var_re + var_im
+    return DensityMatrix.create(est, rho.dims, check_positive=False), variances
 
 
-def _write_deviation_report(out_dir, estimate, truth, rho, g, args) -> None:
+def _write_deviation_report(out_dir, estimate, truth, variances, args) -> None:
+    """Per-entry deviations; with shots, also the predicted standard error.
+
+    Entry (v, u) is the conjugate of (u, v), whose Re and Im shot
+    variances it shares, so both read the variances of the upper-triangle pair.
+    """
     rows = ["row,col,re_est,im_est,re_true,im_true,abs_dev,pred_stderr"]
-    from .elements import element_from_flat
-
     policy = None
     if args.shots is not None:
         policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
@@ -161,9 +172,7 @@ def _write_deviation_report(out_dir, estimate, truth, rho, g, args) -> None:
             dev = abs(estimate.entries[u, v] - truth.entries[u, v])
             stderr = ""
             if policy is not None and u != v:
-                element = element_from_flat(truth.dims, u, v)
-                var_re, var_im = element_variance(plan_res(element, g), rho, policy)
-                stderr = format_float(math.sqrt((var_re + var_im) / args.shots))
+                stderr = format_float(math.sqrt(variances[min(u, v), max(u, v)] / args.shots))
             elif policy is not None:
                 p = truth.entries[u, u].real
                 stderr = format_float(math.sqrt(max(p, 0.0) / args.shots))
@@ -180,13 +189,14 @@ def cmd_precision(args) -> int:
     system = SystemSpec.parse(args.system)
     schemes = [s.strip() for s in args.scheme.split(",")]
     policy = ShotPolicy(n_t=args.n_t, allocation=args.policy)
-    if args.g_grid:
+    if args.g_grid is not None:
         if args.g_grid == "default":
             grid = default_g_grid()
         else:
-            grid = [parse_angle(tok) for tok in args.g_grid.split(",")]
-        if not len(grid):
-            raise DmresError("empty g grid")
+            tokens = args.g_grid.split(",")
+            if not any(tok.strip() for tok in tokens):
+                raise DmresError(f"--g-grid {args.g_grid!r} names no strength")
+            grid = [parse_angle(tok) for tok in tokens]
         report = g_sweep(system, schemes, grid, args.samples, policy, seed=args.seed)
     else:
         g = parse_angle(args.g)

@@ -1,11 +1,21 @@
 """Measurement protocol plans and the shared probability engine.
 
 A plan fixes the couplings, the meter readout settings and the
-estimator coefficients for one density-matrix element.  Everything a
-plan needs at evaluation time is captured by its readout amplitudes,
-one (n_settings, outcomes, system-dim) stack: with ``A_s`` the slice of
-setting ``s``, the probability of outcome ``o`` for input ``rho`` is
-``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
+estimator coefficients for one density-matrix element.  Its readout
+amplitudes form one (n_settings, outcomes, system-dim) stack: with
+``A_s`` the slice of setting ``s``, the probability of outcome ``o`` for
+input ``rho`` is ``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
+
+Outcomes come in blocks of 2^m meter patterns, one block per system
+outcome.  An estimator reads only the blocks its coefficients live on:
+the post-selected outcomes s and s' for ``res`` and the correlator
+``seq`` estimator, every block for a ``seq`` plan calibrated on the full
+outcome space.  A plan therefore stores the unrotated columns ``base``,
+the tuple ``blocks`` and the readout amplitudes of those blocks alone;
+extraction, shot variances, variance operators and the functional
+matrix contract these rows with the matching slice of the coefficient
+table.  The full stack ``amplitudes``, which shot draws and outcome
+distributions need, is rotated from ``base`` on first use and kept.
 
 The engine never forms a joint-space matrix.  Amplitudes live in a
 (d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
@@ -18,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +79,8 @@ class CalibrationInfo:
     method: str
 
 
-class _PlanCounts:
-    """Meter, setting and outcome counts shared by plans and plan families."""
+class _PlanLayout:
+    """Counts and stored-block access shared by plans and plan families."""
 
     @property
     def n_meters(self) -> int:
@@ -83,9 +94,46 @@ class _PlanCounts:
     def outcomes_per_setting(self) -> int:
         return self.element.dim * 2 ** self.n_meters
 
+    @property
+    def stored_entries(self) -> int:
+        """Amplitude entries held per strength: the columns plus the stored rows."""
+        return math.prod(self.base.shape[-2:]) + math.prod(self.block_amplitudes.shape[-3:])
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
+
+        (n_settings, outcomes, dim) for a plan, with a leading strength
+        axis for a family.  A plan that stores every block already holds it.
+        """
+        if len(self.blocks) == self.element.dim:
+            return self.block_amplitudes
+        return readout_amplitudes(self.base, self.settings, self.element.dim)
+
+    def block_entries(self, table: np.ndarray) -> np.ndarray:
+        """The entries of a (..., n_settings, outcomes) table on the stored blocks.
+
+        Ordered as the rows of ``block_amplitudes``; a table over every
+        block comes back as it is.
+        """
+        if len(self.blocks) == self.element.dim:
+            return table
+        lead = np.shape(table)[:-1]
+        blocks = np.take(np.reshape(table, lead + (self.element.dim, -1)), self.blocks, axis=-2)
+        return blocks.reshape(lead + (-1,))
+
 
 @dataclass(frozen=True)
-class ProtocolPlan(_PlanCounts):
+class ProtocolPlan(_PlanLayout):
+    """One element's plan at one strength.
+
+    ``base`` holds the unrotated columns U |u> (x) |0...0>, (outcomes,
+    dim); ``blocks`` the system outcomes the coefficients live on, and
+    ``block_amplitudes`` their readout amplitudes, (n_settings,
+    len(blocks) * 2^m, dim), read-only.  The constructor rejects nonzero
+    coefficients off those blocks.
+    """
+
     element: ElementIndex
     scheme: str
     g: float
@@ -94,16 +142,25 @@ class ProtocolPlan(_PlanCounts):
     post_selectors: tuple[int, int]  # flat indices (s, s')
     coeff_re: np.ndarray  # (n_settings, n_outcomes)
     coeff_im: np.ndarray
-    amplitudes: np.ndarray  # read-only (n_settings, outcomes, dim) readout amplitudes
+    base: np.ndarray
+    blocks: tuple[int, ...]
+    block_amplitudes: np.ndarray
     calibration: CalibrationInfo | None = field(default=None, compare=False)
     has_estimator: bool = True
+
+    def __post_init__(self) -> None:
+        for table in (self.coeff_re, self.coeff_im):
+            if np.count_nonzero(table) != np.count_nonzero(self.block_entries(table)):
+                raise InvalidCouplingError(
+                    f"estimator coefficients outside the stored outcome blocks {self.blocks}"
+                )
 
     def coefficients(self) -> np.ndarray:
         return self.coeff_re + 1j * self.coeff_im
 
 
 @dataclass(frozen=True)
-class PlanFamily(_PlanCounts):
+class PlanFamily(_PlanLayout):
     """One element's plans over a strength grid, stacked on a leading axis.
 
     The arrays are those of ``ProtocolPlan`` with a leading axis of
@@ -119,7 +176,9 @@ class PlanFamily(_PlanCounts):
     settings: tuple[MeasurementSetting, ...]
     coeff_re: np.ndarray  # (G, n_settings, n_outcomes)
     coeff_im: np.ndarray
-    amplitudes: np.ndarray  # read-only (G, n_settings, outcomes, dim)
+    base: np.ndarray  # (G, n_outcomes, dim)
+    blocks: tuple[int, ...]
+    block_amplitudes: np.ndarray  # read-only (G, n_settings, len(blocks) * 2^m, dim)
     calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
     has_estimator: bool = True
 
@@ -140,10 +199,17 @@ class PlanFamily(_PlanCounts):
             post_selectors=self.post_selectors,
             coeff_re=self.coeff_re[k],
             coeff_im=self.coeff_im[k],
-            amplitudes=self.amplitudes[k],
+            base=self.base[k],
+            blocks=self.blocks,
+            block_amplitudes=self.block_amplitudes[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
             has_estimator=self.has_estimator,
         )
+
+
+def post_selected_blocks(element: ElementIndex) -> tuple[int, ...]:
+    """The two system outcomes s and s' an element's estimator reads, in index order."""
+    return tuple(sorted({element.s_flat, element.s_prime_flat}))
 
 
 def enumerate_settings(n_meters: int) -> tuple[MeasurementSetting, ...]:
@@ -233,19 +299,25 @@ def readout_amplitudes(
     base: np.ndarray,
     settings: Sequence[MeasurementSetting],
     d_sys: int,
+    blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Rotate the meter factors of ``base`` into each setting's eigenbasis.
 
     Returns one read-only (n_settings, outcomes, d_sys) stack; slice i is
-    the readout amplitude matrix of ``settings[i]``.  A strength stack
-    (G, outcomes, d_sys) of ``base`` is folded into the row axis and
-    gives (G, n_settings, outcomes, d_sys).
+    the readout amplitude matrix of ``settings[i]``.  ``blocks`` keeps
+    only those system outcomes' rows, in that order, and the row axis
+    shrinks to len(blocks) * 2^m.  A strength stack (G, outcomes, d_sys)
+    of ``base`` is folded into the row axis and gives a leading G axis.
     """
     lead = base.shape[:-2]
-    n_out = base.shape[-2]
-    full = per_meter(base.reshape(-1, n_out // d_sys, d_sys), READOUT_STACK)
+    n_patterns = base.shape[-2] // d_sys
+    rows = base.reshape(lead + (d_sys, n_patterns, d_sys))
+    if blocks is not None:
+        rows = rows[..., list(blocks), :, :]
+    n_rows = rows.shape[-3] * n_patterns
+    full = per_meter(rows.reshape(-1, n_patterns, d_sys), READOUT_STACK)
     n_set = full.shape[0]
-    full = np.ascontiguousarray(full.reshape(n_set, -1, n_out, d_sys).swapaxes(0, 1))
+    full = np.ascontiguousarray(full.reshape(n_set, -1, n_rows, d_sys).swapaxes(0, 1))
     m = n_set.bit_length() - 1
     order = [sum(1 << (m - 1 - j) for j, b in enumerate(s.meter_bases) if b == "y")
              for s in settings]
@@ -271,15 +343,31 @@ def setting_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket, settin
 
 
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
-    """(n_settings, outcomes_per_setting) Born probabilities."""
+    """(n_settings, outcomes_per_setting) Born probabilities of every outcome."""
     return _born(plan.amplitudes, state)
 
 
+def estimator_sums(plan: ProtocolPlan, state: DensityMatrix | Ket, tables) -> tuple[float, ...]:
+    """sum over (setting, outcome) of t * p for each (n_settings, outcomes) table t.
+
+    p are the state's Born probabilities.  Only the stored blocks are
+    evaluated, so each table must vanish off them, as the plan's
+    coefficients (and any function of them that keeps zeros) do.
+    """
+    p = _born(plan.block_amplitudes, state)
+    return tuple(float(np.sum(plan.block_entries(t) * p)) for t in tables)
+
+
 def _weighted_gram(plan: ProtocolPlan | PlanFamily, weights: np.ndarray) -> np.ndarray:
-    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u], per strength of a family."""
-    amps = plan.amplitudes
+    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u], per strength of a family.
+
+    The sum runs over the stored blocks; ``weights`` is a full
+    (..., n_settings, outcomes) table that vanishes off them.
+    """
+    amps = plan.block_amplitudes
     a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
-    return a.conj().swapaxes(-1, -2) @ (np.reshape(weights, a.shape[:-1] + (1,)) * a)
+    w = plan.block_entries(weights)
+    return a.conj().swapaxes(-1, -2) @ (np.reshape(w, a.shape[:-1] + (1,)) * a)
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -300,15 +388,13 @@ def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np
     return _weighted_gram(plan, plan.coeff_re ** 2), _weighted_gram(plan, plan.coeff_im ** 2)
 
 
-def apply_estimator(plan: ProtocolPlan, probabilities: np.ndarray) -> complex:
-    """Contract the coefficient table with (n_settings, n_outcomes) probabilities."""
+def apply_estimator(plan: ProtocolPlan, state: DensityMatrix | Ket) -> complex:
+    """The plan's estimate of its element from the state's outcome probabilities."""
     if not plan.has_estimator:
         raise InvalidCouplingError(
             "plan carries no estimator coefficients (built at a singular strength)"
         )
-    re = float(np.sum(plan.coeff_re * probabilities))
-    im = float(np.sum(plan.coeff_im * probabilities))
-    return complex(re, im)
+    return complex(*estimator_sums(plan, state, (plan.coeff_re, plan.coeff_im)))
 
 
 def plan_document(plan: ProtocolPlan) -> str:

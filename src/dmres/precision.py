@@ -13,6 +13,7 @@ same states; each is drawn once per run and kept in a small memo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Stacked amplitude entries per element and sweep chunk (complex, 256 KiB).
+# Stored amplitude entries per element and sweep chunk (complex, 256 KiB).
 CHUNK_ENTRIES = 2 ** 14
 
 # Distinct (n_qudits, d, seed) keys whose states are kept between calls.
@@ -95,20 +96,24 @@ def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
     return (plan_res_grid if scheme == "res" else plan_seq_grid)(element, gs)
 
 
+def _variance_operator(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
+    """Mean of a plan's Re and Im variance operators; (G, D, D) for a family."""
+    w_re, w_im = estimator_operators(plan)
+    return 0.5 * (w_re + w_im)
+
+
+def _mean(operators: list) -> np.ndarray:
+    """Left-to-right sum of the operators over their count."""
+    return functools.reduce(np.add, operators) / len(operators)
+
+
 def _mean_variance_operator(plans) -> np.ndarray:
     """Average of the Re and Im variance operators over the element set.
 
     Takes plans, or plan families for a (G, D, D) stack with one mean
     per strength, in element order.
     """
-    acc = None
-    count = 0
-    for plan in plans:
-        w_re, w_im = estimator_operators(plan)
-        w = 0.5 * (w_re + w_im)
-        acc = w if acc is None else acc + w
-        count += 1
-    return acc / count
+    return _mean([_variance_operator(plan) for plan in plans])
 
 
 def _trace(w_mean: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -138,6 +143,12 @@ def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
     return held[:samples]
 
 
+def _unit_values(system: SystemSpec, scheme: str, g: float, seed: int, samples: int):
+    """``per_state_values`` and the plans' (couplings, settings, outcomes) counts."""
+    ((_, w_mean, counts),) = mean_variance_operators(system, scheme, [g])
+    return _trace(w_mean, sampled_states(system, seed, samples)), counts
+
+
 def per_state_values(
     system: SystemSpec,
     scheme: str,
@@ -151,27 +162,34 @@ def per_state_values(
     Multiply by the plan's setting count for the split-total policy.
     This is the one-strength case of ``mean_variance_operators``.
     """
-    ((_, w_mean),) = mean_variance_operators(system, scheme, [g])
-    return _trace(w_mean, sampled_states(system, seed, samples))
+    return _unit_values(system, scheme, g, seed, samples)[0]
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
-    """Yield ``(g, W)`` for each strength of ``gs``, in order.
+    """Yield ``(g, W, counts)`` for each strength of ``gs``, in order.
 
     W is the mean variance operator over the element set and both
-    quadratures, the same bit for bit whatever the chunking.  Each
-    element's plans are built for a chunk of strengths in one stacked
-    pass; a chunk holds at most ``CHUNK_ENTRIES`` stacked amplitude
-    entries per element, which bounds memory whatever the grid length.
+    quadratures, the same bit for bit whatever the chunking; counts are
+    the plans' (couplings, settings, outcomes per setting), read off the
+    built families.  Each element's plans are built for a chunk of
+    strengths in one stacked pass.  The first chunk is one strength;
+    later chunks hold as many strengths as fit ``CHUNK_ENTRIES`` at the
+    amplitude entries per strength the families stored, which bounds
+    memory whatever the grid length.
     """
     elements = precision_element_set(system.n_qudits, system.d)
-    _, settings, outcomes = _plan_counts(system, scheme)
-    step = max(1, CHUNK_ENTRIES // (settings * outcomes * system.d ** system.n_qudits))
     gs = list(gs)
-    for lo in range(0, len(gs), step):
+    lo, step = 0, 1
+    while lo < len(gs):
         chunk = gs[lo:lo + step]
-        yield from zip(chunk, _mean_variance_operator(plans_over_grid(e, scheme, chunk)
-                                                      for e in elements))
+        operators = []
+        for e in elements:
+            family = plans_over_grid(e, scheme, chunk)
+            operators.append(_variance_operator(family))
+        counts = (family.n_meters, family.n_settings, family.outcomes_per_setting)
+        lo, step = lo + len(chunk), max(1, CHUNK_ENTRIES // family.stored_entries)
+        del family  # not held while the caller works on this chunk
+        yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
 
 
 @dataclass
@@ -212,13 +230,6 @@ class PrecisionReport:
         Path(path).write_text(self.to_csv())
 
 
-def _plan_counts(system: SystemSpec, scheme: str) -> tuple[int, int, int]:
-    """(couplings, settings, outcomes per setting) for the element set."""
-    l = 1 if system.n_qudits == 1 else system.n_qudits
-    meters = l if scheme == "res" else 2 * l
-    return meters, 2 ** meters, system.d ** system.n_qudits * 2 ** meters
-
-
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -236,8 +247,7 @@ def haar_mean_precision(
     """Monte Carlo estimate of the Haar-averaged precision at one strength."""
     if samples < 100:
         raise InvalidStateError(f"precision averages need samples >= 100, got {samples}")
-    vals = per_state_values(system, scheme, g, seed, samples)
-    couplings, settings, outcomes = _plan_counts(system, scheme)
+    vals, (couplings, settings, outcomes) = _unit_values(system, scheme, g, seed, samples)
     factor = allocation_factor(policy.allocation, settings)
     mean, stderr = _mean_stderr(factor * vals)
     row = ReportRow(
@@ -287,8 +297,8 @@ def g_sweep(
     report = PrecisionReport(rows=[])
     states = sampled_states(system, seed, samples)
     for scheme in schemes:
-        couplings, settings, outcomes = _plan_counts(system, scheme)
-        for g, w_mean in mean_variance_operators(system, scheme, filter_grid(scheme, g_grid)):
+        for g, w_mean, counts in mean_variance_operators(system, scheme, filter_grid(scheme, g_grid)):
+            couplings, settings, outcomes = counts
             vals = _trace(w_mean, states)
             for policy in policies:
                 factor = allocation_factor(policy.allocation, settings)
@@ -339,8 +349,7 @@ def error_histogram(
     """Distribution of per-state standard errors sqrt(n_t delta^2)."""
     if samples < 1000:
         raise InvalidStateError(f"histograms need samples >= 1000, got {samples}")
-    vals = per_state_values(system, scheme, g, seed, samples)
-    _, settings, _ = _plan_counts(system, scheme)
+    vals, (_, settings, _) = _unit_values(system, scheme, g, seed, samples)
     vals = allocation_factor(policy.allocation, settings) * vals
     errors = np.sqrt(vals)
     lo, hi = float(errors.min()), float(errors.max())
@@ -443,8 +452,7 @@ def reference_comparison(
     out = {"system": system.label, "samples": samples, "rel_tol": REFERENCE_REL_TOL, "schemes": {}}
     for scheme in ("res", "seq"):
         g_ref, value_ref = targets[scheme]
-        vals = per_state_values(system, scheme, g_ref, seed, samples)
-        _, settings, _ = _plan_counts(system, scheme)
+        vals, (_, settings, _) = _unit_values(system, scheme, g_ref, seed, samples)
         per_policy = {}
         matched = False
         for allocation in ALLOCATIONS:

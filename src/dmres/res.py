@@ -24,11 +24,11 @@ from .plans import (
     ProtocolPlan,
     RES_SCHEME,
     SINGULAR_TOL,
-    all_probabilities,
     apply_estimator,
     base_amplitudes,
     enumerate_settings,
     functional_matrix,
+    post_selected_blocks,
     readout_amplitudes,
     setting_probabilities,
     sign_products,
@@ -93,6 +93,7 @@ def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> Pla
     else:
         coeff = np.zeros((len(gs), len(settings), n_out), dtype=complex)
     base = base_amplitudes(element.dims, couplings, gs)
+    blocks = post_selected_blocks(element)
     return PlanFamily(
         element=element,
         scheme=RES_SCHEME,
@@ -101,7 +102,9 @@ def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> Pla
         settings=settings,
         coeff_re=coeff.real.copy(),
         coeff_im=coeff.imag.copy(),
-        amplitudes=readout_amplitudes(base, settings, element.dim),
+        base=base,
+        blocks=blocks,
+        block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
         has_estimator=with_estimator,
     )
 
@@ -114,13 +117,13 @@ def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> Pr
 def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:
     """System-meter state after coupling: U (rho (x) |0><0|^l) U^dag.
 
-    With B = ``base_amplitudes`` (the columns U |u> (x) |0...0>) this is
+    With B = ``plan.base`` (the columns U |u> (x) |0...0>) this is
     B rho B^dag.
     """
     rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
-    b = base_amplitudes(plan.element.dims, plan.couplings, plan.g)
+    b = plan.base
     jt = b @ rho.entries @ b.conj().T
     return DensityMatrix.create(
         jt,
@@ -159,7 +162,7 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
-    return apply_estimator(plan, all_probabilities(plan, rho))
+    return apply_estimator(plan, rho)
 
 
 def extract_batch(plans, rhos: np.ndarray) -> np.ndarray:

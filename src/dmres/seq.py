@@ -31,6 +31,7 @@ from .plans import (
     base_amplitudes,
     enumerate_settings,
     per_meter,
+    post_selected_blocks,
     readout_amplitudes,
     sign_products,
 )
@@ -218,18 +219,16 @@ def calibrate_estimator(
     rmap: ResponseMap,
     support: str = "correlator",
     weights: np.ndarray | None = None,
-    base: np.ndarray | None = None,
 ):
     """Minimum-norm unbiased coefficients for the Re and Im functionals.
 
     ``support='correlator'`` restricts the estimator to full-product
     meter correlators at the two post-selection outcomes, the joint
-    statistics the sequential readout actually uses.  ``support='full'``
+    statistics the sequential readout actually uses; their rows come
+    from the plan's unrotated columns ``base``.  ``support='full'``
     solves over the whole outcome space.  ``weights`` switches to the
     per-state-optimal variant: coefficients minimizing the predicted
-    shot variance sum(c^2 w) instead of the plain norm.  ``base`` takes
-    the plan's unrotated amplitudes (``base_amplitudes``) when the caller
-    already has them.
+    shot variance sum(c^2 w) instead of the plain norm.
 
     For a plan this returns (coeff_re, coeff_im, info).  For a
     ``PlanFamily`` every strength is solved in one stacked pass and the
@@ -245,10 +244,8 @@ def calibrate_estimator(
 
     restricted = support == "correlator"
     if restricted:
-        outcomes = sorted(set(plan.post_selectors))
-        if base is None:
-            base = base_amplitudes(plan.element.dims, plan.couplings, gs)
-        rows = _correlator_response(plan, outcomes, base)
+        outcomes = list(post_selected_blocks(plan.element))
+        rows = _correlator_response(plan, outcomes, plan.base)
     elif support == "full":
         rows = rmap.matrix
     else:
@@ -318,8 +315,8 @@ def plan_seq_grid(
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, gs)
-    amps = readout_amplitudes(base, settings, element.dim)
-    no_coefficients = np.broadcast_to(0.0, amps.shape[:-1])
+    blocks = post_selected_blocks(element) if support == "correlator" else tuple(range(element.dim))
+    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
     bare = PlanFamily(
         element=element,
         scheme=SEQ_SCHEME,
@@ -328,11 +325,12 @@ def plan_seq_grid(
         settings=settings,
         coeff_re=no_coefficients,
         coeff_im=no_coefficients,
-        amplitudes=amps,
+        base=base,
+        blocks=blocks,
+        block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
         has_estimator=False,
     )
-    c_re, c_im, infos = calibrate_estimator(response_map(bare), support=support,
-                                            weights=weights, base=base)
+    c_re, c_im, infos = calibrate_estimator(response_map(bare), support=support, weights=weights)
     return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, has_estimator=True)
 
 

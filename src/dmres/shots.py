@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, all_probabilities
+from .plans import ProtocolPlan, all_probabilities, estimator_sums
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -59,11 +59,9 @@ def element_variance(
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
     summed over settings.  The result does not depend on n_t.
     """
-    p = all_probabilities(plan, as_density(rho))
     factor = allocation_factor(policy.allocation, plan.n_settings)
-    var_re = factor * float(np.sum(plan.coeff_re ** 2 * p))
-    var_im = factor * float(np.sum(plan.coeff_im ** 2 * p))
-    return var_re, var_im
+    sums = estimator_sums(plan, as_density(rho), (plan.coeff_re ** 2, plan.coeff_im ** 2))
+    return factor * sums[0], factor * sums[1]
 
 
 # One (plan, state) pair and its checked, clipped, read-only probabilities.

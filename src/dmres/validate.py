@@ -166,7 +166,7 @@ def check_haar_mean(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
         exact = {}
         for scheme in ("res", "seq"):
             grid = filter_grid(scheme, default_g_grid())
-            for g, w in mean_variance_operators(system, scheme, grid):
+            for g, w, _ in mean_variance_operators(system, scheme, grid):
                 exact[scheme, g] = float(np.trace(w).real) / w.shape[0]
         got = exact["res", math.pi / 4]
         if abs(got - anchor) > 1e-12 * anchor:

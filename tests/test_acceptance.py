@@ -342,6 +342,12 @@ def test_criterion_10_histogram_nondivergence(sweep_results):
 
 
 def test_criterion_11_determinism(tmp_path):
+    """Seeded reruns give byte-identical outputs.
+
+    ``--workers`` is accepted and ignored (everything runs in one
+    process), so the two precision runs below differ in that flag only
+    and check rerun determinism, not worker counts.
+    """
     t0 = time.perf_counter()
     args = ["precision", "--system", "two-qubit", "--scheme", "res,seq",
             "--g-grid", "0.4,pi/4", "--samples", "300", "--seed", "17"]
@@ -357,4 +363,4 @@ def test_criterion_11_determinism(tmp_path):
     fb = (tmp_path / "s2" / "fig3b" / "fig3b.csv").read_bytes()
     assert fa == fb
     elapsed = time.perf_counter() - t0
-    _report(11, elapsed, "-", "byte-identical outputs across reruns and worker counts")
+    _report(11, elapsed, "-", "byte-identical outputs across seeded reruns")

@@ -140,9 +140,31 @@ class TestCharacterize:
             checks.append(dev <= 5 * stderr)
         assert np.mean(checks) >= 0.99
 
+    def test_shot_report_builds_each_plan_once(self, tmp_path, monkeypatch):
+        # each pair's plan serves both its draw and the deviation report;
+        # entry (v, u) shares the shot variances of its conjugate (u, v)
+        import dmres.cli as cli_module
+
+        rho = random_mixed_state((2, 2), stream(4, "cli"))
+        src = tmp_path / "in.state"
+        write_state(src, rho)
+        built = []
+        counted = cli_module.plan_res
+        monkeypatch.setattr(cli_module, "plan_res", lambda *a: built.append(a) or counted(*a))
+        code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
+                     "--truth", str(src), "--shots", "1e5", "--seed", "2"])
+        assert code == 0
+        assert len(built) == 4 * 3 // 2
+        stderr = {}
+        for row in (tmp_path / "out" / "deviation.csv").read_text().splitlines()[1:]:
+            parts = row.split(",")
+            stderr[int(parts[0]), int(parts[1])] = parts[7]
+        assert all(stderr[u, v] == stderr[v, u] for u, v in stderr)
+
 
 class TestPrecisionCommand:
-    def test_deterministic_output(self, tmp_path):
+    def test_rerun_output_is_byte_identical(self, tmp_path):
+        # --workers is accepted and ignored, so this checks reruns only
         args = ["precision", "--system", "qutrit", "--scheme", "res",
                 "--g-grid", "0.4,pi/4", "--samples", "150", "--seed", "4"]
         a = tmp_path / "a.csv"
@@ -165,6 +187,15 @@ class TestPrecisionCommand:
         code = main(["precision", "--system", "qutrit", "--scheme", "res",
                      "--g-grid", ",", "--samples", "150", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("grid", ["", " , ,"])
+    def test_grid_without_strengths_is_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        code = main(["precision", "--system", "qutrit", "--scheme", "res",
+                     "--g-grid", grid, "--samples", "150", "--out", str(out)])
+        assert code == 3
+        assert "--g-grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWorkersEnvironment:

@@ -1,5 +1,7 @@
 """The tensor-form probability engine against independent dense oracles."""
 
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -15,7 +17,10 @@ from dmres import (
     CalibrationError,
     DimensionLimitError,
     ElementIndex,
+    InvalidCouplingError,
     characterize,
+    element_variance,
+    extract_element,
     extract_element_seq,
     plan_res,
     plan_seq,
@@ -23,7 +28,7 @@ from dmres import (
     stream,
 )
 from dmres.elements import precision_element_set
-from dmres.plans import all_probabilities, functional_matrix, joint_unitary
+from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary
 from dmres.precision import (
     SystemSpec,
     default_g_grid,
@@ -33,7 +38,8 @@ from dmres.precision import (
     plans_over_grid,
     sampled_states,
 )
-from dmres.shots import ShotPolicy
+from dmres.res import plan_res_grid
+from dmres.shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from dmres.seq import plan_seq_grid, response_map
 
 from oracles import (
@@ -47,6 +53,11 @@ from oracles import (
 )
 
 BUILDERS = {"res": plan_res, "seq": plan_seq}
+# plan kinds by the blocks their estimators read: two for res and the
+# correlator seq estimator, every block for seq calibrated on all outcomes
+PLAN_KINDS = {"res": plan_res, "seq": plan_seq, "seq-full": functools.partial(plan_seq, support="full")}
+FAMILY_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid,
+                "seq-full": functools.partial(plan_seq_grid, support="full")}
 
 
 def single_build_values(system, scheme, g, seed, samples):
@@ -257,3 +268,85 @@ class TestStrengthFamilies:
         sweep = peak(lambda: g_sweep(system, ("seq",), grid, samples, ShotPolicy(n_t=1.0)))
         assert sweep <= per_strength
         assert sweep <= 26.5e6
+
+
+def stored_rows_of(amplitudes, plan):
+    """The rows of a full (..., settings, outcomes, D) stack on the plan's stored blocks."""
+    lead, dim = amplitudes.shape[:-2], amplitudes.shape[-1]
+    blocks = amplitudes.reshape(lead + (plan.element.dim, -1, dim))[..., list(plan.blocks), :, :]
+    return blocks.reshape(lead + (-1, dim))
+
+
+def full_gram(amplitudes, weights):
+    """sum over every (setting, outcome) of w conj(a[v]) a[u], from the full stack."""
+    a = amplitudes.reshape(-1, amplitudes.shape[-1])
+    return a.conj().T @ (weights.reshape(-1, 1) * a)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestStoredBlocks:
+    """Plans keep the readout rows of the blocks their estimator reads."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(element=elements(((2,), (3,), (2, 2), (2, 3), (3, 3))), g=st.floats(0.1, 1.4),
+           kind=st.sampled_from(sorted(PLAN_KINDS)))
+    def test_stored_rows_are_rows_of_the_full_stack(self, element, g, kind):
+        plan = PLAN_KINDS[kind](element, g)
+        pair = tuple(sorted((element.s_flat, element.s_prime_flat)))
+        assert plan.blocks == (tuple(range(element.dim)) if kind == "seq-full" else pair)
+        assert plan.block_amplitudes.shape == (plan.n_settings, len(plan.blocks) * 2 ** plan.n_meters,
+                                               element.dim)
+        assert np.array_equal(plan.block_amplitudes, stored_rows_of(plan.amplitudes, plan))
+        assert not plan.block_amplitudes.flags.writeable
+        assert plan.amplitudes.shape == (plan.n_settings, plan.outcomes_per_setting, element.dim)
+        assert not plan.amplitudes.flags.writeable
+        want = reference_plan_amplitudes(element.dims, element.s, element.s_prime, g, kind[:3])
+        assert_allclose(plan.amplitudes, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_KINDS))
+    @pytest.mark.parametrize("dims,s,sp", [((3,), (0,), (2,)), ((2, 3), (1, 0), (0, 2)),
+                                           ((2, 2, 2), (0, 1, 1), (1, 1, 0))])
+    def test_hot_paths_match_a_full_stack_evaluation(self, kind, dims, s, sp):
+        element = ElementIndex.create(dims, s, sp)
+        plan = PLAN_KINDS[kind](element, 0.7)
+        rho = random_mixed_state(dims, stream(3, "stored-blocks"))
+        p = all_probabilities(plan, rho)
+        c_re, c_im = plan.coeff_re, plan.coeff_im
+        assert_rel_close(extract_element(rho, plan), complex(np.sum(c_re * p), np.sum(c_im * p)))
+        for allocation in ALLOCATIONS:
+            factor = allocation_factor(allocation, plan.n_settings)
+            assert_rel_close(element_variance(plan, rho, ShotPolicy(1.0, allocation)),
+                             (factor * np.sum(c_re ** 2 * p), factor * np.sum(c_im ** 2 * p)))
+        w_re, w_im = estimator_operators(plan)
+        assert_rel_close(w_re, full_gram(plan.amplitudes, c_re ** 2))
+        assert_rel_close(w_im, full_gram(plan.amplitudes, c_im ** 2))
+        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, plan.coefficients()).T)
+
+        family = FAMILY_KINDS[kind](element, [0.4, 0.9])
+        stacks = estimator_operators(family)
+        for k in range(len(family)):
+            for w, c in zip(stacks, (family.coeff_re[k], family.coeff_im[k])):
+                assert_rel_close(w[k], full_gram(family.amplitudes[k], c ** 2))
+
+    def test_coefficients_off_the_stored_blocks_are_rejected(self):
+        plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
+        coeff = plan.coeff_re.copy()
+        coeff[0, -1] = 1.0  # an outcome of system block 2, which the plan does not store
+        with pytest.raises(InvalidCouplingError):
+            dataclasses.replace(plan, coeff_re=coeff)
+
+    def test_four_qubit_seq_plan_builds_small(self):
+        # the full amplitude stack of this plan alone holds 268 MB
+        element = ElementIndex.create((2,) * 4, (0,) * 4, (1,) * 4)
+        tracemalloc.start()
+        try:
+            plan = plan_seq(element, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
+        assert plan.block_amplitudes.shape == (256, 2 * 256, 16)

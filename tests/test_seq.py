@@ -36,7 +36,8 @@ def bare_seq_plan(element, g):
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
         post_selectors=(element.s_flat, element.s_prime_flat),
-        coeff_re=np.zeros(shape), coeff_im=np.zeros(shape), amplitudes=amps,
+        coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
+        base=base, blocks=tuple(range(element.dim)), block_amplitudes=amps,
         has_estimator=False,
     )
 
@@ -126,7 +127,8 @@ class TestCalibration:
         recal = ProtocolPlan(
             element=e, scheme="res", g=0.8, couplings=plan.couplings,
             settings=plan.settings, post_selectors=plan.post_selectors,
-            coeff_re=c_re, coeff_im=c_im, amplitudes=plan.amplitudes,
+            coeff_re=c_re, coeff_im=c_im,
+            base=plan.base, blocks=plan.blocks, block_amplitudes=plan.block_amplitudes,
         )
         rng = stream(2, "cal")
         for _ in range(10):
