@@ -94,11 +94,6 @@ class _PlanLayout:
     def outcomes_per_setting(self) -> int:
         return self.element.dim * 2 ** self.n_meters
 
-    @property
-    def stored_entries(self) -> int:
-        """Amplitude entries held per strength: the columns plus the stored rows."""
-        return math.prod(self.base.shape[-2:]) + math.prod(self.block_amplitudes.shape[-3:])
-
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.

@@ -6,9 +6,13 @@ Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
 W from one path, ``mean_variance_operators``, which builds each
 element's plans for a chunk of strengths in one stacked pass; a single
-strength is the grid of one.  Samples come from counter-based streams
-keyed by sample index, so every strength, scheme and report sees the
-same states; each is drawn once per run and kept in a small memo.
+strength is the grid of one.  A sweep's report keeps W for every
+(scheme, strength) it covered, and histograms and the reference
+comparison handed that report read W from it at strengths on its grid,
+so one fig4 run computes each operator once.  Samples come from
+counter-based streams keyed by sample index, so every strength, scheme
+and report sees the same states; each is drawn once per run and kept in
+a small memo.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, estimator_operators
+from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, estimator_operators, post_selected_blocks
 from .res import plan_res_grid
 from .sampling import precision_states
 from .seq import plan_seq_grid
@@ -143,9 +147,17 @@ def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
     return held[:samples]
 
 
-def _unit_values(system: SystemSpec, scheme: str, g: float, seed: int, samples: int):
-    """``per_state_values`` and the plans' (couplings, settings, outcomes) counts."""
-    ((_, w_mean, counts),) = mean_variance_operators(system, scheme, [g])
+def _unit_values(system: SystemSpec, scheme: str, g: float, seed: int, samples: int,
+                 report: PrecisionReport | None = None):
+    """``per_state_values`` and the plans' (couplings, settings, outcomes) counts.
+
+    W comes from ``report`` when it holds (system, scheme, g), else from
+    a one-strength build.
+    """
+    held = None if report is None else report.operators.get((system, scheme, g))
+    if held is None:
+        ((_, *held),) = mean_variance_operators(system, scheme, [g])
+    w_mean, counts = held
     return _trace(w_mean, sampled_states(system, seed, samples)), counts
 
 
@@ -165,6 +177,19 @@ def per_state_values(
     return _unit_values(system, scheme, g, seed, samples)[0]
 
 
+def _stored_entries(element: ElementIndex, scheme: str) -> int:
+    """Amplitude entries one plan of ``element`` stores per strength, from its layout.
+
+    With D the system dimension and m meters (one per coupled qudit for
+    ``res``, two for ``seq``), the unrotated columns hold D 2^m D entries
+    and the readout rows of the two post-selected blocks 2^m settings of
+    2 2^m D: the sizes of a built plan's ``base`` and ``block_amplitudes``.
+    """
+    m = len(element.coupled_set) * (1 if scheme == "res" else 2)
+    rows = 2 ** m * element.dim
+    return rows * element.dim + 2 ** m * len(post_selected_blocks(element)) * rows
+
+
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     """Yield ``(g, W, counts)`` for each strength of ``gs``, in order.
 
@@ -172,22 +197,20 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     quadratures, the same bit for bit whatever the chunking; counts are
     the plans' (couplings, settings, outcomes per setting), read off the
     built families.  Each element's plans are built for a chunk of
-    strengths in one stacked pass.  The first chunk is one strength;
-    later chunks hold as many strengths as fit ``CHUNK_ENTRIES`` at the
-    amplitude entries per strength the families stored, which bounds
-    memory whatever the grid length.
+    strengths in one stacked pass; a chunk holds as many strengths as
+    fit ``CHUNK_ENTRIES`` at the entries per strength the layout gives,
+    which bounds memory whatever the grid length.
     """
     elements = precision_element_set(system.n_qudits, system.d)
     gs = list(gs)
-    lo, step = 0, 1
-    while lo < len(gs):
+    step = max(1, CHUNK_ENTRIES // max(_stored_entries(e, scheme) for e in elements))
+    for lo in range(0, len(gs), step):
         chunk = gs[lo:lo + step]
         operators = []
         for e in elements:
             family = plans_over_grid(e, scheme, chunk)
             operators.append(_variance_operator(family))
         counts = (family.n_meters, family.n_settings, family.outcomes_per_setting)
-        lo, step = lo + len(chunk), max(1, CHUNK_ENTRIES // family.stored_entries)
         del family  # not held while the caller works on this chunk
         yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
 
@@ -217,9 +240,17 @@ class ReportRow:
 
 @dataclass
 class PrecisionReport:
+    """Sweep rows, per-(scheme, policy) optima and the operators behind them.
+
+    ``operators`` maps (system, scheme, g) to the mean variance operator
+    and the plans' counts at that point, as ``mean_variance_operators``
+    yielded them.
+    """
+
     rows: list[ReportRow]
     argmin: dict = field(default_factory=dict)
     per_state: dict = field(default_factory=dict)
+    operators: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
@@ -287,7 +318,8 @@ def g_sweep(
 
     The Haar samples are keyed by sample index alone, so every scheme
     and strength sees the same states.  ``g_grid`` may be any iterable;
-    it is read once.
+    it is read once.  The report keeps each point's mean variance
+    operator for histograms and reference comparisons of the same run.
     """
     if isinstance(policies, ShotPolicy):
         policies = (policies,)
@@ -298,6 +330,7 @@ def g_sweep(
     states = sampled_states(system, seed, samples)
     for scheme in schemes:
         for g, w_mean, counts in mean_variance_operators(system, scheme, filter_grid(scheme, g_grid)):
+            report.operators[(system, scheme, g)] = (w_mean, counts)
             couplings, settings, outcomes = counts
             vals = _trace(w_mean, states)
             for policy in policies:
@@ -345,11 +378,16 @@ def error_histogram(
     policy: ShotPolicy,
     bins: int = 40,
     seed: int = 0,
+    report: PrecisionReport | None = None,
 ) -> HistogramReport:
-    """Distribution of per-state standard errors sqrt(n_t delta^2)."""
+    """Distribution of per-state standard errors sqrt(n_t delta^2).
+
+    A ``g_sweep`` report whose grid holds ``g`` supplies the variance
+    operator; otherwise the plans are built at ``g``.
+    """
     if samples < 1000:
         raise InvalidStateError(f"histograms need samples >= 1000, got {samples}")
-    vals, (_, settings, _) = _unit_values(system, scheme, g, seed, samples)
+    vals, (_, settings, _) = _unit_values(system, scheme, g, seed, samples, report)
     vals = allocation_factor(policy.allocation, settings) * vals
     errors = np.sqrt(vals)
     lo, hi = float(errors.min()), float(errors.max())
@@ -436,11 +474,14 @@ def reference_comparison(
     system: SystemSpec,
     samples: int = 10000,
     seed: int = 0,
+    report: PrecisionReport | None = None,
 ) -> dict:
     """Compare measured optima against the reference values.
 
     Measures n_t Delta^2 at the reference strengths under both exposure
-    policies and reports relative deviations.  When no policy lands
+    policies and reports relative deviations.  A ``g_sweep`` report whose
+    grid holds a reference strength supplies its variance operator;
+    otherwise the plans are built there.  When no policy lands
     within ``REFERENCE_REL_TOL`` of a target the entry carries a
     convention note: the reference values presuppose a photon-accounting
     convention the recorded policies do not pin down.
@@ -452,7 +493,7 @@ def reference_comparison(
     out = {"system": system.label, "samples": samples, "rel_tol": REFERENCE_REL_TOL, "schemes": {}}
     for scheme in ("res", "seq"):
         g_ref, value_ref = targets[scheme]
-        vals, (_, settings, _) = _unit_values(system, scheme, g_ref, seed, samples)
+        vals, (_, settings, _) = _unit_values(system, scheme, g_ref, seed, samples, report)
         per_policy = {}
         matched = False
         for allocation in ALLOCATIONS:

@@ -3,7 +3,11 @@
 Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
 Single draws return validated value types; ``precision_states`` draws a
-whole batch as one plain array.
+whole batch as one plain array.  A batch does not build one generator
+per index: building a Philox costs several times more than the draws of
+a small state, so one private bit generator is re-keyed per index to the
+state a freshly built stream of that key starts in (counter zero, empty
+buffer), which draws the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +19,36 @@ import numpy as np
 from .linalg import DensityMatrix, Ket, UnitaryMatrix
 
 
+def _stream_key(seed: int, tag: str, index: int | None) -> np.ndarray:
+    """Philox key of (seed, tag, index): the first two uint64 words of a SHA-256."""
+    payload = f"{seed}|{tag}|{'' if index is None else index}".encode()
+    return np.frombuffer(hashlib.sha256(payload).digest()[:16], dtype=np.uint64)
+
+
 def stream(seed: int, tag: str, index: int | None = None) -> np.random.Generator:
     """Independent generator for (seed, tag, index)."""
-    payload = f"{seed}|{tag}|{'' if index is None else index}".encode()
-    digest = hashlib.sha256(payload).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag, index)))
+
+
+def _rekeyed_streams(seed: int, tag: str, indices):
+    """Yield, per index, a generator drawing as ``stream(seed, tag, index)`` does.
+
+    Every yield is the same generator, re-keyed: its bit generator is set
+    to the state a Philox built with the next key starts in, whatever
+    the previous draws left in its buffer.  Draw from it before taking
+    the next one, and do not keep it.
+    """
+    bit_generator = None
+    for index in indices:
+        key = _stream_key(seed, tag, index)
+        if bit_generator is None:
+            bit_generator = np.random.Philox(key=key)
+            fresh = bit_generator.state  # the layout of a new stream, from numpy itself
+            rng = np.random.Generator(bit_generator)
+        else:
+            fresh["state"]["key"] = key
+            bit_generator.state = fresh
+        yield rng
 
 
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
@@ -97,14 +125,15 @@ def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 
 
     Entry ``j`` equals ``sample_precision_state(n_qudits, d, rng).entries``
     for ``rng = stream(seed, f"haar/{n_qudits}x{d}", start + j)``, bit for
-    bit: each index draws its normals from its own keyed stream in the
-    same order, then one stacked QR builds every unitary.  The states are
-    valid by construction and are not validated one by one.
+    bit: each index draws its normals from its keyed stream in the same
+    order, through one re-keyed generator, then one stacked QR builds
+    every unitary.  The states are valid by construction and are not
+    validated one by one.
     """
-    tag = f"haar/{n_qudits}x{d}"
+    indices = range(start, start + count)
     normals = np.empty((count, n_qudits, 2, d, d))
-    for j in range(count):
-        normals[j] = stream(seed, tag, start + j).standard_normal((n_qudits, 2, d, d))
+    for j, rng in enumerate(_rekeyed_streams(seed, f"haar/{n_qudits}x{d}", indices)):
+        normals[j] = rng.standard_normal((n_qudits, 2, d, d))
     unitaries = _haar_unitaries(normals)
     vecs = unitaries[:, 0, :, 0] if n_qudits == 1 else _entangled_amplitudes(unitaries)
     rhos = vecs[:, :, None] * vecs.conj()[:, None, :]

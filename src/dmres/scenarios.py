@@ -306,7 +306,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
         if g_opt is None:
             continue
         hist = error_histogram(system, scheme, g_opt, max(spec.samples, 1000), per_setting,
-                               bins=spec.bins, seed=spec.seed)
+                               bins=spec.bins, seed=spec.seed, report=report)
         histograms[scheme] = hist
         for i in range(hist.counts.size):
             hist_rows.append([
@@ -316,7 +316,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
             ])
     result.tables[f"{spec.scenario_id}_histograms.csv"] = (hist_columns, hist_rows)
 
-    comparison = reference_comparison(system, samples=spec.samples, seed=spec.seed)
+    comparison = reference_comparison(system, samples=spec.samples, seed=spec.seed, report=report)
     efficiency = _efficiency_summary(system, report, spec)
     result.extras["comparison"] = comparison
     result.extras["efficiency"] = efficiency

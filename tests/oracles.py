@@ -135,20 +135,26 @@ def reference_couplings(dims, s, sp, scheme):
     return out
 
 
-def _reference_readout(dims, s, sp, g, scheme):
-    """Coupled columns U |u>|0..0> and each setting's readout bra matrix."""
-    dims = tuple(dims)
-    couplings = reference_couplings(dims, s, sp, scheme)
-    m = len(couplings)
-    d_sys = int(np.prod(dims))
-    u = np.eye(d_sys * 2 ** m, dtype=complex)
-    for j, (n, op) in enumerate(couplings):
-        ham = g * np.kron(embed(op, dims, n), embed(SY, (2,) * m, j))
-        u = scipy.linalg.expm(-1j * ham) @ u
-    cols = u[:, ::2 ** m]
-    bras = [np.kron(np.eye(d_sys), kron(*[EIGENBRAS[b] for b in bases]))
-            for bases in itertools.product("xy", repeat=m)]
-    return cols, bras
+def embedded_coupling(dims, n_meters, qudit, meter, op, g):
+    """expm(-i g op (x) sigma_y) on (qudit, meter) as a joint-space matrix.
+
+    The exponential is taken on its own 2d x 2d (qudit (x) meter)
+    factor, tensored with the identity on every other factor and moved
+    into the joint order (qudits, then meters) by an explicit
+    permutation of rows and columns: the exponential stays 2d x 2d
+    however large the joint space is.
+    """
+    shape = tuple(dims) + (2,) * n_meters
+    joint = int(np.prod(shape))
+    pair = (qudit, len(dims) + meter)
+    order = list(pair) + [k for k in range(len(shape)) if k not in pair]
+    # basis index of the joint order for each index of the (qudit, meter, rest) order
+    perm = np.arange(joint).reshape(shape).transpose(order).reshape(-1)
+    local = scipy.linalg.expm(-1j * g * np.kron(op, SY))
+    moved = np.kron(local, np.eye(joint // local.shape[0]))
+    out = np.zeros((joint, joint), dtype=complex)
+    out[np.ix_(perm, perm)] = moved
+    return out
 
 
 def reference_plan_amplitudes(dims, s, sp, g, scheme):
@@ -158,16 +164,27 @@ def reference_plan_amplitudes(dims, s, sp, g, scheme):
     first coupling applied first; settings and outcomes run in the
     plans' order (meter 0 most significant, + before -).
     """
-    cols, bras = _reference_readout(dims, s, sp, g, scheme)
+    dims = tuple(dims)
+    couplings = reference_couplings(dims, s, sp, scheme)
+    m = len(couplings)
+    d_sys = int(np.prod(dims))
+    cols = np.eye(d_sys * 2 ** m, dtype=complex)[:, ::2 ** m]
+    for j, (n, op) in enumerate(couplings):
+        cols = embedded_coupling(dims, m, n, j, op, g) @ cols
+    bras = (np.kron(np.eye(d_sys), kron(*[EIGENBRAS[b] for b in bases]))
+            for bases in itertools.product("xy", repeat=m))
     return np.stack([r @ cols for r in bras])
 
 
 def reference_plan_probabilities(rho, dims, s, sp, g, scheme):
     """(settings, outcomes) expectations of the explicit readout projectors
-    |k, e><k, e| on the joint state U (rho (x) |0..0><0..0|) U^dag."""
-    cols, bras = _reference_readout(dims, s, sp, g, scheme)
-    joint = cols @ rho @ cols.conj().T
-    return np.stack([np.einsum("ou,uv,ov->o", r, joint, r.conj()).real for r in bras])
+    |k, e><k, e| on the joint state U (rho (x) |0..0><0..0|) U^dag.
+
+    The joint state is B rho B^dag with B the coupled columns, so each
+    expectation is a rho a^dag for the amplitude row a = <k, e| B.
+    """
+    amps = reference_plan_amplitudes(dims, s, sp, g, scheme)
+    return np.einsum("sou,uv,sov->so", amps, rho, amps.conj(), optimize=True).real
 
 
 def hermitian_basis_element(dim, label):

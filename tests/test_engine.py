@@ -46,7 +46,9 @@ from oracles import (
     basis_path_correlator_rows,
     basis_path_targets,
     embed,
+    embedded_coupling,
     hermitian_basis_element,
+    reference_couplings,
     reference_plan_amplitudes,
     reference_plan_probabilities,
     SY,
@@ -100,6 +102,13 @@ class TestAgainstDenseOracle:
             ham = 0.45 * np.kron(embed(c.op, (2, 3), c.qudit), embed(SY, (2,) * 4, j))
             want = scipy.linalg.expm(-1j * ham) @ want
         assert_allclose(joint_unitary((2, 3), plan.couplings, 0.45), want, atol=1e-12)
+
+    def test_local_exponentials_embed_as_the_joint_one(self):
+        dims, m, g = (2, 3), 4, 0.45
+        for j, (n, op) in enumerate(reference_couplings(dims, (0, 2), (1, 0), "seq")):
+            ham = g * np.kron(embed(op, dims, n), embed(SY, (2,) * m, j))
+            assert_allclose(embedded_coupling(dims, m, n, j, op, g), scipy.linalg.expm(-1j * ham),
+                            rtol=0, atol=1e-12)
 
     def test_stacked_amplitudes_iterate_per_setting(self):
         plan = plan_res(ElementIndex.create((3, 3), (0, 1), (2, 0)), 0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,12 +18,14 @@ from dmres import (
     resource_report,
     stream,
 )
+import dmres.precision as precision_module
 from dmres.elements import precision_element_set
 from dmres.plans import estimator_operators
 from dmres.precision import (
     SystemSpec,
     default_g_grid,
     per_state_values,
+    plans_over_grid,
     sampled_states,
 )
 from dmres.sampling import sample_precision_state
@@ -37,6 +40,19 @@ def element_plans(system, scheme, g):
     """One single build per element of the system's precision element set."""
     builder = plan_res if scheme == "res" else plan_seq
     return [builder(e, g) for e in precision_element_set(system.n_qudits, system.d)]
+
+
+def count_builds(monkeypatch):
+    """A list that records (element, scheme, strengths) for every family build."""
+    builds = []
+    build = precision_module.plans_over_grid
+
+    def counted(element, scheme, gs):
+        builds.append((element, scheme, tuple(gs)))
+        return build(element, scheme, gs)
+
+    monkeypatch.setattr(precision_module, "plans_over_grid", counted)
+    return builds
 
 
 class TestSystemSpec:
@@ -151,6 +167,22 @@ class TestWeakCouplingScaling:
             assert abs(slope - want) < 0.05 * abs(want)
 
 
+class TestChunkSizing:
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2), SystemSpec(2, 3)])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_layout_count_is_the_built_plans_size(self, system, scheme):
+        for e in precision_element_set(system.n_qudits, system.d):
+            plan = plans_over_grid(e, scheme, [0.6])[0]
+            assert precision_module._stored_entries(e, scheme) == plan.base.size + plan.block_amplitudes.size
+
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_short_grid_builds_each_element_once(self, monkeypatch, system, scheme):
+        builds = count_builds(monkeypatch)
+        g_sweep(system, [scheme], [0.5, 0.9], 150, PER, seed=1)
+        assert builds == [(e, scheme, (0.5, 0.9)) for e in precision_element_set(system.n_qudits, system.d)]
+
+
 class TestExactHaarMean:
     @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
@@ -199,6 +231,48 @@ class TestHistogram:
         assert hist.counts.max() == 10000
         k = int(np.argmax(hist.counts))
         assert hist.bin_edges[k] < hist.mean_error < hist.bin_edges[k + 1]
+
+
+def assert_same_histogram(got, want):
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+class TestSweepReportReuse:
+    """Histograms and reference comparisons read W from the sweep report of their run."""
+
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    def test_on_grid_results_equal_standalone_builds(self, monkeypatch, system):
+        report = g_sweep(system, ("res", "seq"), default_g_grid(), 150, (PER, SPLIT), seed=12)
+        builds = count_builds(monkeypatch)
+        for scheme in ("res", "seq"):
+            g = report.argmin[(scheme, PER.allocation)]
+            got = error_histogram(system, scheme, g, 1000, PER, bins=30, seed=12, report=report)
+            assert not builds
+            want = error_histogram(system, scheme, g, 1000, PER, bins=30, seed=12)
+            assert builds
+            builds.clear()
+            assert_same_histogram(got, want)
+        got = reference_comparison(system, samples=400, seed=12, report=report)
+        assert not builds
+        assert got == reference_comparison(system, samples=400, seed=12)
+        assert builds
+
+    def test_off_grid_strength_is_built(self, monkeypatch):
+        system = SystemSpec(1, 3)
+        report = g_sweep(system, ("res", "seq"), [0.5, 0.9], 150, PER, seed=13)
+        builds = count_builds(monkeypatch)
+        got = error_histogram(system, "seq", 0.6, 1000, PER, seed=13, report=report)
+        assert [b[1:] for b in builds] == [("seq", (0.6,))] * 3
+        assert_same_histogram(got, error_histogram(system, "seq", 0.6, 1000, PER, seed=13))
+
+    def test_other_system_is_not_served(self, monkeypatch):
+        # (1, 4) and (2, 2) share D = 4 and the strength, not the operator
+        report = g_sweep(SystemSpec(1, 4), ("res",), [0.5], 150, PER, seed=14)
+        builds = count_builds(monkeypatch)
+        got = error_histogram(SystemSpec(2, 2), "res", 0.5, 1000, PER, seed=14, report=report)
+        assert builds
+        assert_same_histogram(got, error_histogram(SystemSpec(2, 2), "res", 0.5, 1000, PER, seed=14))
 
 
 class TestResourceReport:

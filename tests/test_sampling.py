@@ -13,7 +13,7 @@ from dmres import (
     stream,
 )
 from dmres.linalg import partial_trace
-from dmres.sampling import precision_states, sample_precision_state
+from dmres.sampling import _rekeyed_streams, precision_states, sample_precision_state
 
 from oracles import ks_critical_value
 
@@ -29,6 +29,41 @@ class TestStreams:
         assert not np.array_equal(a, stream(7, "tag", 4).standard_normal(5))
         assert not np.array_equal(a, stream(7, "other", 3).standard_normal(5))
         assert not np.array_equal(a, stream(8, "tag", 3).standard_normal(5))
+
+    def test_streams_are_independent_objects(self):
+        # drawn alternately, two streams give what each gives drawn alone
+        a, b = stream(7, "tag", 3), stream(7, "tag", 4)
+        mixed = [(a.standard_normal(3), b.poisson(2.0, 3)) for _ in range(4)]
+        a, b = stream(7, "tag", 3), stream(7, "tag", 4)
+        alone_a = [a.standard_normal(3) for _ in range(4)]
+        alone_b = [b.poisson(2.0, 3) for _ in range(4)]
+        assert all(np.array_equal(x, y) for (x, _), y in zip(mixed, alone_a))
+        assert all(np.array_equal(x, y) for (_, x), y in zip(mixed, alone_b))
+
+
+def draw_pattern(rng, index):
+    """Normals and Poisson counts; some indices end on a uint32 or a single
+    uint64, leaving a half-used word or a partly used buffer behind."""
+    out = [rng.standard_normal(5 + index % 4), rng.poisson(3.0, 4)]
+    if index % 3 == 1:
+        out.append(rng.integers(0, 2 ** 32, dtype=np.uint32, size=1))
+    elif index % 3 == 2:
+        out.append(rng.bit_generator.random_raw(1))
+    return out
+
+
+class TestRekeyedStreams:
+    def test_each_index_draws_as_its_own_stream(self):
+        indices = list(range(40, 280))
+        for index, rng in zip(indices, _rekeyed_streams(11, "rekey", indices), strict=True):
+            want = draw_pattern(stream(11, "rekey", index), index)
+            got = draw_pattern(rng, index)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), index
+
+    def test_indices_in_any_order(self):
+        indices = [5, None, 0, 5, 2 ** 40]
+        for index, rng in zip(indices, _rekeyed_streams(3, "rekey", indices), strict=True):
+            assert np.array_equal(rng.standard_normal(7), stream(3, "rekey", index).standard_normal(7))
 
 
 class TestHaarUnitary:
