@@ -12,10 +12,11 @@ the post-selected outcomes s and s' for ``res`` and the correlator
 ``seq`` estimator, every block for a ``seq`` plan calibrated on the full
 outcome space.  A plan therefore stores the unrotated columns ``base``,
 the tuple ``blocks`` and the readout amplitudes of those blocks alone;
-extraction, shot variances, variance operators and the functional
-matrix contract these rows with the matching slice of the coefficient
-table.  The full stack ``amplitudes``, which shot draws and outcome
-distributions need, is rotated from ``base`` on first use and kept.
+extraction, shot variances and draws, variance operators and the
+functional matrix contract these rows with the matching slice of the
+coefficient table.  The full stack ``amplitudes``, which only outcome
+distributions and the full-support response map need, is rotated from
+``base`` on first use and kept.
 
 The engine never forms a joint-space matrix.  Amplitudes live in a
 (d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its

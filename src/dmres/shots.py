@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, all_probabilities, estimator_sums
+from .plans import ProtocolPlan, _born, estimator_sums
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -64,28 +64,33 @@ def element_variance(
     return factor * sums[0], factor * sums[1]
 
 
-# One (plan, state) pair and its checked, clipped, read-only probabilities.
-# Both are held by weak reference, so the memo never keeps a plan alive.
+# One (plan, state) pair and what its draws read: a read-only (3, cells)
+# stack of the checked, clipped Born probabilities of the stored outcome
+# cells and the real and imaginary coefficients on them.  Plan and state
+# are held by weak reference, so the memo never keeps a plan alive.
 _PROBABILITY_MEMO: tuple = (None, None, None)
 
 
 def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndarray:
-    """Born probabilities for drawing counts, computed once per (plan, state) pair.
+    """(p, c_re, c_im) over the stored outcome cells, computed once per (plan, state) pair.
 
+    The cells are the rows of ``plan.block_amplitudes``, the outcomes the
+    estimator weighs; the full stack ``plan.amplitudes`` is never read.
     Plans and states are immutable (their arrays are read-only), so
-    repeated draws for the same two objects reuse the last probabilities.
+    repeated draws for the same two objects reuse the last stack.
     """
     global _PROBABILITY_MEMO
     plan_ref, rho_ref, held = _PROBABILITY_MEMO
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
         return held
-    p = all_probabilities(plan, as_density(rho))
+    p = _born(plan.block_amplitudes, as_density(rho))
     if p.min() < -1e-12:
         raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
-    p = np.clip(p, 0.0, None)
-    p.setflags(write=False)
-    _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), p)
-    return p
+    held = np.stack([np.clip(p, 0.0, None), plan.block_entries(plan.coeff_re),
+                     plan.block_entries(plan.coeff_im)]).reshape(3, -1)
+    held.setflags(write=False)
+    _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), held)
+    return held
 
 
 def simulate_shots(
@@ -96,13 +101,14 @@ def simulate_shots(
 ) -> complex:
     """One finite-statistics extraction from Poisson counts.
 
-    Counts are normalized by the known exposure, which keeps the
-    estimator exactly unbiased.
+    Counts are independent Poisson variables per outcome, so only the
+    stored outcome blocks, the cells the estimator weighs, are drawn;
+    every other cell has a zero coefficient and would not change the
+    estimate.  Counts are normalized by the known exposure, which keeps
+    the estimator exactly unbiased.
     """
-    p = _shot_probabilities(plan, rho)
+    held = _shot_probabilities(plan, rho)
     exposure = policy.exposure(plan.n_settings)
-    counts = rng.poisson(policy.n_t * exposure * p)
-    rates = counts / (policy.n_t * exposure)
-    re = float(np.sum(plan.coeff_re * rates))
-    im = float(np.sum(plan.coeff_im * rates))
+    counts = rng.poisson(policy.n_t * exposure * held[0])
+    re, im = held[1:] @ (counts / (policy.n_t * exposure))
     return complex(re, im)

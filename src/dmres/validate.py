@@ -124,15 +124,15 @@ def check_shot_model(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     worst = 0.0
     for e in (ElementIndex.create((3,), (0,), (1,)), ElementIndex.create((2, 2), (0, 0), (1, 1))):
         rho = random_mixed_state(e.dims, stream(5, f"validate-shots/{e.label()}"))
-        plan = plan_res(e, math.pi / 4)
-        var_re, var_im = element_variance(plan, rho, policy)
-        draws = np.array([
-            simulate_shots(plan, rho, policy, stream(5, f"validate-shots-draws/{e.label()}", i))
-            for i in range(reps)
-        ])
-        emp_re = draws.real.var(ddof=1) * policy.n_t
-        emp_im = draws.imag.var(ddof=1) * policy.n_t
-        worst = max(worst, abs(emp_re - var_re) / var_re, abs(emp_im - var_im) / var_im)
+        for plan, tag in ((plan_res(e, math.pi / 4), f"validate-shots-draws/{e.label()}"),
+                          (plan_seq(e, math.pi / 4), f"validate-shots-draws/seq/{e.label()}")):
+            var_re, var_im = element_variance(plan, rho, policy)
+            draws = np.array([
+                simulate_shots(plan, rho, policy, stream(5, tag, i)) for i in range(reps)
+            ])
+            emp_re = draws.real.var(ddof=1) * policy.n_t
+            emp_im = draws.imag.var(ddof=1) * policy.n_t
+            worst = max(worst, abs(emp_re - var_re) / var_re, abs(emp_im - var_im) / var_im)
     return worst <= 0.10, f"max empirical/analytic variance mismatch {worst:.1%} (bound 10%)"
 
 

@@ -13,7 +13,7 @@ from dmres import (
     stream,
 )
 from dmres.linalg import partial_trace
-from dmres.sampling import _rekeyed_streams, precision_states, sample_precision_state
+from dmres.sampling import _haar_unitaries, _rekeyed_streams, precision_states, sample_precision_state
 
 from oracles import ks_critical_value
 
@@ -79,11 +79,10 @@ class TestHaarUnitary:
 
     def test_first_moment_matches_haar(self):
         # E |<0|V|0>|^2 = 1/d for the Haar measure
+        # one stacked QR of the normals n single haar_unitary draws read in turn
         d, n = 3, 100000
-        rng = stream(2, "haar-moment")
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = abs(haar_unitary(d, rng).entries[0, 0]) ** 2
+        normals = stream(2, "haar-moment").standard_normal((n, 2, d, d))
+        vals = np.abs(_haar_unitaries(normals)[:, 0, 0]) ** 2
         stderr = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.0 / d) < 3 * stderr
 
@@ -116,16 +115,12 @@ class TestStateSamplers:
             assert np.linalg.eigvalsh(rho.entries).min() > -1e-10
 
     def test_diagonal_means(self):
+        # single-qudit precision states are sample_single_qudit draws
+        # (TestBatchedPrecisionStates checks the batch against them bit for bit)
         d, n = 3, 100000
-        rng = stream(6, "diag-means")
-        acc = np.zeros(d)
-        acc2 = np.zeros(d)
-        for _ in range(n):
-            v = np.diag(sample_single_qudit(d, rng).entries).real
-            acc += v
-            acc2 += v * v
-        means = acc / n
-        stderr = np.sqrt(acc2 / n - means ** 2) / np.sqrt(n)
+        v = np.diagonal(precision_states(1, d, 6, n), axis1=1, axis2=2).real
+        means = v.mean(axis=0)
+        stderr = np.sqrt((v * v).mean(axis=0) - means ** 2) / np.sqrt(n)
         assert np.all(np.abs(means - 1 / d) < 4 * stderr)
 
     def test_entangled_identity_hook_is_bell(self):

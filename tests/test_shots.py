@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import dmres.shots as shots_module
@@ -13,12 +14,16 @@ from dmres import (
     InvalidStateError,
     ShotPolicy,
     element_variance,
+    extract_element,
     plan_res,
     plan_seq,
     random_mixed_state,
     simulate_shots,
     stream,
 )
+
+from oracles import reference_plan_probabilities
+from test_engine import PLAN_KINDS, elements
 
 
 def maximally_mixed(d):
@@ -148,8 +153,8 @@ class TestProbabilityMemo:
         rho = random_mixed_state((2, 2), stream(12, "memo"))
         policy = ShotPolicy(n_t=50.0)
         calls = []
-        counted = shots_module.all_probabilities
-        monkeypatch.setattr(shots_module, "all_probabilities",
+        counted = shots_module._born
+        monkeypatch.setattr(shots_module, "_born",
                             lambda *args: calls.append(1) or counted(*args))
         hits = [simulate_shots(plan, rho, policy, stream(12, "memo-draws", i)) for i in range(20)]
         assert len(calls) == 1
@@ -171,3 +176,23 @@ class TestProbabilityMemo:
         del plan
         gc.collect()
         assert ref() is None
+
+
+class TestDrawPath:
+    """A draw reads the stored outcome blocks, as extraction and variances do."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))), g=st.floats(0.1, 1.4),
+           kind=st.sampled_from(sorted(PLAN_KINDS)), seed=st.integers(0, 2 ** 16))
+    def test_draws_weigh_the_stored_blocks(self, element, g, kind, seed):
+        plan = PLAN_KINDS[kind](element, g)
+        rho = random_mixed_state(element.dims, stream(seed, "draw-path"))
+        simulate_shots(plan, rho, ShotPolicy(n_t=100.0), stream(seed, "draw-path-shots"))
+        assert "amplitudes" not in plan.__dict__
+        p, c_re, c_im = shots_module._shot_probabilities(plan, rho)
+        want = reference_plan_probabilities(rho.entries, element.dims, element.s, element.s_prime,
+                                            g, kind[:3])
+        rows = want.reshape(plan.n_settings, element.dim, -1)[:, list(plan.blocks)]
+        assert_allclose(p, rows.reshape(-1), rtol=0, atol=1e-12)
+        got = complex(c_re @ p, c_im @ p)
+        assert abs(got - extract_element(rho, plan)) <= 1e-12
