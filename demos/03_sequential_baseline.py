@@ -15,7 +15,6 @@ from dmres import (
     ShotPolicy,
     element_variance,
     extract_element,
-    extract_element_seq,
     plan_res,
     plan_seq,
     random_mixed_state,
@@ -31,7 +30,7 @@ for g in (0.02, 0.05, 0.2, np.pi / 4):
     p_res = plan_res(element, g)
     p_seq = plan_seq(element, g)
     v_res = extract_element(rho, p_res)
-    v_seq = extract_element_seq(rho, p_seq)
+    v_seq = extract_element(rho, p_seq)
     var_res = sum(element_variance(p_res, rho, policy)) / 2
     var_seq = sum(element_variance(p_seq, rho, policy)) / 2
     print(f"g={g:6.3f}  {v_res:+.10f}  {v_seq:+.10f}  {var_seq / var_res:10.1f}")

@@ -60,7 +60,7 @@ from .sampling import (
     stream,
 )
 from .scenarios import ScenarioSpec, default_spec, run_scenario
-from .seq import calibrate_estimator, extract_element_seq, plan_seq, response_map
+from .seq import calibrate_estimator, plan_seq, response_map
 from .shots import ShotPolicy, element_variance, simulate_shots
 from .stateio import read_state, write_state
 
@@ -99,7 +99,6 @@ __all__ = [
     "element_variance",
     "error_histogram",
     "extract_element",
-    "extract_element_seq",
     "g_sweep",
     "haar_mean_precision",
     "haar_unitary",

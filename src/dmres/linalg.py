@@ -24,7 +24,6 @@ MAX_JOINT_DIM = 2 ** 14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

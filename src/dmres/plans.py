@@ -95,6 +95,11 @@ class _PlanLayout:
     def outcomes_per_setting(self) -> int:
         return self.element.dim * 2 ** self.n_meters
 
+    @property
+    def post_selectors(self) -> tuple[int, int]:
+        """Flat indices (s, s') of the element's post-selected system outcomes."""
+        return (self.element.s_flat, self.element.s_prime_flat)
+
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
@@ -135,14 +140,12 @@ class ProtocolPlan(_PlanLayout):
     g: float
     couplings: tuple[Coupling, ...]
     settings: tuple[MeasurementSetting, ...]
-    post_selectors: tuple[int, int]  # flat indices (s, s')
     coeff_re: np.ndarray  # (n_settings, n_outcomes)
     coeff_im: np.ndarray
     base: np.ndarray
     blocks: tuple[int, ...]
     block_amplitudes: np.ndarray
     calibration: CalibrationInfo | None = field(default=None, compare=False)
-    has_estimator: bool = True
 
     def __post_init__(self) -> None:
         for table in (self.coeff_re, self.coeff_im):
@@ -176,11 +179,6 @@ class PlanFamily(_PlanLayout):
     blocks: tuple[int, ...]
     block_amplitudes: np.ndarray  # read-only (G, n_settings, len(blocks) * 2^m, dim)
     calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
-    has_estimator: bool = True
-
-    @property
-    def post_selectors(self) -> tuple[int, int]:
-        return (self.element.s_flat, self.element.s_prime_flat)
 
     def __len__(self) -> int:
         return len(self.gs)
@@ -192,14 +190,12 @@ class PlanFamily(_PlanLayout):
             g=self.gs[k],
             couplings=self.couplings,
             settings=self.settings,
-            post_selectors=self.post_selectors,
             coeff_re=self.coeff_re[k],
             coeff_im=self.coeff_im[k],
             base=self.base[k],
             blocks=self.blocks,
             block_amplitudes=self.block_amplitudes[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
-            has_estimator=self.has_estimator,
         )
 
 
@@ -334,10 +330,6 @@ def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:
     return p.reshape(amps.shape[:-1])
 
 
-def setting_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket, setting_index: int) -> np.ndarray:
-    return _born(plan.amplitudes[setting_index], state)
-
-
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
     """(n_settings, outcomes_per_setting) Born probabilities of every outcome."""
     return _born(plan.amplitudes, state)
@@ -382,15 +374,6 @@ def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np
     linear functionals of the state; a family gives (G, dim, dim) stacks.
     """
     return _weighted_gram(plan, plan.coeff_re ** 2), _weighted_gram(plan, plan.coeff_im ** 2)
-
-
-def apply_estimator(plan: ProtocolPlan, state: DensityMatrix | Ket) -> complex:
-    """The plan's estimate of its element from the state's outcome probabilities."""
-    if not plan.has_estimator:
-        raise InvalidCouplingError(
-            "plan carries no estimator coefficients (built at a singular strength)"
-        )
-    return complex(*estimator_sums(plan, state, (plan.coeff_re, plan.coeff_im)))
 
 
 def plan_document(plan: ProtocolPlan) -> str:

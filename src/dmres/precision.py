@@ -365,10 +365,6 @@ class HistogramReport:
     delta2: float
     delta2_stderr: float
 
-    @property
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.max_error) and np.all(np.isfinite(self.bin_edges)))
-
 
 def error_histogram(
     system: SystemSpec,

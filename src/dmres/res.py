@@ -24,13 +24,12 @@ from .plans import (
     ProtocolPlan,
     RES_SCHEME,
     SINGULAR_TOL,
-    apply_estimator,
+    _born,
     base_amplitudes,
     enumerate_settings,
-    functional_matrix,
+    estimator_sums,
     post_selected_blocks,
     readout_amplitudes,
-    setting_probabilities,
     sign_products,
 )
 
@@ -65,13 +64,8 @@ def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
     return coeff.reshape(gs.shape + unit.shape)
 
 
-def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> PlanFamily:
-    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``.
-
-    ``with_estimator=False`` skips the coefficient construction so the
-    measurement structure can be evaluated at singular strengths
-    (sin(2g) = 0), where the extraction normalization diverges.
-    """
+def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
+    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``."""
     if element.is_diagonal:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
@@ -87,11 +81,7 @@ def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> Pla
         for n in element.coupled_set
     )
     settings = enumerate_settings(len(couplings))
-    n_out = element.dim * 2 ** len(couplings)
-    if with_estimator:
-        coeff = res_coefficients(element, gs, settings, len(couplings))
-    else:
-        coeff = np.zeros((len(gs), len(settings), n_out), dtype=complex)
+    coeff = res_coefficients(element, gs, settings, len(couplings))
     base = base_amplitudes(element.dims, couplings, gs)
     blocks = post_selected_blocks(element)
     return PlanFamily(
@@ -105,13 +95,12 @@ def plan_res_grid(element: ElementIndex, gs, with_estimator: bool = True) -> Pla
         base=base,
         blocks=blocks,
         block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
-        has_estimator=with_estimator,
     )
 
 
-def plan_res(element: ElementIndex, g: float, with_estimator: bool = True) -> ProtocolPlan:
+def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
     """Build the single-coupling plan for an off-diagonal element: ``plan_res_grid`` at one strength."""
-    return plan_res_grid(element, (g,), with_estimator)[0]
+    return plan_res_grid(element, (g,))[0]
 
 
 def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:
@@ -154,24 +143,19 @@ def outcome_distribution(
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
-    return OutcomeDistribution(plan.settings[idx], setting_probabilities(plan, rho, idx))
+    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho))
 
 
 def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
-    """Estimate <s| rho |s'> from the plan's outcome probabilities."""
+    """Estimate <s| rho |s'> from the plan's outcome probabilities.
+
+    Extraction is scheme independent: the plan carries the estimator,
+    so ``res`` and ``seq`` plans are read the same way.
+    """
     rho = as_density(rho)
     if rho.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
-    return apply_estimator(plan, rho)
-
-
-def extract_batch(plans, rhos: np.ndarray) -> np.ndarray:
-    """Vectorized extraction: one plan list, a stacked (n, D, D) batch."""
-    out = np.zeros((len(plans), rhos.shape[0]), dtype=complex)
-    for i, plan in enumerate(plans):
-        k = functional_matrix(plan)
-        out[i] = np.einsum("uv,nuv->n", k, rhos)
-    return out
+    return complex(*estimator_sums(plan, rho, (plan.coeff_re, plan.coeff_im)))
 
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:

@@ -2,12 +2,13 @@
 
 Each scenario writes one table file per panel plus a manifest echoing
 the resolved configuration and seed, and a README documenting the
-columns.  Outputs are plain delimiter-separated text; rendering is left
-to external tooling.
+columns.  Tables are CSV: a field holding a comma, such as the element
+label ``0,1``, is quoted.  Rendering is left to external tooling.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -140,9 +141,10 @@ class ScenarioResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, (columns, rows) in self.tables.items():
-            lines = [",".join(columns)]
-            lines += [",".join(row) for row in rows]
-            (out / name).write_text("\n".join(lines) + "\n")
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(rows)
         write_manifest(out, self.manifest)
         (out / "README.md").write_text(self.readme)
         return out

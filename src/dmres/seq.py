@@ -6,14 +6,16 @@ with its own qubit meter.  Joint measurements on the post-selected
 meters carry the element information; the estimator is therefore
 restricted to full-product meter correlators at the two post-selection
 outcomes and made exactly unbiased at the working strength by a
-minimum-norm linear solve.
+minimum-norm linear solve.  The solve reads the correlator rows from
+the plan's unrotated columns; only a calibration over the whole outcome
+space (``support="full"``) builds the dense ``response_map`` matrix.
+Extraction is ``res.extract_element``: the plan carries the estimator.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .plans import (
     readout_amplitudes,
     sign_products,
 )
-from .res import extract_element
 
 RESIDUAL_TOL = 1e-8
 
@@ -70,47 +71,6 @@ def basis_traces(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
 
 
-def hermitian_basis(dim: int) -> np.ndarray:
-    """The stacked dense basis, dim^4 entries: B_b[u, v] = Tr(B_b |v><u|)."""
-    units = np.eye(dim * dim, dtype=complex).reshape((dim,) * 4).swapaxes(2, 3)
-    return np.moveaxis(basis_traces(units), -1, 0)
-
-
-@dataclass(frozen=True)
-class ResponseMap:
-    """Linear map from Hermitian-input coordinates to outcome probabilities.
-
-    ``matrix`` has one column per Hermitian basis element (diagonal
-    units first, then paired re/im combinations) and one row per
-    (setting, outcome) in plan order.  It and the dense ``basis`` are
-    computed on first use: the default correlator calibration reads
-    neither.
-    """
-
-    plan: ProtocolPlan
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return hermitian_basis(self.plan.element.dim)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        amps = self.plan.amplitudes
-        a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
-        # <a| B |a> = Tr(B G) with G[v, u] = conj(a[v]) a[u]
-        return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
-
-    def coordinates(self, hermitian: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of a Hermitian matrix in the map's basis."""
-        m = np.asarray(hermitian, dtype=complex)
-        iu, iv = np.triu_indices(m.shape[0], 1)
-        pairs = np.stack([m[iu, iv].real, -m[iu, iv].imag], axis=-1).reshape(-1)
-        return np.concatenate([np.diagonal(m).real, pairs])
-
-    def apply(self, hermitian: np.ndarray) -> np.ndarray:
-        return self.matrix @ self.coordinates(hermitian)
-
-
 def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     couplings = []
     for n in element.coupled_set:
@@ -124,9 +84,17 @@ def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     return tuple(couplings)
 
 
-def response_map(plan: ProtocolPlan) -> ResponseMap:
-    """The plan's response map; its dense parts are built on first use."""
-    return ResponseMap(plan=plan)
+def response_map(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
+    """Dense linear map from Hermitian-input coordinates to outcome probabilities.
+
+    One column per Hermitian basis element in ``hermitian_labels`` order
+    and one row per (setting, outcome) in plan order; a family gains a
+    leading strength axis.  It reads the full stack ``plan.amplitudes``.
+    """
+    amps = plan.amplitudes
+    a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
+    # <a| B |a> = Tr(B G) with G[v, u] = conj(a[v]) a[u]
+    return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
 
 
 def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +184,7 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
 
 
 def calibrate_estimator(
-    rmap: ResponseMap,
+    plan: ProtocolPlan | PlanFamily,
     support: str = "correlator",
     weights: np.ndarray | None = None,
 ):
@@ -226,7 +194,8 @@ def calibrate_estimator(
     meter correlators at the two post-selection outcomes, the joint
     statistics the sequential readout actually uses; their rows come
     from the plan's unrotated columns ``base``.  ``support='full'``
-    solves over the whole outcome space.  ``weights`` switches to the
+    solves over the whole outcome space, on the rows of
+    ``response_map(plan)``.  ``weights`` switches to the
     per-state-optimal variant: coefficients minimizing the predicted
     shot variance sum(c^2 w) instead of the plain norm.
 
@@ -237,7 +206,6 @@ def calibrate_estimator(
     order, whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
-    plan = rmap.plan
     family = isinstance(plan, PlanFamily)
     gs = plan.gs if family else (plan.g,)
     targets = np.stack(_targets(plan.element))
@@ -247,7 +215,7 @@ def calibrate_estimator(
         outcomes = list(post_selected_blocks(plan.element))
         rows = _correlator_response(plan, outcomes, plan.base)
     elif support == "full":
-        rows = rmap.matrix
+        rows = response_map(plan)
     else:
         raise CalibrationError(f"unknown calibration support {support!r}")
     a_mat = rows.reshape((len(gs),) + rows.shape[-2:]).swapaxes(-1, -2)  # basis x subspace
@@ -328,10 +296,9 @@ def plan_seq_grid(
         base=base,
         blocks=blocks,
         block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
-        has_estimator=False,
     )
-    c_re, c_im, infos = calibrate_estimator(response_map(bare), support=support, weights=weights)
-    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, has_estimator=True)
+    c_re, c_im, infos = calibrate_estimator(bare, support=support, weights=weights)
+    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
 
 
 def plan_seq(
@@ -342,7 +309,3 @@ def plan_seq(
 ) -> ProtocolPlan:
     """Build and calibrate the sequential baseline plan: ``plan_seq_grid`` at one strength."""
     return plan_seq_grid(element, (g,), support, weights)[0]
-
-
-# Extraction is scheme independent: the plan carries the estimator.
-extract_element_seq = extract_element

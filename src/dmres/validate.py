@@ -1,8 +1,9 @@
 """Cross-module invariant suite behind the ``validate`` command.
 
-Each group re-checks one family of contracts at reduced sample counts.
-An optional fault hook (test instrumentation) can transform plans
-before checking, to confirm the suite actually catches corruption.
+Each group re-checks one family of contracts at reduced sample counts
+and returns (passed, detail).  Groups build their plans through this
+module's ``plan_res`` and ``plan_seq`` bindings, so a test can swap in
+a corrupting builder to confirm the suite catches the fault.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .elements import ElementIndex, all_offdiagonal_elements, precision_element_set
-from .plans import ProtocolPlan, functional_matrix
+from .plans import functional_matrix
 from .precision import (
     SystemSpec,
     _mean_variance_operator,
@@ -29,10 +29,8 @@ from .precision import (
 )
 from .res import extract_element, plan_res
 from .sampling import random_mixed_state, sample_precision_state, stream
-from .seq import extract_element_seq, plan_seq
+from .seq import plan_seq
 from .shots import PER_SETTING, ShotPolicy, element_variance, simulate_shots
-
-FAULT_HOOK = Callable[[ProtocolPlan], ProtocolPlan]
 
 
 @dataclass
@@ -51,22 +49,19 @@ def _configs():
         yield e
 
 
-def check_exactness(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_exactness() -> tuple[bool, str]:
     rng_seed = 7
     worst = 0.0
     for e in _configs():
         rho = random_mixed_state(e.dims, stream(rng_seed, f"validate/{e.label()}"))
         for g in (0.1, math.pi / 4, 1.2):
-            plan = plan_res(e, g)
-            if fault is not None:
-                plan = fault(plan)
-            got = extract_element(rho, plan)
+            got = extract_element(rho, plan_res(e, g))
             want = rho.entry(e.s_flat, e.s_prime_flat)
             worst = max(worst, abs(got - want))
     return worst <= 1e-10, f"max extraction error {worst:.3e} (bound 1e-10)"
 
 
-def check_conjugate_pairs(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_conjugate_pairs() -> tuple[bool, str]:
     worst = 0.0
     for e in _configs():
         rho = random_mixed_state(e.dims, stream(3, f"validate-conj/{e.label()}"))
@@ -76,21 +71,18 @@ def check_conjugate_pairs(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     return worst <= 1e-10, f"max conjugate-pair mismatch {worst:.3e} (bound 1e-10)"
 
 
-def check_unbiasedness(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_unbiasedness() -> tuple[bool, str]:
     worst = 0.0
     for e in _configs():
         for builder in (plan_res, plan_seq):
-            plan = builder(e, 0.4)
-            if fault is not None:
-                plan = fault(plan)
-            k = functional_matrix(plan)
+            k = functional_matrix(builder(e, 0.4))
             target = np.zeros_like(k)
             target[e.s_flat, e.s_prime_flat] = 1.0
             worst = max(worst, float(np.max(np.abs(k - target))))
     return worst <= 1e-8, f"max coefficient-functional deviation {worst:.3e} (bound 1e-8)"
 
 
-def check_counts(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_counts() -> tuple[bool, str]:
     for e in _configs():
         l = e.n_couplings
         pr = plan_res(e, 0.5)
@@ -104,21 +96,18 @@ def check_counts(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
     return True, "coupling/setting/outcome counts match 2^l and d^N 2^l"
 
 
-def check_seq_unbiasedness(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_seq_unbiasedness() -> tuple[bool, str]:
     worst = 0.0
     for e in _configs():
         rho = random_mixed_state(e.dims, stream(11, f"validate-seq/{e.label()}"))
         for g in (0.05, math.pi / 4, math.pi / 2):
-            plan = plan_seq(e, g)
-            if fault is not None:
-                plan = fault(plan)
-            got = extract_element_seq(rho, plan)
+            got = extract_element(rho, plan_seq(e, g))
             want = rho.entry(e.s_flat, e.s_prime_flat)
             worst = max(worst, abs(got - want))
     return worst <= 1e-8, f"max sequential extraction error {worst:.3e} (bound 1e-8)"
 
 
-def check_shot_model(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_shot_model() -> tuple[bool, str]:
     policy = ShotPolicy(n_t=2e4)
     reps = 3000
     worst = 0.0
@@ -143,7 +132,7 @@ def _ratio_slope(system: SystemSpec, grid: np.ndarray, samples: int) -> float:
     return float(np.polyfit(np.log(grid), np.log(ratios), 1)[0])
 
 
-def check_scaling(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_scaling() -> tuple[bool, str]:
     # The ratio goes as g^(-2N).  Three qubits use a coarser grid: below
     # g ~ 1e-2 their seq response (order g^6) sinks under the calibration floor.
     qutrit = _ratio_slope(SystemSpec(1, 3), np.geomspace(1e-3, 1e-2, 4), 200)
@@ -153,7 +142,7 @@ def check_scaling(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
                     f"three qubits {qubits:.3f} (want -6.0 +- 0.3)")
 
 
-def check_haar_mean(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_haar_mean() -> tuple[bool, str]:
     """Sweep means against the exact Haar mean Tr(W)/D at every default-grid point.
 
     Both state families have E[rho] = 1/D, so the mean of Tr(W rho) is
@@ -185,7 +174,7 @@ def check_haar_mean(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
                   "res at pi/4 anchored to 1/6 and 1/4")
 
 
-def check_determinism(fault: FAULT_HOOK | None = None) -> tuple[bool, str]:
+def check_determinism() -> tuple[bool, str]:
     singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
     if not np.array_equal(sampled_states(SystemSpec(1, 3), 9, 300), np.stack(singles)):
         return False, "batched Haar states differ from single draws"
@@ -215,17 +204,13 @@ GROUPS = {
 }
 
 
-def run_validation(
-    groups: list[str] | None = None,
-    fault_hooks: dict[str, FAULT_HOOK] | None = None,
-) -> list[GroupResult]:
+def run_validation(groups: list[str] | None = None) -> list[GroupResult]:
     names = groups or list(GROUPS)
     results = []
     for name in names:
         if name not in GROUPS:
             raise KeyError(f"unknown validation group {name!r}")
-        hook = (fault_hooks or {}).get(name)
         t0 = time.perf_counter()
-        passed, detail = GROUPS[name](hook)
+        passed, detail = GROUPS[name]()
         results.append(GroupResult(name, passed, detail, time.perf_counter() - t0))
     return results

@@ -201,6 +201,16 @@ def hermitian_basis_element(dim, label):
     return b
 
 
+def hermitian_coordinates(hermitian):
+    """Coefficients of a Hermitian matrix in the seq calibration basis, in
+    ``hermitian_labels`` order: diagonal entries, then (Re, -Im) of each
+    upper-triangle entry, so that sum_b c_b B_b recovers the matrix."""
+    m = np.asarray(hermitian, dtype=complex)
+    iu, iv = np.triu_indices(m.shape[0], 1)
+    pairs = np.stack([m[iu, iv].real, -m[iu, iv].imag], axis=-1).reshape(-1)
+    return np.concatenate([np.diagonal(m).real, pairs])
+
+
 def basis_path_correlator_rows(plan, outcomes, base, labels):
     """Correlator response rows Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) with a
     dense Pauli product per setting and one explicit basis matrix at a time.

@@ -248,23 +248,29 @@ class TestValidateCommand:
         assert out.count("PASS") == 9
         assert "haar-mean" in out
 
-    def test_fault_injection_caught(self, capsys):
-        # flipping one coefficient sign must trip the unbiasedness group
-        def flip(plan):
+    def test_fault_injection_caught(self, monkeypatch):
+        # flipping one coefficient sign of every res plan must trip the unbiasedness group
+        import dmres.validate as v
+
+        build = v.plan_res
+
+        def flipped(element, g):
+            plan = build(element, g)
             coeff = plan.coeff_re.copy()
             idx = np.unravel_index(np.argmax(np.abs(coeff)), coeff.shape)
             coeff[idx] = -coeff[idx]
             object.__setattr__(plan, "coeff_re", coeff)
             return plan
 
-        results = run_validation(["unbiasedness"], fault_hooks={"unbiasedness": flip})
+        monkeypatch.setattr(v, "plan_res", flipped)
+        results = run_validation(["unbiasedness"])
         assert not results[0].passed
         assert results[0].name == "unbiasedness"
 
     def test_cli_reports_failure_naming_group(self, monkeypatch, capsys):
         import dmres.validate as v
 
-        monkeypatch.setitem(v.GROUPS, "unbiasedness", lambda hook: (False, "injected"))
+        monkeypatch.setitem(v.GROUPS, "unbiasedness", lambda: (False, "injected"))
         code = main(["validate", "--group", "unbiasedness"])
         assert code == 1
         out = capsys.readouterr().out

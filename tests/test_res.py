@@ -21,7 +21,14 @@ from dmres import (
     stream,
 )
 from dmres.linalg import partial_trace
-from dmres.plans import functional_matrix
+from dmres.plans import (
+    ProtocolPlan,
+    RES_SCHEME,
+    base_amplitudes,
+    enumerate_settings,
+    functional_matrix,
+    readout_amplitudes,
+)
 
 from oracles import reference_extract, reference_setting_probabilities
 
@@ -33,6 +40,20 @@ def maximally_mixed(dims):
 
 def plus_state():
     return DensityMatrix.create(np.full((2, 2), 0.5), (2,))
+
+
+def bare_res_plan(element, g):
+    """A res plan without estimator coefficients, so g may be singular (sin 2g = 0)."""
+    couplings = plan_res(element, 0.5).couplings  # the couplings do not depend on g
+    settings = enumerate_settings(len(couplings))
+    base = base_amplitudes(element.dims, couplings, g)
+    shape = (len(settings), element.dim * 2 ** len(couplings))
+    return ProtocolPlan(
+        element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
+        coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
+        base=base, blocks=tuple(range(element.dim)),
+        block_amplitudes=readout_amplitudes(base, settings, element.dim),
+    )
 
 
 class TestPlanStructure:
@@ -80,7 +101,7 @@ class TestJointState:
     def test_zero_strength_factorizes(self):
         rho = random_mixed_state(3, stream(0, "jt"))
         e = ElementIndex.create((3,), (0,), (1,))
-        plan = plan_res(e, 0.0, with_estimator=False)
+        plan = bare_res_plan(e, 0.0)
         meter0 = np.zeros((2, 2))
         meter0[0, 0] = 1
         jt = joint_state(rho, plan)
@@ -111,7 +132,7 @@ class TestJointState:
 class TestOutcomeDistribution:
     def test_uncoupled_maximally_mixed_is_uniform(self):
         rho = maximally_mixed((3,))
-        plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.0, with_estimator=False)
+        plan = bare_res_plan(ElementIndex.create((3,), (0,), (1,)), 0.0)
         dist = outcome_distribution(rho, plan, 0)
         assert_allclose(dist.probabilities, np.full(6, 1 / 6), atol=1e-12)
 

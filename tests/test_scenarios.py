@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -143,6 +144,27 @@ class TestFig4:
         b = run_scenario(spec).write(tmp_path / "b")
         for name in ("fig4a_curves.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestCsvTables:
+    @pytest.mark.parametrize("spec, name", [
+        (default_spec("fig3a"), "fig3a.csv"),
+        (default_spec("fig4a", grid=(0.5, math.pi / 4), samples=120, seed=2, sampled_run=2),
+         "fig4a_sampled.csv"),
+    ])
+    def test_rows_read_back_under_their_header(self, tmp_path, spec, name):
+        # element labels such as 0,1 hold the delimiter, so they must be quoted
+        result = run_scenario(spec)
+        columns, rows = result.tables[name]
+        with open(result.write(tmp_path) / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == columns
+            records = list(reader)
+        assert len(records) == len(rows) > 0
+        for rec, row in zip(records, rows):
+            assert list(rec) == columns
+            assert rec == dict(zip(columns, row))
+        assert {rec["element"] for rec in records} >= {"0,1", "1,2"}
 
 
 class TestManifest:
