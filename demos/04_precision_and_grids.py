@@ -7,14 +7,14 @@ commands.
 
 import numpy as np
 
-from dmres import ShotPolicy, error_histogram, g_sweep, haar_mean_precision
+from dmres import ShotPolicy, error_histogram, g_sweep
 from dmres.precision import SystemSpec, default_g_grid
 
 policy = ShotPolicy(n_t=1.0)
 system = SystemSpec(1, 3)
 
-# Mean precision at the single-coupling optimum.
-report = haar_mean_precision(system, "res", np.pi / 4, 2000, policy, seed=0)
+# Mean precision at the single-coupling optimum: a sweep over one strength.
+report = g_sweep(system, ["res"], [np.pi / 4], 2000, policy, seed=0)
 row = report.rows[0]
 print(f"qutrit res at pi/4: n_t*Delta^2 = {row.nt_delta2:.6f} +- {row.mc_stderr:.1e}")
 

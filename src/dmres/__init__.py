@@ -40,7 +40,6 @@ from .precision import (
     default_g_grid,
     error_histogram,
     g_sweep,
-    haar_mean_precision,
     reference_comparison,
     resource_report,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "error_histogram",
     "extract_element",
     "g_sweep",
-    "haar_mean_precision",
     "haar_unitary",
     "joint_state",
     "make_involution",

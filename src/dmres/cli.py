@@ -18,7 +18,7 @@ from .elements import ElementIndex
 from .errors import DmresError, StateFormatError
 from .linalg import DensityMatrix
 from .plans import plan_document
-from .precision import SystemSpec, default_g_grid, g_sweep, haar_mean_precision
+from .precision import SystemSpec, default_g_grid, g_sweep
 from .res import characterize, diagonal_element, extract_element, plan_res
 from .sampling import stream
 from .scenarios import SCENARIO_IDS, default_spec, run_scenario
@@ -69,6 +69,7 @@ def cmd_extract(args) -> int:
     rho = _load_density(args.state)
     g = parse_angle(args.g)
     element = parse_element(args.element, rho.dims)
+    policy = None if args.shots is None else ShotPolicy(n_t=args.shots, allocation=args.policy)
     if element.is_diagonal:
         value = complex(diagonal_element(rho, element.s), 0.0)
         plan = None
@@ -78,8 +79,7 @@ def cmd_extract(args) -> int:
     print(f"element {element.label()}  scheme {args.scheme}  g {format_float(g)}")
     print(f"Re = {format_float(value.real)}")
     print(f"Im = {format_float(value.imag)}")
-    if args.shots is not None and plan is not None:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
+    if policy is not None and plan is not None:
         rng = stream(args.seed, f"cli/extract/{element.label()}")
         sim = simulate_shots(plan, rho, policy, rng)
         var_re, var_im = element_variance(plan, rho, policy)
@@ -189,18 +189,16 @@ def cmd_precision(args) -> int:
     system = SystemSpec.parse(args.system)
     schemes = [s.strip() for s in args.scheme.split(",")]
     policy = ShotPolicy(n_t=args.n_t, allocation=args.policy)
-    if args.g_grid is not None:
-        if args.g_grid == "default":
-            grid = default_g_grid()
-        else:
-            tokens = args.g_grid.split(",")
-            if not any(tok.strip() for tok in tokens):
-                raise DmresError(f"--g-grid {args.g_grid!r} names no strength")
-            grid = [parse_angle(tok) for tok in tokens]
-        report = g_sweep(system, schemes, grid, args.samples, policy, seed=args.seed)
+    if args.g_grid is None:
+        grid = [parse_angle(args.g)]
+    elif args.g_grid == "default":
+        grid = default_g_grid()
     else:
-        g = parse_angle(args.g)
-        report = haar_mean_precision(system, schemes[0], g, args.samples, policy, seed=args.seed)
+        tokens = args.g_grid.split(",")
+        if not any(tok.strip() for tok in tokens):
+            raise DmresError(f"--g-grid {args.g_grid!r} names no strength")
+        grid = [parse_angle(tok) for tok in tokens]
+    report = g_sweep(system, schemes, grid, args.samples, policy, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report.write(out)
@@ -222,8 +220,6 @@ def cmd_precision(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    if args.scenario not in SCENARIO_IDS:
-        raise DmresError(f"unknown scenario {args.scenario!r}")
     overrides = {"seed": args.seed}
     if args.samples is not None:
         overrides["samples"] = args.samples

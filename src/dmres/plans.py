@@ -109,7 +109,7 @@ class _PlanLayout:
         """
         if len(self.blocks) == self.element.dim:
             return self.block_amplitudes
-        return readout_amplitudes(self.base, self.settings, self.element.dim)
+        return readout_amplitudes(self.base, self.element.dim)
 
     def block_entries(self, table: np.ndarray) -> np.ndarray:
         """The entries of a (..., n_settings, outcomes) table on the stored blocks.
@@ -197,6 +197,15 @@ class PlanFamily(_PlanLayout):
             block_amplitudes=self.block_amplitudes[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
         )
+
+
+def finite_strengths(gs) -> tuple[float, ...]:
+    """The strengths of a grid as floats, each of which must be finite."""
+    gs = tuple(float(g) for g in gs)
+    for g in gs:
+        if not math.isfinite(g):
+            raise InvalidCouplingError(f"coupling strength g={g!r} is not finite")
+    return gs
 
 
 def post_selected_blocks(element: ElementIndex) -> tuple[int, ...]:
@@ -287,19 +296,15 @@ def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
 READOUT_STACK = np.stack([meter_readout_basis(b).conj().T for b in ("x", "y")])
 
 
-def readout_amplitudes(
-    base: np.ndarray,
-    settings: Sequence[MeasurementSetting],
-    d_sys: int,
-    blocks: Sequence[int] | None = None,
-) -> np.ndarray:
+def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | None = None) -> np.ndarray:
     """Rotate the meter factors of ``base`` into each setting's eigenbasis.
 
     Returns one read-only (n_settings, outcomes, d_sys) stack; slice i is
-    the readout amplitude matrix of ``settings[i]``.  ``blocks`` keeps
-    only those system outcomes' rows, in that order, and the row axis
-    shrinks to len(blocks) * 2^m.  A strength stack (G, outcomes, d_sys)
-    of ``base`` is folded into the row axis and gives a leading G axis.
+    the readout amplitude matrix of setting i in ``enumerate_settings``
+    order.  ``blocks`` keeps only those system outcomes' rows, in that
+    order, and the row axis shrinks to len(blocks) * 2^m.  A strength
+    stack (G, outcomes, d_sys) of ``base`` is folded into the row axis and
+    gives a leading G axis.
     """
     lead = base.shape[:-2]
     n_patterns = base.shape[-2] // d_sys
@@ -308,13 +313,7 @@ def readout_amplitudes(
         rows = rows[..., list(blocks), :, :]
     n_rows = rows.shape[-3] * n_patterns
     full = per_meter(rows.reshape(-1, n_patterns, d_sys), READOUT_STACK)
-    n_set = full.shape[0]
-    full = np.ascontiguousarray(full.reshape(n_set, -1, n_rows, d_sys).swapaxes(0, 1))
-    m = n_set.bit_length() - 1
-    order = [sum(1 << (m - 1 - j) for j, b in enumerate(s.meter_bases) if b == "y")
-             for s in settings]
-    if order != list(range(n_set)):
-        full = full[:, order]
+    full = np.ascontiguousarray(full.reshape(full.shape[0], -1, n_rows, d_sys).swapaxes(0, 1))
     full = full.reshape(lead + full.shape[1:])
     full.setflags(write=False)
     return full

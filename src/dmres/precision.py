@@ -54,6 +54,9 @@ REFERENCE_TARGETS = {
 # Relative deviation within which a measured value matches its reference.
 REFERENCE_REL_TOL = 0.2
 
+# The strength-grid plan builder of each scheme.
+GRID_BUILDERS = {"res": plan_res_grid, "seq": plan_seq_grid}
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -97,7 +100,9 @@ def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
     Slice k is bit for bit the plan ``plan_res``/``plan_seq`` builds at
     ``gs[k]``; those single builds are this builder's one-strength case.
     """
-    return (plan_res_grid if scheme == "res" else plan_seq_grid)(element, gs)
+    if scheme not in GRID_BUILDERS:
+        raise InvalidStateError(f"unknown scheme {scheme!r}")
+    return GRID_BUILDERS[scheme](element, gs)
 
 
 def _variance_operator(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
@@ -249,7 +254,6 @@ class PrecisionReport:
 
     rows: list[ReportRow]
     argmin: dict = field(default_factory=dict)
-    per_state: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
@@ -265,27 +269,6 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return mean, stderr
-
-
-def haar_mean_precision(
-    system: SystemSpec,
-    scheme: str,
-    g: float,
-    samples: int,
-    policy: ShotPolicy,
-    seed: int = 0,
-) -> PrecisionReport:
-    """Monte Carlo estimate of the Haar-averaged precision at one strength."""
-    if samples < 100:
-        raise InvalidStateError(f"precision averages need samples >= 100, got {samples}")
-    vals, (couplings, settings, outcomes) = _unit_values(system, scheme, g, seed, samples)
-    factor = allocation_factor(policy.allocation, settings)
-    mean, stderr = _mean_stderr(factor * vals)
-    row = ReportRow(
-        scheme, system.n_qudits, system.d, g, policy.allocation, samples,
-        mean, stderr, couplings, settings, outcomes,
-    )
-    return PrecisionReport(rows=[row])
 
 
 def filter_grid(scheme: str, grid) -> list[float]:
@@ -312,24 +295,30 @@ def g_sweep(
     samples: int,
     policies,
     seed: int = 0,
-    keep_per_state: bool = False,
 ) -> PrecisionReport:
     """Precision curves over a strength grid with matched sample streams.
 
-    The Haar samples are keyed by sample index alone, so every scheme
-    and strength sees the same states.  ``g_grid`` may be any iterable;
-    it is read once.  The report keeps each point's mean variance
-    operator for histograms and reference comparisons of the same run.
+    Every precision request, one strength included, is a sweep, and this
+    is where its inputs are checked.  The Haar samples are keyed by
+    sample index alone, so every scheme and strength sees the same
+    states.  ``g_grid`` may be any iterable; it is read once.  A scheme
+    whose every strength is singular builds its plans at the first
+    strength, so that the builder names the fault.  The report keeps
+    each point's mean variance operator for histograms and reference
+    comparisons of the same run.
     """
     if isinstance(policies, ShotPolicy):
         policies = (policies,)
+    if samples < 100:
+        raise InvalidStateError(f"precision averages need samples >= 100, got {samples}")
     g_grid = list(g_grid)
     if not g_grid:
         raise InvalidStateError("empty g grid")
     report = PrecisionReport(rows=[])
     states = sampled_states(system, seed, samples)
     for scheme in schemes:
-        for g, w_mean, counts in mean_variance_operators(system, scheme, filter_grid(scheme, g_grid)):
+        points = filter_grid(scheme, g_grid) or g_grid[:1]
+        for g, w_mean, counts in mean_variance_operators(system, scheme, points):
             report.operators[(system, scheme, g)] = (w_mean, counts)
             couplings, settings, outcomes = counts
             vals = _trace(w_mean, states)
@@ -340,14 +329,10 @@ def g_sweep(
                     ReportRow(scheme, system.n_qudits, system.d, g, policy.allocation,
                               samples, mean, stderr, couplings, settings, outcomes)
                 )
-                if keep_per_state:
-                    report.per_state[(scheme, policy.allocation, float(g))] = factor * vals
     for scheme in schemes:
         for policy in policies:
             rows = [r for r in report.rows if r.scheme == scheme and r.policy == policy.allocation]
-            if rows:
-                best = min(rows, key=lambda r: r.nt_delta2)
-                report.argmin[(scheme, policy.allocation)] = best.g
+            report.argmin[(scheme, policy.allocation)] = min(rows, key=lambda r: r.nt_delta2).g
     return report
 
 

@@ -28,6 +28,7 @@ from .plans import (
     base_amplitudes,
     enumerate_settings,
     estimator_sums,
+    finite_strengths,
     post_selected_blocks,
     readout_amplitudes,
     sign_products,
@@ -70,7 +71,7 @@ def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    gs = tuple(float(g) for g in gs)
+    gs = finite_strengths(gs)
     couplings = tuple(
         Coupling(
             qudit=n,
@@ -94,7 +95,7 @@ def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
         coeff_im=coeff.imag.copy(),
         base=base,
         blocks=blocks,
-        block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
+        block_amplitudes=readout_amplitudes(base, element.dim, blocks),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,19 @@ from .stateio import format_float, write_manifest
 
 ARTIFACT_VERSION = "0.1.0"
 
-SCENARIO_IDS = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
+# Parameter range of each element-sweep panel; its default grid has 21 points.
+SWEEP_RANGES = {
+    "fig3a": (math.pi / 3, 4 * math.pi / 3),
+    "fig3b": (0.0, 1.0),
+    "fig3c": (0.0, math.pi),
+    "fig3d": (0.0, 1.0),
+}
+
+SCENARIO_IDS = tuple(SWEEP_RANGES) + ("fig4a", "fig4b")
+
+# Schemes the precision panels compare, and their histogram bin count.
+FIG4_SCHEMES = ("res", "seq")
+HISTOGRAM_BINS = 40
 
 QUTRIT_THETA1 = math.asin(math.sqrt(1.0 / 3.0)) / 2.0
 QUTRIT_THETA2 = math.pi / 8.0
@@ -50,17 +62,15 @@ class ScenarioSpec:
     scenario_id: str
     grid: tuple[float, ...]
     g: float = math.pi / 4
-    schemes: tuple[str, ...] = ("res",)
     samples: int = 10000
     seed: int = 0
     n_t: float | None = None  # None: noiseless extraction only
-    bins: int = 40
     sampled_run: int = 0  # optional extra run of shot-simulated random states
 
     def __post_init__(self) -> None:
         if self.scenario_id not in SCENARIO_IDS:
             raise InvalidStateError(f"unknown scenario {self.scenario_id!r}")
-        lo, hi = _GRID_RANGES.get(self.scenario_id, (None, None))
+        lo, hi = SWEEP_RANGES.get(self.scenario_id, (None, None))
         if lo is not None and self.grid:
             eps = 1e-12
             if min(self.grid) < lo - eps or max(self.grid) > hi + eps:
@@ -69,30 +79,13 @@ class ScenarioSpec:
                 )
 
 
-_GRID_RANGES = {
-    "fig3a": (math.pi / 3, 4 * math.pi / 3),
-    "fig3b": (0.0, 1.0),
-    "fig3c": (0.0, math.pi),
-    "fig3d": (0.0, 1.0),
-}
-
-
 def default_spec(scenario_id: str, **overrides) -> ScenarioSpec:
     """Scenario defaults: 21-point sweeps, 33-point strength grids."""
-    if scenario_id == "fig3a":
-        grid = np.linspace(math.pi / 3, 4 * math.pi / 3, 21)
-    elif scenario_id == "fig3c":
-        grid = np.linspace(0.0, math.pi, 21)
-    elif scenario_id in ("fig3b", "fig3d"):
-        grid = np.linspace(0.0, 1.0, 21)
-    elif scenario_id in ("fig4a", "fig4b"):
-        grid = default_g_grid()
+    if scenario_id in SWEEP_RANGES:
+        grid = np.linspace(*SWEEP_RANGES[scenario_id], 21)
     else:
-        raise InvalidStateError(f"unknown scenario {scenario_id!r}")
-    spec = ScenarioSpec(scenario_id=scenario_id, grid=tuple(float(x) for x in grid))
-    if scenario_id.startswith("fig4"):
-        spec = replace(spec, schemes=("res", "seq"))
-    return replace(spec, **overrides) if overrides else spec
+        grid = default_g_grid()
+    return ScenarioSpec(scenario_id, **{"grid": tuple(float(x) for x in grid), **overrides})
 
 
 def qutrit_sweep_state(phi2: float) -> DensityMatrix:
@@ -131,11 +124,9 @@ TWO_QUBIT_ELEMENTS = [
 
 @dataclass
 class ScenarioResult:
-    spec: ScenarioSpec
     tables: dict = field(default_factory=dict)  # filename -> (columns, rows)
     manifest: dict = field(default_factory=dict)
     readme: str = ""
-    extras: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir)
@@ -150,16 +141,16 @@ class ScenarioResult:
         return out
 
 
-def _manifest(spec: ScenarioSpec, policy_names) -> dict:
+def _manifest(spec: ScenarioSpec, schemes, policy_names) -> dict:
     return {
         "scenario": spec.scenario_id,
         "grid": [format_float(x) for x in spec.grid],
         "g": format_float(spec.g),
-        "schemes": list(spec.schemes),
+        "schemes": list(schemes),
         "samples": spec.samples,
         "seed": spec.seed,
         "n_t": None if spec.n_t is None else format_float(spec.n_t),
-        "bins": spec.bins,
+        "bins": HISTOGRAM_BINS,
         "policies": list(policy_names),
         "sampled_run": spec.sampled_run,
         "artifact_version": ARTIFACT_VERSION,
@@ -189,9 +180,9 @@ def _element_sweep(spec: ScenarioSpec, states, elements, theory, readme_intro: s
                 sim = simulate_shots(plan, rho, policy, rng)
                 row += [format_float(sim.real), format_float(sim.imag)]
             rows.append(row)
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult()
     result.tables[f"{spec.scenario_id}.csv"] = (columns, rows)
-    result.manifest = _manifest(spec, [PER_SETTING] if shots else [])
+    result.manifest = _manifest(spec, ["res"], [PER_SETTING] if shots else [])
     result.readme = readme_intro + _SWEEP_COLUMN_DOC + (_SIM_COLUMN_DOC if shots else "")
     return result
 
@@ -231,9 +222,9 @@ def _qutrit_amplitudes(phi2: float) -> np.ndarray:
     ).amplitudes
 
 
-def run_fig3b(spec: ScenarioSpec, phi2: float = 2 * math.pi / 3) -> ScenarioResult:
-    """Qutrit dephasing sweep at the fixed reference state."""
-    rho0 = qutrit_sweep_state(phi2)
+def run_fig3b(spec: ScenarioSpec) -> ScenarioResult:
+    """Qutrit dephasing sweep at the fixed reference state, phase 2 pi/3."""
+    rho0 = qutrit_sweep_state(2 * math.pi / 3)
 
     def states(gamma):
         return dephase(rho0, gamma, mode="all-offdiag")
@@ -260,9 +251,9 @@ def run_fig3c(spec: ScenarioSpec) -> ScenarioResult:
     )
 
 
-def run_fig3d(spec: ScenarioSpec, phi11: float = math.pi / 3) -> ScenarioResult:
-    """Two-photon dephasing sweep (completely off-diagonal damping only)."""
-    rho0 = two_qubit_sweep_state(phi11)
+def run_fig3d(spec: ScenarioSpec) -> ScenarioResult:
+    """Two-photon dephasing sweep at phase pi/3 (completely off-diagonal damping only)."""
+    rho0 = two_qubit_sweep_state(math.pi / 3)
 
     def states(gamma):
         return dephase(rho0, gamma, mode="completely-offdiag")
@@ -286,7 +277,7 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
     system = SystemSpec(1, 3) if spec.scenario_id == "fig4a" else SystemSpec(2, 2)
     policies = (ShotPolicy(n_t=1.0, allocation=PER_SETTING),
                 ShotPolicy(n_t=1.0, allocation=SPLIT_TOTAL))
-    report = g_sweep(system, spec.schemes, spec.grid, spec.samples, policies, seed=spec.seed)
+    report = g_sweep(system, FIG4_SCHEMES, spec.grid, spec.samples, policies, seed=spec.seed)
 
     columns = ["scheme", "g", "policy", "nt_delta2", "mc_stderr", "samples", "argmin"]
     rows = []
@@ -294,22 +285,18 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
         rows.append([
             r.scheme, format_float(r.g), r.policy, format_float(r.nt_delta2),
             format_float(r.mc_stderr), str(r.samples),
-            "1" if report.argmin.get((r.scheme, r.policy)) == r.g else "0",
+            "1" if report.argmin[r.scheme, r.policy] == r.g else "0",
         ])
-    result = ScenarioResult(spec=spec)
+    result = ScenarioResult()
     result.tables[f"{spec.scenario_id}_curves.csv"] = (columns, rows)
 
     hist_columns = ["scheme", "g", "policy", "bin_left", "bin_right", "count"]
     hist_rows = []
-    histograms = {}
     per_setting = policies[0]
-    for scheme in spec.schemes:
-        g_opt = report.argmin.get((scheme, per_setting.allocation))
-        if g_opt is None:
-            continue
+    for scheme in FIG4_SCHEMES:
+        g_opt = report.argmin[(scheme, per_setting.allocation)]
         hist = error_histogram(system, scheme, g_opt, max(spec.samples, 1000), per_setting,
-                               bins=spec.bins, seed=spec.seed, report=report)
-        histograms[scheme] = hist
+                               bins=HISTOGRAM_BINS, seed=spec.seed, report=report)
         for i in range(hist.counts.size):
             hist_rows.append([
                 scheme, format_float(g_opt), per_setting.allocation,
@@ -320,15 +307,11 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
 
     comparison = reference_comparison(system, samples=spec.samples, seed=spec.seed, report=report)
     efficiency = _efficiency_summary(system, report, spec)
-    result.extras["comparison"] = comparison
-    result.extras["efficiency"] = efficiency
-    result.extras["report"] = report
-    result.extras["histograms"] = histograms
 
     if spec.sampled_run:
         result.tables[f"{spec.scenario_id}_sampled.csv"] = _sampled_run(spec, system)
 
-    result.manifest = _manifest(spec, [p.allocation for p in policies])
+    result.manifest = _manifest(spec, FIG4_SCHEMES, [p.allocation for p in policies])
     result.manifest["comparison"] = comparison
     result.manifest["efficiency"] = {
         "ratio_seq_over_res": format_float(efficiency["ratio_seq_over_res"]),
@@ -350,9 +333,6 @@ def run_fig4(spec: ScenarioSpec) -> ScenarioResult:
 
 def _efficiency_summary(system: SystemSpec, report: PrecisionReport, spec: ScenarioSpec) -> dict:
     """Photon-budget ratio seq/res at the per-scheme optima."""
-    if "seq" not in spec.schemes or "res" not in spec.schemes:
-        return {"ratio_seq_over_res": float("nan"), "reference_ratio": float("nan"),
-                "g_res": float("nan"), "g_seq": float("nan")}
     g_res = report.argmin[("res", PER_SETTING)]
     g_seq = report.argmin[("seq", PER_SETTING)]
     element = QUTRIT_ELEMENTS[0] if system.label == "qutrit" else TWO_QUBIT_ELEMENTS[0]
@@ -364,7 +344,6 @@ def _efficiency_summary(system: SystemSpec, report: PrecisionReport, spec: Scena
         "reference_ratio": reference,
         "g_res": g_res,
         "g_seq": g_seq,
-        "resource_report": rr,
     }
 
 
@@ -378,9 +357,8 @@ def _sampled_run(spec: ScenarioSpec, system: SystemSpec):
     from .sampling import sample_precision_state
 
     elements = QUTRIT_ELEMENTS if system.label == "qutrit" else TWO_QUBIT_ELEMENTS
-    plans = {"res": [plan_res(e, math.pi / 4) for e in elements]}
-    if "seq" in spec.schemes:
-        plans["seq"] = [plan_seq(e, math.pi / 2) for e in elements]
+    plans = {"res": [plan_res(e, math.pi / 4) for e in elements],
+             "seq": [plan_seq(e, math.pi / 2) for e in elements]}
     for i in range(spec.sampled_run):
         rho = sample_precision_state(system.n_qudits, system.d,
                                      stream(spec.seed, f"{spec.scenario_id}/sampled", i))

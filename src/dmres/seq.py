@@ -32,6 +32,7 @@ from .plans import (
     SINGULAR_TOL,
     base_amplitudes,
     enumerate_settings,
+    finite_strengths,
     per_meter,
     post_selected_blocks,
     readout_amplitudes,
@@ -273,7 +274,7 @@ def plan_seq_grid(
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    gs = tuple(float(g) for g in gs)
+    gs = finite_strengths(gs)
     for g in gs:
         if abs(g) <= SINGULAR_TOL:
             raise InvalidCouplingError(
@@ -295,7 +296,7 @@ def plan_seq_grid(
         coeff_im=no_coefficients,
         base=base,
         blocks=blocks,
-        block_amplitudes=readout_amplitudes(base, settings, element.dim, blocks),
+        block_amplitudes=readout_amplitudes(base, element.dim, blocks),
     )
     c_re, c_im, infos = calibrate_estimator(bare, support=support, weights=weights)
     return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)

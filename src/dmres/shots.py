@@ -15,6 +15,10 @@ PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
 ALLOCATIONS = (PER_SETTING, SPLIT_TOTAL)
 
+# Largest photon rate n_t.  A drawn cell's Poisson mean n_t T p never
+# exceeds n_t, and numpy's Poisson sampler takes means up to about 9.2e18.
+MAX_PHOTON_RATE = 1e18
+
 
 @dataclass(frozen=True)
 class ShotPolicy:
@@ -29,8 +33,8 @@ class ShotPolicy:
     allocation: str = PER_SETTING
 
     def __post_init__(self) -> None:
-        if not self.n_t > 0:
-            raise InvalidStateError(f"photon rate n_t={self.n_t!r} must be positive")
+        if not 0 < self.n_t <= MAX_PHOTON_RATE:
+            raise InvalidStateError(f"photon rate n_t={self.n_t!r} must lie in (0, {MAX_PHOTON_RATE:g}]")
         if self.allocation not in ALLOCATIONS:
             raise InvalidStateError(f"unknown allocation {self.allocation!r}")
 

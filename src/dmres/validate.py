@@ -30,7 +30,7 @@ from .precision import (
 from .res import extract_element, plan_res
 from .sampling import random_mixed_state, sample_precision_state, stream
 from .seq import plan_seq
-from .shots import PER_SETTING, ShotPolicy, element_variance, simulate_shots
+from .shots import ShotPolicy, element_variance, simulate_shots
 
 
 @dataclass
@@ -181,11 +181,11 @@ def check_determinism() -> tuple[bool, str]:
     # stacked sweep builds against single plan_seq builds: first point, a chunk edge, pi/2
     two_qubit, grid = SystemSpec(2, 2), default_g_grid()
     states = sampled_states(two_qubit, 9, 300)
-    report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9, keep_per_state=True)
+    report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9)
     for g in (float(grid[0]), float(grid[4]), float(grid[-1])):
         plans = [plan_seq(e, g) for e in precision_element_set(2, 2)]
         single = _trace(_mean_variance_operator(plans), states)
-        if not np.array_equal(report.per_state[("seq", PER_SETTING, g)], single):
+        if not np.array_equal(_trace(report.operators[two_qubit, "seq", g][0], states), single):
             return False, f"sweep values differ from single plan_seq builds at g={g!r}"
     return True, ("sweep values bit-identical to single plan_seq builds; "
                   "batched states match single draws")

@@ -175,13 +175,17 @@ class TestPrecisionCommand:
 
     def test_single_point_report(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
-        code = main(["precision", "--system", "qutrit", "--scheme", "res",
+        code = main(["precision", "--system", "qutrit", "--scheme", "res,seq",
                      "--g", "pi/4", "--samples", "150", "--out", str(out)])
         assert code == 0
         body = out.read_text().splitlines()
         assert body[0].startswith("scheme,N,d,g")
-        value = float(body[1].split(",")[6])
-        assert abs(value - 1 / 6) < 1e-12
+        rows = [line.split(",") for line in body[1:]]
+        assert [row[0] for row in rows] == ["res", "seq"]
+        assert abs(float(rows[0][6]) - 1 / 6) < 1e-12
+        argmin = json.loads((tmp_path / "manifest.json").read_text())["argmin"]
+        assert set(argmin) == {"res/per-setting-unit-time", "seq/per-setting-unit-time"}
+        assert all(float(g) == math.pi / 4 for g in argmin.values())
 
     def test_empty_grid_exits_3(self, tmp_path):
         code = main(["precision", "--system", "qutrit", "--scheme", "res",
@@ -196,6 +200,39 @@ class TestPrecisionCommand:
         assert code == 3
         assert "--g-grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("args, cause", [
+        (["precision", "--system", "qutrit", "--scheme", "foo", "--samples", "150"],
+         "unknown scheme 'foo'"),
+        (["precision", "--system", "qutrit", "--scheme", "", "--samples", "150"], "unknown scheme ''"),
+        (["precision", "--system", "qutrit", "--g-grid", "0.4,pi/4", "--samples", "0"],
+         "samples >= 100, got 0"),
+        (["precision", "--system", "qutrit", "--g", "pi/4", "--samples", "0"], "samples >= 100, got 0"),
+        (["precision", "--system", "qutrit", "--g-grid", "0,pi/2", "--samples", "150"], "sin(2g)=0 at g=0.0"),
+        (["precision", "--system", "qutrit", "--g-grid", "nan,0.5", "--samples", "150"],
+         "coupling strength g=nan is not finite"),
+        (["scenario", "fig4a", "--samples", "0"], "samples >= 100, got 0"),
+        (["extract", "--scheme", "res", "--element", "0,1", "--g", "nan"],
+         "coupling strength g=nan is not finite"),
+        (["extract", "--scheme", "seq", "--element", "0,1", "--g", "nan"],
+         "coupling strength g=nan is not finite"),
+        (["extract", "--element", "0,1", "--g", "pi/4", "--shots", "inf"], "photon rate n_t=inf"),
+    ])
+    def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = args + {
+            "precision": ["--out", str(out / "rep.csv")],
+            "scenario": ["--out", str(out)],
+            "extract": ["--state", str(mixed3), "--export-plan", str(out / "plan.json")],
+        }[args[0]]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert cause in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
 
 class TestWorkersEnvironment:

@@ -246,11 +246,11 @@ class TestStrengthFamilies:
         monkeypatch.setattr(precision_module, "CHUNK_ENTRIES", chunk)
         policy = ShotPolicy(n_t=1.0)
         for system in (SystemSpec(1, 3), SystemSpec(2, 2)):
-            report = g_sweep(system, ("res", "seq"), default_g_grid(), 150, policy, seed=4,
-                             keep_per_state=True)
+            report = g_sweep(system, ("res", "seq"), default_g_grid(), 150, policy, seed=4)
+            states = sampled_states(system, 4, 150)
             for scheme in ("res", "seq"):
                 for g in filter_grid(scheme, default_g_grid()):
-                    got = report.per_state[(scheme, policy.allocation, g)]
+                    got = precision_module._trace(report.operators[system, scheme, g][0], states)
                     assert np.array_equal(got, single_build_values(system, scheme, g, 4, 150))
                     assert np.array_equal(got, per_state_values(system, scheme, g, 4, 150))
 

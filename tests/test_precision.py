@@ -11,7 +11,6 @@ from dmres import (
     ShotPolicy,
     error_histogram,
     g_sweep,
-    haar_mean_precision,
     plan_res,
     plan_seq,
     reference_comparison,
@@ -69,23 +68,23 @@ class TestSystemSpec:
 class TestHaarMeanPrecision:
     def test_qutrit_optimum_value(self):
         # at g=pi/4 the pair-averaged variance is exactly 1/6 per state
-        rep = haar_mean_precision(SystemSpec(1, 3), "res", math.pi / 4, 300, PER, seed=0)
+        rep = g_sweep(SystemSpec(1, 3), ["res"], [math.pi / 4], 300, PER, seed=0)
         row = rep.rows[0]
         assert_allclose(row.nt_delta2, 1 / 6, atol=1e-12)
         assert row.couplings == 1 and row.settings == 2 and row.outcomes == 6
 
     def test_two_qubit_optimum_value(self):
-        rep = haar_mean_precision(SystemSpec(2, 2), "res", math.pi / 4, 300, PER, seed=0)
+        rep = g_sweep(SystemSpec(2, 2), ["res"], [math.pi / 4], 300, PER, seed=0)
         assert_allclose(rep.rows[0].nt_delta2, 1 / 4, atol=1e-12)
 
     def test_split_total_scales_by_settings(self):
-        a = haar_mean_precision(SystemSpec(1, 3), "res", 0.5, 200, PER, seed=1)
-        b = haar_mean_precision(SystemSpec(1, 3), "res", 0.5, 200, SPLIT, seed=1)
+        a = g_sweep(SystemSpec(1, 3), ["res"], [0.5], 200, PER, seed=1)
+        b = g_sweep(SystemSpec(1, 3), ["res"], [0.5], 200, SPLIT, seed=1)
         assert_allclose(b.rows[0].nt_delta2, 2 * a.rows[0].nt_delta2, rtol=1e-12)
 
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(InvalidStateError):
-            haar_mean_precision(SystemSpec(1, 3), "res", 0.5, 50, PER)
+            g_sweep(SystemSpec(1, 3), ["res"], [0.5], 50, PER)
 
     def test_pairwise_symmetry(self):
         # Haar averaging makes every index pair and both quadratures

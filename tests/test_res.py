@@ -52,7 +52,7 @@ def bare_res_plan(element, g):
         element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
         coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
         base=base, blocks=tuple(range(element.dim)),
-        block_amplitudes=readout_amplitudes(base, settings, element.dim),
+        block_amplitudes=readout_amplitudes(base, element.dim),
     )
 
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dmres import ElementIndex, InvalidStateError, ShotPolicy, element_variance, plan_res
+from dmres import (
+    ElementIndex,
+    InvalidCouplingError,
+    InvalidStateError,
+    ShotPolicy,
+    element_variance,
+    plan_res,
+)
 from dmres.scenarios import (
     ScenarioSpec,
     default_spec,
@@ -144,6 +151,11 @@ class TestFig4:
         b = run_scenario(spec).write(tmp_path / "b")
         for name in ("fig4a_curves.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_grid_without_a_regular_strength_names_it(self):
+        # sin(2g) vanishes at pi, so res has no point to sweep: its builder says why
+        with pytest.raises(InvalidCouplingError, match=r"sin\(2g\)=0"):
+            run_scenario(default_spec("fig4a", grid=(math.pi,)))
 
 
 class TestCsvTables:

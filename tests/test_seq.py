@@ -32,7 +32,7 @@ def bare_seq_plan(element, g):
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, g)
-    amps = readout_amplitudes(base, settings, element.dim)
+    amps = readout_amplitudes(base, element.dim)
     shape = (len(settings), element.dim * 2 ** len(couplings))
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
