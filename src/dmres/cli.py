@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .elements import ElementIndex
-from .errors import DmresError, StateFormatError
+from .errors import DmresError, InvalidStateError, StateFormatError
 from .linalg import DensityMatrix
 from .plans import plan_document
 from .precision import SystemSpec, default_g_grid, g_sweep
-from .res import characterize, diagonal_element, extract_element, plan_res
+from .res import characterize, diagonal_element, element_plans, extract_element, plan_res
 from .sampling import stream
 from .scenarios import SCENARIO_IDS, default_spec, run_scenario
 from .seq import plan_seq
@@ -94,17 +94,18 @@ def cmd_extract(args) -> int:
 def cmd_characterize(args) -> int:
     rho = _load_density(args.state)
     g = parse_angle(args.g)
+    policy = None if args.shots is None else ShotPolicy(n_t=args.shots, allocation=args.policy)
+    truth = _load_density(args.truth) if args.truth else None
+    if truth is not None and truth.dims != rho.dims:
+        raise InvalidStateError(f"truth dims {truth.dims} differ from state dims {rho.dims}")
+    if policy is None:
+        estimate, variances = characterize(rho, g), {}
+    else:
+        estimate, variances = _characterize_shots(rho, g, policy, args.seed)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    variances = {}
-    if args.shots is None:
-        estimate = characterize(rho, g)
-    else:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
-        estimate, variances = _characterize_shots(rho, g, policy, args.seed, bool(args.truth))
     write_state(out_dir / "estimate.state", estimate)
-
     manifest = {
         "command": "characterize",
         "state": str(args.state),
@@ -114,68 +115,54 @@ def cmd_characterize(args) -> int:
         "policy": args.policy,
         "seed": args.seed,
     }
-    if args.truth:
-        truth = _load_density(args.truth)
-        _write_deviation_report(out_dir, estimate, truth, variances, args)
+    if truth is not None:
+        _write_deviation_report(out_dir, estimate, truth, variances, policy)
         manifest["truth"] = str(args.truth)
     write_manifest(out_dir, manifest)
     print(f"wrote {out_dir / 'estimate.state'}")
     return 0
 
 
-def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: int,
-                        with_variances: bool):
+def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: int):
     """Estimate every entry from finite Poisson statistics.
 
     Diagonal probabilities come from the relative frequencies of one
     meterless post-selection run, which keeps the estimate unit trace;
     each off-diagonal entry is one finite-statistics extraction.  Returns
-    the estimate and, ``with_variances``, n_t (var Re + var Im) of each
-    upper-triangle pair (u, v), from the plan that drew it.
+    the estimate and n_t (var Re + var Im) of each upper-triangle pair
+    (u, v), from the plan that drew it.
     """
-    import itertools
-
-    from .elements import element_from_flat
-
-    total = rho.dim
-    est = np.zeros((total, total), dtype=complex)
     diag_rng = stream(seed, "cli/characterize/diag")
     diag_counts = diag_rng.poisson(policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
-    est[np.diag_indices(total)] = diag_counts / max(diag_counts.sum(), 1)
+    est = np.diag(diag_counts / max(diag_counts.sum(), 1)).astype(complex)
     variances = {}
-    for u, v in itertools.combinations(range(total), 2):
-        element = element_from_flat(rho.dims, u, v)
-        plan = plan_res(element, g)
-        rng = stream(seed, f"cli/characterize/{element.label()}")
+    for (u, v), plan in element_plans(rho.dims, g, plan_res):
+        rng = stream(seed, f"cli/characterize/{plan.element.label()}")
         value = simulate_shots(plan, rho, policy, rng)
         est[u, v] = value
         est[v, u] = np.conj(value)
-        if with_variances:
-            var_re, var_im = element_variance(plan, rho, policy)
-            variances[u, v] = var_re + var_im
+        var_re, var_im = element_variance(plan, rho, policy)
+        variances[u, v] = var_re + var_im
     return DensityMatrix.create(est, rho.dims, check_positive=False), variances
 
 
-def _write_deviation_report(out_dir, estimate, truth, variances, args) -> None:
-    """Per-entry deviations; with shots, also the predicted standard error.
+def _write_deviation_report(out_dir, estimate, truth, variances, policy) -> None:
+    """Per-entry deviations; with a shot policy, also the predicted standard error.
 
     Entry (v, u) is the conjugate of (u, v), whose Re and Im shot
     variances it shares, so both read the variances of the upper-triangle pair.
     """
     rows = ["row,col,re_est,im_est,re_true,im_true,abs_dev,pred_stderr"]
-    policy = None
-    if args.shots is not None:
-        policy = ShotPolicy(n_t=args.shots, allocation=args.policy)
     total = truth.dim
     for u in range(total):
         for v in range(total):
             dev = abs(estimate.entries[u, v] - truth.entries[u, v])
             stderr = ""
             if policy is not None and u != v:
-                stderr = format_float(math.sqrt(variances[min(u, v), max(u, v)] / args.shots))
+                stderr = format_float(math.sqrt(variances[min(u, v), max(u, v)] / policy.n_t))
             elif policy is not None:
                 p = truth.entries[u, u].real
-                stderr = format_float(math.sqrt(max(p, 0.0) / args.shots))
+                stderr = format_float(math.sqrt(max(p, 0.0) / policy.n_t))
             rows.append(
                 f"{u},{v},{format_float(estimate.entries[u, v].real)},"
                 f"{format_float(estimate.entries[u, v].imag)},"

@@ -299,13 +299,13 @@ def g_sweep(
     """Precision curves over a strength grid with matched sample streams.
 
     Every precision request, one strength included, is a sweep, and this
-    is where its inputs are checked.  The Haar samples are keyed by
-    sample index alone, so every scheme and strength sees the same
-    states.  ``g_grid`` may be any iterable; it is read once.  A scheme
-    whose every strength is singular builds its plans at the first
-    strength, so that the builder names the fault.  The report keeps
-    each point's mean variance operator for histograms and reference
-    comparisons of the same run.
+    is where its inputs are checked: every operator is built before a
+    state is drawn.  The Haar samples are keyed by sample index alone,
+    so every scheme and strength sees the same states.  ``g_grid`` may
+    be any iterable; it is read once.  A scheme whose every strength is
+    singular builds its plans at the first strength, so that the builder
+    names the fault.  The report keeps each point's mean variance
+    operator for histograms and reference comparisons of the same run.
     """
     if isinstance(policies, ShotPolicy):
         policies = (policies,)
@@ -314,11 +314,17 @@ def g_sweep(
     g_grid = list(g_grid)
     if not g_grid:
         raise InvalidStateError("empty g grid")
+    # a list per scheme, so that a repeated strength keeps its repeated row
+    operators = {}
+    for scheme in schemes:
+        if scheme in operators:
+            raise InvalidStateError(f"scheme {scheme!r} is requested twice")
+        points = filter_grid(scheme, g_grid) or g_grid[:1]
+        operators[scheme] = list(mean_variance_operators(system, scheme, points))
     report = PrecisionReport(rows=[])
     states = sampled_states(system, seed, samples)
-    for scheme in schemes:
-        points = filter_grid(scheme, g_grid) or g_grid[:1]
-        for g, w_mean, counts in mean_variance_operators(system, scheme, points):
+    for scheme, points in operators.items():
+        for g, w_mean, counts in points:
             report.operators[(system, scheme, g)] = (w_mean, counts)
             couplings, settings, outcomes = counts
             vals = _trace(w_mean, states)
@@ -329,7 +335,7 @@ def g_sweep(
                     ReportRow(scheme, system.n_qudits, system.d, g, policy.allocation,
                               samples, mean, stderr, couplings, settings, outcomes)
                 )
-    for scheme in schemes:
+    for scheme in operators:
         for policy in policies:
             rows = [r for r in report.rows if r.scheme == scheme and r.policy == policy.allocation]
             report.argmin[(scheme, policy.allocation)] = min(rows, key=lambda r: r.nt_delta2).g

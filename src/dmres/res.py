@@ -166,6 +166,16 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     return float(rho.entries[idx, idx].real)
 
 
+def element_plans(dims, g: float, plan_builder=plan_res):
+    """Yield ``((u, v), plan)`` for every upper-triangle pair u < v of flat indices.
+
+    Pairs come in row-major order; this is the one place a full-matrix
+    estimate pairs an entry with the plan that reads it.
+    """
+    for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
+        yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
+
+
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:
     """Assemble the full matrix estimate.
 
@@ -174,14 +184,9 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
     filled by conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
-    dims = rho.dims
-    total = rho.dim
-    est = np.zeros((total, total), dtype=complex)
-    for u in range(total):
-        est[u, u] = diagonal_element(rho, np.unravel_index(u, dims))
-    for u, v in itertools.combinations(range(total), 2):
-        element = element_from_flat(dims, u, v)
-        value = extract_element(rho, plan_builder(element, g))
+    est = np.diag(np.diag(rho.entries).real).astype(complex)
+    for (u, v), plan in element_plans(rho.dims, g, plan_builder):
+        value = extract_element(rho, plan)
         est[u, v] = value
         est[v, u] = np.conj(value)
-    return DensityMatrix.create(est, dims, check_positive=False)
+    return DensityMatrix.create(est, rho.dims, check_positive=False)

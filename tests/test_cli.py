@@ -219,6 +219,8 @@ class TestBadInput:
         (["extract", "--scheme", "seq", "--element", "0,1", "--g", "nan"],
          "coupling strength g=nan is not finite"),
         (["extract", "--element", "0,1", "--g", "pi/4", "--shots", "inf"], "photon rate n_t=inf"),
+        (["precision", "--system", "qutrit", "--scheme", "res,res", "--samples", "150"],
+         "scheme 'res' is requested twice"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"
@@ -233,6 +235,26 @@ class TestBadInput:
         assert cause in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []
+
+
+class TestCharacterizeBadInput:
+    @pytest.mark.parametrize("extra, code, cause", [
+        (["--g", "0"], 3, "sin(2g)=0"),
+        (["--g", "nan"], 3, "coupling strength g=nan is not finite"),
+        (["--g", "pi/4", "--shots", "inf"], 3, "photon rate n_t=inf"),
+        (["--g", "pi/4", "--truth", "MISSING"], 2, "cannot parse state file"),
+        (["--g", "pi/4", "--truth", "BELL"], 3, "truth dims (2, 2) differ from state dims (3,)"),
+    ])
+    def test_checks_before_writing(self, mixed3, bell, tmp_path, capsys, extra, code, cause):
+        # every check and the estimate come before --out is created
+        files = {"MISSING": str(tmp_path / "missing.state"), "BELL": str(bell)}
+        extra = [files.get(a, a) for a in extra]
+        out = tmp_path / "out"
+        assert main(["characterize", "--state", str(mixed3), "--out", str(out)] + extra) == code
+        captured = capsys.readouterr()
+        assert cause in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestWorkersEnvironment:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dmres import (
 )
 import dmres.precision as precision_module
 from dmres.elements import precision_element_set
+from dmres.errors import DmresError
 from dmres.plans import estimator_operators
 from dmres.precision import (
     SystemSpec,
@@ -180,6 +182,23 @@ class TestChunkSizing:
         builds = count_builds(monkeypatch)
         g_sweep(system, [scheme], [0.5, 0.9], 150, PER, seed=1)
         assert builds == [(e, scheme, (0.5, 0.9)) for e in precision_element_set(system.n_qudits, system.d)]
+
+
+class TestRejectedSweepDrawsNothing:
+    @pytest.mark.parametrize("schemes, grid, cause", [
+        (["foo"], [0.5], "unknown scheme 'foo'"),
+        (["res"], [math.nan, 0.5], "g=nan is not finite"),
+        (["res"], [0.0, math.pi / 2], "sin(2g)=0"),
+        (["res", "res"], [0.5], "scheme 'res' is requested twice"),
+    ])
+    def test_raises_before_any_draw(self, monkeypatch, schemes, grid, cause):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("states drawn for a rejected request")
+
+        monkeypatch.setattr(precision_module, "precision_states", no_draw)
+        # a seed no other test draws, so the state memo cannot serve it
+        with pytest.raises(DmresError, match=re.escape(cause)):
+            g_sweep(SystemSpec(1, 3), schemes, grid, 150, PER, seed=1011)
 
 
 class TestExactHaarMean:

@@ -20,6 +20,7 @@ from dmres import (
     random_mixed_state,
     stream,
 )
+from dmres.elements import element_from_flat
 from dmres.linalg import partial_trace
 from dmres.plans import (
     ProtocolPlan,
@@ -29,6 +30,7 @@ from dmres.plans import (
     functional_matrix,
     readout_amplitudes,
 )
+from dmres.res import element_plans
 
 from oracles import reference_extract, reference_setting_probabilities
 
@@ -244,3 +246,18 @@ class TestDiagonalAndCharacterize:
             assert np.max(np.abs(est.entries - rho.entries)) < 1e-10
             assert_allclose(est.entries, est.entries.conj().T, atol=1e-14)
             assert abs(np.trace(est.entries) - 1) < 1e-10
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3)])
+    def test_element_plans_row_major_pairs(self, dims):
+        built = []
+
+        def builder(element, g):
+            built.append(element)
+            return plan_res(element, g)
+
+        pairs = list(element_plans(dims, 0.6, builder))
+        total = int(np.prod(dims))
+        assert [uv for uv, _ in pairs] == [(u, v) for u in range(total) for v in range(u + 1, total)]
+        assert len(built) == len(pairs)
+        for ((u, v), plan), element in zip(pairs, built):
+            assert plan.element == element == element_from_flat(dims, u, v)
