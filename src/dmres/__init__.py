@@ -51,13 +51,7 @@ from .res import (
     outcome_distribution,
     plan_res,
 )
-from .sampling import (
-    haar_unitary,
-    random_mixed_state,
-    sample_entangled,
-    sample_single_qudit,
-    stream,
-)
+from .sampling import random_mixed_state, stream
 from .scenarios import ScenarioSpec, default_spec, run_scenario
 from .seq import calibrate_estimator, plan_seq, response_map
 from .shots import ShotPolicy, element_variance, simulate_shots
@@ -99,7 +93,6 @@ __all__ = [
     "error_histogram",
     "extract_element",
     "g_sweep",
-    "haar_unitary",
     "joint_state",
     "make_involution",
     "make_subspace_hadamard",
@@ -118,8 +111,6 @@ __all__ = [
     "resource_report",
     "response_map",
     "run_scenario",
-    "sample_entangled",
-    "sample_single_qudit",
     "simulate_shots",
     "stream",
     "write_state",

@@ -95,7 +95,7 @@ def cmd_characterize(args) -> int:
     rho = _load_density(args.state)
     g = parse_angle(args.g)
     policy = None if args.shots is None else ShotPolicy(n_t=args.shots, allocation=args.policy)
-    truth = _load_density(args.truth) if args.truth else None
+    truth = None if args.truth is None else _load_density(args.truth)
     if truth is not None and truth.dims != rho.dims:
         raise InvalidStateError(f"truth dims {truth.dims} differ from state dims {rho.dims}")
     if policy is None:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .elements import ElementIndex
-from .errors import InvalidCouplingError
+from .errors import InvalidCouplingError, InvalidElementError
 from .linalg import DensityMatrix, Ket, check_joint_dim
 from .operators import coupling_gate, meter_readout_basis
 from .stateio import encode_json, format_float
@@ -317,6 +317,12 @@ def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | Non
     full = full.reshape(lead + full.shape[1:])
     full.setflags(write=False)
     return full
+
+
+def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
+    """Reject a state whose local dimensions differ from the plan's."""
+    if state.dims != plan.element.dims:
+        raise InvalidElementError(f"state dims {state.dims} do not match plan dims {plan.element.dims}")
 
 
 def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:

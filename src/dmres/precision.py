@@ -116,15 +116,6 @@ def _mean(operators: list) -> np.ndarray:
     return functools.reduce(np.add, operators) / len(operators)
 
 
-def _mean_variance_operator(plans) -> np.ndarray:
-    """Average of the Re and Im variance operators over the element set.
-
-    Takes plans, or plan families for a (G, D, D) stack with one mean
-    per strength, in element order.
-    """
-    return _mean([_variance_operator(plan) for plan in plans])
-
-
 def _trace(w_mean: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Tr(W rho) for every state of a (n, D, D) batch."""
     return np.einsum("uv,nvu->n", w_mean, states).real
@@ -437,7 +428,7 @@ def resource_report(
     for plan in (plan_a, plan_b):
         acc = 0.0
         # left-to-right sum, as a per-state accumulation would give
-        for v in _trace(_mean_variance_operator([plan]), rhos).tolist():
+        for v in _trace(_variance_operator(plan), rhos).tolist():
             acc += v
         mean_v = acc / samples
         budgets.append(plan.n_settings * mean_v / target_sigma ** 2)

@@ -26,6 +26,7 @@ from .plans import (
     SINGULAR_TOL,
     _born,
     base_amplitudes,
+    check_state_dims,
     enumerate_settings,
     estimator_sums,
     finite_strengths,
@@ -110,9 +111,8 @@ def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:
     With B = ``plan.base`` (the columns U |u> (x) |0...0>) this is
     B rho B^dag.
     """
+    check_state_dims(rho, plan)
     rho = as_density(rho)
-    if rho.dims != plan.element.dims:
-        raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     b = plan.base
     jt = b @ rho.entries @ b.conj().T
     return DensityMatrix.create(
@@ -140,9 +140,8 @@ class OutcomeDistribution:
 def outcome_distribution(
     rho: DensityMatrix | Ket, plan: ProtocolPlan, setting: MeasurementSetting | int
 ) -> OutcomeDistribution:
+    check_state_dims(rho, plan)
     rho = as_density(rho)
-    if rho.dims != plan.element.dims:
-        raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
     return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho))
 
@@ -153,9 +152,8 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     Extraction is scheme independent: the plan carries the estimator,
     so ``res`` and ``seq`` plans are read the same way.
     """
+    check_state_dims(rho, plan)
     rho = as_density(rho)
-    if rho.dims != plan.element.dims:
-        raise InvalidElementError(f"state dims {rho.dims} do not match plan dims {plan.element.dims}")
     return complex(*estimator_sums(plan, rho, (plan.coeff_re, plan.coeff_im)))
 
 

@@ -2,12 +2,14 @@
 
 Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
-Single draws return validated value types; ``precision_states`` draws a
-whole batch as one plain array.  A batch does not build one generator
-per index: building a Philox costs several times more than the draws of
-a small state, so one private bit generator is re-keyed per index to the
-state a freshly built stream of that key starts in (counter zero, empty
-buffer), which draws the same numbers bit for bit.
+There is one Haar construction: normals, a stacked Ginibre QR, then the
+states, all on plain arrays.  ``precision_states`` runs it on a whole
+batch; ``sample_precision_state`` runs it on a batch of one and
+validates the result.  A batch does not build one generator per index:
+building a Philox costs several times more than the draws of a small
+state, so one private bit generator is re-keyed per index to the state a
+freshly built stream of that key starts in (counter zero, empty buffer),
+which draws the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .linalg import DensityMatrix, Ket, UnitaryMatrix
+from .linalg import DensityMatrix
 
 
 def _stream_key(seed: int, tag: str, index: int | None) -> np.ndarray:
@@ -64,41 +66,6 @@ def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar-distributed unitary via Ginibre QR with the phase-fix convention."""
-    return UnitaryMatrix.create(_haar_unitaries(rng.standard_normal((2, d, d))))
-
-
-def sample_single_qudit(
-    d: int,
-    rng: np.random.Generator,
-    unitary: UnitaryMatrix | None = None,
-) -> DensityMatrix:
-    """Pure state V|0><0|V' with V Haar (or the supplied test unitary)."""
-    v = (unitary or haar_unitary(d, rng)).entries
-    col = v[:, 0]
-    return DensityMatrix.create(np.outer(col, col.conj()), (d,))
-
-
-def sample_entangled(
-    n_qudits: int,
-    d: int,
-    rng: np.random.Generator,
-    unitaries: list[UnitaryMatrix] | None = None,
-) -> Ket:
-    """Local Haar unitaries applied to the maximally entangled state.
-
-    The reference state is (1/sqrt(d)) sum_m |m,...,m>; each qudit then
-    evolves under its own independent Haar unitary.
-    """
-    if n_qudits < 2:
-        raise ValueError("entangled sampling needs at least two qudits")
-    if unitaries is None:
-        unitaries = [haar_unitary(d, rng) for _ in range(n_qudits)]
-    amplitudes = _entangled_amplitudes(np.stack([u.entries for u in unitaries])[None])
-    return Ket.create(amplitudes[0], (d,) * n_qudits)
-
-
 def _entangled_amplitudes(unitaries: np.ndarray) -> np.ndarray:
     """(count, D) amplitudes of (U_1 x ... x U_N) applied to the maximally
     entangled state, for stacked local unitaries of shape (count, N, d, d)."""
@@ -113,30 +80,36 @@ def _entangled_amplitudes(unitaries: np.ndarray) -> np.ndarray:
     return psi.reshape(count, d ** n_qudits)
 
 
+def _precision_densities(unitaries: np.ndarray) -> np.ndarray:
+    """(count, D, D) precision states from (count, N, d, d) local unitaries.
+
+    One qudit gives V|0><0|V'; more qudits give the local unitaries
+    applied to the maximally entangled state.
+    """
+    vecs = unitaries[:, 0, :, 0] if unitaries.shape[1] == 1 else _entangled_amplitudes(unitaries)
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
+
+
 def sample_precision_state(n_qudits: int, d: int, rng: np.random.Generator) -> DensityMatrix:
-    """The state family entering the mean-precision integrals."""
-    if n_qudits == 1:
-        return sample_single_qudit(d, rng)
-    return sample_entangled(n_qudits, d, rng).density()
+    """One validated state of the precision family: the batch of one drawn from ``rng``."""
+    normals = rng.standard_normal((1, n_qudits, 2, d, d))
+    return DensityMatrix.create(_precision_densities(_haar_unitaries(normals))[0], (d,) * n_qudits)
 
 
 def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Read-only (count, D, D) batch of the precision state family.
 
-    Entry ``j`` equals ``sample_precision_state(n_qudits, d, rng).entries``
-    for ``rng = stream(seed, f"haar/{n_qudits}x{d}", start + j)``, bit for
-    bit: each index draws its normals from its keyed stream in the same
-    order, through one re-keyed generator, then one stacked QR builds
-    every unitary.  The states are valid by construction and are not
-    validated one by one.
+    Entry ``j`` is built from the normals ``stream(seed, f"haar/{n_qudits}x{d}",
+    start + j)`` draws first, through one re-keyed generator; one stacked
+    QR then builds every unitary, so entry ``j`` equals
+    ``sample_precision_state`` on that stream bit for bit.  The states are
+    valid by construction and are not validated one by one.
     """
     indices = range(start, start + count)
     normals = np.empty((count, n_qudits, 2, d, d))
     for j, rng in enumerate(_rekeyed_streams(seed, f"haar/{n_qudits}x{d}", indices)):
         normals[j] = rng.standard_normal((n_qudits, 2, d, d))
-    unitaries = _haar_unitaries(normals)
-    vecs = unitaries[:, 0, :, 0] if n_qudits == 1 else _entangled_amplitudes(unitaries)
-    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
+    rhos = _precision_densities(_haar_unitaries(normals))
     rhos.setflags(write=False)
     return rhos
 

@@ -30,9 +30,9 @@ from .precision import (
     resource_report,
 )
 from .res import extract_element, plan_res
-from .sampling import stream
+from .sampling import sample_precision_state, stream
 from .seq import plan_seq
-from .shots import PER_SETTING, SPLIT_TOTAL, ShotPolicy, simulate_shots
+from .shots import PER_SETTING, SPLIT_TOTAL, ShotPolicy, element_variance, simulate_shots
 from .stateio import format_float, write_manifest
 
 ARTIFACT_VERSION = "0.1.0"
@@ -353,9 +353,6 @@ def _sampled_run(spec: ScenarioSpec, system: SystemSpec):
     policy = ShotPolicy(n_t=n_t)
     columns = ["sample", "scheme", "element", "re_error", "im_error", "pred_stderr_re", "pred_stderr_im"]
     rows = []
-    from .shots import element_variance
-    from .sampling import sample_precision_state
-
     elements = QUTRIT_ELEMENTS if system.label == "qutrit" else TWO_QUBIT_ELEMENTS
     plans = {"res": [plan_res(e, math.pi / 4) for e in elements],
              "seq": [plan_seq(e, math.pi / 2) for e in elements]}

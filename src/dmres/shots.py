@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, _born, estimator_sums
+from .plans import ProtocolPlan, _born, check_state_dims, estimator_sums
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -63,6 +63,7 @@ def element_variance(
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
     summed over settings.  The result does not depend on n_t.
     """
+    check_state_dims(rho, plan)
     factor = allocation_factor(policy.allocation, plan.n_settings)
     sums = estimator_sums(plan, as_density(rho), (plan.coeff_re ** 2, plan.coeff_im ** 2))
     return factor * sums[0], factor * sums[1]
@@ -111,6 +112,7 @@ def simulate_shots(
     estimate.  Counts are normalized by the known exposure, which keeps
     the estimator exactly unbiased.
     """
+    check_state_dims(rho, plan)
     held = _shot_probabilities(plan, rho)
     exposure = policy.exposure(plan.n_settings)
     counts = rng.poisson(policy.n_t * exposure * held[0])

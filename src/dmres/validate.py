@@ -18,8 +18,9 @@ from .elements import ElementIndex, all_offdiagonal_elements, precision_element_
 from .plans import functional_matrix
 from .precision import (
     SystemSpec,
-    _mean_variance_operator,
+    _mean,
     _trace,
+    _variance_operator,
     default_g_grid,
     filter_grid,
     g_sweep,
@@ -184,7 +185,7 @@ def check_determinism() -> tuple[bool, str]:
     report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9)
     for g in (float(grid[0]), float(grid[4]), float(grid[-1])):
         plans = [plan_seq(e, g) for e in precision_element_set(2, 2)]
-        single = _trace(_mean_variance_operator(plans), states)
+        single = _trace(_mean([_variance_operator(p) for p in plans]), states)
         if not np.array_equal(_trace(report.operators[two_qubit, "seq", g][0], states), single):
             return False, f"sweep values differ from single plan_seq builds at g={g!r}"
     return True, ("sweep values bit-identical to single plan_seq builds; "

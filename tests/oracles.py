@@ -93,6 +93,37 @@ def ks_critical_value(n, m, alpha=0.01):
     return c * np.sqrt((n + m) / (n * m))
 
 
+
+def reference_haar_unitary(d, rng):
+    """Haar unitary from one (2, d, d) Ginibre draw: QR, then each column
+    times the phase of the triangular factor's diagonal (Mezzadri 2007)."""
+    normals = rng.standard_normal((2, d, d))
+    z = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))[None, :]
+
+
+def reference_precision_state(n_qudits, d, rng):
+    """One precision state drawn qudit by qudit, as a (D, D) array.
+
+    One qudit gives V|0><0|V'.  More qudits start from the maximally
+    entangled state (1/sqrt(d)) sum_m |m,...,m> and apply each qudit's
+    own Haar unitary, drawn in qudit order, to its axis.
+    """
+    unitaries = [reference_haar_unitary(d, rng) for _ in range(n_qudits)]
+    if n_qudits == 1:
+        vec = unitaries[0][:, 0]
+    else:
+        psi = np.zeros((d,) * n_qudits, dtype=complex)
+        for m in range(d):
+            psi[(m,) * n_qudits] = 1.0 / np.sqrt(d)
+        for n, u in enumerate(unitaries):
+            moved = np.moveaxis(psi, n, 0)
+            psi = np.moveaxis((u @ moved.reshape(d, -1)).reshape(moved.shape), 0, n)
+        vec = psi.reshape(-1)
+    return np.outer(vec, vec.conj())
+
 def exact_haar_mean(plans):
     """Exact Haar mean of the per-state variance n_t*Delta^2 at unit exposure.
 

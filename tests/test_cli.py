@@ -221,6 +221,8 @@ class TestBadInput:
         (["extract", "--element", "0,1", "--g", "pi/4", "--shots", "inf"], "photon rate n_t=inf"),
         (["precision", "--system", "qutrit", "--scheme", "res,res", "--samples", "150"],
          "scheme 'res' is requested twice"),
+        (["precision", "--system", "0,2", "--g", "0.5", "--samples", "150"],
+         "invalid system (0 qudits of dimension 2)"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"
@@ -244,6 +246,7 @@ class TestCharacterizeBadInput:
         (["--g", "pi/4", "--shots", "inf"], 3, "photon rate n_t=inf"),
         (["--g", "pi/4", "--truth", "MISSING"], 2, "cannot parse state file"),
         (["--g", "pi/4", "--truth", "BELL"], 3, "truth dims (2, 2) differ from state dims (3,)"),
+        (["--g", "pi/4", "--truth", ""], 2, "cannot parse state file"),
     ])
     def test_checks_before_writing(self, mixed3, bell, tmp_path, capsys, extra, code, cause):
         # every check and the estimate come before --out is created

@@ -64,7 +64,7 @@ FAMILY_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid,
 def single_build_values(system, scheme, g, seed, samples):
     """Per-state values from one ``plan_res``/``plan_seq`` build per element at one strength."""
     plans = [BUILDERS[scheme](e, g) for e in precision_element_set(system.n_qudits, system.d)]
-    w_mean = precision_module._mean_variance_operator(plans)
+    w_mean = precision_module._mean([precision_module._variance_operator(p) for p in plans])
     return precision_module._trace(w_mean, sampled_states(system, seed, samples))
 
 

@@ -10,14 +10,17 @@ from dmres import (
     InvalidCouplingError,
     InvalidElementError,
     MeasurementSetting,
+    ShotPolicy,
     characterize,
     diagonal_element,
+    element_variance,
     extract_element,
     joint_state,
     outcome_distribution,
     plan_document,
     plan_res,
     random_mixed_state,
+    simulate_shots,
     stream,
 )
 from dmres.elements import element_from_flat
@@ -129,6 +132,22 @@ class TestJointState:
         plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
         with pytest.raises(InvalidElementError):
             joint_state(rho, plan)
+        # every function that reads a state through a plan names the mismatch,
+        # also for a (4,) state whose total dimension fits a (2, 2) plan
+        plan = plan_res(ElementIndex.create((2, 2), (0, 0), (1, 1)), 0.5)
+        policy = ShotPolicy(n_t=1e4)
+        readers = [
+            joint_state,
+            extract_element,
+            lambda rho, plan: outcome_distribution(rho, plan, 0),
+            lambda rho, plan: simulate_shots(plan, rho, policy, stream(2, "mismatch")),
+            lambda rho, plan: element_variance(plan, rho, policy),
+        ]
+        for dims in ((4,), (3,)):
+            rho = random_mixed_state(dims, stream(2, f"mismatch{dims}"))
+            for reader in readers:
+                with pytest.raises(InvalidElementError, match=rf"state dims \({dims[0]},\) do not match plan dims \(2, 2\)"):
+                    reader(rho, plan)
 
 
 class TestOutcomeDistribution:

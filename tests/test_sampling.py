@@ -4,18 +4,17 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
-from dmres import (
-    UnitaryMatrix,
-    haar_unitary,
-    random_mixed_state,
-    sample_entangled,
-    sample_single_qudit,
-    stream,
-)
+from dmres import random_mixed_state, stream
 from dmres.linalg import partial_trace
-from dmres.sampling import _haar_unitaries, _rekeyed_streams, precision_states, sample_precision_state
+from dmres.sampling import (
+    _haar_unitaries,
+    _precision_densities,
+    _rekeyed_streams,
+    precision_states,
+    sample_precision_state,
+)
 
-from oracles import ks_critical_value
+from oracles import ks_critical_value, reference_precision_state
 
 
 class TestStreams:
@@ -69,17 +68,17 @@ class TestRekeyedStreams:
 class TestHaarUnitary:
     def test_unitarity(self):
         for d in (2, 3, 5):
-            u = haar_unitary(d, stream(0, "haar-test", d)).entries
-            assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
+            us = _haar_unitaries(stream(0, "haar-test", d).standard_normal((4, 2, d, d)))
+            assert_allclose(us @ np.swapaxes(us, -1, -2).conj(), np.broadcast_to(np.eye(d), us.shape),
+                            atol=1e-12)
 
     def test_determinism(self):
-        u1 = haar_unitary(4, stream(1, "haar-det", 0)).entries
-        u2 = haar_unitary(4, stream(1, "haar-det", 0)).entries
+        u1 = _haar_unitaries(stream(1, "haar-det", 0).standard_normal((2, 4, 4)))
+        u2 = _haar_unitaries(stream(1, "haar-det", 0).standard_normal((2, 4, 4)))
         assert np.array_equal(u1, u2)
 
     def test_first_moment_matches_haar(self):
         # E |<0|V|0>|^2 = 1/d for the Haar measure
-        # one stacked QR of the normals n single haar_unitary draws read in turn
         d, n = 3, 100000
         normals = stream(2, "haar-moment").standard_normal((n, 2, d, d))
         vals = np.abs(_haar_unitaries(normals)[:, 0, 0]) ** 2
@@ -89,34 +88,27 @@ class TestHaarUnitary:
     def test_invariance_under_fixed_rotation(self):
         # survival probability distribution is unchanged by a fixed unitary
         d, n = 3, 10000
-        rng = stream(3, "haar-ks")
-        w = haar_unitary(d, stream(4, "haar-w")).entries
-        base = np.empty(n)
-        rotated = np.empty(n)
-        for i in range(n):
-            rho = sample_single_qudit(d, rng).entries
-            base[i] = rho[0, 0].real
-            rho2 = sample_single_qudit(d, rng).entries
-            rotated[i] = (w @ rho2 @ w.conj().T)[0, 0].real
+        w = _haar_unitaries(stream(4, "haar-w").standard_normal((2, d, d)))
+        base = precision_states(1, d, 3, n)[:, 0, 0].real
+        rotated = (w @ precision_states(1, d, 5, n) @ w.conj().T)[:, 0, 0].real
         stat = ks_2samp(base, rotated).statistic
         assert stat < ks_critical_value(n, n, alpha=0.01)
 
 
 class TestStateSamplers:
     def test_identity_hook_gives_ground_state(self):
-        rho = sample_single_qudit(2, stream(0, "x"), unitary=UnitaryMatrix.create(np.eye(2)))
-        assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-15)
+        rho = _precision_densities(np.eye(2, dtype=complex)[None, None])
+        assert_allclose(rho[0], np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_single_qudit_validity(self):
         rng = stream(5, "validity")
         for _ in range(50):
-            rho = sample_single_qudit(3, rng)
+            rho = sample_precision_state(1, 3, rng)
+            assert rho.dims == (3,)
             assert abs(np.trace(rho.entries) - 1) < 1e-12
             assert np.linalg.eigvalsh(rho.entries).min() > -1e-10
 
     def test_diagonal_means(self):
-        # single-qudit precision states are sample_single_qudit draws
-        # (TestBatchedPrecisionStates checks the batch against them bit for bit)
         d, n = 3, 100000
         v = np.diagonal(precision_states(1, d, 6, n), axis1=1, axis2=2).real
         means = v.mean(axis=0)
@@ -124,23 +116,19 @@ class TestStateSamplers:
         assert np.all(np.abs(means - 1 / d) < 4 * stderr)
 
     def test_entangled_identity_hook_is_bell(self):
-        eye = UnitaryMatrix.create(np.eye(2))
-        ket = sample_entangled(2, 2, stream(0, "y"), unitaries=[eye, eye])
-        want = np.zeros(4)
-        want[0] = want[3] = 1 / np.sqrt(2)
-        assert_allclose(ket.amplitudes, want, atol=1e-15)
+        rho = _precision_densities(np.eye(2, dtype=complex)[None, None].repeat(2, axis=1))
+        bell = np.zeros(4)
+        bell[0] = bell[3] = 1 / np.sqrt(2)
+        assert_allclose(rho[0], np.outer(bell, bell), atol=1e-15)
 
     def test_entangled_norm_and_marginal(self):
         rng = stream(7, "marginal")
         for _ in range(20):
-            ket = sample_entangled(2, 2, rng)
-            assert abs(np.linalg.norm(ket.amplitudes) - 1) < 1e-12
-            reduced = partial_trace(np.outer(ket.amplitudes, ket.amplitudes.conj()), (2, 2), [0])
+            rho = sample_precision_state(2, 2, rng)
+            assert rho.dims == (2, 2)
+            assert abs(np.trace(rho.entries @ rho.entries) - 1) < 1e-12  # pure
+            reduced = partial_trace(rho.entries, (2, 2), [0])
             assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
-
-    def test_entangled_needs_two_qudits(self):
-        with pytest.raises(ValueError):
-            sample_entangled(1, 2, stream(0, "z"))
 
     def test_random_mixed_state_validity(self):
         rho = random_mixed_state((2, 2), stream(8, "mixed"))
@@ -157,6 +145,7 @@ class TestBatchedPrecisionStates:
         cut=st.integers(min_value=0, max_value=24),
     )
     def test_batch_matches_per_index_draws(self, system, seed, count, cut):
+        # batch entries, single draws and the qudit-by-qudit oracle agree bit for bit
         n, d = system
         batch = precision_states(n, d, seed, count)
         dim = d ** n
@@ -166,7 +155,9 @@ class TestBatchedPrecisionStates:
             sample_precision_state(n, d, stream(seed, f"haar/{n}x{d}", i)).entries
             for i in range(count)
         ]
+        references = [reference_precision_state(n, d, stream(seed, f"haar/{n}x{d}", i)) for i in range(count)]
         assert np.array_equal(batch, np.array(singles).reshape(count, dim, dim))
+        assert np.array_equal(batch, np.array(references).reshape(count, dim, dim))
         cut = min(cut, count)
         assert np.array_equal(precision_states(n, d, seed, cut), batch[:cut])
         assert np.array_equal(precision_states(n, d, seed, count - cut, start=cut), batch[cut:])
