@@ -48,11 +48,18 @@ def parse_angle(text: str) -> float:
 
 
 def parse_element(text: str, dims: tuple[int, ...]) -> ElementIndex:
-    """Element from 'a,a_prime' digit strings, one digit per qudit."""
+    """Element from 'a,a_prime' index strings as ``ElementIndex.label`` writes them.
+
+    Each side is one digit per qudit, or per-qudit indices joined by '.';
+    a single qudit's side is its one index.
+    """
+    def indices(side: str) -> tuple[int, ...]:
+        side = side.strip()
+        return tuple(int(c) for c in (side.split(".") if "." in side or len(dims) == 1 else side))
+
     try:
         left, right = text.split(",")
-        s = tuple(int(c) for c in left.strip())
-        sp = tuple(int(c) for c in right.strip())
+        s, sp = indices(left), indices(right)
     except ValueError as exc:
         raise DmresError(f"cannot parse element {text!r}") from exc
     return ElementIndex.create(dims, s, sp)
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract one density-matrix element from a state file")
     p.add_argument("--scheme", choices=("res", "seq"), default="res")
-    p.add_argument("--element", required=True, help="element as 'a,a_prime' digit strings")
+    p.add_argument("--element", required=True, help="element as 'a,a_prime', one digit per qudit or '.'-joined indices")
     p.add_argument("--g", required=True, help="coupling strength (radians or pi fraction)")
     p.add_argument("--state", required=True, help="input state file")
     p.add_argument("--shots", type=float, default=None, help="photon rate n_t for a finite-statistics draw")

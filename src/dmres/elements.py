@@ -65,12 +65,14 @@ class ElementIndex:
         return ElementIndex(self.dims, self.s_prime, self.s)
 
     def label(self) -> str:
-        return f"{''.join(map(str, self.s))},{''.join(map(str, self.s_prime))}"
+        """'s,s_prime' with one digit per qudit, or indices joined by '.' once a
+        dimension exceeds 10, where digits alone would name several elements."""
+        sep = "." if max(self.dims, default=0) > 10 else ""
+        return f"{sep.join(map(str, self.s))},{sep.join(map(str, self.s_prime))}"
 
 
 def element_from_flat(dims: Sequence[int], s_flat: int, sp_flat: int) -> ElementIndex:
-    dims = tuple(int(d) for d in dims)
-    return ElementIndex(dims, tuple(np.unravel_index(s_flat, dims)), tuple(np.unravel_index(sp_flat, dims)))
+    return ElementIndex.create(dims, np.unravel_index(s_flat, dims), np.unravel_index(sp_flat, dims))
 
 
 def all_offdiagonal_elements(dims: Sequence[int], ordered: bool = False) -> list[ElementIndex]:

@@ -9,6 +9,7 @@ sin(2g) != 0.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import numpy as np
@@ -34,6 +35,8 @@ from .plans import (
     readout_amplitudes,
     sign_products,
 )
+from .seq import _seq_configuration, _seq_families, plan_seq
+
 
 def _check_strength(g: float, l: int) -> float:
     s = np.sin(2.0 * g)
@@ -66,38 +69,63 @@ def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
     return coeff.reshape(gs.shape + unit.shape)
 
 
+def _res_configuration(element: ElementIndex) -> tuple:
+    """The coupled qudits, each with its unordered index pair {s_n, s'_n}.
+
+    A res plan's couplings depend on nothing else, since the swap
+    involution is symmetric in its two indices: every element with the
+    same configuration reads the same ``base``.
+    """
+    return tuple((n, *sorted((element.s[n], element.s_prime[n]))) for n in element.coupled_set)
+
+
+def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
+    return tuple(
+        Coupling(qudit=n, kind="involution", op=op, label=f"C[{element.s[n]},{element.s_prime[n]}]@q{n}")
+        for n, op in zip(element.coupled_set, ops)
+    )
+
+
+def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
+    """Yield the plan family of each element of one res configuration, in order.
+
+    The involutions, ``base`` and one readout of every member's two
+    post-selected blocks are built once; each block belongs to exactly
+    one member, which takes its rows and computes its own coefficients.
+    """
+    first = members[0]
+    ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries
+           for n in first.coupled_set]
+    settings = enumerate_settings(len(ops))
+    base = base_amplitudes(first.dims, _res_couplings(first, ops), gs)
+    blocks = [post_selected_blocks(e) for e in members]
+    readout = readout_amplitudes(base, first.dim, [b for pair in blocks for b in pair])
+    n_rows = readout.shape[-2] // len(members)
+    for i, (element, pair) in enumerate(zip(members, blocks)):
+        coeff = res_coefficients(element, gs, settings, len(ops))
+        block_amplitudes = np.ascontiguousarray(readout[..., i * n_rows:(i + 1) * n_rows, :])
+        block_amplitudes.setflags(write=False)
+        yield PlanFamily(
+            element=element,
+            scheme=RES_SCHEME,
+            gs=gs,
+            couplings=_res_couplings(element, ops),
+            settings=settings,
+            coeff_re=coeff.real.copy(),
+            coeff_im=coeff.imag.copy(),
+            base=base,
+            blocks=pair,
+            block_amplitudes=block_amplitudes,
+        )
+
+
 def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
     """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``."""
     if element.is_diagonal:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    gs = finite_strengths(gs)
-    couplings = tuple(
-        Coupling(
-            qudit=n,
-            kind="involution",
-            op=make_involution(element.dims[n], element.s[n], element.s_prime[n]).entries,
-            label=f"C[{element.s[n]},{element.s_prime[n]}]@q{n}",
-        )
-        for n in element.coupled_set
-    )
-    settings = enumerate_settings(len(couplings))
-    coeff = res_coefficients(element, gs, settings, len(couplings))
-    base = base_amplitudes(element.dims, couplings, gs)
-    blocks = post_selected_blocks(element)
-    return PlanFamily(
-        element=element,
-        scheme=RES_SCHEME,
-        gs=gs,
-        couplings=couplings,
-        settings=settings,
-        coeff_re=coeff.real.copy(),
-        coeff_im=coeff.imag.copy(),
-        base=base,
-        blocks=blocks,
-        block_amplitudes=readout_amplitudes(base, element.dim, blocks),
-    )
+    return next(_res_families([element], finite_strengths(gs)))
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
@@ -164,14 +192,41 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     return float(rho.entries[idx, idx].real)
 
 
+# The stock builders, each with its configuration key and the generator
+# that builds one configuration's members.
+_CONFIGURATIONS = {
+    plan_res: (_res_configuration, _res_families),
+    plan_seq: (_seq_configuration, _seq_families),
+}
+
+
 def element_plans(dims, g: float, plan_builder=plan_res):
     """Yield ``((u, v), plan)`` for every upper-triangle pair u < v of flat indices.
 
-    Pairs come in row-major order; this is the one place a full-matrix
-    estimate pairs an entry with the plan that reads it.
+    This is the one place a full-matrix estimate pairs an entry with the
+    plan that reads it.  For the stock builders ``plan_res`` and
+    ``plan_seq``, also behind ``functools.wraps`` wrappers, pairs come
+    configuration by configuration: each set of couplings is built once
+    for all the elements that share it, configurations in the order of
+    their first pair and members in row-major order, and every plan
+    equals the one the builder returns.  Any other builder is called once
+    per pair, in row-major order.
     """
-    for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
-        yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
+    pairs = itertools.combinations(range(int(np.prod(dims))), 2)
+    stock = _CONFIGURATIONS.get(inspect.unwrap(plan_builder))
+    if stock is None:
+        for u, v in pairs:
+            yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
+        return
+    configuration, families = stock
+    groups: dict[tuple, list[ElementIndex]] = {}
+    for u, v in pairs:
+        element = element_from_flat(dims, u, v)
+        groups.setdefault(configuration(element), []).append(element)
+    gs = finite_strengths((g,))
+    for members in groups.values():
+        for element, family in zip(members, families(members, gs)):
+            yield (element.s_flat, element.s_prime_flat), family[0]
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:

@@ -85,6 +85,11 @@ def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     return tuple(couplings)
 
 
+def _seq_configuration(element: ElementIndex) -> tuple:
+    """The coupled qudits, each with its row index s_n: what ``seq_couplings`` depend on."""
+    return tuple((n, element.s[n]) for n in element.coupled_set)
+
+
 def response_map(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
     """Dense linear map from Hermitian-input coordinates to outcome probabilities.
 
@@ -107,8 +112,7 @@ def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
     return t.real, t.imag
 
 
-def _correlator_response(plan: ProtocolPlan | PlanFamily, outcomes: list[int],
-                         base: np.ndarray) -> np.ndarray:
+def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
@@ -118,15 +122,16 @@ def _correlator_response(plan: ProtocolPlan | PlanFamily, outcomes: list[int],
     Computing the matrix element directly keeps every term at the full
     correlator order in g, so no precision is lost to cancellation at
     weak coupling.  A strength stack of ``base`` gives one row block per
-    strength, (G, rows, basis).
+    strength, (G, rows, basis).  ``base`` is a plan's unrotated columns.
     """
-    d = plan.element.dim
+    d = base.shape[-1]
+    n_patterns = base.shape[-2] // d
     lead = base.shape[:-2]
-    blocks = base.reshape(lead + (d, 2 ** plan.n_meters, d))[..., outcomes, :, :]
+    blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
     sigma_blocks = per_meter(blocks.reshape((-1,) + blocks.shape[-2:]), PAULI_STACK)
     sigma_blocks = sigma_blocks.reshape((-1,) + blocks.shape)
     gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, ..., outcomes, d, d)
-    rows = basis_traces(gmat).real / np.sqrt(2 ** plan.n_meters)
+    rows = basis_traces(gmat).real / np.sqrt(n_patterns)
     rows = np.moveaxis(rows, 0, len(lead))
     return rows.reshape(lead + (-1, rows.shape[-1]))
 
@@ -207,18 +212,29 @@ def calibrate_estimator(
     order, whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
-    family = isinstance(plan, PlanFamily)
-    gs = plan.gs if family else (plan.g,)
-    targets = np.stack(_targets(plan.element))
-
-    restricted = support == "correlator"
-    if restricted:
-        outcomes = list(post_selected_blocks(plan.element))
-        rows = _correlator_response(plan, outcomes, plan.base)
+    if support == "correlator":
+        rows = _correlator_response(plan.base, list(post_selected_blocks(plan.element)))
     elif support == "full":
         rows = response_map(plan)
     else:
         raise CalibrationError(f"unknown calibration support {support!r}")
+    c_re, c_im, infos = _solve(plan, rows, support, weights)
+    if isinstance(plan, PlanFamily):
+        return c_re, c_im, infos
+    return c_re[0], c_im[0], infos[0]
+
+
+def _solve(plan: ProtocolPlan | PlanFamily, rows: np.ndarray, support: str,
+           weights: np.ndarray | None):
+    """``calibrate_estimator`` on response rows already computed for ``support``.
+
+    Returns tables with a leading strength axis, one ``CalibrationInfo``
+    per strength.
+    """
+    gs = plan.gs if isinstance(plan, PlanFamily) else (plan.g,)
+    targets = np.stack(_targets(plan.element))
+    restricted = support == "correlator"
+    outcomes = list(post_selected_blocks(plan.element))
     a_mat = rows.reshape((len(gs),) + rows.shape[-2:]).swapaxes(-1, -2)  # basis x subspace
 
     if weights is not None:
@@ -252,10 +268,42 @@ def calibrate_estimator(
         for res, sv in zip(residuals, smallest)
     )
     shape = (len(gs), plan.n_settings, plan.outcomes_per_setting)
-    c_re, c_im = coeff[:, 0].reshape(shape), coeff[:, 1].reshape(shape)
-    if family:
-        return c_re, c_im, infos
-    return c_re[0], c_im[0], infos[0]
+    return coeff[:, 0].reshape(shape), coeff[:, 1].reshape(shape), infos
+
+
+def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
+    """The strengths as floats, once the element is off-diagonal and no strength is singular."""
+    if element.is_diagonal:
+        raise InvalidElementError(
+            f"element {element.label()} is diagonal; use diagonal_element instead"
+        )
+    gs = finite_strengths(gs)
+    for g in gs:
+        if abs(g) <= SINGULAR_TOL:
+            raise InvalidCouplingError(
+                f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
+                "the sequential estimator is undefined"
+            )
+    return gs
+
+
+def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[Coupling, ...],
+                 base: np.ndarray, blocks: tuple[int, ...], block_amplitudes: np.ndarray) -> PlanFamily:
+    """The family before calibration: zero coefficients on the stored blocks."""
+    settings = enumerate_settings(len(couplings))
+    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
+    return PlanFamily(
+        element=element,
+        scheme=SEQ_SCHEME,
+        gs=gs,
+        couplings=couplings,
+        settings=settings,
+        coeff_re=no_coefficients,
+        coeff_im=no_coefficients,
+        base=base,
+        blocks=blocks,
+        block_amplitudes=block_amplitudes,
+    )
 
 
 def plan_seq_grid(
@@ -270,36 +318,53 @@ def plan_seq_grid(
     first strength in grid order that is singular or fails calibration
     raises the error its ``plan_seq`` would.
     """
-    if element.is_diagonal:
-        raise InvalidElementError(
-            f"element {element.label()} is diagonal; use diagonal_element instead"
-        )
-    gs = finite_strengths(gs)
-    for g in gs:
-        if abs(g) <= SINGULAR_TOL:
-            raise InvalidCouplingError(
-                f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
-                "the sequential estimator is undefined"
-            )
+    gs = _checked_strengths(element, gs)
     couplings = seq_couplings(element)
-    settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, gs)
     blocks = post_selected_blocks(element) if support == "correlator" else tuple(range(element.dim))
-    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
-    bare = PlanFamily(
-        element=element,
-        scheme=SEQ_SCHEME,
-        gs=gs,
-        couplings=couplings,
-        settings=settings,
-        coeff_re=no_coefficients,
-        coeff_im=no_coefficients,
-        base=base,
-        blocks=blocks,
-        block_amplitudes=readout_amplitudes(base, element.dim, blocks),
-    )
+    bare = _bare_family(element, gs, couplings, base, blocks,
+                        readout_amplitudes(base, element.dim, blocks))
     c_re, c_im, infos = calibrate_estimator(bare, support=support, weights=weights)
     return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
+
+
+def _seq_families(members: list[ElementIndex], gs: tuple[float, ...]):
+    """Yield the correlator-calibrated family of each element of one seq configuration.
+
+    Members are upper-triangle elements (s < s') in row-major order.  The
+    couplings and ``base`` are built once.  Each member rotates, and
+    computes correlator rows for, only the blocks no earlier member did:
+    members that share the row block s follow one another, the first
+    computes it, and a copy of its rows serves the rest and is dropped
+    after the last of them.  Each member runs its own solve.
+    """
+    first = members[0]
+    gs = _checked_strengths(first, gs)
+    couplings = seq_couplings(first)
+    base = base_amplitudes(first.dims, couplings, gs)
+    n_patterns = base.shape[-2] // first.dim
+    shared = None  # copies of block s's correlator and readout rows
+    for i, element in enumerate(members):
+        s, s_prime = element.s_flat, element.s_prime_flat
+        fresh = [s, s_prime] if shared is None else [s_prime]
+        # correlator rows first: their Pauli-rotated temporaries are freed
+        # before the readout rows are allocated
+        rows = _correlator_response(base, fresh)
+        rows = rows.reshape(rows.shape[:-2] + (-1, len(fresh), rows.shape[-1]))
+        readout = readout_amplitudes(base, element.dim, fresh)
+        if shared is not None:
+            rows = np.concatenate([shared[0], rows], axis=-2)
+            readout = np.concatenate([shared[1], readout], axis=-2)
+            readout.setflags(write=False)
+        if i + 1 < len(members) and members[i + 1].s_flat == s:
+            if shared is None:
+                shared = (rows[..., :1, :].copy(), readout[..., :n_patterns, :].copy())
+        else:
+            shared = None
+        bare = _bare_family(element, gs, couplings, base, (s, s_prime), readout)
+        c_re, c_im, infos = _solve(bare, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])),
+                                   "correlator", None)
+        yield replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
 
 
 def plan_seq(

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dmres import DensityMatrix, random_mixed_state, read_state, stream, write_state
+from dmres import DensityMatrix, all_offdiagonal_elements, random_mixed_state, read_state, stream, write_state
 from dmres.cli import main, parse_angle, parse_element
 from dmres.errors import DmresError
 from dmres.validate import run_validation
@@ -45,6 +45,11 @@ class TestParsing:
         assert e.s == (0, 1) and e.s_prime == (1, 0)
         with pytest.raises(DmresError):
             parse_element("0110", (2, 2))
+
+    @pytest.mark.parametrize("dims", [(12, 12), (12,), (3, 3), (2, 2, 2)])
+    def test_elements_read_their_labels(self, dims):
+        for e in all_offdiagonal_elements(dims, ordered=True):
+            assert parse_element(e.label(), dims) == e
 
 
 class TestExtract:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dmres import (
@@ -6,6 +8,8 @@ from dmres import (
     all_offdiagonal_elements,
     completely_offdiagonal_elements,
     element_from_flat,
+    plan_document,
+    plan_res,
     precision_element_set,
 )
 
@@ -51,3 +55,24 @@ def test_precision_sets():
     assert len(precision_element_set(1, 4)) == 6
     labels = {e.label() for e in precision_element_set(2, 2)}
     assert labels == {"00,11", "01,10"}
+
+
+def test_flat_element_plan_exports_as_json():
+    e = element_from_flat((3,), 0, 2)
+    assert all(type(i) is int for i in e.s + e.s_prime)
+    doc = json.loads(plan_document(plan_res(e, 0.7)))
+    assert doc["element"]["s"] == [0] and doc["element"]["s_prime"] == [2]
+    assert all(type(i) is int for i in doc["element"]["s"] + doc["element"]["s_prime"])
+
+
+def test_labels_name_one_element_each():
+    labels = [e.label() for e in all_offdiagonal_elements((12, 12))]
+    assert len(set(labels)) == len(labels)
+    assert element_from_flat((12, 12), 0, 22).label() == "0.0,1.10"
+    assert element_from_flat((12, 12), 0, 132).label() == "0.0,11.0"
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_digit_labels_unchanged(dims):
+    for e in all_offdiagonal_elements(dims, ordered=True):
+        assert e.label() == "".join(map(str, e.s)) + "," + "".join(map(str, e.s_prime))

@@ -154,7 +154,7 @@ class TestIndexedCalibration:
         plan = plan_seq(self.ELEMENT, 0.7)
         labels = seq_module.hermitian_labels(self.ELEMENT.dim)
         monkeypatch.setattr(seq_module, "_correlator_response",
-                            lambda p, outcomes, base: basis_path_correlator_rows(p, outcomes, base, labels))
+                            lambda base, outcomes: basis_path_correlator_rows(plan, outcomes, base, labels))
         monkeypatch.setattr(seq_module, "_targets", lambda e: basis_path_targets(e, labels))
         ref = plan_seq(self.ELEMENT, 0.7)
         assert_allclose(plan.coeff_re, ref.coeff_re, rtol=1e-12, atol=1e-12)

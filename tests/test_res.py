@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from dmres.plans import (
     readout_amplitudes,
 )
 from dmres.res import element_plans
+from dmres.seq import plan_seq
 
 from oracles import reference_extract, reference_setting_probabilities
 
@@ -280,3 +284,79 @@ class TestDiagonalAndCharacterize:
         assert len(built) == len(pairs)
         for ((u, v), plan), element in zip(pairs, built):
             assert plan.element == element == element_from_flat(dims, u, v)
+
+
+CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
+
+
+def configuration_order(dims, scheme):
+    """Upper-triangle pairs grouped by coupling configuration, computed from the definition.
+
+    A res configuration is each coupled qudit with its unordered index
+    pair, a seq configuration each coupled qudit with its row index s_n;
+    configurations come in the order of their first pair, members in
+    row-major order.
+    """
+    groups = {}
+    for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
+        s, sp = np.unravel_index(u, dims), np.unravel_index(v, dims)
+        if scheme == "res":
+            key = tuple((n, min(a, b), max(a, b)) for n, (a, b) in enumerate(zip(s, sp)) if a != b)
+        else:
+            key = tuple((n, a) for n, (a, b) in enumerate(zip(s, sp)) if a != b)
+        groups.setdefault(key, []).append((u, v))
+    return [pair for members in groups.values() for pair in members]
+
+
+class TestConfigurationPlans:
+    BUILDERS = {"res": plan_res, "seq": plan_seq}
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", CONFIGURATION_DIMS)
+    def test_plans_equal_single_builds(self, scheme, dims):
+        builder = self.BUILDERS[scheme]
+        for g in (0.3, 0.7, 1.1):
+            for (u, v), plan in element_plans(dims, g, builder):
+                single = builder(element_from_flat(dims, u, v), g)
+                assert plan.element == single.element and plan.g == single.g
+                assert plan.blocks == single.blocks and plan.settings == single.settings
+                assert [(c.qudit, c.kind, c.label) for c in plan.couplings] == \
+                    [(c.qudit, c.kind, c.label) for c in single.couplings]
+                for c, c_single in zip(plan.couplings, single.couplings):
+                    assert np.array_equal(c.op, c_single.op)
+                for name in ("coeff_re", "coeff_im", "base", "block_amplitudes"):
+                    got, want = getattr(plan, name), getattr(single, name)
+                    assert got.shape == want.shape and np.array_equal(got, want), name
+                assert plan.calibration == single.calibration
+                assert plan.block_amplitudes.flags.c_contiguous
+                assert not plan.block_amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 3)])
+    def test_pairs_come_by_configuration(self, scheme, dims):
+        pairs = [uv for uv, _ in element_plans(dims, 0.6, self.BUILDERS[scheme])]
+        assert pairs == configuration_order(dims, scheme)
+        assert sorted(pairs) == list(itertools.combinations(range(int(np.prod(dims))), 2))
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_wrapped_stock_builder_takes_configuration_path(self, scheme):
+        calls = []
+        stock = self.BUILDERS[scheme]
+
+        @functools.wraps(stock)
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return stock(*args, **kwargs)
+
+        pairs = [uv for uv, _ in element_plans((3, 3), 0.6, traced)]
+        assert pairs == configuration_order((3, 3), scheme)
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("g", [0.0, float("nan")])
+    def test_bad_strength_raises_as_single_build(self, scheme, g):
+        builder = self.BUILDERS[scheme]
+        with pytest.raises(InvalidCouplingError) as single:
+            builder(element_from_flat((3, 3), 0, 1), g)
+        with pytest.raises(InvalidCouplingError, match=re.escape(str(single.value))):
+            next(element_plans((3, 3), g, builder))
