@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .elements import ElementIndex
-from .errors import DmresError, InvalidStateError, StateFormatError
+from .errors import DmresError, InvalidElementError, InvalidStateError, StateFormatError
 from .linalg import DensityMatrix
 from .plans import plan_document
 from .precision import SystemSpec, default_g_grid, g_sweep
@@ -78,22 +78,27 @@ def cmd_extract(args) -> int:
     element = parse_element(args.element, rho.dims)
     policy = None if args.shots is None else ShotPolicy(n_t=args.shots, allocation=args.policy)
     if element.is_diagonal:
+        flags = [flag for flag, given in (("--shots", policy), ("--export-plan", args.export_plan)) if given]
+        if flags:
+            raise InvalidElementError(
+                f"{' and '.join(flags)} cannot be used with diagonal element {element.label()}, "
+                "which is read off post-selection alone"
+            )
         value = complex(diagonal_element(rho, element.s), 0.0)
-        plan = None
     else:
         plan = plan_res(element, g) if args.scheme == "res" else plan_seq(element, g)
         value = extract_element(rho, plan)
     print(f"element {element.label()}  scheme {args.scheme}  g {format_float(g)}")
     print(f"Re = {format_float(value.real)}")
     print(f"Im = {format_float(value.imag)}")
-    if policy is not None and plan is not None:
+    if policy is not None:
         rng = stream(args.seed, f"cli/extract/{element.label()}")
         sim = simulate_shots(plan, rho, policy, rng)
         var_re, var_im = element_variance(plan, rho, policy)
         print(f"shot estimate Re = {format_float(sim.real)}  Im = {format_float(sim.imag)}")
         print(f"predicted stderr Re = {format_float(math.sqrt(var_re / args.shots))}"
               f"  Im = {format_float(math.sqrt(var_im / args.shots))}")
-    if args.export_plan and plan is not None:
+    if args.export_plan:
         Path(args.export_plan).write_text(plan_document(plan))
     return 0
 
@@ -150,6 +155,7 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
         est[v, u] = np.conj(value)
         var_re, var_im = element_variance(plan, rho, policy)
         variances[u, v] = var_re + var_im
+        del plan  # freed before the next plan is built
     return DensityMatrix.create(est, rho.dims, check_positive=False), variances
 
 

@@ -117,6 +117,7 @@ def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
             blocks=pair,
             block_amplitudes=block_amplitudes,
         )
+        del block_amplitudes  # the caller may drop this member before the next one is built
 
 
 def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
@@ -225,8 +226,11 @@ def element_plans(dims, g: float, plan_builder=plan_res):
         groups.setdefault(configuration(element), []).append(element)
     gs = finite_strengths((g,))
     for members in groups.values():
-        for element, family in zip(members, families(members, gs)):
-            yield (element.s_flat, element.s_prime_flat), family[0]
+        # not zip(members, ...): zip's reused result tuple would hold the
+        # previous family while the next one is built
+        for family in families(members, gs):
+            yield (family.element.s_flat, family.element.s_prime_flat), family[0]
+            del family
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:
@@ -242,4 +246,5 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
         value = extract_element(rho, plan)
         est[u, v] = value
         est[v, u] = np.conj(value)
+        del plan  # freed before the next plan is built
     return DensityMatrix.create(est, rho.dims, check_positive=False)

@@ -14,6 +14,7 @@ Extraction is ``res.extract_element``: the plan carries the estimator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -33,7 +34,6 @@ from .plans import (
     base_amplitudes,
     enumerate_settings,
     finite_strengths,
-    per_meter,
     post_selected_blocks,
     readout_amplitudes,
     sign_products,
@@ -45,8 +45,6 @@ RESIDUAL_TOL = 1e-8
 # entries are exact up to ~1e-14 absolute rounding noise; directions
 # below the floor are noise, not signal, and must not be inverted.
 SV_FLOOR = 1e-13
-
-PAULI_STACK = np.stack([SIGMA_X, SIGMA_Y])
 
 
 def hermitian_labels(dim: int) -> list[tuple[int, int, str]]:
@@ -112,24 +110,51 @@ def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
     return t.real, t.imag
 
 
+@functools.cache
+def _flip_phases(n_meters: int) -> np.ndarray:
+    """phase[b, o] with Sigma_b = diag(phase[b]) J for every setting b.
+
+    sigma_x and sigma_y vanish on their diagonal, so the setting's Pauli
+    product Sigma_b sends meter pattern q to its complement: J is the
+    exchange matrix and phase[b, o] = prod_i sigma_{b_i}[o_i, 1 - o_i],
+    each in {+-1, +-i}.  Rows follow ``enumerate_settings`` and columns
+    the readout pattern order, meter 0 most significant in both.
+    """
+    paulis = np.stack([SIGMA_X, SIGMA_Y])
+    if np.any(np.diagonal(paulis, axis1=-2, axis2=-1)):
+        raise AssertionError("the meter Paulis must vanish on their diagonal")
+    anti = paulis[:, [0, 1], [1, 0]]  # anti[b, o] = sigma_b[o, 1 - o]
+    phase = np.ones((1, 1), dtype=complex)
+    for _ in range(n_meters):
+        phase = (phase[:, None, :, None] * anti[None, :, None, :]).reshape(2 * len(phase), -1)
+    phase.setflags(write=False)
+    return phase
+
+
 def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
     Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) per basis element B, with
     A_k the meter-block amplitudes for outcome k and Sigma_b the tensor
-    product of the setting's Pauli readouts, applied meter by meter.
-    Computing the matrix element directly keeps every term at the full
-    correlator order in g, so no precision is lost to cancellation at
-    weak coupling.  A strength stack of ``base`` gives one row block per
-    strength, (G, rows, basis).  ``base`` is a plan's unrotated columns.
+    product of the setting's Pauli readouts.  Sigma_b A_k is A_k with
+    its meter patterns reversed and each row scaled by a phase in
+    {+-1, +-i}, which is exact in every bit.  Computing the matrix
+    element directly keeps every term at the full correlator order in
+    g, so no precision is lost to cancellation at weak coupling.  A
+    strength stack of ``base`` gives one row block per strength, (G,
+    rows, basis).  ``base`` is a plan's unrotated columns.
     """
     d = base.shape[-1]
     n_patterns = base.shape[-2] // d
     lead = base.shape[:-2]
     blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
-    sigma_blocks = per_meter(blocks.reshape((-1,) + blocks.shape[-2:]), PAULI_STACK)
-    sigma_blocks = sigma_blocks.reshape((-1,) + blocks.shape)
+    phase = _flip_phases(n_patterns.bit_length() - 1)
+    phase = phase.reshape((-1,) + (1,) * (blocks.ndim - 2) + (n_patterns, 1))
+    sigma_blocks = phase * blocks[..., ::-1, :]
+    # a phase times a signed zero may give -0, where summing a Pauli row's
+    # two products always gives +0; the Gram product's bits depend on it
+    sigma_blocks += 0.0
     gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, ..., outcomes, d, d)
     rows = basis_traces(gmat).real / np.sqrt(n_patterns)
     rows = np.moveaxis(rows, 0, len(lead))
@@ -365,6 +390,8 @@ def _seq_families(members: list[ElementIndex], gs: tuple[float, ...]):
         c_re, c_im, infos = _solve(bare, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])),
                                    "correlator", None)
         yield replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
+        # the caller may drop this member before the next one is built
+        del bare, readout, rows, c_re, c_im
 
 
 def plan_seq(

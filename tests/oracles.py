@@ -269,3 +269,44 @@ def basis_path_targets(element, labels):
     vals = np.array([hermitian_basis_element(element.dim, lab)[element.s_flat, element.s_prime_flat]
                      for lab in labels])
     return vals.real, vals.imag
+
+
+def einsum_pauli_product(blocks):
+    """Sigma_b A for every setting b, as m stages of one 2x2 Pauli per meter.
+
+    ``blocks`` is (..., 2^m, cols) with meter 0 most significant; the
+    result is (settings, ..., 2^m, cols), settings in ``x``/``y`` order
+    with meter 0 most significant.  Each stage is an ``einsum`` that sums
+    both entries of a Pauli row, zero included, so no entry of the result
+    is -0.  This is the reference the exact pattern flip must match bit
+    for bit.
+    """
+    stack = np.stack([SX, SY])
+    n_patterns, cols = blocks.shape[-2:]
+    rows = blocks.size // (n_patterns * cols)
+    m = n_patterns.bit_length() - 1
+    out = blocks.reshape(1, rows, n_patterns, cols)
+    for i in range(m):
+        tail = 2 ** (m - i - 1) * cols
+        out = np.einsum("boi,spir->sbpor", stack, out.reshape(-1, rows * 2 ** i, 2, tail))
+    return out.reshape((-1,) + blocks.shape)
+
+
+def einsum_correlator_response(base, outcomes):
+    """Correlator response rows with the Pauli products from ``einsum_pauli_product``.
+
+    Every other step (the Gram product A_k^dag Sigma_b A_k, the trace
+    read-off ``dmres.seq.basis_traces`` and the normalization) is the
+    package's, in its order, so the rows must equal
+    ``dmres.seq._correlator_response`` byte for byte.
+    """
+    from dmres.seq import basis_traces
+
+    d = base.shape[-1]
+    n_patterns = base.shape[-2] // d
+    lead = base.shape[:-2]
+    blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
+    gmat = blocks.conj().swapaxes(-1, -2) @ einsum_pauli_product(blocks)
+    rows = basis_traces(gmat).real / np.sqrt(n_patterns)
+    rows = np.moveaxis(rows, 0, len(lead))
+    return rows.reshape(lead + (-1, rows.shape[-1]))

@@ -228,6 +228,10 @@ class TestBadInput:
          "scheme 'res' is requested twice"),
         (["precision", "--system", "0,2", "--g", "0.5", "--samples", "150"],
          "invalid system (0 qudits of dimension 2)"),
+        (["extract", "--element", "1,1", "--g", "pi/4", "--shots", "1e6"],
+         "--shots and --export-plan cannot be used with diagonal element 1,1"),
+        (["extract", "--scheme", "seq", "--element", "2,2", "--g", "pi/4"],
+         "--export-plan cannot be used with diagonal element 2,2"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from dmres.plans import (
     functional_matrix,
     readout_amplitudes,
 )
+import dmres.res as res_module
+import dmres.seq as seq_module
 from dmres.res import element_plans
 from dmres.seq import plan_seq
 
@@ -351,6 +354,28 @@ class TestConfigurationPlans:
         pairs = [uv for uv, _ in element_plans((3, 3), 0.6, traced)]
         assert pairs == configuration_order((3, 3), scheme)
         assert calls == []
+
+    @pytest.mark.parametrize("scheme, module, step", [
+        ("res", res_module, "res_coefficients"),
+        ("seq", seq_module, "_correlator_response"),
+    ])
+    def test_dropped_plans_are_freed_before_the_next_build(self, scheme, module, step, monkeypatch):
+        # (3,3) has configurations of several members for both schemes.  A
+        # plan's arrays (block rows, coefficients) must be dead by the time
+        # the next member's build step runs, once the caller has dropped it.
+        held, alive = [], []
+        build = getattr(module, step)
+
+        def checked(*args):
+            alive.extend(ref() is not None for ref in held)
+            return build(*args)
+
+        monkeypatch.setattr(module, step, checked)
+        for _, plan in element_plans((3, 3), 0.6, self.BUILDERS[scheme]):
+            arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
+            held = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
+            del plan, arrays
+        assert len(alive) == 4 * 35 and not any(alive)  # checked at each of 35 later members
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("g", [0.0, float("nan")])

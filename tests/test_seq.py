@@ -21,11 +21,12 @@ from dmres import (
     response_map,
     stream,
 )
+from dmres.elements import element_from_flat
 from dmres.plans import all_probabilities, functional_matrix, sign_products
-from dmres.seq import seq_couplings
+from dmres.seq import _correlator_response, _flip_phases, seq_couplings
 from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings, readout_amplitudes
 
-from oracles import hermitian_coordinates
+from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
 
 
 def bare_seq_plan(element, g):
@@ -244,3 +245,50 @@ class TestScalingAndVariance:
         assert v_weighted[1] <= v_plain[1] + 1e-12
         got = extract_element(rho, weighted)
         assert abs(got - rho.entry(0, 1)) < 1e-8
+
+
+def signed_zero_base(shape, rng, zero_frac):
+    """Complex normals with a fraction of the real and imaginary parts set to +0 or -0."""
+    parts = rng.normal(size=(2,) + shape)
+    zeros = rng.random(parts.shape) < zero_frac
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    base = np.empty(shape, dtype=complex)
+    base.real, base.imag = parts  # arithmetic could turn a -0 part into +0
+    return base
+
+
+class TestCorrelatorFlip:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_phase_table_is_the_pauli_product(self, m):
+        # Sigma_b = diag(phase[b]) J for every setting, J the exchange matrix
+        phase = _flip_phases(m)
+        exchange = np.eye(2 ** m)[::-1]
+        pauli = {"x": SX, "y": SY}
+        settings = enumerate_settings(m)
+        assert phase.shape == (len(settings), 2 ** m)
+        for b, setting in enumerate(settings):
+            sigma = kron(*[pauli[c] for c in setting.meter_bases])
+            assert np.array_equal(np.diag(phase[b]) @ exchange, sigma), setting.label
+        assert set(phase.ravel().tolist()) <= {1, -1, 1j, -1j}
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_rows_match_einsum_reference_bytes(self, m):
+        rng = np.random.default_rng(m)
+        d = 3 if m <= 4 else 2
+        outcomes = [0, d - 1]
+        for shape in [(d * 2 ** m, d), (3, d * 2 ** m, d)]:
+            for zero_frac in (1 / 3, 1.0):
+                base = signed_zero_base(shape, rng, zero_frac)
+                got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims, u, v", [((3,), 0, 2), ((2, 2), 0, 3), ((2, 2, 2), 1, 6), ((3, 2), 5, 0)])
+    def test_plan_rows_match_einsum_reference_bytes(self, dims, u, v):
+        # real plans: one strength and a strength stack of unrotated columns
+        element = element_from_flat(dims, u, v)
+        outcomes = sorted((u, v))
+        for g in (0.05, 0.7, [1e-3, 0.3, 1.2, math.pi / 2]):
+            base = base_amplitudes(dims, seq_couplings(element), g)
+            got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
+            assert got.tobytes() == want.tobytes()
