@@ -227,7 +227,7 @@ def cmd_scenario(args) -> int:
         overrides["n_t"] = args.n_t
     if args.g is not None:
         overrides["g"] = parse_angle(args.g)
-    if args.sampled_run:
+    if args.sampled_run != 0:
         overrides["sampled_run"] = args.sampled_run
     spec = default_spec(args.scenario, **overrides)
     result = run_scenario(spec)

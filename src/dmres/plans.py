@@ -10,13 +10,21 @@ Outcomes come in blocks of 2^m meter patterns, one block per system
 outcome.  An estimator reads only the blocks its coefficients live on:
 the post-selected outcomes s and s' for ``res`` and the correlator
 ``seq`` estimator, every block for a ``seq`` plan calibrated on the full
-outcome space.  A plan therefore stores the unrotated columns ``base``,
-the tuple ``blocks`` and the readout amplitudes of those blocks alone;
-extraction, shot variances and draws, variance operators and the
-functional matrix contract these rows with the matching slice of the
-coefficient table.  The full stack ``amplitudes``, which only outcome
-distributions and the full-support response map need, is rotated from
-``base`` on first use and kept.
+outcome space.  A plan therefore stores the unrotated columns ``base``
+and the tuple ``blocks``.  The readout amplitudes of those blocks,
+``block_amplitudes``, are rotated from ``base`` on first use, unless the
+builder handed over rows it had already rotated; extraction, shot
+variances and draws and the functional matrix contract them with the
+matching slice of the coefficient table.  The full stack
+``amplitudes``, which only outcome distributions and the full-support
+response map need, is likewise rotated on first use and kept.
+
+Variance operators need no rotation.  Setting b's rows of block k are
+R_b B_k, with B_k the block's rows of ``base`` and R_b unitary, so a
+coefficient square that is constant over the block's patterns weighs
+B_k^dag B_k whatever the setting.  Every ``res`` and correlator ``seq``
+estimator has such squares; only a full-support ``seq`` plan reads its
+rotated rows.
 
 The engine never forms a joint-space matrix.  Amplitudes live in a
 (d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
@@ -26,6 +34,7 @@ rotations are applied meter by meter for all settings at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -101,11 +110,24 @@ class _PlanLayout:
         return (self.element.s_flat, self.element.s_prime_flat)
 
     @cached_property
+    def block_amplitudes(self) -> np.ndarray:
+        """Read-only readout amplitudes of the stored blocks, rotated from ``base`` on first use.
+
+        (n_settings, len(blocks) * 2^m, dim) for a plan, with a leading
+        strength axis for a family; rows a builder already rotated
+        (``readout``) are taken as they are.
+        """
+        if self.readout is not None:
+            return self.readout
+        return readout_amplitudes(self.base, self.element.dim, self.blocks)
+
+    @cached_property
     def amplitudes(self) -> np.ndarray:
         """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
 
         (n_settings, outcomes, dim) for a plan, with a leading strength
-        axis for a family.  A plan that stores every block already holds it.
+        axis for a family.  A plan that stores every block reads it off
+        ``block_amplitudes``.
         """
         if len(self.blocks) == self.element.dim:
             return self.block_amplitudes
@@ -129,10 +151,12 @@ class ProtocolPlan(_PlanLayout):
     """One element's plan at one strength.
 
     ``base`` holds the unrotated columns U |u> (x) |0...0>, (outcomes,
-    dim); ``blocks`` the system outcomes the coefficients live on, and
-    ``block_amplitudes`` their readout amplitudes, (n_settings,
-    len(blocks) * 2^m, dim), read-only.  The constructor rejects nonzero
-    coefficients off those blocks.
+    dim), and ``blocks`` the system outcomes the coefficients live on.
+    ``readout`` optionally holds those blocks' readout amplitudes,
+    (n_settings, len(blocks) * 2^m, dim), read-only, for a builder that
+    rotated them already; ``block_amplitudes`` is rotated on first use
+    otherwise.  The constructor rejects nonzero coefficients off the
+    stored blocks.
     """
 
     element: ElementIndex
@@ -144,8 +168,8 @@ class ProtocolPlan(_PlanLayout):
     coeff_im: np.ndarray
     base: np.ndarray
     blocks: tuple[int, ...]
-    block_amplitudes: np.ndarray
     calibration: CalibrationInfo | None = field(default=None, compare=False)
+    readout: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for table in (self.coeff_re, self.coeff_im):
@@ -177,8 +201,8 @@ class PlanFamily(_PlanLayout):
     coeff_im: np.ndarray
     base: np.ndarray  # (G, n_outcomes, dim)
     blocks: tuple[int, ...]
-    block_amplitudes: np.ndarray  # read-only (G, n_settings, len(blocks) * 2^m, dim)
     calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
+    readout: np.ndarray | None = field(default=None, compare=False, repr=False)  # (G, ...)
 
     def __len__(self) -> int:
         return len(self.gs)
@@ -194,8 +218,8 @@ class PlanFamily(_PlanLayout):
             coeff_im=self.coeff_im[k],
             base=self.base[k],
             blocks=self.blocks,
-            block_amplitudes=self.block_amplitudes[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
+            readout=None if self.readout is None else self.readout[k],
         )
 
 
@@ -351,6 +375,11 @@ def estimator_sums(plan: ProtocolPlan, state: DensityMatrix | Ket, tables) -> tu
     return tuple(float(np.sum(plan.block_entries(t) * p)) for t in tables)
 
 
+def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G[v, u] = sum over rows r of w[r] conj(rows[r, v]) rows[r, u], per leading index."""
+    return rows.conj().swapaxes(-1, -2) @ (np.reshape(weights, rows.shape[:-1] + (1,)) * rows)
+
+
 def _weighted_gram(plan: ProtocolPlan | PlanFamily, weights: np.ndarray) -> np.ndarray:
     """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u], per strength of a family.
 
@@ -358,9 +387,7 @@ def _weighted_gram(plan: ProtocolPlan | PlanFamily, weights: np.ndarray) -> np.n
     (..., n_settings, outcomes) table that vanishes off them.
     """
     amps = plan.block_amplitudes
-    a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
-    w = plan.block_entries(weights)
-    return a.conj().swapaxes(-1, -2) @ (np.reshape(w, a.shape[:-1] + (1,)) * a)
+    return _gram(amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1])), plan.block_entries(weights))
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -372,13 +399,34 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     return _weighted_gram(plan, plan.coefficients()).T
 
 
+def _variance_gram(plan: ProtocolPlan | PlanFamily, squares: np.ndarray) -> np.ndarray:
+    """sum over (setting, outcome) of c^2 |a><a| for one table of squared coefficients.
+
+    A table constant on the patterns of each (setting, block) slice gives
+    sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
+    block k's squares summed over settings left to right, whatever the
+    strength axis; any other table weighs the rotated rows.
+    """
+    n_patterns = 2 ** plan.n_meters
+    per_block = plan.block_entries(squares)
+    per_block = per_block.reshape(per_block.shape[:-1] + (-1, n_patterns))
+    if not np.all(per_block == per_block[..., :1]):
+        return _weighted_gram(plan, squares)
+    alpha = functools.reduce(np.add, np.moveaxis(per_block[..., 0], -2, 0))
+    d = plan.element.dim
+    rows = plan.base.reshape(plan.base.shape[:-2] + (d, n_patterns, d))[..., list(plan.blocks), :, :]
+    return _gram(rows.reshape(rows.shape[:-3] + (-1, d)), np.repeat(alpha, n_patterns, axis=-1))
+
+
 def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian operators (W_re, W_im) with sum c^2 p = Tr(W rho).
 
     These give per-state shot variances at unit per-setting exposure as
     linear functionals of the state; a family gives (G, dim, dim) stacks.
+    ``res`` and correlator ``seq`` plans build them from ``base`` without
+    rotating a readout row.
     """
-    return _weighted_gram(plan, plan.coeff_re ** 2), _weighted_gram(plan, plan.coeff_im ** 2)
+    return _variance_gram(plan, plan.coeff_re ** 2), _variance_gram(plan, plan.coeff_im ** 2)
 
 
 def plan_document(plan: ProtocolPlan) -> str:

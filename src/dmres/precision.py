@@ -6,13 +6,14 @@ Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
 W from one path, ``mean_variance_operators``, which builds each
 element's plans for a chunk of strengths in one stacked pass; a single
-strength is the grid of one.  A sweep's report keeps W for every
-(scheme, strength) it covered, and histograms and the reference
-comparison handed that report read W from it at strengths on its grid,
-so one fig4 run computes each operator once.  Samples come from
-counter-based streams keyed by sample index, so every strength, scheme
-and report sees the same states; each is drawn once per run and kept in
-a small memo.
+strength is the grid of one.  The operators come from the plans'
+unrotated columns, so no precision path rotates a readout row.  A
+sweep's report keeps W for every (scheme, strength) it covered, and
+histograms and the reference comparison handed that report read W from
+it at strengths on its grid, so one fig4 run computes each operator
+once.  Samples come from counter-based streams keyed by sample index,
+so every strength, scheme and report sees the same states; each is
+drawn once per run and kept in a small memo.
 """
 
 from __future__ import annotations
@@ -174,12 +175,14 @@ def per_state_values(
 
 
 def _stored_entries(element: ElementIndex, scheme: str) -> int:
-    """Amplitude entries one plan of ``element`` stores per strength, from its layout.
+    """Amplitude entries one plan of ``element`` holds per strength once its rows are read.
 
     With D the system dimension and m meters (one per coupled qudit for
     ``res``, two for ``seq``), the unrotated columns hold D 2^m D entries
     and the readout rows of the two post-selected blocks 2^m settings of
-    2 2^m D: the sizes of a built plan's ``base`` and ``block_amplitudes``.
+    2 2^m D: the sizes of a plan's ``base`` and ``block_amplitudes``.  A
+    sweep never reads the rows, so its families hold ``base`` alone and
+    stay below this count.
     """
     m = len(element.coupled_set) * (1 if scheme == "res" else 2)
     rows = 2 ** m * element.dim

@@ -86,12 +86,14 @@ def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
     )
 
 
-def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
+def _res_families(members: list[ElementIndex], gs: tuple[float, ...], rotate: bool = True):
     """Yield the plan family of each element of one res configuration, in order.
 
-    The involutions, ``base`` and one readout of every member's two
-    post-selected blocks are built once; each block belongs to exactly
-    one member, which takes its rows and computes its own coefficients.
+    The involutions, ``base`` and, with ``rotate``, one readout of every
+    member's two post-selected blocks are built once; each block belongs
+    to exactly one member, which takes its rows and computes its own
+    coefficients.  Without ``rotate`` each member rotates its rows on
+    first use, and a member whose rows are never read rotates none.
     """
     first = members[0]
     ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries
@@ -99,12 +101,14 @@ def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
     settings = enumerate_settings(len(ops))
     base = base_amplitudes(first.dims, _res_couplings(first, ops), gs)
     blocks = [post_selected_blocks(e) for e in members]
-    readout = readout_amplitudes(base, first.dim, [b for pair in blocks for b in pair])
-    n_rows = readout.shape[-2] // len(members)
+    readout = readout_amplitudes(base, first.dim, [b for pair in blocks for b in pair]) if rotate else None
     for i, (element, pair) in enumerate(zip(members, blocks)):
         coeff = res_coefficients(element, gs, settings, len(ops))
-        block_amplitudes = np.ascontiguousarray(readout[..., i * n_rows:(i + 1) * n_rows, :])
-        block_amplitudes.setflags(write=False)
+        rows = None
+        if readout is not None:
+            n_rows = readout.shape[-2] // len(members)
+            rows = np.ascontiguousarray(readout[..., i * n_rows:(i + 1) * n_rows, :])
+            rows.setflags(write=False)
         yield PlanFamily(
             element=element,
             scheme=RES_SCHEME,
@@ -115,18 +119,22 @@ def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
             coeff_im=coeff.imag.copy(),
             base=base,
             blocks=pair,
-            block_amplitudes=block_amplitudes,
+            readout=rows,
         )
-        del block_amplitudes  # the caller may drop this member before the next one is built
+        del rows  # the caller may drop this member before the next one is built
 
 
 def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
-    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``."""
+    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``.
+
+    No readout row is rotated here: the family's rows are rotated on
+    first use.
+    """
     if element.is_diagonal:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    return next(_res_families([element], finite_strengths(gs)))
+    return next(_res_families([element], finite_strengths(gs), rotate=False))
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:

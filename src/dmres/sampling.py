@@ -21,10 +21,15 @@ import numpy as np
 from .linalg import DensityMatrix
 
 
-def _stream_key(seed: int, tag: str, index: int | None) -> np.ndarray:
-    """Philox key of (seed, tag, index): the first two uint64 words of a SHA-256."""
+def _key_bytes(seed: int, tag: str, index: int | None) -> bytes:
+    """The 16 key bytes of (seed, tag, index): the head of a SHA-256 digest."""
     payload = f"{seed}|{tag}|{'' if index is None else index}".encode()
-    return np.frombuffer(hashlib.sha256(payload).digest()[:16], dtype=np.uint64)
+    return hashlib.sha256(payload).digest()[:16]
+
+
+def _stream_key(seed: int, tag: str, index: int | None) -> np.ndarray:
+    """Philox key of (seed, tag, index): the key bytes as two uint64 words."""
+    return np.frombuffer(_key_bytes(seed, tag, index), dtype=np.uint64)
 
 
 def stream(seed: int, tag: str, index: int | None = None) -> np.random.Generator:
@@ -37,19 +42,20 @@ def _rekeyed_streams(seed: int, tag: str, indices):
 
     Every yield is the same generator, re-keyed: its bit generator is set
     to the state a Philox built with the next key starts in, whatever
-    the previous draws left in its buffer.  Draw from it before taking
-    the next one, and do not keep it.
+    the previous draws left in its buffer.  All keys are hashed into one
+    buffer up front.  Draw from it before taking the next one, and do not
+    keep it.
     """
-    bit_generator = None
-    for index in indices:
-        key = _stream_key(seed, tag, index)
-        if bit_generator is None:
-            bit_generator = np.random.Philox(key=key)
-            fresh = bit_generator.state  # the layout of a new stream, from numpy itself
-            rng = np.random.Generator(bit_generator)
-        else:
-            fresh["state"]["key"] = key
-            bit_generator.state = fresh
+    keys = np.frombuffer(b"".join(_key_bytes(seed, tag, i) for i in indices), dtype=np.uint64)
+    keys = keys.reshape(-1, 2)
+    if not len(keys):
+        return
+    bit_generator = np.random.Philox(key=keys[0])
+    fresh = bit_generator.state  # the layout of a new stream, from numpy itself
+    rng = np.random.Generator(bit_generator)
+    for key in keys:
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
         yield rng
 
 
@@ -108,7 +114,7 @@ def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 
     indices = range(start, start + count)
     normals = np.empty((count, n_qudits, 2, d, d))
     for j, rng in enumerate(_rekeyed_streams(seed, f"haar/{n_qudits}x{d}", indices)):
-        normals[j] = rng.standard_normal((n_qudits, 2, d, d))
+        rng.standard_normal(out=normals[j])
     rhos = _precision_densities(_haar_unitaries(normals))
     rhos.setflags(write=False)
     return rhos

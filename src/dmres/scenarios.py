@@ -47,6 +47,9 @@ SWEEP_RANGES = {
 
 SCENARIO_IDS = tuple(SWEEP_RANGES) + ("fig4a", "fig4b")
 
+# The strength every element-sweep panel extracts at; fig4 sweeps a grid.
+SWEEP_G = math.pi / 4
+
 # Schemes the precision panels compare, and their histogram bin count.
 FIG4_SCHEMES = ("res", "seq")
 HISTOGRAM_BINS = 40
@@ -61,7 +64,7 @@ class ScenarioSpec:
 
     scenario_id: str
     grid: tuple[float, ...]
-    g: float = math.pi / 4
+    g: float = SWEEP_G
     samples: int = 10000
     seed: int = 0
     n_t: float | None = None  # None: noiseless extraction only
@@ -70,6 +73,17 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.scenario_id not in SCENARIO_IDS:
             raise InvalidStateError(f"unknown scenario {self.scenario_id!r}")
+        sweep = self.scenario_id in SWEEP_RANGES
+        if sweep and self.sampled_run:
+            raise InvalidStateError(
+                f"{self.scenario_id} has no sampled run: only fig4a and fig4b shot-simulate random states"
+            )
+        if not sweep and self.g != SWEEP_G:
+            raise InvalidStateError(
+                f"{self.scenario_id} sweeps its strength grid and reads no single g (got {self.g!r})"
+            )
+        if self.sampled_run < 0:
+            raise InvalidStateError(f"sampled_run must be >= 0, got {self.sampled_run}")
         lo, hi = SWEEP_RANGES.get(self.scenario_id, (None, None))
         if lo is not None and self.grid:
             eps = 1e-12

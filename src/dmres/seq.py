@@ -313,7 +313,7 @@ def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
 
 
 def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[Coupling, ...],
-                 base: np.ndarray, blocks: tuple[int, ...], block_amplitudes: np.ndarray) -> PlanFamily:
+                 base: np.ndarray, blocks: tuple[int, ...], readout: np.ndarray | None = None) -> PlanFamily:
     """The family before calibration: zero coefficients on the stored blocks."""
     settings = enumerate_settings(len(couplings))
     no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
@@ -327,7 +327,7 @@ def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[
         coeff_im=no_coefficients,
         base=base,
         blocks=blocks,
-        block_amplitudes=block_amplitudes,
+        readout=readout,
     )
 
 
@@ -341,16 +341,18 @@ def plan_seq_grid(
 
     Amplitudes and calibration run once over the stacked strengths; the
     first strength in grid order that is singular or fails calibration
-    raises the error its ``plan_seq`` would.
+    raises the error its ``plan_seq`` would.  The correlator solve reads
+    ``base`` alone, so such a family rotates its readout rows on first
+    use; a full-support calibration has rotated every row and keeps them.
     """
     gs = _checked_strengths(element, gs)
     couplings = seq_couplings(element)
     base = base_amplitudes(element.dims, couplings, gs)
     blocks = post_selected_blocks(element) if support == "correlator" else tuple(range(element.dim))
-    bare = _bare_family(element, gs, couplings, base, blocks,
-                        readout_amplitudes(base, element.dim, blocks))
+    bare = _bare_family(element, gs, couplings, base, blocks)
     c_re, c_im, infos = calibrate_estimator(bare, support=support, weights=weights)
-    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
+    readout = bare.block_amplitudes if support == "full" else None
+    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, readout=readout)
 
 
 def _seq_families(members: list[ElementIndex], gs: tuple[float, ...]):

@@ -232,6 +232,10 @@ class TestBadInput:
          "--shots and --export-plan cannot be used with diagonal element 1,1"),
         (["extract", "--scheme", "seq", "--element", "2,2", "--g", "pi/4"],
          "--export-plan cannot be used with diagonal element 2,2"),
+        (["scenario", "fig4a", "--g", "0.3"], "fig4a sweeps its strength grid and reads no single g (got 0.3)"),
+        (["scenario", "fig3a", "--sampled-run", "3"],
+         "fig3a has no sampled run: only fig4a and fig4b shot-simulate random states"),
+        (["scenario", "fig4b", "--sampled-run", "-1"], "sampled_run must be >= 0, got -1"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"

@@ -326,3 +326,20 @@ class TestReferenceComparison:
                 assert "relative_deviation" in rec
             if not entry["matched"]:
                 assert "convention_note" in entry
+
+
+class TestNoReadoutRotation:
+    """Variance operators come from ``base``: no precision path rotates a readout row."""
+
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    def test_fig4_paths_rotate_nothing(self, readout_calls, system):
+        report = g_sweep(system, ("res", "seq"), default_g_grid(), 1000, (PER, SPLIT), seed=3)
+        for scheme in ("res", "seq"):
+            error_histogram(system, scheme, report.argmin[scheme, PER.allocation], 1000, PER,
+                            seed=3, report=report)
+            error_histogram(system, scheme, 0.61, 1000, PER, seed=3)  # off the grid: a fresh build
+        reference_comparison(system, samples=1000, seed=3, report=report)
+        element = precision_element_set(system.n_qudits, system.d)[0]
+        resource_report(plan_res(element, math.pi / 4), plan_seq(element, math.pi / 2),
+                        target_sigma=0.1, samples=500, seed=3)
+        assert readout_calls == []

@@ -35,7 +35,6 @@ from dmres.plans import (
     base_amplitudes,
     enumerate_settings,
     functional_matrix,
-    readout_amplitudes,
 )
 import dmres.res as res_module
 import dmres.seq as seq_module
@@ -64,7 +63,6 @@ def bare_res_plan(element, g):
         element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
         coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
         base=base, blocks=tuple(range(element.dim)),
-        block_amplitudes=readout_amplitudes(base, element.dim),
     )
 
 
@@ -292,7 +290,7 @@ class TestDiagonalAndCharacterize:
 CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
 
 
-def configuration_order(dims, scheme):
+def configurations(dims, scheme):
     """Upper-triangle pairs grouped by coupling configuration, computed from the definition.
 
     A res configuration is each coupled qudit with its unordered index
@@ -308,7 +306,12 @@ def configuration_order(dims, scheme):
         else:
             key = tuple((n, a) for n, (a, b) in enumerate(zip(s, sp)) if a != b)
         groups.setdefault(key, []).append((u, v))
-    return [pair for members in groups.values() for pair in members]
+    return list(groups.values())
+
+
+def configuration_order(dims, scheme):
+    """The pairs of ``configurations``, configuration by configuration."""
+    return [pair for members in configurations(dims, scheme) for pair in members]
 
 
 class TestConfigurationPlans:
@@ -376,6 +379,16 @@ class TestConfigurationPlans:
             held = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
             del plan, arrays
         assert len(alive) == 4 * 35 and not any(alive)  # checked at each of 35 later members
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    def test_characterize_rotates_once_per_configuration_or_member(self, scheme, dims, readout_calls):
+        # res rotates all members' blocks in one readout per configuration;
+        # each seq member rotates only the blocks no earlier member did
+        rho = random_mixed_state(dims, stream(4, "rotations"))
+        characterize(rho, 0.6, self.BUILDERS[scheme])
+        groups = configurations(dims, scheme)
+        assert len(readout_calls) == (len(groups) if scheme == "res" else sum(map(len, groups)))
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("g", [0.0, float("nan")])

@@ -24,7 +24,7 @@ from dmres import (
 from dmres.elements import element_from_flat
 from dmres.plans import all_probabilities, functional_matrix, sign_products
 from dmres.seq import _correlator_response, _flip_phases, seq_couplings
-from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings, readout_amplitudes
+from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
 
@@ -33,12 +33,11 @@ def bare_seq_plan(element, g):
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, g)
-    amps = readout_amplitudes(base, element.dim)
     shape = (len(settings), element.dim * 2 ** len(couplings))
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
         coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
-        base=base, blocks=tuple(range(element.dim)), block_amplitudes=amps,
+        base=base, blocks=tuple(range(element.dim)),
     )
 
 
@@ -123,7 +122,7 @@ class TestCalibration:
         recal = ProtocolPlan(
             element=e, scheme="res", g=0.8, couplings=plan.couplings,
             settings=plan.settings, coeff_re=c_re, coeff_im=c_im,
-            base=plan.base, blocks=plan.blocks, block_amplitudes=plan.block_amplitudes,
+            base=plan.base, blocks=plan.blocks,
         )
         rng = stream(2, "cal")
         for _ in range(10):
