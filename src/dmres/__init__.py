@@ -26,10 +26,8 @@ from .errors import (
 )
 from .linalg import DensityMatrix, Ket, Observable, UnitaryMatrix
 from .operators import (
-    coupling_unitary,
     make_involution,
     make_subspace_hadamard,
-    projector_coupling_unitary,
     reflection,
 )
 from .plans import MeasurementSetting, ProtocolPlan, plan_document
@@ -47,7 +45,6 @@ from .res import (
     characterize,
     diagonal_element,
     extract_element,
-    joint_state,
     outcome_distribution,
     plan_res,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "calibrate_estimator",
     "characterize",
     "completely_offdiagonal_elements",
-    "coupling_unitary",
     "default_g_grid",
     "default_spec",
     "dephase",
@@ -93,7 +89,6 @@ __all__ = [
     "error_histogram",
     "extract_element",
     "g_sweep",
-    "joint_state",
     "make_involution",
     "make_subspace_hadamard",
     "outcome_distribution",
@@ -103,7 +98,6 @@ __all__ = [
     "precision_element_set",
     "prepare_qutrit",
     "prepare_two_qubit",
-    "projector_coupling_unitary",
     "random_mixed_state",
     "read_state",
     "reference_comparison",

@@ -48,19 +48,6 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRICT) -> bool:
     return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= atol)
 
 
-def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out every site not listed in ``keep`` (order preserved)."""
-    dims = list(dims)
-    n = len(dims)
-    keep = sorted(keep)
-    mat = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    # Trace highest-index discarded sites first so axis labels stay valid.
-    for site in sorted(set(range(n)) - set(keep), reverse=True):
-        mat = np.trace(mat, axis1=site, axis2=site + mat.ndim // 2)
-    d_keep = int(np.prod([dims[s] for s in keep])) if keep else 1
-    return mat.reshape(d_keep, d_keep)
-
-
 def check_joint_dim(dim: int) -> None:
     if dim > MAX_JOINT_DIM:
         raise DimensionLimitError(

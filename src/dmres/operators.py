@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidCouplingError, InvalidElementError
-from .linalg import SIGMA_Y, Observable, UnitaryMatrix, check_joint_dim
+from .linalg import SIGMA_Y, Observable, UnitaryMatrix
 
 
 def _check_pair(d: int, a: int, a_prime: int) -> None:
@@ -77,26 +77,6 @@ def coupling_gate(kind: str, op: np.ndarray, g) -> np.ndarray:
                               np.concatenate([sin, cos], -1)], -2).astype(complex)
         return _kron_meter(np.eye(d) - op, np.eye(2)) + _kron_meter(op, rot)
     raise InvalidCouplingError(f"unknown coupling kind {kind!r}")
-
-
-def coupling_unitary(c: Observable | np.ndarray, g: float) -> UnitaryMatrix:
-    """exp(-i g C (x) sigma_y) for an involution C (checked), via ``coupling_gate``."""
-    mat = c.entries if isinstance(c, Observable) else np.asarray(c, dtype=complex)
-    d = mat.shape[0]
-    if np.max(np.abs(mat @ mat - np.eye(d))) > 1e-10:
-        raise InvalidCouplingError("coupling operator is not an involution (C^2 != 1)")
-    check_joint_dim(2 * d)
-    return UnitaryMatrix.create(coupling_gate("involution", mat, g))
-
-
-def projector_coupling_unitary(p: np.ndarray, g: float) -> UnitaryMatrix:
-    """exp(-i g P (x) sigma_y) for a projector P (checked), via ``coupling_gate``."""
-    p = np.asarray(p, dtype=complex)
-    d = p.shape[0]
-    if np.max(np.abs(p @ p - p)) > 1e-10:
-        raise InvalidCouplingError("coupling operator is not a projector (P^2 != P)")
-    check_joint_dim(2 * d)
-    return UnitaryMatrix.create(coupling_gate("projector", p, g))
 
 
 def uniform_superposition_projector(d: int) -> np.ndarray:

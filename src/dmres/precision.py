@@ -34,7 +34,7 @@ from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Stored amplitude entries per element and sweep chunk (complex, 256 KiB).
+# Complex entries one element's build may allocate per sweep chunk (256 KiB).
 CHUNK_ENTRIES = 2 ** 14
 
 # Distinct (n_qudits, d, seed) keys whose states are kept between calls.
@@ -175,14 +175,18 @@ def per_state_values(
 
 
 def _stored_entries(element: ElementIndex, scheme: str) -> int:
-    """Amplitude entries one plan of ``element`` holds per strength once its rows are read.
+    """Complex entries per strength that a sweep chunk budgets for ``element``.
 
     With D the system dimension and m meters (one per coupled qudit for
-    ``res``, two for ``seq``), the unrotated columns hold D 2^m D entries
-    and the readout rows of the two post-selected blocks 2^m settings of
-    2 2^m D: the sizes of a plan's ``base`` and ``block_amplitudes``.  A
-    sweep never reads the rows, so its families hold ``base`` alone and
-    stay below this count.
+    ``res``, two for ``seq``), the unrotated columns ``base`` hold
+    D 2^m D entries.  The second term, 2^m 2 2^m D, is the size of one
+    scratch array the build allocates per strength: for ``seq`` the
+    Pauli-flipped stack (2^m settings, 2 post-selected blocks, 2^m
+    patterns, D) that ``seq._correlator_response`` forms for the
+    calibration; for ``res`` the complex coefficient table (2^m
+    settings, D 2^m outcomes) of ``res.res_coefficients`` plus the real
+    and imaginary copies the family keeps, together as many bytes as
+    2 2^m 2^m D complex entries.
     """
     m = len(element.coupled_set) * (1 if scheme == "res" else 2)
     rows = 2 ** m * element.dim

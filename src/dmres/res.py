@@ -142,23 +142,6 @@ def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
     return plan_res_grid(element, (g,))[0]
 
 
-def joint_state(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> DensityMatrix:
-    """System-meter state after coupling: U (rho (x) |0><0|^l) U^dag.
-
-    With B = ``plan.base`` (the columns U |u> (x) |0...0>) this is
-    B rho B^dag.
-    """
-    check_state_dims(rho, plan)
-    rho = as_density(rho)
-    b = plan.base
-    jt = b @ rho.entries @ b.conj().T
-    return DensityMatrix.create(
-        jt,
-        plan.element.dims + (2,) * plan.n_meters,
-        check_positive=rho.positive,
-    )
-
-
 class OutcomeDistribution:
     """Probabilities over (system outcome, meter signs) for one setting."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import InvalidStateError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, Ket
 from .prepare import PrepParams, dephase, prepare_qutrit, prepare_two_qubit
 from .precision import (
     REFERENCE_TARGETS,
@@ -50,6 +50,9 @@ SCENARIO_IDS = tuple(SWEEP_RANGES) + ("fig4a", "fig4b")
 # The strength every element-sweep panel extracts at; fig4 sweeps a grid.
 SWEEP_G = math.pi / 4
 
+# Haar samples per fig4 strength; the element-sweep panels draw none.
+DEFAULT_SAMPLES = 10000
+
 # Schemes the precision panels compare, and their histogram bin count.
 FIG4_SCHEMES = ("res", "seq")
 HISTOGRAM_BINS = 40
@@ -65,7 +68,7 @@ class ScenarioSpec:
     scenario_id: str
     grid: tuple[float, ...]
     g: float = SWEEP_G
-    samples: int = 10000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     n_t: float | None = None  # None: noiseless extraction only
     sampled_run: int = 0  # optional extra run of shot-simulated random states
@@ -78,9 +81,19 @@ class ScenarioSpec:
             raise InvalidStateError(
                 f"{self.scenario_id} has no sampled run: only fig4a and fig4b shot-simulate random states"
             )
+        if sweep and self.samples != DEFAULT_SAMPLES:
+            raise InvalidStateError(
+                f"{self.scenario_id} extracts from fixed states and draws no Haar samples "
+                f"(got samples={self.samples})"
+            )
         if not sweep and self.g != SWEEP_G:
             raise InvalidStateError(
                 f"{self.scenario_id} sweeps its strength grid and reads no single g (got {self.g!r})"
+            )
+        if not sweep and self.n_t is not None and not self.sampled_run:
+            raise InvalidStateError(
+                f"{self.scenario_id} reads n_t only for its sampled run, and none is requested "
+                f"(got n_t={self.n_t:g})"
             )
         if self.sampled_run < 0:
             raise InvalidStateError(f"sampled_run must be >= 0, got {self.sampled_run}")
@@ -102,16 +115,15 @@ def default_spec(scenario_id: str, **overrides) -> ScenarioSpec:
     return ScenarioSpec(scenario_id, **{"grid": tuple(float(x) for x in grid), **overrides})
 
 
+def _qutrit_sweep_ket(phi2: float) -> Ket:
+    """The unitary-sweep qutrit ket at relative phase phi2."""
+    return prepare_qutrit(PrepParams(variant="qutrit", theta1=QUTRIT_THETA1, theta2=QUTRIT_THETA2,
+                                     phi1=phi2 + math.pi / 3, phi2=phi2))
+
+
 def qutrit_sweep_state(phi2: float) -> DensityMatrix:
     """The unitary-sweep qutrit state at relative phase phi2."""
-    params = PrepParams(
-        variant="qutrit",
-        theta1=QUTRIT_THETA1,
-        theta2=QUTRIT_THETA2,
-        phi1=phi2 + math.pi / 3,
-        phi2=phi2,
-    )
-    return prepare_qutrit(params).density()
+    return _qutrit_sweep_ket(phi2).density()
 
 
 def two_qubit_sweep_state(phi11: float) -> DensityMatrix:
@@ -220,20 +232,13 @@ def run_fig3a(spec: ScenarioSpec) -> ScenarioResult:
     """Qutrit unitary sweep: three coherences versus the relative phase."""
 
     def theory(phi2, e):
-        amps = _qutrit_amplitudes(phi2)
+        amps = _qutrit_sweep_ket(phi2).amplitudes
         return amps[e.s_flat] * np.conj(amps[e.s_prime_flat])
 
     return _element_sweep(
         spec, qutrit_sweep_state, QUTRIT_ELEMENTS, theory,
         "Qutrit unitary sweep: off-diagonal elements versus relative phase.\n",
     )
-
-
-def _qutrit_amplitudes(phi2: float) -> np.ndarray:
-    return prepare_qutrit(
-        PrepParams(variant="qutrit", theta1=QUTRIT_THETA1, theta2=QUTRIT_THETA2,
-                   phi1=phi2 + math.pi / 3, phi2=phi2)
-    ).amplitudes
 
 
 def run_fig3b(spec: ScenarioSpec) -> ScenarioResult:

@@ -3,12 +3,21 @@
 Everything here is built from first principles (dense operators,
 scipy's matrix exponential, explicit projector contractions) without
 touching the package's plan machinery, so agreement is meaningful.
+The dense joint-space helpers (``joint_state``, ``coupling_unitary``,
+``projector_coupling_unitary``, ``partial_trace``) are the exception:
+they expand the package's own gates and plans into joint-space
+matrices for tests that read those directly.
 """
 
 import itertools
 
 import numpy as np
 import scipy.linalg
+
+from dmres.errors import InvalidCouplingError
+from dmres.linalg import DensityMatrix, Ket, Observable, UnitaryMatrix, as_density, check_joint_dim
+from dmres.operators import coupling_gate
+from dmres.plans import check_state_dims
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -86,6 +95,61 @@ def reference_setting_probabilities(rho, dims, s, sp, g, bases):
             meter = kron(*[np.outer(eig[b][z], eig[b][z].conj()) for b, z in zip(bases, signs)])
             probs.append(np.trace(np.kron(pk, meter) @ jt).real)
     return np.array(probs)
+
+
+# Dense joint-space forms of the package's objects.  The package applies
+# each coupling as a 2d x 2d gate and never forms a joint system-meter
+# matrix; these helpers do, so tests can read the joint state directly.
+
+
+def joint_state(rho: DensityMatrix | Ket, plan) -> DensityMatrix:
+    """System-meter state after coupling: U (rho (x) |0><0|^l) U^dag.
+
+    With B = ``plan.base`` (the columns U |u> (x) |0...0>) this is
+    B rho B^dag.
+    """
+    check_state_dims(rho, plan)
+    rho = as_density(rho)
+    b = plan.base
+    jt = b @ rho.entries @ b.conj().T
+    return DensityMatrix.create(
+        jt,
+        plan.element.dims + (2,) * plan.n_meters,
+        check_positive=rho.positive,
+    )
+
+
+def coupling_unitary(c: Observable | np.ndarray, g: float) -> UnitaryMatrix:
+    """exp(-i g C (x) sigma_y) for an involution C (checked), via ``coupling_gate``."""
+    mat = c.entries if isinstance(c, Observable) else np.asarray(c, dtype=complex)
+    d = mat.shape[0]
+    if np.max(np.abs(mat @ mat - np.eye(d))) > 1e-10:
+        raise InvalidCouplingError("coupling operator is not an involution (C^2 != 1)")
+    check_joint_dim(2 * d)
+    return UnitaryMatrix.create(coupling_gate("involution", mat, g))
+
+
+def projector_coupling_unitary(p: np.ndarray, g: float) -> UnitaryMatrix:
+    """exp(-i g P (x) sigma_y) for a projector P (checked), via ``coupling_gate``."""
+    p = np.asarray(p, dtype=complex)
+    d = p.shape[0]
+    if np.max(np.abs(p @ p - p)) > 1e-10:
+        raise InvalidCouplingError("coupling operator is not a projector (P^2 != P)")
+    check_joint_dim(2 * d)
+    return UnitaryMatrix.create(coupling_gate("projector", p, g))
+
+
+def partial_trace(mat, dims, keep):
+    """Trace out every site not listed in ``keep`` (order preserved)."""
+    dims = list(dims)
+    n = len(dims)
+    keep = sorted(keep)
+    mat = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    # Trace highest-index discarded sites first so axis labels stay valid.
+    for site in sorted(set(range(n)) - set(keep), reverse=True):
+        mat = np.trace(mat, axis1=site, axis2=site + mat.ndim // 2)
+    d_keep = int(np.prod([dims[s] for s in keep])) if keep else 1
+    return mat.reshape(d_keep, d_keep)
 
 
 def ks_critical_value(n, m, alpha=0.01):

@@ -236,6 +236,10 @@ class TestBadInput:
         (["scenario", "fig3a", "--sampled-run", "3"],
          "fig3a has no sampled run: only fig4a and fig4b shot-simulate random states"),
         (["scenario", "fig4b", "--sampled-run", "-1"], "sampled_run must be >= 0, got -1"),
+        (["scenario", "fig3a", "--samples", "500"],
+         "fig3a extracts from fixed states and draws no Haar samples (got samples=500)"),
+        (["scenario", "fig4a", "--n-t", "5"],
+         "fig4a reads n_t only for its sampled run, and none is requested (got n_t=5)"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"

@@ -8,15 +8,14 @@ from numpy.testing import assert_allclose
 from dmres import (
     InvalidCouplingError,
     InvalidElementError,
-    coupling_unitary,
     make_involution,
     make_subspace_hadamard,
-    projector_coupling_unitary,
     reflection,
 )
 from dmres.linalg import SIGMA_X, SIGMA_Y, projector
+from dmres.operators import coupling_gate, uniform_superposition_projector
 
-from oracles import swap_op
+from oracles import coupling_unitary, projector_coupling_unitary, swap_op
 
 
 class TestInvolution:
@@ -134,3 +133,32 @@ class TestProjectorCoupling:
     def test_rejects_non_projector(self):
         with pytest.raises(InvalidCouplingError):
             projector_coupling_unitary(swap_op(3, 0, 1), 0.3)
+
+
+def _coupling_ops():
+    """One operator of each coupling kind on a qutrit, as ``kind -> op``."""
+    return {"involution": make_involution(3, 0, 2).entries,
+            "projector": uniform_superposition_projector(3)}
+
+
+class TestCouplingGate:
+    @pytest.mark.parametrize("kind", ["involution", "projector"])
+    @pytest.mark.parametrize("g", [0.05, 0.7, np.pi / 2, -1.3])
+    def test_matches_matrix_exponential(self, kind, g):
+        op = _coupling_ops()[kind]
+        want = scipy.linalg.expm(-1j * g * np.kron(op, SIGMA_Y))
+        assert_allclose(coupling_gate(kind, op, g), want, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["involution", "projector"])
+    def test_strength_array_stacks_scalar_gates(self, kind):
+        # the stacked path sweeps build a grid of plans with
+        op = _coupling_ops()[kind]
+        gs = np.array([[0.1, 0.7, np.pi / 4], [1.2, -0.4, 2.9]])
+        stack = coupling_gate(kind, op, gs)
+        assert stack.shape == gs.shape + (6, 6)
+        for k in np.ndindex(gs.shape):
+            assert np.array_equal(stack[k], coupling_gate(kind, op, float(gs[k])))
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(InvalidCouplingError, match="unknown coupling kind 'swap'"):
+            coupling_gate("swap", make_involution(2, 0, 1).entries, 0.3)

@@ -19,7 +19,6 @@ from dmres import (
     diagonal_element,
     element_variance,
     extract_element,
-    joint_state,
     outcome_distribution,
     plan_document,
     plan_res,
@@ -28,7 +27,6 @@ from dmres import (
     stream,
 )
 from dmres.elements import element_from_flat
-from dmres.linalg import partial_trace
 from dmres.plans import (
     ProtocolPlan,
     RES_SCHEME,
@@ -41,7 +39,7 @@ import dmres.seq as seq_module
 from dmres.res import element_plans
 from dmres.seq import plan_seq
 
-from oracles import reference_extract, reference_setting_probabilities
+from oracles import joint_state, partial_trace, reference_extract, reference_setting_probabilities
 
 
 def maximally_mixed(dims):

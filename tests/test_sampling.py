@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
 from dmres import random_mixed_state, stream
-from dmres.linalg import partial_trace
 from dmres.sampling import (
     _haar_unitaries,
     _precision_densities,
@@ -14,7 +13,7 @@ from dmres.sampling import (
     sample_precision_state,
 )
 
-from oracles import ks_critical_value, reference_precision_state
+from oracles import ks_critical_value, partial_trace, reference_precision_state
 
 
 class TestStreams:

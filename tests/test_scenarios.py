@@ -109,7 +109,7 @@ class TestFig3d:
 
 class TestShotColumns:
     def test_simulated_points_track_theory(self):
-        spec = default_spec("fig3a", n_t=1e5, samples=100)
+        spec = default_spec("fig3a", n_t=1e5)
         result = run_fig3a(spec)
         cols, rows = result.tables["fig3a.csv"]
         policy = ShotPolicy(n_t=1e5)
