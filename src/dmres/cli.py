@@ -189,8 +189,11 @@ def cmd_precision(args) -> int:
     system = SystemSpec.parse(args.system)
     schemes = [s.strip() for s in args.scheme.split(",")]
     policy = ShotPolicy(n_t=args.n_t, allocation=args.policy)
+    if args.g is not None and args.g_grid is not None:
+        raise DmresError(f"--g {args.g} and --g-grid {args.g_grid} both name strengths; give one")
+    g = "pi/4" if args.g is None else args.g
     if args.g_grid is None:
-        grid = [parse_angle(args.g)]
+        grid = [parse_angle(g)]
     elif args.g_grid == "default":
         grid = default_g_grid()
     else:
@@ -206,7 +209,7 @@ def cmd_precision(args) -> int:
         "command": "precision",
         "system": system.label,
         "schemes": schemes,
-        "g": args.g,
+        "g": g,
         "g_grid": args.g_grid,
         "samples": args.samples,
         "policy": args.policy,
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precision", help="Haar-averaged precision at one g or over a grid")
     p.add_argument("--system", required=True, help="'qutrit', 'two-qubit' or 'N,d'")
     p.add_argument("--scheme", default="res", help="comma-separated schemes")
-    p.add_argument("--g", default="pi/4")
+    p.add_argument("--g", default=None, help="one strength (default pi/4); not with --g-grid")
     p.add_argument("--g-grid", default=None, help="'default' or comma-separated strengths")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--policy", choices=ALLOCATIONS, default=PER_SETTING)

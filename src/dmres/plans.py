@@ -7,24 +7,26 @@ amplitudes form one (n_settings, outcomes, system-dim) stack: with
 input ``rho`` is ``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
 
 Outcomes come in blocks of 2^m meter patterns, one block per system
-outcome.  An estimator reads only the blocks its coefficients live on:
-the post-selected outcomes s and s' for ``res`` and the correlator
-``seq`` estimator, every block for a ``seq`` plan calibrated on the full
-outcome space.  A plan therefore stores the unrotated columns ``base``
-and the tuple ``blocks``.  The readout amplitudes of those blocks,
-``block_amplitudes``, are rotated from ``base`` on first use, unless the
-builder handed over rows it had already rotated; extraction, shot
-variances and draws and the functional matrix contract them with the
-matching slice of the coefficient table.  The full stack
-``amplitudes``, which only outcome distributions and the full-support
-response map need, is likewise rotated on first use and kept.
+outcome.  Every estimator, ``res`` or calibrated ``seq``, is a weighted
+sum of meter correlators at the post-selected outcomes s and s': on
+each (setting, block) of those two its coefficients are one weight
+times the product of meter signs, and every other block has none.  The
+plan constructor enforces that form.  A plan stores the unrotated
+columns ``base``; the readout amplitudes of blocks s and s',
+``block_amplitudes``, which shot draws read, and the full stack
+``amplitudes``, which only outcome distributions and the response map
+read, are each rotated from ``base`` on first use and kept.
 
-Variance operators need no rotation.  Setting b's rows of block k are
-R_b B_k, with B_k the block's rows of ``base`` and R_b unitary, so a
-coefficient square that is constant over the block's patterns weighs
-B_k^dag B_k whatever the setting.  Every ``res`` and correlator ``seq``
-estimator has such squares; only a full-support ``seq`` plan reads its
-rotated rows.
+Exact estimates and variance operators rotate no readout row.  Setting
+b's rows of block k are R_b B_k, with B_k the block's rows of ``base``
+and R_b unitary on the meter patterns, and R_b^dag diag(signs) R_b is
+the setting's Pauli product Sigma_b = diag(phase_b) J, with J the
+exchange of each pattern with its complement.  A table with weight
+w_{b,k} on block k of setting b therefore sums to
+sum_k B_k^dag diag(phi_k) J B_k, with phi_k = sum_b w_{b,k} phase_b:
+one small product per block however many settings there are.  Its
+squares, constant on the block's patterns, weigh B_k^dag B_k whatever
+the setting.
 
 The engine never forms a joint-space matrix.  Amplitudes live in a
 (d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
@@ -45,7 +47,7 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import InvalidCouplingError, InvalidElementError
-from .linalg import DensityMatrix, Ket, check_joint_dim
+from .linalg import SIGMA_X, SIGMA_Y, DensityMatrix, Ket, check_joint_dim
 from .operators import coupling_gate, meter_readout_basis
 from .stateio import encode_json, format_float
 
@@ -110,15 +112,17 @@ class _PlanLayout:
         return (self.element.s_flat, self.element.s_prime_flat)
 
     @cached_property
-    def block_amplitudes(self) -> np.ndarray:
-        """Read-only readout amplitudes of the stored blocks, rotated from ``base`` on first use.
+    def blocks(self) -> tuple[int, ...]:
+        """The post-selected system outcomes s and s' the estimator reads, in index order."""
+        return post_selected_blocks(self.element)
 
-        (n_settings, len(blocks) * 2^m, dim) for a plan, with a leading
-        strength axis for a family; rows a builder already rotated
-        (``readout``) are taken as they are.
+    @cached_property
+    def block_amplitudes(self) -> np.ndarray:
+        """Read-only readout amplitudes of blocks s and s', rotated from ``base`` on first use.
+
+        (n_settings, 2 * 2^m, dim) for a plan, with a leading strength
+        axis for a family.
         """
-        if self.readout is not None:
-            return self.readout
         return readout_amplitudes(self.base, self.element.dim, self.blocks)
 
     @cached_property
@@ -126,21 +130,15 @@ class _PlanLayout:
         """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
 
         (n_settings, outcomes, dim) for a plan, with a leading strength
-        axis for a family.  A plan that stores every block reads it off
-        ``block_amplitudes``.
+        axis for a family.
         """
-        if len(self.blocks) == self.element.dim:
-            return self.block_amplitudes
         return readout_amplitudes(self.base, self.element.dim)
 
     def block_entries(self, table: np.ndarray) -> np.ndarray:
-        """The entries of a (..., n_settings, outcomes) table on the stored blocks.
+        """The entries of a (..., n_settings, outcomes) table on blocks s and s'.
 
-        Ordered as the rows of ``block_amplitudes``; a table over every
-        block comes back as it is.
+        Ordered as the rows of ``block_amplitudes``.
         """
-        if len(self.blocks) == self.element.dim:
-            return table
         lead = np.shape(table)[:-1]
         blocks = np.take(np.reshape(table, lead + (self.element.dim, -1)), self.blocks, axis=-2)
         return blocks.reshape(lead + (-1,))
@@ -151,12 +149,9 @@ class ProtocolPlan(_PlanLayout):
     """One element's plan at one strength.
 
     ``base`` holds the unrotated columns U |u> (x) |0...0>, (outcomes,
-    dim), and ``blocks`` the system outcomes the coefficients live on.
-    ``readout`` optionally holds those blocks' readout amplitudes,
-    (n_settings, len(blocks) * 2^m, dim), read-only, for a builder that
-    rotated them already; ``block_amplitudes`` is rotated on first use
-    otherwise.  The constructor rejects nonzero coefficients off the
-    stored blocks.
+    dim).  The constructor rejects coefficient tables that are not one
+    weight times ``sign_products(m)`` on each (setting, block) of the
+    post-selected blocks and zero elsewhere.
     """
 
     element: ElementIndex
@@ -167,15 +162,16 @@ class ProtocolPlan(_PlanLayout):
     coeff_re: np.ndarray  # (n_settings, n_outcomes)
     coeff_im: np.ndarray
     base: np.ndarray
-    blocks: tuple[int, ...]
     calibration: CalibrationInfo | None = field(default=None, compare=False)
-    readout: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        signs = sign_products(self.n_meters)
         for table in (self.coeff_re, self.coeff_im):
-            if np.count_nonzero(table) != np.count_nonzero(self.block_entries(table)):
+            on = np.reshape(table, (self.n_settings, self.element.dim, -1))[:, list(self.blocks)]
+            if np.count_nonzero(table) != np.count_nonzero(on) or np.any(on != on[..., :1] * signs):
                 raise InvalidCouplingError(
-                    f"estimator coefficients outside the stored outcome blocks {self.blocks}"
+                    "estimator coefficients must be one weight times the meter signs on each "
+                    f"(setting, block) of the post-selected blocks {self.blocks} and zero elsewhere"
                 )
 
     def coefficients(self) -> np.ndarray:
@@ -200,9 +196,7 @@ class PlanFamily(_PlanLayout):
     coeff_re: np.ndarray  # (G, n_settings, n_outcomes)
     coeff_im: np.ndarray
     base: np.ndarray  # (G, n_outcomes, dim)
-    blocks: tuple[int, ...]
     calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
-    readout: np.ndarray | None = field(default=None, compare=False, repr=False)  # (G, ...)
 
     def __len__(self) -> int:
         return len(self.gs)
@@ -217,9 +211,7 @@ class PlanFamily(_PlanLayout):
             coeff_re=self.coeff_re[k],
             coeff_im=self.coeff_im[k],
             base=self.base[k],
-            blocks=self.blocks,
             calibration=None if self.calibrations is None else self.calibrations[k],
-            readout=None if self.readout is None else self.readout[k],
         )
 
 
@@ -243,12 +235,35 @@ def enumerate_settings(n_meters: int) -> tuple[MeasurementSetting, ...]:
     )
 
 
+@functools.cache
 def sign_products(n_meters: int) -> np.ndarray:
-    """Product of meter signs for each outcome pattern, in readout row order."""
-    patterns = np.array(list(itertools.product((1, -1), repeat=n_meters)), dtype=float)
-    if n_meters == 0:
-        return np.ones(1)
-    return patterns.prod(axis=1)
+    """Product of meter signs for each outcome pattern, in readout row order; read-only."""
+    signs = np.ones(1)
+    for _ in range(n_meters):
+        signs = np.concatenate([signs, -signs])
+    signs.setflags(write=False)
+    return signs
+
+
+@functools.cache
+def _flip_phases(n_meters: int) -> np.ndarray:
+    """phase[b, o] with Sigma_b = diag(phase[b]) J for every setting b.
+
+    sigma_x and sigma_y vanish on their diagonal, so the setting's Pauli
+    product Sigma_b sends meter pattern q to its complement: J is the
+    exchange matrix and phase[b, o] = prod_i sigma_{b_i}[o_i, 1 - o_i],
+    each in {+-1, +-i}.  Rows follow ``enumerate_settings`` and columns
+    the readout pattern order, meter 0 most significant in both.
+    """
+    paulis = np.stack([SIGMA_X, SIGMA_Y])
+    if np.any(np.diagonal(paulis, axis1=-2, axis2=-1)):
+        raise AssertionError("the meter Paulis must vanish on their diagonal")
+    anti = paulis[:, [0, 1], [1, 0]]  # anti[b, o] = sigma_b[o, 1 - o]
+    phase = np.ones((1, 1), dtype=complex)
+    for _ in range(n_meters):
+        phase = (phase[:, None, :, None] * anti[None, :, None, :]).reshape(2 * len(phase), -1)
+    phase.setflags(write=False)
+    return phase
 
 
 def _apply_couplings(tensor: np.ndarray, dims: tuple[int, ...], couplings: Sequence[Coupling],
@@ -364,30 +379,39 @@ def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndar
     return _born(plan.amplitudes, state)
 
 
-def estimator_sums(plan: ProtocolPlan, state: DensityMatrix | Ket, tables) -> tuple[float, ...]:
-    """sum over (setting, outcome) of t * p for each (n_settings, outcomes) table t.
+def _block_weights(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
+    """w[..., b, k]: a table's entry on pattern 0 of setting b and post-selected block k.
 
-    p are the state's Born probabilities.  Only the stored blocks are
-    evaluated, so each table must vanish off them, as the plan's
-    coefficients (and any function of them that keeps zeros) do.
+    Pattern 0 has meter sign +1, so this is the block's weight in the
+    form the plan constructor enforces.
     """
-    p = _born(plan.block_amplitudes, state)
-    return tuple(float(np.sum(plan.block_entries(t) * p)) for t in tables)
+    d = plan.element.dim
+    return np.reshape(table, np.shape(table)[:-1] + (d, -1))[..., list(plan.blocks), 0]
 
 
-def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G[v, u] = sum over rows r of w[r] conj(rows[r, v]) rows[r, u], per leading index."""
-    return rows.conj().swapaxes(-1, -2) @ (np.reshape(weights, rows.shape[:-1] + (1,)) * rows)
+def _base_blocks(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
+    """The rows of ``base`` of blocks s and s': (..., 2, 2^m, dim)."""
+    d = plan.element.dim
+    return plan.base.reshape(plan.base.shape[:-2] + (d, -1, d))[..., list(plan.blocks), :, :]
 
 
-def _weighted_gram(plan: ProtocolPlan | PlanFamily, weights: np.ndarray) -> np.ndarray:
-    """G[v, u] = sum over (setting, outcome) of w conj(a[v]) a[u], per strength of a family.
+def _estimator_grams(plan: ProtocolPlan) -> np.ndarray:
+    """G[t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_0 = Re and c_1 = Im table.
 
-    The sum runs over the stored blocks; ``weights`` is a full
-    (..., n_settings, outcomes) table that vanishes off them.
+    Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
+    both blocks in one product; estimate part t of a state is Tr(G_t rho).
     """
-    amps = plan.block_amplitudes
-    return _gram(amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1])), plan.block_entries(weights))
+    weights = np.stack([_block_weights(plan, t) for t in (plan.coeff_re, plan.coeff_im)])
+    phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (2, blocks, patterns)
+    rows = _base_blocks(plan)
+    d = plan.element.dim
+    flipped = phi[..., None] * rows[..., ::-1, :]
+    return rows.reshape(-1, d).conj().T @ flipped.reshape(2, -1, d)
+
+
+def expectations(operators: np.ndarray, state: DensityMatrix) -> np.ndarray:
+    """Tr(O rho) for each operator O of a (..., dim, dim) stack, real for Hermitian O."""
+    return np.einsum("...vu,uv->...", operators, state.entries).real
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -396,26 +420,23 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     Unbiasedness means K is the single matrix unit at (s, s'), which is
     checkable without any quantum state.
     """
-    return _weighted_gram(plan, plan.coefficients()).T
+    g_re, g_im = _estimator_grams(plan)
+    return (g_re + 1j * g_im).T
 
 
-def _variance_gram(plan: ProtocolPlan | PlanFamily, squares: np.ndarray) -> np.ndarray:
-    """sum over (setting, outcome) of c^2 |a><a| for one table of squared coefficients.
+def _variance_gram(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
+    """sum over (setting, outcome) of c^2 |a><a| for one coefficient table c.
 
-    A table constant on the patterns of each (setting, block) slice gives
     sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
-    block k's squares summed over settings left to right, whatever the
-    strength axis; any other table weighs the rotated rows.
+    block k's squared weights summed over settings left to right,
+    whatever the strength axis.
     """
-    n_patterns = 2 ** plan.n_meters
-    per_block = plan.block_entries(squares)
-    per_block = per_block.reshape(per_block.shape[:-1] + (-1, n_patterns))
-    if not np.all(per_block == per_block[..., :1]):
-        return _weighted_gram(plan, squares)
-    alpha = functools.reduce(np.add, np.moveaxis(per_block[..., 0], -2, 0))
-    d = plan.element.dim
-    rows = plan.base.reshape(plan.base.shape[:-2] + (d, n_patterns, d))[..., list(plan.blocks), :, :]
-    return _gram(rows.reshape(rows.shape[:-3] + (-1, d)), np.repeat(alpha, n_patterns, axis=-1))
+    alpha = functools.reduce(np.add, np.moveaxis(_block_weights(plan, table) ** 2, -2, 0))
+    rows = _base_blocks(plan)
+    n_patterns, d = rows.shape[-2:]
+    weights = np.repeat(alpha, n_patterns, axis=-1)[..., None]
+    rows = rows.reshape(rows.shape[:-3] + (-1, d))
+    return rows.conj().swapaxes(-1, -2) @ (weights * rows)
 
 
 def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -423,10 +444,9 @@ def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np
 
     These give per-state shot variances at unit per-setting exposure as
     linear functionals of the state; a family gives (G, dim, dim) stacks.
-    ``res`` and correlator ``seq`` plans build them from ``base`` without
-    rotating a readout row.
+    They are built from ``base`` without rotating a readout row.
     """
-    return _variance_gram(plan, plan.coeff_re ** 2), _variance_gram(plan, plan.coeff_im ** 2)
+    return _variance_gram(plan, plan.coeff_re), _variance_gram(plan, plan.coeff_im)
 
 
 def plan_document(plan: ProtocolPlan) -> str:

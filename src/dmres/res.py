@@ -26,13 +26,12 @@ from .plans import (
     RES_SCHEME,
     SINGULAR_TOL,
     _born,
+    _estimator_grams,
     base_amplitudes,
     check_state_dims,
     enumerate_settings,
-    estimator_sums,
+    expectations,
     finite_strengths,
-    post_selected_blocks,
-    readout_amplitudes,
     sign_products,
 )
 from .seq import _seq_configuration, _seq_families, plan_seq
@@ -86,29 +85,19 @@ def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
     )
 
 
-def _res_families(members: list[ElementIndex], gs: tuple[float, ...], rotate: bool = True):
+def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
     """Yield the plan family of each element of one res configuration, in order.
 
-    The involutions, ``base`` and, with ``rotate``, one readout of every
-    member's two post-selected blocks are built once; each block belongs
-    to exactly one member, which takes its rows and computes its own
-    coefficients.  Without ``rotate`` each member rotates its rows on
-    first use, and a member whose rows are never read rotates none.
+    The involutions and ``base`` are built once; each member computes
+    its own coefficients and rotates no readout row.
     """
     first = members[0]
     ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries
            for n in first.coupled_set]
     settings = enumerate_settings(len(ops))
     base = base_amplitudes(first.dims, _res_couplings(first, ops), gs)
-    blocks = [post_selected_blocks(e) for e in members]
-    readout = readout_amplitudes(base, first.dim, [b for pair in blocks for b in pair]) if rotate else None
-    for i, (element, pair) in enumerate(zip(members, blocks)):
+    for element in members:
         coeff = res_coefficients(element, gs, settings, len(ops))
-        rows = None
-        if readout is not None:
-            n_rows = readout.shape[-2] // len(members)
-            rows = np.ascontiguousarray(readout[..., i * n_rows:(i + 1) * n_rows, :])
-            rows.setflags(write=False)
         yield PlanFamily(
             element=element,
             scheme=RES_SCHEME,
@@ -118,23 +107,16 @@ def _res_families(members: list[ElementIndex], gs: tuple[float, ...], rotate: bo
             coeff_re=coeff.real.copy(),
             coeff_im=coeff.imag.copy(),
             base=base,
-            blocks=pair,
-            readout=rows,
         )
-        del rows  # the caller may drop this member before the next one is built
 
 
 def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
-    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``.
-
-    No readout row is rotated here: the family's rows are rotated on
-    first use.
-    """
+    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``."""
     if element.is_diagonal:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    return next(_res_families([element], finite_strengths(gs), rotate=False))
+    return next(_res_families([element], finite_strengths(gs)))
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
@@ -170,11 +152,14 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     """Estimate <s| rho |s'> from the plan's outcome probabilities.
 
     Extraction is scheme independent: the plan carries the estimator,
-    so ``res`` and ``seq`` plans are read the same way.
+    so ``res`` and ``seq`` plans are read the same way.  Each part is
+    Tr(G rho), with G the sum of the coefficient-weighted outcome
+    projectors of the Re or Im table, read from ``base`` (see
+    ``dmres.plans``) rather than from rotated readout rows.
     """
     check_state_dims(rho, plan)
     rho = as_density(rho)
-    return complex(*estimator_sums(plan, rho, (plan.coeff_re, plan.coeff_im)))
+    return complex(*expectations(_estimator_grams(plan), rho))
 
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:

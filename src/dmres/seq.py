@@ -7,14 +7,14 @@ meters carry the element information; the estimator is therefore
 restricted to full-product meter correlators at the two post-selection
 outcomes and made exactly unbiased at the working strength by a
 minimum-norm linear solve.  The solve reads the correlator rows from
-the plan's unrotated columns; only a calibration over the whole outcome
-space (``support="full"``) builds the dense ``response_map`` matrix.
-Extraction is ``res.extract_element``: the plan carries the estimator.
+the plan's unrotated columns, so calibration rotates no readout row;
+the dense ``response_map`` matrix over every outcome is built only when
+asked for.  Extraction is ``res.extract_element``: the plan carries the
+estimator, in the correlator form every plan has.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import replace
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .elements import ElementIndex
 from .errors import CalibrationError, InvalidCouplingError, InvalidElementError
-from .linalg import SIGMA_X, SIGMA_Y, projector
+from .linalg import projector
 from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
@@ -31,11 +31,10 @@ from .plans import (
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
+    _flip_phases,
     base_amplitudes,
     enumerate_settings,
     finite_strengths,
-    post_selected_blocks,
-    readout_amplitudes,
     sign_products,
 )
 
@@ -110,27 +109,6 @@ def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
     return t.real, t.imag
 
 
-@functools.cache
-def _flip_phases(n_meters: int) -> np.ndarray:
-    """phase[b, o] with Sigma_b = diag(phase[b]) J for every setting b.
-
-    sigma_x and sigma_y vanish on their diagonal, so the setting's Pauli
-    product Sigma_b sends meter pattern q to its complement: J is the
-    exchange matrix and phase[b, o] = prod_i sigma_{b_i}[o_i, 1 - o_i],
-    each in {+-1, +-i}.  Rows follow ``enumerate_settings`` and columns
-    the readout pattern order, meter 0 most significant in both.
-    """
-    paulis = np.stack([SIGMA_X, SIGMA_Y])
-    if np.any(np.diagonal(paulis, axis1=-2, axis2=-1)):
-        raise AssertionError("the meter Paulis must vanish on their diagonal")
-    anti = paulis[:, [0, 1], [1, 0]]  # anti[b, o] = sigma_b[o, 1 - o]
-    phase = np.ones((1, 1), dtype=complex)
-    for _ in range(n_meters):
-        phase = (phase[:, None, :, None] * anti[None, :, None, :]).reshape(2 * len(phase), -1)
-    phase.setflags(write=False)
-    return phase
-
-
 def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
@@ -165,28 +143,19 @@ def _correlator_signs(n_meters: int) -> np.ndarray:
     return sign_products(n_meters) / np.sqrt(2 ** n_meters)
 
 
-def _correlator_coefficients(plan: ProtocolPlan | PlanFamily, outcomes: list[int],
-                             z: np.ndarray) -> np.ndarray:
-    """Scatter one weight per (setting, outcome k) onto that block's meter signs.
+def _correlator_coefficients(plan: ProtocolPlan | PlanFamily, z: np.ndarray) -> np.ndarray:
+    """Scatter one weight per (setting, post-selected block) onto that block's meter signs.
 
     The blocks form an orthonormal basis of the restricted coefficient
     subspace; the result is the full (..., n_settings, outcomes) table
-    for weights z of shape (..., n_settings * len(outcomes)).
+    for weights z of shape (..., n_settings * 2).
     """
     m = plan.n_meters
     lead = z.shape[:-1]
     coeff = np.zeros(lead + (plan.n_settings, plan.element.dim, 2 ** m))
-    z = z.reshape(lead + (plan.n_settings, len(outcomes), 1))
-    coeff[..., outcomes, :] = z * _correlator_signs(m)
+    z = z.reshape(lead + (plan.n_settings, len(plan.blocks), 1))
+    coeff[..., list(plan.blocks), :] = z * _correlator_signs(m)
     return coeff.reshape(lead + (plan.n_settings, -1))
-
-
-def _correlator_weights(plan: ProtocolPlan | PlanFamily, outcomes: list[int], w: np.ndarray) -> np.ndarray:
-    """Diagonal of S^T diag(w) S for the scatter S: block sums of w sign^2."""
-    lead = w.shape[:-1]
-    blocks = w.reshape(lead + (plan.n_settings, plan.element.dim, -1))[..., outcomes, :]
-    sums = (blocks * _correlator_signs(plan.n_meters) ** 2).sum(-1)
-    return sums.reshape(lead + (-1,))
 
 
 def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
@@ -214,21 +183,13 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
     return z, norms, smallest
 
 
-def calibrate_estimator(
-    plan: ProtocolPlan | PlanFamily,
-    support: str = "correlator",
-    weights: np.ndarray | None = None,
-):
+def calibrate_estimator(plan: ProtocolPlan | PlanFamily):
     """Minimum-norm unbiased coefficients for the Re and Im functionals.
 
-    ``support='correlator'`` restricts the estimator to full-product
-    meter correlators at the two post-selection outcomes, the joint
-    statistics the sequential readout actually uses; their rows come
-    from the plan's unrotated columns ``base``.  ``support='full'``
-    solves over the whole outcome space, on the rows of
-    ``response_map(plan)``.  ``weights`` switches to the
-    per-state-optimal variant: coefficients minimizing the predicted
-    shot variance sum(c^2 w) instead of the plain norm.
+    The estimator is restricted to full-product meter correlators at the
+    two post-selection outcomes, the joint statistics the sequential
+    readout actually uses; their rows come from the plan's unrotated
+    columns ``base``.
 
     For a plan this returns (coeff_re, coeff_im, info).  For a
     ``PlanFamily`` every strength is solved in one stacked pass and the
@@ -237,41 +198,21 @@ def calibrate_estimator(
     order, whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
-    if support == "correlator":
-        rows = _correlator_response(plan.base, list(post_selected_blocks(plan.element)))
-    elif support == "full":
-        rows = response_map(plan)
-    else:
-        raise CalibrationError(f"unknown calibration support {support!r}")
-    c_re, c_im, infos = _solve(plan, rows, support, weights)
+    c_re, c_im, infos = _solve(plan, _correlator_response(plan.base, list(plan.blocks)))
     if isinstance(plan, PlanFamily):
         return c_re, c_im, infos
     return c_re[0], c_im[0], infos[0]
 
 
-def _solve(plan: ProtocolPlan | PlanFamily, rows: np.ndarray, support: str,
-           weights: np.ndarray | None):
-    """``calibrate_estimator`` on response rows already computed for ``support``.
+def _solve(plan: ProtocolPlan | PlanFamily, rows: np.ndarray):
+    """``calibrate_estimator`` on correlator rows already computed.
 
     Returns tables with a leading strength axis, one ``CalibrationInfo``
     per strength.
     """
     gs = plan.gs if isinstance(plan, PlanFamily) else (plan.g,)
     targets = np.stack(_targets(plan.element))
-    restricted = support == "correlator"
-    outcomes = list(post_selected_blocks(plan.element))
     a_mat = rows.reshape((len(gs),) + rows.shape[-2:]).swapaxes(-1, -2)  # basis x subspace
-
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(-1, plan.n_settings * plan.outcomes_per_setting)
-        # Restricted columns have disjoint outcome support, so the
-        # quadratic form S^T diag(w) S is diagonal.
-        wz = _correlator_weights(plan, outcomes, w) if restricted else w
-        scale = 1.0 / np.sqrt(np.maximum(wz, 1e-12))
-        a_mat = a_mat * scale[:, None, :]
-    else:
-        scale = None
-
     z, residuals, smallest = _min_norm_solve(a_mat, targets)
     for g, res, sv in zip(gs, residuals, smallest):
         if max(res) > RESIDUAL_TOL:
@@ -280,16 +221,10 @@ def _solve(plan: ProtocolPlan | PlanFamily, rows: np.ndarray, support: str,
                 f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {sv:.3e}, "
                 f"floor {SV_FLOOR:g})"
             )
-    if scale is not None:
-        z = z * scale[:, None, :]
-    if restricted:
-        coeff = _correlator_coefficients(plan, outcomes, z)
-    else:
-        coeff = z
-    method = f"min-norm/{support}" + ("" if weights is None else "+weighted")
+    coeff = _correlator_coefficients(plan, z)
     infos = tuple(
         CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
-                        smallest_singular_value=float(sv), method=method)
+                        smallest_singular_value=float(sv), method="min-norm/correlator")
         for res, sv in zip(residuals, smallest)
     )
     shape = (len(gs), plan.n_settings, plan.outcomes_per_setting)
@@ -313,8 +248,8 @@ def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
 
 
 def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[Coupling, ...],
-                 base: np.ndarray, blocks: tuple[int, ...], readout: np.ndarray | None = None) -> PlanFamily:
-    """The family before calibration: zero coefficients on the stored blocks."""
+                 base: np.ndarray) -> PlanFamily:
+    """The family before calibration: no estimator coefficients."""
     settings = enumerate_settings(len(couplings))
     no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
     return PlanFamily(
@@ -326,81 +261,57 @@ def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[
         coeff_re=no_coefficients,
         coeff_im=no_coefficients,
         base=base,
-        blocks=blocks,
-        readout=readout,
     )
 
 
-def plan_seq_grid(
-    element: ElementIndex,
-    gs,
-    support: str = "correlator",
-    weights: np.ndarray | None = None,
-) -> PlanFamily:
+def plan_seq_grid(element: ElementIndex, gs) -> PlanFamily:
     """Build and calibrate the sequential baseline plans at every strength of ``gs``.
 
     Amplitudes and calibration run once over the stacked strengths; the
     first strength in grid order that is singular or fails calibration
-    raises the error its ``plan_seq`` would.  The correlator solve reads
-    ``base`` alone, so such a family rotates its readout rows on first
-    use; a full-support calibration has rotated every row and keeps them.
+    raises the error its ``plan_seq`` would.
     """
     gs = _checked_strengths(element, gs)
     couplings = seq_couplings(element)
-    base = base_amplitudes(element.dims, couplings, gs)
-    blocks = post_selected_blocks(element) if support == "correlator" else tuple(range(element.dim))
-    bare = _bare_family(element, gs, couplings, base, blocks)
-    c_re, c_im, infos = calibrate_estimator(bare, support=support, weights=weights)
-    readout = bare.block_amplitudes if support == "full" else None
-    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos, readout=readout)
+    bare = _bare_family(element, gs, couplings, base_amplitudes(element.dims, couplings, gs))
+    c_re, c_im, infos = calibrate_estimator(bare)
+    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
 
 
 def _seq_families(members: list[ElementIndex], gs: tuple[float, ...]):
     """Yield the correlator-calibrated family of each element of one seq configuration.
 
     Members are upper-triangle elements (s < s') in row-major order.  The
-    couplings and ``base`` are built once.  Each member rotates, and
-    computes correlator rows for, only the blocks no earlier member did:
-    members that share the row block s follow one another, the first
-    computes it, and a copy of its rows serves the rest and is dropped
-    after the last of them.  Each member runs its own solve.
+    couplings and ``base`` are built once.  Each member computes
+    correlator rows only for the blocks no earlier member did: members
+    that share the row block s follow one another, the first computes
+    it, and a copy of its rows serves the rest and is dropped after the
+    last of them.  Each member runs its own solve.
     """
     first = members[0]
     gs = _checked_strengths(first, gs)
     couplings = seq_couplings(first)
     base = base_amplitudes(first.dims, couplings, gs)
-    n_patterns = base.shape[-2] // first.dim
-    shared = None  # copies of block s's correlator and readout rows
+    shared = None  # a copy of block s's correlator rows
     for i, element in enumerate(members):
         s, s_prime = element.s_flat, element.s_prime_flat
         fresh = [s, s_prime] if shared is None else [s_prime]
-        # correlator rows first: their Pauli-rotated temporaries are freed
-        # before the readout rows are allocated
         rows = _correlator_response(base, fresh)
         rows = rows.reshape(rows.shape[:-2] + (-1, len(fresh), rows.shape[-1]))
-        readout = readout_amplitudes(base, element.dim, fresh)
         if shared is not None:
-            rows = np.concatenate([shared[0], rows], axis=-2)
-            readout = np.concatenate([shared[1], readout], axis=-2)
-            readout.setflags(write=False)
+            rows = np.concatenate([shared, rows], axis=-2)
         if i + 1 < len(members) and members[i + 1].s_flat == s:
             if shared is None:
-                shared = (rows[..., :1, :].copy(), readout[..., :n_patterns, :].copy())
+                shared = rows[..., :1, :].copy()
         else:
             shared = None
-        bare = _bare_family(element, gs, couplings, base, (s, s_prime), readout)
-        c_re, c_im, infos = _solve(bare, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])),
-                                   "correlator", None)
+        bare = _bare_family(element, gs, couplings, base)
+        c_re, c_im, infos = _solve(bare, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])))
         yield replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
         # the caller may drop this member before the next one is built
-        del bare, readout, rows, c_re, c_im
+        del bare, rows, c_re, c_im
 
 
-def plan_seq(
-    element: ElementIndex,
-    g: float,
-    support: str = "correlator",
-    weights: np.ndarray | None = None,
-) -> ProtocolPlan:
+def plan_seq(element: ElementIndex, g: float) -> ProtocolPlan:
     """Build and calibrate the sequential baseline plan: ``plan_seq_grid`` at one strength."""
-    return plan_seq_grid(element, (g,), support, weights)[0]
+    return plan_seq_grid(element, (g,))[0]

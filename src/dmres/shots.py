@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, _born, check_state_dims, estimator_sums
+from .plans import ProtocolPlan, _born, check_state_dims, estimator_operators, expectations
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -61,12 +61,13 @@ def element_variance(
 
     Counts are independent Poisson per outcome, so each estimator part
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
-    summed over settings.  The result does not depend on n_t.
+    summed over settings, which is Tr(W rho) / T with W the plan's
+    variance operator.  The result does not depend on n_t.
     """
     check_state_dims(rho, plan)
     factor = allocation_factor(policy.allocation, plan.n_settings)
-    sums = estimator_sums(plan, as_density(rho), (plan.coeff_re ** 2, plan.coeff_im ** 2))
-    return factor * sums[0], factor * sums[1]
+    var_re, var_im = expectations(np.stack(estimator_operators(plan)), as_density(rho))
+    return factor * float(var_re), factor * float(var_im)
 
 
 # One (plan, state) pair and what its draws read: a read-only (3, cells)
@@ -79,8 +80,9 @@ _PROBABILITY_MEMO: tuple = (None, None, None)
 def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndarray:
     """(p, c_re, c_im) over the stored outcome cells, computed once per (plan, state) pair.
 
-    The cells are the rows of ``plan.block_amplitudes``, the outcomes the
-    estimator weighs; the full stack ``plan.amplitudes`` is never read.
+    The cells are the rows of ``plan.block_amplitudes``, blocks s and
+    s', the outcomes the estimator weighs; the full stack
+    ``plan.amplitudes`` is never read.
     Plans and states are immutable (their arrays are read-only), so
     repeated draws for the same two objects reuse the last stack.
     """

@@ -240,6 +240,8 @@ class TestBadInput:
          "fig3a extracts from fixed states and draws no Haar samples (got samples=500)"),
         (["scenario", "fig4a", "--n-t", "5"],
          "fig4a reads n_t only for its sampled run, and none is requested (got n_t=5)"),
+        (["precision", "--system", "qutrit", "--g", "0.3", "--g-grid", "0.5,0.9", "--samples", "150"],
+         "--g 0.3 and --g-grid 0.5,0.9 both name strengths; give one"),
     ])
     def test_exits_3_naming_the_cause(self, mixed3, tmp_path, capsys, args, cause):
         out = tmp_path / "out"

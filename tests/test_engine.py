@@ -1,7 +1,6 @@
 """The tensor-form probability engine against independent dense oracles."""
 
 import dataclasses
-import functools
 import math
 import tracemalloc
 
@@ -55,11 +54,7 @@ from oracles import (
 )
 
 BUILDERS = {"res": plan_res, "seq": plan_seq}
-# plan kinds by the blocks their estimators read: two for res and the
-# correlator seq estimator, every block for seq calibrated on all outcomes
-PLAN_KINDS = {"res": plan_res, "seq": plan_seq, "seq-full": functools.partial(plan_seq, support="full")}
-FAMILY_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid,
-                "seq-full": functools.partial(plan_seq_grid, support="full")}
+FAMILY_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid}
 
 
 def single_build_values(system, scheme, g, seed, samples):
@@ -225,23 +220,6 @@ class TestStrengthFamilies:
             plans_over_grid(element, "seq", grid)
         assert str(family.value) == str(single.value)
 
-    @pytest.mark.parametrize("options", [{"support": "full"}, {"weights": True},
-                                         {"support": "full", "weights": True}])
-    def test_full_support_and_weights_share_the_stacked_solve(self, options):
-        element = ElementIndex.create((2, 2), (0, 1), (1, 0))
-        if options.get("weights"):
-            options = dict(options, weights=np.linspace(0.5, 2.0, 16 * 64).reshape(16, 64))
-        grid = [0.3, 0.9, 1.3]
-        family = plan_seq_grid(element, grid, **options)
-        target = np.zeros((4, 4))
-        target[element.s_flat, element.s_prime_flat] = 1
-        for k, g in enumerate(grid):
-            want = plan_seq(element, g, **options)
-            assert np.array_equal(family[k].coeff_re, want.coeff_re)
-            assert np.array_equal(family[k].coeff_im, want.coeff_im)
-            assert family[k].calibration == want.calibration
-            assert np.max(np.abs(functional_matrix(want) - target)) <= 1e-8
-
     @pytest.mark.parametrize("chunk", [1, 2 ** 14, 2 ** 30])
     def test_sweep_values_equal_per_state_values(self, monkeypatch, chunk):
         monkeypatch.setattr(precision_module, "CHUNK_ENTRIES", chunk)
@@ -295,15 +273,6 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-def weighted_seq_grid(element, gs):
-    """Correlator seq families calibrated with one table of positive per-outcome weights."""
-    layout = plan_seq_grid(element, gs[:1])
-    weights = 0.5 + stream(5, "operator-weights").random((layout.n_settings, layout.outcomes_per_setting))
-    return plan_seq_grid(element, gs, weights=weights)
-
-
-# estimators whose squared coefficients are constant on every (setting, block) slice
-BASE_PATH_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid, "seq-weighted": weighted_seq_grid}
 STRENGTHS = st.floats(0.1, 1.4) | st.floats(1e-2, 5e-2)
 
 
@@ -312,10 +281,10 @@ class TestBaseBlockOperators:
 
     @settings(max_examples=40, deadline=None)
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (3, 3))), gs=st.tuples(STRENGTHS, STRENGTHS),
-           kind=st.sampled_from(sorted(BASE_PATH_KINDS)))
+           kind=st.sampled_from(sorted(FAMILY_KINDS)))
     def test_operators_equal_the_full_stack_gram(self, element, gs, kind):
         try:
-            family = BASE_PATH_KINDS[kind](element, gs)
+            family = FAMILY_KINDS[kind](element, gs)
         except CalibrationError:
             # a qutrit and a second qudit coupled near g = 1e-2: the
             # correlator response falls below SV_FLOOR, so seq has no
@@ -332,36 +301,17 @@ class TestBaseBlockOperators:
                 assert_rel_close(w, full_gram(family.amplitudes[k], c ** 2))
                 assert_rel_close(w, w.conj().T)
 
-    @pytest.mark.parametrize("dims,s,sp", [((3,), (0,), (2,)), ((2, 3), (1, 0), (0, 2))])
-    def test_full_support_weighs_the_rotated_rows(self, monkeypatch, dims, s, sp):
-        grams = []
-        weighted_gram = plans_module._weighted_gram
-
-        def counted(plan, weights):
-            grams.append(plan)
-            return weighted_gram(plan, weights)
-
-        monkeypatch.setattr(plans_module, "_weighted_gram", counted)
-        element = ElementIndex.create(dims, s, sp)
-        estimator_operators(plan_res(element, 0.7))
-        assert grams == []
-        plan = plan_seq(element, 0.7, support="full")
-        w_re, w_im = estimator_operators(plan)
-        assert grams == [plan, plan]
-        assert_rel_close(w_re, full_gram(plan.amplitudes, plan.coeff_re ** 2))
-        assert_rel_close(w_im, full_gram(plan.amplitudes, plan.coeff_im ** 2))
-
 
 class TestStoredBlocks:
     """Plans keep the readout rows of the blocks their estimator reads."""
 
     @settings(max_examples=25, deadline=None)
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (3, 3))), g=st.floats(0.1, 1.4),
-           kind=st.sampled_from(sorted(PLAN_KINDS)))
+           kind=st.sampled_from(sorted(BUILDERS)))
     def test_stored_rows_are_rows_of_the_full_stack(self, element, g, kind):
-        plan = PLAN_KINDS[kind](element, g)
+        plan = BUILDERS[kind](element, g)
         pair = tuple(sorted((element.s_flat, element.s_prime_flat)))
-        assert plan.blocks == (tuple(range(element.dim)) if kind == "seq-full" else pair)
+        assert plan.blocks == pair
         assert plan.block_amplitudes.shape == (plan.n_settings, len(plan.blocks) * 2 ** plan.n_meters,
                                                element.dim)
         assert np.array_equal(plan.block_amplitudes, stored_rows_of(plan.amplitudes, plan))
@@ -371,12 +321,12 @@ class TestStoredBlocks:
         want = reference_plan_amplitudes(element.dims, element.s, element.s_prime, g, kind[:3])
         assert_allclose(plan.amplitudes, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", sorted(PLAN_KINDS))
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("dims,s,sp", [((3,), (0,), (2,)), ((2, 3), (1, 0), (0, 2)),
                                            ((2, 2, 2), (0, 1, 1), (1, 1, 0))])
     def test_hot_paths_match_a_full_stack_evaluation(self, kind, dims, s, sp):
         element = ElementIndex.create(dims, s, sp)
-        plan = PLAN_KINDS[kind](element, 0.7)
+        plan = BUILDERS[kind](element, 0.7)
         rho = random_mixed_state(dims, stream(3, "stored-blocks"))
         p = all_probabilities(plan, rho)
         c_re, c_im = plan.coeff_re, plan.coeff_im
@@ -396,12 +346,20 @@ class TestStoredBlocks:
             for w, c in zip(stacks, (family.coeff_re[k], family.coeff_im[k])):
                 assert_rel_close(w[k], full_gram(family.amplitudes[k], c ** 2))
 
-    def test_coefficients_off_the_stored_blocks_are_rejected(self):
-        plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
-        coeff = plan.coeff_re.copy()
-        coeff[0, -1] = 1.0  # an outcome of system block 2, which the plan does not store
-        with pytest.raises(InvalidCouplingError):
-            dataclasses.replace(plan, coeff_re=coeff)
+    @pytest.mark.parametrize("builder", [plan_res, plan_seq])
+    @pytest.mark.parametrize("row", ["off the blocks", "sign pattern"])
+    def test_coefficients_off_the_stored_blocks_are_rejected(self, builder, row):
+        plan = builder(ElementIndex.create((3,), (0,), (1,)), 0.5)
+        for name in ("coeff_re", "coeff_im"):
+            coeff = getattr(plan, name).copy()
+            if row == "off the blocks":
+                coeff[0, -1] = 1.0  # an outcome of system block 2, which the plan does not store
+            else:
+                # block 0's pattern 1 has meter sign -1, so its entry must be minus pattern 0's
+                b = np.flatnonzero(coeff[:, 0])[0]
+                coeff[b, 1] = coeff[b, 0]
+            with pytest.raises(InvalidCouplingError):
+                dataclasses.replace(plan, **{name: coeff})
 
     def test_four_qubit_seq_plan_builds_small(self):
         # the full amplitude stack of this plan alone holds 268 MB

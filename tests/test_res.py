@@ -60,7 +60,7 @@ def bare_res_plan(element, g):
     return ProtocolPlan(
         element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
         coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
-        base=base, blocks=tuple(range(element.dim)),
+        base=base,
     )
 
 
@@ -380,13 +380,12 @@ class TestConfigurationPlans:
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
-    def test_characterize_rotates_once_per_configuration_or_member(self, scheme, dims, readout_calls):
-        # res rotates all members' blocks in one readout per configuration;
-        # each seq member rotates only the blocks no earlier member did
+    def test_exact_estimates_rotate_no_readout_row(self, scheme, dims, readout_calls):
+        # every estimate is read from the unrotated blocks of base
         rho = random_mixed_state(dims, stream(4, "rotations"))
         characterize(rho, 0.6, self.BUILDERS[scheme])
-        groups = configurations(dims, scheme)
-        assert len(readout_calls) == (len(groups) if scheme == "res" else sum(map(len, groups)))
+        extract_element(rho, self.BUILDERS[scheme](element_from_flat(dims, 0, 3), 0.6))
+        assert readout_calls == []
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("g", [0.0, float("nan")])

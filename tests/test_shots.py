@@ -23,7 +23,7 @@ from dmres import (
 )
 
 from oracles import reference_plan_probabilities
-from test_engine import PLAN_KINDS, elements
+from test_engine import BUILDERS, elements
 
 
 def maximally_mixed(d):
@@ -183,9 +183,9 @@ class TestDrawPath:
 
     @settings(max_examples=25, deadline=None)
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))), g=st.floats(0.1, 1.4),
-           kind=st.sampled_from(sorted(PLAN_KINDS)), seed=st.integers(0, 2 ** 16))
+           kind=st.sampled_from(sorted(BUILDERS)), seed=st.integers(0, 2 ** 16))
     def test_draws_weigh_the_stored_blocks(self, element, g, kind, seed):
-        plan = PLAN_KINDS[kind](element, g)
+        plan = BUILDERS[kind](element, g)
         rho = random_mixed_state(element.dims, stream(seed, "draw-path"))
         simulate_shots(plan, rho, ShotPolicy(n_t=100.0), stream(seed, "draw-path-shots"))
         assert "amplitudes" not in plan.__dict__
