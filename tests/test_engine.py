@@ -27,7 +27,7 @@ from dmres import (
     stream,
 )
 from dmres.elements import precision_element_set
-from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary
+from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary, sign_products
 from dmres.precision import (
     SystemSpec,
     default_g_grid,
@@ -360,6 +360,41 @@ class TestStoredBlocks:
                 coeff[b, 1] = coeff[b, 0]
             with pytest.raises(InvalidCouplingError):
                 dataclasses.replace(plan, **{name: coeff})
+
+    @pytest.mark.parametrize("builder", [plan_res, plan_seq])
+    def test_any_weight_per_setting_and_block_reads_the_full_stack(self, builder):
+        # the built tables share structure across blocks and settings; a
+        # table of unrelated weights must still match the Born-sum oracle
+        element = ElementIndex.create((2, 3), (1, 0), (0, 2))
+        plan = builder(element, 0.7)
+        rng = stream(8, "block-weights")
+        signs = sign_products(plan.n_meters)
+        tables = []
+        for _ in range(2):
+            table = np.zeros((plan.n_settings, element.dim, 2 ** plan.n_meters))
+            table[:, list(plan.blocks)] = rng.normal(size=(plan.n_settings, 2, 1)) * signs
+            tables.append(table.reshape(plan.n_settings, -1))
+        plan = dataclasses.replace(plan, coeff_re=tables[0], coeff_im=tables[1])
+        rho = random_mixed_state(element.dims, stream(9, "block-weights"))
+        p = all_probabilities(plan, rho)
+        assert_rel_close(extract_element(rho, plan), complex(np.sum(tables[0] * p), np.sum(tables[1] * p)))
+        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, plan.coefficients()).T)
+        w_re, w_im = estimator_operators(plan)
+        assert_rel_close(w_re, full_gram(plan.amplitudes, tables[0] ** 2))
+        assert_rel_close(w_im, full_gram(plan.amplitudes, tables[1] ** 2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))), g=STRENGTHS)
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_functional_is_the_matrix_unit(self, kind, element, g):
+        try:
+            plan = BUILDERS[kind](element, g)
+        except CalibrationError:
+            # seq's correlator response can fall below SV_FLOOR near g = 1e-2
+            assume(False)
+        target = np.zeros((element.dim, element.dim), dtype=complex)
+        target[element.s_flat, element.s_prime_flat] = 1
+        assert np.max(np.abs(functional_matrix(plan) - target)) <= 1e-8
 
     def test_four_qubit_seq_plan_builds_small(self):
         # the full amplitude stack of this plan alone holds 268 MB

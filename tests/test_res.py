@@ -181,6 +181,17 @@ class TestOutcomeDistribution:
 
 
 class TestExtraction:
+    @pytest.mark.parametrize("g", [1e-2, 2e-2])
+    def test_exact_at_weak_coupling(self, g):
+        # the coefficients grow as the response shrinks with g; the exact
+        # estimate is read from base and keeps the element to rounding
+        e = ElementIndex.create((2, 3), (0, 0), (1, 2))
+        plan = plan_res(e, g)
+        rng = stream(7, "weak-res")
+        for _ in range(5):
+            rho = random_mixed_state((2, 3), rng)
+            assert abs(extract_element(rho, plan) - rho.entry(e.s_flat, e.s_prime_flat)) <= 1e-8
+
     def test_maximally_mixed_has_zero_coherence(self):
         value = extract_element(maximally_mixed((3,)), plan_res(ElementIndex.create((3,), (0,), (2,)), 0.3))
         assert abs(value) < 1e-12
