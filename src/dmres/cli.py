@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -253,7 +254,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dmres",
         description="Direct density-matrix element characterization and precision analysis",

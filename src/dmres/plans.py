@@ -134,6 +134,18 @@ class _PlanLayout:
         """
         return readout_amplitudes(self.base, self.element.dim)
 
+    @cached_property
+    def estimator_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (W_re, W_im) of ``estimator_operators``, computed on first use and kept.
+
+        (dim, dim) each for a plan, with a leading strength axis for a
+        family.
+        """
+        operators = estimator_operators(self)
+        for w in operators:
+            w.setflags(write=False)
+        return operators
+
     def block_entries(self, table: np.ndarray) -> np.ndarray:
         """The entries of a (..., n_settings, outcomes) table on blocks s and s'.
 

@@ -13,7 +13,8 @@ histograms and the reference comparison handed that report read W from
 it at strengths on its grid, so one fig4 run computes each operator
 once.  Samples come from counter-based streams keyed by sample index,
 so every strength, scheme and report sees the same states; each is
-drawn once per run and kept in a small memo.
+drawn once per run and kept in a small memo.  A sweep's means and
+standard errors come from one stacked reduction over its points.
 """
 
 from __future__ import annotations
@@ -27,15 +28,20 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, estimator_operators, post_selected_blocks
+from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, post_selected_blocks
 from .res import plan_res_grid
 from .sampling import precision_states
 from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Complex entries one element's build may allocate per sweep chunk (256 KiB).
-CHUNK_ENTRIES = 2 ** 14
+# Array entries one element's build may hold per sweep chunk, at most
+# 16 bytes each (1 MiB), counted per strength by ``_stored_entries``.
+CHUNK_ENTRIES = 2 ** 16
+
+# Entries of the (points, policies, samples) stack a sweep reduces at
+# once (256 KiB): one point of a default 10^4-sample, two-policy run.
+STAT_ENTRIES = 2 ** 15
 
 # Distinct (n_qudits, d, seed) keys whose states are kept between calls.
 STATE_MEMO_KEYS = 2
@@ -108,7 +114,7 @@ def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
 
 def _variance_operator(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
     """Mean of a plan's Re and Im variance operators; (G, D, D) for a family."""
-    w_re, w_im = estimator_operators(plan)
+    w_re, w_im = plan.estimator_operators
     return 0.5 * (w_re + w_im)
 
 
@@ -175,22 +181,33 @@ def per_state_values(
 
 
 def _stored_entries(element: ElementIndex, scheme: str) -> int:
-    """Complex entries per strength that a sweep chunk budgets for ``element``.
+    """Array entries per strength that a sweep chunk budgets for ``element``.
 
-    With D the system dimension and m meters (one per coupled qudit for
-    ``res``, two for ``seq``), the unrotated columns ``base`` hold
-    D 2^m D entries.  The second term, 2^m 2 2^m D, is the size of one
-    scratch array the build allocates per strength: for ``seq`` the
-    Pauli-flipped stack (2^m settings, 2 post-selected blocks, 2^m
-    patterns, D) that ``seq._correlator_response`` forms for the
-    calibration; for ``res`` the complex coefficient table (2^m
-    settings, D 2^m outcomes) of ``res.res_coefficients`` plus the real
-    and imaginary copies the family keeps, together as many bytes as
-    2 2^m 2^m D complex entries.
+    With D the system dimension, m meters (one per coupled qudit for
+    ``res``, two for ``seq``) and as many settings S as meter patterns,
+    2^m, a build holds per strength:
+
+    - the unrotated columns ``base``, D 2^m D complex entries;
+    - the coefficient tables, 2 S D 2^m entries: the real and imaginary
+      tables the family keeps, and for ``res`` the complex table they
+      are split from, as many bytes as both;
+    - for ``seq``, the Gram stack A_k^dag Sigma_b A_k that
+      ``seq._correlator_response`` reads the calibration rows from, S 2
+      D D complex entries, one D x D matrix per setting and
+      post-selected block.
+
+    Readout rows are not counted: a sweep rotates none.  The
+    Pauli-flipped blocks of the calibration are formed a few settings at
+    a time under ``seq.FLIP_ENTRIES``, whatever the strength count, so
+    they are not counted either.
     """
     m = len(element.coupled_set) * (1 if scheme == "res" else 2)
-    rows = 2 ** m * element.dim
-    return rows * element.dim + 2 ** m * len(post_selected_blocks(element)) * rows
+    patterns = settings = 2 ** m
+    d = element.dim
+    entries = d * patterns * d + 2 * settings * d * patterns
+    if scheme == "seq":
+        entries += settings * len(post_selected_blocks(element)) * d * d
+    return entries
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
@@ -263,10 +280,33 @@ class PrecisionReport:
         Path(path).write_text(self.to_csv())
 
 
-def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, stderr
+def _mean_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the mean of each row of a (..., samples) stack.
+
+    Two reductions along the contiguous sample axis: numpy sums each row
+    with the pairwise sum it gives a 1-D array, so every value equals
+    that of the row on its own, bit for bit.  A 1-D array gives 0-d
+    results, and a single sample a standard error of 0.
+    """
+    n = stack.shape[-1]
+    stderr = stack.std(-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(stack.shape[:-1])
+    return stack.mean(-1), stderr
+
+
+def _sweep_statistics(operators: list, factors: np.ndarray, states: np.ndarray):
+    """Yield ``_mean_stderr`` of f * Tr(W rho) over the states for each W and its factors f.
+
+    ``factors`` is (points, policies).  The (points, policies, samples)
+    stack is formed ``STAT_ENTRIES`` at a time, at least one point,
+    and each part is reduced in one pass per statistic.
+    """
+    step = max(1, STAT_ENTRIES // (factors.shape[1] * len(states)))
+    for lo in range(0, len(operators), step):
+        part = list(zip(operators[lo:lo + step], factors[lo:lo + step]))
+        stack = np.empty((len(part), factors.shape[1], len(states)))
+        for row, (w_mean, f) in zip(stack, part):
+            np.multiply(f[:, None], _trace(w_mean, states), out=row)
+        yield from zip(*_mean_stderr(stack))
 
 
 def filter_grid(scheme: str, grid) -> list[float]:
@@ -320,19 +360,18 @@ def g_sweep(
         points = filter_grid(scheme, g_grid) or g_grid[:1]
         operators[scheme] = list(mean_variance_operators(system, scheme, points))
     report = PrecisionReport(rows=[])
-    states = sampled_states(system, seed, samples)
-    for scheme, points in operators.items():
-        for g, w_mean, counts in points:
-            report.operators[(system, scheme, g)] = (w_mean, counts)
-            couplings, settings, outcomes = counts
-            vals = _trace(w_mean, states)
-            for policy in policies:
-                factor = allocation_factor(policy.allocation, settings)
-                mean, stderr = _mean_stderr(factor * vals)
-                report.rows.append(
-                    ReportRow(scheme, system.n_qudits, system.d, g, policy.allocation,
-                              samples, mean, stderr, couplings, settings, outcomes)
-                )
+    points = [(scheme, *point) for scheme, held in operators.items() for point in held]
+    factors = np.array([[allocation_factor(policy.allocation, counts[1]) for policy in policies]
+                        for *_, counts in points])
+    statistics = _sweep_statistics([w_mean for _, _, w_mean, _ in points], factors,
+                                   sampled_states(system, seed, samples))
+    for (scheme, g, w_mean, counts), (means, stderrs) in zip(points, statistics):
+        report.operators[(system, scheme, g)] = (w_mean, counts)
+        for policy, mean, stderr in zip(policies, means.tolist(), stderrs.tolist()):
+            report.rows.append(
+                ReportRow(scheme, system.n_qudits, system.d, g, policy.allocation,
+                          samples, mean, stderr, *counts)
+            )
     for scheme in operators:
         for policy in policies:
             rows = [r for r in report.rows if r.scheme == scheme and r.policy == policy.allocation]
@@ -389,7 +428,7 @@ def error_histogram(
         scheme=scheme, g=g, policy=policy.allocation, samples=samples,
         bin_edges=edges, counts=counts,
         max_error=float(errors.max()), mean_error=float(errors.mean()),
-        mean_square=float((errors ** 2).mean()), delta2=mean, delta2_stderr=stderr,
+        mean_square=float((errors ** 2).mean()), delta2=float(mean), delta2_stderr=float(stderr),
     )
 
 
@@ -481,8 +520,9 @@ def reference_comparison(
         vals, (_, settings, _) = _unit_values(system, scheme, g_ref, seed, samples, report)
         per_policy = {}
         matched = False
-        for allocation in ALLOCATIONS:
-            mean, stderr = _mean_stderr(allocation_factor(allocation, settings) * vals)
+        means, stderrs = _mean_stderr(
+            np.multiply.outer([allocation_factor(a, settings) for a in ALLOCATIONS], vals))
+        for allocation, mean, stderr in zip(ALLOCATIONS, means.tolist(), stderrs.tolist()):
             rel = abs(mean - value_ref) / value_ref
             per_policy[allocation] = {
                 "nt_delta2": mean,

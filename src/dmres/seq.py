@@ -15,6 +15,7 @@ estimator, in the correlator form every plan has.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -45,6 +46,11 @@ RESIDUAL_TOL = 1e-8
 # below the floor are noise, not signal, and must not be inverted.
 SV_FLOOR = 1e-13
 
+# Complex entries the Pauli-flipped blocks of one correlator response
+# may hold at once (256 KiB): settings are flipped that many at a time,
+# at least one, so the flip never scales with the strength count.
+FLIP_ENTRIES = 2 ** 14
+
 
 def hermitian_labels(dim: int) -> list[tuple[int, int, str]]:
     """Hermitian basis order: diagonal units, then a symmetric ('re') and an
@@ -55,6 +61,15 @@ def hermitian_labels(dim: int) -> list[tuple[int, int, str]]:
     return labels
 
 
+@functools.cache
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the upper triangle u < v, row-major."""
+    pairs = np.triu_indices(dim, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def basis_traces(mats: np.ndarray) -> np.ndarray:
     """Tr(B_b M) for every basis element B_b, read off the entries of M.
 
@@ -62,7 +77,7 @@ def basis_traces(mats: np.ndarray) -> np.ndarray:
     values in ``hermitian_labels`` order: M[u,u], then M[u,v] + M[v,u]
     and i (M[u,v] - M[v,u]) per pair.
     """
-    iu, iv = np.triu_indices(mats.shape[-1], 1)
+    iu, iv = _upper_pairs(mats.shape[-1])
     upper, lower = mats[..., iu, iv], mats[..., iv, iu]
     pairs = np.stack([upper + lower, 1j * (upper - lower)], axis=-1)
     diag = np.diagonal(mats, axis1=-2, axis2=-1)
@@ -117,23 +132,31 @@ def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     A_k the meter-block amplitudes for outcome k and Sigma_b the tensor
     product of the setting's Pauli readouts.  Sigma_b A_k is A_k with
     its meter patterns reversed and each row scaled by a phase in
-    {+-1, +-i}, which is exact in every bit.  Computing the matrix
-    element directly keeps every term at the full correlator order in
-    g, so no precision is lost to cancellation at weak coupling.  A
-    strength stack of ``base`` gives one row block per strength, (G,
-    rows, basis).  ``base`` is a plan's unrotated columns.
+    {+-1, +-i}, which is exact in every bit; it is formed for
+    ``FLIP_ENTRIES`` worth of settings at a time, and each Gram product
+    A_k^dag (Sigma_b A_k) is the same 2-D product whatever the chunk.
+    Computing the matrix element directly keeps every term at the full
+    correlator order in g, so no precision is lost to cancellation at
+    weak coupling.  A strength stack of ``base`` gives one row block per
+    strength, (G, rows, basis).  ``base`` is a plan's unrotated columns.
     """
     d = base.shape[-1]
     n_patterns = base.shape[-2] // d
     lead = base.shape[:-2]
     blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    reversed_blocks = blocks[..., ::-1, :]
     phase = _flip_phases(n_patterns.bit_length() - 1)
     phase = phase.reshape((-1,) + (1,) * (blocks.ndim - 2) + (n_patterns, 1))
-    sigma_blocks = phase * blocks[..., ::-1, :]
-    # a phase times a signed zero may give -0, where summing a Pauli row's
-    # two products always gives +0; the Gram product's bits depend on it
-    sigma_blocks += 0.0
-    gmat = blocks.conj().swapaxes(-1, -2) @ sigma_blocks  # (settings, ..., outcomes, d, d)
+    gmat = np.empty(phase.shape[:1] + adjoint.shape[:-1] + (d,), dtype=complex)
+    step = max(1, FLIP_ENTRIES // blocks.size)
+    for lo in range(0, len(phase), step):
+        flipped = phase[lo:lo + step] * reversed_blocks
+        # a phase times a signed zero may give -0, where summing a Pauli
+        # row's two products always gives +0; the Gram product's bits
+        # depend on it
+        flipped += 0.0
+        np.matmul(adjoint, flipped, out=gmat[lo:lo + step])  # (settings, ..., outcomes, d, d)
     rows = basis_traces(gmat).real / np.sqrt(n_patterns)
     rows = np.moveaxis(rows, 0, len(lead))
     return rows.reshape(lead + (-1, rows.shape[-1]))

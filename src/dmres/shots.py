@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, _born, check_state_dims, estimator_operators, expectations
+from .plans import ProtocolPlan, _born, check_state_dims, expectations
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -62,11 +62,12 @@ def element_variance(
     Counts are independent Poisson per outcome, so each estimator part
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
     summed over settings, which is Tr(W rho) / T with W the plan's
-    variance operator.  The result does not depend on n_t.
+    variance operator, built once per plan.  The result does not depend
+    on n_t.
     """
     check_state_dims(rho, plan)
     factor = allocation_factor(policy.allocation, plan.n_settings)
-    var_re, var_im = expectations(np.stack(estimator_operators(plan)), as_density(rho))
+    var_re, var_im = expectations(np.stack(plan.estimator_operators), as_density(rho))
     return factor * float(var_re), factor * float(var_im)
 
 

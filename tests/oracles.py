@@ -211,6 +211,18 @@ EIGENBRAS = {
 }  # rows: <+| and <-| of sigma_x / sigma_y
 
 
+def mean_stderr(vals):
+    """Mean and standard error of the mean of one 1-D array, as Python floats.
+
+    The per-point statistic precision sweeps computed before they
+    reduced a stack of points at once; the stacked reduction must equal
+    it bit for bit.
+    """
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return mean, stderr
+
+
 def reference_couplings(dims, s, sp, scheme):
     """(qudit, operator) per meter, in coupling order, from the element alone.
 

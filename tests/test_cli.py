@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmres import DensityMatrix, all_offdiagonal_elements, random_mixed_state, read_state, stream, write_state
-from dmres.cli import main, parse_angle, parse_element
+from dmres.cli import build_parser, main, parse_angle, parse_element
 from dmres.errors import DmresError
 from dmres.validate import run_validation
 
@@ -311,6 +311,38 @@ class TestScenarioCommand:
         a = (tmp_path / "r1" / "fig3b" / "fig3b.csv").read_bytes()
         b = (tmp_path / "r2" / "fig3b" / "fig3b.csv").read_bytes()
         assert a == b
+
+
+class TestParserReuse:
+    """One parser serves every call of a process; no call changes what a later one gets."""
+
+    def test_calls_in_turn_keep_exit_codes_and_outputs(self, tmp_path, mixed3, capsys):
+        calls = {
+            "precision": (0, lambda out: ["precision", "--system", "qutrit", "--scheme", "res,seq",
+                                          "--g-grid", "0.4,pi/4", "--samples", "150", "--out", f"{out}/p.csv"]),
+            "scenario": (0, lambda out: ["scenario", "fig3b", "--seed", "6", "--out", str(out)]),
+            "bad argument": (2, lambda out: ["precision", "--system", "qutrit", "--samples", "many",
+                                             "--out", f"{out}/x.csv"]),
+            "characterize": (0, lambda out: ["characterize", "--state", str(mixed3), "--g", "0.6",
+                                             "--out", f"{out}/c"]),
+        }
+
+        def run(name, out):
+            code, argv = calls[name]
+            try:
+                got = main(argv(out))
+            except SystemExit as exc:  # argparse rejects the argument
+                got = exc.code
+            assert got == code, name
+            printed = capsys.readouterr()
+            files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+            return printed.out.replace(str(out), "OUT"), printed.err.replace(str(out), "OUT"), files
+
+        first = {name: run(name, tmp_path / "first" / name) for name in calls}
+        again = {name: run(name, tmp_path / "again" / name) for name in reversed(calls)}
+        assert first == again
+        assert first["bad argument"][1].endswith("invalid int value: 'many'\n")
+        assert build_parser() is build_parser()
 
 
 class TestValidateCommand:

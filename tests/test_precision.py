@@ -10,6 +10,7 @@ from dmres import (
     ElementIndex,
     InvalidStateError,
     ShotPolicy,
+    all_offdiagonal_elements,
     error_histogram,
     g_sweep,
     plan_res,
@@ -19,6 +20,7 @@ from dmres import (
     stream,
 )
 import dmres.precision as precision_module
+import dmres.seq as seq_module
 from dmres.elements import precision_element_set
 from dmres.errors import DmresError
 from dmres.plans import estimator_operators
@@ -31,7 +33,7 @@ from dmres.precision import (
 )
 from dmres.sampling import sample_precision_state
 
-from oracles import exact_haar_mean
+from oracles import exact_haar_mean, mean_stderr
 
 PER = ShotPolicy(n_t=1.0)
 SPLIT = ShotPolicy(n_t=1.0, allocation="split-total")
@@ -168,13 +170,42 @@ class TestWeakCouplingScaling:
             assert abs(slope - want) < 0.05 * abs(want)
 
 
+def held_entries(element, scheme, gs):
+    """Entries per strength of every array a family build over ``gs`` holds, read from their shapes.
+
+    The family's ``base`` and coefficient tables, and for ``seq`` the
+    Gram stack the calibration rows are read from (the largest stack
+    ``seq.basis_traces`` is handed).
+    """
+    handed = []
+    traces = seq_module.basis_traces
+
+    def recorded(mats):
+        handed.append(mats.size)
+        return traces(mats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seq_module, "basis_traces", recorded)
+        family = plans_over_grid(element, scheme, gs)
+    arrays = [family.base.size, family.coeff_re.size, family.coeff_im.size]
+    if scheme == "seq":
+        arrays.append(max(handed))
+    return [size // len(gs) for size in arrays]
+
+
 class TestChunkSizing:
     @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2), SystemSpec(2, 3)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_is_the_built_plans_size(self, system, scheme):
         for e in precision_element_set(system.n_qudits, system.d):
-            plan = plans_over_grid(e, scheme, [0.6])[0]
-            assert precision_module._stored_entries(e, scheme) == plan.base.size + plan.block_amplitudes.size
+            assert precision_module._stored_entries(e, scheme) == sum(held_entries(e, scheme, [0.6]))
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_layout_count_covers_every_array_a_build_holds(self, dims, scheme):
+        for element in all_offdiagonal_elements(dims):
+            count = precision_module._stored_entries(element, scheme)
+            assert count >= sum(held_entries(element, scheme, [0.3, 0.6, 1.1])), element.label()
 
     @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
@@ -182,6 +213,46 @@ class TestChunkSizing:
         builds = count_builds(monkeypatch)
         g_sweep(system, [scheme], [0.5, 0.9], 150, PER, seed=1)
         assert builds == [(e, scheme, (0.5, 0.9)) for e in precision_element_set(system.n_qudits, system.d)]
+
+
+def float_bytes(x):
+    return np.float64(x).tobytes()
+
+
+class TestStackedStatistics:
+    """Every statistic of a sweep equals the per-point mean and standard error, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, precision_module.STAT_ENTRIES, 2 ** 30])
+    @pytest.mark.parametrize("samples", [100, 101, 1000])
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    def test_sweep_rows_equal_the_per_point_statistics(self, monkeypatch, system, samples, chunk):
+        monkeypatch.setattr(precision_module, "STAT_ENTRIES", chunk)
+        report = g_sweep(system, ("res", "seq"), default_g_grid(), samples, (PER, SPLIT), seed=17)
+        states = sampled_states(system, 17, samples)
+        assert len(report.rows) == 2 * (32 + 33)
+        for row in report.rows:
+            w_mean, (_, settings, _) = report.operators[system, row.scheme, row.g]
+            factor = settings if row.policy == SPLIT.allocation else 1.0
+            mean, stderr = mean_stderr(factor * precision_module._trace(w_mean, states))
+            assert float_bytes(row.nt_delta2) == float_bytes(mean)
+            assert float_bytes(row.mc_stderr) == float_bytes(stderr)
+
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
+    def test_reference_and_histogram_equal_the_per_point_statistics(self, system):
+        comparison = reference_comparison(system, samples=1000, seed=17)
+        states = sampled_states(system, 17, 1000)
+        for scheme, entry in comparison["schemes"].items():
+            ((_, w_mean, (_, settings, _)),) = precision_module.mean_variance_operators(system, scheme, [entry["g"]])
+            vals = precision_module._trace(w_mean, states)
+            for policy, factor in ((PER, 1.0), (SPLIT, settings)):
+                mean, stderr = mean_stderr(factor * vals)
+                got = entry["policies"][policy.allocation]
+                assert float_bytes(got["nt_delta2"]) == float_bytes(mean)
+                assert float_bytes(got["mc_stderr"]) == float_bytes(stderr)
+            hist = error_histogram(system, scheme, entry["g"], 1000, PER, seed=17)
+            mean, stderr = mean_stderr(vals)
+            assert float_bytes(hist.delta2) == float_bytes(mean)
+            assert float_bytes(hist.delta2_stderr) == float_bytes(stderr)
 
 
 class TestRejectedSweepDrawsNothing:

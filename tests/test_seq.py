@@ -23,6 +23,7 @@ from dmres import (
 )
 from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
+import dmres.seq as seq_module
 from dmres.seq import _correlator_response, seq_couplings
 from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings
 
@@ -254,6 +255,35 @@ def signed_zero_base(shape, rng, zero_frac):
     return base
 
 
+def random_flip_bases(m):
+    """Signed-zero bases for m meters, one strength and a stack of three, with the outcomes to read."""
+    rng = np.random.default_rng(m)
+    d = 3 if m <= 4 else 2
+    outcomes = [0, d - 1]
+    for shape in [(d * 2 ** m, d), (3, d * 2 ** m, d)]:
+        for zero_frac in (1 / 3, 1.0):
+            yield signed_zero_base(shape, rng, zero_frac), outcomes
+
+
+def plan_flip_bases(dims, u, v):
+    """Real plans' unrotated columns: one strength and a strength stack, with the outcomes to read."""
+    element = element_from_flat(dims, u, v)
+    for g in (0.05, 0.7, [1e-3, 0.3, 1.2, math.pi / 2]):
+        yield base_amplitudes(dims, seq_couplings(element), g), sorted((u, v))
+
+
+def flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk):
+    """Set the flip budget so that ``per_chunk`` settings are flipped at a time."""
+    flipped = math.prod(base.shape[:-2]) * len(outcomes) * base.shape[-2]
+    monkeypatch.setattr(seq_module, "FLIP_ENTRIES", per_chunk * flipped)
+
+
+def assert_rows_match_einsum_reference(base, outcomes):
+    got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestCorrelatorFlip:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_phase_table_is_the_pauli_product(self, m):
@@ -270,22 +300,26 @@ class TestCorrelatorFlip:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_rows_match_einsum_reference_bytes(self, m):
-        rng = np.random.default_rng(m)
-        d = 3 if m <= 4 else 2
-        outcomes = [0, d - 1]
-        for shape in [(d * 2 ** m, d), (3, d * 2 ** m, d)]:
-            for zero_frac in (1 / 3, 1.0):
-                base = signed_zero_base(shape, rng, zero_frac)
-                got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+        for base, outcomes in random_flip_bases(m):
+            assert_rows_match_einsum_reference(base, outcomes)
 
     @pytest.mark.parametrize("dims, u, v", [((3,), 0, 2), ((2, 2), 0, 3), ((2, 2, 2), 1, 6), ((3, 2), 5, 0)])
     def test_plan_rows_match_einsum_reference_bytes(self, dims, u, v):
-        # real plans: one strength and a strength stack of unrotated columns
-        element = element_from_flat(dims, u, v)
-        outcomes = sorted((u, v))
-        for g in (0.05, 0.7, [1e-3, 0.3, 1.2, math.pi / 2]):
-            base = base_amplitudes(dims, seq_couplings(element), g)
-            got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
-            assert got.tobytes() == want.tobytes()
+        for base, outcomes in plan_flip_bases(dims, u, v):
+            assert_rows_match_einsum_reference(base, outcomes)
+
+    # settings flipped at a time: one, and three, which leaves a short
+    # last chunk for every m >= 2
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_settings_chunked_rows_match_einsum_reference_bytes(self, monkeypatch, m, per_chunk):
+        for base, outcomes in random_flip_bases(m):
+            flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk)
+            assert_rows_match_einsum_reference(base, outcomes)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("dims, u, v", [((3,), 0, 2), ((2, 2), 0, 3), ((2, 2, 2), 1, 6), ((3, 2), 5, 0)])
+    def test_settings_chunked_plan_rows_match_einsum_reference_bytes(self, monkeypatch, dims, u, v, per_chunk):
+        for base, outcomes in plan_flip_bases(dims, u, v):
+            flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk)
+            assert_rows_match_einsum_reference(base, outcomes)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import dmres.plans as plans_module
 import dmres.shots as shots_module
 from dmres import (
     DensityMatrix,
@@ -56,6 +57,25 @@ class TestElementVariance:
         var_re, var_im = element_variance(plan, maximally_mixed(3), ShotPolicy(n_t=1.0))
         assert_allclose(var_re, 1 / 6, atol=1e-14)
         assert_allclose(var_im, 1 / 6, atol=1e-14)
+
+    @pytest.mark.parametrize("builder", [plan_res, plan_seq])
+    def test_repeated_variances_build_the_operators_once(self, monkeypatch, builder):
+        plan = builder(ElementIndex.create((2, 2), (0, 0), (1, 1)), 0.7)
+        states = [random_mixed_state((2, 2), stream(3, "variance-memo", i)) for i in range(3)]
+        policies = [ShotPolicy(n_t=1.0), ShotPolicy(n_t=5.0, allocation="split-total")]
+        fresh = [element_variance(builder(plan.element, 0.7), rho, p) for rho in states for p in policies]
+        tables = []
+        gram = plans_module._variance_gram
+
+        def counted(plan, table):
+            tables.append(table)
+            return gram(plan, table)
+
+        monkeypatch.setattr(plans_module, "_variance_gram", counted)
+        repeated = [element_variance(plan, rho, p) for rho in states for p in policies]
+        assert [id(t) for t in tables] == [id(plan.coeff_re), id(plan.coeff_im)]
+        assert np.array(repeated).tobytes() == np.array(fresh).tobytes()
+        assert not any(w.flags.writeable for w in plan.estimator_operators)
 
     def test_inverse_sin_squared_scaling(self):
         # for single-coupling plans the post-selected weight is strength
