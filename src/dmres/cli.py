@@ -20,11 +20,19 @@ from .errors import DmresError, InvalidElementError, InvalidStateError, StateFor
 from .linalg import DensityMatrix
 from .plans import plan_document
 from .precision import SystemSpec, default_g_grid, g_sweep
-from .res import characterize, diagonal_element, element_plans, extract_element, plan_res
+from .res import characterize, configuration_batches, diagonal_element, extract_element, plan_res
 from .sampling import stream
 from .scenarios import SCENARIO_IDS, default_spec, run_scenario
 from .seq import plan_seq
-from .shots import ALLOCATIONS, PER_SETTING, ShotPolicy, element_variance, simulate_shots
+from .shots import (
+    ALLOCATIONS,
+    PER_SETTING,
+    ShotPolicy,
+    batch_variances,
+    element_variance,
+    simulate_batch_shots,
+    simulate_shots,
+)
 from .stateio import format_float, read_state, write_manifest, write_state
 from .validate import GROUPS, run_validation
 
@@ -141,22 +149,25 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
 
     Diagonal probabilities come from the relative frequencies of one
     meterless post-selection run, which keeps the estimate unit trace;
-    each off-diagonal entry is one finite-statistics extraction.  Returns
-    the estimate and n_t (var Re + var Im) of each upper-triangle pair
-    (u, v), from the plan that drew it.
+    each off-diagonal entry is one finite-statistics extraction from its
+    own keyed stream, read batch by batch.  Returns the estimate and n_t
+    (var Re + var Im) of each upper-triangle pair (u, v), from the plan
+    that drew it.
     """
     diag_rng = stream(seed, "cli/characterize/diag")
     diag_counts = diag_rng.poisson(policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
     est = np.diag(diag_counts / max(diag_counts.sum(), 1)).astype(complex)
     variances = {}
-    for (u, v), plan in element_plans(rho.dims, g, plan_res):
-        rng = stream(seed, f"cli/characterize/{plan.element.label()}")
-        value = simulate_shots(plan, rho, policy, rng)
-        est[u, v] = value
-        est[v, u] = np.conj(value)
-        var_re, var_im = element_variance(plan, rho, policy)
-        variances[u, v] = var_re + var_im
-        del plan  # freed before the next plan is built
+    for batch in configuration_batches(rho.dims, g, plan_res):
+        rngs = (stream(seed, f"cli/characterize/{e.label()}") for e in batch.elements)
+        draws = simulate_batch_shots(batch, rho, policy, rngs)
+        for element, value, (var_re, var_im) in zip(batch.elements, draws,
+                                                    batch_variances(batch, rho, policy)):
+            u, v = element.s_flat, element.s_prime_flat
+            est[u, v] = value
+            est[v, u] = np.conj(value)
+            variances[u, v] = float(var_re + var_im)
+        del batch  # freed before the next batch is built
     return DensityMatrix.create(est, rho.dims, check_positive=False), variances
 
 

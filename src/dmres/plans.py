@@ -32,6 +32,11 @@ The engine never forms a joint-space matrix.  Amplitudes live in a
 (d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
 closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
 rotations are applied meter by meter for all settings at once.
+
+Elements whose couplings share their operators share ``base``.  A
+``PlanBatch`` stacks such members at one strength by their block
+weights, and the estimate and variance contractions read every member
+of a batch in one stacked product.
 """
 
 from __future__ import annotations
@@ -55,11 +60,16 @@ RES_SCHEME = "res"
 SEQ_SCHEME = "seq"
 
 # One tolerance for singular strengths.  res needs |sin(2g)| above it,
-# since its estimator divides by sin^l(2g); seq needs |g| above it, since
-# its projector couplings otherwise leave the meters blank (at g = pi the
-# calibration reports the vanishing singular value instead).  Strength
-# grids drop points where |sin(2g)| (res) or |sin(g)| (seq) is below it.
+# since its estimator divides by sin^l(2g); seq needs |sin(g)| above it,
+# since its projector couplings otherwise leave the meters blank and the
+# relative calibration floor would keep rounding noise.  Strength grids
+# drop the points that either scheme's builder refuses.
 SINGULAR_TOL = 1e-9
+
+# Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
+# one batch may hold at once: a configuration's members are stacked
+# that many at a time, at least one.
+MEMBER_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,16 @@ class _PlanLayout:
             w.setflags(write=False)
         return operators
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w[..., t, b, k]: table t's (Re, Im) entry on pattern 0 of setting b and block k.
+
+        Pattern 0 has meter sign +1, so this is the block's weight in the
+        form the plan constructor enforces: (2, n_settings, 2) for a plan,
+        with a leading strength axis for a family.
+        """
+        return np.stack([_block_weights(self, t) for t in (self.coeff_re, self.coeff_im)], axis=-3)
+
     def block_entries(self, table: np.ndarray) -> np.ndarray:
         """The entries of a (..., n_settings, outcomes) table on blocks s and s'.
 
@@ -225,6 +245,88 @@ class PlanFamily(_PlanLayout):
             base=self.base[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
         )
+
+
+@dataclass(frozen=True)
+class PlanBatch:
+    """The plans of one coupling configuration's members at one strength, stacked.
+
+    Members couple the same qudits through the same operators, so they
+    share the settings and the unrotated columns ``base`` (outcomes,
+    dim); ``couplings[i]`` are member i's.  ``weights[i, t, b, k]`` is
+    member i's weight of table t (0 Re, 1 Im) on setting b and its
+    post-selected block k: its coefficient tables are those weights
+    times ``sign_products(m)`` on each (setting, block) and zero
+    elsewhere, the form every plan has.  The engine's estimate and
+    variance contractions accept a batch and gain a leading member axis;
+    ``batch[i]`` is member i's plan, with coefficient tables of its own.
+    """
+
+    elements: tuple[ElementIndex, ...]
+    scheme: str
+    g: float
+    couplings: tuple[tuple[Coupling, ...], ...]
+    settings: tuple[MeasurementSetting, ...]
+    weights: np.ndarray  # (M, 2, n_settings, 2)
+    base: np.ndarray  # (outcomes, dim)
+    calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
+
+    @classmethod
+    def of(cls, plan: ProtocolPlan) -> "PlanBatch":
+        """The batch of one plan."""
+        return cls(elements=(plan.element,), scheme=plan.scheme, g=plan.g,
+                   couplings=(plan.couplings,), settings=plan.settings,
+                   weights=plan.weights[None], base=plan.base, calibrations=(plan.calibration,))
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @property
+    def n_meters(self) -> int:
+        return len(self.couplings[0])
+
+    @property
+    def n_settings(self) -> int:
+        return len(self.settings)
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """(M, 2): each member's post-selected system outcomes s and s', in index order."""
+        return np.array([post_selected_blocks(e) for e in self.elements])
+
+    def __getitem__(self, i: int) -> ProtocolPlan:
+        element = self.elements[i]
+        coeff_re, coeff_im = coefficient_tables(self.weights[i], self.blocks[i], element.dim)
+        return ProtocolPlan(
+            element=element,
+            scheme=self.scheme,
+            g=self.g,
+            couplings=self.couplings[i],
+            settings=self.settings,
+            coeff_re=coeff_re,
+            coeff_im=coeff_im,
+            base=self.base,
+            calibration=None if self.calibrations is None else self.calibrations[i],
+        )
+
+
+def member_chunks(members: list, per_member: int) -> list[list]:
+    """``members`` in order, in chunks of at most ``MEMBER_ENTRIES`` // ``per_member``, at least one."""
+    step = max(1, MEMBER_ENTRIES // per_member)
+    return [members[lo:lo + step] for lo in range(0, len(members), step)]
+
+
+def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
+    """The (Re, Im) coefficient tables of block weights, (..., 2, n_settings, outcomes).
+
+    ``weights`` is (..., 2, n_settings, 2): each (setting, block) of
+    ``blocks`` gets its weight times the meter signs, and every other
+    block is zero.
+    """
+    signs = sign_products(weights.shape[-2].bit_length() - 1)
+    tables = np.zeros(weights.shape[:-1] + (dim, len(signs)))
+    tables[..., list(blocks), :] = weights[..., None] * signs
+    return tables.reshape(weights.shape[:-1] + (-1,))
 
 
 def finite_strengths(gs) -> tuple[float, ...]:
@@ -370,10 +472,11 @@ def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | Non
     return full
 
 
-def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
-    """Reject a state whose local dimensions differ from the plan's."""
-    if state.dims != plan.element.dims:
-        raise InvalidElementError(f"state dims {state.dims} do not match plan dims {plan.element.dims}")
+def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan | PlanBatch) -> None:
+    """Reject a state whose local dimensions differ from the plan's, or the batch's."""
+    dims = (plan.elements[0] if isinstance(plan, PlanBatch) else plan.element).dims
+    if state.dims != dims:
+        raise InvalidElementError(f"state dims {state.dims} do not match plan dims {dims}")
 
 
 def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:
@@ -401,24 +504,26 @@ def _block_weights(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.nda
     return np.reshape(table, np.shape(table)[:-1] + (d, -1))[..., list(plan.blocks), 0]
 
 
-def _base_blocks(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
-    """The rows of ``base`` of blocks s and s': (..., 2, 2^m, dim)."""
-    d = plan.element.dim
-    return plan.base.reshape(plan.base.shape[:-2] + (d, -1, d))[..., list(plan.blocks), :, :]
+def _base_blocks(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
+    """The rows of ``base`` of blocks s and s': (..., 2, 2^m, dim), a member axis for a batch."""
+    d = plan.base.shape[-1]
+    blocks = np.asarray(plan.blocks)
+    return plan.base.reshape(plan.base.shape[:-2] + (d, -1, d))[..., blocks, :, :]
 
 
-def _estimator_grams(plan: ProtocolPlan) -> np.ndarray:
-    """G[t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_0 = Re and c_1 = Im table.
+def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
+    """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_0 = Re and c_1 = Im table.
 
     Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
     both blocks in one product; estimate part t of a state is Tr(G_t rho).
+    A batch gives one pair per member, (M, 2, dim, dim).
     """
-    weights = np.stack([_block_weights(plan, t) for t in (plan.coeff_re, plan.coeff_im)])
-    phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (2, blocks, patterns)
+    phi = plan.weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
     rows = _base_blocks(plan)
-    d = plan.element.dim
-    flipped = phi[..., None] * rows[..., ::-1, :]
-    return rows.reshape(-1, d).conj().T @ flipped.reshape(2, -1, d)
+    lead, d = rows.shape[:-3], rows.shape[-1]
+    flipped = phi[..., None] * rows[..., None, :, ::-1, :]
+    pairs = rows.reshape(lead + (1, -1, d))
+    return pairs.conj().swapaxes(-1, -2) @ flipped.reshape(lead + (2, -1, d))
 
 
 def expectations(operators: np.ndarray, state: DensityMatrix) -> np.ndarray:
@@ -436,19 +541,24 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     return (g_re + 1j * g_im).T
 
 
-def _variance_gram(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
-    """sum over (setting, outcome) of c^2 |a><a| for one coefficient table c.
+def _weight_gram(plan: ProtocolPlan | PlanFamily | PlanBatch, weights: np.ndarray) -> np.ndarray:
+    """sum over (setting, outcome) of c^2 |a><a| for tables of block weights (..., n_settings, 2).
 
     sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
-    block k's squared weights summed over settings left to right,
-    whatever the strength axis.
+    block k's squared weights summed over settings left to right.  The
+    weights' leading axes broadcast against the plan's block rows.
     """
-    alpha = functools.reduce(np.add, np.moveaxis(_block_weights(plan, table) ** 2, -2, 0))
+    alpha = functools.reduce(np.add, np.moveaxis(weights ** 2, -2, 0))
     rows = _base_blocks(plan)
     n_patterns, d = rows.shape[-2:]
-    weights = np.repeat(alpha, n_patterns, axis=-1)[..., None]
-    rows = rows.reshape(rows.shape[:-3] + (-1, d))
-    return rows.conj().swapaxes(-1, -2) @ (weights * rows)
+    scale = np.repeat(alpha, n_patterns, axis=-1)[..., None]
+    rows = rows.reshape(rows.shape[:-3] + (1,) * (alpha.ndim - rows.ndim + 2) + (-1, d))
+    return rows.conj().swapaxes(-1, -2) @ (scale * rows)
+
+
+def _variance_gram(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
+    """sum over (setting, outcome) of c^2 |a><a| for one coefficient table c, whatever the strength axis."""
+    return _weight_gram(plan, _block_weights(plan, table))
 
 
 def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np.ndarray]:

@@ -35,8 +35,11 @@ from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Array entries one element's build may hold per sweep chunk, at most
+# Array entries one element's build may keep per sweep chunk, at most
 # 16 bytes each (1 MiB), counted per strength by ``_stored_entries``.
+# The count bounds the arrays a build keeps, not its transient copies:
+# traced peaks of a whole-grid family build with its variance operators
+# run to 2.35x the count for qutrit seq and 1.35x for three-qubit res.
 CHUNK_ENTRIES = 2 ** 16
 
 # Entries of the (points, policies, samples) stack a sweep reduces at
@@ -200,6 +203,14 @@ def _stored_entries(element: ElementIndex, scheme: str) -> int:
     Pauli-flipped blocks of the calibration are formed a few settings at
     a time under ``seq.FLIP_ENTRIES``, whatever the strength count, so
     they are not counted either.
+
+    The count bounds the arrays a build keeps, not its transient copies
+    (``plans._apply_couplings``' reshaped copies of the amplitude tensor,
+    the intermediates of ``seq.basis_traces``).  Traced with
+    ``tracemalloc``, a family build over the whole seq or res default
+    grid plus its variance operators peaks at 2.35x the count for qutrit
+    ``seq`` (247 KB against 105 KB) and 1.35x for three-qubit ``res``
+    (1,037 KB against 768 KB).
     """
     m = len(element.coupled_set) * (1 if scheme == "res" else 2)
     patterns = settings = 2 ** m

@@ -21,6 +21,7 @@ from .operators import make_involution
 from .plans import (
     Coupling,
     MeasurementSetting,
+    PlanBatch,
     PlanFamily,
     ProtocolPlan,
     RES_SCHEME,
@@ -32,9 +33,10 @@ from .plans import (
     enumerate_settings,
     expectations,
     finite_strengths,
+    member_chunks,
     sign_products,
 )
-from .seq import _seq_configuration, _seq_families, plan_seq
+from .seq import _seq_batches, _seq_configuration, plan_seq
 
 
 def _check_strength(g: float, l: int) -> float:
@@ -46,6 +48,28 @@ def _check_strength(g: float, l: int) -> float:
     return float(s)
 
 
+def _unit_rows(settings, signs: np.ndarray, n_rows: int, s_row: int, sp_row: int) -> np.ndarray:
+    """Unnormalized coefficients on n_rows system outcomes, (n_settings, n_rows, len(signs)).
+
+    Per setting b, prod_j (i if b_j = y) times the meter signs on row
+    ``sp_row`` and its conjugate on row ``s_row``.
+    """
+    w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
+    unit = np.zeros((len(settings), n_rows, len(signs)), dtype=complex)
+    unit[:, sp_row] += w[:, None] * signs
+    unit[:, s_row] += w.conj()[:, None] * signs
+    return unit
+
+
+def _scaled(gs: np.ndarray, n_meters: int, unit: np.ndarray) -> np.ndarray:
+    """1/(2 sin^l 2g) times the unit table for each strength, on a leading strength axis."""
+    norm = np.array([1.0 / (2.0 * _check_strength(float(x), n_meters) ** n_meters)
+                     for x in gs.reshape(-1)])
+    coeff = np.zeros((norm.size,) + unit.shape, dtype=complex)
+    coeff += norm.reshape((-1,) + (1,) * unit.ndim) * unit
+    return coeff
+
+
 def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
     """Complex coefficients realizing the exact extraction identity.
 
@@ -55,17 +79,24 @@ def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
     one table per strength, stacked on a leading axis.
     """
     gs = np.asarray(g, dtype=float)
-    norm = np.array([1.0 / (2.0 * _check_strength(float(x), n_meters) ** n_meters)
-                     for x in gs.reshape(-1)])
-    signs = sign_products(n_meters)
-    w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
-    unit = np.zeros((len(settings), element.dim, 2 ** n_meters), dtype=complex)
-    unit[:, element.s_prime_flat] += w[:, None] * signs
-    unit[:, element.s_flat] += w.conj()[:, None] * signs
+    unit = _unit_rows(settings, sign_products(n_meters), element.dim, element.s_flat, element.s_prime_flat)
     unit = unit.reshape(len(settings), -1)
-    coeff = np.zeros((norm.size,) + unit.shape, dtype=complex)
-    coeff += norm[:, None, None] * unit
-    return coeff.reshape(gs.shape + unit.shape)
+    return _scaled(gs, n_meters, unit).reshape(gs.shape + unit.shape)
+
+
+def _res_weights(elements: list[ElementIndex], g: float, settings, n_meters: int) -> np.ndarray:
+    """Each element's block weights (M, 2, n_settings, 2) at strength g.
+
+    They are the pattern-0 entries of ``res_coefficients``' Re and Im
+    tables, computed by the same operations on those entries alone: the
+    rows are the post-selected blocks (s, s') in index order.
+    """
+    sign = sign_products(n_meters)[:1]
+    unit = np.stack([
+        _unit_rows(settings, sign, 2, int(e.s_flat > e.s_prime_flat), int(e.s_prime_flat > e.s_flat))
+        for e in elements])
+    coeff = _scaled(np.asarray(g, dtype=float), n_meters, unit)[0, ..., 0]
+    return np.stack([coeff.real, coeff.imag], axis=1)
 
 
 def _res_configuration(element: ElementIndex) -> tuple:
@@ -85,27 +116,31 @@ def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
     )
 
 
-def _res_families(members: list[ElementIndex], gs: tuple[float, ...]):
-    """Yield the plan family of each element of one res configuration, in order.
-
-    The involutions and ``base`` are built once; each member computes
-    its own coefficients and rotates no readout row.
-    """
-    first = members[0]
+def _res_members(first: ElementIndex, gs):
+    """The involutions, settings and ``base`` every element of ``first``'s configuration shares."""
     ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries
            for n in first.coupled_set]
-    settings = enumerate_settings(len(ops))
     base = base_amplitudes(first.dims, _res_couplings(first, ops), gs)
-    for element in members:
-        coeff = res_coefficients(element, gs, settings, len(ops))
-        yield PlanFamily(
-            element=element,
+    return ops, enumerate_settings(len(ops)), base
+
+
+def _res_batches(members: list[ElementIndex], g: float):
+    """Yield the plans of one res configuration's members, in chunks.
+
+    The involutions and ``base`` are built once, and each chunk's
+    weights (see ``plans.MEMBER_ENTRIES``) in one stacked pass; nothing
+    rotates a readout row.
+    """
+    ops, settings, base = _res_members(members[0], g)
+    # a member's Pauli-flipped block rows in the stacked estimate, 4 x outcomes
+    for chunk in member_chunks(members, 4 * base.shape[0]):
+        yield PlanBatch(
+            elements=tuple(chunk),
             scheme=RES_SCHEME,
-            gs=gs,
-            couplings=_res_couplings(element, ops),
+            g=g,
+            couplings=tuple(_res_couplings(e, ops) for e in chunk),
             settings=settings,
-            coeff_re=coeff.real.copy(),
-            coeff_im=coeff.imag.copy(),
+            weights=_res_weights(chunk, g, settings, len(ops)),
             base=base,
         )
 
@@ -116,7 +151,19 @@ def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
         raise InvalidElementError(
             f"element {element.label()} is diagonal; use diagonal_element instead"
         )
-    return next(_res_families([element], finite_strengths(gs)))
+    gs = finite_strengths(gs)
+    ops, settings, base = _res_members(element, gs)
+    coeff = res_coefficients(element, gs, settings, len(ops))
+    return PlanFamily(
+        element=element,
+        scheme=RES_SCHEME,
+        gs=gs,
+        couplings=_res_couplings(element, ops),
+        settings=settings,
+        coeff_re=coeff.real.copy(),
+        coeff_im=coeff.imag.copy(),
+        base=base,
+    )
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
@@ -170,57 +217,77 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
 
 
 # The stock builders, each with its configuration key and the generator
-# that builds one configuration's members.
+# that builds one configuration's members in batches.
 _CONFIGURATIONS = {
-    plan_res: (_res_configuration, _res_families),
-    plan_seq: (_seq_configuration, _seq_families),
+    plan_res: (_res_configuration, _res_batches),
+    plan_seq: (_seq_configuration, _seq_batches),
 }
 
 
-def element_plans(dims, g: float, plan_builder=plan_res):
-    """Yield ``((u, v), plan)`` for every upper-triangle pair u < v of flat indices.
+def configuration_batches(dims, g: float, plan_builder=plan_res):
+    """Yield a ``PlanBatch`` of plans for every upper-triangle pair u < v of flat indices.
 
-    This is the one place a full-matrix estimate pairs an entry with the
-    plan that reads it.  For the stock builders ``plan_res`` and
-    ``plan_seq``, also behind ``functools.wraps`` wrappers, pairs come
-    configuration by configuration: each set of couplings is built once
-    for all the elements that share it, configurations in the order of
-    their first pair and members in row-major order, and every plan
-    equals the one the builder returns.  Any other builder is called once
-    per pair, in row-major order.
+    This is the one place a full-matrix estimate pairs its entries with
+    the plans that read them.  For the stock builders ``plan_res`` and
+    ``plan_seq``, also behind ``functools.wraps`` wrappers, a batch holds
+    members of one coupling configuration: its couplings and ``base``
+    are built once for all the elements that share them, and their
+    estimators in one stacked pass.  Configurations come in the order of
+    their first pair and members in row-major order; a configuration may
+    come in several batches (see ``plans.MEMBER_ENTRIES``).  Any other
+    builder is called once per pair, in row-major order, and each plan
+    is a batch of one.
     """
     pairs = itertools.combinations(range(int(np.prod(dims))), 2)
     stock = _CONFIGURATIONS.get(inspect.unwrap(plan_builder))
     if stock is None:
         for u, v in pairs:
-            yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
+            yield PlanBatch.of(plan_builder(element_from_flat(dims, u, v), g))
         return
-    configuration, families = stock
+    configuration, batches = stock
     groups: dict[tuple, list[ElementIndex]] = {}
     for u, v in pairs:
         element = element_from_flat(dims, u, v)
         groups.setdefault(configuration(element), []).append(element)
-    gs = finite_strengths((g,))
+    (g,) = finite_strengths((g,))
     for members in groups.values():
-        # not zip(members, ...): zip's reused result tuple would hold the
-        # previous family while the next one is built
-        for family in families(members, gs):
-            yield (family.element.s_flat, family.element.s_prime_flat), family[0]
-            del family
+        yield from batches(members, g)
+
+
+def element_plans(dims, g: float, plan_builder=plan_res):
+    """Yield ``((u, v), plan)`` for every upper-triangle pair u < v of flat indices.
+
+    Pairs come batch by batch, in the order of ``configuration_batches``,
+    and every plan equals the one the builder returns; a stock builder's
+    plans are sliced from their batch, any other builder's are its own.
+    """
+    if _CONFIGURATIONS.get(inspect.unwrap(plan_builder)) is None:
+        for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
+            yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
+        return
+    for batch in configuration_batches(dims, g, plan_builder):
+        for i in range(len(batch)):
+            plan = batch[i]
+            yield (plan.element.s_flat, plan.element.s_prime_flat), plan
+            del plan  # freed before the next member's plan is built
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:
     """Assemble the full matrix estimate.
 
     Diagonal entries come from post-selection statistics alone; the
-    upper triangle is extracted per element and the lower triangle is
-    filled by conjugation.  No positivity projection is applied.
+    upper triangle is read batch by batch, every member's estimate from
+    one stacked product, and the lower triangle is filled by
+    conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)
-    for (u, v), plan in element_plans(rho.dims, g, plan_builder):
-        value = extract_element(rho, plan)
-        est[u, v] = value
-        est[v, u] = np.conj(value)
-        del plan  # freed before the next plan is built
+    for batch in configuration_batches(rho.dims, g, plan_builder):
+        check_state_dims(rho, batch)
+        values = expectations(_estimator_grams(batch), rho)
+        for element, (re, im) in zip(batch.elements, values):
+            u, v, value = element.s_flat, element.s_prime_flat, complex(re, im)
+            est[u, v] = value
+            est[v, u] = np.conj(value)
+        del batch, values  # freed before the next batch is built
     return DensityMatrix.create(est, rho.dims, check_positive=False)

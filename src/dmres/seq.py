@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -28,23 +30,30 @@ from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
     Coupling,
+    PlanBatch,
     PlanFamily,
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
     _flip_phases,
     base_amplitudes,
+    coefficient_tables,
     enumerate_settings,
     finite_strengths,
+    member_chunks,
+    post_selected_blocks,
     sign_products,
 )
 
 RESIDUAL_TOL = 1e-8
 
-# Absolute singular-value floor for the calibration solve.  Response
-# entries are exact up to ~1e-14 absolute rounding noise; directions
-# below the floor are noise, not signal, and must not be inverted.
-SV_FLOOR = 1e-13
+# Relative singular-value floor for the calibration solve: directions
+# at or below SV_FLOOR times the largest singular value are rounding
+# noise, not signal, and are not inverted (numerical rank as in Golub
+# and Van Loan, Matrix Computations, 5.4).  Correlator responses scale as
+# g^(2m), so an absolute floor would drop real directions at weak
+# coupling.
+SV_FLOOR = 1e-12
 
 # Complex entries the Pauli-flipped blocks of one correlator response
 # may hold at once (256 KiB): settings are flipped that many at a time,
@@ -63,8 +72,9 @@ def hermitian_labels(dim: int) -> list[tuple[int, int, str]]:
 
 @functools.cache
 def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the upper triangle u < v, row-major."""
-    pairs = np.triu_indices(dim, 1)
+    """Read-only flat indices of M[u, v] and M[v, u] in a row-major dim x dim matrix, u < v row-major."""
+    iu, iv = np.triu_indices(dim, 1)
+    pairs = (iu * dim + iv, iv * dim + iu)
     for index in pairs:
         index.setflags(write=False)
     return pairs
@@ -77,8 +87,9 @@ def basis_traces(mats: np.ndarray) -> np.ndarray:
     values in ``hermitian_labels`` order: M[u,u], then M[u,v] + M[v,u]
     and i (M[u,v] - M[v,u]) per pair.
     """
-    iu, iv = _upper_pairs(mats.shape[-1])
-    upper, lower = mats[..., iu, iv], mats[..., iv, iu]
+    dim = mats.shape[-1]
+    flat = mats.reshape(mats.shape[:-2] + (dim * dim,))
+    upper, lower = (np.take(flat, index, axis=-1) for index in _upper_pairs(dim))
     pairs = np.stack([upper + lower, 1j * (upper - lower)], axis=-1)
     diag = np.diagonal(mats, axis1=-2, axis2=-1)
     return np.concatenate([diag, pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
@@ -115,13 +126,13 @@ def response_map(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
     return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
 
 
-def _targets(element: ElementIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the Re and Im element functionals: B_b[s, s'] per basis element."""
-    d = element.dim
-    unit = np.zeros((d, d), dtype=complex)
-    unit[element.s_prime_flat, element.s_flat] = 1.0
-    t = basis_traces(unit)  # Tr(B_b |s'><s|) = B_b[s, s']
-    return t.real, t.imag
+def _targets(elements) -> np.ndarray:
+    """Coordinates of each element's Re and Im functionals, (M, 2, basis): B_b[s, s'] per basis element."""
+    d = elements[0].dim
+    units = np.zeros((len(elements), d, d), dtype=complex)
+    units[np.arange(len(elements)), [e.s_prime_flat for e in elements], [e.s_flat for e in elements]] = 1.0
+    t = basis_traces(units)  # Tr(B_b |s'><s|) = B_b[s, s']
+    return np.stack([t.real, t.imag], axis=1)
 
 
 def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
@@ -132,9 +143,10 @@ def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     A_k the meter-block amplitudes for outcome k and Sigma_b the tensor
     product of the setting's Pauli readouts.  Sigma_b A_k is A_k with
     its meter patterns reversed and each row scaled by a phase in
-    {+-1, +-i}, which is exact in every bit; it is formed for
-    ``FLIP_ENTRIES`` worth of settings at a time, and each Gram product
-    A_k^dag (Sigma_b A_k) is the same 2-D product whatever the chunk.
+    {+-1, +-i}, which is exact in every bit; it is formed, multiplied
+    and read off for ``FLIP_ENTRIES`` worth of settings at a time, and
+    each Gram product A_k^dag (Sigma_b A_k) is the same 2-D product
+    whatever the chunk.
     Computing the matrix element directly keeps every term at the full
     correlator order in g, so no precision is lost to cancellation at
     weak coupling.  A strength stack of ``base`` gives one row block per
@@ -148,62 +160,86 @@ def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     reversed_blocks = blocks[..., ::-1, :]
     phase = _flip_phases(n_patterns.bit_length() - 1)
     phase = phase.reshape((-1,) + (1,) * (blocks.ndim - 2) + (n_patterns, 1))
-    gmat = np.empty(phase.shape[:1] + adjoint.shape[:-1] + (d,), dtype=complex)
     step = max(1, FLIP_ENTRIES // blocks.size)
+    # one chunk's rows are all the rows; more chunks fill one array
+    rows = np.empty(phase.shape[:1] + adjoint.shape[:-2] + (d * d,)) if step < len(phase) else None
     for lo in range(0, len(phase), step):
         flipped = phase[lo:lo + step] * reversed_blocks
         # a phase times a signed zero may give -0, where summing a Pauli
         # row's two products always gives +0; the Gram product's bits
         # depend on it
         flipped += 0.0
-        np.matmul(adjoint, flipped, out=gmat[lo:lo + step])  # (settings, ..., outcomes, d, d)
-    rows = basis_traces(gmat).real / np.sqrt(n_patterns)
+        gmat = adjoint @ flipped  # (settings, ..., outcomes, d, d)
+        part = basis_traces(gmat).real / np.sqrt(n_patterns)
+        if rows is None:
+            rows = part
+        else:
+            rows[lo:lo + step] = part
     rows = np.moveaxis(rows, 0, len(lead))
     return rows.reshape(lead + (-1, rows.shape[-1]))
 
 
-def _correlator_signs(n_meters: int) -> np.ndarray:
-    return sign_products(n_meters) / np.sqrt(2 ** n_meters)
+def _correlator_weights(z: np.ndarray, n_meters: int) -> np.ndarray:
+    """Block weights (..., 2, n_settings, 2) of correlator solutions z (..., 2, n_settings * 2).
 
-
-def _correlator_coefficients(plan: ProtocolPlan | PlanFamily, z: np.ndarray) -> np.ndarray:
-    """Scatter one weight per (setting, post-selected block) onto that block's meter signs.
-
-    The blocks form an orthonormal basis of the restricted coefficient
-    subspace; the result is the full (..., n_settings, outcomes) table
-    for weights z of shape (..., n_settings * 2).
+    The correlators at each (setting, post-selected block) are
+    orthonormal: the meter-sign products over sqrt(2^m).  So a solution
+    entry z weighs that block with z / sqrt(2^m) times the meter signs.
     """
-    m = plan.n_meters
-    lead = z.shape[:-1]
-    coeff = np.zeros(lead + (plan.n_settings, plan.element.dim, 2 ** m))
-    z = z.reshape(lead + (plan.n_settings, len(plan.blocks), 1))
-    coeff[..., list(plan.blocks), :] = z * _correlator_signs(m)
-    return coeff.reshape(lead + (plan.n_settings, -1))
+    return z.reshape(z.shape[:-1] + (-1, 2)) * (sign_products(n_meters)[0] / np.sqrt(2 ** n_meters))
 
 
 def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
     """Minimum-norm solutions of a_mat[k] z = t for a stack of matrices.
 
-    Directions with singular values at or below ``SV_FLOOR`` are dropped.
-    The kept set is a prefix of the sorted singular values, so strengths
-    are solved in groups of equal kept rank, each with the same products
-    a single solve runs.  Returns the solutions (G, 2, n) for the two
-    targets, the residual norms (G, 2) and the smallest kept singular
-    values (G,), zero where none is kept.
+    ``targets`` holds two targets per matrix, (K, 2, basis), or one
+    (2, basis) pair that every matrix shares.  Directions with singular
+    values at or below ``SV_FLOOR`` times the matrix's largest are
+    dropped.  The kept set is a prefix of the sorted singular values, so
+    matrices are solved in groups of equal kept rank, each with the same
+    products a single solve runs.  Returns the solutions (K, 2, n), the
+    residual norms (K, 2) and the smallest kept singular values (K,),
+    zero where none is kept.
     """
     u_svd, svals, vt_svd = np.linalg.svd(a_mat, full_matrices=False)
-    ranks = (svals > SV_FLOOR).sum(-1)
-    z = np.zeros((a_mat.shape[0], len(targets), a_mat.shape[-1]))
+    ranks = (svals > SV_FLOOR * svals[:, :1]).sum(-1)
+    targets = np.broadcast_to(targets, a_mat.shape[:1] + targets.shape[-2:])
+    z = np.zeros(targets.shape[:2] + a_mat.shape[-1:])
     for r in sorted(set(ranks.tolist()) - {0}):
         idx = (ranks == r).nonzero()[0]
         u_t = np.ascontiguousarray(u_svd[idx, :, :r]).swapaxes(-1, -2)
         v_s = np.ascontiguousarray(vt_svd[idx, :r]).swapaxes(-1, -2) / svals[idx, None, :r]
-        for j, t in enumerate(targets):
-            z[idx, j] = (v_s @ (u_t @ t)[..., None])[..., 0]
+        for j in range(targets.shape[1]):
+            z[idx, j] = (v_s @ (u_t @ targets[idx, j, :, None]))[..., 0]
     resid = (a_mat[:, None] @ z[..., None])[..., 0] - targets
     norms = np.sqrt((resid[..., None, :] @ resid[..., :, None])[..., 0, 0])
     smallest = np.where(ranks > 0, svals[np.arange(len(ranks)), np.maximum(ranks, 1) - 1], 0.0)
     return z, norms, smallest
+
+
+def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
+    """Minimum-norm correlator weights for stacked correlator rows.
+
+    ``rows`` is (K, 2 * n_settings, basis), entry k solved at strength
+    ``gs[k]`` for ``targets[k]`` (or one target pair for all).  The
+    first entry whose residual exceeds ``RESIDUAL_TOL`` raises
+    ``CalibrationError``.  Returns the solutions (K, 2, 2 * n_settings)
+    and one ``CalibrationInfo`` per entry.
+    """
+    z, residuals, smallest = _min_norm_solve(rows.swapaxes(-1, -2), targets)  # basis x subspace
+    for g, res, sv in zip(gs, residuals, smallest):
+        if max(res) > RESIDUAL_TOL:
+            raise CalibrationError(
+                f"calibration infeasible at g={g!r}: residual {max(res):.3e} "
+                f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {sv:.3e}, "
+                f"relative floor {SV_FLOOR:g})"
+            )
+    infos = tuple(
+        CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
+                        smallest_singular_value=float(sv), method="min-norm/correlator")
+        for res, sv in zip(residuals, smallest)
+    )
+    return z, infos
 
 
 def calibrate_estimator(plan: ProtocolPlan | PlanFamily):
@@ -221,37 +257,13 @@ def calibrate_estimator(plan: ProtocolPlan | PlanFamily):
     order, whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
-    c_re, c_im, infos = _solve(plan, _correlator_response(plan.base, list(plan.blocks)))
-    if isinstance(plan, PlanFamily):
-        return c_re, c_im, infos
-    return c_re[0], c_im[0], infos[0]
-
-
-def _solve(plan: ProtocolPlan | PlanFamily, rows: np.ndarray):
-    """``calibrate_estimator`` on correlator rows already computed.
-
-    Returns tables with a leading strength axis, one ``CalibrationInfo``
-    per strength.
-    """
     gs = plan.gs if isinstance(plan, PlanFamily) else (plan.g,)
-    targets = np.stack(_targets(plan.element))
-    a_mat = rows.reshape((len(gs),) + rows.shape[-2:]).swapaxes(-1, -2)  # basis x subspace
-    z, residuals, smallest = _min_norm_solve(a_mat, targets)
-    for g, res, sv in zip(gs, residuals, smallest):
-        if max(res) > RESIDUAL_TOL:
-            raise CalibrationError(
-                f"calibration infeasible at g={g!r}: residual {max(res):.3e} "
-                f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {sv:.3e}, "
-                f"floor {SV_FLOOR:g})"
-            )
-    coeff = _correlator_coefficients(plan, z)
-    infos = tuple(
-        CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
-                        smallest_singular_value=float(sv), method="min-norm/correlator")
-        for res, sv in zip(residuals, smallest)
-    )
-    shape = (len(gs), plan.n_settings, plan.outcomes_per_setting)
-    return coeff[:, 0].reshape(shape), coeff[:, 1].reshape(shape), infos
+    rows = _correlator_response(plan.base, list(plan.blocks))
+    z, infos = _solve(rows.reshape((len(gs),) + rows.shape[-2:]), _targets([plan.element])[0], gs)
+    tables = coefficient_tables(_correlator_weights(z, plan.n_meters), plan.blocks, plan.element.dim)
+    if isinstance(plan, PlanFamily):
+        return tables[:, 0], tables[:, 1], infos
+    return tables[0, 0], tables[0, 1], infos[0]
 
 
 def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
@@ -262,29 +274,12 @@ def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
         )
     gs = finite_strengths(gs)
     for g in gs:
-        if abs(g) <= SINGULAR_TOL:
+        if abs(math.sin(g)) <= SINGULAR_TOL:
             raise InvalidCouplingError(
-                f"g={g!r} is within {SINGULAR_TOL:g} of 0: no coupling, "
-                "the sequential estimator is undefined"
+                f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
+                "meters blank and the sequential estimator is undefined"
             )
     return gs
-
-
-def _bare_family(element: ElementIndex, gs: tuple[float, ...], couplings: tuple[Coupling, ...],
-                 base: np.ndarray) -> PlanFamily:
-    """The family before calibration: no estimator coefficients."""
-    settings = enumerate_settings(len(couplings))
-    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
-    return PlanFamily(
-        element=element,
-        scheme=SEQ_SCHEME,
-        gs=gs,
-        couplings=couplings,
-        settings=settings,
-        coeff_re=no_coefficients,
-        coeff_im=no_coefficients,
-        base=base,
-    )
 
 
 def plan_seq_grid(element: ElementIndex, gs) -> PlanFamily:
@@ -296,43 +291,45 @@ def plan_seq_grid(element: ElementIndex, gs) -> PlanFamily:
     """
     gs = _checked_strengths(element, gs)
     couplings = seq_couplings(element)
-    bare = _bare_family(element, gs, couplings, base_amplitudes(element.dims, couplings, gs))
+    settings = enumerate_settings(len(couplings))
+    base = base_amplitudes(element.dims, couplings, gs)
+    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
+    bare = PlanFamily(element=element, scheme=SEQ_SCHEME, gs=gs, couplings=couplings,
+                      settings=settings, coeff_re=no_coefficients, coeff_im=no_coefficients,
+                      base=base)
     c_re, c_im, infos = calibrate_estimator(bare)
     return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
 
 
-def _seq_families(members: list[ElementIndex], gs: tuple[float, ...]):
-    """Yield the correlator-calibrated family of each element of one seq configuration.
+def _seq_batches(members: list[ElementIndex], g: float):
+    """Yield the calibrated plans of one seq configuration's members, in chunks.
 
     Members are upper-triangle elements (s < s') in row-major order.  The
-    couplings and ``base`` are built once.  Each member computes
-    correlator rows only for the blocks no earlier member did: members
-    that share the row block s follow one another, the first computes
-    it, and a copy of its rows serves the rest and is dropped after the
-    last of them.  Each member runs its own solve.
+    couplings, ``base`` and the correlator rows of every block any member
+    reads are built once.  Members are solved in chunks under
+    ``plans.MEMBER_ENTRIES``, one stacked solve per chunk, and the first
+    member in order that fails calibration raises the error its
+    ``plan_seq`` would.
     """
     first = members[0]
-    gs = _checked_strengths(first, gs)
+    (g,) = _checked_strengths(first, (g,))
     couplings = seq_couplings(first)
-    base = base_amplitudes(first.dims, couplings, gs)
-    shared = None  # a copy of block s's correlator rows
-    for i, element in enumerate(members):
-        s, s_prime = element.s_flat, element.s_prime_flat
-        fresh = [s, s_prime] if shared is None else [s_prime]
-        rows = _correlator_response(base, fresh)
-        rows = rows.reshape(rows.shape[:-2] + (-1, len(fresh), rows.shape[-1]))
-        if shared is not None:
-            rows = np.concatenate([shared, rows], axis=-2)
-        if i + 1 < len(members) and members[i + 1].s_flat == s:
-            if shared is None:
-                shared = rows[..., :1, :].copy()
-        else:
-            shared = None
-        bare = _bare_family(element, gs, couplings, base)
-        c_re, c_im, infos = _solve(bare, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])))
-        yield replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
-        # the caller may drop this member before the next one is built
-        del bare, rows, c_re, c_im
+    settings = enumerate_settings(len(couplings))
+    base = base_amplitudes(first.dims, couplings, g)
+    read = sorted({k for e in members for k in post_selected_blocks(e)})
+    rows = _correlator_response(base, read)
+    rows = rows.reshape(len(settings), len(read), rows.shape[-1])
+    # a member's stacked rows and the singular vectors its solve returns
+    for chunk in member_chunks(members, 2 * rows[:, :2].size):
+        at = [[read.index(k) for k in post_selected_blocks(e)] for e in chunk]
+        stacked = np.moveaxis(rows[:, at], 1, 0).reshape(len(chunk), -1, rows.shape[-1])
+        z, infos = _solve(stacked, _targets(chunk), (g,) * len(chunk))
+        yield PlanBatch(elements=tuple(chunk), scheme=SEQ_SCHEME, g=g,
+                        couplings=(couplings,) * len(chunk), settings=settings,
+                        weights=_correlator_weights(z, len(couplings)), base=base,
+                        calibrations=infos)
+        # the caller may drop this chunk before the next one is solved
+        del stacked, z
 
 
 def plan_seq(element: ElementIndex, g: float) -> ProtocolPlan:

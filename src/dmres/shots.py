@@ -9,7 +9,16 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density
-from .plans import ProtocolPlan, _born, check_state_dims, expectations
+from .plans import (
+    PlanBatch,
+    ProtocolPlan,
+    _born,
+    _weight_gram,
+    check_state_dims,
+    expectations,
+    readout_amplitudes,
+    sign_products,
+)
 
 PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
@@ -71,6 +80,16 @@ def element_variance(
     return factor * float(var_re), factor * float(var_im)
 
 
+def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) -> np.ndarray:
+    """Every member's ``element_variance``, (M, 2), from one stacked product.
+
+    Every member's (W_re, W_im) is one slice of a single stacked Gram
+    product.  ``rho`` must have the batch's dims.
+    """
+    factor = allocation_factor(policy.allocation, batch.n_settings)
+    return factor * expectations(_weight_gram(batch, batch.weights), rho)
+
+
 # One (plan, state) pair and what its draws read: a read-only (3, cells)
 # stack of the checked, clipped Born probabilities of the stored outcome
 # cells and the real and imaginary coefficients on them.  Plan and state
@@ -92,13 +111,28 @@ def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndar
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
         return held
     p = _born(plan.block_amplitudes, as_density(rho))
-    if p.min() < -1e-12:
-        raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
-    held = np.stack([np.clip(p, 0.0, None), plan.block_entries(plan.coeff_re),
-                     plan.block_entries(plan.coeff_im)]).reshape(3, -1)
+    held = _cells(p, np.stack([plan.block_entries(plan.coeff_re), plan.block_entries(plan.coeff_im)]))
     held.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), held)
     return held
+
+
+def _cells(p: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The (3, cells) stack of Born probabilities p, clipped at 0, and the Re and Im coefficients on the cells.
+
+    A probability below -1e-12 is no rounding error and raises.
+    """
+    if p.min() < -1e-12:
+        raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
+    return np.concatenate([np.clip(p, 0.0, None)[None], entries.reshape((2,) + p.shape)]).reshape(3, -1)
+
+
+def _draw(held: np.ndarray, policy: ShotPolicy, n_settings: int, rng: np.random.Generator) -> complex:
+    """One Poisson draw of the cells of a (p, c_re, c_im) stack, read row by row."""
+    exposure = policy.exposure(n_settings)
+    counts = rng.poisson(policy.n_t * exposure * held[0])
+    re, im = held[1:] @ (counts / (policy.n_t * exposure))
+    return complex(re, im)
 
 
 def simulate_shots(
@@ -116,8 +150,25 @@ def simulate_shots(
     the estimator exactly unbiased.
     """
     check_state_dims(rho, plan)
-    held = _shot_probabilities(plan, rho)
-    exposure = policy.exposure(plan.n_settings)
-    counts = rng.poisson(policy.n_t * exposure * held[0])
-    re, im = held[1:] @ (counts / (policy.n_t * exposure))
-    return complex(re, im)
+    return _draw(_shot_probabilities(plan, rho), policy, plan.n_settings, rng)
+
+
+def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
+    """``simulate_shots`` of every member of a batch, member i drawing from the i-th of ``rngs``.
+
+    The readout rows of every block a member reads are rotated once for
+    the batch; each member's draw reads its own two blocks, as its
+    plan's ``block_amplitudes``, and gives the value ``simulate_shots``
+    gives on that plan with the same generator.  ``rho`` must have the
+    batch's dims.
+    """
+    d = batch.base.shape[-1]
+    read = sorted(set(batch.blocks.flat))
+    amps = readout_amplitudes(batch.base, d, read)
+    amps = amps.reshape(amps.shape[0], len(read), -1, d)
+    signs = sign_products(batch.n_meters)
+    values = []
+    for at, weights, rng in zip(np.searchsorted(read, batch.blocks), batch.weights, rngs):
+        p = _born(amps[:, at].reshape(amps.shape[0], -1, d), rho)
+        values.append(_draw(_cells(p, weights[..., None] * signs), policy, batch.n_settings, rng))
+    return values

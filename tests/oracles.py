@@ -14,10 +14,14 @@ import itertools
 import numpy as np
 import scipy.linalg
 
+from dmres.elements import element_from_flat
 from dmres.errors import InvalidCouplingError
 from dmres.linalg import DensityMatrix, Ket, Observable, UnitaryMatrix, as_density, check_joint_dim
 from dmres.operators import coupling_gate
 from dmres.plans import check_state_dims
+from dmres.res import extract_element, plan_res
+from dmres.sampling import stream
+from dmres.shots import element_variance, simulate_shots
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -150,6 +154,38 @@ def partial_trace(mat, dims, keep):
         mat = np.trace(mat, axis1=site, axis2=site + mat.ndim // 2)
     d_keep = int(np.prod([dims[s] for s in keep])) if keep else 1
     return mat.reshape(d_keep, d_keep)
+
+
+def per_pair_characterize(rho, g, builder):
+    """``characterize``'s entries from one ``builder`` call and one
+    ``extract_element`` per upper-triangle pair, in row-major order."""
+    est = np.diag(np.diag(rho.entries).real).astype(complex)
+    for u, v in itertools.combinations(range(rho.dim), 2):
+        value = extract_element(rho, builder(element_from_flat(rho.dims, u, v), g))
+        est[u, v] = value
+        est[v, u] = np.conj(value)
+    return est
+
+
+def per_pair_shots(rho, g, policy, seed):
+    """``cli._characterize_shots`` from one ``plan_res`` build, one
+    ``simulate_shots`` on the pair's keyed stream and one
+    ``element_variance`` per upper-triangle pair, in row-major order.
+
+    Returns the estimate's entries and n_t (var Re + var Im) per pair.
+    """
+    diag_counts = stream(seed, "cli/characterize/diag").poisson(
+        policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
+    est = np.diag(diag_counts / max(diag_counts.sum(), 1)).astype(complex)
+    variances = {}
+    for u, v in itertools.combinations(range(rho.dim), 2):
+        plan = plan_res(element_from_flat(rho.dims, u, v), g)
+        value = simulate_shots(plan, rho, policy, stream(seed, f"cli/characterize/{plan.element.label()}"))
+        est[u, v] = value
+        est[v, u] = np.conj(value)
+        var_re, var_im = element_variance(plan, rho, policy)
+        variances[u, v] = var_re + var_im
+    return est, variances
 
 
 def ks_critical_value(n, m, alpha=0.01):

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmres import (
+    CalibrationError,
     DensityMatrix,
     ElementIndex,
     InvalidCouplingError,
@@ -34,12 +35,22 @@ from dmres.plans import (
     enumerate_settings,
     functional_matrix,
 )
-import dmres.res as res_module
+import dmres.plans as plans_module
 import dmres.seq as seq_module
 from dmres.res import element_plans
 from dmres.seq import plan_seq
 
-from oracles import joint_state, partial_trace, reference_extract, reference_setting_probabilities
+from dmres.cli import _characterize_shots
+from dmres.shots import ALLOCATIONS
+
+from oracles import (
+    joint_state,
+    partial_trace,
+    per_pair_characterize,
+    per_pair_shots,
+    reference_extract,
+    reference_setting_probabilities,
+)
 
 
 def maximally_mixed(dims):
@@ -368,13 +379,14 @@ class TestConfigurationPlans:
         assert calls == []
 
     @pytest.mark.parametrize("scheme, module, step", [
-        ("res", res_module, "res_coefficients"),
-        ("seq", seq_module, "_correlator_response"),
+        ("res", plans_module, "coefficient_tables"),
+        ("seq", plans_module, "coefficient_tables"),
     ])
     def test_dropped_plans_are_freed_before_the_next_build(self, scheme, module, step, monkeypatch):
         # (3,3) has configurations of several members for both schemes.  A
         # plan's arrays (block rows, coefficients) must be dead by the time
-        # the next member's build step runs, once the caller has dropped it.
+        # the next member's plan is sliced from its batch (its coefficient
+        # tables are scattered once per member), once the caller has dropped it.
         held, alive = [], []
         build = getattr(module, step)
 
@@ -388,6 +400,61 @@ class TestConfigurationPlans:
             held = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
             del plan, arrays
         assert len(alive) == 4 * 35 and not any(alive)  # checked at each of 35 later members
+
+    @pytest.mark.parametrize("budget", ["default", "one member per batch"])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", CONFIGURATION_DIMS)
+    def test_estimates_equal_per_pair_extraction_bytes(self, scheme, dims, budget, monkeypatch):
+        # one stacked product per batch reads what one extraction per pair
+        # reads, however the members are chunked
+        if budget != "default":
+            monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
+        builder = self.BUILDERS[scheme]
+        for k, g in enumerate((0.3, 0.7, 1.1)):
+            rho = random_mixed_state(dims, stream(9, f"batch-bytes{dims}", k))
+            got = characterize(rho, g, builder).entries
+            assert got.tobytes() == per_pair_characterize(rho, g, builder).tobytes()
+
+    @pytest.mark.parametrize("allocation", ALLOCATIONS)
+    @pytest.mark.parametrize("dims", CONFIGURATION_DIMS)
+    def test_shot_estimates_equal_per_pair_draws_bytes(self, dims, allocation):
+        policy = ShotPolicy(n_t=1e5, allocation=allocation)
+        for k, g in enumerate((0.3, 0.7, 1.1)):
+            rho = random_mixed_state(dims, stream(10, f"batch-shots{dims}", k))
+            est, variances = _characterize_shots(rho, g, policy, seed=k)
+            want_est, want_variances = per_pair_shots(rho, g, policy, seed=k)
+            assert est.entries.tobytes() == want_est.tobytes()
+            assert sorted(variances) == sorted(want_variances)
+            assert np.array([variances[uv] for uv in sorted(variances)]).tobytes() == \
+                np.array([want_variances[uv] for uv in sorted(variances)]).tobytes()
+
+    @pytest.mark.parametrize("budget", ["default", "one member per batch"])
+    def test_infeasible_member_raises_its_single_build_error(self, monkeypatch, budget):
+        # (0, 2) follows (0, 1) in their (3,3) seq configuration, in its
+        # batch or the next one; skewed targets leave the span of its
+        # correlator rows
+        infeasible = (0, 2)
+        targets = seq_module._targets
+
+        def skewed(elements):
+            t = targets(elements)
+            for i, e in enumerate(elements):
+                if (e.s_flat, e.s_prime_flat) == infeasible:
+                    t[i] += 1.0
+            return t
+
+        monkeypatch.setattr(seq_module, "_targets", skewed)
+        if budget != "default":
+            monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
+        with pytest.raises(CalibrationError) as single:
+            plan_seq(element_from_flat((3, 3), *infeasible), 0.7)
+        rho = random_mixed_state((3, 3), stream(11, "infeasible"))
+        with pytest.raises(CalibrationError) as batch:
+            characterize(rho, 0.7, plan_seq)
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(CalibrationError) as plans:
+            list(element_plans((3, 3), 0.7, plan_seq))
+        assert str(plans.value) == str(single.value)
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])

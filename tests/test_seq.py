@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmres import (
-    CalibrationError,
     DensityMatrix,
     ElementIndex,
     InvalidCouplingError,
     PrepParams,
     ShotPolicy,
     calibrate_estimator,
+    characterize,
     element_variance,
     extract_element,
     plan_res,
@@ -24,7 +24,7 @@ from dmres import (
 from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
-from dmres.seq import _correlator_response, seq_couplings
+from dmres.seq import _correlator_response, plan_seq_grid, seq_couplings
 from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
@@ -149,10 +149,37 @@ class TestCalibration:
         assert plan.calibration is not None
         assert max(plan.calibration.residual_re, plan.calibration.residual_im) <= 1e-8
 
-    def test_singular_strength_raises_with_singular_value(self):
-        # at g=pi the meter rotation is -1, so no correlator signal exists
-        with pytest.raises(CalibrationError, match="singular value"):
-            plan_seq(ElementIndex.create((2,), (0,), (1,)), math.pi)
+    @pytest.mark.parametrize("g", [math.pi, -math.pi, 2 * math.pi])
+    def test_singular_strength_is_rejected_before_calibrating(self, g):
+        # at g = pi the meter rotation is -1, so no correlator signal
+        # exists; a relative floor would otherwise keep rounding noise
+        with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
+            plan_seq(ElementIndex.create((2,), (0,), (1,)), g)
+        with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
+            plan_seq_grid(ElementIndex.create((2,), (0,), (1,)), [0.4, g])
+
+
+class TestWeakCoupling:
+    """The relative singular-value floor keeps the g^(2m) directions of weak correlator responses."""
+
+    @pytest.mark.parametrize("g", [1e-3, 5e-3, 1e-2, 2e-2])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2)])
+    def test_every_element_calibrates_and_extracts(self, dims, g):
+        rho = random_mixed_state(dims, stream(12, f"weak-every{dims}"))
+        est = characterize(rho, g, plan_seq)
+        assert np.max(np.abs(est.entries - rho.entries)) <= 1e-8
+
+    @pytest.mark.parametrize("dims,s,sp", [((2, 3), (0, 0), (1, 1)), ((3, 3), (0, 1), (1, 2))])
+    def test_once_infeasible_elements_calibrate(self, dims, s, sp):
+        # an absolute floor of 1e-13 dropped two real directions of order
+        # g^6 here and left a residual of about 1e-5
+        e = ElementIndex.create(dims, s, sp)
+        plan = plan_seq(e, 0.01)
+        assert max(plan.calibration.residual_re, plan.calibration.residual_im) <= 1e-8
+        rng = stream(13, "weak-once")
+        for _ in range(5):
+            rho = random_mixed_state(dims, rng)
+            assert abs(extract_element(rho, plan) - rho.entry(e.s_flat, e.s_prime_flat)) <= 1e-8
 
 
 class TestExtraction:
