@@ -1,7 +1,7 @@
 """Measurement protocol plans and the shared probability engine.
 
 A plan fixes the couplings, the meter readout settings and the
-estimator coefficients for one density-matrix element.  Its readout
+estimator weights for one density-matrix element.  Its readout
 amplitudes form one (n_settings, outcomes, system-dim) stack: with
 ``A_s`` the slice of setting ``s``, the probability of outcome ``o`` for
 input ``rho`` is ``<a_o| rho |a_o>`` with ``a_o`` the o-th row of ``A_s``.
@@ -10,9 +10,11 @@ Outcomes come in blocks of 2^m meter patterns, one block per system
 outcome.  Every estimator, ``res`` or calibrated ``seq``, is a weighted
 sum of meter correlators at the post-selected outcomes s and s': on
 each (setting, block) of those two its coefficients are one weight
-times the product of meter signs, and every other block has none.  The
-plan constructor enforces that form.  A plan stores the unrotated
-columns ``base``; the readout amplitudes of blocks s and s',
+times the product of meter signs, and every other block has none.  So
+a plan stores its estimator as those weights, ``weights[t, b, k]`` for
+part t (0 Re, 1 Im), setting b and block k; ``coefficient_tables``
+alone writes them out as full tables, for export.  A plan also stores
+the unrotated columns ``base``; the readout amplitudes of blocks s and s',
 ``block_amplitudes``, which shot draws read, and the full stack
 ``amplitudes``, which only outcome distributions and the response map
 read, are each rotated from ``base`` on first use and kept.
@@ -21,8 +23,8 @@ Exact estimates and variance operators rotate no readout row.  Setting
 b's rows of block k are R_b B_k, with B_k the block's rows of ``base``
 and R_b unitary on the meter patterns, and R_b^dag diag(signs) R_b is
 the setting's Pauli product Sigma_b = diag(phase_b) J, with J the
-exchange of each pattern with its complement.  A table with weight
-w_{b,k} on block k of setting b therefore sums to
+exchange of each pattern with its complement.  Weights w_{b,k}
+therefore sum to
 sum_k B_k^dag diag(phi_k) J B_k, with phi_k = sum_b w_{b,k} phase_b:
 one small product per block however many settings there are.  Its
 squares, constant on the block's patterns, weigh B_k^dag B_k whatever
@@ -102,7 +104,15 @@ class CalibrationInfo:
 
 
 class _PlanLayout:
-    """Counts and stored-block access shared by plans and plan families."""
+    """Counts, the weights' shape check and stored-block access shared by plans and plan families."""
+
+    def __post_init__(self) -> None:
+        want = self.base.shape[:-2] + (2, self.n_settings, 2)
+        if np.shape(self.weights) != want:
+            raise InvalidCouplingError(
+                f"estimator weights have shape {np.shape(self.weights)}, want {want}: a (Re, Im) "
+                f"weight per setting and post-selected block {self.blocks}"
+            )
 
     @property
     def n_meters(self) -> int:
@@ -145,35 +155,34 @@ class _PlanLayout:
         return readout_amplitudes(self.base, self.element.dim)
 
     @cached_property
-    def estimator_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (W_re, W_im) of ``estimator_operators``, computed on first use and kept.
+    def estimator_operators(self) -> np.ndarray:
+        """Read-only (W_re, W_im) stack of ``estimator_operators``, computed on first use and kept.
 
-        (dim, dim) each for a plan, with a leading strength axis for a
+        (2, dim, dim) for a plan, with a leading strength axis for a
         family.
         """
         operators = estimator_operators(self)
-        for w in operators:
-            w.setflags(write=False)
+        operators.setflags(write=False)
         return operators
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """w[..., t, b, k]: table t's (Re, Im) entry on pattern 0 of setting b and block k.
+    def _tables(self) -> np.ndarray:
+        tables = coefficient_tables(self.weights, self.blocks, self.element.dim)
+        tables.setflags(write=False)
+        return tables
 
-        Pattern 0 has meter sign +1, so this is the block's weight in the
-        form the plan constructor enforces: (2, n_settings, 2) for a plan,
-        with a leading strength axis for a family.
+    @property
+    def coeff_re(self) -> np.ndarray:
+        """Read-only Re coefficient table (n_settings, outcomes) of ``weights``, built on first use.
+
+        A family's has a leading strength axis.  Only exports read it.
         """
-        return np.stack([_block_weights(self, t) for t in (self.coeff_re, self.coeff_im)], axis=-3)
+        return self._tables[..., 0, :, :]
 
-    def block_entries(self, table: np.ndarray) -> np.ndarray:
-        """The entries of a (..., n_settings, outcomes) table on blocks s and s'.
-
-        Ordered as the rows of ``block_amplitudes``.
-        """
-        lead = np.shape(table)[:-1]
-        blocks = np.take(np.reshape(table, lead + (self.element.dim, -1)), self.blocks, axis=-2)
-        return blocks.reshape(lead + (-1,))
+    @property
+    def coeff_im(self) -> np.ndarray:
+        """Read-only Im coefficient table, as ``coeff_re``."""
+        return self._tables[..., 1, :, :]
 
 
 @dataclass(frozen=True)
@@ -181,9 +190,10 @@ class ProtocolPlan(_PlanLayout):
     """One element's plan at one strength.
 
     ``base`` holds the unrotated columns U |u> (x) |0...0>, (outcomes,
-    dim).  The constructor rejects coefficient tables that are not one
-    weight times ``sign_products(m)`` on each (setting, block) of the
-    post-selected blocks and zero elsewhere.
+    dim), and ``weights`` the estimator, (2, n_settings, 2): part t's
+    weight on setting b and post-selected block k, in index order (see
+    the module docstring).  The constructor rejects weights of any other
+    shape.
     """
 
     element: ElementIndex
@@ -191,23 +201,9 @@ class ProtocolPlan(_PlanLayout):
     g: float
     couplings: tuple[Coupling, ...]
     settings: tuple[MeasurementSetting, ...]
-    coeff_re: np.ndarray  # (n_settings, n_outcomes)
-    coeff_im: np.ndarray
+    weights: np.ndarray  # (2, n_settings, 2)
     base: np.ndarray
     calibration: CalibrationInfo | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        signs = sign_products(self.n_meters)
-        for table in (self.coeff_re, self.coeff_im):
-            on = np.reshape(table, (self.n_settings, self.element.dim, -1))[:, list(self.blocks)]
-            if np.count_nonzero(table) != np.count_nonzero(on) or np.any(on != on[..., :1] * signs):
-                raise InvalidCouplingError(
-                    "estimator coefficients must be one weight times the meter signs on each "
-                    f"(setting, block) of the post-selected blocks {self.blocks} and zero elsewhere"
-                )
-
-    def coefficients(self) -> np.ndarray:
-        return self.coeff_re + 1j * self.coeff_im
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,7 @@ class PlanFamily(_PlanLayout):
     gs: tuple[float, ...]
     couplings: tuple[Coupling, ...]
     settings: tuple[MeasurementSetting, ...]
-    coeff_re: np.ndarray  # (G, n_settings, n_outcomes)
-    coeff_im: np.ndarray
+    weights: np.ndarray  # (G, 2, n_settings, 2)
     base: np.ndarray  # (G, n_outcomes, dim)
     calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
 
@@ -240,8 +235,7 @@ class PlanFamily(_PlanLayout):
             g=self.gs[k],
             couplings=self.couplings,
             settings=self.settings,
-            coeff_re=self.coeff_re[k],
-            coeff_im=self.coeff_im[k],
+            weights=self.weights[k],
             base=self.base[k],
             calibration=None if self.calibrations is None else self.calibrations[k],
         )
@@ -253,13 +247,10 @@ class PlanBatch:
 
     Members couple the same qudits through the same operators, so they
     share the settings and the unrotated columns ``base`` (outcomes,
-    dim); ``couplings[i]`` are member i's.  ``weights[i, t, b, k]`` is
-    member i's weight of table t (0 Re, 1 Im) on setting b and its
-    post-selected block k: its coefficient tables are those weights
-    times ``sign_products(m)`` on each (setting, block) and zero
-    elsewhere, the form every plan has.  The engine's estimate and
-    variance contractions accept a batch and gain a leading member axis;
-    ``batch[i]`` is member i's plan, with coefficient tables of its own.
+    dim); ``couplings[i]`` are member i's and ``weights[i]`` member i's
+    estimator, as a plan stores it.  The engine's estimate and variance
+    contractions accept a batch and gain a leading member axis;
+    ``batch[i]`` is member i's plan.
     """
 
     elements: tuple[ElementIndex, ...]
@@ -295,16 +286,13 @@ class PlanBatch:
         return np.array([post_selected_blocks(e) for e in self.elements])
 
     def __getitem__(self, i: int) -> ProtocolPlan:
-        element = self.elements[i]
-        coeff_re, coeff_im = coefficient_tables(self.weights[i], self.blocks[i], element.dim)
         return ProtocolPlan(
-            element=element,
+            element=self.elements[i],
             scheme=self.scheme,
             g=self.g,
             couplings=self.couplings[i],
             settings=self.settings,
-            coeff_re=coeff_re,
-            coeff_im=coeff_im,
+            weights=self.weights[i],
             base=self.base,
             calibration=None if self.calibrations is None else self.calibrations[i],
         )
@@ -319,13 +307,15 @@ def member_chunks(members: list, per_member: int) -> list[list]:
 def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
     """The (Re, Im) coefficient tables of block weights, (..., 2, n_settings, outcomes).
 
-    ``weights`` is (..., 2, n_settings, 2): each (setting, block) of
-    ``blocks`` gets its weight times the meter signs, and every other
-    block is zero.
+    The one place the correlator form is written out: ``weights`` is
+    (..., 2, n_settings, 2), each (setting, block) of ``blocks`` gets its
+    weight times the meter signs, and every other block is zero.  Every
+    zero entry is +0, whatever the sign of its weight.
     """
     signs = sign_products(weights.shape[-2].bit_length() - 1)
     tables = np.zeros(weights.shape[:-1] + (dim, len(signs)))
     tables[..., list(blocks), :] = weights[..., None] * signs
+    tables += 0.0  # a zero weight times sign -1 is -0
     return tables.reshape(weights.shape[:-1] + (-1,))
 
 
@@ -494,16 +484,6 @@ def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndar
     return _born(plan.amplitudes, state)
 
 
-def _block_weights(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
-    """w[..., b, k]: a table's entry on pattern 0 of setting b and post-selected block k.
-
-    Pattern 0 has meter sign +1, so this is the block's weight in the
-    form the plan constructor enforces.
-    """
-    d = plan.element.dim
-    return np.reshape(table, np.shape(table)[:-1] + (d, -1))[..., list(plan.blocks), 0]
-
-
 def _base_blocks(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
     """The rows of ``base`` of blocks s and s': (..., 2, 2^m, dim), a member axis for a batch."""
     d = plan.base.shape[-1]
@@ -512,7 +492,7 @@ def _base_blocks(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
 
 
 def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
-    """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_0 = Re and c_1 = Im table.
+    """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_t part t's coefficients.
 
     Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
     both blocks in one product; estimate part t of a state is Tr(G_t rho).
@@ -541,34 +521,22 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     return (g_re + 1j * g_im).T
 
 
-def _weight_gram(plan: ProtocolPlan | PlanFamily | PlanBatch, weights: np.ndarray) -> np.ndarray:
-    """sum over (setting, outcome) of c^2 |a><a| for tables of block weights (..., n_settings, 2).
+def estimator_operators(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
+    """Hermitian operators W[..., t] with sum over (setting, outcome) of c_t^2 p = Tr(W_t rho).
 
-    sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
-    block k's squared weights summed over settings left to right.  The
-    weights' leading axes broadcast against the plan's block rows.
+    These give per-state shot variances of part t (0 Re, 1 Im) at unit
+    per-setting exposure as linear functionals of the state: (2, dim,
+    dim) for a plan, with a leading strength axis for a family and a
+    member axis for a batch.  Each is sum_k alpha_k B_k^dag B_k (see the
+    module docstring), with alpha_k block k's squared weights summed over
+    settings left to right, so no readout row is rotated.
     """
-    alpha = functools.reduce(np.add, np.moveaxis(weights ** 2, -2, 0))
+    alpha = functools.reduce(np.add, np.moveaxis(plan.weights ** 2, -2, 0))
     rows = _base_blocks(plan)
     n_patterns, d = rows.shape[-2:]
     scale = np.repeat(alpha, n_patterns, axis=-1)[..., None]
-    rows = rows.reshape(rows.shape[:-3] + (1,) * (alpha.ndim - rows.ndim + 2) + (-1, d))
+    rows = rows.reshape(rows.shape[:-3] + (1, -1, d))
     return rows.conj().swapaxes(-1, -2) @ (scale * rows)
-
-
-def _variance_gram(plan: ProtocolPlan | PlanFamily, table: np.ndarray) -> np.ndarray:
-    """sum over (setting, outcome) of c^2 |a><a| for one coefficient table c, whatever the strength axis."""
-    return _weight_gram(plan, _block_weights(plan, table))
-
-
-def estimator_operators(plan: ProtocolPlan | PlanFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian operators (W_re, W_im) with sum c^2 p = Tr(W rho).
-
-    These give per-state shot variances at unit per-setting exposure as
-    linear functionals of the state; a family gives (G, dim, dim) stacks.
-    They are built from ``base`` without rotating a readout row.
-    """
-    return _variance_gram(plan, plan.coeff_re), _variance_gram(plan, plan.coeff_im)
 
 
 def plan_document(plan: ProtocolPlan) -> str:

@@ -36,11 +36,14 @@ from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
 # Array entries one element's build may keep per sweep chunk, at most
-# 16 bytes each (1 MiB), counted per strength by ``_stored_entries``.
+# 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid family build with its variance operators
-# run to 2.35x the count for qutrit seq and 1.35x for three-qubit res.
-CHUNK_ENTRIES = 2 ** 16
+# run to 3.2x the count for qutrit seq and 3.8x for three-qubit res.
+# This budget gives a three-qubit seq sweep one strength per chunk: at
+# two, the calibration's transients made a 1,000-sample sweep peak at
+# 1.44 MB, above the 1.38 MB of single plan_seq builds per strength.
+CHUNK_ENTRIES = 2 ** 14
 
 # Entries of the (points, policies, samples) stack a sweep reduces at
 # once (256 KiB): one point of a default 10^4-sample, two-policy run.
@@ -117,8 +120,8 @@ def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
 
 def _variance_operator(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
     """Mean of a plan's Re and Im variance operators; (G, D, D) for a family."""
-    w_re, w_im = plan.estimator_operators
-    return 0.5 * (w_re + w_im)
+    w = plan.estimator_operators
+    return 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
 
 
 def _mean(operators: list) -> np.ndarray:
@@ -191,9 +194,9 @@ def _stored_entries(element: ElementIndex, scheme: str) -> int:
     2^m, a build holds per strength:
 
     - the unrotated columns ``base``, D 2^m D complex entries;
-    - the coefficient tables, 2 S D 2^m entries: the real and imaginary
-      tables the family keeps, and for ``res`` the complex table they
-      are split from, as many bytes as both;
+    - the block weights, 2 S 2 entries: a (Re, Im) weight per setting
+      and post-selected block, and for ``res`` the complex weights they
+      are split from, as many bytes;
     - for ``seq``, the Gram stack A_k^dag Sigma_b A_k that
       ``seq._correlator_response`` reads the calibration rows from, S 2
       D D complex entries, one D x D matrix per setting and
@@ -206,19 +209,25 @@ def _stored_entries(element: ElementIndex, scheme: str) -> int:
 
     The count bounds the arrays a build keeps, not its transient copies
     (``plans._apply_couplings``' reshaped copies of the amplitude tensor,
-    the intermediates of ``seq.basis_traces``).  Traced with
-    ``tracemalloc``, a family build over the whole seq or res default
-    grid plus its variance operators peaks at 2.35x the count for qutrit
-    ``seq`` (247 KB against 105 KB) and 1.35x for three-qubit ``res``
-    (1,037 KB against 768 KB).
+    the intermediates of ``seq.basis_traces`` and of the calibration
+    solve).  Traced with ``tracemalloc``, first-call caches warm, a
+    family build over the whole seq or res default grid plus its
+    variance operators peaks at 3.2x the count for qutrit ``seq`` (201
+    KiB against 64 KiB) and 3.8x for three-qubit ``res`` (1,036 KiB
+    against 272 KiB).
     """
     m = len(element.coupled_set) * (1 if scheme == "res" else 2)
     patterns = settings = 2 ** m
     d = element.dim
-    entries = d * patterns * d + 2 * settings * d * patterns
+    entries = d * patterns * d + 2 * settings * 2
     if scheme == "seq":
         entries += settings * len(post_selected_blocks(element)) * d * d
     return entries
+
+
+def _chunk_step(elements: list[ElementIndex], scheme: str) -> int:
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest element's build, at least one."""
+    return max(1, CHUNK_ENTRIES // max(_stored_entries(e, scheme) for e in elements))
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
@@ -234,7 +243,7 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     """
     elements = precision_element_set(system.n_qudits, system.d)
     gs = list(gs)
-    step = max(1, CHUNK_ENTRIES // max(_stored_entries(e, scheme) for e in elements))
+    step = _chunk_step(elements, scheme)
     for lo in range(0, len(gs), step):
         chunk = gs[lo:lo + step]
         operators = []

@@ -2,8 +2,8 @@
 
 One swap-involution coupling per qudit whose indices differ, one qubit
 meter each, then post-selection in the computational basis with meter
-readout in the sigma_x / sigma_y bases.  The estimator coefficients
-below make the extraction an exact identity at any strength with
+readout in the sigma_x / sigma_y bases.  The estimator weights below
+make the extraction an exact identity at any strength with
 sin(2g) != 0.
 """
 
@@ -34,7 +34,6 @@ from .plans import (
     expectations,
     finite_strengths,
     member_chunks,
-    sign_products,
 )
 from .seq import _seq_batches, _seq_configuration, plan_seq
 
@@ -48,55 +47,22 @@ def _check_strength(g: float, l: int) -> float:
     return float(s)
 
 
-def _unit_rows(settings, signs: np.ndarray, n_rows: int, s_row: int, sp_row: int) -> np.ndarray:
-    """Unnormalized coefficients on n_rows system outcomes, (n_settings, n_rows, len(signs)).
+def _res_weights(elements: list[ElementIndex], gs, settings, n_meters: int) -> np.ndarray:
+    """Block weights (G, M, 2, n_settings, 2) realizing the exact extraction identity.
 
-    Per setting b, prod_j (i if b_j = y) times the meter signs on row
-    ``sp_row`` and its conjugate on row ``s_row``.
+    Per setting b the weight on block s' is prod_j (i if b_j = y) and its
+    conjugate on block s, times the 1/(2 sin^l 2g) normalization at each
+    strength of ``gs``; blocks come in index order.
     """
     w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
-    unit = np.zeros((len(settings), n_rows, len(signs)), dtype=complex)
-    unit[:, sp_row] += w[:, None] * signs
-    unit[:, s_row] += w.conj()[:, None] * signs
-    return unit
-
-
-def _scaled(gs: np.ndarray, n_meters: int, unit: np.ndarray) -> np.ndarray:
-    """1/(2 sin^l 2g) times the unit table for each strength, on a leading strength axis."""
-    norm = np.array([1.0 / (2.0 * _check_strength(float(x), n_meters) ** n_meters)
-                     for x in gs.reshape(-1)])
-    coeff = np.zeros((norm.size,) + unit.shape, dtype=complex)
-    coeff += norm.reshape((-1,) + (1,) * unit.ndim) * unit
-    return coeff
-
-
-def res_coefficients(element: ElementIndex, g, settings, n_meters: int):
-    """Complex coefficients realizing the exact extraction identity.
-
-    Per setting b the weight on the s'-outcome is prod_j (i if b_j = y)
-    and its conjugate on the s-outcome, times the product of meter signs
-    and the 1/(2 sin^l 2g) normalization.  A sequence of strengths gives
-    one table per strength, stacked on a leading axis.
-    """
-    gs = np.asarray(g, dtype=float)
-    unit = _unit_rows(settings, sign_products(n_meters), element.dim, element.s_flat, element.s_prime_flat)
-    unit = unit.reshape(len(settings), -1)
-    return _scaled(gs, n_meters, unit).reshape(gs.shape + unit.shape)
-
-
-def _res_weights(elements: list[ElementIndex], g: float, settings, n_meters: int) -> np.ndarray:
-    """Each element's block weights (M, 2, n_settings, 2) at strength g.
-
-    They are the pattern-0 entries of ``res_coefficients``' Re and Im
-    tables, computed by the same operations on those entries alone: the
-    rows are the post-selected blocks (s, s') in index order.
-    """
-    sign = sign_products(n_meters)[:1]
-    unit = np.stack([
-        _unit_rows(settings, sign, 2, int(e.s_flat > e.s_prime_flat), int(e.s_prime_flat > e.s_flat))
-        for e in elements])
-    coeff = _scaled(np.asarray(g, dtype=float), n_meters, unit)[0, ..., 0]
-    return np.stack([coeff.real, coeff.imag], axis=1)
+    unit = np.zeros((len(elements), len(settings), 2), dtype=complex)
+    for i, e in enumerate(elements):
+        unit[i, :, int(e.s_prime_flat > e.s_flat)] += w
+        unit[i, :, int(e.s_flat > e.s_prime_flat)] += w.conj()
+    norm = np.array([1.0 / (2.0 * _check_strength(g, n_meters) ** n_meters) for g in gs])
+    coeff = np.zeros((len(gs),) + unit.shape, dtype=complex)
+    coeff += norm[:, None, None, None] * unit
+    return np.stack([coeff.real, coeff.imag], axis=2)
 
 
 def _res_configuration(element: ElementIndex) -> tuple:
@@ -140,7 +106,7 @@ def _res_batches(members: list[ElementIndex], g: float):
             g=g,
             couplings=tuple(_res_couplings(e, ops) for e in chunk),
             settings=settings,
-            weights=_res_weights(chunk, g, settings, len(ops)),
+            weights=_res_weights(chunk, (g,), settings, len(ops))[0],
             base=base,
         )
 
@@ -153,15 +119,13 @@ def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
         )
     gs = finite_strengths(gs)
     ops, settings, base = _res_members(element, gs)
-    coeff = res_coefficients(element, gs, settings, len(ops))
     return PlanFamily(
         element=element,
         scheme=RES_SCHEME,
         gs=gs,
         couplings=_res_couplings(element, ops),
         settings=settings,
-        coeff_re=coeff.real.copy(),
-        coeff_im=coeff.imag.copy(),
+        weights=_res_weights([element], gs, settings, len(ops))[:, 0],
         base=base,
     )
 
@@ -201,7 +165,7 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     Extraction is scheme independent: the plan carries the estimator,
     so ``res`` and ``seq`` plans are read the same way.  Each part is
     Tr(G rho), with G the sum of the coefficient-weighted outcome
-    projectors of the Re or Im table, read from ``base`` (see
+    projectors of that part, read from the weights and ``base`` (see
     ``dmres.plans``) rather than from rotated readout rows.
     """
     check_state_dims(rho, plan)
@@ -252,24 +216,6 @@ def configuration_batches(dims, g: float, plan_builder=plan_res):
     (g,) = finite_strengths((g,))
     for members in groups.values():
         yield from batches(members, g)
-
-
-def element_plans(dims, g: float, plan_builder=plan_res):
-    """Yield ``((u, v), plan)`` for every upper-triangle pair u < v of flat indices.
-
-    Pairs come batch by batch, in the order of ``configuration_batches``,
-    and every plan equals the one the builder returns; a stock builder's
-    plans are sliced from their batch, any other builder's are its own.
-    """
-    if _CONFIGURATIONS.get(inspect.unwrap(plan_builder)) is None:
-        for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
-            yield (u, v), plan_builder(element_from_flat(dims, u, v), g)
-        return
-    for batch in configuration_batches(dims, g, plan_builder):
-        for i in range(len(batch)):
-            plan = batch[i]
-            yield (plan.element.s_flat, plan.element.s_prime_flat), plan
-            del plan  # freed before the next member's plan is built
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:

@@ -37,7 +37,6 @@ from .plans import (
     SINGULAR_TOL,
     _flip_phases,
     base_amplitudes,
-    coefficient_tables,
     enumerate_settings,
     finite_strengths,
     member_chunks,
@@ -243,27 +242,27 @@ def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
 
 
 def calibrate_estimator(plan: ProtocolPlan | PlanFamily):
-    """Minimum-norm unbiased coefficients for the Re and Im functionals.
+    """Minimum-norm unbiased weights for the Re and Im functionals.
 
     The estimator is restricted to full-product meter correlators at the
     two post-selection outcomes, the joint statistics the sequential
     readout actually uses; their rows come from the plan's unrotated
-    columns ``base``.
+    columns ``base``, and the plan's own weights are not read.
 
-    For a plan this returns (coeff_re, coeff_im, info).  For a
-    ``PlanFamily`` every strength is solved in one stacked pass and the
-    tables gain a leading strength axis, with one ``CalibrationInfo`` per
-    strength; a plan is the stack of one.  The first strength, in grid
-    order, whose residual exceeds ``RESIDUAL_TOL`` raises
-    ``CalibrationError``.
+    For a plan this returns (weights, info), with weights (2, n_settings,
+    2) as a plan stores them.  For a ``PlanFamily`` every strength is
+    solved in one stacked pass and the weights gain a leading strength
+    axis, with one ``CalibrationInfo`` per strength; a plan is the stack
+    of one.  The first strength, in grid order, whose residual exceeds
+    ``RESIDUAL_TOL`` raises ``CalibrationError``.
     """
     gs = plan.gs if isinstance(plan, PlanFamily) else (plan.g,)
     rows = _correlator_response(plan.base, list(plan.blocks))
     z, infos = _solve(rows.reshape((len(gs),) + rows.shape[-2:]), _targets([plan.element])[0], gs)
-    tables = coefficient_tables(_correlator_weights(z, plan.n_meters), plan.blocks, plan.element.dim)
+    weights = _correlator_weights(z, plan.n_meters)
     if isinstance(plan, PlanFamily):
-        return tables[:, 0], tables[:, 1], infos
-    return tables[0, 0], tables[0, 1], infos[0]
+        return weights, infos
+    return weights[0], infos[0]
 
 
 def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
@@ -293,12 +292,10 @@ def plan_seq_grid(element: ElementIndex, gs) -> PlanFamily:
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, gs)
-    no_coefficients = np.broadcast_to(0.0, (len(gs), len(settings), base.shape[-2]))
     bare = PlanFamily(element=element, scheme=SEQ_SCHEME, gs=gs, couplings=couplings,
-                      settings=settings, coeff_re=no_coefficients, coeff_im=no_coefficients,
-                      base=base)
-    c_re, c_im, infos = calibrate_estimator(bare)
-    return replace(bare, coeff_re=c_re, coeff_im=c_im, calibrations=infos)
+                      settings=settings, weights=np.zeros((len(gs), 2, len(settings), 2)), base=base)
+    weights, infos = calibrate_estimator(bare)
+    return replace(bare, weights=weights, calibrations=infos)
 
 
 def _seq_batches(members: list[ElementIndex], g: float):

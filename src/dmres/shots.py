@@ -13,8 +13,8 @@ from .plans import (
     PlanBatch,
     ProtocolPlan,
     _born,
-    _weight_gram,
     check_state_dims,
+    estimator_operators,
     expectations,
     readout_amplitudes,
     sign_products,
@@ -76,18 +76,18 @@ def element_variance(
     """
     check_state_dims(rho, plan)
     factor = allocation_factor(policy.allocation, plan.n_settings)
-    var_re, var_im = expectations(np.stack(plan.estimator_operators), as_density(rho))
+    var_re, var_im = expectations(plan.estimator_operators, as_density(rho))
     return factor * float(var_re), factor * float(var_im)
 
 
 def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) -> np.ndarray:
     """Every member's ``element_variance``, (M, 2), from one stacked product.
 
-    Every member's (W_re, W_im) is one slice of a single stacked Gram
-    product.  ``rho`` must have the batch's dims.
+    Every member's (W_re, W_im) is one slice of the batch's
+    ``estimator_operators``.  ``rho`` must have the batch's dims.
     """
     factor = allocation_factor(policy.allocation, batch.n_settings)
-    return factor * expectations(_weight_gram(batch, batch.weights), rho)
+    return factor * expectations(estimator_operators(batch), rho)
 
 
 # One (plan, state) pair and what its draws read: a read-only (3, cells)
@@ -111,7 +111,7 @@ def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndar
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
         return held
     p = _born(plan.block_amplitudes, as_density(rho))
-    held = _cells(p, np.stack([plan.block_entries(plan.coeff_re), plan.block_entries(plan.coeff_im)]))
+    held = _cells(p, plan.weights[..., None] * sign_products(plan.n_meters))
     held.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), held)
     return held
@@ -119,6 +119,9 @@ def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndar
 
 def _cells(p: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """The (3, cells) stack of Born probabilities p, clipped at 0, and the Re and Im coefficients on the cells.
+
+    ``entries`` are (2, n_settings, 2, 2^m): the block weights times the
+    meter signs, in the order of p's (setting, block row) cells.
 
     A probability below -1e-12 is no rounding error and raises.
     """

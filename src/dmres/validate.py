@@ -18,6 +18,7 @@ from .elements import ElementIndex, all_offdiagonal_elements, precision_element_
 from .plans import functional_matrix
 from .precision import (
     SystemSpec,
+    _chunk_step,
     _mean,
     _trace,
     _variance_operator,
@@ -179,16 +180,20 @@ def check_determinism() -> tuple[bool, str]:
     singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
     if not np.array_equal(sampled_states(SystemSpec(1, 3), 9, 300), np.stack(singles)):
         return False, "batched Haar states differ from single draws"
-    # stacked sweep builds against single plan_seq builds: first point, a chunk edge, pi/2
+    # stacked sweep builds against single plan_seq builds at the first
+    # and last point of every chunk the sweep builds
     two_qubit, grid = SystemSpec(2, 2), default_g_grid()
+    elements = precision_element_set(2, 2)
+    step = _chunk_step(elements, "seq")
+    edges = sorted({k for lo in range(0, len(grid), step) for k in (lo, min(lo + step, len(grid)) - 1)})
     states = sampled_states(two_qubit, 9, 300)
     report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9)
-    for g in (float(grid[0]), float(grid[4]), float(grid[-1])):
-        plans = [plan_seq(e, g) for e in precision_element_set(2, 2)]
-        single = _trace(_mean([_variance_operator(p) for p in plans]), states)
+    for g in (float(grid[k]) for k in edges):
+        single = _trace(_mean([_variance_operator(plan_seq(e, g)) for e in elements]), states)
         if not np.array_equal(_trace(report.operators[two_qubit, "seq", g][0], states), single):
             return False, f"sweep values differ from single plan_seq builds at g={g!r}"
-    return True, ("sweep values bit-identical to single plan_seq builds; "
+    return True, (f"sweep values bit-identical to single plan_seq builds at the first and last "
+                  f"point of each chunk ({len(edges)} points, {step} strengths a chunk); "
                   "batched states match single draws")
 
 

@@ -362,17 +362,17 @@ class TestValidateCommand:
         assert "haar-mean" in out
 
     def test_fault_injection_caught(self, monkeypatch):
-        # flipping one coefficient sign of every res plan must trip the unbiasedness group
+        # flipping the sign of one weight of every res plan must trip the unbiasedness group
         import dmres.validate as v
 
         build = v.plan_res
 
         def flipped(element, g):
             plan = build(element, g)
-            coeff = plan.coeff_re.copy()
-            idx = np.unravel_index(np.argmax(np.abs(coeff)), coeff.shape)
-            coeff[idx] = -coeff[idx]
-            object.__setattr__(plan, "coeff_re", coeff)
+            weights = plan.weights.copy()
+            idx = np.unravel_index(np.argmax(np.abs(weights)), weights.shape)
+            weights[idx] = -weights[idx]
+            object.__setattr__(plan, "weights", weights)
             return plan
 
         monkeypatch.setattr(v, "plan_res", flipped)

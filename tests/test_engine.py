@@ -153,8 +153,7 @@ class TestIndexedCalibration:
         monkeypatch.setattr(seq_module, "_targets", lambda elements: np.stack(
             [np.stack(basis_path_targets(e, labels)) for e in elements]))
         ref = plan_seq(self.ELEMENT, 0.7)
-        assert_allclose(plan.coeff_re, ref.coeff_re, rtol=1e-12, atol=1e-12)
-        assert_allclose(plan.coeff_im, ref.coeff_im, rtol=1e-12, atol=1e-12)
+        assert_allclose(plan.weights, ref.weights, rtol=1e-12, atol=1e-12)
 
     def test_build_stays_small(self):
         # traced allocations, not ru_maxrss: a child process inherits the
@@ -204,8 +203,7 @@ class TestStrengthFamilies:
             got, want = family[k], BUILDERS[scheme](element, g)
             assert got.g == want.g
             assert np.array_equal(got.amplitudes, want.amplitudes)
-            assert np.array_equal(got.coeff_re, want.coeff_re)
-            assert np.array_equal(got.coeff_im, want.coeff_im)
+            assert np.array_equal(got.weights, want.weights)
             assert got.calibration == want.calibration
             assert not got.amplitudes.flags.writeable
 
@@ -299,7 +297,7 @@ class TestBaseBlockOperators:
             singles = [estimator_operators(family[k]) for k in range(len(family))]
         for k in range(len(family)):
             for i, c in enumerate((family.coeff_re[k], family.coeff_im[k])):
-                w = stacks[i][k]
+                w = stacks[k, i]
                 assert np.array_equal(singles[k][i], w)  # a plan is the family of one
                 assert_rel_close(w, full_gram(family.amplitudes[k], c ** 2))
                 assert_rel_close(w, w.conj().T)
@@ -341,47 +339,58 @@ class TestStoredBlocks:
         w_re, w_im = estimator_operators(plan)
         assert_rel_close(w_re, full_gram(plan.amplitudes, c_re ** 2))
         assert_rel_close(w_im, full_gram(plan.amplitudes, c_im ** 2))
-        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, plan.coefficients()).T)
+        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, c_re + 1j * c_im).T)
 
         family = FAMILY_KINDS[kind](element, [0.4, 0.9])
         stacks = estimator_operators(family)
         for k in range(len(family)):
-            for w, c in zip(stacks, (family.coeff_re[k], family.coeff_im[k])):
-                assert_rel_close(w[k], full_gram(family.amplitudes[k], c ** 2))
+            for w, c in zip(stacks[k], (family.coeff_re[k], family.coeff_im[k])):
+                assert_rel_close(w, full_gram(family.amplitudes[k], c ** 2))
 
     @pytest.mark.parametrize("builder", [plan_res, plan_seq])
-    @pytest.mark.parametrize("row", ["off the blocks", "sign pattern"])
-    def test_coefficients_off_the_stored_blocks_are_rejected(self, builder, row):
+    @pytest.mark.parametrize("shape", ["a table", "a setting short", "three parts", "no Im part"])
+    def test_weights_of_another_shape_are_rejected(self, builder, shape):
         plan = builder(ElementIndex.create((3,), (0,), (1,)), 0.5)
-        for name in ("coeff_re", "coeff_im"):
-            coeff = getattr(plan, name).copy()
-            if row == "off the blocks":
-                coeff[0, -1] = 1.0  # an outcome of system block 2, which the plan does not store
-            else:
-                # block 0's pattern 1 has meter sign -1, so its entry must be minus pattern 0's
-                b = np.flatnonzero(coeff[:, 0])[0]
-                coeff[b, 1] = coeff[b, 0]
-            with pytest.raises(InvalidCouplingError):
-                dataclasses.replace(plan, **{name: coeff})
+        weights = {
+            "a table": plan.coeff_re,
+            "a setting short": plan.weights[:, 1:],
+            "three parts": np.concatenate([plan.weights, plan.weights[:1]]),
+            "no Im part": plan.weights[0],
+        }[shape]
+        with pytest.raises(InvalidCouplingError, match="weights have shape"):
+            dataclasses.replace(plan, weights=weights)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_coefficient_tables_are_read_only(self, kind):
+        plan = BUILDERS[kind](ElementIndex.create((2, 3), (1, 0), (0, 2)), 0.7)
+        family = FAMILY_KINDS[kind](plan.element, [0.4, 0.7])
+        for tables in (plan, family):
+            for name in ("coeff_re", "coeff_im"):
+                table = getattr(tables, name)
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[..., 0, 0] = 1.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(tables, name, np.zeros_like(table))
+        assert np.array_equal(family[1].coeff_re, family.coeff_re[1])
+        assert np.array_equal(family[1].coeff_im, plan.coeff_im)
 
     @pytest.mark.parametrize("builder", [plan_res, plan_seq])
     def test_any_weight_per_setting_and_block_reads_the_full_stack(self, builder):
-        # the built tables share structure across blocks and settings; a
-        # table of unrelated weights must still match the Born-sum oracle
+        # the built weights share structure across blocks and settings;
+        # unrelated weights must still match the Born-sum oracle
         element = ElementIndex.create((2, 3), (1, 0), (0, 2))
         plan = builder(element, 0.7)
-        rng = stream(8, "block-weights")
+        weights = stream(8, "block-weights").normal(size=plan.weights.shape)
+        plan = dataclasses.replace(plan, weights=weights)
         signs = sign_products(plan.n_meters)
-        tables = []
-        for _ in range(2):
-            table = np.zeros((plan.n_settings, element.dim, 2 ** plan.n_meters))
-            table[:, list(plan.blocks)] = rng.normal(size=(plan.n_settings, 2, 1)) * signs
-            tables.append(table.reshape(plan.n_settings, -1))
-        plan = dataclasses.replace(plan, coeff_re=tables[0], coeff_im=tables[1])
+        tables = np.zeros((2, plan.n_settings, element.dim, 2 ** plan.n_meters))
+        tables[:, :, list(plan.blocks)] = weights[..., None] * signs
+        tables = tables.reshape(2, plan.n_settings, -1)
         rho = random_mixed_state(element.dims, stream(9, "block-weights"))
         p = all_probabilities(plan, rho)
         assert_rel_close(extract_element(rho, plan), complex(np.sum(tables[0] * p), np.sum(tables[1] * p)))
-        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, plan.coefficients()).T)
+        assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, tables[0] + 1j * tables[1]).T)
         w_re, w_im = estimator_operators(plan)
         assert_rel_close(w_re, full_gram(plan.amplitudes, tables[0] ** 2))
         assert_rel_close(w_im, full_gram(plan.amplitudes, tables[1] ** 2))
@@ -406,3 +415,15 @@ class TestStoredBlocks:
             tracemalloc.stop()
         assert peak < 128e6
         assert plan.block_amplitudes.shape == (256, 2 * 256, 16)
+
+    def test_four_qubit_seq_plan_holds_little(self):
+        # base (1 MiB) and weights (8 KiB); coefficient tables would add 16.8 MB
+        element = ElementIndex.create((2,) * 4, (0,) * 4, (1,) * 4)
+        tracemalloc.start()
+        try:
+            plan = plan_seq(element, 0.7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 4e6
+        assert plan.weights.shape == (2, 256, 2)

@@ -173,7 +173,7 @@ class TestWeakCouplingScaling:
 def held_entries(element, scheme, gs):
     """Entries per strength of every array a family build over ``gs`` holds, read from their shapes.
 
-    The family's ``base`` and coefficient tables, and for ``seq`` the
+    The family's ``base`` and block weights, and for ``seq`` the
     Gram stack the calibration rows are read from (the largest stack
     ``seq.basis_traces`` is handed).
     """
@@ -187,7 +187,7 @@ def held_entries(element, scheme, gs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
         family = plans_over_grid(element, scheme, gs)
-    arrays = [family.base.size, family.coeff_re.size, family.coeff_im.size]
+    arrays = [family.base.size, family.weights.size]
     if scheme == "seq":
         arrays.append(max(handed))
     return [size // len(gs) for size in arrays]

@@ -29,6 +29,7 @@ from dmres import (
 )
 from dmres.elements import element_from_flat
 from dmres.plans import (
+    PlanBatch,
     ProtocolPlan,
     RES_SCHEME,
     base_amplitudes,
@@ -36,8 +37,9 @@ from dmres.plans import (
     functional_matrix,
 )
 import dmres.plans as plans_module
+import dmres.res as res_module
 import dmres.seq as seq_module
-from dmres.res import element_plans
+from dmres.res import configuration_batches
 from dmres.seq import plan_seq
 
 from dmres.cli import _characterize_shots
@@ -63,16 +65,24 @@ def plus_state():
 
 
 def bare_res_plan(element, g):
-    """A res plan without estimator coefficients, so g may be singular (sin 2g = 0)."""
+    """A res plan without estimator weights, so g may be singular (sin 2g = 0)."""
     couplings = plan_res(element, 0.5).couplings  # the couplings do not depend on g
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, g)
-    shape = (len(settings), element.dim * 2 ** len(couplings))
     return ProtocolPlan(
         element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
-        coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
-        base=base,
+        weights=np.zeros((2, len(settings), 2)), base=base,
     )
+
+
+def member_plans(dims, g, builder):
+    """Every member's plan ``batch[i]``, batch by batch as ``configuration_batches`` yields them."""
+    for batch in configuration_batches(dims, g, builder):
+        yield from (batch[i] for i in range(len(batch)))
+
+
+def pair(plan):
+    return (plan.element.s_flat, plan.element.s_prime_flat)
 
 
 class TestPlanStructure:
@@ -292,19 +302,19 @@ class TestDiagonalAndCharacterize:
             assert abs(np.trace(est.entries) - 1) < 1e-10
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3)])
-    def test_element_plans_row_major_pairs(self, dims):
+    def test_custom_builder_batches_come_in_row_major_order(self, dims):
         built = []
 
         def builder(element, g):
             built.append(element)
             return plan_res(element, g)
 
-        pairs = list(element_plans(dims, 0.6, builder))
+        plans = list(member_plans(dims, 0.6, builder))
         total = int(np.prod(dims))
-        assert [uv for uv, _ in pairs] == [(u, v) for u in range(total) for v in range(u + 1, total)]
-        assert len(built) == len(pairs)
-        for ((u, v), plan), element in zip(pairs, built):
-            assert plan.element == element == element_from_flat(dims, u, v)
+        assert [pair(plan) for plan in plans] == [(u, v) for u in range(total) for v in range(u + 1, total)]
+        assert [plan.element for plan in plans] == built
+        for plan in plans:
+            assert plan.element == element_from_flat(dims, *pair(plan))
 
 
 CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
@@ -342,25 +352,39 @@ class TestConfigurationPlans:
     def test_plans_equal_single_builds(self, scheme, dims):
         builder = self.BUILDERS[scheme]
         for g in (0.3, 0.7, 1.1):
-            for (u, v), plan in element_plans(dims, g, builder):
-                single = builder(element_from_flat(dims, u, v), g)
+            for plan in member_plans(dims, g, builder):
+                single = builder(plan.element, g)
                 assert plan.element == single.element and plan.g == single.g
                 assert plan.blocks == single.blocks and plan.settings == single.settings
                 assert [(c.qudit, c.kind, c.label) for c in plan.couplings] == \
                     [(c.qudit, c.kind, c.label) for c in single.couplings]
                 for c, c_single in zip(plan.couplings, single.couplings):
                     assert np.array_equal(c.op, c_single.op)
-                for name in ("coeff_re", "coeff_im", "base", "block_amplitudes"):
+                for name in ("weights", "coeff_re", "coeff_im", "base", "block_amplitudes"):
                     got, want = getattr(plan, name), getattr(single, name)
                     assert got.shape == want.shape and np.array_equal(got, want), name
                 assert plan.calibration == single.calibration
                 assert plan.block_amplitudes.flags.c_contiguous
                 assert not plan.block_amplitudes.flags.writeable
 
+    @pytest.mark.parametrize("scheme, dims", [
+        (scheme, dims) for scheme in ("res", "seq") for dims in ((3,), (2, 2), (2, 3), (3, 3))
+    ] + [("res", (2, 2, 2))])
+    def test_member_exports_equal_single_builds_bytes(self, scheme, dims):
+        # np.array_equal(-0.0, 0.0) holds, so compare the exported bytes;
+        # a zero weight times meter sign -1 is -0, which no export writes
+        builder = self.BUILDERS[scheme]
+        for plan in member_plans(dims, 0.7, builder):
+            doc = plan_document(plan)
+            assert doc == plan_document(builder(plan.element, 0.7))
+            values = re.findall(r'"(?:re|im)": ([^,}]+)', doc)
+            assert len(values) == 2 * plan.n_settings * plan.outcomes_per_setting
+            assert "-0" not in values
+
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 3)])
     def test_pairs_come_by_configuration(self, scheme, dims):
-        pairs = [uv for uv, _ in element_plans(dims, 0.6, self.BUILDERS[scheme])]
+        pairs = [pair(plan) for plan in member_plans(dims, 0.6, self.BUILDERS[scheme])]
         assert pairs == configuration_order(dims, scheme)
         assert sorted(pairs) == list(itertools.combinations(range(int(np.prod(dims))), 2))
 
@@ -374,32 +398,47 @@ class TestConfigurationPlans:
             calls.append(args)
             return stock(*args, **kwargs)
 
-        pairs = [uv for uv, _ in element_plans((3, 3), 0.6, traced)]
+        pairs = [pair(plan) for plan in member_plans((3, 3), 0.6, traced)]
         assert pairs == configuration_order((3, 3), scheme)
         assert calls == []
 
+    @pytest.mark.parametrize("budget", ["default", "one member per batch"])
     @pytest.mark.parametrize("scheme, module, step", [
-        ("res", plans_module, "coefficient_tables"),
-        ("seq", plans_module, "coefficient_tables"),
+        ("res", res_module, "_res_weights"),
+        ("seq", seq_module, "_solve"),
     ])
-    def test_dropped_plans_are_freed_before_the_next_build(self, scheme, module, step, monkeypatch):
+    def test_dropped_plans_are_freed_before_the_next_build(self, scheme, module, step, budget, monkeypatch):
         # (3,3) has configurations of several members for both schemes.  A
-        # plan's arrays (block rows, coefficients) must be dead by the time
-        # the next member's plan is sliced from its batch (its coefficient
-        # tables are scattered once per member), once the caller has dropped it.
-        held, alive = [], []
-        build = getattr(module, step)
+        # plan and its arrays (block rows, coefficient tables) must be dead
+        # by the time the next member's plan is sliced from its batch, and
+        # a batch by the time the next batch's weights are built, once the
+        # caller has dropped them.
+        if budget != "default":
+            monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
+        held_plan, held_batch, alive, builds = [], [], [], []
+        build, slice_ = getattr(module, step), PlanBatch.__getitem__
 
-        def checked(*args):
-            alive.extend(ref() is not None for ref in held)
+        def built(*args):
+            builds.append(step)
+            alive.extend(ref() is not None for ref in held_batch)
             return build(*args)
 
-        monkeypatch.setattr(module, step, checked)
-        for _, plan in element_plans((3, 3), 0.6, self.BUILDERS[scheme]):
-            arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
-            held = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
-            del plan, arrays
-        assert len(alive) == 4 * 35 and not any(alive)  # checked at each of 35 later members
+        def sliced(batch, i):
+            alive.extend(ref() is not None for ref in held_plan)
+            return slice_(batch, i)
+
+        monkeypatch.setattr(module, step, built)
+        monkeypatch.setattr(PlanBatch, "__getitem__", sliced)
+        for batch in configuration_batches((3, 3), 0.6, self.BUILDERS[scheme]):
+            held_batch = [weakref.ref(batch), weakref.ref(batch.weights)]
+            for i in range(len(batch)):
+                plan = batch[i]
+                arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
+                held_plan = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
+                del plan, arrays
+            del batch
+        # the plan is checked at each of 35 later members, the batch at each later build
+        assert len(builds) > 1 and len(alive) == 4 * 35 + 2 * (len(builds) - 1) and not any(alive)
 
     @pytest.mark.parametrize("budget", ["default", "one member per batch"])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
@@ -453,7 +492,7 @@ class TestConfigurationPlans:
             characterize(rho, 0.7, plan_seq)
         assert str(batch.value) == str(single.value)
         with pytest.raises(CalibrationError) as plans:
-            list(element_plans((3, 3), 0.7, plan_seq))
+            list(configuration_batches((3, 3), 0.7, plan_seq))
         assert str(plans.value) == str(single.value)
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
@@ -472,4 +511,4 @@ class TestConfigurationPlans:
         with pytest.raises(InvalidCouplingError) as single:
             builder(element_from_flat((3, 3), 0, 1), g)
         with pytest.raises(InvalidCouplingError, match=re.escape(str(single.value))):
-            next(element_plans((3, 3), g, builder))
+            next(configuration_batches((3, 3), g, builder))

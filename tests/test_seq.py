@@ -34,11 +34,9 @@ def bare_seq_plan(element, g):
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
     base = base_amplitudes(element.dims, couplings, g)
-    shape = (len(settings), element.dim * 2 ** len(couplings))
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
-        coeff_re=np.zeros(shape), coeff_im=np.zeros(shape),
-        base=base,
+        weights=np.zeros((2, len(settings), 2)), base=base,
     )
 
 
@@ -119,11 +117,10 @@ class TestCalibration:
         # any unbiased coefficient set acts identically on every input
         e = ElementIndex.create((3,), (0,), (2,))
         plan = plan_res(e, 0.8)
-        c_re, c_im, info = calibrate_estimator(plan)
+        weights, info = calibrate_estimator(plan)
         recal = ProtocolPlan(
             element=e, scheme="res", g=0.8, couplings=plan.couplings,
-            settings=plan.settings, coeff_re=c_re, coeff_im=c_im,
-            base=plan.base,
+            settings=plan.settings, weights=weights, base=plan.base,
         )
         rng = stream(2, "cal")
         for _ in range(10):
@@ -246,10 +243,8 @@ class TestScalingAndVariance:
             e = ElementIndex.create(dims, s, sp)
             seq_norms, res_norms = [], []
             for g in grid:
-                ps = plan_seq(e, g)
-                seq_norms.append(np.linalg.norm(np.stack([ps.coeff_re, ps.coeff_im])))
-                pr = plan_res(e, g)
-                res_norms.append(np.linalg.norm(np.stack([pr.coeff_re, pr.coeff_im])))
+                seq_norms.append(np.linalg.norm(plan_seq(e, g).weights))
+                res_norms.append(np.linalg.norm(plan_res(e, g).weights))
             seq_slope = np.polyfit(np.log(grid), np.log(seq_norms), 1)[0]
             res_slope = np.polyfit(np.log(grid), np.log(res_norms), 1)[0]
             assert abs(seq_slope + 2 * l) < 0.05 * 2 * l

@@ -64,16 +64,16 @@ class TestElementVariance:
         states = [random_mixed_state((2, 2), stream(3, "variance-memo", i)) for i in range(3)]
         policies = [ShotPolicy(n_t=1.0), ShotPolicy(n_t=5.0, allocation="split-total")]
         fresh = [element_variance(builder(plan.element, 0.7), rho, p) for rho in states for p in policies]
-        tables = []
-        gram = plans_module._variance_gram
+        built = []
+        operators = plans_module.estimator_operators
 
-        def counted(plan, table):
-            tables.append(table)
-            return gram(plan, table)
+        def counted(plan):
+            built.append(plan)
+            return operators(plan)
 
-        monkeypatch.setattr(plans_module, "_variance_gram", counted)
+        monkeypatch.setattr(plans_module, "estimator_operators", counted)
         repeated = [element_variance(plan, rho, p) for rho in states for p in policies]
-        assert [id(t) for t in tables] == [id(plan.coeff_re), id(plan.coeff_im)]
+        assert built == [plan]
         assert np.array(repeated).tobytes() == np.array(fresh).tobytes()
         assert not any(w.flags.writeable for w in plan.estimator_operators)
 
