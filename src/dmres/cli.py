@@ -161,8 +161,8 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
     for batch in configuration_batches(rho.dims, g, plan_res):
         rngs = (stream(seed, f"cli/characterize/{e.label()}") for e in batch.elements)
         draws = simulate_batch_shots(batch, rho, policy, rngs)
-        for element, value, (var_re, var_im) in zip(batch.elements, draws,
-                                                    batch_variances(batch, rho, policy)):
+        (variance,) = batch_variances(batch, rho, policy)
+        for element, value, (var_re, var_im) in zip(batch.elements, draws, variance):
             u, v = element.s_flat, element.s_prime_flat
             est[u, v] = value
             est[v, u] = np.conj(value)

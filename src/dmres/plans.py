@@ -36,9 +36,11 @@ closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
 rotations are applied meter by meter for all settings at once.
 
 Elements whose couplings share their operators share ``base``.  A
-``PlanBatch`` stacks such members at one strength by their block
-weights, and the estimate and variance contractions read every member
-of a batch in one stacked product.
+``PlanBatch`` is the one plan stack: members of one coupling
+configuration at G strengths, (G, M) block weights over the G ``base``
+stacks they share.  Each scheme builds its plans only as such a stack,
+a single plan being the stack of one, and the estimate and variance
+contractions read every plan of a stack in one stacked product.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -64,12 +66,14 @@ SEQ_SCHEME = "seq"
 # One tolerance for singular strengths.  res needs |sin(2g)| above it,
 # since its estimator divides by sin^l(2g); seq needs |sin(g)| above it,
 # since its projector couplings otherwise leave the meters blank and the
-# relative calibration floor would keep rounding noise.  Strength grids
-# drop the points that either scheme's builder refuses.
+# relative calibration floor would keep rounding noise.  Each scheme
+# states its rule once (``res.singular_strength``,
+# ``seq.singular_strength``); its builder refuses those strengths and
+# strength grids drop them.
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
-# one batch may hold at once: a configuration's members are stacked
+# one batch may hold at once: a configuration's members are yielded
 # that many at a time, at least one.
 MEMBER_ENTRIES = 2 ** 18
 
@@ -104,85 +108,19 @@ class CalibrationInfo:
 
 
 class _PlanLayout:
-    """Counts, the weights' shape check and stored-block access shared by plans and plan families."""
-
-    def __post_init__(self) -> None:
-        want = self.base.shape[:-2] + (2, self.n_settings, 2)
-        if np.shape(self.weights) != want:
-            raise InvalidCouplingError(
-                f"estimator weights have shape {np.shape(self.weights)}, want {want}: a (Re, Im) "
-                f"weight per setting and post-selected block {self.blocks}"
-            )
-
-    @property
-    def n_meters(self) -> int:
-        return len(self.couplings)
+    """Counts shared by plans and plan stacks."""
 
     @property
     def n_settings(self) -> int:
         return len(self.settings)
 
     @property
+    def n_meters(self) -> int:
+        return len(self.settings[0].meter_bases)
+
+    @property
     def outcomes_per_setting(self) -> int:
-        return self.element.dim * 2 ** self.n_meters
-
-    @property
-    def post_selectors(self) -> tuple[int, int]:
-        """Flat indices (s, s') of the element's post-selected system outcomes."""
-        return (self.element.s_flat, self.element.s_prime_flat)
-
-    @cached_property
-    def blocks(self) -> tuple[int, ...]:
-        """The post-selected system outcomes s and s' the estimator reads, in index order."""
-        return post_selected_blocks(self.element)
-
-    @cached_property
-    def block_amplitudes(self) -> np.ndarray:
-        """Read-only readout amplitudes of blocks s and s', rotated from ``base`` on first use.
-
-        (n_settings, 2 * 2^m, dim) for a plan, with a leading strength
-        axis for a family.
-        """
-        return readout_amplitudes(self.base, self.element.dim, self.blocks)
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
-
-        (n_settings, outcomes, dim) for a plan, with a leading strength
-        axis for a family.
-        """
-        return readout_amplitudes(self.base, self.element.dim)
-
-    @cached_property
-    def estimator_operators(self) -> np.ndarray:
-        """Read-only (W_re, W_im) stack of ``estimator_operators``, computed on first use and kept.
-
-        (2, dim, dim) for a plan, with a leading strength axis for a
-        family.
-        """
-        operators = estimator_operators(self)
-        operators.setflags(write=False)
-        return operators
-
-    @cached_property
-    def _tables(self) -> np.ndarray:
-        tables = coefficient_tables(self.weights, self.blocks, self.element.dim)
-        tables.setflags(write=False)
-        return tables
-
-    @property
-    def coeff_re(self) -> np.ndarray:
-        """Read-only Re coefficient table (n_settings, outcomes) of ``weights``, built on first use.
-
-        A family's has a leading strength axis.  Only exports read it.
-        """
-        return self._tables[..., 0, :, :]
-
-    @property
-    def coeff_im(self) -> np.ndarray:
-        """Read-only Im coefficient table, as ``coeff_re``."""
-        return self._tables[..., 1, :, :]
+        return self.base.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -205,103 +143,123 @@ class ProtocolPlan(_PlanLayout):
     base: np.ndarray
     calibration: CalibrationInfo | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        want = (2, self.n_settings, 2)
+        if np.shape(self.weights) != want:
+            raise InvalidCouplingError(
+                f"estimator weights have shape {np.shape(self.weights)}, want {want}: a (Re, Im) "
+                f"weight per setting and post-selected block {self.blocks}"
+            )
+
+    @property
+    def post_selectors(self) -> tuple[int, int]:
+        """Flat indices (s, s') of the element's post-selected system outcomes."""
+        return (self.element.s_flat, self.element.s_prime_flat)
+
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The post-selected system outcomes s and s' the estimator reads, in index order."""
+        return post_selected_blocks(self.element)
+
+    @cached_property
+    def block_amplitudes(self) -> np.ndarray:
+        """Read-only readout amplitudes of blocks s and s', rotated from ``base`` on first use.
+
+        (n_settings, 2 * 2^m, dim).
+        """
+        return readout_amplitudes(self.base, self.element.dim, self.blocks)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only readout amplitudes of every outcome, rotated from ``base`` on first use.
+
+        (n_settings, outcomes, dim).
+        """
+        return readout_amplitudes(self.base, self.element.dim)
+
+    @cached_property
+    def estimator_operators(self) -> np.ndarray:
+        """Read-only (2, dim, dim) ``estimator_operators`` stack (W_re, W_im), computed on first use."""
+        operators = estimator_operators(self)
+        operators.setflags(write=False)
+        return operators
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        tables = coefficient_tables(self.weights, self.blocks, self.element.dim)
+        tables.setflags(write=False)
+        return tables
+
+    @property
+    def coeff_re(self) -> np.ndarray:
+        """Read-only Re coefficient table (n_settings, outcomes) of ``weights``, built on first use.
+
+        Only exports read it.
+        """
+        return self._tables[0]
+
+    @property
+    def coeff_im(self) -> np.ndarray:
+        """Read-only Im coefficient table, as ``coeff_re``."""
+        return self._tables[1]
+
 
 @dataclass(frozen=True)
-class PlanFamily(_PlanLayout):
-    """One element's plans over a strength grid, stacked on a leading axis.
+class PlanBatch(_PlanLayout):
+    """Plans of members of one coupling configuration at G strengths, stacked.
 
-    The arrays are those of ``ProtocolPlan`` with a leading axis of
-    ``len(gs)`` strengths; ``family[k]`` is the plan at ``gs[k]``, whose
-    arrays are views of slice k.  The engine's contractions accept a
-    family wherever they accept a plan and keep the strength axis.
-    """
-
-    element: ElementIndex
-    scheme: str
-    gs: tuple[float, ...]
-    couplings: tuple[Coupling, ...]
-    settings: tuple[MeasurementSetting, ...]
-    weights: np.ndarray  # (G, 2, n_settings, 2)
-    base: np.ndarray  # (G, n_outcomes, dim)
-    calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.gs)
-
-    def __getitem__(self, k: int) -> ProtocolPlan:
-        return ProtocolPlan(
-            element=self.element,
-            scheme=self.scheme,
-            g=self.gs[k],
-            couplings=self.couplings,
-            settings=self.settings,
-            weights=self.weights[k],
-            base=self.base[k],
-            calibration=None if self.calibrations is None else self.calibrations[k],
-        )
-
-
-@dataclass(frozen=True)
-class PlanBatch:
-    """The plans of one coupling configuration's members at one strength, stacked.
-
-    Members couple the same qudits through the same operators, so they
-    share the settings and the unrotated columns ``base`` (outcomes,
-    dim); ``couplings[i]`` are member i's and ``weights[i]`` member i's
-    estimator, as a plan stores it.  The engine's estimate and variance
-    contractions accept a batch and gain a leading member axis;
-    ``batch[i]`` is member i's plan.
+    Members couple the same qudits through the same operators, so at
+    each strength they share the settings and the unrotated columns
+    ``base`` (G, outcomes, dim).  ``couplings[i]`` are member i's,
+    ``weights[k, i]`` (G, M, 2, n_settings, 2) its estimator at
+    ``gs[k]``, as a plan stores it, and ``calibrations[k][i]`` its
+    calibration there, if any.  ``batch[k, i]`` is that plan, whose
+    arrays are views of the stack's.  The engine's estimate and variance
+    contractions accept a batch and gain its (strength, member) axes.
     """
 
     elements: tuple[ElementIndex, ...]
     scheme: str
-    g: float
+    gs: tuple[float, ...]
     couplings: tuple[tuple[Coupling, ...], ...]
     settings: tuple[MeasurementSetting, ...]
-    weights: np.ndarray  # (M, 2, n_settings, 2)
-    base: np.ndarray  # (outcomes, dim)
-    calibrations: tuple[CalibrationInfo | None, ...] | None = field(default=None, compare=False)
-
-    @classmethod
-    def of(cls, plan: ProtocolPlan) -> "PlanBatch":
-        """The batch of one plan."""
-        return cls(elements=(plan.element,), scheme=plan.scheme, g=plan.g,
-                   couplings=(plan.couplings,), settings=plan.settings,
-                   weights=plan.weights[None], base=plan.base, calibrations=(plan.calibration,))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def n_meters(self) -> int:
-        return len(self.couplings[0])
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.settings)
+    weights: np.ndarray  # (G, M, 2, n_settings, 2)
+    base: np.ndarray  # (G, outcomes, dim)
+    calibrations: tuple[tuple[CalibrationInfo, ...], ...] | None = field(default=None, compare=False)
 
     @cached_property
     def blocks(self) -> np.ndarray:
         """(M, 2): each member's post-selected system outcomes s and s', in index order."""
         return np.array([post_selected_blocks(e) for e in self.elements])
 
-    def __getitem__(self, i: int) -> ProtocolPlan:
+    def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
+        k, i = key
         return ProtocolPlan(
             element=self.elements[i],
             scheme=self.scheme,
-            g=self.g,
+            g=self.gs[k],
             couplings=self.couplings[i],
             settings=self.settings,
-            weights=self.weights[i],
-            base=self.base,
-            calibration=None if self.calibrations is None else self.calibrations[i],
+            weights=self.weights[k, i],
+            base=self.base[k],
+            calibration=None if self.calibrations is None else self.calibrations[k][i],
         )
 
 
-def member_chunks(members: list, per_member: int) -> list[list]:
-    """``members`` in order, in chunks of at most ``MEMBER_ENTRIES`` // ``per_member``, at least one."""
-    step = max(1, MEMBER_ENTRIES // per_member)
-    return [members[lo:lo + step] for lo in range(0, len(members), step)]
+def member_chunks(batch: PlanBatch):
+    """Yield ``batch``'s members in order, stacked at most ``MEMBER_ENTRIES`` entries' worth at a time.
+
+    A member's Pauli-flipped block rows in a stacked estimate hold 4 x
+    outcomes entries per strength; a chunk holds at least one member.
+    """
+    step = max(1, MEMBER_ENTRIES // (4 * math.prod(batch.base.shape[:-1])))
+    for lo in range(0, len(batch.elements), step):
+        part = slice(lo, lo + step)
+        yield replace(
+            batch, elements=batch.elements[part], couplings=batch.couplings[part],
+            weights=batch.weights[:, part],
+            calibrations=None if batch.calibrations is None else tuple(c[part] for c in batch.calibrations),
+        )
 
 
 def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
@@ -326,6 +284,13 @@ def finite_strengths(gs) -> tuple[float, ...]:
         if not math.isfinite(g):
             raise InvalidCouplingError(f"coupling strength g={g!r} is not finite")
     return gs
+
+
+def check_off_diagonal(elements: Sequence[ElementIndex]) -> None:
+    """Reject diagonal elements: they are read without meters."""
+    for e in elements:
+        if e.is_diagonal:
+            raise InvalidElementError(f"element {e.label()} is diagonal; use diagonal_element instead")
 
 
 def post_selected_blocks(element: ElementIndex) -> tuple[int, ...]:
@@ -462,11 +427,10 @@ def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | Non
     return full
 
 
-def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan | PlanBatch) -> None:
-    """Reject a state whose local dimensions differ from the plan's, or the batch's."""
-    dims = (plan.elements[0] if isinstance(plan, PlanBatch) else plan.element).dims
-    if state.dims != dims:
-        raise InvalidElementError(f"state dims {state.dims} do not match plan dims {dims}")
+def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
+    """Reject a state whose local dimensions differ from the plan's."""
+    if state.dims != plan.element.dims:
+        raise InvalidElementError(f"state dims {state.dims} do not match plan dims {plan.element.dims}")
 
 
 def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:
@@ -484,8 +448,8 @@ def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndar
     return _born(plan.amplitudes, state)
 
 
-def _base_blocks(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
-    """The rows of ``base`` of blocks s and s': (..., 2, 2^m, dim), a member axis for a batch."""
+def _base_blocks(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
+    """The rows of ``base`` of blocks s and s': (2, 2^m, dim), with (G, M) axes for a batch."""
     d = plan.base.shape[-1]
     blocks = np.asarray(plan.blocks)
     return plan.base.reshape(plan.base.shape[:-2] + (d, -1, d))[..., blocks, :, :]
@@ -496,7 +460,7 @@ def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
 
     Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
     both blocks in one product; estimate part t of a state is Tr(G_t rho).
-    A batch gives one pair per member, (M, 2, dim, dim).
+    A batch gives one pair per strength and member, (G, M, 2, dim, dim).
     """
     phi = plan.weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
     rows = _base_blocks(plan)
@@ -521,13 +485,12 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     return (g_re + 1j * g_im).T
 
 
-def estimator_operators(plan: ProtocolPlan | PlanFamily | PlanBatch) -> np.ndarray:
+def estimator_operators(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     """Hermitian operators W[..., t] with sum over (setting, outcome) of c_t^2 p = Tr(W_t rho).
 
     These give per-state shot variances of part t (0 Re, 1 Im) at unit
     per-setting exposure as linear functionals of the state: (2, dim,
-    dim) for a plan, with a leading strength axis for a family and a
-    member axis for a batch.  Each is sum_k alpha_k B_k^dag B_k (see the
+    dim) for a plan, with (strength, member) axes for a batch.  Each is sum_k alpha_k B_k^dag B_k (see the
     module docstring), with alpha_k block k's squared weights summed over
     settings left to right, so no readout row is rotated.
     """

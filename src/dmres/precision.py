@@ -28,17 +28,16 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from .plans import SINGULAR_TOL, PlanFamily, ProtocolPlan, post_selected_blocks
-from .res import plan_res_grid
+from . import res, seq
+from .plans import PlanBatch, ProtocolPlan, estimator_operators, post_selected_blocks
 from .sampling import precision_states
-from .seq import plan_seq_grid
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
 # Array entries one element's build may keep per sweep chunk, at most
 # 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
-# traced peaks of a whole-grid family build with its variance operators
+# traced peaks of a whole-grid stack build with its variance operators
 # run to 3.2x the count for qutrit seq and 3.8x for three-qubit res.
 # This budget gives a three-qubit seq sweep one strength per chunk: at
 # two, the calibration's transients made a 1,000-sample sweep peak at
@@ -67,8 +66,8 @@ REFERENCE_TARGETS = {
 # Relative deviation within which a measured value matches its reference.
 REFERENCE_REL_TOL = 0.2
 
-# The strength-grid plan builder of each scheme.
-GRID_BUILDERS = {"res": plan_res_grid, "seq": plan_seq_grid}
+# The plan stack builder and the singular-strength rule of each scheme.
+SCHEMES = {"res": (res.res_stack, res.singular_strength), "seq": (seq.seq_stack, seq.singular_strength)}
 
 
 @dataclass(frozen=True)
@@ -107,20 +106,27 @@ class SystemSpec:
         return cls(n, d)
 
 
-def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanFamily:
-    """One element's plans at every strength of ``gs``, built in one stacked pass.
-
-    Slice k is bit for bit the plan ``plan_res``/``plan_seq`` builds at
-    ``gs[k]``; those single builds are this builder's one-strength case.
-    """
-    if scheme not in GRID_BUILDERS:
+def _scheme(scheme: str):
+    """``scheme``'s (stack builder, singular-strength rule)."""
+    if scheme not in SCHEMES:
         raise InvalidStateError(f"unknown scheme {scheme!r}")
-    return GRID_BUILDERS[scheme](element, gs)
+    return SCHEMES[scheme]
 
 
-def _variance_operator(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
-    """Mean of a plan's Re and Im variance operators; (G, D, D) for a family."""
-    w = plan.estimator_operators
+def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanBatch:
+    """One element's plans at every strength of ``gs``, built in one stack of one member.
+
+    ``stack[k, 0]`` is bit for bit the plan ``plan_res``/``plan_seq``
+    builds at ``gs[k]``; those single builds are this stack's
+    one-strength case.
+    """
+    build, _ = _scheme(scheme)
+    return build([element], gs)
+
+
+def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
+    """Mean of a plan's Re and Im variance operators; (G, M, D, D) for a batch."""
+    w = estimator_operators(plan)
     return 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
 
 
@@ -141,6 +147,8 @@ def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
     only the missing indices and a shorter one gets a prefix, so each
     index is drawn once while its key stays in the memo.
     """
+    if samples < 1:
+        raise InvalidStateError(f"precision averages need samples >= 1, got {samples}")
     key = (system.n_qudits, system.d, seed)
     held = _STATE_MEMO.pop(key, None)
     have = 0 if held is None else held.shape[0]
@@ -211,7 +219,7 @@ def _stored_entries(element: ElementIndex, scheme: str) -> int:
     (``plans._apply_couplings``' reshaped copies of the amplitude tensor,
     the intermediates of ``seq.basis_traces`` and of the calibration
     solve).  Traced with ``tracemalloc``, first-call caches warm, a
-    family build over the whole seq or res default grid plus its
+    stack build over the whole seq or res default grid plus its
     variance operators peaks at 3.2x the count for qutrit ``seq`` (201
     KiB against 64 KiB) and 3.8x for three-qubit ``res`` (1,036 KiB
     against 272 KiB).
@@ -236,7 +244,7 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     W is the mean variance operator over the element set and both
     quadratures, the same bit for bit whatever the chunking; counts are
     the plans' (couplings, settings, outcomes per setting), read off the
-    built families.  Each element's plans are built for a chunk of
+    built stacks.  Each element's plans are built for a chunk of
     strengths in one stacked pass; a chunk holds as many strengths as
     fit ``CHUNK_ENTRIES`` at the entries per strength the layout gives,
     which bounds memory whatever the grid length.
@@ -248,10 +256,10 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
         chunk = gs[lo:lo + step]
         operators = []
         for e in elements:
-            family = plans_over_grid(e, scheme, chunk)
-            operators.append(_variance_operator(family))
-        counts = (family.n_meters, family.n_settings, family.outcomes_per_setting)
-        del family  # not held while the caller works on this chunk
+            stack = plans_over_grid(e, scheme, chunk)
+            operators.append(_variance_operator(stack)[:, 0])
+        counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
+        del stack  # not held while the caller works on this chunk
         yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
 
 
@@ -330,15 +338,9 @@ def _sweep_statistics(operators: list, factors: np.ndarray, states: np.ndarray):
 
 
 def filter_grid(scheme: str, grid) -> list[float]:
-    """Drop strengths where the scheme's estimator is undefined."""
-    out = []
-    for g in grid:
-        if scheme == "res" and abs(math.sin(2.0 * g)) <= SINGULAR_TOL:
-            continue
-        if scheme == "seq" and abs(math.sin(g)) <= SINGULAR_TOL:
-            continue
-        out.append(float(g))
-    return out
+    """Drop strengths where the scheme's estimator is undefined, by the scheme's own rule."""
+    _, singular = _scheme(scheme)
+    return [float(g) for g in grid if not singular(g)]
 
 
 def default_g_grid(points: int = 33) -> np.ndarray:
@@ -431,6 +433,8 @@ def error_histogram(
     """
     if samples < 1000:
         raise InvalidStateError(f"histograms need samples >= 1000, got {samples}")
+    if bins < 1:
+        raise InvalidStateError(f"histograms need bins >= 1, got {bins}")
     vals, (_, settings, _) = _unit_values(system, scheme, g, seed, samples, report)
     vals = allocation_factor(policy.allocation, settings) * vals
     errors = np.sqrt(vals)

@@ -11,40 +11,45 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 
 import numpy as np
 
 from .elements import ElementIndex, element_from_flat
-from .errors import InvalidCouplingError, InvalidElementError
+from .errors import DmresError, InvalidCouplingError, InvalidElementError
 from .linalg import DensityMatrix, Ket, as_density
 from .operators import make_involution
 from .plans import (
     Coupling,
     MeasurementSetting,
     PlanBatch,
-    PlanFamily,
     ProtocolPlan,
     RES_SCHEME,
     SINGULAR_TOL,
     _born,
     _estimator_grams,
     base_amplitudes,
+    check_off_diagonal,
     check_state_dims,
     enumerate_settings,
     expectations,
     finite_strengths,
     member_chunks,
 )
-from .seq import _seq_batches, _seq_configuration, plan_seq
+from .seq import _seq_configuration, plan_seq, seq_stack
+
+
+def singular_strength(g: float) -> bool:
+    """Whether res is undefined at ``g``: its estimator divides by sin^l(2g)."""
+    return abs(math.sin(2.0 * g)) <= SINGULAR_TOL
 
 
 def _check_strength(g: float, l: int) -> float:
-    s = np.sin(2.0 * g)
-    if abs(s) <= SINGULAR_TOL:
+    if singular_strength(g):
         raise InvalidCouplingError(
             f"sin(2g)=0 at g={g!r}: the 1/(2 sin^{l}(2g)) estimator normalization diverges"
         )
-    return float(s)
+    return float(np.sin(2.0 * g))
 
 
 def _res_weights(elements: list[ElementIndex], gs, settings, n_meters: int) -> np.ndarray:
@@ -90,49 +95,30 @@ def _res_members(first: ElementIndex, gs):
     return ops, enumerate_settings(len(ops)), base
 
 
-def _res_batches(members: list[ElementIndex], g: float):
-    """Yield the plans of one res configuration's members, in chunks.
+def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
+    """The res plans of members of one coupling configuration at every strength of ``gs``.
 
-    The involutions and ``base`` are built once, and each chunk's
-    weights (see ``plans.MEMBER_ENTRIES``) in one stacked pass; nothing
-    rotates a readout row.
+    The involutions and ``base`` are built once for all members and
+    strengths, and the weights in one stacked pass; nothing rotates a
+    readout row.  ``stack[k, i]`` is member i's plan at ``gs[k]``.
     """
-    ops, settings, base = _res_members(members[0], g)
-    # a member's Pauli-flipped block rows in the stacked estimate, 4 x outcomes
-    for chunk in member_chunks(members, 4 * base.shape[0]):
-        yield PlanBatch(
-            elements=tuple(chunk),
-            scheme=RES_SCHEME,
-            g=g,
-            couplings=tuple(_res_couplings(e, ops) for e in chunk),
-            settings=settings,
-            weights=_res_weights(chunk, (g,), settings, len(ops))[0],
-            base=base,
-        )
-
-
-def plan_res_grid(element: ElementIndex, gs) -> PlanFamily:
-    """Build the single-coupling plans for an off-diagonal element at every strength of ``gs``."""
-    if element.is_diagonal:
-        raise InvalidElementError(
-            f"element {element.label()} is diagonal; use diagonal_element instead"
-        )
+    check_off_diagonal(members)
     gs = finite_strengths(gs)
-    ops, settings, base = _res_members(element, gs)
-    return PlanFamily(
-        element=element,
+    ops, settings, base = _res_members(members[0], gs)
+    return PlanBatch(
+        elements=tuple(members),
         scheme=RES_SCHEME,
         gs=gs,
-        couplings=_res_couplings(element, ops),
+        couplings=tuple(_res_couplings(e, ops) for e in members),
         settings=settings,
-        weights=_res_weights([element], gs, settings, len(ops))[:, 0],
+        weights=_res_weights(members, gs, settings, len(ops)),
         base=base,
     )
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
-    """Build the single-coupling plan for an off-diagonal element: ``plan_res_grid`` at one strength."""
-    return plan_res_grid(element, (g,))[0]
+    """Build the single-coupling plan for an off-diagonal element: ``res_stack`` of one."""
+    return res_stack([element], (g,))[0, 0]
 
 
 class OutcomeDistribution:
@@ -180,11 +166,10 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     return float(rho.entries[idx, idx].real)
 
 
-# The stock builders, each with its configuration key and the generator
-# that builds one configuration's members in batches.
+# The stock builders, each with its configuration key and its stack builder.
 _CONFIGURATIONS = {
-    plan_res: (_res_configuration, _res_batches),
-    plan_seq: (_seq_configuration, _seq_batches),
+    plan_res: (_res_configuration, res_stack),
+    plan_seq: (_seq_configuration, seq_stack),
 }
 
 
@@ -192,30 +177,29 @@ def configuration_batches(dims, g: float, plan_builder=plan_res):
     """Yield a ``PlanBatch`` of plans for every upper-triangle pair u < v of flat indices.
 
     This is the one place a full-matrix estimate pairs its entries with
-    the plans that read them.  For the stock builders ``plan_res`` and
-    ``plan_seq``, also behind ``functools.wraps`` wrappers, a batch holds
-    members of one coupling configuration: its couplings and ``base``
-    are built once for all the elements that share them, and their
-    estimators in one stacked pass.  Configurations come in the order of
-    their first pair and members in row-major order; a configuration may
-    come in several batches (see ``plans.MEMBER_ENTRIES``).  Any other
-    builder is called once per pair, in row-major order, and each plan
-    is a batch of one.
+    the plans that read them.  ``plan_builder`` is ``plan_res`` or
+    ``plan_seq``, also behind ``functools.wraps`` wrappers; any other
+    raises ``DmresError``.  Each configuration's members are built in
+    one stack at ``g``: its couplings and ``base`` once for all the
+    elements that share them, and their estimators in one stacked pass.
+    Configurations come in the order of their first pair and members in
+    row-major order; a configuration may come in several batches of one
+    strength (see ``plans.MEMBER_ENTRIES``), and ``batch[0, i]`` is
+    member i's plan.
     """
-    pairs = itertools.combinations(range(int(np.prod(dims))), 2)
     stock = _CONFIGURATIONS.get(inspect.unwrap(plan_builder))
     if stock is None:
-        for u, v in pairs:
-            yield PlanBatch.of(plan_builder(element_from_flat(dims, u, v), g))
-        return
-    configuration, batches = stock
+        raise DmresError(
+            f"plan builder {getattr(plan_builder, '__name__', plan_builder)!r} has no "
+            "configuration stack: use plan_res or plan_seq"
+        )
+    configuration, stack = stock
     groups: dict[tuple, list[ElementIndex]] = {}
-    for u, v in pairs:
+    for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
         element = element_from_flat(dims, u, v)
         groups.setdefault(configuration(element), []).append(element)
-    (g,) = finite_strengths((g,))
     for members in groups.values():
-        yield from batches(members, g)
+        yield from member_chunks(stack(members, (g,)))
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:
@@ -229,8 +213,7 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)
     for batch in configuration_batches(rho.dims, g, plan_builder):
-        check_state_dims(rho, batch)
-        values = expectations(_estimator_grams(batch), rho)
+        (values,) = expectations(_estimator_grams(batch), rho)
         for element, (re, im) in zip(batch.elements, values):
             u, v, value = element.s_flat, element.s_prime_flat, complex(re, im)
             est[u, v] = value

@@ -24,22 +24,21 @@ from typing import Sequence
 import numpy as np
 
 from .elements import ElementIndex
-from .errors import CalibrationError, InvalidCouplingError, InvalidElementError
+from .errors import CalibrationError, InvalidCouplingError
 from .linalg import projector
 from .operators import uniform_superposition_projector
 from .plans import (
     CalibrationInfo,
     Coupling,
     PlanBatch,
-    PlanFamily,
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
     _flip_phases,
     base_amplitudes,
+    check_off_diagonal,
     enumerate_settings,
     finite_strengths,
-    member_chunks,
     post_selected_blocks,
     sign_products,
 )
@@ -112,15 +111,15 @@ def _seq_configuration(element: ElementIndex) -> tuple:
     return tuple((n, element.s[n]) for n in element.coupled_set)
 
 
-def response_map(plan: ProtocolPlan | PlanFamily) -> np.ndarray:
+def response_map(plan: ProtocolPlan) -> np.ndarray:
     """Dense linear map from Hermitian-input coordinates to outcome probabilities.
 
     One column per Hermitian basis element in ``hermitian_labels`` order
-    and one row per (setting, outcome) in plan order; a family gains a
-    leading strength axis.  It reads the full stack ``plan.amplitudes``.
+    and one row per (setting, outcome) in plan order.  It reads the full
+    stack ``plan.amplitudes``.
     """
     amps = plan.amplitudes
-    a = amps.reshape(amps.shape[:-3] + (-1, amps.shape[-1]))
+    a = amps.reshape(-1, amps.shape[-1])
     # <a| B |a> = Tr(B G) with G[v, u] = conj(a[v]) a[u]
     return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
 
@@ -169,6 +168,7 @@ def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
         # depend on it
         flipped += 0.0
         gmat = adjoint @ flipped  # (settings, ..., outcomes, d, d)
+        del flipped  # freed before the next chunk is flipped
         part = basis_traces(gmat).real / np.sqrt(n_patterns)
         if rows is None:
             rows = part
@@ -241,94 +241,73 @@ def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
     return z, infos
 
 
-def calibrate_estimator(plan: ProtocolPlan | PlanFamily):
+def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
     """Minimum-norm unbiased weights for the Re and Im functionals.
 
     The estimator is restricted to full-product meter correlators at the
     two post-selection outcomes, the joint statistics the sequential
-    readout actually uses; their rows come from the plan's unrotated
-    columns ``base``, and the plan's own weights are not read.
+    readout actually uses; their rows come from the unrotated columns
+    ``base``, and the plan's own weights are not read.
 
     For a plan this returns (weights, info), with weights (2, n_settings,
-    2) as a plan stores them.  For a ``PlanFamily`` every strength is
-    solved in one stacked pass and the weights gain a leading strength
-    axis, with one ``CalibrationInfo`` per strength; a plan is the stack
-    of one.  The first strength, in grid order, whose residual exceeds
-    ``RESIDUAL_TOL`` raises ``CalibrationError``.
+    2) as a plan stores them.  For a ``PlanBatch`` the rows of every
+    block any member reads are formed once per strength, every (strength,
+    member) pair is solved in one stacked pass, and this returns weights
+    (G, M, 2, n_settings, 2) with ``infos[k][i]`` the ``CalibrationInfo``
+    of member i at ``gs[k]``; a plan is the stack of one.  The first
+    pair, strength-major, whose residual exceeds ``RESIDUAL_TOL`` raises
+    ``CalibrationError``.
     """
-    gs = plan.gs if isinstance(plan, PlanFamily) else (plan.g,)
-    rows = _correlator_response(plan.base, list(plan.blocks))
-    z, infos = _solve(rows.reshape((len(gs),) + rows.shape[-2:]), _targets([plan.element])[0], gs)
-    weights = _correlator_weights(z, plan.n_meters)
-    if isinstance(plan, PlanFamily):
-        return weights, infos
-    return weights[0], infos[0]
+    single = isinstance(plan, ProtocolPlan)
+    elements, gs = ((plan.element,), (plan.g,)) if single else (plan.elements, plan.gs)
+    read = sorted({k for e in elements for k in post_selected_blocks(e)})
+    rows = _correlator_response(plan.base, read)
+    rows = rows.reshape(len(gs), plan.n_settings, len(read), rows.shape[-1])
+    if len(elements) > 1:  # member-major, each member's two blocks; one member reads just its own
+        at = [[read.index(k) for k in post_selected_blocks(e)] for e in elements]
+        rows = np.moveaxis(rows[:, :, at], 2, 1)
+    stacked = rows.reshape(len(gs) * len(elements), -1, rows.shape[-1])
+    del rows
+    z, infos = _solve(stacked, np.tile(_targets(elements), (len(gs), 1, 1)),
+                      [g for g in gs for _ in elements])
+    weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), len(elements), 2, -1, 2))
+    if single:
+        return weights[0, 0], infos[0]
+    return weights, tuple(infos[lo:lo + len(elements)] for lo in range(0, len(infos), len(elements)))
 
 
-def _checked_strengths(element: ElementIndex, gs) -> tuple[float, ...]:
-    """The strengths as floats, once the element is off-diagonal and no strength is singular."""
-    if element.is_diagonal:
-        raise InvalidElementError(
-            f"element {element.label()} is diagonal; use diagonal_element instead"
-        )
+def singular_strength(g: float) -> bool:
+    """Whether seq is undefined at ``g``: its projector couplings leave the meters blank."""
+    return abs(math.sin(g)) <= SINGULAR_TOL
+
+
+def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
+    """The calibrated seq plans of members of one coupling configuration at every strength of ``gs``.
+
+    Members share the couplings, so ``base`` is built once for all
+    members and strengths and ``calibrate_estimator`` solves them all in
+    one stacked pass.  The first strength, in order, that is singular
+    raises, and then the first (strength, member) pair that fails
+    calibration raises the error its ``plan_seq`` would.
+    """
+    check_off_diagonal(members)
     gs = finite_strengths(gs)
     for g in gs:
-        if abs(math.sin(g)) <= SINGULAR_TOL:
+        if singular_strength(g):
             raise InvalidCouplingError(
                 f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
                 "meters blank and the sequential estimator is undefined"
             )
-    return gs
-
-
-def plan_seq_grid(element: ElementIndex, gs) -> PlanFamily:
-    """Build and calibrate the sequential baseline plans at every strength of ``gs``.
-
-    Amplitudes and calibration run once over the stacked strengths; the
-    first strength in grid order that is singular or fails calibration
-    raises the error its ``plan_seq`` would.
-    """
-    gs = _checked_strengths(element, gs)
-    couplings = seq_couplings(element)
+    couplings = seq_couplings(members[0])
     settings = enumerate_settings(len(couplings))
-    base = base_amplitudes(element.dims, couplings, gs)
-    bare = PlanFamily(element=element, scheme=SEQ_SCHEME, gs=gs, couplings=couplings,
-                      settings=settings, weights=np.zeros((len(gs), 2, len(settings), 2)), base=base)
+    bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs,
+                     couplings=(couplings,) * len(members), settings=settings,
+                     weights=np.zeros((len(gs), len(members), 2, len(settings), 2)),
+                     base=base_amplitudes(members[0].dims, couplings, gs))
     weights, infos = calibrate_estimator(bare)
     return replace(bare, weights=weights, calibrations=infos)
 
 
-def _seq_batches(members: list[ElementIndex], g: float):
-    """Yield the calibrated plans of one seq configuration's members, in chunks.
-
-    Members are upper-triangle elements (s < s') in row-major order.  The
-    couplings, ``base`` and the correlator rows of every block any member
-    reads are built once.  Members are solved in chunks under
-    ``plans.MEMBER_ENTRIES``, one stacked solve per chunk, and the first
-    member in order that fails calibration raises the error its
-    ``plan_seq`` would.
-    """
-    first = members[0]
-    (g,) = _checked_strengths(first, (g,))
-    couplings = seq_couplings(first)
-    settings = enumerate_settings(len(couplings))
-    base = base_amplitudes(first.dims, couplings, g)
-    read = sorted({k for e in members for k in post_selected_blocks(e)})
-    rows = _correlator_response(base, read)
-    rows = rows.reshape(len(settings), len(read), rows.shape[-1])
-    # a member's stacked rows and the singular vectors its solve returns
-    for chunk in member_chunks(members, 2 * rows[:, :2].size):
-        at = [[read.index(k) for k in post_selected_blocks(e)] for e in chunk]
-        stacked = np.moveaxis(rows[:, at], 1, 0).reshape(len(chunk), -1, rows.shape[-1])
-        z, infos = _solve(stacked, _targets(chunk), (g,) * len(chunk))
-        yield PlanBatch(elements=tuple(chunk), scheme=SEQ_SCHEME, g=g,
-                        couplings=(couplings,) * len(chunk), settings=settings,
-                        weights=_correlator_weights(z, len(couplings)), base=base,
-                        calibrations=infos)
-        # the caller may drop this chunk before the next one is solved
-        del stacked, z
-
-
 def plan_seq(element: ElementIndex, g: float) -> ProtocolPlan:
-    """Build and calibrate the sequential baseline plan: ``plan_seq_grid`` at one strength."""
-    return plan_seq_grid(element, (g,))[0]
+    """Build and calibrate the sequential baseline plan: ``seq_stack`` of one."""
+    return seq_stack([element], (g,))[0, 0]

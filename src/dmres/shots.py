@@ -81,7 +81,7 @@ def element_variance(
 
 
 def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) -> np.ndarray:
-    """Every member's ``element_variance``, (M, 2), from one stacked product.
+    """Every plan's ``element_variance``, (G, M, 2), from one stacked product.
 
     Every member's (W_re, W_im) is one slice of the batch's
     ``estimator_operators``.  ``rho`` must have the batch's dims.
@@ -157,7 +157,7 @@ def simulate_shots(
 
 
 def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
-    """``simulate_shots`` of every member of a batch, member i drawing from the i-th of ``rngs``.
+    """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
     The readout rows of every block a member reads are rotated once for
     the batch; each member's draw reads its own two blocks, as its
@@ -165,13 +165,14 @@ def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolic
     gives on that plan with the same generator.  ``rho`` must have the
     batch's dims.
     """
-    d = batch.base.shape[-1]
+    (base,), (member_weights,) = batch.base, batch.weights
+    d = base.shape[-1]
     read = sorted(set(batch.blocks.flat))
-    amps = readout_amplitudes(batch.base, d, read)
+    amps = readout_amplitudes(base, d, read)
     amps = amps.reshape(amps.shape[0], len(read), -1, d)
     signs = sign_products(batch.n_meters)
     values = []
-    for at, weights, rng in zip(np.searchsorted(read, batch.blocks), batch.weights, rngs):
+    for at, weights, rng in zip(np.searchsorted(read, batch.blocks), member_weights, rngs):
         p = _born(amps[:, at].reshape(amps.shape[0], -1, d), rho)
         values.append(_draw(_cells(p, weights[..., None] * signs), policy, batch.n_settings, rng))
     return values

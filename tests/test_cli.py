@@ -148,18 +148,20 @@ class TestCharacterize:
     def test_shot_report_builds_each_plan_once(self, tmp_path, monkeypatch):
         # each pair's plan serves both its draw and the deviation report;
         # entry (v, u) shares the shot variances of its conjugate (u, v)
-        import dmres.cli as cli_module
+        import dmres.res as res_module
 
         rho = random_mixed_state((2, 2), stream(4, "cli"))
         src = tmp_path / "in.state"
         write_state(src, rho)
         built = []
-        counted = cli_module.plan_res
-        monkeypatch.setattr(cli_module, "plan_res", lambda *a: built.append(a) or counted(*a))
+        counted = res_module._res_weights
+        monkeypatch.setattr(res_module, "_res_weights",
+                            lambda elements, *a: built.extend(elements) or counted(elements, *a))
         code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
                      "--truth", str(src), "--shots", "1e5", "--seed", "2"])
         assert code == 0
-        assert len(built) == 4 * 3 // 2
+        assert sorted((e.s_flat, e.s_prime_flat) for e in built) == [
+            (u, v) for u in range(4) for v in range(u + 1, 4)]
         stderr = {}
         for row in (tmp_path / "out" / "deviation.csv").read_text().splitlines()[1:]:
             parts = row.split(",")

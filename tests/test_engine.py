@@ -1,6 +1,8 @@
 """The tensor-form probability engine against independent dense oracles."""
 
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import dmres.plans as plans_module
+import dmres.res as res_module
 import dmres.seq as seq_module
 import dmres.precision as precision_module
 from dmres import (
@@ -25,7 +28,7 @@ from dmres import (
     random_mixed_state,
     stream,
 )
-from dmres.elements import precision_element_set
+from dmres.elements import element_from_flat, precision_element_set
 from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary, sign_products
 from dmres.precision import (
     SystemSpec,
@@ -36,9 +39,9 @@ from dmres.precision import (
     plans_over_grid,
     sampled_states,
 )
-from dmres.res import plan_res_grid
+from dmres.res import res_stack
 from dmres.shots import ALLOCATIONS, ShotPolicy, allocation_factor
-from dmres.seq import plan_seq_grid, response_map
+from dmres.seq import response_map, seq_stack
 
 from oracles import (
     basis_path_correlator_rows,
@@ -53,7 +56,7 @@ from oracles import (
 )
 
 BUILDERS = {"res": plan_res, "seq": plan_seq}
-FAMILY_KINDS = {"res": plan_res_grid, "seq": plan_seq_grid}
+STACKS = {"res": res_stack, "seq": seq_stack}
 
 
 def single_build_values(system, scheme, g, seed, samples):
@@ -190,17 +193,58 @@ def strength_grids(draw):
     return sorted(set(draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=6))))
 
 
+def configuration_members(dims, scheme):
+    """Upper-triangle elements grouped by their coupling configuration for ``scheme``, in first-pair order."""
+    configuration = res_module._res_configuration if scheme == "res" else seq_module._seq_configuration
+    groups = {}
+    for u, v in itertools.combinations(range(math.prod(dims)), 2):
+        element = element_from_flat(dims, u, v)
+        groups.setdefault(configuration(element), []).append(element)
+    return list(groups.values())
+
+
 class TestStrengthFamilies:
-    """Family builds over a grid against single builds at each strength, bit for bit."""
+    """Stack builds over strengths and members against single builds, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)]),
+           scheme=st.sampled_from(["res", "seq"]), grid=strength_grids(), data=st.data())
+    def test_stack_over_members_and_strengths_equals_single_builds(self, dims, scheme, grid, data):
+        members = data.draw(st.sampled_from(configuration_members(dims, scheme)))
+        stack = STACKS[scheme](members, grid)
+        assert stack.weights.shape[:2] == stack.base.shape[:1] + (len(members),) == (len(grid), len(members))
+        for k, g in enumerate(grid):
+            for i, element in enumerate(members):
+                got, want = stack[k, i], BUILDERS[scheme](element, g)
+                assert (got.element, got.g) == (element, g)
+                assert [c.label for c in got.couplings] == [c.label for c in want.couplings]
+                assert got.base.tobytes() == want.base.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.calibration == want.calibration
+                assert estimator_operators(stack)[k, i].tobytes() == estimator_operators(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(["res", "seq"]), k=st.integers(0, 4), offset=st.floats(-1e-9, 1e-9))
+    def test_grid_keeps_exactly_the_strengths_the_builder_accepts(self, scheme, k, offset):
+        # near every singular strength of either scheme, k pi / 2
+        g = k * math.pi / 2 + offset
+        try:
+            BUILDERS[scheme](ElementIndex.create((2,), (0,), (1,)), g)
+            accepted = True
+        except InvalidCouplingError:
+            accepted = False
+        except CalibrationError:
+            accepted = True  # refused only after its strength passed
+        assert (filter_grid(scheme, [g]) == [g]) == accepted
 
     @settings(max_examples=40, deadline=None)
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids())
     def test_family_slices_equal_single_builds(self, element, scheme, grid):
-        family = plans_over_grid(element, scheme, grid)
-        assert len(family) == len(grid)
+        stack = plans_over_grid(element, scheme, grid)
+        assert stack.gs == tuple(grid) and stack.elements == (element,)
         for k, g in enumerate(grid):
-            got, want = family[k], BUILDERS[scheme](element, g)
+            got, want = stack[k, 0], BUILDERS[scheme](element, g)
             assert got.g == want.g
             assert np.array_equal(got.amplitudes, want.amplitudes)
             assert np.array_equal(got.weights, want.weights)
@@ -288,18 +332,19 @@ class TestBaseBlockOperators:
 
     @settings(max_examples=40, deadline=None)
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (3, 3))), gs=st.tuples(STRENGTHS, STRENGTHS),
-           kind=st.sampled_from(sorted(FAMILY_KINDS)))
+           kind=st.sampled_from(sorted(STACKS)))
     def test_operators_equal_the_full_stack_gram(self, element, gs, kind):
-        family = FAMILY_KINDS[kind](element, gs)
+        stack = STACKS[kind]([element], gs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plans_module, "readout_amplitudes", None)  # any rotation would fail
-            stacks = estimator_operators(family)
-            singles = [estimator_operators(family[k]) for k in range(len(family))]
-        for k in range(len(family)):
-            for i, c in enumerate((family.coeff_re[k], family.coeff_im[k])):
-                w = stacks[k, i]
-                assert np.array_equal(singles[k][i], w)  # a plan is the family of one
-                assert_rel_close(w, full_gram(family.amplitudes[k], c ** 2))
+            stacks = estimator_operators(stack)
+            singles = [estimator_operators(stack[k, 0]) for k in range(len(gs))]
+        for k in range(len(gs)):
+            plan = stack[k, 0]
+            for i, c in enumerate((plan.coeff_re, plan.coeff_im)):
+                w = stacks[k, 0, i]
+                assert np.array_equal(singles[k][i], w)  # a plan is the stack of one
+                assert_rel_close(w, full_gram(plan.amplitudes, c ** 2))
                 assert_rel_close(w, w.conj().T)
 
 
@@ -341,11 +386,11 @@ class TestStoredBlocks:
         assert_rel_close(w_im, full_gram(plan.amplitudes, c_im ** 2))
         assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, c_re + 1j * c_im).T)
 
-        family = FAMILY_KINDS[kind](element, [0.4, 0.9])
-        stacks = estimator_operators(family)
-        for k in range(len(family)):
-            for w, c in zip(stacks[k], (family.coeff_re[k], family.coeff_im[k])):
-                assert_rel_close(w, full_gram(family.amplitudes[k], c ** 2))
+        stack = STACKS[kind]([element], [0.4, 0.9])
+        stacks = estimator_operators(stack)
+        for k in range(2):
+            for w, c in zip(stacks[k, 0], (stack[k, 0].coeff_re, stack[k, 0].coeff_im)):
+                assert_rel_close(w, full_gram(stack[k, 0].amplitudes, c ** 2))
 
     @pytest.mark.parametrize("builder", [plan_res, plan_seq])
     @pytest.mark.parametrize("shape", ["a table", "a setting short", "three parts", "no Im part"])
@@ -363,8 +408,8 @@ class TestStoredBlocks:
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_coefficient_tables_are_read_only(self, kind):
         plan = BUILDERS[kind](ElementIndex.create((2, 3), (1, 0), (0, 2)), 0.7)
-        family = FAMILY_KINDS[kind](plan.element, [0.4, 0.7])
-        for tables in (plan, family):
+        stack = STACKS[kind]([plan.element], [0.4, 0.7])
+        for tables in (plan, stack[1, 0]):
             for name in ("coeff_re", "coeff_im"):
                 table = getattr(tables, name)
                 assert not table.flags.writeable
@@ -372,8 +417,10 @@ class TestStoredBlocks:
                     table[..., 0, 0] = 1.0
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(tables, name, np.zeros_like(table))
-        assert np.array_equal(family[1].coeff_re, family.coeff_re[1])
-        assert np.array_equal(family[1].coeff_im, plan.coeff_im)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stack.weights = np.zeros_like(stack.weights)
+        assert np.array_equal(stack[1, 0].coeff_re, plan.coeff_re)
+        assert np.array_equal(stack[1, 0].coeff_im, plan.coeff_im)
 
     @pytest.mark.parametrize("builder", [plan_res, plan_seq])
     def test_any_weight_per_setting_and_block_reads_the_full_stack(self, builder):

@@ -300,6 +300,12 @@ class TestSampledStates:
         with pytest.raises(ValueError):
             longer[0, 0, 0] = 0.0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_sample_count_rejected(self, samples):
+        with pytest.raises(InvalidStateError, match=f"samples >= 1, got {samples}"):
+            sampled_states(SystemSpec(1, 3), 0, samples)
+        assert all(held is not None for held in precision_module._STATE_MEMO.values())
+
 
 class TestHistogram:
     def test_mass_and_consistency(self):
@@ -312,6 +318,11 @@ class TestHistogram:
     def test_minimum_samples(self):
         with pytest.raises(InvalidStateError):
             error_histogram(SystemSpec(1, 3), "res", 0.5, 500, PER)
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_empty_bin_count_rejected(self, bins):
+        with pytest.raises(InvalidStateError, match=f"bins >= 1, got {bins}"):
+            error_histogram(SystemSpec(1, 3), "res", 0.5, 1000, PER, bins=bins)
 
     @pytest.mark.parametrize("bins", [40, 41])
     def test_state_independent_errors_fill_one_bin(self, bins):
@@ -385,6 +396,11 @@ class TestResourceReport:
         with pytest.raises(InvalidStateError):
             resource_report(a, b, target_sigma=0.1)
 
+    def test_empty_sample_count_rejected(self):
+        plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
+        with pytest.raises(InvalidStateError, match="samples >= 1, got 0"):
+            resource_report(plan, plan, 0.1, samples=0)
+
 
 class TestReferenceComparison:
     def test_structure_and_convention_note(self):
@@ -397,6 +413,10 @@ class TestReferenceComparison:
                 assert "relative_deviation" in rec
             if not entry["matched"]:
                 assert "convention_note" in entry
+
+    def test_empty_sample_count_rejected(self):
+        with pytest.raises(InvalidStateError, match="samples >= 1, got 0"):
+            reference_comparison(SystemSpec(1, 3), samples=0)
 
 
 class TestNoReadoutRotation:

@@ -28,6 +28,7 @@ from dmres import (
     stream,
 )
 from dmres.elements import element_from_flat
+from dmres.errors import DmresError
 from dmres.plans import (
     PlanBatch,
     ProtocolPlan,
@@ -76,9 +77,9 @@ def bare_res_plan(element, g):
 
 
 def member_plans(dims, g, builder):
-    """Every member's plan ``batch[i]``, batch by batch as ``configuration_batches`` yields them."""
+    """Every member's plan ``batch[0, i]``, batch by batch as ``configuration_batches`` yields them."""
     for batch in configuration_batches(dims, g, builder):
-        yield from (batch[i] for i in range(len(batch)))
+        yield from (batch[0, i] for i in range(len(batch.elements)))
 
 
 def pair(plan):
@@ -302,19 +303,18 @@ class TestDiagonalAndCharacterize:
             assert abs(np.trace(est.entries) - 1) < 1e-10
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3)])
-    def test_custom_builder_batches_come_in_row_major_order(self, dims):
+    def test_other_builder_is_refused_before_any_build(self, dims, monkeypatch):
+        # only the stock builders have a configuration stack
         built = []
-
-        def builder(element, g):
-            built.append(element)
-            return plan_res(element, g)
-
-        plans = list(member_plans(dims, 0.6, builder))
-        total = int(np.prod(dims))
-        assert [pair(plan) for plan in plans] == [(u, v) for u in range(total) for v in range(u + 1, total)]
-        assert [plan.element for plan in plans] == built
-        for plan in plans:
-            assert plan.element == element_from_flat(dims, *pair(plan))
+        for module in (res_module, seq_module):
+            monkeypatch.setattr(module, "base_amplitudes", lambda *a: built.append(a))
+        builder = lambda element, g: built.append(element) or plan_res(element, g)  # noqa: E731
+        refused = r"plan builder '<lambda>' has no configuration stack: use plan_res or plan_seq"
+        with pytest.raises(DmresError, match=refused):
+            next(configuration_batches(dims, 0.6, builder))
+        with pytest.raises(DmresError, match=refused):
+            characterize(random_mixed_state(dims, stream(14, "refused")), 0.6, builder)
+        assert built == []
 
 
 CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
@@ -423,16 +423,16 @@ class TestConfigurationPlans:
             alive.extend(ref() is not None for ref in held_batch)
             return build(*args)
 
-        def sliced(batch, i):
+        def sliced(batch, key):
             alive.extend(ref() is not None for ref in held_plan)
-            return slice_(batch, i)
+            return slice_(batch, key)
 
         monkeypatch.setattr(module, step, built)
         monkeypatch.setattr(PlanBatch, "__getitem__", sliced)
         for batch in configuration_batches((3, 3), 0.6, self.BUILDERS[scheme]):
             held_batch = [weakref.ref(batch), weakref.ref(batch.weights)]
-            for i in range(len(batch)):
-                plan = batch[i]
+            for i in range(len(batch.elements)):
+                plan = batch[0, i]
                 arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
                 held_plan = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
                 del plan, arrays

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dmres import (
 from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
-from dmres.seq import _correlator_response, plan_seq_grid, seq_couplings
+from dmres.seq import _correlator_response, seq_couplings, seq_stack
 from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
@@ -153,7 +154,7 @@ class TestCalibration:
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
             plan_seq(ElementIndex.create((2,), (0,), (1,)), g)
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
-            plan_seq_grid(ElementIndex.create((2,), (0,), (1,)), [0.4, g])
+            seq_stack([ElementIndex.create((2,), (0,), (1,))], [0.4, g])
 
 
 class TestWeakCoupling:
@@ -345,3 +346,18 @@ class TestCorrelatorFlip:
         for base, outcomes in plan_flip_bases(dims, u, v):
             flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk)
             assert_rows_match_einsum_reference(base, outcomes)
+
+    def test_flipped_chunk_is_freed_before_the_next(self):
+        # (2,2,2) 000,111 at g = 0.7 flips its 64 settings in chunks:
+        # holding one chunk's flipped blocks while the next is formed
+        # peaks at 915 KiB traced, freeing each after its Gram product at
+        # 659 KiB
+        base = base_amplitudes((2, 2, 2), seq_couplings(element_from_flat((2, 2, 2), 0, 7)), 0.7)
+        _correlator_response(base, [0, 7])  # first-call caches warm
+        tracemalloc.start()
+        try:
+            _correlator_response(base, [0, 7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 750 * 1024
