@@ -20,10 +20,9 @@ from .errors import DmresError, InvalidElementError, InvalidStateError, StateFor
 from .linalg import DensityMatrix
 from .plans import plan_document
 from .precision import SystemSpec, default_g_grid, g_sweep
-from .res import characterize, configuration_batches, diagonal_element, extract_element, plan_res
+from .res import SCHEMES, characterize, configuration_batches, diagonal_element, extract_element, plan_res
 from .sampling import stream
 from .scenarios import SCENARIO_IDS, default_spec, run_scenario
-from .seq import plan_seq
 from .shots import (
     ALLOCATIONS,
     PER_SETTING,
@@ -95,7 +94,7 @@ def cmd_extract(args) -> int:
             )
         value = complex(diagonal_element(rho, element.s), 0.0)
     else:
-        plan = plan_res(element, g) if args.scheme == "res" else plan_seq(element, g)
+        plan = SCHEMES[args.scheme].plan(element, g)
         value = extract_element(rho, plan)
     print(f"element {element.label()}  scheme {args.scheme}  g {format_float(g)}")
     print(f"Re = {format_float(value.real)}")
@@ -156,7 +155,12 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
     """
     diag_rng = stream(seed, "cli/characterize/diag")
     diag_counts = diag_rng.poisson(policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
-    est = np.diag(diag_counts / max(diag_counts.sum(), 1)).astype(complex)
+    if not diag_counts.any():
+        raise InvalidStateError(
+            f"the post-selection run at n_t={format_float(policy.n_t)} counted no photon, "
+            "so no diagonal entry can be estimated: raise --shots"
+        )
+    est = np.diag(diag_counts / diag_counts.sum()).astype(complex)
     variances = {}
     for batch in configuration_batches(rho.dims, g, plan_res):
         rngs = (stream(seed, f"cli/characterize/{e.label()}") for e in batch.elements)
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract one density-matrix element from a state file")
-    p.add_argument("--scheme", choices=("res", "seq"), default="res")
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="res")
     p.add_argument("--element", required=True, help="element as 'a,a_prime', one digit per qudit or '.'-joined indices")
     p.add_argument("--g", required=True, help="coupling strength (radians or pi fraction)")
     p.add_argument("--state", required=True, help="input state file")

@@ -76,15 +76,11 @@ def element_from_flat(dims: Sequence[int], s_flat: int, sp_flat: int) -> Element
 
 
 def all_offdiagonal_elements(dims: Sequence[int], ordered: bool = False) -> list[ElementIndex]:
-    """Every off-diagonal element; upper triangle only unless ``ordered``."""
+    """Every off-diagonal element in row-major (s, s') order; upper triangle only unless ``ordered``."""
     dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    out = []
-    for u, v in itertools.product(range(total), repeat=2):
-        if u == v or (not ordered and u > v):
-            continue
-        out.append(element_from_flat(dims, u, v))
-    return out
+    indices = list(itertools.product(*map(range, dims)))  # row-major, as np.unravel_index
+    pairs = itertools.permutations(indices, 2) if ordered else itertools.combinations(indices, 2)
+    return [ElementIndex(dims, s, s_prime) for s, s_prime in pairs]
 
 
 def completely_offdiagonal_elements(dims: Sequence[int], ordered: bool = False) -> list[ElementIndex]:

@@ -80,7 +80,7 @@ class Ket:
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_STRICT:
-            raise InvalidStateError(f"ket norm {norm!r} differs from 1 beyond {ATOL_STRICT}")
+            raise InvalidStateError(f"ket norm {float(norm)!r} differs from 1 beyond {ATOL_STRICT}")
         return cls(_freeze(vec), _as_dims(dims, vec.size))
 
     @property
@@ -120,7 +120,7 @@ class DensityMatrix:
             raise InvalidStateError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(mat)
         if abs(tr - 1.0) > ATOL_STRICT:
-            raise InvalidStateError(f"trace {tr!r} differs from 1 beyond {ATOL_STRICT}")
+            raise InvalidStateError(f"trace {complex(tr)} differs from 1 beyond {ATOL_STRICT}")
         positive = True
         if check_positive:
             lo = float(np.linalg.eigvalsh(mat).min())

@@ -68,8 +68,8 @@ SEQ_SCHEME = "seq"
 # since its projector couplings otherwise leave the meters blank and the
 # relative calibration floor would keep rounding noise.  Each scheme
 # states its rule once (``res.singular_strength``,
-# ``seq.singular_strength``); its builder refuses those strengths and
-# strength grids drop them.
+# ``seq.singular_strength``, both in ``res.SCHEMES``); its builder
+# refuses those strengths and strength grids drop them.
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
@@ -104,7 +104,6 @@ class CalibrationInfo:
     residual_re: float
     residual_im: float
     smallest_singular_value: float
-    method: str
 
 
 class _PlanLayout:

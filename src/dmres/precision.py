@@ -4,9 +4,10 @@ Per-state shot variances are linear functionals of the state, so each
 plan contributes one Hermitian operator per quadrature and the Monte
 Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
-W from one path, ``mean_variance_operators``, which builds each
-element's plans for a chunk of strengths in one stacked pass; a single
-strength is the grid of one.  The operators come from the plans'
+W from one path, ``mean_variance_operators``, which builds the element
+set through ``res.configuration_stacks`` for a chunk of strengths at a
+time, so every configuration's members share one stacked build; a
+single strength is the grid of one.  The operators come from the plans'
 unrotated columns, so no precision path rotates a readout row.  A
 sweep's report keeps W for every (scheme, strength) it covered, and
 histograms and the reference comparison handed that report read W from
@@ -28,20 +29,21 @@ import numpy as np
 
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
-from . import res, seq
-from .plans import PlanBatch, ProtocolPlan, estimator_operators, post_selected_blocks
+from . import res
+from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, estimator_operators, post_selected_blocks
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Array entries one element's build may keep per sweep chunk, at most
-# 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
+# Array entries one configuration's build may keep per sweep chunk, at
+# most 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid stack build with its variance operators
 # run to 3.2x the count for qutrit seq and 3.8x for three-qubit res.
 # This budget gives a three-qubit seq sweep one strength per chunk: at
 # two, the calibration's transients made a 1,000-sample sweep peak at
 # 1.44 MB, above the 1.38 MB of single plan_seq builds per strength.
+# Its four configurations have one member each.
 CHUNK_ENTRIES = 2 ** 14
 
 # Entries of the (points, policies, samples) stack a sweep reduces at
@@ -65,9 +67,6 @@ REFERENCE_TARGETS = {
 
 # Relative deviation within which a measured value matches its reference.
 REFERENCE_REL_TOL = 0.2
-
-# The plan stack builder and the singular-strength rule of each scheme.
-SCHEMES = {"res": (res.res_stack, res.singular_strength), "seq": (seq.seq_stack, seq.singular_strength)}
 
 
 @dataclass(frozen=True)
@@ -104,24 +103,6 @@ class SystemSpec:
         except ValueError as exc:
             raise InvalidStateError(f"cannot parse system spec {text!r}") from exc
         return cls(n, d)
-
-
-def _scheme(scheme: str):
-    """``scheme``'s (stack builder, singular-strength rule)."""
-    if scheme not in SCHEMES:
-        raise InvalidStateError(f"unknown scheme {scheme!r}")
-    return SCHEMES[scheme]
-
-
-def plans_over_grid(element: ElementIndex, scheme: str, gs) -> PlanBatch:
-    """One element's plans at every strength of ``gs``, built in one stack of one member.
-
-    ``stack[k, 0]`` is bit for bit the plan ``plan_res``/``plan_seq``
-    builds at ``gs[k]``; those single builds are this stack's
-    one-strength case.
-    """
-    build, _ = _scheme(scheme)
-    return build([element], gs)
 
 
 def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
@@ -194,73 +175,62 @@ def per_state_values(
     return _unit_values(system, scheme, g, seed, samples)[0]
 
 
-def _stored_entries(element: ElementIndex, scheme: str) -> int:
-    """Array entries per strength that a sweep chunk budgets for ``element``.
+def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
+    """Array entries per strength that a sweep chunk budgets for one configuration's stack.
 
-    With D the system dimension, m meters (one per coupled qudit for
-    ``res``, two for ``seq``) and as many settings S as meter patterns,
-    2^m, a build holds per strength:
-
-    - the unrotated columns ``base``, D 2^m D complex entries;
-    - the block weights, 2 S 2 entries: a (Re, Im) weight per setting
-      and post-selected block, and for ``res`` the complex weights they
-      are split from, as many bytes;
-    - for ``seq``, the Gram stack A_k^dag Sigma_b A_k that
-      ``seq._correlator_response`` reads the calibration rows from, S 2
-      D D complex entries, one D x D matrix per setting and
-      post-selected block.
-
-    Readout rows are not counted: a sweep rotates none.  The
-    Pauli-flipped blocks of the calibration are formed a few settings at
-    a time under ``seq.FLIP_ENTRIES``, whatever the strength count, so
-    they are not counted either.
-
-    The count bounds the arrays a build keeps, not its transient copies
-    (``plans._apply_couplings``' reshaped copies of the amplitude tensor,
-    the intermediates of ``seq.basis_traces`` and of the calibration
-    solve).  Traced with ``tracemalloc``, first-call caches warm, a
-    stack build over the whole seq or res default grid plus its
-    variance operators peaks at 3.2x the count for qutrit ``seq`` (201
-    KiB against 64 KiB) and 3.8x for three-qubit ``res`` (1,036 KiB
-    against 272 KiB).
+    With D the system dimension and S = 2^m settings, m the scheme's
+    meters per coupled qudit times the coupled qudits, the stack of
+    ``members`` keeps ``base`` (D 2^m D complex entries) once, each
+    member's block weights (2 S 2, and for ``res`` the complex weights
+    they are split from, as many bytes) and, for ``seq``, the Gram stack
+    A_k^dag Sigma_b A_k the calibration rows are read from (S D D
+    complex entries for each block k any member reads).  Readout rows
+    are not counted, since a sweep rotates none, nor are the flipped
+    blocks, formed under ``seq.FLIP_ENTRIES`` whatever the strength
+    count.  The count bounds the arrays a build keeps, not its transient
+    copies: traced with ``tracemalloc``, first-call caches warm, a
+    one-member stack over the whole default grid plus its variance
+    operators peaks at 3.2x the count for qutrit ``seq`` (201 KiB
+    against 64 KiB) and 3.8x for three-qubit ``res`` (1,036 KiB against
+    272 KiB).
     """
-    m = len(element.coupled_set) * (1 if scheme == "res" else 2)
-    patterns = settings = 2 ** m
-    d = element.dim
-    entries = d * patterns * d + 2 * settings * 2
-    if scheme == "seq":
-        entries += settings * len(post_selected_blocks(element)) * d * d
+    first = members[0]
+    settings = 2 ** (res.SCHEMES[scheme].meters * first.n_couplings)
+    d = first.dim
+    entries = d * settings * d + len(members) * 2 * settings * 2
+    if scheme == SEQ_SCHEME:
+        entries += settings * len({k for e in members for k in post_selected_blocks(e)}) * d * d
     return entries
 
 
 def _chunk_step(elements: list[ElementIndex], scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest element's build, at least one."""
-    return max(1, CHUNK_ENTRIES // max(_stored_entries(e, scheme) for e in elements))
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest configuration's stack, at least one."""
+    return max(1, CHUNK_ENTRIES // max(_stored_entries(members, scheme)
+                                       for members in res.configurations(elements, scheme)))
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     """Yield ``(g, W, counts)`` for each strength of ``gs``, in order.
 
     W is the mean variance operator over the element set and both
-    quadratures, the same bit for bit whatever the chunking; counts are
-    the plans' (couplings, settings, outcomes per setting), read off the
-    built stacks.  Each element's plans are built for a chunk of
-    strengths in one stacked pass; a chunk holds as many strengths as
-    fit ``CHUNK_ENTRIES`` at the entries per strength the layout gives,
-    which bounds memory whatever the grid length.
+    quadratures, summed in element-set order, the same bit for bit
+    whatever the chunking; counts are the plans' (couplings, settings,
+    outcomes per setting).  The element set is built through
+    ``res.configuration_stacks`` a chunk of strengths at a time, as many
+    as fit ``CHUNK_ENTRIES`` for the largest configuration, and each
+    member's W is read from its stack's one ``estimator_operators``.
     """
     elements = precision_element_set(system.n_qudits, system.d)
     gs = list(gs)
     step = _chunk_step(elements, scheme)
     for lo in range(0, len(gs), step):
         chunk = gs[lo:lo + step]
-        operators = []
-        for e in elements:
-            stack = plans_over_grid(e, scheme, chunk)
-            operators.append(_variance_operator(stack)[:, 0])
+        operators = {}
+        for stack in res.configuration_stacks(elements, scheme, chunk):
+            operators.update(zip(stack.elements, _variance_operator(stack).swapaxes(0, 1)))
         counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
         del stack  # not held while the caller works on this chunk
-        yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
+        yield from ((g, w, counts) for g, w in zip(chunk, _mean([operators[e] for e in elements])))
 
 
 @dataclass
@@ -339,7 +309,7 @@ def _sweep_statistics(operators: list, factors: np.ndarray, states: np.ndarray):
 
 def filter_grid(scheme: str, grid) -> list[float]:
     """Drop strengths where the scheme's estimator is undefined, by the scheme's own rule."""
-    _, singular = _scheme(scheme)
+    singular = res.scheme_entry(scheme).singular
     return [float(g) for g in grid if not singular(g)]
 
 

@@ -1,23 +1,28 @@
-"""Single-coupling direct characterization (the res scheme).
+"""Single-coupling direct characterization (the res scheme), and the scheme table.
 
 One swap-involution coupling per qudit whose indices differ, one qubit
 meter each, then post-selection in the computational basis with meter
 readout in the sigma_x / sigma_y bases.  The estimator weights below
 make the extraction an exact identity at any strength with
 sin(2g) != 0.
+
+``SCHEMES`` holds every fact that differs between ``res`` and ``seq``,
+and ``configuration_stacks`` is the one path from an element list to
+plan stacks: full-matrix characterization and precision sweeps both
+read their plans from it.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elements import ElementIndex, element_from_flat
-from .errors import DmresError, InvalidCouplingError, InvalidElementError
-from .linalg import DensityMatrix, Ket, as_density
+from .elements import ElementIndex, all_offdiagonal_elements
+from .errors import DmresError, InvalidCouplingError, InvalidElementError, InvalidStateError
+from .linalg import DensityMatrix, Ket, as_density, check_joint_dim
 from .operators import make_involution
 from .plans import (
     Coupling,
@@ -25,6 +30,7 @@ from .plans import (
     PlanBatch,
     ProtocolPlan,
     RES_SCHEME,
+    SEQ_SCHEME,
     SINGULAR_TOL,
     _born,
     _estimator_grams,
@@ -36,7 +42,7 @@ from .plans import (
     finite_strengths,
     member_chunks,
 )
-from .seq import _seq_configuration, plan_seq, seq_stack
+from . import seq
 
 
 def singular_strength(g: float) -> bool:
@@ -87,14 +93,6 @@ def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
     )
 
 
-def _res_members(first: ElementIndex, gs):
-    """The involutions, settings and ``base`` every element of ``first``'s configuration shares."""
-    ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries
-           for n in first.coupled_set]
-    base = base_amplitudes(first.dims, _res_couplings(first, ops), gs)
-    return ops, enumerate_settings(len(ops)), base
-
-
 def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
     """The res plans of members of one coupling configuration at every strength of ``gs``.
 
@@ -104,7 +102,9 @@ def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
-    ops, settings, base = _res_members(members[0], gs)
+    first = members[0]
+    ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries for n in first.coupled_set]
+    settings = enumerate_settings(len(ops))
     return PlanBatch(
         elements=tuple(members),
         scheme=RES_SCHEME,
@@ -112,7 +112,7 @@ def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
         couplings=tuple(_res_couplings(e, ops) for e in members),
         settings=settings,
         weights=_res_weights(members, gs, settings, len(ops)),
-        base=base,
+        base=base_amplitudes(first.dims, _res_couplings(first, ops), gs),
     )
 
 
@@ -128,11 +128,12 @@ class OutcomeDistribution:
         self.setting = setting
         self.probabilities = probabilities
 
-    def check(self, atol_sum: float = 1e-10, atol_neg: float = -1e-12) -> None:
-        if self.probabilities.min() < atol_neg:
+    def check(self) -> None:
+        """Reject a probability below -1e-12 or a total off 1 by more than 1e-10."""
+        if self.probabilities.min() < -1e-12:
             raise InvalidElementError(f"negative outcome probability {self.probabilities.min():g}")
         total = float(self.probabilities.sum())
-        if abs(total - 1.0) > atol_sum:
+        if abs(total - 1.0) > 1e-10:
             raise InvalidElementError(f"outcome probabilities sum to {total!r}")
 
 
@@ -166,40 +167,69 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     return float(rho.entries[idx, idx].real)
 
 
-# The stock builders, each with its configuration key and its stack builder.
-_CONFIGURATIONS = {
-    plan_res: (_res_configuration, res_stack),
-    plan_seq: (_seq_configuration, seq_stack),
+class Scheme(NamedTuple):
+    """What one scheme builds its plans from."""
+
+    plan: Callable  # (element, g) -> ProtocolPlan
+    stack: Callable  # (members of one configuration, gs) -> PlanBatch
+    configuration: Callable  # element -> the key its couplings depend on
+    singular: Callable  # g -> whether the scheme is undefined there
+    meters: int  # meters per coupled qudit
+
+
+SCHEMES = {
+    RES_SCHEME: Scheme(plan_res, res_stack, _res_configuration, singular_strength, 1),
+    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq._seq_configuration, seq.singular_strength, 2),
 }
 
 
-def configuration_batches(dims, g: float, plan_builder=plan_res):
-    """Yield a ``PlanBatch`` of plans for every upper-triangle pair u < v of flat indices.
+def scheme_entry(name: str) -> Scheme:
+    """``SCHEMES[name]``; a name not in the table raises ``InvalidStateError``."""
+    if name not in SCHEMES:
+        raise InvalidStateError(f"unknown scheme {name!r}")
+    return SCHEMES[name]
 
-    This is the one place a full-matrix estimate pairs its entries with
-    the plans that read them.  ``plan_builder`` is ``plan_res`` or
-    ``plan_seq``, also behind ``functools.wraps`` wrappers; any other
-    raises ``DmresError``.  Each configuration's members are built in
-    one stack at ``g``: its couplings and ``base`` once for all the
-    elements that share them, and their estimators in one stacked pass.
-    Configurations come in the order of their first pair and members in
-    row-major order; a configuration may come in several batches of one
-    strength (see ``plans.MEMBER_ENTRIES``), and ``batch[0, i]`` is
-    member i's plan.
+
+def configurations(elements, scheme: str) -> list[list[ElementIndex]]:
+    """``elements`` grouped by ``scheme``'s coupling configuration, in first-element and list order."""
+    key = scheme_entry(scheme).configuration
+    groups: dict[tuple, list[ElementIndex]] = {}
+    for element in elements:
+        groups.setdefault(key(element), []).append(element)
+    return list(groups.values())
+
+
+def configuration_stacks(elements, scheme: str, gs):
+    """Yield the ``scheme`` plans of ``elements`` at every strength of ``gs``, one stack per configuration.
+
+    The one path from an element list to plans: each group of
+    ``configurations`` is built by the scheme's stack builder and
+    yielded in ``plans.member_chunks``, so ``stack[k, i]`` is member i's
+    plan at ``gs[k]``.  The joint dimension D 2^m of the largest
+    configuration, m the scheme's meters per coupled qudit times its
+    coupled qudits, is checked before anything is built.
     """
-    stock = _CONFIGURATIONS.get(inspect.unwrap(plan_builder))
-    if stock is None:
+    entry = scheme_entry(scheme)
+    groups = configurations(elements, scheme)
+    check_joint_dim(max((g[0].dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups), default=0))
+    for members in groups:
+        yield from member_chunks(entry.stack(members, gs))
+
+
+def configuration_batches(dims, g: float, plan_builder=plan_res):
+    """``configuration_stacks`` of every upper-triangle element u < v, row-major, at the one strength ``g``.
+
+    ``plan_builder`` names the scheme: a ``SCHEMES`` plan builder, also
+    behind ``functools.wraps`` wrappers; any other raises ``DmresError``.
+    """
+    builder = inspect.unwrap(plan_builder)
+    names = [name for name, entry in SCHEMES.items() if entry.plan is builder]
+    if not names:
         raise DmresError(
             f"plan builder {getattr(plan_builder, '__name__', plan_builder)!r} has no "
             "configuration stack: use plan_res or plan_seq"
         )
-    configuration, stack = stock
-    groups: dict[tuple, list[ElementIndex]] = {}
-    for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
-        element = element_from_flat(dims, u, v)
-        groups.setdefault(configuration(element), []).append(element)
-    for members in groups.values():
-        yield from member_chunks(stack(members, (g,)))
+    yield from configuration_stacks(all_offdiagonal_elements(dims), names[0], (g,))
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:

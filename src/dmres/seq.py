@@ -235,7 +235,7 @@ def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
             )
     infos = tuple(
         CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
-                        smallest_singular_value=float(sv), method="min-norm/correlator")
+                        smallest_singular_value=float(sv))
         for res, sv in zip(residuals, smallest)
     )
     return z, infos

@@ -145,6 +145,18 @@ class TestCharacterize:
             checks.append(dev <= 5 * stderr)
         assert np.mean(checks) >= 0.99
 
+    def test_empty_post_selection_exits_3_before_writing(self, tmp_path, capsys):
+        # at n_t = 1e-3 the diagonal run of this seed counts no photon
+        rho = random_mixed_state((2, 2), stream(0, "cli"))
+        src = tmp_path / "in.state"
+        write_state(src, rho)
+        out_dir = tmp_path / "out"
+        code = main(["characterize", "--state", str(src), "--g", "pi/4", "--out", str(out_dir),
+                     "--shots", "1e-3"])
+        assert code == 3
+        assert "post-selection run at n_t=0.001 counted no photon" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_shot_report_builds_each_plan_once(self, tmp_path, monkeypatch):
         # each pair's plan serves both its draw and the deviation report;
         # entry (v, u) shares the shot variances of its conjugate (u, v)

@@ -1,7 +1,6 @@
 """The tensor-form probability engine against independent dense oracles."""
 
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -28,7 +27,7 @@ from dmres import (
     random_mixed_state,
     stream,
 )
-from dmres.elements import element_from_flat, precision_element_set
+from dmres.elements import all_offdiagonal_elements, precision_element_set
 from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary, sign_products
 from dmres.precision import (
     SystemSpec,
@@ -36,7 +35,6 @@ from dmres.precision import (
     filter_grid,
     g_sweep,
     per_state_values,
-    plans_over_grid,
     sampled_states,
 )
 from dmres.res import res_stack
@@ -193,16 +191,6 @@ def strength_grids(draw):
     return sorted(set(draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=6))))
 
 
-def configuration_members(dims, scheme):
-    """Upper-triangle elements grouped by their coupling configuration for ``scheme``, in first-pair order."""
-    configuration = res_module._res_configuration if scheme == "res" else seq_module._seq_configuration
-    groups = {}
-    for u, v in itertools.combinations(range(math.prod(dims)), 2):
-        element = element_from_flat(dims, u, v)
-        groups.setdefault(configuration(element), []).append(element)
-    return list(groups.values())
-
-
 class TestStrengthFamilies:
     """Stack builds over strengths and members against single builds, bit for bit."""
 
@@ -210,7 +198,7 @@ class TestStrengthFamilies:
     @given(dims=st.sampled_from([(3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)]),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids(), data=st.data())
     def test_stack_over_members_and_strengths_equals_single_builds(self, dims, scheme, grid, data):
-        members = data.draw(st.sampled_from(configuration_members(dims, scheme)))
+        members = data.draw(st.sampled_from(res_module.configurations(all_offdiagonal_elements(dims), scheme)))
         stack = STACKS[scheme](members, grid)
         assert stack.weights.shape[:2] == stack.base.shape[:1] + (len(members),) == (len(grid), len(members))
         for k, g in enumerate(grid):
@@ -241,7 +229,7 @@ class TestStrengthFamilies:
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids())
     def test_family_slices_equal_single_builds(self, element, scheme, grid):
-        stack = plans_over_grid(element, scheme, grid)
+        stack = STACKS[scheme]([element], grid)
         assert stack.gs == tuple(grid) and stack.elements == (element,)
         for k, g in enumerate(grid):
             got, want = stack[k, 0], BUILDERS[scheme](element, g)
@@ -268,7 +256,7 @@ class TestStrengthFamilies:
         with pytest.raises(CalibrationError) as single:
             plan_seq(element, grid[1])
         with pytest.raises(CalibrationError) as family:
-            plans_over_grid(element, "seq", grid)
+            seq_stack([element], grid)
         assert str(family.value) == str(single.value)
 
     @pytest.mark.parametrize("chunk", [1, 2 ** 14, 2 ** 30])

@@ -20,6 +20,7 @@ from dmres import (
     stream,
 )
 import dmres.precision as precision_module
+import dmres.res as res_module
 import dmres.seq as seq_module
 from dmres.elements import precision_element_set
 from dmres.errors import DmresError
@@ -28,7 +29,6 @@ from dmres.precision import (
     SystemSpec,
     default_g_grid,
     per_state_values,
-    plans_over_grid,
     sampled_states,
 )
 from dmres.sampling import sample_precision_state
@@ -46,15 +46,16 @@ def element_plans(system, scheme, g):
 
 
 def count_builds(monkeypatch):
-    """A list that records (element, scheme, strengths) for every family build."""
+    """A list that records (member labels, scheme, strengths) for every configuration stack built."""
     builds = []
-    build = precision_module.plans_over_grid
+    stacks = res_module.configuration_stacks
 
-    def counted(element, scheme, gs):
-        builds.append((element, scheme, tuple(gs)))
-        return build(element, scheme, gs)
+    def counted(elements, scheme, gs):
+        for stack in stacks(elements, scheme, gs):
+            builds.append((tuple(e.label() for e in stack.elements), scheme, stack.gs))
+            yield stack
 
-    monkeypatch.setattr(precision_module, "plans_over_grid", counted)
+    monkeypatch.setattr(res_module, "configuration_stacks", counted)
     return builds
 
 
@@ -170,11 +171,11 @@ class TestWeakCouplingScaling:
             assert abs(slope - want) < 0.05 * abs(want)
 
 
-def held_entries(element, scheme, gs):
-    """Entries per strength of every array a family build over ``gs`` holds, read from their shapes.
+def held_entries(members, scheme, gs):
+    """Entries per strength of every array a configuration stack over ``gs`` holds, read from their shapes.
 
-    The family's ``base`` and block weights, and for ``seq`` the
-    Gram stack the calibration rows are read from (the largest stack
+    The stack's ``base`` and block weights, and for ``seq`` the Gram
+    stack the calibration rows are read from (the largest stack
     ``seq.basis_traces`` is handed).
     """
     handed = []
@@ -186,8 +187,8 @@ def held_entries(element, scheme, gs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
-        family = plans_over_grid(element, scheme, gs)
-    arrays = [family.base.size, family.weights.size]
+        stack = res_module.SCHEMES[scheme].stack(members, gs)
+    arrays = [stack.base.size, stack.weights.size]
     if scheme == "seq":
         arrays.append(max(handed))
     return [size // len(gs) for size in arrays]
@@ -196,23 +197,28 @@ def held_entries(element, scheme, gs):
 class TestChunkSizing:
     @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2), SystemSpec(2, 3)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
-    def test_layout_count_is_the_built_plans_size(self, system, scheme):
-        for e in precision_element_set(system.n_qudits, system.d):
-            assert precision_module._stored_entries(e, scheme) == sum(held_entries(e, scheme, [0.6]))
+    def test_layout_count_is_the_built_stacks_size(self, system, scheme):
+        elements = precision_element_set(system.n_qudits, system.d)
+        for members in res_module.configurations(elements, scheme):
+            assert precision_module._stored_entries(members, scheme) == sum(held_entries(members, scheme, [0.6]))
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_covers_every_array_a_build_holds(self, dims, scheme):
-        for element in all_offdiagonal_elements(dims):
-            count = precision_module._stored_entries(element, scheme)
-            assert count >= sum(held_entries(element, scheme, [0.3, 0.6, 1.1])), element.label()
+        for members in res_module.configurations(all_offdiagonal_elements(dims), scheme):
+            count = precision_module._stored_entries(members, scheme)
+            assert count >= sum(held_entries(members, scheme, [0.3, 0.6, 1.1])), members[0].label()
 
-    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2)])
-    @pytest.mark.parametrize("scheme", ["res", "seq"])
-    def test_short_grid_builds_each_element_once(self, monkeypatch, system, scheme):
+    @pytest.mark.parametrize("system, scheme, stacks", [
+        (SystemSpec(1, 3), "res", [("0,1",), ("0,2",), ("1,2",)]),
+        (SystemSpec(1, 3), "seq", [("0,1", "0,2"), ("1,2",)]),
+        (SystemSpec(2, 2), "res", [("00,11", "01,10")]),
+        (SystemSpec(2, 2), "seq", [("00,11",), ("01,10",)]),
+    ])
+    def test_short_grid_builds_each_configuration_once(self, monkeypatch, system, scheme, stacks):
         builds = count_builds(monkeypatch)
         g_sweep(system, [scheme], [0.5, 0.9], 150, PER, seed=1)
-        assert builds == [(e, scheme, (0.5, 0.9)) for e in precision_element_set(system.n_qudits, system.d)]
+        assert builds == [(members, scheme, (0.5, 0.9)) for members in stacks]
 
 
 def float_bytes(x):
@@ -363,7 +369,7 @@ class TestSweepReportReuse:
         report = g_sweep(system, ("res", "seq"), [0.5, 0.9], 150, PER, seed=13)
         builds = count_builds(monkeypatch)
         got = error_histogram(system, "seq", 0.6, 1000, PER, seed=13, report=report)
-        assert [b[1:] for b in builds] == [("seq", (0.6,))] * 3
+        assert [b[1:] for b in builds] == [("seq", (0.6,))] * 2
         assert_same_histogram(got, error_histogram(system, "seq", 0.6, 1000, PER, seed=13))
 
     def test_other_system_is_not_served(self, monkeypatch):

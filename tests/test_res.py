@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import time
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from dmres import (
     CalibrationError,
     DensityMatrix,
+    DimensionLimitError,
     ElementIndex,
     InvalidCouplingError,
     InvalidElementError,
@@ -28,7 +30,7 @@ from dmres import (
     stream,
 )
 from dmres.elements import element_from_flat
-from dmres.errors import DmresError
+from dmres.errors import DmresError, InvalidStateError
 from dmres.plans import (
     PlanBatch,
     ProtocolPlan,
@@ -40,7 +42,7 @@ from dmres.plans import (
 import dmres.plans as plans_module
 import dmres.res as res_module
 import dmres.seq as seq_module
-from dmres.res import configuration_batches
+from dmres.res import SCHEMES, configuration_batches, configuration_stacks
 from dmres.seq import plan_seq
 
 from dmres.cli import _characterize_shots
@@ -315,6 +317,44 @@ class TestDiagonalAndCharacterize:
         with pytest.raises(DmresError, match=refused):
             characterize(random_mixed_state(dims, stream(14, "refused")), 0.6, builder)
         assert built == []
+
+
+class TestRefusedBeforeAnyBuild:
+    @pytest.mark.parametrize("dims, builder, joint", [
+        ((2,) * 8, plan_res, 256 * 2 ** 8),  # one meter per coupled qubit
+        ((2,) * 5, plan_seq, 32 * 4 ** 5),  # two
+    ])
+    def test_oversized_configuration_raises_at_once(self, dims, builder, joint, monkeypatch):
+        # the configuration coupling every qubit is the largest; its
+        # joint dimension is checked before any configuration is built
+        built = []
+        for module in (res_module, seq_module):
+            monkeypatch.setattr(module, "base_amplitudes", lambda *a: built.append(a))
+        rho = random_mixed_state(dims, stream(15, "oversized"))
+        start = time.perf_counter()
+        with pytest.raises(DimensionLimitError, match=f"joint dimension {joint} exceeds"):
+            characterize(rho, 0.7, builder)
+        assert time.perf_counter() - start < 1.0
+        assert built == []
+
+    def test_unknown_scheme_is_a_domain_error(self):
+        with pytest.raises(InvalidStateError, match="unknown scheme 'foo'"):
+            next(configuration_stacks([element_from_flat((3,), 0, 1)], "foo", (0.5,)))
+
+    @pytest.mark.parametrize("scheme, groups", [
+        ("res", [["12,21"], ["00,01"], ["01,10", "10,01"], ["00,02"], ["02,01"]]),
+        ("seq", [["12,21"], ["00,01", "00,02"], ["01,10"], ["10,01"], ["02,01"]]),
+    ])
+    def test_stacks_are_the_table_stack_of_each_configuration(self, scheme, groups):
+        # configuration_stacks of any element list: one stack per
+        # configuration in first-element order, members in list order
+        elements = [element_from_flat((3, 3), u, v) for u, v in [(5, 7), (0, 1), (1, 3), (0, 2), (3, 1), (2, 1)]]
+        stacks = list(configuration_stacks(elements, scheme, (0.4, 0.9)))
+        assert [[e.label() for e in stack.elements] for stack in stacks] == groups
+        for stack in stacks:
+            want = SCHEMES[scheme].stack(list(stack.elements), (0.4, 0.9))
+            assert stack.weights.tobytes() == want.weights.tobytes()
+            assert stack.base.tobytes() == want.base.tobytes()
 
 
 CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]

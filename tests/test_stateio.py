@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,16 @@ def test_invalid_state_rejected(tmp_path):
     path.write_text('{"dims": [2], "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
     with pytest.raises(StateFormatError):
         read_state(path)  # trace is 2
+
+
+@pytest.mark.parametrize("kind, data, cause", [
+    ("density", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "trace (2+0j) differs from 1"),
+    ("ket", [[1, 0], [1, 0]], "ket norm 1.4142135623730951 differs from 1"),
+])
+def test_invalid_state_message_prints_plain_numbers(tmp_path, kind, data, cause):
+    path = tmp_path / "bad.state"
+    path.write_text(json.dumps({"dims": [2], "kind": kind, "data": data}))
+    with pytest.raises(StateFormatError) as err:
+        read_state(path)
+    assert cause in str(err.value)
+    assert "np." not in str(err.value)
