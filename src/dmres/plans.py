@@ -35,12 +35,22 @@ The engine never forms a joint-space matrix.  Amplitudes live in a
 closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
 rotations are applied meter by meter for all settings at once.
 
-Elements whose couplings share their operators share ``base``.  A
-``PlanBatch`` is the one plan stack: members of one coupling
-configuration at G strengths, (G, M) block weights over the G ``base``
-stacks they share.  Each scheme builds its plans only as such a stack,
-a single plan being the stack of one, and the estimate and variance
-contractions read every plan of a stack in one stacked product.
+Elements with one coupled set C share one plan up to a relabeling.
+Per qudit, relabel the basis so that s_n goes to 0 and s'_n to 1: the
+res swap C[s_n, s'_n] becomes C[0, 1], the seq projector pi[s_n]
+becomes pi[0], and the uniform-superposition projector is unchanged.
+So with P that system-basis permutation, P(s) = 0...0 and P(s') = 1_C,
+an element's ``base[(k, pattern), u]`` is the canonical element
+(0...0, 1_C)'s ``base[(P k, pattern), P u]``, and its weights are the
+canonical weights, their two blocks swapped when s > s'.  A
+``PlanBatch`` is the one plan stack: elements with one coupled set at G
+strengths, holding the canonical element's ``base`` and weights once and
+one relabeling per member.  Each scheme builds its plans only as such a
+stack, a single plan being the stack of one.  The estimate, variance
+and readout contractions run on the canonical arrays, once per stack,
+and each member's result is gathered through its relabeling; a plan
+reads through the same path, from its own arrays mapped back to the
+canonical element.
 """
 
 from __future__ import annotations
@@ -73,8 +83,8 @@ SEQ_SCHEME = "seq"
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
-# one batch may hold at once: a configuration's members are yielded
-# that many at a time, at least one.
+# one stack may hold at once: a coupled set's members are yielded that
+# many at a time, at least one.
 MEMBER_ENTRIES = 2 ** 18
 
 
@@ -161,12 +171,30 @@ class ProtocolPlan(_PlanLayout):
         return post_selected_blocks(self.element)
 
     @cached_property
+    def relabeling(self) -> np.ndarray:
+        """The system-basis permutation P taking the element to its canonical one, (dim,)."""
+        return relabelings([self.element])[0]
+
+    @cached_property
+    def canonical_rows(self) -> np.ndarray:
+        """The canonical element's rows of ``base`` on its blocks 0...0 and 1_C, (2, 2^m, dim).
+
+        Read off the plan's own blocks s and s', its columns taken back
+        through P: canonical column P u is the plan's column u.
+        """
+        d = self.base.shape[-1]
+        rows = self.base.reshape(d, -1, d)[[self.element.s_flat, self.element.s_prime_flat]]
+        return np.take(rows, np.argsort(self.relabeling), axis=-1)
+
+    @cached_property
     def block_amplitudes(self) -> np.ndarray:
         """Read-only readout amplitudes of blocks s and s', rotated from ``base`` on first use.
 
-        (n_settings, 2 * 2^m, dim).
+        (n_settings, 2 * 2^m, dim): the canonical element's two blocks
+        are rotated and relabeled, as a stack's shot draws do.
         """
-        return readout_amplitudes(self.base, self.element.dim, self.blocks)
+        swapped = self.element.s_flat > self.element.s_prime_flat
+        return _member_rows(rotated_rows(self.canonical_rows), self.relabeling, swapped)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -205,16 +233,18 @@ class ProtocolPlan(_PlanLayout):
 
 @dataclass(frozen=True)
 class PlanBatch(_PlanLayout):
-    """Plans of members of one coupling configuration at G strengths, stacked.
+    """Plans of elements with one coupled set at G strengths, stacked.
 
-    Members couple the same qudits through the same operators, so at
-    each strength they share the settings and the unrotated columns
-    ``base`` (G, outcomes, dim).  ``couplings[i]`` are member i's,
-    ``weights[k, i]`` (G, M, 2, n_settings, 2) its estimator at
-    ``gs[k]``, as a plan stores it, and ``calibrations[k][i]`` its
-    calibration there, if any.  ``batch[k, i]`` is that plan, whose
-    arrays are views of the stack's.  The engine's estimate and variance
-    contractions accept a batch and gain its (strength, member) axes.
+    Every member is a relabeling of the canonical element (0...0, 1_C)
+    of the coupled set C (see the module docstring), so the stack holds
+    that element's unrotated columns ``base`` (G, outcomes, dim), its
+    ``weights`` (G, 2, n_settings, 2) and its ``calibrations[k]`` at
+    ``gs[k]``, if any, once, and ``relabelings[i]`` (M, dim), the
+    permutation P of member i.  ``couplings[i]`` are member i's own.
+    ``batch[k, i]`` is member i's plan at ``gs[k]``, its ``base`` and
+    weights gathered from the canonical ones.  The engine's estimate
+    and variance contractions accept a batch, run once on the canonical
+    arrays and gain the (strength, member) axes in the gather.
     """
 
     elements: tuple[ElementIndex, ...]
@@ -222,43 +252,100 @@ class PlanBatch(_PlanLayout):
     gs: tuple[float, ...]
     couplings: tuple[tuple[Coupling, ...], ...]
     settings: tuple[MeasurementSetting, ...]
-    weights: np.ndarray  # (G, M, 2, n_settings, 2)
-    base: np.ndarray  # (G, outcomes, dim)
-    calibrations: tuple[tuple[CalibrationInfo, ...], ...] | None = field(default=None, compare=False)
+    weights: np.ndarray  # (G, 2, n_settings, 2), the canonical element's
+    base: np.ndarray  # (G, outcomes, dim), the canonical element's
+    relabelings: np.ndarray  # (M, dim)
+    calibrations: tuple[CalibrationInfo, ...] | None = field(default=None, compare=False)
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        """(M, 2): each member's post-selected system outcomes s and s', in index order."""
-        return np.array([post_selected_blocks(e) for e in self.elements])
+    def canonical(self) -> ElementIndex:
+        """The element (0...0, 1_C) every member relabels to."""
+        return canonical_element(self.elements[0])
+
+    @cached_property
+    def canonical_rows(self) -> np.ndarray:
+        """The rows of ``base`` on the canonical blocks 0...0 and 1_C, (G, 2, 2^m, dim)."""
+        d = self.base.shape[-1]
+        blocks = list(post_selected_blocks(self.canonical))
+        return self.base.reshape(self.base.shape[:-2] + (d, -1, d))[..., blocks, :, :]
 
     def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
         k, i = key
-        return ProtocolPlan(
-            element=self.elements[i],
+        element, perm, d = self.elements[i], self.relabelings[i], self.base.shape[-1]
+        base = np.take(self.base[k].reshape(d, -1, d)[perm], perm, axis=-1)
+        plan = ProtocolPlan(
+            element=element,
             scheme=self.scheme,
             g=self.gs[k],
             couplings=self.couplings[i],
             settings=self.settings,
-            weights=self.weights[k, i],
-            base=self.base[k],
-            calibration=None if self.calibrations is None else self.calibrations[k][i],
+            weights=self.weights[k, ..., ::-1] if element.s_flat > element.s_prime_flat else self.weights[k],
+            base=base.reshape(self.base.shape[1:]),
+            calibration=None if self.calibrations is None else self.calibrations[k],
         )
+        # the values the plan's cached properties would read off its own arrays, known here
+        vars(plan).update(relabeling=perm, canonical_rows=self.canonical_rows[k])
+        return plan
 
 
 def member_chunks(batch: PlanBatch):
     """Yield ``batch``'s members in order, stacked at most ``MEMBER_ENTRIES`` entries' worth at a time.
 
-    A member's Pauli-flipped block rows in a stacked estimate hold 4 x
-    outcomes entries per strength; a chunk holds at least one member.
+    The canonical arrays are shared by every chunk.  A member's
+    relabeled operator pair in a stacked estimate or variance holds
+    2 dim^2 entries per strength; a chunk holds at least one member.
     """
-    step = max(1, MEMBER_ENTRIES // (4 * math.prod(batch.base.shape[:-1])))
+    d = batch.base.shape[-1]
+    step = max(1, MEMBER_ENTRIES // (2 * d * d * len(batch.gs)))
     for lo in range(0, len(batch.elements), step):
         part = slice(lo, lo + step)
-        yield replace(
-            batch, elements=batch.elements[part], couplings=batch.couplings[part],
-            weights=batch.weights[:, part],
-            calibrations=None if batch.calibrations is None else tuple(c[part] for c in batch.calibrations),
-        )
+        yield replace(batch, elements=batch.elements[part], couplings=batch.couplings[part],
+                      relabelings=batch.relabelings[part])
+
+
+def canonical_element(element: ElementIndex) -> ElementIndex:
+    """(0...0, 1_C): the element of ``element``'s coupled set C that every member relabels to."""
+    return _canonical_element(element.dims, element.coupled_set)
+
+
+@functools.cache
+def _canonical_element(dims: tuple[int, ...], coupled: tuple[int, ...]) -> ElementIndex:
+    return ElementIndex(dims, (0,) * len(dims), tuple(int(n in coupled) for n in range(len(dims))))
+
+
+def relabelings(elements: Sequence[ElementIndex]) -> np.ndarray:
+    """(M, dim) system-basis permutations: ``P[i, u]`` is the canonical index of basis state u for element i.
+
+    Per qudit, P sends s_n to 0 and s'_n, where it differs, to 1, and
+    the other levels after them in their order; P is the product of
+    these, in row-major flat indices.  So P(s) = 0...0 and P(s') = 1_C,
+    with C the coupled set.  Elements must share their dims.
+    """
+    levels, digits, strides = _relabeling_tables(elements[0].dims)
+    pairs = np.array([e.s + e.s_prime for e in elements]).reshape(len(elements), 2, -1)
+    qudits = np.arange(pairs.shape[-1])
+    moved = levels[qudits, pairs[:, 0], pairs[:, 1]]  # (M, N, max d): each qudit's relabeling
+    return moved[:, qudits, digits] @ strides
+
+
+@functools.cache
+def _relabeling_tables(dims: tuple[int, ...]):
+    """Read-only tables for ``relabelings`` on ``dims``.
+
+    levels[n, a, b] is qudit n's relabeling for s_n = a, s'_n = b (padded
+    to the largest dimension), digits[u] the qudit indices of flat index
+    u, row-major, and strides the row-major strides.
+    """
+    levels = np.zeros((len(dims), max(dims), max(dims), max(dims)), dtype=np.intp)
+    for n, d in enumerate(dims):
+        for a, b in itertools.product(range(d), repeat=2):
+            order = list(dict.fromkeys([a, b, *range(d)]))  # canonical level -> level
+            levels[n, a, b, order] = range(d)
+    digits = np.array(list(itertools.product(*map(range, dims))), dtype=np.intp).reshape(-1, len(dims))
+    strides = np.array([math.prod(dims[n + 1:]) for n in range(len(dims))], dtype=np.intp)
+    for table in (levels, digits, strides):
+        table.setflags(write=False)
+    return levels, digits, strides
 
 
 def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
@@ -297,7 +384,9 @@ def post_selected_blocks(element: ElementIndex) -> tuple[int, ...]:
     return tuple(sorted({element.s_flat, element.s_prime_flat}))
 
 
+@functools.cache
 def enumerate_settings(n_meters: int) -> tuple[MeasurementSetting, ...]:
+    """Every choice of x or y per meter, meter 0 most significant; built once per meter count."""
     return tuple(
         MeasurementSetting(bases) for bases in itertools.product(("x", "y"), repeat=n_meters)
     )
@@ -414,16 +503,33 @@ def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | Non
     gives a leading G axis.
     """
     lead = base.shape[:-2]
-    n_patterns = base.shape[-2] // d_sys
-    rows = base.reshape(lead + (d_sys, n_patterns, d_sys))
+    rows = base.reshape(lead + (d_sys, -1, d_sys))
     if blocks is not None:
         rows = rows[..., list(blocks), :, :]
-    n_rows = rows.shape[-3] * n_patterns
+    return rotated_rows(rows)
+
+
+def rotated_rows(rows: np.ndarray) -> np.ndarray:
+    """``readout_amplitudes`` of block rows (..., blocks, 2^m, d_sys): read-only (..., n_settings, blocks * 2^m, d_sys)."""
+    lead, (n_blocks, n_patterns, d_sys) = rows.shape[:-3], rows.shape[-3:]
     full = per_meter(rows.reshape(-1, n_patterns, d_sys), READOUT_STACK)
-    full = np.ascontiguousarray(full.reshape(full.shape[0], -1, n_rows, d_sys).swapaxes(0, 1))
+    full = np.ascontiguousarray(full.reshape(full.shape[0], -1, n_blocks * n_patterns, d_sys).swapaxes(0, 1))
     full = full.reshape(lead + full.shape[1:])
     full.setflags(write=False)
     return full
+
+
+def _member_rows(rotated: np.ndarray, perm: np.ndarray, swapped: bool) -> np.ndarray:
+    """A member's readout rows of blocks s and s' from the canonical element's, read-only.
+
+    ``rotated`` is the canonical element's (n_settings, 2 * 2^m, dim)
+    ``rotated_rows``; the member's blocks come in index order, so
+    swapped when s > s', and its column u is canonical column P u.
+    """
+    rows = rotated.reshape(rotated.shape[0], 2, -1, rotated.shape[-1])
+    rows = np.take(rows[:, ::-1] if swapped else rows, perm, axis=-1).reshape(rotated.shape)
+    rows.setflags(write=False)
+    return rows
 
 
 def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
@@ -447,26 +553,45 @@ def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndar
     return _born(plan.amplitudes, state)
 
 
-def _base_blocks(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
-    """The rows of ``base`` of blocks s and s': (2, 2^m, dim), with (G, M) axes for a batch."""
-    d = plan.base.shape[-1]
-    blocks = np.asarray(plan.blocks)
-    return plan.base.reshape(plan.base.shape[:-2] + (d, -1, d))[..., blocks, :, :]
+def _canonical_form(plan: ProtocolPlan | PlanBatch):
+    """(rows, weights, relabelings): the canonical element's block rows and weights, and P.
+
+    rows are the rows of ``base`` of the canonical blocks 0...0 and 1_C,
+    (2, 2^m, dim), and weights (2, n_settings, 2) their estimator, with a
+    leading strength axis for a batch; P is a plan's (dim,) relabeling or
+    a batch's (M, dim) relabelings.  A plan's are read off its own arrays
+    (see ``ProtocolPlan.canonical_rows``), which is exact, so a plan and
+    the stack it came from contract the same arrays.
+    """
+    if isinstance(plan, PlanBatch):
+        return plan.canonical_rows, plan.weights, plan.relabelings
+    weights = plan.weights[..., ::-1] if plan.element.s_flat > plan.element.s_prime_flat else plan.weights
+    return plan.canonical_rows, np.ascontiguousarray(weights), plan.relabeling
+
+
+def _relabeled(operators: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Each member's operator pair from the canonical pair (..., 2, dim, dim): op_i[t, v, u] = op[t, P_i v, P_i u].
+
+    (..., M, 2, dim, dim) for a batch's (M, dim) relabelings, (..., 2,
+    dim, dim) for a plan's (dim,); contiguous either way.
+    """
+    return operators[..., np.arange(2)[:, None, None], perms[..., None, :, None], perms[..., None, None, :]]
 
 
 def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_t part t's coefficients.
 
     Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
-    both blocks in one product; estimate part t of a state is Tr(G_t rho).
-    A batch gives one pair per strength and member, (G, M, 2, dim, dim).
+    both blocks in one product, formed once for the canonical element
+    and relabeled; estimate part t of a state is Tr(G_t rho).  A batch
+    gives one pair per strength and member, (G, M, 2, dim, dim).
     """
-    phi = plan.weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
-    rows = _base_blocks(plan)
+    rows, weights, perms = _canonical_form(plan)
+    phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
     lead, d = rows.shape[:-3], rows.shape[-1]
     flipped = phi[..., None] * rows[..., None, :, ::-1, :]
     pairs = rows.reshape(lead + (1, -1, d))
-    return pairs.conj().swapaxes(-1, -2) @ flipped.reshape(lead + (2, -1, d))
+    return _relabeled(pairs.conj().swapaxes(-1, -2) @ flipped.reshape(lead + (2, -1, d)), perms)
 
 
 def expectations(operators: np.ndarray, state: DensityMatrix) -> np.ndarray:
@@ -489,16 +614,18 @@ def estimator_operators(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
 
     These give per-state shot variances of part t (0 Re, 1 Im) at unit
     per-setting exposure as linear functionals of the state: (2, dim,
-    dim) for a plan, with (strength, member) axes for a batch.  Each is sum_k alpha_k B_k^dag B_k (see the
-    module docstring), with alpha_k block k's squared weights summed over
-    settings left to right, so no readout row is rotated.
+    dim) for a plan, with (strength, member) axes for a batch.  Each is
+    sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
+    block k's squared weights summed over settings left to right, formed
+    once for the canonical element and relabeled, so no readout row is
+    rotated.
     """
-    alpha = functools.reduce(np.add, np.moveaxis(plan.weights ** 2, -2, 0))
-    rows = _base_blocks(plan)
+    rows, weights, perms = _canonical_form(plan)
+    alpha = np.cumsum(weights ** 2, axis=-2)[..., -1, :]  # left to right, as add.accumulate runs
     n_patterns, d = rows.shape[-2:]
     scale = np.repeat(alpha, n_patterns, axis=-1)[..., None]
     rows = rows.reshape(rows.shape[:-3] + (1, -1, d))
-    return rows.conj().swapaxes(-1, -2) @ (scale * rows)
+    return _relabeled(rows.conj().swapaxes(-1, -2) @ (scale * rows), perms)
 
 
 def plan_document(plan: ProtocolPlan) -> str:

@@ -6,7 +6,7 @@ Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
 W from one path, ``mean_variance_operators``, which builds the element
 set through ``res.configuration_stacks`` for a chunk of strengths at a
-time, so every configuration's members share one stacked build; a
+time, so the elements of each coupled set share one stacked build; a
 single strength is the grid of one.  The operators come from the plans'
 unrotated columns, so no precision path rotates a readout row.  A
 sweep's report keeps W for every (scheme, strength) it covered, and
@@ -30,20 +30,20 @@ import numpy as np
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
 from . import res
-from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, estimator_operators, post_selected_blocks
+from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, estimator_operators
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Array entries one configuration's build may keep per sweep chunk, at
+# Array entries one coupled set's build may keep per sweep chunk, at
 # most 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid stack build with its variance operators
-# run to 3.2x the count for qutrit seq and 3.8x for three-qubit res.
-# This budget gives a three-qubit seq sweep one strength per chunk: at
-# two, the calibration's transients made a 1,000-sample sweep peak at
-# 1.44 MB, above the 1.38 MB of single plan_seq builds per strength.
-# Its four configurations have one member each.
+# run to 2.1x the count for qutrit seq and 1.9x for three-qubit res.
+# This budget gives a three-qubit seq sweep, whose four elements share
+# one coupled set, one strength per chunk: a 1,000-sample sweep then
+# peaks at 0.83 MB traced, against 1.13 MB for single plan_seq builds
+# per strength.
 CHUNK_ENTRIES = 2 ** 14
 
 # Entries of the (points, policies, samples) stack a sweep reduces at
@@ -176,37 +176,33 @@ def per_state_values(
 
 
 def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
-    """Array entries per strength that a sweep chunk budgets for one configuration's stack.
+    """Array entries per strength that a sweep chunk budgets for the stack of one coupled set.
 
     With D the system dimension and S = 2^m settings, m the scheme's
     meters per coupled qudit times the coupled qudits, the stack of
-    ``members`` keeps ``base`` (D 2^m D complex entries) once, each
-    member's block weights (2 S 2, and for ``res`` the complex weights
-    they are split from, as many bytes) and, for ``seq``, the Gram stack
-    A_k^dag Sigma_b A_k the calibration rows are read from (S D D
-    complex entries for each block k any member reads).  Readout rows
-    are not counted, since a sweep rotates none, nor are the flipped
-    blocks, formed under ``seq.FLIP_ENTRIES`` whatever the strength
-    count.  The count bounds the arrays a build keeps, not its transient
-    copies: traced with ``tracemalloc``, first-call caches warm, a
-    one-member stack over the whole default grid plus its variance
-    operators peaks at 3.2x the count for qutrit ``seq`` (201 KiB
-    against 64 KiB) and 3.8x for three-qubit ``res`` (1,036 KiB against
-    272 KiB).
+    ``members`` keeps the canonical element's ``base`` (D 2^m D complex
+    entries) and block weights (2 S 2), and each member's relabeling (D
+    indices); for ``seq`` its calibration reads the Gram stack
+    A_k^dag Sigma_b A_k of the two canonical blocks (2 S D D complex
+    entries).  Each member's variance operator pair is gathered from the
+    canonical one (2 D D complex entries each).  Readout rows are not
+    counted, since a sweep rotates none, nor are the flipped blocks,
+    formed under ``seq.FLIP_ENTRIES`` whatever the strength count.  The
+    count bounds the arrays a build keeps, not its transient copies.
     """
     first = members[0]
     settings = 2 ** (res.SCHEMES[scheme].meters * first.n_couplings)
     d = first.dim
-    entries = d * settings * d + len(members) * 2 * settings * 2
+    entries = d * settings * d + 2 * settings * 2 + len(members) * (d + 2 * d * d)
     if scheme == SEQ_SCHEME:
-        entries += settings * len({k for e in members for k in post_selected_blocks(e)}) * d * d
+        entries += settings * 2 * d * d
     return entries
 
 
 def _chunk_step(elements: list[ElementIndex], scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest configuration's stack, at least one."""
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest coupled set's stack, at least one."""
     return max(1, CHUNK_ENTRIES // max(_stored_entries(members, scheme)
-                                       for members in res.configurations(elements, scheme)))
+                                       for members in res.configurations(elements)))
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):

@@ -9,11 +9,14 @@ sin(2g) != 0.
 ``SCHEMES`` holds every fact that differs between ``res`` and ``seq``,
 and ``configuration_stacks`` is the one path from an element list to
 plan stacks: full-matrix characterization and precision sweeps both
-read their plans from it.
+read their plans from it.  Elements are grouped by coupled set, since
+every element with coupled set C is a relabeling of (0...0, 1_C) (see
+``dmres.plans``): each group's plan is built once, for that element.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from typing import Callable, NamedTuple
@@ -35,12 +38,14 @@ from .plans import (
     _born,
     _estimator_grams,
     base_amplitudes,
+    canonical_element,
     check_off_diagonal,
     check_state_dims,
     enumerate_settings,
     expectations,
     finite_strengths,
     member_chunks,
+    relabelings,
 )
 from . import seq
 
@@ -58,61 +63,61 @@ def _check_strength(g: float, l: int) -> float:
     return float(np.sin(2.0 * g))
 
 
-def _res_weights(elements: list[ElementIndex], gs, settings, n_meters: int) -> np.ndarray:
-    """Block weights (G, M, 2, n_settings, 2) realizing the exact extraction identity.
+def _res_weights(gs, settings, n_meters: int) -> np.ndarray:
+    """The canonical element's block weights (G, 2, n_settings, 2), realizing the exact extraction identity.
 
-    Per setting b the weight on block s' is prod_j (i if b_j = y) and its
-    conjugate on block s, times the 1/(2 sin^l 2g) normalization at each
-    strength of ``gs``; blocks come in index order.
+    Per setting b the weight on block s' = 1_C is prod_j (i if b_j = y)
+    and its conjugate on block s = 0...0, times the 1/(2 sin^l 2g)
+    normalization at each strength of ``gs``.
     """
     w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
-    unit = np.zeros((len(elements), len(settings), 2), dtype=complex)
-    for i, e in enumerate(elements):
-        unit[i, :, int(e.s_prime_flat > e.s_flat)] += w
-        unit[i, :, int(e.s_flat > e.s_prime_flat)] += w.conj()
+    unit = np.zeros((len(settings), 2), dtype=complex)
+    unit[:, 0] += w.conj()  # += keeps every zero +0
+    unit[:, 1] += w
     norm = np.array([1.0 / (2.0 * _check_strength(g, n_meters) ** n_meters) for g in gs])
     coeff = np.zeros((len(gs),) + unit.shape, dtype=complex)
-    coeff += norm[:, None, None, None] * unit
-    return np.stack([coeff.real, coeff.imag], axis=2)
+    coeff += norm[:, None, None] * unit
+    return np.stack([coeff.real, coeff.imag], axis=1)
 
 
-def _res_configuration(element: ElementIndex) -> tuple:
-    """The coupled qudits, each with its unordered index pair {s_n, s'_n}.
-
-    A res plan's couplings depend on nothing else, since the swap
-    involution is symmetric in its two indices: every element with the
-    same configuration reads the same ``base``.
-    """
-    return tuple((n, *sorted((element.s[n], element.s_prime[n]))) for n in element.coupled_set)
+@functools.cache
+def _involution(d: int, a: int, b: int) -> np.ndarray:
+    """Read-only entries of ``make_involution(d, a, b)``, built once per index pair."""
+    entries = make_involution(d, a, b).entries
+    entries.setflags(write=False)
+    return entries
 
 
-def _res_couplings(element: ElementIndex, ops) -> tuple[Coupling, ...]:
-    return tuple(
-        Coupling(qudit=n, kind="involution", op=op, label=f"C[{element.s[n]},{element.s_prime[n]}]@q{n}")
-        for n, op in zip(element.coupled_set, ops)
-    )
+def _res_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
+    couplings = []
+    for n in element.coupled_set:
+        a, b = element.s[n], element.s_prime[n]
+        op = _involution(element.dims[n], min(a, b), max(a, b))
+        couplings.append(Coupling(qudit=n, kind="involution", op=op, label=f"C[{a},{b}]@q{n}"))
+    return tuple(couplings)
 
 
 def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The res plans of members of one coupling configuration at every strength of ``gs``.
+    """The res plans of elements with one coupled set at every strength of ``gs``.
 
-    The involutions and ``base`` are built once for all members and
-    strengths, and the weights in one stacked pass; nothing rotates a
-    readout row.  ``stack[k, i]`` is member i's plan at ``gs[k]``.
+    ``base`` and the weights are built once, for the canonical element
+    (0...0, 1_C), at every strength; each member keeps its relabeling and
+    its own involutions.  Nothing rotates a readout row.  ``stack[k, i]``
+    is member i's plan at ``gs[k]``.
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
-    first = members[0]
-    ops = [make_involution(first.dims[n], first.s[n], first.s_prime[n]).entries for n in first.coupled_set]
-    settings = enumerate_settings(len(ops))
+    canonical = canonical_element(members[0])
+    settings = enumerate_settings(canonical.n_couplings)
     return PlanBatch(
         elements=tuple(members),
         scheme=RES_SCHEME,
         gs=gs,
-        couplings=tuple(_res_couplings(e, ops) for e in members),
+        couplings=tuple(_res_couplings(e) for e in members),
         settings=settings,
-        weights=_res_weights(members, gs, settings, len(ops)),
-        base=base_amplitudes(first.dims, _res_couplings(first, ops), gs),
+        weights=_res_weights(gs, settings, canonical.n_couplings),
+        base=base_amplitudes(canonical.dims, _res_couplings(canonical), gs),
+        relabelings=relabelings(members),
     )
 
 
@@ -171,15 +176,14 @@ class Scheme(NamedTuple):
     """What one scheme builds its plans from."""
 
     plan: Callable  # (element, g) -> ProtocolPlan
-    stack: Callable  # (members of one configuration, gs) -> PlanBatch
-    configuration: Callable  # element -> the key its couplings depend on
+    stack: Callable  # (elements with one coupled set, gs) -> PlanBatch
     singular: Callable  # g -> whether the scheme is undefined there
     meters: int  # meters per coupled qudit
 
 
 SCHEMES = {
-    RES_SCHEME: Scheme(plan_res, res_stack, _res_configuration, singular_strength, 1),
-    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq._seq_configuration, seq.singular_strength, 2),
+    RES_SCHEME: Scheme(plan_res, res_stack, singular_strength, 1),
+    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq.singular_strength, 2),
 }
 
 
@@ -190,27 +194,26 @@ def scheme_entry(name: str) -> Scheme:
     return SCHEMES[name]
 
 
-def configurations(elements, scheme: str) -> list[list[ElementIndex]]:
-    """``elements`` grouped by ``scheme``'s coupling configuration, in first-element and list order."""
-    key = scheme_entry(scheme).configuration
+def configurations(elements) -> list[list[ElementIndex]]:
+    """``elements`` grouped by coupled set, in first-element and list order: one plan stack each."""
     groups: dict[tuple, list[ElementIndex]] = {}
     for element in elements:
-        groups.setdefault(key(element), []).append(element)
+        groups.setdefault(element.coupled_set, []).append(element)
     return list(groups.values())
 
 
 def configuration_stacks(elements, scheme: str, gs):
     """Yield the ``scheme`` plans of ``elements`` at every strength of ``gs``, one stack per configuration.
 
-    The one path from an element list to plans: each group of
-    ``configurations`` is built by the scheme's stack builder and
+    The one path from an element list to plans: each coupled set of
+    ``configurations`` is built once by the scheme's stack builder and
     yielded in ``plans.member_chunks``, so ``stack[k, i]`` is member i's
     plan at ``gs[k]``.  The joint dimension D 2^m of the largest
     configuration, m the scheme's meters per coupled qudit times its
     coupled qudits, is checked before anything is built.
     """
     entry = scheme_entry(scheme)
-    groups = configurations(elements, scheme)
+    groups = configurations(elements)
     check_joint_dim(max((g[0].dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups), default=0))
     for members in groups:
         yield from member_chunks(entry.stack(members, gs))
@@ -237,8 +240,8 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
 
     Diagonal entries come from post-selection statistics alone; the
     upper triangle is read batch by batch, every member's estimate from
-    one stacked product, and the lower triangle is filled by
-    conjugation.  No positivity projection is applied.
+    the batch's one canonical product, relabeled, and the lower triangle
+    is filled by conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)

@@ -9,8 +9,12 @@ outcomes and made exactly unbiased at the working strength by a
 minimum-norm linear solve.  The solve reads the correlator rows from
 the plan's unrotated columns, so calibration rotates no readout row;
 the dense ``response_map`` matrix over every outcome is built only when
-asked for.  Extraction is ``res.extract_element``: the plan carries the
-estimator, in the correlator form every plan has.
+asked for.  Relabeling each coupled qudit so that s_n goes to 0 and
+s'_n to 1 turns pi[s_n] into pi[0] and leaves the uniform-superposition
+projector alone, so elements with one coupled set C share one solve per
+strength, that of (0...0, 1_C) (see ``dmres.plans``).  Extraction is
+``res.extract_element``: the plan carries the estimator, in the
+correlator form every plan has.
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ from .plans import (
     SINGULAR_TOL,
     _flip_phases,
     base_amplitudes,
+    canonical_element,
     check_off_diagonal,
     enumerate_settings,
     finite_strengths,
     post_selected_blocks,
+    relabelings,
     sign_products,
 )
 
@@ -93,22 +99,22 @@ def basis_traces(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
 
 
+@functools.cache
+def _projectors(d: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pi[a] and the uniform-superposition projector of a d-level qudit."""
+    ops = (projector(d, a), uniform_superposition_projector(d))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def seq_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     couplings = []
     for n in element.coupled_set:
-        d = element.dims[n]
-        couplings.append(
-            Coupling(n, "projector", projector(d, element.s[n]), f"pi[{element.s[n]}]@q{n}")
-        )
-        couplings.append(
-            Coupling(n, "projector", uniform_superposition_projector(d), f"pi[b]@q{n}")
-        )
+        target, uniform = _projectors(element.dims[n], element.s[n])
+        couplings.append(Coupling(n, "projector", target, f"pi[{element.s[n]}]@q{n}"))
+        couplings.append(Coupling(n, "projector", uniform, f"pi[b]@q{n}"))
     return tuple(couplings)
-
-
-def _seq_configuration(element: ElementIndex) -> tuple:
-    """The coupled qudits, each with its row index s_n: what ``seq_couplings`` depend on."""
-    return tuple((n, element.s[n]) for n in element.coupled_set)
 
 
 def response_map(plan: ProtocolPlan) -> np.ndarray:
@@ -124,13 +130,12 @@ def response_map(plan: ProtocolPlan) -> np.ndarray:
     return basis_traces(a.conj()[..., :, None] * a[..., None, :]).real
 
 
-def _targets(elements) -> np.ndarray:
-    """Coordinates of each element's Re and Im functionals, (M, 2, basis): B_b[s, s'] per basis element."""
-    d = elements[0].dim
-    units = np.zeros((len(elements), d, d), dtype=complex)
-    units[np.arange(len(elements)), [e.s_prime_flat for e in elements], [e.s_flat for e in elements]] = 1.0
-    t = basis_traces(units)  # Tr(B_b |s'><s|) = B_b[s, s']
-    return np.stack([t.real, t.imag], axis=1)
+def _targets(element: ElementIndex) -> np.ndarray:
+    """Coordinates of the element's Re and Im functionals, (2, basis): B_b[s, s'] per basis element."""
+    unit = np.zeros((element.dim, element.dim), dtype=complex)
+    unit[element.s_prime_flat, element.s_flat] = 1.0
+    t = basis_traces(unit)  # Tr(B_b |s'><s|) = B_b[s, s']
+    return np.stack([t.real, t.imag])
 
 
 def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
@@ -249,31 +254,20 @@ def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
     readout actually uses; their rows come from the unrotated columns
     ``base``, and the plan's own weights are not read.
 
-    For a plan this returns (weights, info), with weights (2, n_settings,
-    2) as a plan stores them.  For a ``PlanBatch`` the rows of every
-    block any member reads are formed once per strength, every (strength,
-    member) pair is solved in one stacked pass, and this returns weights
-    (G, M, 2, n_settings, 2) with ``infos[k][i]`` the ``CalibrationInfo``
-    of member i at ``gs[k]``; a plan is the stack of one.  The first
-    pair, strength-major, whose residual exceeds ``RESIDUAL_TOL`` raises
+    For a plan this solves its element and returns (weights, info), with
+    weights (2, n_settings, 2) as a plan stores them.  For a
+    ``PlanBatch`` it solves the canonical element (0...0, 1_C) that every
+    member relabels to, once per strength, and returns its weights
+    (G, 2, n_settings, 2) with one ``CalibrationInfo`` per strength.  The
+    first strength whose residual exceeds ``RESIDUAL_TOL`` raises
     ``CalibrationError``.
     """
     single = isinstance(plan, ProtocolPlan)
-    elements, gs = ((plan.element,), (plan.g,)) if single else (plan.elements, plan.gs)
-    read = sorted({k for e in elements for k in post_selected_blocks(e)})
-    rows = _correlator_response(plan.base, read)
-    rows = rows.reshape(len(gs), plan.n_settings, len(read), rows.shape[-1])
-    if len(elements) > 1:  # member-major, each member's two blocks; one member reads just its own
-        at = [[read.index(k) for k in post_selected_blocks(e)] for e in elements]
-        rows = np.moveaxis(rows[:, :, at], 2, 1)
-    stacked = rows.reshape(len(gs) * len(elements), -1, rows.shape[-1])
-    del rows
-    z, infos = _solve(stacked, np.tile(_targets(elements), (len(gs), 1, 1)),
-                      [g for g in gs for _ in elements])
-    weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), len(elements), 2, -1, 2))
-    if single:
-        return weights[0, 0], infos[0]
-    return weights, tuple(infos[lo:lo + len(elements)] for lo in range(0, len(infos), len(elements)))
+    element, gs = (plan.element, (plan.g,)) if single else (plan.canonical, plan.gs)
+    rows = _correlator_response(plan.base, list(post_selected_blocks(element)))
+    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(element), gs)
+    weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), 2, -1, 2))
+    return (weights[0], infos[0]) if single else (weights, infos)
 
 
 def singular_strength(g: float) -> bool:
@@ -282,13 +276,13 @@ def singular_strength(g: float) -> bool:
 
 
 def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The calibrated seq plans of members of one coupling configuration at every strength of ``gs``.
+    """The calibrated seq plans of elements with one coupled set at every strength of ``gs``.
 
-    Members share the couplings, so ``base`` is built once for all
-    members and strengths and ``calibrate_estimator`` solves them all in
-    one stacked pass.  The first strength, in order, that is singular
-    raises, and then the first (strength, member) pair that fails
-    calibration raises the error its ``plan_seq`` would.
+    ``base`` is built and ``calibrate_estimator`` solved once, for the
+    canonical element (0...0, 1_C), at every strength; each member keeps
+    its relabeling and its own couplings.  The first strength, in order,
+    that is singular raises, and then the first that fails calibration
+    raises the error every member's ``plan_seq`` would.
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
@@ -298,12 +292,14 @@ def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
                 f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
                 "meters blank and the sequential estimator is undefined"
             )
-    couplings = seq_couplings(members[0])
+    canonical = canonical_element(members[0])
+    couplings = seq_couplings(canonical)
     settings = enumerate_settings(len(couplings))
     bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs,
-                     couplings=(couplings,) * len(members), settings=settings,
-                     weights=np.zeros((len(gs), len(members), 2, len(settings), 2)),
-                     base=base_amplitudes(members[0].dims, couplings, gs))
+                     couplings=tuple(seq_couplings(e) for e in members), settings=settings,
+                     weights=np.zeros((len(gs), 2, len(settings), 2)),
+                     base=base_amplitudes(canonical.dims, couplings, gs),
+                     relabelings=relabelings(members))
     weights, infos = calibrate_estimator(bare)
     return replace(bare, weights=weights, calibrations=infos)
 

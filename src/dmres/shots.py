@@ -13,9 +13,11 @@ from .plans import (
     PlanBatch,
     ProtocolPlan,
     _born,
+    _member_rows,
     check_state_dims,
     estimator_operators,
     expectations,
+    post_selected_blocks,
     readout_amplitudes,
     sign_products,
 )
@@ -159,20 +161,20 @@ def simulate_shots(
 def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
-    The readout rows of every block a member reads are rotated once for
-    the batch; each member's draw reads its own two blocks, as its
+    The readout rows of the canonical element's two blocks are rotated
+    once for the batch; each member's draw reads them relabeled, as its
     plan's ``block_amplitudes``, and gives the value ``simulate_shots``
     gives on that plan with the same generator.  ``rho`` must have the
     batch's dims.
     """
-    (base,), (member_weights,) = batch.base, batch.weights
+    (base,), (weights,) = batch.base, batch.weights
     d = base.shape[-1]
-    read = sorted(set(batch.blocks.flat))
-    amps = readout_amplitudes(base, d, read)
-    amps = amps.reshape(amps.shape[0], len(read), -1, d)
+    rotated = readout_amplitudes(base, d, post_selected_blocks(batch.canonical))
     signs = sign_products(batch.n_meters)
     values = []
-    for at, weights, rng in zip(np.searchsorted(read, batch.blocks), member_weights, rngs):
-        p = _born(amps[:, at].reshape(amps.shape[0], -1, d), rho)
-        values.append(_draw(_cells(p, weights[..., None] * signs), policy, batch.n_settings, rng))
+    for element, perm, rng in zip(batch.elements, batch.relabelings, rngs):
+        swapped = element.s_flat > element.s_prime_flat
+        p = _born(_member_rows(rotated, perm, swapped), rho)
+        entries = (weights[..., ::-1] if swapped else weights)[..., None] * signs
+        values.append(_draw(_cells(p, entries), policy, batch.n_settings, rng))
     return values

@@ -166,9 +166,9 @@ class TestCharacterize:
         src = tmp_path / "in.state"
         write_state(src, rho)
         built = []
-        counted = res_module._res_weights
-        monkeypatch.setattr(res_module, "_res_weights",
-                            lambda elements, *a: built.extend(elements) or counted(elements, *a))
+        counted = res_module.relabelings
+        monkeypatch.setattr(res_module, "relabelings",
+                            lambda elements: built.extend(elements) or counted(elements))
         code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
                      "--truth", str(src), "--shots", "1e5", "--seed", "2"])
         assert code == 0

@@ -28,7 +28,16 @@ from dmres import (
     stream,
 )
 from dmres.elements import all_offdiagonal_elements, precision_element_set
-from dmres.plans import all_probabilities, estimator_operators, functional_matrix, joint_unitary, sign_products
+from dmres.plans import (
+    all_probabilities,
+    base_amplitudes,
+    canonical_element,
+    estimator_operators,
+    functional_matrix,
+    joint_unitary,
+    relabelings,
+    sign_products,
+)
 from dmres.precision import (
     SystemSpec,
     default_g_grid,
@@ -151,8 +160,7 @@ class TestIndexedCalibration:
         labels = seq_module.hermitian_labels(self.ELEMENT.dim)
         monkeypatch.setattr(seq_module, "_correlator_response",
                             lambda base, outcomes: basis_path_correlator_rows(plan, outcomes, base, labels))
-        monkeypatch.setattr(seq_module, "_targets", lambda elements: np.stack(
-            [np.stack(basis_path_targets(e, labels)) for e in elements]))
+        monkeypatch.setattr(seq_module, "_targets", lambda element: np.stack(basis_path_targets(element, labels)))
         ref = plan_seq(self.ELEMENT, 0.7)
         assert_allclose(plan.weights, ref.weights, rtol=1e-12, atol=1e-12)
 
@@ -198,9 +206,10 @@ class TestStrengthFamilies:
     @given(dims=st.sampled_from([(3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)]),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids(), data=st.data())
     def test_stack_over_members_and_strengths_equals_single_builds(self, dims, scheme, grid, data):
-        members = data.draw(st.sampled_from(res_module.configurations(all_offdiagonal_elements(dims), scheme)))
+        members = data.draw(st.sampled_from(res_module.configurations(all_offdiagonal_elements(dims))))
         stack = STACKS[scheme](members, grid)
-        assert stack.weights.shape[:2] == stack.base.shape[:1] + (len(members),) == (len(grid), len(members))
+        assert stack.weights.shape[:1] == stack.base.shape[:1] == (len(grid),)
+        assert stack.relabelings.shape == (len(members), members[0].dim)
         for k, g in enumerate(grid):
             for i, element in enumerate(members):
                 got, want = stack[k, i], BUILDERS[scheme](element, g)
@@ -313,6 +322,56 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 
 STRENGTHS = st.floats(0.1, 1.4) | st.floats(1e-2, 5e-2)
+
+
+RELABELING_STRENGTHS = (1e-2, 0.7, 1.3)
+
+
+class TestRelabeling:
+    """Every element, both triangles, read as a relabeling of its coupled set's canonical element."""
+
+    @pytest.mark.parametrize("scheme, tol", [("res", 1e-10), ("seq", 1e-8)])
+    @pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 3), (2, 2, 2)])
+    def test_every_ordered_element_against_its_own_couplings(self, dims, scheme, tol):
+        elements = all_offdiagonal_elements(dims, ordered=True)
+        read = []
+        for stack in res_module.configuration_stacks(elements, scheme, RELABELING_STRENGTHS):
+            canonical = canonical_element(stack.elements[0])
+            for k, g in enumerate(RELABELING_STRENGTHS):
+                calibration = BUILDERS[scheme](canonical, g).calibration
+                for i, element in enumerate(stack.elements):
+                    plan = stack[k, i]
+                    assert plan.element == element and plan.g == g
+                    want_couplings = reference_couplings(dims, element.s, element.s_prime, scheme)
+                    assert [c.qudit for c in plan.couplings] == [n for n, _ in want_couplings]
+                    for c, (_, op) in zip(plan.couplings, want_couplings):
+                        assert_allclose(c.op, op, rtol=0, atol=1e-15)
+                    want = base_amplitudes(dims, plan.couplings, g)
+                    assert np.max(np.abs(plan.base - want)) <= 1e-12 * np.max(np.abs(want))
+                    unit = np.zeros((element.dim, element.dim))
+                    unit[element.s_flat, element.s_prime_flat] = 1.0
+                    assert np.max(np.abs(functional_matrix(plan) - unit)) <= tol
+                    assert plan.calibration == calibration
+                    assert (calibration is None) == (scheme == "res")
+                    read.append(element)
+        assert sorted(read, key=elements.index) == sorted(elements * len(RELABELING_STRENGTHS), key=elements.index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(element=elements(((2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 4))))
+    def test_relabeling_sends_the_element_to_its_canonical_one(self, element):
+        (perm,) = relabelings([element])
+        canonical = canonical_element(element)
+        assert sorted(perm.tolist()) == list(range(element.dim))
+        assert perm[element.s_flat] == canonical.s_flat == 0
+        assert perm[element.s_prime_flat] == canonical.s_prime_flat
+        assert canonical.s == (0,) * element.n_qudits
+        assert canonical.s_prime == tuple(int(n in element.coupled_set) for n in range(element.n_qudits))
+        # a product of one permutation per qudit
+        digits = np.array(np.unravel_index(np.arange(element.dim), element.dims))
+        moved = np.array(np.unravel_index(perm, element.dims))
+        for n in range(element.n_qudits):
+            for a in range(element.dims[n]):
+                assert len(set(moved[n, digits[n] == a].tolist())) == 1
 
 
 class TestBaseBlockOperators:

@@ -172,11 +172,12 @@ class TestWeakCouplingScaling:
 
 
 def held_entries(members, scheme, gs):
-    """Entries per strength of every array a configuration stack over ``gs`` holds, read from their shapes.
+    """Entries per strength of every array a coupled set's stack over ``gs`` holds, read from their shapes.
 
-    The stack's ``base`` and block weights, and for ``seq`` the Gram
-    stack the calibration rows are read from (the largest stack
-    ``seq.basis_traces`` is handed).
+    The stack's canonical ``base`` and block weights and its members'
+    relabelings, for ``seq`` the Gram stack the calibration rows are
+    read from (the largest stack ``seq.basis_traces`` is handed), and
+    the members' variance operators gathered from the canonical ones.
     """
     handed = []
     traces = seq_module.basis_traces
@@ -188,7 +189,7 @@ def held_entries(members, scheme, gs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
         stack = res_module.SCHEMES[scheme].stack(members, gs)
-    arrays = [stack.base.size, stack.weights.size]
+    arrays = [stack.base.size, stack.weights.size, stack.relabelings.size, estimator_operators(stack).size]
     if scheme == "seq":
         arrays.append(max(handed))
     return [size // len(gs) for size in arrays]
@@ -199,21 +200,21 @@ class TestChunkSizing:
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_is_the_built_stacks_size(self, system, scheme):
         elements = precision_element_set(system.n_qudits, system.d)
-        for members in res_module.configurations(elements, scheme):
+        for members in res_module.configurations(elements):
             assert precision_module._stored_entries(members, scheme) == sum(held_entries(members, scheme, [0.6]))
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_covers_every_array_a_build_holds(self, dims, scheme):
-        for members in res_module.configurations(all_offdiagonal_elements(dims), scheme):
+        for members in res_module.configurations(all_offdiagonal_elements(dims)):
             count = precision_module._stored_entries(members, scheme)
             assert count >= sum(held_entries(members, scheme, [0.3, 0.6, 1.1])), members[0].label()
 
     @pytest.mark.parametrize("system, scheme, stacks", [
-        (SystemSpec(1, 3), "res", [("0,1",), ("0,2",), ("1,2",)]),
-        (SystemSpec(1, 3), "seq", [("0,1", "0,2"), ("1,2",)]),
+        (SystemSpec(1, 3), "res", [("0,1", "0,2", "1,2")]),
+        (SystemSpec(1, 3), "seq", [("0,1", "0,2", "1,2")]),
         (SystemSpec(2, 2), "res", [("00,11", "01,10")]),
-        (SystemSpec(2, 2), "seq", [("00,11",), ("01,10",)]),
+        (SystemSpec(2, 2), "seq", [("00,11", "01,10")]),
     ])
     def test_short_grid_builds_each_configuration_once(self, monkeypatch, system, scheme, stacks):
         builds = count_builds(monkeypatch)
@@ -369,7 +370,7 @@ class TestSweepReportReuse:
         report = g_sweep(system, ("res", "seq"), [0.5, 0.9], 150, PER, seed=13)
         builds = count_builds(monkeypatch)
         got = error_histogram(system, "seq", 0.6, 1000, PER, seed=13, report=report)
-        assert [b[1:] for b in builds] == [("seq", (0.6,))] * 2
+        assert [b[1:] for b in builds] == [("seq", (0.6,))]
         assert_same_histogram(got, error_histogram(system, "seq", 0.6, 1000, PER, seed=13))
 
     def test_other_system_is_not_served(self, monkeypatch):

@@ -342,12 +342,11 @@ class TestRefusedBeforeAnyBuild:
             next(configuration_stacks([element_from_flat((3,), 0, 1)], "foo", (0.5,)))
 
     @pytest.mark.parametrize("scheme, groups", [
-        ("res", [["12,21"], ["00,01"], ["01,10", "10,01"], ["00,02"], ["02,01"]]),
-        ("seq", [["12,21"], ["00,01", "00,02"], ["01,10"], ["10,01"], ["02,01"]]),
+        (scheme, [["12,21", "01,10", "10,01"], ["00,01", "00,02", "02,01"]]) for scheme in ("res", "seq")
     ])
     def test_stacks_are_the_table_stack_of_each_configuration(self, scheme, groups):
-        # configuration_stacks of any element list: one stack per
-        # configuration in first-element order, members in list order
+        # configuration_stacks of any element list: one stack per coupled
+        # set in first-element order, members in list order
         elements = [element_from_flat((3, 3), u, v) for u, v in [(5, 7), (0, 1), (1, 3), (0, 2), (3, 1), (2, 1)]]
         stacks = list(configuration_stacks(elements, scheme, (0.4, 0.9)))
         assert [[e.label() for e in stack.elements] for stack in stacks] == groups
@@ -361,20 +360,16 @@ CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
 
 
 def configurations(dims, scheme):
-    """Upper-triangle pairs grouped by coupling configuration, computed from the definition.
+    """Upper-triangle pairs grouped by coupled set, computed from the definition.
 
-    A res configuration is each coupled qudit with its unordered index
-    pair, a seq configuration each coupled qudit with its row index s_n;
-    configurations come in the order of their first pair, members in
-    row-major order.
+    Both schemes build one stack per set of qudits whose indices differ;
+    sets come in the order of their first pair, members in row-major
+    order.
     """
     groups = {}
     for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
         s, sp = np.unravel_index(u, dims), np.unravel_index(v, dims)
-        if scheme == "res":
-            key = tuple((n, min(a, b), max(a, b)) for n, (a, b) in enumerate(zip(s, sp)) if a != b)
-        else:
-            key = tuple((n, a) for n, (a, b) in enumerate(zip(s, sp)) if a != b)
+        key = tuple(n for n, (a, b) in enumerate(zip(s, sp)) if a != b)
         groups.setdefault(key, []).append((u, v))
     return list(groups.values())
 
@@ -509,24 +504,23 @@ class TestConfigurationPlans:
 
     @pytest.mark.parametrize("budget", ["default", "one member per batch"])
     def test_infeasible_member_raises_its_single_build_error(self, monkeypatch, budget):
-        # (0, 2) follows (0, 1) in their (3,3) seq configuration, in its
-        # batch or the next one; skewed targets leave the span of its
-        # correlator rows
-        infeasible = (0, 2)
+        # (0, 2) shares the coupled set of (0, 1), its canonical element,
+        # whose one solve serves both; skewed targets for (0, 1) leave the
+        # span of its correlator rows, so every member of the set fails
+        infeasible = (0, 1)
         targets = seq_module._targets
 
-        def skewed(elements):
-            t = targets(elements)
-            for i, e in enumerate(elements):
-                if (e.s_flat, e.s_prime_flat) == infeasible:
-                    t[i] += 1.0
+        def skewed(element):
+            t = targets(element)
+            if (element.s_flat, element.s_prime_flat) == infeasible:
+                t += 1.0
             return t
 
         monkeypatch.setattr(seq_module, "_targets", skewed)
         if budget != "default":
             monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
         with pytest.raises(CalibrationError) as single:
-            plan_seq(element_from_flat((3, 3), *infeasible), 0.7)
+            plan_seq(element_from_flat((3, 3), 0, 2), 0.7)
         rho = random_mixed_state((3, 3), stream(11, "infeasible"))
         with pytest.raises(CalibrationError) as batch:
             characterize(rho, 0.7, plan_seq)
