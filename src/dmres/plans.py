@@ -13,11 +13,12 @@ each (setting, block) of those two its coefficients are one weight
 times the product of meter signs, and every other block has none.  So
 a plan stores its estimator as those weights, ``weights[t, b, k]`` for
 part t (0 Re, 1 Im), setting b and block k; ``coefficient_tables``
-alone writes them out as full tables, for export.  A plan also stores
-the unrotated columns ``base``; the readout amplitudes of blocks s and s',
-``block_amplitudes``, which shot draws read, and the full stack
-``amplitudes``, which only outcome distributions and the response map
-read, are each rotated from ``base`` on first use and kept.
+alone writes them out as full tables, for export.  The readout
+amplitudes of blocks s and s', ``block_amplitudes``, which shot draws
+read, are rotated from the stored block rows on first use and kept.  The
+full-space columns ``base`` and the full stack ``amplitudes``, which
+only outcome distributions, the response map and tests read, are built
+on first use.
 
 Exact estimates and variance operators rotate no readout row.  Setting
 b's rows of block k are R_b B_k, with B_k the block's rows of ``base``
@@ -36,21 +37,24 @@ closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
 rotations are applied meter by meter for all settings at once.
 
 Elements with one coupled set C share one plan up to a relabeling.
-Per qudit, relabel the basis so that s_n goes to 0 and s'_n to 1: the
-res swap C[s_n, s'_n] becomes C[0, 1], the seq projector pi[s_n]
-becomes pi[0], and the uniform-superposition projector is unchanged.
-So with P that system-basis permutation, P(s) = 0...0 and P(s') = 1_C,
-an element's ``base[(k, pattern), u]`` is the canonical element
-(0...0, 1_C)'s ``base[(P k, pattern), P u]``, and its weights are the
-canonical weights, their two blocks swapped when s > s'.  A
-``PlanBatch`` is the one plan stack: elements with one coupled set at G
-strengths, holding the canonical element's ``base`` and weights once and
-one relabeling per member.  Each scheme builds its plans only as such a
-stack, a single plan being the stack of one.  The estimate, variance
-and readout contractions run on the canonical arrays, once per stack,
-and each member's result is gathered through its relabeling; a plan
-reads through the same path, from its own arrays mapped back to the
-canonical element.
+Every other qudit is left alone, so an element's estimate, variance and
+shot cells live on the d_C x d_C block of rho over C.  Per coupled qudit,
+relabel the basis so that s_n goes to 0 and s'_n to 1: the res swap
+C[s_n, s'_n] becomes C[0, 1], the seq projector pi[s_n] becomes pi[0],
+and the uniform-superposition projector is unchanged.  So every element
+with coupled set C reads the plan of the canonical element, the fully
+coupled element (0...0, 1...1) of the subsystem dims[C], through its
+support: the full-basis index of each of the d_C canonical columns.
+Plans keep only that element's unrotated rows of its blocks 0...0 and
+1...1, ``rows``, (2, 2^m, d_C), and its weights, whose two blocks an
+element with s > s' reads swapped.  A ``PlanBatch`` is the one plan
+stack: elements with one coupled set at G strengths, holding ``rows``
+and weights once and one support per member.  Each scheme builds its
+plans only as such a stack, a single plan being the stack of one.  The
+estimate, variance and readout contractions run on the canonical
+arrays, once per stack, and meet each member's block of the state in
+one gather; ``embedded`` puts a canonical operator into the full space
+where a caller needs it there.
 """
 
 from __future__ import annotations
@@ -127,20 +131,17 @@ class _PlanLayout:
     def n_meters(self) -> int:
         return len(self.settings[0].meter_bases)
 
-    @property
-    def outcomes_per_setting(self) -> int:
-        return self.base.shape[-2]
-
 
 @dataclass(frozen=True)
 class ProtocolPlan(_PlanLayout):
     """One element's plan at one strength.
 
-    ``base`` holds the unrotated columns U |u> (x) |0...0>, (outcomes,
-    dim), and ``weights`` the estimator, (2, n_settings, 2): part t's
-    weight on setting b and post-selected block k, in index order (see
-    the module docstring).  The constructor rejects weights of any other
-    shape.
+    ``rows`` holds the canonical element's unrotated rows of its blocks
+    0...0 and 1...1, (2, 2^m, d_C), ``support`` the full-basis index of
+    each of their d_C columns (see the module docstring), and
+    ``weights`` the estimator, (2, n_settings, 2): part t's weight on
+    setting b and post-selected block k, in index order.  The
+    constructor rejects weights of any other shape.
     """
 
     element: ElementIndex
@@ -149,7 +150,8 @@ class ProtocolPlan(_PlanLayout):
     couplings: tuple[Coupling, ...]
     settings: tuple[MeasurementSetting, ...]
     weights: np.ndarray  # (2, n_settings, 2)
-    base: np.ndarray
+    rows: np.ndarray  # (2, 2^m, d_C), the canonical element's
+    support: np.ndarray  # (d_C,)
     calibration: CalibrationInfo | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -161,6 +163,10 @@ class ProtocolPlan(_PlanLayout):
             )
 
     @property
+    def outcomes_per_setting(self) -> int:
+        return self.element.dim * self.n_settings
+
+    @property
     def post_selectors(self) -> tuple[int, int]:
         """Flat indices (s, s') of the element's post-selected system outcomes."""
         return (self.element.s_flat, self.element.s_prime_flat)
@@ -168,33 +174,25 @@ class ProtocolPlan(_PlanLayout):
     @cached_property
     def blocks(self) -> tuple[int, ...]:
         """The post-selected system outcomes s and s' the estimator reads, in index order."""
-        return post_selected_blocks(self.element)
+        return tuple(sorted({self.element.s_flat, self.element.s_prime_flat}))
 
     @cached_property
-    def relabeling(self) -> np.ndarray:
-        """The system-basis permutation P taking the element to its canonical one, (dim,)."""
-        return relabelings([self.element])[0]
-
-    @cached_property
-    def canonical_rows(self) -> np.ndarray:
-        """The canonical element's rows of ``base`` on its blocks 0...0 and 1_C, (2, 2^m, dim).
-
-        Read off the plan's own blocks s and s', its columns taken back
-        through P: canonical column P u is the plan's column u.
-        """
-        d = self.base.shape[-1]
-        rows = self.base.reshape(d, -1, d)[[self.element.s_flat, self.element.s_prime_flat]]
-        return np.take(rows, np.argsort(self.relabeling), axis=-1)
+    def base(self) -> np.ndarray:
+        """Read-only columns U |u> (x) |0...0> of the full space, (outcomes, dim), built on first use."""
+        base = base_amplitudes(self.element.dims, self.couplings, self.g)
+        base.setflags(write=False)
+        return base
 
     @cached_property
     def block_amplitudes(self) -> np.ndarray:
-        """Read-only readout amplitudes of blocks s and s', rotated from ``base`` on first use.
+        """Read-only readout amplitudes of blocks s and s' on the coupled block, rotated from ``rows`` on first use.
 
-        (n_settings, 2 * 2^m, dim): the canonical element's two blocks
-        are rotated and relabeled, as a stack's shot draws do.
+        (n_settings, 2 * 2^m, d_C): the blocks in index order, column c
+        at full-basis index ``support[c]``, as a stack's shot draws read
+        them.
         """
         swapped = self.element.s_flat > self.element.s_prime_flat
-        return _member_rows(rotated_rows(self.canonical_rows), self.relabeling, swapped)
+        return readout_amplitudes(self.rows[::-1] if swapped else self.rows)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -202,11 +200,12 @@ class ProtocolPlan(_PlanLayout):
 
         (n_settings, outcomes, dim).
         """
-        return readout_amplitudes(self.base, self.element.dim)
+        d = self.element.dim
+        return readout_amplitudes(self.base.reshape(d, -1, d))
 
     @cached_property
     def estimator_operators(self) -> np.ndarray:
-        """Read-only (2, dim, dim) ``estimator_operators`` stack (W_re, W_im), computed on first use."""
+        """Read-only (2, d_C, d_C) ``estimator_operators`` pair (W_re, W_im), computed on first use."""
         operators = estimator_operators(self)
         operators.setflags(write=False)
         return operators
@@ -235,16 +234,14 @@ class ProtocolPlan(_PlanLayout):
 class PlanBatch(_PlanLayout):
     """Plans of elements with one coupled set at G strengths, stacked.
 
-    Every member is a relabeling of the canonical element (0...0, 1_C)
-    of the coupled set C (see the module docstring), so the stack holds
-    that element's unrotated columns ``base`` (G, outcomes, dim), its
-    ``weights`` (G, 2, n_settings, 2) and its ``calibrations[k]`` at
-    ``gs[k]``, if any, once, and ``relabelings[i]`` (M, dim), the
-    permutation P of member i.  ``couplings[i]`` are member i's own.
-    ``batch[k, i]`` is member i's plan at ``gs[k]``, its ``base`` and
-    weights gathered from the canonical ones.  The engine's estimate
-    and variance contractions accept a batch, run once on the canonical
-    arrays and gain the (strength, member) axes in the gather.
+    Every member reads the canonical element of the coupled set C (see
+    the module docstring), so the stack holds that element's block
+    ``rows`` (G, 2, 2^m, d_C), its ``weights`` (G, 2, n_settings, 2) and
+    its ``calibrations[k]`` at ``gs[k]``, if any, once, and
+    ``supports[i]`` (M, d_C), the support of member i.  ``couplings[i]``
+    are member i's own.  ``batch[k, i]`` is member i's plan at ``gs[k]``.
+    The engine's estimate and variance contractions accept a batch and
+    run once on the canonical arrays.
     """
 
     elements: tuple[ElementIndex, ...]
@@ -253,99 +250,89 @@ class PlanBatch(_PlanLayout):
     couplings: tuple[tuple[Coupling, ...], ...]
     settings: tuple[MeasurementSetting, ...]
     weights: np.ndarray  # (G, 2, n_settings, 2), the canonical element's
-    base: np.ndarray  # (G, outcomes, dim), the canonical element's
-    relabelings: np.ndarray  # (M, dim)
+    rows: np.ndarray  # (G, 2, 2^m, d_C), the canonical element's
+    supports: np.ndarray  # (M, d_C)
     calibrations: tuple[CalibrationInfo, ...] | None = field(default=None, compare=False)
 
-    @cached_property
-    def canonical(self) -> ElementIndex:
-        """The element (0...0, 1_C) every member relabels to."""
-        return canonical_element(self.elements[0])
-
-    @cached_property
-    def canonical_rows(self) -> np.ndarray:
-        """The rows of ``base`` on the canonical blocks 0...0 and 1_C, (G, 2, 2^m, dim)."""
-        d = self.base.shape[-1]
-        blocks = list(post_selected_blocks(self.canonical))
-        return self.base.reshape(self.base.shape[:-2] + (d, -1, d))[..., blocks, :, :]
+    @property
+    def outcomes_per_setting(self) -> int:
+        return self.elements[0].dim * self.n_settings
 
     def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
         k, i = key
-        element, perm, d = self.elements[i], self.relabelings[i], self.base.shape[-1]
-        base = np.take(self.base[k].reshape(d, -1, d)[perm], perm, axis=-1)
-        plan = ProtocolPlan(
+        element = self.elements[i]
+        return ProtocolPlan(
             element=element,
             scheme=self.scheme,
             g=self.gs[k],
             couplings=self.couplings[i],
             settings=self.settings,
             weights=self.weights[k, ..., ::-1] if element.s_flat > element.s_prime_flat else self.weights[k],
-            base=base.reshape(self.base.shape[1:]),
+            rows=self.rows[k],
+            support=self.supports[i],
             calibration=None if self.calibrations is None else self.calibrations[k],
         )
-        # the values the plan's cached properties would read off its own arrays, known here
-        vars(plan).update(relabeling=perm, canonical_rows=self.canonical_rows[k])
-        return plan
 
 
 def member_chunks(batch: PlanBatch):
     """Yield ``batch``'s members in order, stacked at most ``MEMBER_ENTRIES`` entries' worth at a time.
 
-    The canonical arrays are shared by every chunk.  A member's
-    relabeled operator pair in a stacked estimate or variance holds
-    2 dim^2 entries per strength; a chunk holds at least one member.
+    The canonical arrays are shared by every chunk.  A member's variance
+    operator in a sweep, embedded in the full space, holds dim^2 entries
+    per strength, more than its block of the state; a chunk holds at
+    least one member.
     """
-    d = batch.base.shape[-1]
-    step = max(1, MEMBER_ENTRIES // (2 * d * d * len(batch.gs)))
+    d = batch.elements[0].dim
+    step = max(1, MEMBER_ENTRIES // (d * d * len(batch.gs)))
     for lo in range(0, len(batch.elements), step):
         part = slice(lo, lo + step)
         yield replace(batch, elements=batch.elements[part], couplings=batch.couplings[part],
-                      relabelings=batch.relabelings[part])
+                      supports=batch.supports[part])
 
 
 def canonical_element(element: ElementIndex) -> ElementIndex:
-    """(0...0, 1_C): the element of ``element``'s coupled set C that every member relabels to."""
-    return _canonical_element(element.dims, element.coupled_set)
+    """(0...0, 1...1) on dims[C]: the element of ``element``'s coupled set C that every member reads."""
+    return _canonical_element(tuple(element.dims[n] for n in element.coupled_set))
 
 
 @functools.cache
-def _canonical_element(dims: tuple[int, ...], coupled: tuple[int, ...]) -> ElementIndex:
-    return ElementIndex(dims, (0,) * len(dims), tuple(int(n in coupled) for n in range(len(dims))))
+def _canonical_element(dims: tuple[int, ...]) -> ElementIndex:
+    return ElementIndex(dims, (0,) * len(dims), (1,) * len(dims))
 
 
-def relabelings(elements: Sequence[ElementIndex]) -> np.ndarray:
-    """(M, dim) system-basis permutations: ``P[i, u]`` is the canonical index of basis state u for element i.
+def supports(elements: Sequence[ElementIndex]) -> np.ndarray:
+    """(M, d_C) full-basis indices of each element's coupled block, in the canonical element's column order.
 
-    Per qudit, P sends s_n to 0 and s'_n, where it differs, to 1, and
-    the other levels after them in their order; P is the product of
-    these, in row-major flat indices.  So P(s) = 0...0 and P(s') = 1_C,
-    with C the coupled set.  Elements must share their dims.
+    On each coupled qudit canonical level 0 is s_n, level 1 is s'_n and
+    the other levels follow in their order; every other qudit stays at
+    s_n.  So column 0...0 is s and column 1...1 is s'.  Elements must
+    share their coupled set.
     """
-    levels, digits, strides = _relabeling_tables(elements[0].dims)
-    pairs = np.array([e.s + e.s_prime for e in elements]).reshape(len(elements), 2, -1)
-    qudits = np.arange(pairs.shape[-1])
-    moved = levels[qudits, pairs[:, 0], pairs[:, 1]]  # (M, N, max d): each qudit's relabeling
-    return moved[:, qudits, digits] @ strides
+    dims, coupled = elements[0].dims, elements[0].coupled_set
+    strides = [math.prod(dims[n + 1:]) for n in range(len(dims))]
+    s = np.array([e.s for e in elements]).reshape(len(elements), -1)
+    sp = np.array([e.s_prime for e in elements]).reshape(len(elements), -1)
+    digits = np.indices([dims[n] for n in coupled]).reshape(len(coupled), -1)  # canonical, row-major
+    index = (s @ strides)[:, None]
+    for j, n in enumerate(coupled):
+        levels = _level_orders(dims[n])[s[:, n], sp[:, n]]  # (M, d_n): canonical level -> level
+        index = index + (levels[:, digits[j]] - s[:, n, None]) * strides[n]
+    return index
 
 
 @functools.cache
-def _relabeling_tables(dims: tuple[int, ...]):
-    """Read-only tables for ``relabelings`` on ``dims``.
+def _level_orders(d: int) -> np.ndarray:
+    """Read-only (d, d, d) table: [a, b] lists a d-level qudit's levels a and b, then the rest in order."""
+    table = np.array([[list(dict.fromkeys([a, b, *range(d)])) for b in range(d)] for a in range(d)])
+    table.setflags(write=False)
+    return table
 
-    levels[n, a, b] is qudit n's relabeling for s_n = a, s'_n = b (padded
-    to the largest dimension), digits[u] the qudit indices of flat index
-    u, row-major, and strides the row-major strides.
-    """
-    levels = np.zeros((len(dims), max(dims), max(dims), max(dims)), dtype=np.intp)
-    for n, d in enumerate(dims):
-        for a, b in itertools.product(range(d), repeat=2):
-            order = list(dict.fromkeys([a, b, *range(d)]))  # canonical level -> level
-            levels[n, a, b, order] = range(d)
-    digits = np.array(list(itertools.product(*map(range, dims))), dtype=np.intp).reshape(-1, len(dims))
-    strides = np.array([math.prod(dims[n + 1:]) for n in range(len(dims))], dtype=np.intp)
-    for table in (levels, digits, strides):
-        table.setflags(write=False)
-    return levels, digits, strides
+
+def canonical_rows(canonical: ElementIndex, couplings: Sequence[Coupling], gs) -> np.ndarray:
+    """The canonical element's unrotated rows of its blocks 0...0 and 1...1 at every strength: (G, 2, 2^m, d_C)."""
+    d = canonical.dim
+    base = base_amplitudes(canonical.dims, couplings, gs)
+    return base.reshape(len(gs), d, -1, d)[:, [canonical.s_flat, canonical.s_prime_flat]]
 
 
 def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
@@ -377,11 +364,6 @@ def check_off_diagonal(elements: Sequence[ElementIndex]) -> None:
     for e in elements:
         if e.is_diagonal:
             raise InvalidElementError(f"element {e.label()} is diagonal; use diagonal_element instead")
-
-
-def post_selected_blocks(element: ElementIndex) -> tuple[int, ...]:
-    """The two system outcomes s and s' an element's estimator reads, in index order."""
-    return tuple(sorted({element.s_flat, element.s_prime_flat}))
 
 
 @functools.cache
@@ -492,25 +474,13 @@ def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
 READOUT_STACK = np.stack([meter_readout_basis(b).conj().T for b in ("x", "y")])
 
 
-def readout_amplitudes(base: np.ndarray, d_sys: int, blocks: Sequence[int] | None = None) -> np.ndarray:
-    """Rotate the meter factors of ``base`` into each setting's eigenbasis.
+def readout_amplitudes(rows: np.ndarray) -> np.ndarray:
+    """Rotate the meter factors of block rows (..., blocks, 2^m, d) into each setting's eigenbasis.
 
-    Returns one read-only (n_settings, outcomes, d_sys) stack; slice i is
-    the readout amplitude matrix of setting i in ``enumerate_settings``
-    order.  ``blocks`` keeps only those system outcomes' rows, in that
-    order, and the row axis shrinks to len(blocks) * 2^m.  A strength
-    stack (G, outcomes, d_sys) of ``base`` is folded into the row axis and
-    gives a leading G axis.
+    Returns one read-only (..., n_settings, blocks * 2^m, d) stack; slice
+    i is the readout amplitude matrix of setting i in
+    ``enumerate_settings`` order.
     """
-    lead = base.shape[:-2]
-    rows = base.reshape(lead + (d_sys, -1, d_sys))
-    if blocks is not None:
-        rows = rows[..., list(blocks), :, :]
-    return rotated_rows(rows)
-
-
-def rotated_rows(rows: np.ndarray) -> np.ndarray:
-    """``readout_amplitudes`` of block rows (..., blocks, 2^m, d_sys): read-only (..., n_settings, blocks * 2^m, d_sys)."""
     lead, (n_blocks, n_patterns, d_sys) = rows.shape[:-3], rows.shape[-3:]
     full = per_meter(rows.reshape(-1, n_patterns, d_sys), READOUT_STACK)
     full = np.ascontiguousarray(full.reshape(full.shape[0], -1, n_blocks * n_patterns, d_sys).swapaxes(0, 1))
@@ -519,84 +489,100 @@ def rotated_rows(rows: np.ndarray) -> np.ndarray:
     return full
 
 
-def _member_rows(rotated: np.ndarray, perm: np.ndarray, swapped: bool) -> np.ndarray:
-    """A member's readout rows of blocks s and s' from the canonical element's, read-only.
-
-    ``rotated`` is the canonical element's (n_settings, 2 * 2^m, dim)
-    ``rotated_rows``; the member's blocks come in index order, so
-    swapped when s > s', and its column u is canonical column P u.
-    """
-    rows = rotated.reshape(rotated.shape[0], 2, -1, rotated.shape[-1])
-    rows = np.take(rows[:, ::-1] if swapped else rows, perm, axis=-1).reshape(rotated.shape)
-    rows.setflags(write=False)
-    return rows
-
-
 def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
     """Reject a state whose local dimensions differ from the plan's."""
     if state.dims != plan.element.dims:
         raise InvalidElementError(f"state dims {state.dims} do not match plan dims {plan.element.dims}")
 
 
-def _born(amps: np.ndarray, state: DensityMatrix | Ket) -> np.ndarray:
-    """<a_o| rho |a_o> for every row a_o of an amplitude stack."""
+def _born(amps: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """<a_o| rho |a_o> for every row a_o of an amplitude stack.
+
+    ``state`` is a pure state's amplitudes (dim,) or a density matrix's
+    entries (dim, dim), on the columns of ``amps``.
+    """
     flat = amps.reshape(-1, amps.shape[-1])
-    if isinstance(state, Ket):
-        p = np.abs(flat @ state.amplitudes) ** 2
+    if state.ndim == 1:
+        p = np.abs(flat @ state) ** 2
     else:
-        p = ((flat @ state.entries) * flat.conj()).sum(-1).real
+        p = ((flat @ state) * flat.conj()).sum(-1).real
     return p.reshape(amps.shape[:-1])
+
+
+def _gathered(state: DensityMatrix | Ket, supports: np.ndarray) -> np.ndarray:
+    """A state's blocks at ``supports`` (..., d_C): a Ket's amplitudes (..., d_C), a density matrix's entries (..., d_C, d_C)."""
+    if isinstance(state, Ket):
+        return state.amplitudes[supports]
+    return state.entries[supports[..., :, None], supports[..., None, :]]
 
 
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
     """(n_settings, outcomes_per_setting) Born probabilities of every outcome."""
-    return _born(plan.amplitudes, state)
+    return _born(plan.amplitudes, state.amplitudes if isinstance(state, Ket) else state.entries)
+
+
+def member_traces(operators: np.ndarray, state: DensityMatrix | Ket, supports: np.ndarray) -> np.ndarray:
+    """Tr(O rho_i) for each canonical operator O of a (..., t, d_C, d_C) stack and each member's block rho_i.
+
+    ``supports`` is one support (d_C,) or one per member (M, d_C), giving
+    (..., t) or (..., M, t).  Each block is one gather of the state; a
+    Ket is read as its amplitudes, never as a density matrix.  Real for
+    Hermitian O.
+    """
+    members = supports.reshape(-1, supports.shape[-1])
+    if isinstance(state, Ket):
+        block = state.amplitudes[members]
+        values = np.einsum("...tvu,mv,mu->...mt", operators, block.conj(), block).real
+    else:
+        # rho_i transposed, so both operands share one layout and each
+        # member's sum runs in one order however many members there are
+        block = state.entries[members[:, None, :], members[:, :, None]]
+        values = np.einsum("...tvu,mvu->...mt", operators, block).real
+    return values.reshape(values.shape[:-2] + supports.shape[:-1] + values.shape[-1:])
+
+
+def embedded(operators: np.ndarray, supports: np.ndarray, dim: int) -> np.ndarray:
+    """Canonical operators (..., d_C, d_C) put into the full space at each support, zero off the block.
+
+    ``supports`` is one support (d_C,) or one per member (M, d_C), giving
+    (..., dim, dim) or (..., M, dim, dim): operator entry (a, b) lands at
+    (support[a], support[b]).
+    """
+    members = supports.reshape(-1, supports.shape[-1])
+    out = np.zeros(operators.shape[:-2] + (len(members), dim, dim), dtype=operators.dtype)
+    out[..., np.arange(len(members))[:, None, None], members[:, :, None], members[:, None, :]] = \
+        operators[..., None, :, :]
+    return out.reshape(operators.shape[:-2] + supports.shape[:-1] + (dim, dim))
 
 
 def _canonical_form(plan: ProtocolPlan | PlanBatch):
-    """(rows, weights, relabelings): the canonical element's block rows and weights, and P.
+    """(rows, weights): the canonical element's block rows (2, 2^m, d_C) and weights (2, n_settings, 2).
 
-    rows are the rows of ``base`` of the canonical blocks 0...0 and 1_C,
-    (2, 2^m, dim), and weights (2, n_settings, 2) their estimator, with a
-    leading strength axis for a batch; P is a plan's (dim,) relabeling or
-    a batch's (M, dim) relabelings.  A plan's are read off its own arrays
-    (see ``ProtocolPlan.canonical_rows``), which is exact, so a plan and
-    the stack it came from contract the same arrays.
+    A batch's have a leading strength axis.  A plan's weights are its
+    own, in index order, taken back to the canonical order, which is
+    exact, so a plan and the stack it came from contract the same arrays.
     """
     if isinstance(plan, PlanBatch):
-        return plan.canonical_rows, plan.weights, plan.relabelings
+        return plan.rows, plan.weights
     weights = plan.weights[..., ::-1] if plan.element.s_flat > plan.element.s_prime_flat else plan.weights
-    return plan.canonical_rows, np.ascontiguousarray(weights), plan.relabeling
-
-
-def _relabeled(operators: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Each member's operator pair from the canonical pair (..., 2, dim, dim): op_i[t, v, u] = op[t, P_i v, P_i u].
-
-    (..., M, 2, dim, dim) for a batch's (M, dim) relabelings, (..., 2,
-    dim, dim) for a plan's (dim,); contiguous either way.
-    """
-    return operators[..., np.arange(2)[:, None, None], perms[..., None, :, None], perms[..., None, None, :]]
+    return plan.rows, np.ascontiguousarray(weights)
 
 
 def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_t part t's coefficients.
 
     Each is sum_k B_k^dag diag(phi_k) J B_k (see the module docstring),
-    both blocks in one product, formed once for the canonical element
-    and relabeled; estimate part t of a state is Tr(G_t rho).  A batch
-    gives one pair per strength and member, (G, M, 2, dim, dim).
+    both blocks in one product, formed on the canonical element's
+    coupled block; estimate part t of a member is Tr(G_t rho_i), rho_i
+    its block of the state.  (2, d_C, d_C) for a plan, one pair per
+    strength for a batch.
     """
-    rows, weights, perms = _canonical_form(plan)
+    rows, weights = _canonical_form(plan)
     phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
     lead, d = rows.shape[:-3], rows.shape[-1]
     flipped = phi[..., None] * rows[..., None, :, ::-1, :]
     pairs = rows.reshape(lead + (1, -1, d))
-    return _relabeled(pairs.conj().swapaxes(-1, -2) @ flipped.reshape(lead + (2, -1, d)), perms)
-
-
-def expectations(operators: np.ndarray, state: DensityMatrix) -> np.ndarray:
-    """Tr(O rho) for each operator O of a (..., dim, dim) stack, real for Hermitian O."""
-    return np.einsum("...vu,uv->...", operators, state.entries).real
+    return pairs.conj().swapaxes(-1, -2) @ flipped.reshape(lead + (2, -1, d))
 
 
 def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
@@ -605,27 +591,27 @@ def functional_matrix(plan: ProtocolPlan) -> np.ndarray:
     Unbiasedness means K is the single matrix unit at (s, s'), which is
     checkable without any quantum state.
     """
-    g_re, g_im = _estimator_grams(plan)
+    g_re, g_im = embedded(_estimator_grams(plan), plan.support, plan.element.dim)
     return (g_re + 1j * g_im).T
 
 
 def estimator_operators(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
-    """Hermitian operators W[..., t] with sum over (setting, outcome) of c_t^2 p = Tr(W_t rho).
+    """Hermitian operators W[..., t] with sum over (setting, outcome) of c_t^2 p = Tr(W_t rho_i).
 
     These give per-state shot variances of part t (0 Re, 1 Im) at unit
-    per-setting exposure as linear functionals of the state: (2, dim,
-    dim) for a plan, with (strength, member) axes for a batch.  Each is
-    sum_k alpha_k B_k^dag B_k (see the module docstring), with alpha_k
-    block k's squared weights summed over settings left to right, formed
-    once for the canonical element and relabeled, so no readout row is
-    rotated.
+    per-setting exposure as linear functionals of each member's block
+    rho_i of the state: (2, d_C, d_C) for a plan, one pair per strength
+    for a batch.  Each is sum_k alpha_k B_k^dag B_k (see the module
+    docstring), with alpha_k block k's squared weights summed over
+    settings left to right, formed on the canonical element's coupled
+    block, so no readout row is rotated.
     """
-    rows, weights, perms = _canonical_form(plan)
+    rows, weights = _canonical_form(plan)
     alpha = np.cumsum(weights ** 2, axis=-2)[..., -1, :]  # left to right, as add.accumulate runs
     n_patterns, d = rows.shape[-2:]
     scale = np.repeat(alpha, n_patterns, axis=-1)[..., None]
     rows = rows.reshape(rows.shape[:-3] + (1, -1, d))
-    return _relabeled(rows.conj().swapaxes(-1, -2) @ (scale * rows), perms)
+    return rows.conj().swapaxes(-1, -2) @ (scale * rows)
 
 
 def plan_document(plan: ProtocolPlan) -> str:

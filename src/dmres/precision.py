@@ -30,7 +30,7 @@ import numpy as np
 from .elements import ElementIndex, precision_element_set
 from .errors import DmresError, InvalidStateError
 from . import res
-from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, estimator_operators
+from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, canonical_element, embedded, estimator_operators
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
@@ -106,9 +106,12 @@ class SystemSpec:
 
 
 def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
-    """Mean of a plan's Re and Im variance operators; (G, M, D, D) for a batch."""
+    """Mean of a plan's Re and Im variance operators in the full space, (D, D); (G, M, D, D) for a batch."""
     w = estimator_operators(plan)
-    return 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
+    mean = 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
+    if isinstance(plan, PlanBatch):
+        return embedded(mean, plan.supports, plan.elements[0].dim)
+    return embedded(mean, plan.support, plan.element.dim)
 
 
 def _mean(operators: list) -> np.ndarray:
@@ -178,22 +181,20 @@ def per_state_values(
 def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
     """Array entries per strength that a sweep chunk budgets for the stack of one coupled set.
 
-    With D the system dimension and S = 2^m settings, m the scheme's
-    meters per coupled qudit times the coupled qudits, the stack of
-    ``members`` keeps the canonical element's ``base`` (D 2^m D complex
-    entries) and block weights (2 S 2), and each member's relabeling (D
-    indices); for ``seq`` its calibration reads the Gram stack
-    A_k^dag Sigma_b A_k of the two canonical blocks (2 S D D complex
-    entries).  Each member's variance operator pair is gathered from the
-    canonical one (2 D D complex entries each).  Readout rows are not
-    counted, since a sweep rotates none, nor are the flipped blocks,
-    formed under ``seq.FLIP_ENTRIES`` whatever the strength count.  The
-    count bounds the arrays a build keeps, not its transient copies.
+    With D the system dimension, d_C that of the coupled qudits and
+    S = 2^m settings, the stack of ``members`` keeps the canonical block
+    rows (2 S d_C) and weights (2 S 2), its variance operator pair
+    (2 d_C d_C) and, for ``seq``, the Gram stack A_k^dag Sigma_b A_k its
+    calibration reads (2 S d_C d_C); each member its support (d_C) and
+    its mean operator embedded in the full space (D D).  Readout rows
+    (a sweep rotates none) and the flipped blocks (under
+    ``seq.FLIP_ENTRIES``) are not counted: the count bounds the arrays a
+    build keeps, not its transient copies.
     """
     first = members[0]
     settings = 2 ** (res.SCHEMES[scheme].meters * first.n_couplings)
-    d = first.dim
-    entries = d * settings * d + 2 * settings * 2 + len(members) * (d + 2 * d * d)
+    d = canonical_element(first).dim
+    entries = 2 * settings * d + 2 * settings * 2 + 2 * d * d + len(members) * (d + first.dim ** 2)
     if scheme == SEQ_SCHEME:
         entries += settings * 2 * d * d
     return entries
@@ -214,7 +215,8 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     outcomes per setting).  The element set is built through
     ``res.configuration_stacks`` a chunk of strengths at a time, as many
     as fit ``CHUNK_ENTRIES`` for the largest configuration, and each
-    member's W is read from its stack's one ``estimator_operators``.
+    member's W is its stack's one ``estimator_operators`` pair, embedded
+    at its support.
     """
     elements = precision_element_set(system.n_qudits, system.d)
     gs = list(gs)

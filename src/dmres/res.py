@@ -10,8 +10,9 @@ sin(2g) != 0.
 and ``configuration_stacks`` is the one path from an element list to
 plan stacks: full-matrix characterization and precision sweeps both
 read their plans from it.  Elements are grouped by coupled set, since
-every element with coupled set C is a relabeling of (0...0, 1_C) (see
-``dmres.plans``): each group's plan is built once, for that element.
+every element with coupled set C reads the plan of (0...0, 1...1) on
+dims[C] through its support (see ``dmres.plans``): each group's plan is
+built once, for that element.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ from .plans import (
     SINGULAR_TOL,
     _born,
     _estimator_grams,
-    base_amplitudes,
     canonical_element,
+    canonical_rows,
     check_off_diagonal,
     check_state_dims,
     enumerate_settings,
-    expectations,
     finite_strengths,
     member_chunks,
-    relabelings,
+    member_traces,
+    supports,
 )
 from . import seq
 
@@ -66,7 +67,7 @@ def _check_strength(g: float, l: int) -> float:
 def _res_weights(gs, settings, n_meters: int) -> np.ndarray:
     """The canonical element's block weights (G, 2, n_settings, 2), realizing the exact extraction identity.
 
-    Per setting b the weight on block s' = 1_C is prod_j (i if b_j = y)
+    Per setting b the weight on block s' = 1...1 is prod_j (i if b_j = y)
     and its conjugate on block s = 0...0, times the 1/(2 sin^l 2g)
     normalization at each strength of ``gs``.
     """
@@ -100,10 +101,10 @@ def _res_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
 def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
     """The res plans of elements with one coupled set at every strength of ``gs``.
 
-    ``base`` and the weights are built once, for the canonical element
-    (0...0, 1_C), at every strength; each member keeps its relabeling and
-    its own involutions.  Nothing rotates a readout row.  ``stack[k, i]``
-    is member i's plan at ``gs[k]``.
+    The block rows and the weights are built once, for the canonical
+    element (0...0, 1...1) on dims[C], at every strength; each member
+    keeps its support and its own involutions.  Nothing rotates a
+    readout row.  ``stack[k, i]`` is member i's plan at ``gs[k]``.
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
@@ -116,8 +117,8 @@ def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
         couplings=tuple(_res_couplings(e) for e in members),
         settings=settings,
         weights=_res_weights(gs, settings, canonical.n_couplings),
-        base=base_amplitudes(canonical.dims, _res_couplings(canonical), gs),
-        relabelings=relabelings(members),
+        rows=canonical_rows(canonical, _res_couplings(canonical), gs),
+        supports=supports(members),
     )
 
 
@@ -148,7 +149,7 @@ def outcome_distribution(
     check_state_dims(rho, plan)
     rho = as_density(rho)
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
-    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho))
+    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho.entries))
 
 
 def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
@@ -157,12 +158,13 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
     Extraction is scheme independent: the plan carries the estimator,
     so ``res`` and ``seq`` plans are read the same way.  Each part is
     Tr(G rho), with G the sum of the coefficient-weighted outcome
-    projectors of that part, read from the weights and ``base`` (see
-    ``dmres.plans``) rather than from rotated readout rows.
+    projectors of that part, read from the weights and the block rows
+    (see ``dmres.plans``) rather than from rotated readout rows.  G lives
+    on the element's coupled block, so only that block of the state is
+    read; a ``Ket`` is never densified.
     """
     check_state_dims(rho, plan)
-    rho = as_density(rho)
-    return complex(*expectations(_estimator_grams(plan), rho))
+    return complex(*member_traces(_estimator_grams(plan), rho, plan.support))
 
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
@@ -208,13 +210,15 @@ def configuration_stacks(elements, scheme: str, gs):
     The one path from an element list to plans: each coupled set of
     ``configurations`` is built once by the scheme's stack builder and
     yielded in ``plans.member_chunks``, so ``stack[k, i]`` is member i's
-    plan at ``gs[k]``.  The joint dimension D 2^m of the largest
-    configuration, m the scheme's meters per coupled qudit times its
-    coupled qudits, is checked before anything is built.
+    plan at ``gs[k]``.  The joint dimension d_C 2^m of the largest
+    configuration, d_C the dimension of its coupled qudits and m the
+    scheme's meters per coupled qudit times their number, is checked
+    before anything is built.
     """
     entry = scheme_entry(scheme)
     groups = configurations(elements)
-    check_joint_dim(max((g[0].dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups), default=0))
+    check_joint_dim(max((canonical_element(g[0]).dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups),
+                        default=0))
     for members in groups:
         yield from member_chunks(entry.stack(members, gs))
 
@@ -240,13 +244,14 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
 
     Diagonal entries come from post-selection statistics alone; the
     upper triangle is read batch by batch, every member's estimate from
-    the batch's one canonical product, relabeled, and the lower triangle
+    the batch's one canonical product and the member's block of the
+    state, and the lower triangle
     is filled by conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)
     for batch in configuration_batches(rho.dims, g, plan_builder):
-        (values,) = expectations(_estimator_grams(batch), rho)
+        (values,) = member_traces(_estimator_grams(batch), rho, batch.supports)
         for element, (re, im) in zip(batch.elements, values):
             u, v, value = element.s_flat, element.s_prime_flat, complex(re, im)
             est[u, v] = value

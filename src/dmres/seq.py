@@ -7,13 +7,14 @@ meters carry the element information; the estimator is therefore
 restricted to full-product meter correlators at the two post-selection
 outcomes and made exactly unbiased at the working strength by a
 minimum-norm linear solve.  The solve reads the correlator rows from
-the plan's unrotated columns, so calibration rotates no readout row;
+the plan's unrotated block rows, so calibration rotates no readout row;
 the dense ``response_map`` matrix over every outcome is built only when
 asked for.  Relabeling each coupled qudit so that s_n goes to 0 and
 s'_n to 1 turns pi[s_n] into pi[0] and leaves the uniform-superposition
 projector alone, so elements with one coupled set C share one solve per
-strength, that of (0...0, 1_C) (see ``dmres.plans``).  Extraction is
-``res.extract_element``: the plan carries the estimator, in the
+strength, that of (0...0, 1...1) on dims[C], over the d_C x d_C
+Hermitian basis of the coupled block (see ``dmres.plans``).  Extraction
+is ``res.extract_element``: the plan carries the estimator, in the
 correlator form every plan has.
 """
 
@@ -39,14 +40,13 @@ from .plans import (
     SEQ_SCHEME,
     SINGULAR_TOL,
     _flip_phases,
-    base_amplitudes,
     canonical_element,
+    canonical_rows,
     check_off_diagonal,
     enumerate_settings,
     finite_strengths,
-    post_selected_blocks,
-    relabelings,
     sign_products,
+    supports,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -138,7 +138,7 @@ def _targets(element: ElementIndex) -> np.ndarray:
     return np.stack([t.real, t.imag])
 
 
-def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
+def _correlator_response(blocks: np.ndarray) -> np.ndarray:
     """Rows of the response map restricted to normalized full correlators.
 
     Row (setting b, system outcome k) holds
@@ -152,13 +152,12 @@ def _correlator_response(base: np.ndarray, outcomes: list[int]) -> np.ndarray:
     whatever the chunk.
     Computing the matrix element directly keeps every term at the full
     correlator order in g, so no precision is lost to cancellation at
-    weak coupling.  A strength stack of ``base`` gives one row block per
-    strength, (G, rows, basis).  ``base`` is a plan's unrotated columns.
+    weak coupling.  ``blocks`` are a plan's unrotated ``rows`` of the
+    post-selected outcomes, (outcomes, 2^m, d); a strength stack (G,
+    outcomes, 2^m, d) gives one row block per strength, (G, rows, basis).
     """
-    d = base.shape[-1]
-    n_patterns = base.shape[-2] // d
-    lead = base.shape[:-2]
-    blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
+    n_patterns, d = blocks.shape[-2:]
+    lead = blocks.shape[:-3]
     adjoint = blocks.conj().swapaxes(-1, -2)
     reversed_blocks = blocks[..., ::-1, :]
     phase = _flip_phases(n_patterns.bit_length() - 1)
@@ -251,23 +250,26 @@ def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
 
     The estimator is restricted to full-product meter correlators at the
     two post-selection outcomes, the joint statistics the sequential
-    readout actually uses; their rows come from the unrotated columns
-    ``base``, and the plan's own weights are not read.
+    readout actually uses; their rows come from the unrotated block rows
+    ``rows``, and the plan's own weights are not read.  The solve is the
+    canonical element's (0...0, 1...1) on dims[C], which every member
+    reads.
 
-    For a plan this solves its element and returns (weights, info), with
-    weights (2, n_settings, 2) as a plan stores them.  For a
-    ``PlanBatch`` it solves the canonical element (0...0, 1_C) that every
-    member relabels to, once per strength, and returns its weights
-    (G, 2, n_settings, 2) with one ``CalibrationInfo`` per strength.  The
-    first strength whose residual exceeds ``RESIDUAL_TOL`` raises
-    ``CalibrationError``.
+    For a plan this returns (weights, info), with weights (2,
+    n_settings, 2) as the plan stores them, in its own index order.  For
+    a ``PlanBatch`` it solves once per strength and returns the
+    canonical weights (G, 2, n_settings, 2) with one ``CalibrationInfo``
+    per strength.  The first strength whose residual exceeds
+    ``RESIDUAL_TOL`` raises ``CalibrationError``.
     """
     single = isinstance(plan, ProtocolPlan)
-    element, gs = (plan.element, (plan.g,)) if single else (plan.canonical, plan.gs)
-    rows = _correlator_response(plan.base, list(post_selected_blocks(element)))
-    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(element), gs)
+    element, gs = (plan.element, (plan.g,)) if single else (plan.elements[0], plan.gs)
+    rows = _correlator_response(plan.rows)
+    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(canonical_element(element)), gs)
     weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), 2, -1, 2))
-    return (weights[0], infos[0]) if single else (weights, infos)
+    if not single:
+        return weights, infos
+    return (weights[0, ..., ::-1] if element.s_flat > element.s_prime_flat else weights[0]), infos[0]
 
 
 def singular_strength(g: float) -> bool:
@@ -278,11 +280,11 @@ def singular_strength(g: float) -> bool:
 def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
     """The calibrated seq plans of elements with one coupled set at every strength of ``gs``.
 
-    ``base`` is built and ``calibrate_estimator`` solved once, for the
-    canonical element (0...0, 1_C), at every strength; each member keeps
-    its relabeling and its own couplings.  The first strength, in order,
-    that is singular raises, and then the first that fails calibration
-    raises the error every member's ``plan_seq`` would.
+    The block rows are built and ``calibrate_estimator`` solved once, for
+    the canonical element (0...0, 1...1) on dims[C], at every strength;
+    each member keeps its support and its own couplings.  The first
+    strength, in order, that is singular raises, and then the first that
+    fails calibration raises the error every member's ``plan_seq`` would.
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
@@ -298,8 +300,7 @@ def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
     bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs,
                      couplings=tuple(seq_couplings(e) for e in members), settings=settings,
                      weights=np.zeros((len(gs), 2, len(settings), 2)),
-                     base=base_amplitudes(canonical.dims, couplings, gs),
-                     relabelings=relabelings(members))
+                     rows=canonical_rows(canonical, couplings, gs), supports=supports(members))
     weights, infos = calibrate_estimator(bare)
     return replace(bare, weights=weights, calibrations=infos)
 

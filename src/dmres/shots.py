@@ -8,16 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError
-from .linalg import DensityMatrix, Ket, as_density
+from .linalg import DensityMatrix, Ket
 from .plans import (
     PlanBatch,
     ProtocolPlan,
     _born,
-    _member_rows,
+    _gathered,
     check_state_dims,
     estimator_operators,
-    expectations,
-    post_selected_blocks,
+    member_traces,
     readout_amplitudes,
     sign_products,
 )
@@ -73,23 +72,24 @@ def element_variance(
     Counts are independent Poisson per outcome, so each estimator part
     X = sum_o c_o n_o / (n_t T) has n_t Var(X) = sum_o c_o^2 p_o / T,
     summed over settings, which is Tr(W rho) / T with W the plan's
-    variance operator, built once per plan.  The result does not depend
+    variance operator, built once per plan and read against the
+    element's coupled block of the state.  The result does not depend
     on n_t.
     """
     check_state_dims(rho, plan)
     factor = allocation_factor(policy.allocation, plan.n_settings)
-    var_re, var_im = expectations(plan.estimator_operators, as_density(rho))
+    var_re, var_im = member_traces(plan.estimator_operators, rho, plan.support)
     return factor * float(var_re), factor * float(var_im)
 
 
 def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) -> np.ndarray:
     """Every plan's ``element_variance``, (G, M, 2), from one stacked product.
 
-    Every member's (W_re, W_im) is one slice of the batch's
-    ``estimator_operators``.  ``rho`` must have the batch's dims.
+    Every member reads the batch's one canonical ``estimator_operators``
+    pair against its block of ``rho``, which must have the batch's dims.
     """
     factor = allocation_factor(policy.allocation, batch.n_settings)
-    return factor * expectations(estimator_operators(batch), rho)
+    return factor * member_traces(estimator_operators(batch), rho, batch.supports)
 
 
 # One (plan, state) pair and what its draws read: a read-only (3, cells)
@@ -103,8 +103,9 @@ def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndar
     """(p, c_re, c_im) over the stored outcome cells, computed once per (plan, state) pair.
 
     The cells are the rows of ``plan.block_amplitudes``, blocks s and
-    s', the outcomes the estimator weighs; the full stack
-    ``plan.amplitudes`` is never read.
+    s', the outcomes the estimator weighs, read against the element's
+    coupled block of the state; the full stack ``plan.amplitudes`` is
+    never read.
     Plans and states are immutable (their arrays are read-only), so
     repeated draws for the same two objects reuse the last stack.
     """
@@ -112,7 +113,7 @@ def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndar
     plan_ref, rho_ref, held = _PROBABILITY_MEMO
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
         return held
-    p = _born(plan.block_amplitudes, as_density(rho))
+    p = _born(plan.block_amplitudes, _gathered(rho, plan.support))
     held = _cells(p, plan.weights[..., None] * sign_products(plan.n_meters))
     held.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), held)
@@ -162,19 +163,20 @@ def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolic
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
     The readout rows of the canonical element's two blocks are rotated
-    once for the batch; each member's draw reads them relabeled, as its
-    plan's ``block_amplitudes``, and gives the value ``simulate_shots``
-    gives on that plan with the same generator.  ``rho`` must have the
-    batch's dims.
+    once for the batch in each block order its members read, index order
+    being swapped when s > s'; each member's draw reads them, as its
+    plan's ``block_amplitudes``, against its block of ``rho``, and gives
+    the value ``simulate_shots`` gives on that plan with the same
+    generator.  ``rho`` must have the batch's dims.
     """
-    (base,), (weights,) = batch.base, batch.weights
-    d = base.shape[-1]
-    rotated = readout_amplitudes(base, d, post_selected_blocks(batch.canonical))
+    (rows,), (weights,) = batch.rows, batch.weights
+    orders = {element.s_flat > element.s_prime_flat for element in batch.elements}
+    rotated = {swapped: readout_amplitudes(rows[::-1] if swapped else rows) for swapped in orders}
     signs = sign_products(batch.n_meters)
     values = []
-    for element, perm, rng in zip(batch.elements, batch.relabelings, rngs):
+    for element, block, rng in zip(batch.elements, _gathered(rho, batch.supports), rngs):
         swapped = element.s_flat > element.s_prime_flat
-        p = _born(_member_rows(rotated, perm, swapped), rho)
+        p = _born(rotated[swapped], block)
         entries = (weights[..., ::-1] if swapped else weights)[..., None] * signs
         values.append(_draw(_cells(p, entries), policy, batch.n_settings, rng))
     return values

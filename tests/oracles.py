@@ -354,22 +354,21 @@ def hermitian_coordinates(hermitian):
     return np.concatenate([np.diagonal(m).real, pairs])
 
 
-def basis_path_correlator_rows(plan, outcomes, base, labels):
+def basis_path_correlator_rows(plan, blocks, labels):
     """Correlator response rows Tr[B (A_k^dag Sigma_b A_k)] / sqrt(2^m) with a
     dense Pauli product per setting and one explicit basis matrix at a time.
-    A strength stack of ``base`` gives one row block per strength."""
-    if base.ndim == 3:
-        return np.stack([basis_path_correlator_rows(plan, outcomes, b, labels) for b in base])
-    m = plan.n_meters
+    ``blocks`` are the unrotated rows (outcomes, 2^m, d) of the outcomes
+    read; a strength stack of them gives one row block per strength."""
+    if blocks.ndim == 4:
+        return np.stack([basis_path_correlator_rows(plan, b, labels) for b in blocks])
     pauli = {"x": SX, "y": SY}
     gmats = []
     for setting in plan.settings:
         sigma = kron(*[pauli[b] for b in setting.meter_bases])
-        for k in outcomes:
-            blk = base[k * 2 ** m:(k + 1) * 2 ** m]
+        for blk in blocks:
             gmats.append(blk.conj().T @ sigma @ blk)
     gmats = np.array(gmats)
-    dim = plan.element.dim
+    m, dim = plan.n_meters, blocks.shape[-1]
     rows = np.empty((len(gmats), len(labels)))
     for j, label in enumerate(labels):
         rows[:, j] = np.einsum("uv,nvu->n", hermitian_basis_element(dim, label), gmats).real
@@ -404,21 +403,58 @@ def einsum_pauli_product(blocks):
     return out.reshape((-1,) + blocks.shape)
 
 
-def einsum_correlator_response(base, outcomes):
+def einsum_correlator_response(blocks):
     """Correlator response rows with the Pauli products from ``einsum_pauli_product``.
 
-    Every other step (the Gram product A_k^dag Sigma_b A_k, the trace
-    read-off ``dmres.seq.basis_traces`` and the normalization) is the
-    package's, in its order, so the rows must equal
-    ``dmres.seq._correlator_response`` byte for byte.
+    ``blocks`` are unrotated block rows (..., outcomes, 2^m, d).  Every
+    other step (the Gram product A_k^dag Sigma_b A_k, the trace read-off
+    ``dmres.seq.basis_traces`` and the normalization) is the package's,
+    in its order, so the rows must equal ``dmres.seq._correlator_response``
+    byte for byte.
     """
     from dmres.seq import basis_traces
 
-    d = base.shape[-1]
-    n_patterns = base.shape[-2] // d
-    lead = base.shape[:-2]
-    blocks = base.reshape(lead + (d, n_patterns, d))[..., outcomes, :, :]
+    n_patterns = blocks.shape[-2]
+    lead = blocks.shape[:-3]
     gmat = blocks.conj().swapaxes(-1, -2) @ einsum_pauli_product(blocks)
     rows = basis_traces(gmat).real / np.sqrt(n_patterns)
     rows = np.moveaxis(rows, 0, len(lead))
     return rows.reshape(lead + (-1, rows.shape[-1]))
+
+
+def own_block_rows(plan):
+    """The plan's unrotated rows of blocks s and s', in index order, from its
+    own full-space columns ``base_amplitudes(dims, couplings, g)``: (2, 2^m, D)."""
+    from dmres.plans import base_amplitudes
+
+    dim = plan.element.dim
+    own = base_amplitudes(plan.element.dims, plan.couplings, plan.g).reshape(dim, -1, dim)
+    return own[list(plan.blocks)]
+
+
+def own_calibrated_weights(plan):
+    """A seq plan's weights solved as one element of the full space: the
+    correlator rows of its own block rows against the D x D Hermitian
+    basis, the min-norm solve for its own (s, s') targets."""
+    from dmres.seq import _correlator_response, _correlator_weights, _solve, _targets
+
+    rows = _correlator_response(own_block_rows(plan))
+    z, _ = _solve(rows[None], _targets(plan.element), (plan.g,))
+    return _correlator_weights(z, plan.n_meters).reshape(2, -1, 2)
+
+
+def own_block_grams(plan, weights):
+    """Estimator pair G and variance pair W, each (2, D, D), of block
+    weights (2, settings, 2) in index order, from the plan's own block rows
+    B_k: G_t = sum_k B_k^dag diag(phi_tk) J B_k, with phi_tk the weights
+    summed against the Pauli phase table and J the pattern reversal, and
+    W_t = sum_k alpha_tk B_k^dag B_k, alpha_tk the squared weights summed
+    over settings."""
+    from dmres.plans import _flip_phases
+
+    own = own_block_rows(plan)
+    adjoint = own.conj().swapaxes(-1, -2)
+    phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (2, blocks, patterns)
+    grams = np.einsum("kvp,tkp,kpu->tvu", adjoint, phi, own[:, ::-1])
+    variances = np.einsum("kvp,tk,kpu->tvu", adjoint, (weights ** 2).sum(1), own)
+    return grams, variances

@@ -166,8 +166,8 @@ class TestCharacterize:
         src = tmp_path / "in.state"
         write_state(src, rho)
         built = []
-        counted = res_module.relabelings
-        monkeypatch.setattr(res_module, "relabelings",
+        counted = res_module.supports
+        monkeypatch.setattr(res_module, "supports",
                             lambda elements: built.extend(elements) or counted(elements))
         code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
                      "--truth", str(src), "--shots", "1e5", "--seed", "2"])

@@ -19,6 +19,7 @@ from dmres import (
     DimensionLimitError,
     ElementIndex,
     InvalidCouplingError,
+    Ket,
     characterize,
     element_variance,
     extract_element,
@@ -30,13 +31,13 @@ from dmres import (
 from dmres.elements import all_offdiagonal_elements, precision_element_set
 from dmres.plans import (
     all_probabilities,
-    base_amplitudes,
     canonical_element,
+    embedded,
     estimator_operators,
     functional_matrix,
     joint_unitary,
-    relabelings,
     sign_products,
+    supports,
 )
 from dmres.precision import (
     SystemSpec,
@@ -56,6 +57,9 @@ from oracles import (
     embed,
     embedded_coupling,
     hermitian_basis_element,
+    own_block_grams,
+    own_block_rows,
+    own_calibrated_weights,
     reference_couplings,
     reference_plan_amplitudes,
     reference_plan_probabilities,
@@ -152,14 +156,15 @@ class TestLargerSystems:
 
 
 class TestIndexedCalibration:
-    ELEMENT = ElementIndex.create((2,) * 6, (0,) * 6, (1,) + (0,) * 5)
+    ELEMENT = ElementIndex.create((2,) * 6, (0,) * 6, (1,) * 3 + (0,) * 3)
 
     def test_matches_explicit_basis_path(self, monkeypatch):
-        # joint dimension 256, but 4,096 Hermitian basis elements of 64 x 64
+        # a 64-level system whose coupled block has 8 levels: 64 Hermitian
+        # basis elements of 8 x 8
         plan = plan_seq(self.ELEMENT, 0.7)
-        labels = seq_module.hermitian_labels(self.ELEMENT.dim)
+        labels = seq_module.hermitian_labels(canonical_element(self.ELEMENT).dim)
         monkeypatch.setattr(seq_module, "_correlator_response",
-                            lambda base, outcomes: basis_path_correlator_rows(plan, outcomes, base, labels))
+                            lambda rows: basis_path_correlator_rows(plan, rows, labels))
         monkeypatch.setattr(seq_module, "_targets", lambda element: np.stack(basis_path_targets(element, labels)))
         ref = plan_seq(self.ELEMENT, 0.7)
         assert_allclose(plan.weights, ref.weights, rtol=1e-12, atol=1e-12)
@@ -208,17 +213,18 @@ class TestStrengthFamilies:
     def test_stack_over_members_and_strengths_equals_single_builds(self, dims, scheme, grid, data):
         members = data.draw(st.sampled_from(res_module.configurations(all_offdiagonal_elements(dims))))
         stack = STACKS[scheme](members, grid)
-        assert stack.weights.shape[:1] == stack.base.shape[:1] == (len(grid),)
-        assert stack.relabelings.shape == (len(members), members[0].dim)
+        assert stack.weights.shape[:1] == stack.rows.shape[:1] == (len(grid),)
+        assert stack.supports.shape == (len(members), canonical_element(members[0]).dim)
         for k, g in enumerate(grid):
             for i, element in enumerate(members):
                 got, want = stack[k, i], BUILDERS[scheme](element, g)
                 assert (got.element, got.g) == (element, g)
                 assert [c.label for c in got.couplings] == [c.label for c in want.couplings]
-                assert got.base.tobytes() == want.base.tobytes()
+                assert got.rows.tobytes() == want.rows.tobytes()
+                assert got.support.tobytes() == want.support.tobytes()
                 assert got.weights.tobytes() == want.weights.tobytes()
                 assert got.calibration == want.calibration
-                assert estimator_operators(stack)[k, i].tobytes() == estimator_operators(want).tobytes()
+                assert estimator_operators(stack)[k].tobytes() == estimator_operators(want).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(scheme=st.sampled_from(["res", "seq"]), k=st.integers(0, 4), offset=st.floats(-1e-9, 1e-9))
@@ -328,7 +334,7 @@ RELABELING_STRENGTHS = (1e-2, 0.7, 1.3)
 
 
 class TestRelabeling:
-    """Every element, both triangles, read as a relabeling of its coupled set's canonical element."""
+    """Every element, both triangles, read through its support from its coupled set's canonical element."""
 
     @pytest.mark.parametrize("scheme, tol", [("res", 1e-10), ("seq", 1e-8)])
     @pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 3), (2, 2, 2)])
@@ -346,8 +352,8 @@ class TestRelabeling:
                     assert [c.qudit for c in plan.couplings] == [n for n, _ in want_couplings]
                     for c, (_, op) in zip(plan.couplings, want_couplings):
                         assert_allclose(c.op, op, rtol=0, atol=1e-15)
-                    want = base_amplitudes(dims, plan.couplings, g)
-                    assert np.max(np.abs(plan.base - want)) <= 1e-12 * np.max(np.abs(want))
+                    own = own_block_rows(plan)[..., plan.support]  # blocks in index order
+                    assert_rel_close(own if element.s_flat < element.s_prime_flat else own[::-1], plan.rows)
                     unit = np.zeros((element.dim, element.dim))
                     unit[element.s_flat, element.s_prime_flat] = 1.0
                     assert np.max(np.abs(functional_matrix(plan) - unit)) <= tol
@@ -358,20 +364,67 @@ class TestRelabeling:
 
     @settings(max_examples=200, deadline=None)
     @given(element=elements(((2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 4))))
-    def test_relabeling_sends_the_element_to_its_canonical_one(self, element):
-        (perm,) = relabelings([element])
+    def test_support_sends_the_canonical_element_to_the_element(self, element):
+        (support,) = supports([element])
         canonical = canonical_element(element)
-        assert sorted(perm.tolist()) == list(range(element.dim))
-        assert perm[element.s_flat] == canonical.s_flat == 0
-        assert perm[element.s_prime_flat] == canonical.s_prime_flat
-        assert canonical.s == (0,) * element.n_qudits
-        assert canonical.s_prime == tuple(int(n in element.coupled_set) for n in range(element.n_qudits))
-        # a product of one permutation per qudit
-        digits = np.array(np.unravel_index(np.arange(element.dim), element.dims))
-        moved = np.array(np.unravel_index(perm, element.dims))
-        for n in range(element.n_qudits):
-            for a in range(element.dims[n]):
-                assert len(set(moved[n, digits[n] == a].tolist())) == 1
+        coupled = element.coupled_set
+        assert canonical.dims == tuple(element.dims[n] for n in coupled)
+        assert canonical.s == (0,) * len(coupled) and canonical.s_prime == (1,) * len(coupled)
+        assert support.shape == (canonical.dim,)
+        assert support[0] == element.s_flat
+        assert support[canonical.s_prime_flat] == element.s_prime_flat
+        # each coupled digit is a bijection of that qudit's levels, s_n and
+        # s'_n first and the rest in order; every other digit is s_n
+        canonical_digits = np.array(np.unravel_index(np.arange(canonical.dim), canonical.dims))
+        digits = np.array(np.unravel_index(support, element.dims))
+        for j, n in enumerate(coupled):
+            levels = dict.fromkeys([element.s[n], element.s_prime[n], *range(element.dims[n])])
+            assert digits[n].tolist() == [list(levels)[c] for c in canonical_digits[j]]
+        for n in set(range(element.n_qudits)) - set(coupled):
+            assert set(digits[n].tolist()) == {element.s[n]}
+
+
+ORACLE_STRENGTHS = (0.05, 0.7, 1.3)
+
+
+class TestCoupledBlockOracle:
+    """Plans on the coupled block against each member's own full-space columns."""
+
+    @pytest.mark.parametrize("scheme, tol", [("res", 1e-12), ("seq", 1e-8)])
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 2, 2, 2), (2, 3, 2)])
+    def test_embedded_operators_are_the_grams_of_the_own_columns(self, dims, scheme, tol):
+        # res weights are closed-form; seq's are solved as the element of
+        # the full space it is, against the D x D Hermitian basis
+        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
+            stack = STACKS[scheme](members, ORACLE_STRENGTHS)
+            for k in range(len(ORACLE_STRENGTHS)):
+                for i in {0, len(members) - 1}:
+                    plan = stack[k, i]
+                    weights = plan.weights if scheme == "res" else own_calibrated_weights(plan)
+                    grams, variances = own_block_grams(plan, weights)
+                    assert_rel_close(functional_matrix(plan), (grams[0] + 1j * grams[1]).T, tol)
+                    assert_rel_close(embedded(estimator_operators(plan), plan.support, plan.element.dim),
+                                     variances, tol)
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_sixteen_qubit_ket_element_reads_two_amplitudes(self, scheme, monkeypatch):
+        # the full space of the element's plan, 65,536 levels times its
+        # meters, is beyond the joint limit; its coupled block is not
+        dims = (2,) * 16
+        rng = stream(21, "ket16")
+        amps = rng.standard_normal(2 ** 16) + 1j * rng.standard_normal(2 ** 16)
+        ket = Ket.create(amps / np.linalg.norm(amps), dims)
+        s = tuple(int(b) for b in rng.integers(0, 2, 16))
+        sp = tuple(1 - b if n in (3, 11) else b for n, b in enumerate(s))
+        element = ElementIndex.create(dims, s, sp)
+
+        def densified(self):
+            raise AssertionError("the ket was densified")
+
+        monkeypatch.setattr(Ket, "density", densified)
+        got = extract_element(ket, BUILDERS[scheme](element, 0.7))
+        want = ket.amplitudes[element.s_flat] * np.conj(ket.amplitudes[element.s_prime_flat])
+        assert abs(got - want) <= 1e-12
 
 
 class TestBaseBlockOperators:
@@ -388,9 +441,9 @@ class TestBaseBlockOperators:
             singles = [estimator_operators(stack[k, 0]) for k in range(len(gs))]
         for k in range(len(gs)):
             plan = stack[k, 0]
+            assert np.array_equal(singles[k], stacks[k])  # a plan is the stack of one
             for i, c in enumerate((plan.coeff_re, plan.coeff_im)):
-                w = stacks[k, 0, i]
-                assert np.array_equal(singles[k][i], w)  # a plan is the stack of one
+                w = embedded(stacks[k, i], plan.support, element.dim)
                 assert_rel_close(w, full_gram(plan.amplitudes, c ** 2))
                 assert_rel_close(w, w.conj().T)
 
@@ -406,8 +459,10 @@ class TestStoredBlocks:
         pair = tuple(sorted((element.s_flat, element.s_prime_flat)))
         assert plan.blocks == pair
         assert plan.block_amplitudes.shape == (plan.n_settings, len(plan.blocks) * 2 ** plan.n_meters,
-                                               element.dim)
-        assert np.array_equal(plan.block_amplitudes, stored_rows_of(plan.amplitudes, plan))
+                                               canonical_element(element).dim)
+        rows = np.zeros(plan.block_amplitudes.shape[:-1] + (element.dim,), dtype=complex)
+        rows[..., plan.support] = plan.block_amplitudes
+        assert np.array_equal(rows, stored_rows_of(plan.amplitudes, plan))
         assert not plan.block_amplitudes.flags.writeable
         assert plan.amplitudes.shape == (plan.n_settings, plan.outcomes_per_setting, element.dim)
         assert not plan.amplitudes.flags.writeable
@@ -428,15 +483,15 @@ class TestStoredBlocks:
             factor = allocation_factor(allocation, plan.n_settings)
             assert_rel_close(element_variance(plan, rho, ShotPolicy(1.0, allocation)),
                              (factor * np.sum(c_re ** 2 * p), factor * np.sum(c_im ** 2 * p)))
-        w_re, w_im = estimator_operators(plan)
+        w_re, w_im = embedded(estimator_operators(plan), plan.support, element.dim)
         assert_rel_close(w_re, full_gram(plan.amplitudes, c_re ** 2))
         assert_rel_close(w_im, full_gram(plan.amplitudes, c_im ** 2))
         assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, c_re + 1j * c_im).T)
 
         stack = STACKS[kind]([element], [0.4, 0.9])
-        stacks = estimator_operators(stack)
+        stacks = embedded(estimator_operators(stack), stack.supports[0], element.dim)
         for k in range(2):
-            for w, c in zip(stacks[k, 0], (stack[k, 0].coeff_re, stack[k, 0].coeff_im)):
+            for w, c in zip(stacks[k], (stack[k, 0].coeff_re, stack[k, 0].coeff_im)):
                 assert_rel_close(w, full_gram(stack[k, 0].amplitudes, c ** 2))
 
     @pytest.mark.parametrize("builder", [plan_res, plan_seq])
@@ -485,7 +540,7 @@ class TestStoredBlocks:
         p = all_probabilities(plan, rho)
         assert_rel_close(extract_element(rho, plan), complex(np.sum(tables[0] * p), np.sum(tables[1] * p)))
         assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, tables[0] + 1j * tables[1]).T)
-        w_re, w_im = estimator_operators(plan)
+        w_re, w_im = embedded(estimator_operators(plan), plan.support, element.dim)
         assert_rel_close(w_re, full_gram(plan.amplitudes, tables[0] ** 2))
         assert_rel_close(w_im, full_gram(plan.amplitudes, tables[1] ** 2))
 
@@ -511,7 +566,7 @@ class TestStoredBlocks:
         assert plan.block_amplitudes.shape == (256, 2 * 256, 16)
 
     def test_four_qubit_seq_plan_holds_little(self):
-        # base (1 MiB) and weights (8 KiB); coefficient tables would add 16.8 MB
+        # block rows (128 KiB) and weights (8 KiB); coefficient tables would add 16.8 MB
         element = ElementIndex.create((2,) * 4, (0,) * 4, (1,) * 4)
         tracemalloc.start()
         try:

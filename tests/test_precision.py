@@ -174,10 +174,11 @@ class TestWeakCouplingScaling:
 def held_entries(members, scheme, gs):
     """Entries per strength of every array a coupled set's stack over ``gs`` holds, read from their shapes.
 
-    The stack's canonical ``base`` and block weights and its members'
-    relabelings, for ``seq`` the Gram stack the calibration rows are
-    read from (the largest stack ``seq.basis_traces`` is handed), and
-    the members' variance operators gathered from the canonical ones.
+    The stack's canonical block rows and weights and its members'
+    supports, for ``seq`` the Gram stack the calibration rows are read
+    from (the largest stack ``seq.basis_traces`` is handed), the
+    canonical variance operator pair and each member's mean of it,
+    embedded in the full space.
     """
     handed = []
     traces = seq_module.basis_traces
@@ -189,7 +190,8 @@ def held_entries(members, scheme, gs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
         stack = res_module.SCHEMES[scheme].stack(members, gs)
-    arrays = [stack.base.size, stack.weights.size, stack.relabelings.size, estimator_operators(stack).size]
+    arrays = [stack.rows.size, stack.weights.size, stack.supports.size, estimator_operators(stack).size,
+              precision_module._variance_operator(stack).size]
     if scheme == "seq":
         arrays.append(max(handed))
     return [size // len(gs) for size in arrays]

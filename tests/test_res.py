@@ -35,7 +35,8 @@ from dmres.plans import (
     PlanBatch,
     ProtocolPlan,
     RES_SCHEME,
-    base_amplitudes,
+    canonical_element,
+    canonical_rows,
     enumerate_settings,
     functional_matrix,
 )
@@ -69,12 +70,13 @@ def plus_state():
 
 def bare_res_plan(element, g):
     """A res plan without estimator weights, so g may be singular (sin 2g = 0)."""
-    couplings = plan_res(element, 0.5).couplings  # the couplings do not depend on g
-    settings = enumerate_settings(len(couplings))
-    base = base_amplitudes(element.dims, couplings, g)
+    plan = plan_res(element, 0.5)  # the couplings and the support do not depend on g
+    canonical = canonical_element(element)
+    settings = enumerate_settings(len(plan.couplings))
+    (rows,) = canonical_rows(canonical, plan_res(canonical, 0.5).couplings, (g,))
     return ProtocolPlan(
-        element=element, scheme=RES_SCHEME, g=g, couplings=couplings, settings=settings,
-        weights=np.zeros((2, len(settings), 2)), base=base,
+        element=element, scheme=RES_SCHEME, g=g, couplings=plan.couplings, settings=settings,
+        weights=np.zeros((2, len(settings), 2)), rows=rows, support=plan.support,
     )
 
 
@@ -308,8 +310,7 @@ class TestDiagonalAndCharacterize:
     def test_other_builder_is_refused_before_any_build(self, dims, monkeypatch):
         # only the stock builders have a configuration stack
         built = []
-        for module in (res_module, seq_module):
-            monkeypatch.setattr(module, "base_amplitudes", lambda *a: built.append(a))
+        monkeypatch.setattr(plans_module, "base_amplitudes", lambda *a: built.append(a))
         builder = lambda element, g: built.append(element) or plan_res(element, g)  # noqa: E731
         refused = r"plan builder '<lambda>' has no configuration stack: use plan_res or plan_seq"
         with pytest.raises(DmresError, match=refused):
@@ -328,8 +329,7 @@ class TestRefusedBeforeAnyBuild:
         # the configuration coupling every qubit is the largest; its
         # joint dimension is checked before any configuration is built
         built = []
-        for module in (res_module, seq_module):
-            monkeypatch.setattr(module, "base_amplitudes", lambda *a: built.append(a))
+        monkeypatch.setattr(plans_module, "base_amplitudes", lambda *a: built.append(a))
         rho = random_mixed_state(dims, stream(15, "oversized"))
         start = time.perf_counter()
         with pytest.raises(DimensionLimitError, match=f"joint dimension {joint} exceeds"):
@@ -353,7 +353,8 @@ class TestRefusedBeforeAnyBuild:
         for stack in stacks:
             want = SCHEMES[scheme].stack(list(stack.elements), (0.4, 0.9))
             assert stack.weights.tobytes() == want.weights.tobytes()
-            assert stack.base.tobytes() == want.base.tobytes()
+            assert stack.rows.tobytes() == want.rows.tobytes()
+            assert stack.supports.tobytes() == want.supports.tobytes()
 
 
 CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
@@ -532,7 +533,7 @@ class TestConfigurationPlans:
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
     def test_exact_estimates_rotate_no_readout_row(self, scheme, dims, readout_calls):
-        # every estimate is read from the unrotated blocks of base
+        # every estimate is read from the unrotated block rows
         rho = random_mixed_state(dims, stream(4, "rotations"))
         characterize(rho, 0.6, self.BUILDERS[scheme])
         extract_element(rho, self.BUILDERS[scheme](element_from_flat(dims, 0, 3), 0.6))

@@ -26,7 +26,7 @@ from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
 from dmres.seq import _correlator_response, seq_couplings, seq_stack
-from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, enumerate_settings
+from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_element, canonical_rows, enumerate_settings
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
 
@@ -34,10 +34,11 @@ from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, k
 def bare_seq_plan(element, g):
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
-    base = base_amplitudes(element.dims, couplings, g)
+    canonical = canonical_element(element)
+    (rows,) = canonical_rows(canonical, seq_couplings(canonical), (g,))
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
-        weights=np.zeros((2, len(settings), 2)), base=base,
+        weights=np.zeros((2, len(settings), 2)), rows=rows, support=plan_seq(element, 0.5).support,
     )
 
 
@@ -121,7 +122,7 @@ class TestCalibration:
         weights, info = calibrate_estimator(plan)
         recal = ProtocolPlan(
             element=e, scheme="res", g=0.8, couplings=plan.couplings,
-            settings=plan.settings, weights=weights, base=plan.base,
+            settings=plan.settings, weights=weights, rows=plan.rows, support=plan.support,
         )
         rng = stream(2, "cal")
         for _ in range(10):
@@ -278,31 +279,35 @@ def signed_zero_base(shape, rng, zero_frac):
     return base
 
 
-def random_flip_bases(m):
-    """Signed-zero bases for m meters, one strength and a stack of three, with the outcomes to read."""
+def block_rows(base, outcomes):
+    """The rows (..., outcomes, 2^m, d) of unrotated columns (..., d 2^m, d) at ``outcomes``."""
+    d = base.shape[-1]
+    return base.reshape(base.shape[:-2] + (d, -1, d))[..., outcomes, :, :]
+
+
+def random_flip_rows(m):
+    """Signed-zero block rows for m meters, one strength and a stack of three."""
     rng = np.random.default_rng(m)
     d = 3 if m <= 4 else 2
-    outcomes = [0, d - 1]
     for shape in [(d * 2 ** m, d), (3, d * 2 ** m, d)]:
         for zero_frac in (1 / 3, 1.0):
-            yield signed_zero_base(shape, rng, zero_frac), outcomes
+            yield block_rows(signed_zero_base(shape, rng, zero_frac), [0, d - 1])
 
 
-def plan_flip_bases(dims, u, v):
-    """Real plans' unrotated columns: one strength and a strength stack, with the outcomes to read."""
+def plan_flip_rows(dims, u, v):
+    """Real plans' unrotated block rows of s and s': one strength and a strength stack."""
     element = element_from_flat(dims, u, v)
     for g in (0.05, 0.7, [1e-3, 0.3, 1.2, math.pi / 2]):
-        yield base_amplitudes(dims, seq_couplings(element), g), sorted((u, v))
+        yield block_rows(base_amplitudes(dims, seq_couplings(element), g), sorted((u, v)))
 
 
-def flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk):
+def flip_settings_per_chunk(monkeypatch, rows, per_chunk):
     """Set the flip budget so that ``per_chunk`` settings are flipped at a time."""
-    flipped = math.prod(base.shape[:-2]) * len(outcomes) * base.shape[-2]
-    monkeypatch.setattr(seq_module, "FLIP_ENTRIES", per_chunk * flipped)
+    monkeypatch.setattr(seq_module, "FLIP_ENTRIES", per_chunk * rows.size)
 
 
-def assert_rows_match_einsum_reference(base, outcomes):
-    got, want = _correlator_response(base, outcomes), einsum_correlator_response(base, outcomes)
+def assert_rows_match_einsum_reference(rows):
+    got, want = _correlator_response(rows), einsum_correlator_response(rows)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -323,40 +328,40 @@ class TestCorrelatorFlip:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_rows_match_einsum_reference_bytes(self, m):
-        for base, outcomes in random_flip_bases(m):
-            assert_rows_match_einsum_reference(base, outcomes)
+        for rows in random_flip_rows(m):
+            assert_rows_match_einsum_reference(rows)
 
     @pytest.mark.parametrize("dims, u, v", [((3,), 0, 2), ((2, 2), 0, 3), ((2, 2, 2), 1, 6), ((3, 2), 5, 0)])
     def test_plan_rows_match_einsum_reference_bytes(self, dims, u, v):
-        for base, outcomes in plan_flip_bases(dims, u, v):
-            assert_rows_match_einsum_reference(base, outcomes)
+        for rows in plan_flip_rows(dims, u, v):
+            assert_rows_match_einsum_reference(rows)
 
     # settings flipped at a time: one, and three, which leaves a short
     # last chunk for every m >= 2
     @pytest.mark.parametrize("per_chunk", [1, 3])
     @pytest.mark.parametrize("m", range(2, 9))
     def test_settings_chunked_rows_match_einsum_reference_bytes(self, monkeypatch, m, per_chunk):
-        for base, outcomes in random_flip_bases(m):
-            flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk)
-            assert_rows_match_einsum_reference(base, outcomes)
+        for rows in random_flip_rows(m):
+            flip_settings_per_chunk(monkeypatch, rows, per_chunk)
+            assert_rows_match_einsum_reference(rows)
 
     @pytest.mark.parametrize("per_chunk", [1, 3])
     @pytest.mark.parametrize("dims, u, v", [((3,), 0, 2), ((2, 2), 0, 3), ((2, 2, 2), 1, 6), ((3, 2), 5, 0)])
     def test_settings_chunked_plan_rows_match_einsum_reference_bytes(self, monkeypatch, dims, u, v, per_chunk):
-        for base, outcomes in plan_flip_bases(dims, u, v):
-            flip_settings_per_chunk(monkeypatch, base, outcomes, per_chunk)
-            assert_rows_match_einsum_reference(base, outcomes)
+        for rows in plan_flip_rows(dims, u, v):
+            flip_settings_per_chunk(monkeypatch, rows, per_chunk)
+            assert_rows_match_einsum_reference(rows)
 
     def test_flipped_chunk_is_freed_before_the_next(self):
         # (2,2,2) 000,111 at g = 0.7 flips its 64 settings in chunks:
         # holding one chunk's flipped blocks while the next is formed
         # peaks at 915 KiB traced, freeing each after its Gram product at
         # 659 KiB
-        base = base_amplitudes((2, 2, 2), seq_couplings(element_from_flat((2, 2, 2), 0, 7)), 0.7)
-        _correlator_response(base, [0, 7])  # first-call caches warm
+        rows = block_rows(base_amplitudes((2, 2, 2), seq_couplings(element_from_flat((2, 2, 2), 0, 7)), 0.7), [0, 7])
+        _correlator_response(rows)  # first-call caches warm
         tracemalloc.start()
         try:
-            _correlator_response(base, [0, 7])
+            _correlator_response(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
