@@ -147,9 +147,9 @@ def outcome_distribution(
     rho: DensityMatrix | Ket, plan: ProtocolPlan, setting: MeasurementSetting | int
 ) -> OutcomeDistribution:
     check_state_dims(rho, plan)
-    rho = as_density(rho)
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
-    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho.entries))
+    state = rho.amplitudes if isinstance(rho, Ket) else rho.entries  # a Ket is never densified
+    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], state))
 
 
 def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
@@ -168,9 +168,11 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
 
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
-    """<s| rho |s>: the probability of system outcome s, no meters needed."""
-    rho = as_density(rho)
+    """<s| rho |s>: the probability of system outcome s, no meters needed; |psi_s|^2 for a ``Ket``."""
     idx = np.ravel_multi_index(tuple(int(a) for a in s), rho.dims)
+    if isinstance(rho, Ket):
+        amplitude = rho.amplitudes[idx:idx + 1]  # the array product np.outer forms: the densified bytes
+        return float((amplitude * amplitude.conj()).real[0])
     return float(rho.entries[idx, idx].real)
 
 

@@ -2,14 +2,15 @@
 
 Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
+``stream`` hands Philox its SHA-256 key as the seed sequence, which
+gives the state of ``Philox(key=...)`` without drawing OS entropy.
 There is one Haar construction: normals, a stacked Ginibre QR, then the
 states, all on plain arrays.  ``precision_states`` runs it on a whole
 batch; ``sample_precision_state`` runs it on a batch of one and
-validates the result.  A batch does not build one generator per index:
-building a Philox costs several times more than the draws of a small
-state, so one private bit generator is re-keyed per index to the state a
-freshly built stream of that key starts in (counter zero, empty buffer),
-which draws the same numbers bit for bit.
+validates the result.  A batch re-keys one private bit generator per
+index to the state a fresh stream of that key starts in (counter zero,
+empty buffer, held as plain ints), which draws the same numbers bit for
+bit.
 """
 
 from __future__ import annotations
@@ -27,14 +28,20 @@ def _key_bytes(seed: int, tag: str, index: int | None) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 
 
-def _stream_key(seed: int, tag: str, index: int | None) -> np.ndarray:
-    """Philox key of (seed, tag, index): the key bytes as two uint64 words."""
-    return np.frombuffer(_key_bytes(seed, tag, index), dtype=np.uint64)
+class _Key(np.random.bit_generator.ISeedSequence):
+    """A Philox key as a seed sequence: Philox asks it for two uint64 words."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint64) -> np.ndarray:
+        return self.key
 
 
 def stream(seed: int, tag: str, index: int | None = None) -> np.random.Generator:
-    """Independent generator for (seed, tag, index)."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag, index)))
+    """Independent generator for (seed, tag, index): Philox at its key and counter zero."""
+    key = np.frombuffer(_key_bytes(seed, tag, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def _rekeyed_streams(seed: int, tag: str, indices):
@@ -50,10 +57,12 @@ def _rekeyed_streams(seed: int, tag: str, indices):
     keys = keys.reshape(-1, 2)
     if not len(keys):
         return
-    bit_generator = np.random.Philox(key=keys[0])
+    bit_generator = np.random.Philox(_Key(keys[0]))
     fresh = bit_generator.state  # the layout of a new stream, from numpy itself
+    # plain ints, which the state setter reads faster than numpy scalars
+    fresh["state"]["counter"], fresh["buffer"] = fresh["state"]["counter"].tolist(), fresh["buffer"].tolist()
     rng = np.random.Generator(bit_generator)
-    for key in keys:
+    for key in keys.tolist():
         fresh["state"]["key"] = key
         bit_generator.state = fresh
         yield rng

@@ -92,36 +92,37 @@ def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) ->
     return factor * member_traces(estimator_operators(batch), rho, batch.supports)
 
 
-# One (plan, state) pair and what its draws read: a read-only (3, cells)
-# stack of the checked, clipped Born probabilities of the stored outcome
-# cells and the real and imaginary coefficients on them.  Plan and state
-# are held by weak reference, so the memo never keeps a plan alive.
-_PROBABILITY_MEMO: tuple = (None, None, None)
+# One (plan, state) pair, the photon rate, and what its draws read: the
+# read-only Poisson means rate * p of the stored outcome cells, p their
+# checked, clipped Born probabilities, and the (2, cells) Re and Im
+# coefficients.  Weak references: the memo never keeps a plan alive.
+_PROBABILITY_MEMO: tuple = (None, None, None, None)
 
 
-def _shot_probabilities(plan: ProtocolPlan, rho: DensityMatrix | Ket) -> np.ndarray:
-    """(p, c_re, c_im) over the stored outcome cells, computed once per (plan, state) pair.
+def _shot_means(plan: ProtocolPlan, rho: DensityMatrix | Ket, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """(means, coefficients) over the stored outcome cells, computed once per (plan, state, rate).
 
     The cells are the rows of ``plan.block_amplitudes``, blocks s and
     s', the outcomes the estimator weighs, read against the element's
     coupled block of the state; the full stack ``plan.amplitudes`` is
     never read.
     Plans and states are immutable (their arrays are read-only), so
-    repeated draws for the same two objects reuse the last stack.
+    repeated draws for the same two objects at one rate reuse the last.
     """
     global _PROBABILITY_MEMO
-    plan_ref, rho_ref, held = _PROBABILITY_MEMO
-    if plan_ref is not None and plan_ref() is plan and rho_ref() is rho:
+    plan_ref, rho_ref, held_rate, held = _PROBABILITY_MEMO
+    if plan_ref is not None and plan_ref() is plan and rho_ref() is rho and held_rate == rate:
         return held
     p = _born(plan.block_amplitudes, _gathered(rho, plan.support))
-    held = _cells(p, plan.weights[..., None] * sign_products(plan.n_meters))
-    held.setflags(write=False)
-    _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), held)
+    held = _cells(p, plan.weights[..., None] * sign_products(plan.n_meters), rate)
+    for array in held:
+        array.setflags(write=False)
+    _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), rate, held)
     return held
 
 
-def _cells(p: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The (3, cells) stack of Born probabilities p, clipped at 0, and the Re and Im coefficients on the cells.
+def _cells(p: np.ndarray, entries: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Poisson means rate * p, p clipped at 0, over the cells, and the (2, cells) Re and Im coefficients on them.
 
     ``entries`` are (2, n_settings, 2, 2^m): the block weights times the
     meter signs, in the order of p's (setting, block row) cells.
@@ -130,14 +131,12 @@ def _cells(p: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """
     if p.min() < -1e-12:
         raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
-    return np.concatenate([np.clip(p, 0.0, None)[None], entries.reshape((2,) + p.shape)]).reshape(3, -1)
+    return rate * np.clip(p, 0.0, None).reshape(-1), entries.reshape(2, -1)
 
 
-def _draw(held: np.ndarray, policy: ShotPolicy, n_settings: int, rng: np.random.Generator) -> complex:
-    """One Poisson draw of the cells of a (p, c_re, c_im) stack, read row by row."""
-    exposure = policy.exposure(n_settings)
-    counts = rng.poisson(policy.n_t * exposure * held[0])
-    re, im = held[1:] @ (counts / (policy.n_t * exposure))
+def _draw(means: np.ndarray, coefficients: np.ndarray, rate: float, rng: np.random.Generator) -> complex:
+    """One Poisson draw of the cells at ``means``, normalized by the ``rate`` and weighed row by row."""
+    re, im = coefficients @ (rng.poisson(means) / rate)
     return complex(re, im)
 
 
@@ -156,7 +155,8 @@ def simulate_shots(
     the estimator exactly unbiased.
     """
     check_state_dims(rho, plan)
-    return _draw(_shot_probabilities(plan, rho), policy, plan.n_settings, rng)
+    rate = policy.n_t * policy.exposure(plan.n_settings)
+    return _draw(*_shot_means(plan, rho, rate), rate, rng)
 
 
 def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
@@ -173,10 +173,11 @@ def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolic
     orders = {element.s_flat > element.s_prime_flat for element in batch.elements}
     rotated = {swapped: readout_amplitudes(rows[::-1] if swapped else rows) for swapped in orders}
     signs = sign_products(batch.n_meters)
+    rate = policy.n_t * policy.exposure(batch.n_settings)
     values = []
     for element, block, rng in zip(batch.elements, _gathered(rho, batch.supports), rngs):
         swapped = element.s_flat > element.s_prime_flat
         p = _born(rotated[swapped], block)
         entries = (weights[..., ::-1] if swapped else weights)[..., None] * signs
-        values.append(_draw(_cells(p, entries), policy, batch.n_settings, rng))
+        values.append(_draw(*_cells(p, entries, rate), rate, rng))
     return values

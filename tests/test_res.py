@@ -16,6 +16,7 @@ from dmres import (
     ElementIndex,
     InvalidCouplingError,
     InvalidElementError,
+    Ket,
     MeasurementSetting,
     ShotPolicy,
     characterize,
@@ -57,6 +58,13 @@ from oracles import (
     reference_extract,
     reference_setting_probabilities,
 )
+
+
+def refuse_densifying(monkeypatch):
+    def densified(self):
+        raise AssertionError("the ket was densified")
+
+    monkeypatch.setattr(Ket, "density", densified)
 
 
 def maximally_mixed(dims):
@@ -196,6 +204,19 @@ class TestOutcomeDistribution:
                 dist.check()
                 assert abs(dist.probabilities.sum() - 1) < 1e-10
 
+    @pytest.mark.parametrize("builder", [plan_res, plan_seq])
+    def test_ket_is_read_as_its_amplitudes(self, builder, monkeypatch):
+        rng = stream(4, "dist-ket")
+        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        ket = Ket.create(amps / np.linalg.norm(amps), (2, 3))
+        plan = builder(ElementIndex.create((2, 3), (0, 1), (1, 2)), 0.8)
+        densified = [outcome_distribution(ket.density(), plan, i).probabilities for i in range(plan.n_settings)]
+        refuse_densifying(monkeypatch)
+        for i, want in enumerate(densified):
+            dist = outcome_distribution(ket, plan, i)
+            dist.check()
+            assert_allclose(dist.probabilities, want, rtol=0, atol=1e-15)
+
     def test_matches_projector_contraction_oracle(self):
         rho = plus_state()
         e = ElementIndex.create((2,), (0,), (1,))
@@ -297,6 +318,30 @@ class TestDiagonalAndCharacterize:
         for u in range(4):
             s = np.unravel_index(u, (2, 2))
             assert abs(diagonal_element(rho, s) - rho.entries[u, u].real) < 1e-14
+
+    def test_ket_diagonal_is_the_densified_entry(self, monkeypatch):
+        dims = (2, 3, 2)
+        kets = []
+        for k in range(20):
+            rng = stream(7, "diag-ket", k)
+            amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            kets.append(Ket.create(amps / np.linalg.norm(amps), dims))
+        densified = [ket.density().entries.diagonal().real for ket in kets]
+        refuse_densifying(monkeypatch)
+        for ket, want in zip(kets, densified):
+            got = [diagonal_element(ket, np.unravel_index(u, dims)) for u in range(12)]
+            assert np.array_equal(got, want)  # the bytes of the densified path
+
+    def test_sixteen_qubit_ket_diagonal(self, monkeypatch):
+        # densifying this ket would ask for a 68 GB matrix
+        dims = (2,) * 16
+        rng = stream(16, "diag-ket16")
+        amps = rng.standard_normal(2 ** 16) + 1j * rng.standard_normal(2 ** 16)
+        ket = Ket.create(amps / np.linalg.norm(amps), dims)
+        refuse_densifying(monkeypatch)
+        for s in ((0,) * 16, (1, 0) * 8, tuple(int(b) for b in rng.integers(0, 2, 16))):
+            amp = ket.amplitudes[np.ravel_multi_index(s, dims)]
+            assert_allclose(diagonal_element(ket, s), abs(amp) ** 2, rtol=1e-15, atol=0)
 
     def test_characterize_recovers_state(self):
         for dims in ((3,), (2, 2)):

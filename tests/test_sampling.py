@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,38 @@ class TestStreams:
         alone_b = [b.poisson(2.0, 3) for _ in range(4)]
         assert all(np.array_equal(x, y) for (x, _), y in zip(mixed, alone_a))
         assert all(np.array_equal(x, y) for (_, x), y in zip(mixed, alone_b))
+
+
+class TestStreamOracle:
+    """``stream`` against a Philox built here from the documented key.
+
+    The key is the head of the SHA-256 digest of "seed|tag|index" (an
+    empty index for None), read as one little-endian 128-bit integer.
+    """
+
+    @staticmethod
+    def oracle(seed, tag, index):
+        digest = hashlib.sha256(f"{seed}|{tag}|{'' if index is None else index}".encode()).digest()
+        return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+
+    @staticmethod
+    def draws(rng):
+        """Normals, Poisson counts below and above the sampler's switch at
+        mean 10, a uint32 leaving half a word behind, then raw words."""
+        return [rng.standard_normal(7), rng.poisson(3.0, 5), rng.poisson([0.5, 12.0, 4e4, 1e9]),
+                rng.integers(0, 2 ** 32, dtype=np.uint32, size=3), rng.bit_generator.random_raw(5),
+                rng.standard_normal(2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), tag=st.text(st.characters(codec="utf-8"), max_size=12),
+           index=st.one_of(st.none(), st.integers(0, 2 ** 12), st.just(2 ** 40)))
+    def test_stream_is_philox_at_its_hashed_key(self, seed, tag, index):
+        got, want = self.draws(stream(seed, tag, index)), self.draws(self.oracle(seed, tag, index))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+
+    def test_streams_do_not_spawn(self):
+        with pytest.raises(TypeError, match="does not implement spawning"):
+            stream(1, "spawn").spawn(1)
 
 
 def draw_pattern(rng, index):

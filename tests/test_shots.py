@@ -185,8 +185,21 @@ class TestProbabilityMemo:
             fresh.append(simulate_shots(plan, copy, policy, stream(12, "memo-draws", i)))
         assert len(calls) == 21
         assert hits == fresh
-        _, _, held = shots_module._PROBABILITY_MEMO
-        assert not held.flags.writeable
+        _, _, rate, (means, coefficients) = shots_module._PROBABILITY_MEMO
+        assert rate == policy.n_t
+        assert not means.flags.writeable and not coefficients.flags.writeable
+
+    def test_alternating_allocations_give_the_draws_of_fresh_computation(self):
+        plan = plan_res(ElementIndex.create((2, 3), (0, 1), (1, 2)), 0.7)
+        rho = random_mixed_state((2, 3), stream(14, "memo"))
+        policies = [ShotPolicy(n_t=1e3, allocation=a) for a in shots_module.ALLOCATIONS]
+        # repeats and switches: the memo hits, then misses on the rate alone
+        order = [0, 0, 1, 1, 0, 1, 0, 0, 1]
+        drawn = [simulate_shots(plan, rho, policies[k], stream(14, "memo-alt", i)) for i, k in enumerate(order)]
+        fresh = [simulate_shots(plan, DensityMatrix.create(rho.entries, rho.dims), policies[k],
+                                stream(14, "memo-alt", i))
+                 for i, k in enumerate(order)]
+        assert drawn == fresh
 
     def test_dropped_plan_is_not_retained(self):
         plan = plan_res(ElementIndex.create((3,), (0,), (2,)), 0.5)
@@ -210,9 +223,11 @@ class TestDrawPath:
     def test_draws_weigh_the_stored_blocks(self, element, g, kind, seed):
         plan = BUILDERS[kind](element, g)
         rho = random_mixed_state(element.dims, stream(seed, "draw-path"))
-        simulate_shots(plan, rho, ShotPolicy(n_t=100.0), stream(seed, "draw-path-shots"))
+        # a power-of-two rate keeps the memo's means rate * p exact, so p = means / rate
+        simulate_shots(plan, rho, ShotPolicy(n_t=128.0), stream(seed, "draw-path-shots"))
         assert "amplitudes" not in plan.__dict__
-        p, c_re, c_im = shots_module._shot_probabilities(plan, rho)
+        _, _, rate, (means, (c_re, c_im)) = shots_module._PROBABILITY_MEMO
+        p = means / rate
         want = reference_plan_probabilities(rho.entries, element.dims, element.s, element.s_prime,
                                             g, kind[:3])
         rows = want.reshape(plan.n_settings, element.dim, -1)[:, list(plan.blocks)]
