@@ -12,10 +12,11 @@ unrotated columns, so no precision path rotates a readout row.  A
 sweep's report keeps W for every (scheme, strength) it covered, and
 histograms and the reference comparison handed that report read W from
 it at strengths on its grid, so one fig4 run computes each operator
-once.  Samples come from counter-based streams keyed by sample index,
-so every strength, scheme and report sees the same states; each is
-drawn once per run and kept in a small memo.  A sweep's means and
-standard errors come from one stacked reduction over its points.
+once.  Samples are addressed by counter in one Philox per state family
+(sample j at counter j B, see ``sampling``), so every strength, scheme
+and report sees the same states, each drawn once a run and memoised.
+A sweep's means and standard errors come from one stacked reduction
+over its points.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from .stateio import format_float
 # most 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid stack build with its variance operators
-# run to 2.1x the count for qutrit seq and 1.9x for three-qubit res.
+# run to 2.1x the count for qutrit seq and 3.6x for three-qubit res,
+# whose transient canonical columns outweigh what the stack keeps.
 # This budget gives a three-qubit seq sweep, whose four elements share
 # one coupled set, one strength per chunk: a 1,000-sample sweep then
-# peaks at 0.83 MB traced, against 1.13 MB for single plan_seq builds
+# peaks at 0.77 MB traced, against 0.93 MB for single plan_seq builds
 # per strength.
 CHUNK_ENTRIES = 2 ** 14
 

@@ -4,13 +4,11 @@ Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
 ``stream`` hands Philox its SHA-256 key as the seed sequence, which
 gives the state of ``Philox(key=...)`` without drawing OS entropy.
-There is one Haar construction: normals, a stacked Ginibre QR, then the
-states, all on plain arrays.  ``precision_states`` runs it on a whole
-batch; ``sample_precision_state`` runs it on a batch of one and
-validates the result.  A batch re-keys one private bit generator per
-index to the state a fresh stream of that key starts in (counter zero,
-empty buffer, held as plain ints), which draws the same numbers bit for
-bit.
+There is one Haar construction: Box-Muller normals from raw words, a
+stacked Ginibre QR, then the states, all on plain arrays.  A precision
+family (n_qudits, d, seed) has the one key of ``stream(seed,
+f"haar/{n_qudits}x{d}")``, and its sample j reads the words Philox
+gives from counter j B (``haar_stream``), B blocks of four words each.
 """
 
 from __future__ import annotations
@@ -44,28 +42,30 @@ def stream(seed: int, tag: str, index: int | None = None) -> np.random.Generator
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
-def _rekeyed_streams(seed: int, tag: str, indices):
-    """Yield, per index, a generator drawing as ``stream(seed, tag, index)`` does.
+def _blocks(n_qudits: int, d: int) -> int:
+    """Philox counter blocks (four words each) of one sample: a word per normal, n_qudits 2 d^2 of them."""
+    return -(-n_qudits * 2 * d * d // 4)
 
-    Every yield is the same generator, re-keyed: its bit generator is set
-    to the state a Philox built with the next key starts in, whatever
-    the previous draws left in its buffer.  All keys are hashed into one
-    buffer up front.  Draw from it before taking the next one, and do not
-    keep it.
+
+def haar_stream(n_qudits: int, d: int, seed: int, index: int) -> np.random.Generator:
+    """Generator at sample ``index`` of the (n_qudits, d, seed) precision family: its Philox at counter index B."""
+    key = np.frombuffer(_key_bytes(seed, f"haar/{n_qudits}x{d}", None), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_Key(key), counter=index * _blocks(n_qudits, d)))
+
+
+def _ginibre(words: np.ndarray, n_qudits: int, d: int) -> np.ndarray:
+    """(count, n_qudits, 2, d, d) normals from (count, 4 B) raw Philox words.
+
+    Box-Muller on each (even, odd) word pair of a row, with u = (w >> 11)
+    2^-53: r = sqrt(-2 ln(1 - u_even)) and theta = 2 pi u_odd give the
+    normals r cos theta and r sin theta, in that order.  A row keeps its
+    first n_qudits 2 d^2 normals.
     """
-    keys = np.frombuffer(b"".join(_key_bytes(seed, tag, i) for i in indices), dtype=np.uint64)
-    keys = keys.reshape(-1, 2)
-    if not len(keys):
-        return
-    bit_generator = np.random.Philox(_Key(keys[0]))
-    fresh = bit_generator.state  # the layout of a new stream, from numpy itself
-    # plain ints, which the state setter reads faster than numpy scalars
-    fresh["state"]["counter"], fresh["buffer"] = fresh["state"]["counter"].tolist(), fresh["buffer"].tolist()
-    rng = np.random.Generator(bit_generator)
-    for key in keys.tolist():
-        fresh["state"]["key"] = key
-        bit_generator.state = fresh
-        yield rng
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    theta = 2.0 * np.pi * u[:, 1::2]
+    normals = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(words.shape)
+    return normals[:, :n_qudits * 2 * d * d].reshape(-1, n_qudits, 2, d, d)
 
 
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
@@ -106,25 +106,23 @@ def _precision_densities(unitaries: np.ndarray) -> np.ndarray:
 
 
 def sample_precision_state(n_qudits: int, d: int, rng: np.random.Generator) -> DensityMatrix:
-    """One validated state of the precision family: the batch of one drawn from ``rng``."""
-    normals = rng.standard_normal((1, n_qudits, 2, d, d))
-    return DensityMatrix.create(_precision_densities(_haar_unitaries(normals))[0], (d,) * n_qudits)
+    """One validated state of the precision family from the next 4 B raw words of ``rng``."""
+    words = rng.bit_generator.random_raw((1, 4 * _blocks(n_qudits, d)))
+    rho = _precision_densities(_haar_unitaries(_ginibre(words, n_qudits, d)))[0]
+    return DensityMatrix.create(rho, (d,) * n_qudits)
 
 
 def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Read-only (count, D, D) batch of the precision state family.
 
-    Entry ``j`` is built from the normals ``stream(seed, f"haar/{n_qudits}x{d}",
-    start + j)`` draws first, through one re-keyed generator; one stacked
-    QR then builds every unitary, so entry ``j`` equals
-    ``sample_precision_state`` on that stream bit for bit.  The states are
-    valid by construction and are not validated one by one.
+    Entry ``j`` is sample ``start + j``, drawn with every other in one
+    ``random_raw`` call and one stacked QR; it equals
+    ``sample_precision_state`` on ``haar_stream(n_qudits, d, seed, start
+    + j)`` bit for bit.  The states are valid by construction and are
+    not validated one by one.
     """
-    indices = range(start, start + count)
-    normals = np.empty((count, n_qudits, 2, d, d))
-    for j, rng in enumerate(_rekeyed_streams(seed, f"haar/{n_qudits}x{d}", indices)):
-        rng.standard_normal(out=normals[j])
-    rhos = _precision_densities(_haar_unitaries(normals))
+    words = haar_stream(n_qudits, d, seed, start).bit_generator.random_raw((count, 4 * _blocks(n_qudits, d)))
+    rhos = _precision_densities(_haar_unitaries(_ginibre(words, n_qudits, d)))
     rhos.setflags(write=False)
     return rhos
 

@@ -209,9 +209,9 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
     targets = np.broadcast_to(targets, a_mat.shape[:1] + targets.shape[-2:])
     z = np.zeros(targets.shape[:2] + a_mat.shape[-1:])
     for r in sorted(set(ranks.tolist()) - {0}):
-        idx = (ranks == r).nonzero()[0]
-        u_t = np.ascontiguousarray(u_svd[idx, :, :r]).swapaxes(-1, -2)
-        v_s = np.ascontiguousarray(vt_svd[idx, :r]).swapaxes(-1, -2) / svals[idx, None, :r]
+        idx = slice(None) if (ranks == r).all() else (ranks == r).nonzero()[0]  # views for one group
+        u_t = u_svd[idx, :, :r].swapaxes(-1, -2)
+        v_s = vt_svd[idx, :r].swapaxes(-1, -2) / svals[idx, None, :r]
         for j in range(targets.shape[1]):
             z[idx, j] = (v_s @ (u_t @ targets[idx, j, :, None]))[..., 0]
     resid = (a_mat[:, None] @ z[..., None])[..., 0] - targets

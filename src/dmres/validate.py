@@ -30,7 +30,7 @@ from .precision import (
     sampled_states,
 )
 from .res import extract_element, plan_res
-from .sampling import random_mixed_state, sample_precision_state, stream
+from .sampling import haar_stream, random_mixed_state, sample_precision_state, stream
 from .seq import plan_seq
 from .shots import ShotPolicy, element_variance, simulate_shots
 
@@ -183,7 +183,7 @@ def check_haar_mean() -> tuple[bool, str]:
 
 
 def check_determinism() -> tuple[bool, str]:
-    singles = [sample_precision_state(1, 3, stream(9, "haar/1x3", i)).entries for i in range(300)]
+    singles = [sample_precision_state(1, 3, haar_stream(1, 3, 9, i)).entries for i in range(300)]
     if not np.array_equal(sampled_states(SystemSpec(1, 3), 9, 300), np.stack(singles)):
         return False, "batched Haar states differ from single draws"
     # stacked sweep builds against single plan_seq builds at the first

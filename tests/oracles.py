@@ -9,6 +9,7 @@ they expand the package's own gates and plans into joint-space
 matrices for tests that read those directly.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -194,24 +195,47 @@ def ks_critical_value(n, m, alpha=0.01):
 
 
 
-def reference_haar_unitary(d, rng):
+def reference_normals(n_qudits, d, seed, index):
+    """The n_qudits 2 d^2 normals of sample ``index`` of a precision family,
+    read off the documented layout.
+
+    The family key is the head of the SHA-256 digest of
+    "seed|haar/{n}x{d}|", read as one little-endian 128-bit integer.
+    Sample j reads the 4 B words a Philox at that key gives from counter
+    j B, B = ceil(n 2 d^2 / 4).  Each (even, odd) word pair, as
+    u = (w >> 11) / 2^53, gives r cos theta and r sin theta with
+    r = sqrt(-2 ln(1 - u_even)) and theta = 2 pi u_odd.
+    """
+    digest = hashlib.sha256(f"{seed}|haar/{n_qudits}x{d}|".encode()).digest()
+    size = n_qudits * 2 * d * d
+    blocks = (size + 3) // 4
+    philox = np.random.Philox(key=int.from_bytes(digest[:16], "little"), counter=index * blocks)
+    u = np.array([(w >> 11) / 2 ** 53 for w in philox.random_raw(4 * blocks).tolist()])
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    pairs = zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist())
+    return [x for pair in pairs for x in pair][:size]
+
+
+def reference_haar_unitary(normals):
     """Haar unitary from one (2, d, d) Ginibre draw: QR, then each column
     times the phase of the triangular factor's diagonal (Mezzadri 2007)."""
-    normals = rng.standard_normal((2, d, d))
     z = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))[None, :]
 
 
-def reference_precision_state(n_qudits, d, rng):
-    """One precision state drawn qudit by qudit, as a (D, D) array.
+def reference_precision_state(n_qudits, d, seed, index):
+    """Sample ``index`` of a precision family drawn qudit by qudit, as a (D, D) array.
 
-    One qudit gives V|0><0|V'.  More qudits start from the maximally
-    entangled state (1/sqrt(d)) sum_m |m,...,m> and apply each qudit's
-    own Haar unitary, drawn in qudit order, to its axis.
+    Qudit n's unitary takes the n-th (2, d, d) run of the sample's
+    normals.  One qudit gives V|0><0|V'.  More qudits start from the
+    maximally entangled state (1/sqrt(d)) sum_m |m,...,m> and apply each
+    qudit's own Haar unitary to its axis.
     """
-    unitaries = [reference_haar_unitary(d, rng) for _ in range(n_qudits)]
+    normals = np.array(reference_normals(n_qudits, d, seed, index)).reshape(n_qudits, 2, d, d)
+    unitaries = [reference_haar_unitary(normals[n]) for n in range(n_qudits)]
     if n_qudits == 1:
         vec = unitaries[0][:, 0]
     else:
@@ -223,6 +247,7 @@ def reference_precision_state(n_qudits, d, rng):
             psi = np.moveaxis((u @ moved.reshape(d, -1)).reshape(moved.shape), 0, n)
         vec = psi.reshape(-1)
     return np.outer(vec, vec.conj())
+
 
 def exact_haar_mean(plans):
     """Exact Haar mean of the per-state variance n_t*Delta^2 at unit exposure.

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from scipy.stats import ks_2samp
 
 from dmres import random_mixed_state, stream
 from dmres.sampling import (
+    _ginibre,
     _haar_unitaries,
     _precision_densities,
-    _rekeyed_streams,
+    haar_stream,
     precision_states,
     sample_precision_state,
 )
 
-from oracles import ks_critical_value, partial_trace, reference_precision_state
+from oracles import ks_critical_value, partial_trace, reference_normals, reference_precision_state
 
 
 class TestStreams:
@@ -73,29 +75,56 @@ class TestStreamOracle:
             stream(1, "spawn").spawn(1)
 
 
-def draw_pattern(rng, index):
-    """Normals and Poisson counts; some indices end on a uint32 or a single
-    uint64, leaving a half-used word or a partly used buffer behind."""
-    out = [rng.standard_normal(5 + index % 4), rng.poisson(3.0, 4)]
-    if index % 3 == 1:
-        out.append(rng.integers(0, 2 ** 32, dtype=np.uint32, size=1))
-    elif index % 3 == 2:
-        out.append(rng.bit_generator.random_raw(1))
-    return out
+class TestNormalSource:
+    """Box-Muller normals from raw Philox words, two per (even, odd) word pair."""
 
+    def test_first_words_map_to_their_normals(self):
+        # the family's key is that of stream(seed, "haar/{n}x{d}"); each
+        # word's top 53 bits are its u
+        words = haar_stream(1, 3, 17, 0).bit_generator.random_raw(20)
+        assert np.array_equal(words, stream(17, "haar/1x3").bit_generator.random_raw(20))
+        normals = _ginibre(words[None], 1, 3).reshape(-1)
+        u = [(w >> 11) / 2 ** 53 for w in words.tolist()]
+        for k in range(0, 18, 2):
+            r, theta = math.sqrt(-2 * math.log(1 - u[k])), 2 * math.pi * u[k + 1]
+            assert_allclose(normals[k:k + 2], [r * math.cos(theta), r * math.sin(theta)], rtol=1e-14, atol=1e-15)
 
-class TestRekeyedStreams:
-    def test_each_index_draws_as_its_own_stream(self):
-        indices = list(range(40, 280))
-        for index, rng in zip(indices, _rekeyed_streams(11, "rekey", indices), strict=True):
-            want = draw_pattern(stream(11, "rekey", index), index)
-            got = draw_pattern(rng, index)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want)), index
+    def test_extreme_words(self):
+        # u = 0 gives r = 0 exactly; the largest word gives the finite tail
+        # sqrt(2 * 53 ln 2); theta = 2 pi u_odd, so u_odd = 1/2 flips the sign
+        top = np.uint64(2 ** 64 - 1)
+        words = np.array([[0, top, top, 0, top, 2 ** 63, 2 ** 63, 0]], dtype=np.uint64)
+        normals = _ginibre(words, 1, 2).reshape(-1)
+        assert np.array_equal(normals[:2], [0.0, 0.0])
+        assert normals[2] == pytest.approx(math.sqrt(106 * math.log(2)), rel=1e-15)
+        assert normals[3] == 0.0
+        assert normals[4] == pytest.approx(-math.sqrt(106 * math.log(2)), rel=1e-15)
+        assert normals[6] == pytest.approx(math.sqrt(2 * math.log(2)), rel=1e-15)
 
-    def test_indices_in_any_order(self):
-        indices = [5, None, 0, 5, 2 ** 40]
-        for index, rng in zip(indices, _rekeyed_streams(3, "rekey", indices), strict=True):
-            assert np.array_equal(rng.standard_normal(7), stream(3, "rekey", index).standard_normal(7))
+    def test_moments(self):
+        # mean 0, variance 1 and fourth moment 3, each within 5 standard
+        # errors of the normal law (Var x^2 = 2, Var x^4 = 96)
+        x = _ginibre(haar_stream(1, 3, 23, 0).bit_generator.random_raw((40000, 20)), 1, 3).reshape(-1)
+        n = x.size
+        assert abs(x.mean()) < 5 / math.sqrt(n)
+        assert abs((x ** 2).mean() - 1) < 5 * math.sqrt(2 / n)
+        assert abs((x ** 4).mean() - 3) < 5 * math.sqrt(96 / n)
+
+    def test_oracle_normals(self):
+        words = haar_stream(2, 3, 4, 9).bit_generator.random_raw((1, 36))
+        assert np.array_equal(_ginibre(words, 2, 3).reshape(-1), reference_normals(2, 3, 4, 9))
+
+    def test_samples_continue_one_counter(self):
+        # sample j + 1's words follow sample j's on one generator
+        rng = haar_stream(2, 2, 3, 5)
+        first = rng.bit_generator.random_raw(32)
+        assert np.array_equal(first[16:], haar_stream(2, 2, 3, 6).bit_generator.random_raw(16))
+
+    @pytest.mark.parametrize("system", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_states_are_pure_and_normalised(self, system):
+        rhos = precision_states(*system, seed=31, count=200)
+        assert_allclose(np.trace(rhos, axis1=1, axis2=2), 1.0, atol=1e-12)
+        assert_allclose(np.einsum("nij,nji->n", rhos, rhos), 1.0, atol=1e-12)
 
 
 class TestHaarUnitary:
@@ -172,23 +201,21 @@ class TestStateSamplers:
 class TestBatchedPrecisionStates:
     @settings(max_examples=40, deadline=None)
     @given(
-        system=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]),
+        system=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]),
         seed=st.integers(min_value=0, max_value=2 ** 32),
         count=st.integers(min_value=0, max_value=24),
         cut=st.integers(min_value=0, max_value=24),
     )
     def test_batch_matches_per_index_draws(self, system, seed, count, cut):
-        # batch entries, single draws and the qudit-by-qudit oracle agree bit for bit
+        # batch entries, single draws at each sample's counter and the
+        # oracle reading the documented layout agree bit for bit
         n, d = system
         batch = precision_states(n, d, seed, count)
         dim = d ** n
         assert batch.shape == (count, dim, dim)
         assert not batch.flags.writeable
-        singles = [
-            sample_precision_state(n, d, stream(seed, f"haar/{n}x{d}", i)).entries
-            for i in range(count)
-        ]
-        references = [reference_precision_state(n, d, stream(seed, f"haar/{n}x{d}", i)) for i in range(count)]
+        singles = [sample_precision_state(n, d, haar_stream(n, d, seed, i)).entries for i in range(count)]
+        references = [reference_precision_state(n, d, seed, i) for i in range(count)]
         assert np.array_equal(batch, np.array(singles).reshape(count, dim, dim))
         assert np.array_equal(batch, np.array(references).reshape(count, dim, dim))
         cut = min(cut, count)

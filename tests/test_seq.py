@@ -25,7 +25,7 @@ from dmres import (
 from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
-from dmres.seq import _correlator_response, seq_couplings, seq_stack
+from dmres.seq import _correlator_response, _min_norm_solve, _targets, seq_couplings, seq_stack
 from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_element, canonical_rows, enumerate_settings
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
@@ -156,6 +156,42 @@ class TestCalibration:
             plan_seq(ElementIndex.create((2,), (0,), (1,)), g)
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
             seq_stack([ElementIndex.create((2,), (0,), (1,))], [0.4, g])
+
+
+class TestMinNormSolve:
+    @staticmethod
+    def three_qubit_rows(gs):
+        """Correlator rows (G, 2 n_settings, basis) of (2,2,2) 000,111 at each strength."""
+        e = element_from_flat((2, 2, 2), 0, 7)
+        rows = _correlator_response(canonical_rows(e, seq_couplings(e), gs))
+        return rows.reshape(len(gs), -1, rows.shape[-1]), _targets(e)
+
+    def test_one_rank_group_reads_the_factors_in_place(self):
+        # five strengths share rank 27: the SVD factors (480 KiB) and the
+        # scaled right factor (135 KiB) peak at 739 KiB traced; copying
+        # the kept factors out of the group, as an index array does,
+        # peaks at 898 KiB
+        rows, targets = self.three_qubit_rows((0.3, 0.6, 0.9, 1.2, 1.5))
+        a_mat = rows.swapaxes(-1, -2)
+        tracemalloc.start()
+        try:
+            _min_norm_solve(a_mat, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 790 * 1024
+
+    def test_whole_group_solves_as_a_mixed_stack(self):
+        # the in-place path keeps the bytes of a group read by index
+        rows, targets = self.three_qubit_rows((0.3, 0.6, 0.9, 1.2, 1.5))
+        low = rows[:1].copy()
+        low[:, 16:] = 0.0  # a sixth matrix of lower rank
+        stack = np.concatenate([rows, low]).swapaxes(-1, -2)
+        svals = np.linalg.svd(stack, compute_uv=False)
+        assert (svals > seq_module.SV_FLOOR * svals[:, :1]).sum(-1).tolist() == [27] * 5 + [12]
+        whole = _min_norm_solve(rows.swapaxes(-1, -2), targets)
+        mixed = _min_norm_solve(stack, targets)
+        assert all(np.array_equal(x, y[:5]) for x, y in zip(whole, mixed, strict=True))
 
 
 class TestWeakCoupling:
