@@ -36,25 +36,26 @@ The engine never forms a joint-space matrix.  Amplitudes live in a
 closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
 rotations are applied meter by meter for all settings at once.
 
-Elements with one coupled set C share one plan up to a relabeling.
-Every other qudit is left alone, so an element's estimate, variance and
-shot cells live on the d_C x d_C block of rho over C.  Per coupled qudit,
-relabel the basis so that s_n goes to 0 and s'_n to 1: the res swap
-C[s_n, s'_n] becomes C[0, 1], the seq projector pi[s_n] becomes pi[0],
-and the uniform-superposition projector is unchanged.  So every element
-with coupled set C reads the plan of the canonical element, the fully
-coupled element (0...0, 1...1) of the subsystem dims[C], through its
-support: the full-basis index of each of the d_C canonical columns.
-Plans keep only that element's unrotated rows of its blocks 0...0 and
-1...1, ``rows``, (2, 2^m, d_C), and its weights, whose two blocks an
-element with s > s' reads swapped.  A ``PlanBatch`` is the one plan
-stack: elements with one coupled set at G strengths, holding ``rows``
-and weights once and one support per member.  Each scheme builds its
-plans only as such a stack, a single plan being the stack of one.  The
-estimate, variance and readout contractions run on the canonical
-arrays, once per stack, and meet each member's block of the state in
-one gather; ``embedded`` puts a canonical operator into the full space
-where a caller needs it there.
+Elements with one coupled shape dims[C], C the qudits where s and s'
+differ, share one plan up to a relabeling.  Every other qudit is left
+alone, so an element's estimate, variance and shot cells live on the
+d_C x d_C block of rho over C.  Per coupled qudit, relabel the basis so
+that s_n goes to 0 and s'_n to 1: the res swap C[s_n, s'_n] becomes
+C[0, 1], the seq projector pi[s_n] becomes pi[0], and the
+uniform-superposition projector is unchanged.  So every element of
+coupled shape dims[C], whichever qudits C names, reads the plan of the
+canonical element, the fully coupled element (0...0, 1...1) of the
+subsystem dims[C], through its support: the full-basis index of each of
+the d_C canonical columns.  Plans keep only that element's unrotated
+rows of its blocks 0...0 and 1...1, ``rows``, (2, 2^m, d_C), and its
+weights, whose two blocks an element with s > s' reads swapped.  A
+``PlanBatch`` is the one plan stack: elements with one coupled shape at
+G strengths, holding ``rows`` and weights once and one support per
+member.  Each scheme builds its plans only as such a stack, a single
+plan being the stack of one.  The estimate, variance and readout
+contractions run on the canonical arrays, once per stack, and meet each
+member's block of the state in one gather; ``embedded`` puts a
+canonical operator into the full space where a caller needs it there.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ SEQ_SCHEME = "seq"
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
-# one stack may hold at once: a coupled set's members are yielded that
+# one stack may hold at once: a coupled shape's members are yielded that
 # many at a time, at least one.
 MEMBER_ENTRIES = 2 ** 18
 
@@ -232,22 +233,22 @@ class ProtocolPlan(_PlanLayout):
 
 @dataclass(frozen=True)
 class PlanBatch(_PlanLayout):
-    """Plans of elements with one coupled set at G strengths, stacked.
+    """Plans of elements with one coupled shape at G strengths, stacked.
 
-    Every member reads the canonical element of the coupled set C (see
+    Every member reads the canonical element of the coupled shape (see
     the module docstring), so the stack holds that element's block
     ``rows`` (G, 2, 2^m, d_C), its ``weights`` (G, 2, n_settings, 2) and
     its ``calibrations[k]`` at ``gs[k]``, if any, once, and
-    ``supports[i]`` (M, d_C), the support of member i.  ``couplings[i]``
-    are member i's own.  ``batch[k, i]`` is member i's plan at ``gs[k]``.
-    The engine's estimate and variance contractions accept a batch and
-    run once on the canonical arrays.
+    ``supports[i]`` (M, d_C), the support of member i, on its own
+    coupled set.  ``batch[k, i]`` is member i's plan at ``gs[k]``, with
+    the couplings the scheme's rule gives member i.  The engine's
+    estimate and variance contractions accept a batch and run once on
+    the canonical arrays.
     """
 
     elements: tuple[ElementIndex, ...]
     scheme: str
     gs: tuple[float, ...]
-    couplings: tuple[tuple[Coupling, ...], ...]
     settings: tuple[MeasurementSetting, ...]
     weights: np.ndarray  # (G, 2, n_settings, 2), the canonical element's
     rows: np.ndarray  # (G, 2, 2^m, d_C), the canonical element's
@@ -259,13 +260,14 @@ class PlanBatch(_PlanLayout):
         return self.elements[0].dim * self.n_settings
 
     def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
+        from .res import scheme_entry  # the scheme table sits above the engine
         k, i = key
         element = self.elements[i]
         return ProtocolPlan(
             element=element,
             scheme=self.scheme,
             g=self.gs[k],
-            couplings=self.couplings[i],
+            couplings=scheme_entry(self.scheme).couplings(element),
             settings=self.settings,
             weights=self.weights[k, ..., ::-1] if element.s_flat > element.s_prime_flat else self.weights[k],
             rows=self.rows[k],
@@ -286,12 +288,11 @@ def member_chunks(batch: PlanBatch):
     step = max(1, MEMBER_ENTRIES // (d * d * len(batch.gs)))
     for lo in range(0, len(batch.elements), step):
         part = slice(lo, lo + step)
-        yield replace(batch, elements=batch.elements[part], couplings=batch.couplings[part],
-                      supports=batch.supports[part])
+        yield replace(batch, elements=batch.elements[part], supports=batch.supports[part])
 
 
 def canonical_element(element: ElementIndex) -> ElementIndex:
-    """(0...0, 1...1) on dims[C]: the element of ``element``'s coupled set C that every member reads."""
+    """(0...0, 1...1) on dims[C]: the element of ``element``'s coupled shape that every member reads."""
     return _canonical_element(tuple(element.dims[n] for n in element.coupled_set))
 
 
@@ -306,17 +307,18 @@ def supports(elements: Sequence[ElementIndex]) -> np.ndarray:
     On each coupled qudit canonical level 0 is s_n, level 1 is s'_n and
     the other levels follow in their order; every other qudit stays at
     s_n.  So column 0...0 is s and column 1...1 is s'.  Elements must
-    share their coupled set.
+    share their coupled shape; each reads its own coupled set.
     """
-    dims, coupled = elements[0].dims, elements[0].coupled_set
+    dims, shape = elements[0].dims, canonical_element(elements[0]).dims
     strides = [math.prod(dims[n + 1:]) for n in range(len(dims))]
-    s = np.array([e.s for e in elements]).reshape(len(elements), -1)
-    sp = np.array([e.s_prime for e in elements]).reshape(len(elements), -1)
-    digits = np.indices([dims[n] for n in coupled]).reshape(len(coupled), -1)  # canonical, row-major
-    index = (s @ strides)[:, None]
-    for j, n in enumerate(coupled):
-        levels = _level_orders(dims[n])[s[:, n], sp[:, n]]  # (M, d_n): canonical level -> level
-        index = index + (levels[:, digits[j]] - s[:, n, None]) * strides[n]
+    # s_n, s'_n and the stride of each member's j-th coupled qudit, (M, l) each
+    a, b, stride = np.array([[(e.s[n], e.s_prime[n], strides[n]) for n in e.coupled_set]
+                             for e in elements]).transpose(2, 0, 1)
+    digits = np.indices(shape).reshape(len(shape), -1)  # canonical, row-major
+    index = (np.array([e.s for e in elements]).reshape(len(elements), -1) @ strides)[:, None]
+    for j, d in enumerate(shape):
+        levels = _level_orders(d)[a[:, j], b[:, j]]  # (M, d): canonical level -> level
+        index = index + (levels[:, digits[j]] - a[:, j, None]) * stride[:, j, None]
     return index
 
 
@@ -495,30 +497,28 @@ def check_state_dims(state: DensityMatrix | Ket, plan: ProtocolPlan) -> None:
         raise InvalidElementError(f"state dims {state.dims} do not match plan dims {plan.element.dims}")
 
 
-def _born(amps: np.ndarray, state: np.ndarray) -> np.ndarray:
+def _born(amps: np.ndarray, state: DensityMatrix | Ket, supports: np.ndarray | None = None) -> np.ndarray:
     """<a_o| rho |a_o> for every row a_o of an amplitude stack.
 
-    ``state`` is a pure state's amplitudes (dim,) or a density matrix's
-    entries (dim, dim), on the columns of ``amps``.
+    The columns of ``amps`` are the whole state's, or, with ``supports``
+    one support (d_C,) or one per member (M, d_C), each block's at its
+    support, giving ``amps.shape[:-1]`` or (M,) + that.  A Ket is read
+    as its amplitudes, never densified; every block runs the products
+    of a block read alone.
     """
     flat = amps.reshape(-1, amps.shape[-1])
-    if state.ndim == 1:
-        p = np.abs(flat @ state) ** 2
-    else:
-        p = ((flat @ state) * flat.conj()).sum(-1).real
-    return p.reshape(amps.shape[:-1])
-
-
-def _gathered(state: DensityMatrix | Ket, supports: np.ndarray) -> np.ndarray:
-    """A state's blocks at ``supports`` (..., d_C): a Ket's amplitudes (..., d_C), a density matrix's entries (..., d_C, d_C)."""
     if isinstance(state, Ket):
-        return state.amplitudes[supports]
-    return state.entries[supports[..., :, None], supports[..., None, :]]
+        psi = state.amplitudes if supports is None else state.amplitudes[supports]
+        p = np.abs(flat @ psi[..., None])[..., 0] ** 2
+    else:
+        rho = state.entries if supports is None else state.entries[supports[..., :, None], supports[..., None, :]]
+        p = ((flat @ rho) * flat.conj()).sum(-1).real
+    return p.reshape(p.shape[:-1] + amps.shape[:-1])
 
 
 def all_probabilities(plan: ProtocolPlan, state: DensityMatrix | Ket) -> np.ndarray:
     """(n_settings, outcomes_per_setting) Born probabilities of every outcome."""
-    return _born(plan.amplitudes, state.amplitudes if isinstance(state, Ket) else state.entries)
+    return _born(plan.amplitudes, state)
 
 
 def member_traces(operators: np.ndarray, state: DensityMatrix | Ket, supports: np.ndarray) -> np.ndarray:

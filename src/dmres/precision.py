@@ -6,7 +6,7 @@ Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
 W from one path, ``mean_variance_operators``, which builds the element
 set through ``res.configuration_stacks`` for a chunk of strengths at a
-time, so the elements of each coupled set share one stacked build; a
+time, so the elements of each coupled shape share one stacked build; a
 single strength is the grid of one.  The operators come from the plans'
 unrotated columns, so no precision path rotates a readout row.  A
 sweep's report keeps W for every (scheme, strength) it covered, and
@@ -36,7 +36,7 @@ from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
 
-# Array entries one coupled set's build may keep per sweep chunk, at
+# Array entries one coupled shape's build may keep per sweep chunk, at
 # most 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid stack build with its variance operators
@@ -181,7 +181,7 @@ def per_state_values(
 
 
 def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
-    """Array entries per strength that a sweep chunk budgets for the stack of one coupled set.
+    """Array entries per strength that a sweep chunk budgets for the stack of one coupled shape.
 
     With D the system dimension, d_C that of the coupled qudits and
     S = 2^m settings, the stack of ``members`` keeps the canonical block
@@ -203,7 +203,7 @@ def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
 
 
 def _chunk_step(elements: list[ElementIndex], scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest coupled set's stack, at least one."""
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one."""
     return max(1, CHUNK_ENTRIES // max(_stored_entries(members, scheme)
                                        for members in res.configurations(elements)))
 

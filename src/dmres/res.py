@@ -9,9 +9,10 @@ sin(2g) != 0.
 ``SCHEMES`` holds every fact that differs between ``res`` and ``seq``,
 and ``configuration_stacks`` is the one path from an element list to
 plan stacks: full-matrix characterization and precision sweeps both
-read their plans from it.  Elements are grouped by coupled set, since
-every element with coupled set C reads the plan of (0...0, 1...1) on
-dims[C] through its support (see ``dmres.plans``): each group's plan is
+read their plans from it.  Elements are grouped by coupled shape
+dims[C], C the qudits where s and s' differ, since every element of that
+shape reads the plan of (0...0, 1...1) on dims[C] through its support
+(see ``dmres.plans``), whichever qudits C names: each group's plan is
 built once, for that element.
 """
 
@@ -99,27 +100,20 @@ def _res_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
 
 
 def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The res plans of elements with one coupled set at every strength of ``gs``.
+    """The res plans of elements with one coupled shape at every strength of ``gs``.
 
     The block rows and the weights are built once, for the canonical
     element (0...0, 1...1) on dims[C], at every strength; each member
-    keeps its support and its own involutions.  Nothing rotates a
-    readout row.  ``stack[k, i]`` is member i's plan at ``gs[k]``.
+    keeps its support.  Nothing rotates a readout row.  ``stack[k, i]``
+    is member i's plan at ``gs[k]``, with its own involutions.
     """
     check_off_diagonal(members)
     gs = finite_strengths(gs)
     canonical = canonical_element(members[0])
     settings = enumerate_settings(canonical.n_couplings)
-    return PlanBatch(
-        elements=tuple(members),
-        scheme=RES_SCHEME,
-        gs=gs,
-        couplings=tuple(_res_couplings(e) for e in members),
-        settings=settings,
-        weights=_res_weights(gs, settings, canonical.n_couplings),
-        rows=canonical_rows(canonical, _res_couplings(canonical), gs),
-        supports=supports(members),
-    )
+    return PlanBatch(elements=tuple(members), scheme=RES_SCHEME, gs=gs, settings=settings,
+                     weights=_res_weights(gs, settings, canonical.n_couplings),
+                     rows=canonical_rows(canonical, _res_couplings(canonical), gs), supports=supports(members))
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
@@ -148,8 +142,7 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     check_state_dims(rho, plan)
     idx = setting if isinstance(setting, int) else plan.settings.index(setting)
-    state = rho.amplitudes if isinstance(rho, Ket) else rho.entries  # a Ket is never densified
-    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], state))
+    return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho))
 
 
 def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
@@ -180,14 +173,15 @@ class Scheme(NamedTuple):
     """What one scheme builds its plans from."""
 
     plan: Callable  # (element, g) -> ProtocolPlan
-    stack: Callable  # (elements with one coupled set, gs) -> PlanBatch
+    stack: Callable  # (elements with one coupled shape, gs) -> PlanBatch
+    couplings: Callable  # element -> its couplings, in order
     singular: Callable  # g -> whether the scheme is undefined there
     meters: int  # meters per coupled qudit
 
 
 SCHEMES = {
-    RES_SCHEME: Scheme(plan_res, res_stack, singular_strength, 1),
-    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq.singular_strength, 2),
+    RES_SCHEME: Scheme(plan_res, res_stack, _res_couplings, singular_strength, 1),
+    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq.seq_couplings, seq.singular_strength, 2),
 }
 
 
@@ -199,17 +193,17 @@ def scheme_entry(name: str) -> Scheme:
 
 
 def configurations(elements) -> list[list[ElementIndex]]:
-    """``elements`` grouped by coupled set, in first-element and list order: one plan stack each."""
+    """``elements`` grouped by coupled shape, in first-element and list order: one plan stack each."""
     groups: dict[tuple, list[ElementIndex]] = {}
     for element in elements:
-        groups.setdefault(element.coupled_set, []).append(element)
+        groups.setdefault(canonical_element(element).dims, []).append(element)
     return list(groups.values())
 
 
 def configuration_stacks(elements, scheme: str, gs):
     """Yield the ``scheme`` plans of ``elements`` at every strength of ``gs``, one stack per configuration.
 
-    The one path from an element list to plans: each coupled set of
+    The one path from an element list to plans: each coupled shape of
     ``configurations`` is built once by the scheme's stack builder and
     yielded in ``plans.member_chunks``, so ``stack[k, i]`` is member i's
     plan at ``gs[k]``.  The joint dimension d_C 2^m of the largest

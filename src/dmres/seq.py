@@ -11,8 +11,8 @@ the plan's unrotated block rows, so calibration rotates no readout row;
 the dense ``response_map`` matrix over every outcome is built only when
 asked for.  Relabeling each coupled qudit so that s_n goes to 0 and
 s'_n to 1 turns pi[s_n] into pi[0] and leaves the uniform-superposition
-projector alone, so elements with one coupled set C share one solve per
-strength, that of (0...0, 1...1) on dims[C], over the d_C x d_C
+projector alone, so elements with one coupled shape dims[C] share one
+solve per strength, that of (0...0, 1...1) on dims[C], over the d_C x d_C
 Hermitian basis of the coupled block (see ``dmres.plans``).  Extraction
 is ``res.extract_element``: the plan carries the estimator, in the
 correlator form every plan has.
@@ -214,6 +214,8 @@ def _min_norm_solve(a_mat: np.ndarray, targets: np.ndarray):
         v_s = vt_svd[idx, :r].swapaxes(-1, -2) / svals[idx, None, :r]
         for j in range(targets.shape[1]):
             z[idx, j] = (v_s @ (u_t @ targets[idx, j, :, None]))[..., 0]
+    # one layout whatever a_mat's, so the residual's bits follow its values alone
+    a_mat = np.ascontiguousarray(a_mat.swapaxes(-1, -2)).swapaxes(-1, -2)
     resid = (a_mat[:, None] @ z[..., None])[..., 0] - targets
     norms = np.sqrt((resid[..., None, :] @ resid[..., :, None])[..., 0, 0])
     smallest = np.where(ranks > 0, svals[np.arange(len(ranks)), np.maximum(ranks, 1) - 1], 0.0)
@@ -278,11 +280,11 @@ def singular_strength(g: float) -> bool:
 
 
 def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The calibrated seq plans of elements with one coupled set at every strength of ``gs``.
+    """The calibrated seq plans of elements with one coupled shape at every strength of ``gs``.
 
     The block rows are built and ``calibrate_estimator`` solved once, for
     the canonical element (0...0, 1...1) on dims[C], at every strength;
-    each member keeps its support and its own couplings.  The first
+    each member keeps its support.  The first
     strength, in order, that is singular raises, and then the first that
     fails calibration raises the error every member's ``plan_seq`` would.
     """
@@ -297,8 +299,7 @@ def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
     canonical = canonical_element(members[0])
     couplings = seq_couplings(canonical)
     settings = enumerate_settings(len(couplings))
-    bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs,
-                     couplings=tuple(seq_couplings(e) for e in members), settings=settings,
+    bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs, settings=settings,
                      weights=np.zeros((len(gs), 2, len(settings), 2)),
                      rows=canonical_rows(canonical, couplings, gs), supports=supports(members))
     weights, infos = calibrate_estimator(bare)

@@ -10,10 +10,10 @@ import numpy as np
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket
 from .plans import (
+    MEMBER_ENTRIES,
     PlanBatch,
     ProtocolPlan,
     _born,
-    _gathered,
     check_state_dims,
     estimator_operators,
     member_traces,
@@ -113,25 +113,24 @@ def _shot_means(plan: ProtocolPlan, rho: DensityMatrix | Ket, rate: float) -> tu
     plan_ref, rho_ref, held_rate, held = _PROBABILITY_MEMO
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho and held_rate == rate:
         return held
-    p = _born(plan.block_amplitudes, _gathered(rho, plan.support))
-    held = _cells(p, plan.weights[..., None] * sign_products(plan.n_meters), rate)
+    p = _born(plan.block_amplitudes, rho, plan.support)
+    held = (_means(p.reshape(1, -1), rate)[0], (plan.weights[..., None] * sign_products(plan.n_meters)).reshape(2, -1))
     for array in held:
         array.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), rate, held)
     return held
 
 
-def _cells(p: np.ndarray, entries: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Poisson means rate * p, p clipped at 0, over the cells, and the (2, cells) Re and Im coefficients on them.
+def _means(p: np.ndarray, rate: float) -> np.ndarray:
+    """The Poisson means rate * p, p clipped at 0, of each member's cells, a row of p.
 
-    ``entries`` are (2, n_settings, 2, 2^m): the block weights times the
-    meter signs, in the order of p's (setting, block row) cells.
-
-    A probability below -1e-12 is no rounding error and raises.
+    A probability below -1e-12 is no rounding error: the first member
+    holding one raises.
     """
-    if p.min() < -1e-12:
-        raise InvalidStateError(f"negative outcome probability {p.min():g}; cannot draw counts")
-    return rate * np.clip(p, 0.0, None).reshape(-1), entries.reshape(2, -1)
+    lows = p.min(-1)
+    if lows.min() < -1e-12:
+        raise InvalidStateError(f"negative outcome probability {lows[lows < -1e-12][0]:g}; cannot draw counts")
+    return rate * np.clip(p, 0.0, None)
 
 
 def _draw(means: np.ndarray, coefficients: np.ndarray, rate: float, rng: np.random.Generator) -> complex:
@@ -162,22 +161,28 @@ def simulate_shots(
 def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
-    The readout rows of the canonical element's two blocks are rotated
-    once for the batch in each block order its members read, index order
-    being swapped when s > s'; each member's draw reads them, as its
-    plan's ``block_amplitudes``, against its block of ``rho``, and gives
-    the value ``simulate_shots`` gives on that plan with the same
+    The members of each block order, index order or swapped when s > s',
+    read the canonical element's two blocks rotated once in that order
+    and one coefficient table: their Born probabilities, each the
+    ``block_amplitudes`` of the member's plan against its block of
+    ``rho``, come from one stacked product, ``MEMBER_ENTRIES`` worth at a
+    time.  One check covers every member, and each member's draw gives
+    the value ``simulate_shots`` gives on its plan with the same
     generator.  ``rho`` must have the batch's dims.
     """
     (rows,), (weights,) = batch.rows, batch.weights
-    orders = {element.s_flat > element.s_prime_flat for element in batch.elements}
-    rotated = {swapped: readout_amplitudes(rows[::-1] if swapped else rows) for swapped in orders}
+    swapped = [element.s_flat > element.s_prime_flat for element in batch.elements]
     signs = sign_products(batch.n_meters)
+    p = np.empty((len(swapped), batch.n_settings * rows[..., 0].size))
+    coefficients = {}
+    for order in set(swapped):
+        amps = readout_amplitudes(rows[::-1] if order else rows)
+        members = np.flatnonzero(np.equal(swapped, order))
+        step = max(1, MEMBER_ENTRIES // amps.size)
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            p[part] = _born(amps, rho, batch.supports[part]).reshape(len(part), -1)
+        coefficients[order] = ((weights[..., ::-1] if order else weights)[..., None] * signs).reshape(2, -1)
     rate = policy.n_t * policy.exposure(batch.n_settings)
-    values = []
-    for element, block, rng in zip(batch.elements, _gathered(rho, batch.supports), rngs):
-        swapped = element.s_flat > element.s_prime_flat
-        p = _born(rotated[swapped], block)
-        entries = (weights[..., ::-1] if swapped else weights)[..., None] * signs
-        values.append(_draw(*_cells(p, entries, rate), rate, rng))
-    return values
+    return [_draw(means, coefficients[order], rate, rng)
+            for means, order, rng in zip(_means(p, rate), swapped, rngs)]

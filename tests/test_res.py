@@ -30,7 +30,7 @@ from dmres import (
     simulate_shots,
     stream,
 )
-from dmres.elements import element_from_flat
+from dmres.elements import all_offdiagonal_elements, element_from_flat
 from dmres.errors import DmresError, InvalidStateError
 from dmres.plans import (
     PlanBatch,
@@ -387,12 +387,14 @@ class TestRefusedBeforeAnyBuild:
             next(configuration_stacks([element_from_flat((3,), 0, 1)], "foo", (0.5,)))
 
     @pytest.mark.parametrize("scheme, groups", [
-        (scheme, [["12,21", "01,10", "10,01"], ["00,01", "00,02", "02,01"]]) for scheme in ("res", "seq")
+        (scheme, [["12,21", "01,10", "10,01"], ["00,01", "00,02", "02,01", "00,10"]]) for scheme in ("res", "seq")
     ])
     def test_stacks_are_the_table_stack_of_each_configuration(self, scheme, groups):
         # configuration_stacks of any element list: one stack per coupled
-        # set in first-element order, members in list order
-        elements = [element_from_flat((3, 3), u, v) for u, v in [(5, 7), (0, 1), (1, 3), (0, 2), (3, 1), (2, 1)]]
+        # shape in first-element order, members in list order; 00,10
+        # couples qudit 0 where the other single couplings couple qudit 1
+        pairs = [(5, 7), (0, 1), (1, 3), (0, 2), (3, 1), (2, 1), (0, 3)]
+        elements = [element_from_flat((3, 3), u, v) for u, v in pairs]
         stacks = list(configuration_stacks(elements, scheme, (0.4, 0.9)))
         assert [[e.label() for e in stack.elements] for stack in stacks] == groups
         for stack in stacks:
@@ -406,16 +408,16 @@ CONFIGURATION_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (2, 3), (3, 2, 2)]
 
 
 def configurations(dims, scheme):
-    """Upper-triangle pairs grouped by coupled set, computed from the definition.
+    """Upper-triangle pairs grouped by coupled shape, computed from the definition.
 
-    Both schemes build one stack per set of qudits whose indices differ;
-    sets come in the order of their first pair, members in row-major
-    order.
+    Both schemes build one stack per coupled shape, the local dimensions
+    of the qudits whose indices differ, in order; shapes come in the
+    order of their first pair, members in row-major order.
     """
     groups = {}
     for u, v in itertools.combinations(range(int(np.prod(dims))), 2):
         s, sp = np.unravel_index(u, dims), np.unravel_index(v, dims)
-        key = tuple(n for n, (a, b) in enumerate(zip(s, sp)) if a != b)
+        key = tuple(d for d, a, b in zip(dims, s, sp) if a != b)
         groups.setdefault(key, []).append((u, v))
     return list(groups.values())
 
@@ -592,3 +594,38 @@ class TestConfigurationPlans:
             builder(element_from_flat((3, 3), 0, 1), g)
         with pytest.raises(InvalidCouplingError, match=re.escape(str(single.value))):
             next(configuration_batches((3, 3), g, builder))
+
+
+class TestShapeStacks:
+    """One stack per coupled shape: its arrays are those of every coupled set of that shape."""
+
+    MODULES = {"res": res_module, "seq": seq_module}
+
+    @pytest.mark.parametrize("scheme, dims, builds", [
+        ("res", (2, 2, 2), 3), ("seq", (2, 2, 2), 3), ("res", (2,) * 6, 6),
+    ])
+    def test_characterize_builds_once_per_coupled_shape(self, scheme, dims, builds, monkeypatch):
+        # (2,2,2) has 7 coupled sets and (2,)*6 has 63, but as many shapes as qubits
+        calls, module = [], self.MODULES[scheme]
+        build = module.canonical_rows
+        monkeypatch.setattr(module, "canonical_rows", lambda *args: calls.append(args[0].dims) or build(*args))
+        rho = random_mixed_state(dims, stream(33, f"shape-builds{dims}"))
+        characterize(rho, 0.7, TestConfigurationPlans.BUILDERS[scheme])
+        assert len(calls) == len(set(calls)) == builds
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", CONFIGURATION_DIMS + [(2, 3, 2)])
+    def test_shape_stacks_equal_coupled_set_stacks_bytes(self, scheme, dims):
+        gs = (0.3, 0.7, 1.1)
+        stack_of = SCHEMES[scheme].stack
+        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
+            shape = stack_of(members, gs)
+            sets = {}
+            for i, element in enumerate(members):
+                sets.setdefault(element.coupled_set, []).append(i)
+            for indices in sets.values():
+                want = stack_of([members[i] for i in indices], gs)
+                assert shape.weights.tobytes() == want.weights.tobytes()
+                assert shape.rows.tobytes() == want.rows.tobytes()
+                assert shape.calibrations == want.calibrations
+                assert shape.supports[indices].tobytes() == want.supports.tobytes()

@@ -193,6 +193,17 @@ class TestMinNormSolve:
         mixed = _min_norm_solve(stack, targets)
         assert all(np.array_equal(x, y[:5]) for x, y in zip(whole, mixed, strict=True))
 
+    def test_layout_of_the_rows_leaves_every_byte(self):
+        # the solve is handed the rows transposed, a view; a C-contiguous
+        # copy of the same values takes another BLAS path unless the
+        # residual fixes one layout
+        rows, targets = self.three_qubit_rows((0.3, 0.6, 0.9, 1.2, 1.5))
+        view = rows.swapaxes(-1, -2)
+        copied = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and copied.flags.c_contiguous
+        for x, y in zip(_min_norm_solve(view, targets), _min_norm_solve(copied, targets), strict=True):
+            assert x.tobytes() == y.tobytes()
+
 
 class TestWeakCoupling:
     """The relative singular-value floor keeps the g^(2m) directions of weak correlator responses."""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import dmres.plans as plans_module
+import dmres.res as res_module
 import dmres.shots as shots_module
 from dmres import (
     DensityMatrix,
@@ -22,6 +23,7 @@ from dmres import (
     simulate_shots,
     stream,
 )
+from dmres.elements import all_offdiagonal_elements
 
 from oracles import reference_plan_probabilities
 from test_engine import BUILDERS, elements
@@ -237,3 +239,56 @@ class TestDrawPath:
         # bound is some 50 times that, and a real mismatch still fails
         rounding = np.finfo(float).eps * float((np.abs(c_re) + np.abs(c_im)) @ p)
         assert abs(got - extract_element(rho, plan)) <= 1e-12 + rounding
+
+
+class TestBatchShots:
+    """A shape stack's draws, both block orders in one batch, against per-plan draws."""
+
+    DIMS = (2, 2, 2)
+
+    @staticmethod
+    def two_qubit_shape(dims):
+        """The ordered elements of ``dims`` that couple two qubits: three coupled sets, both block orders."""
+        (members,) = [m for m in res_module.configurations(all_offdiagonal_elements(dims, ordered=True))
+                      if m[0].n_couplings == 2]
+        assert len({e.coupled_set for e in members}) == 3
+        assert {e.s_flat > e.s_prime_flat for e in members} == {False, True}
+        return members
+
+    @pytest.mark.parametrize("budget", ["default", "one member per product"])
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_batch_draws_equal_per_plan_draws_bytes(self, scheme, budget, monkeypatch):
+        if budget != "default":
+            monkeypatch.setattr(shots_module, "MEMBER_ENTRIES", 1)
+        members = self.two_qubit_shape(self.DIMS)
+        batch = res_module.SCHEMES[scheme].stack(members, (0.7,))
+        rho = random_mixed_state(self.DIMS, stream(31, "batch-shots"))
+        policy = ShotPolicy(n_t=1e4)
+        got = shots_module.simulate_batch_shots(
+            batch, rho, policy, (stream(31, "draws", e.label()) for e in members))
+        want = [simulate_shots(batch[0, i], rho, policy, stream(31, "draws", e.label()))
+                for i, e in enumerate(members)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    def test_negative_probability_raises_the_first_per_plan_error(self, scheme):
+        # only members whose block holds the perturbed pair read a
+        # negative probability; the first of them is not the first member
+        members = self.two_qubit_shape(self.DIMS)
+        entries = np.eye(8, dtype=complex) / 8
+        u, v = members[-1].s_flat, members[-1].s_prime_flat
+        entries[u, v] = entries[v, u] = 0.4
+        rho = DensityMatrix.create(entries, self.DIMS, check_positive=False)
+        batch = res_module.SCHEMES[scheme].stack(members, (0.7,))
+        policy = ShotPolicy(n_t=1e3)
+        errors = []
+        for i in range(len(members)):
+            try:
+                simulate_shots(batch[0, i], rho, policy, stream(0, "negative", i))
+            except InvalidStateError as error:
+                errors.append((i, str(error)))
+        assert errors and errors[0][0] > 0
+        with pytest.raises(InvalidStateError) as raised:
+            rngs = (stream(0, "negative", i) for i in range(len(members)))
+            shots_module.simulate_batch_shots(batch, rho, policy, rngs)
+        assert str(raised.value) == errors[0][1]
