@@ -48,6 +48,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0:
+            raise DmresError(f"cannot parse angle {text!r}: it divides by zero")
         return sign * num * math.pi / den
     try:
         return float(text)

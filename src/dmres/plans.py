@@ -48,7 +48,7 @@ canonical element, the fully coupled element (0...0, 1...1) of the
 subsystem dims[C], through its support: the full-basis index of each of
 the d_C canonical columns.  Plans keep only that element's unrotated
 rows of its blocks 0...0 and 1...1, ``rows``, (2, 2^m, d_C), and its
-weights, whose two blocks an element with s > s' reads swapped.  A
+weights; those two blocks are every member's s and s', in that order.  A
 ``PlanBatch`` is the one plan stack: elements with one coupled shape at
 G strengths, holding ``rows`` and weights once and one support per
 member.  Each scheme builds its plans only as such a stack, a single
@@ -141,8 +141,8 @@ class ProtocolPlan(_PlanLayout):
     0...0 and 1...1, (2, 2^m, d_C), ``support`` the full-basis index of
     each of their d_C columns (see the module docstring), and
     ``weights`` the estimator, (2, n_settings, 2): part t's weight on
-    setting b and post-selected block k, in index order.  The
-    constructor rejects weights of any other shape.
+    setting b and post-selected block k, s then s'.  The constructor
+    rejects weights of any other shape.
     """
 
     element: ElementIndex
@@ -160,7 +160,7 @@ class ProtocolPlan(_PlanLayout):
         if np.shape(self.weights) != want:
             raise InvalidCouplingError(
                 f"estimator weights have shape {np.shape(self.weights)}, want {want}: a (Re, Im) "
-                f"weight per setting and post-selected block {self.blocks}"
+                f"weight per setting and post-selected block {self.post_selectors}"
             )
 
     @property
@@ -173,11 +173,6 @@ class ProtocolPlan(_PlanLayout):
         return (self.element.s_flat, self.element.s_prime_flat)
 
     @cached_property
-    def blocks(self) -> tuple[int, ...]:
-        """The post-selected system outcomes s and s' the estimator reads, in index order."""
-        return tuple(sorted({self.element.s_flat, self.element.s_prime_flat}))
-
-    @cached_property
     def base(self) -> np.ndarray:
         """Read-only columns U |u> (x) |0...0> of the full space, (outcomes, dim), built on first use."""
         base = base_amplitudes(self.element.dims, self.couplings, self.g)
@@ -188,12 +183,10 @@ class ProtocolPlan(_PlanLayout):
     def block_amplitudes(self) -> np.ndarray:
         """Read-only readout amplitudes of blocks s and s' on the coupled block, rotated from ``rows`` on first use.
 
-        (n_settings, 2 * 2^m, d_C): the blocks in index order, column c
-        at full-basis index ``support[c]``, as a stack's shot draws read
-        them.
+        (n_settings, 2 * 2^m, d_C): block s then block s', column c at
+        full-basis index ``support[c]``, as a stack's shot draws read them.
         """
-        swapped = self.element.s_flat > self.element.s_prime_flat
-        return readout_amplitudes(self.rows[::-1] if swapped else self.rows)
+        return readout_amplitudes(self.rows)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -213,7 +206,7 @@ class ProtocolPlan(_PlanLayout):
 
     @cached_property
     def _tables(self) -> np.ndarray:
-        tables = coefficient_tables(self.weights, self.blocks, self.element.dim)
+        tables = coefficient_tables(self.weights, self.post_selectors, self.element.dim)
         tables.setflags(write=False)
         return tables
 
@@ -269,7 +262,7 @@ class PlanBatch(_PlanLayout):
             g=self.gs[k],
             couplings=scheme_entry(self.scheme).couplings(element),
             settings=self.settings,
-            weights=self.weights[k, ..., ::-1] if element.s_flat > element.s_prime_flat else self.weights[k],
+            weights=self.weights[k],
             rows=self.rows[k],
             support=self.supports[i],
             calibration=None if self.calibrations is None else self.calibrations[k],
@@ -555,19 +548,6 @@ def embedded(operators: np.ndarray, supports: np.ndarray, dim: int) -> np.ndarra
     return out.reshape(operators.shape[:-2] + supports.shape[:-1] + (dim, dim))
 
 
-def _canonical_form(plan: ProtocolPlan | PlanBatch):
-    """(rows, weights): the canonical element's block rows (2, 2^m, d_C) and weights (2, n_settings, 2).
-
-    A batch's have a leading strength axis.  A plan's weights are its
-    own, in index order, taken back to the canonical order, which is
-    exact, so a plan and the stack it came from contract the same arrays.
-    """
-    if isinstance(plan, PlanBatch):
-        return plan.rows, plan.weights
-    weights = plan.weights[..., ::-1] if plan.element.s_flat > plan.element.s_prime_flat else plan.weights
-    return plan.rows, np.ascontiguousarray(weights)
-
-
 def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     """G[..., t, v, u] = sum over (setting, outcome) of c_t conj(a[v]) a[u], c_t part t's coefficients.
 
@@ -577,8 +557,8 @@ def _estimator_grams(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     its block of the state.  (2, d_C, d_C) for a plan, one pair per
     strength for a batch.
     """
-    rows, weights = _canonical_form(plan)
-    phi = weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
+    rows = plan.rows
+    phi = plan.weights.swapaxes(-1, -2) @ _flip_phases(plan.n_meters)  # (..., 2, blocks, patterns)
     lead, d = rows.shape[:-3], rows.shape[-1]
     flipped = phi[..., None] * rows[..., None, :, ::-1, :]
     pairs = rows.reshape(lead + (1, -1, d))
@@ -606,11 +586,10 @@ def estimator_operators(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     settings left to right, formed on the canonical element's coupled
     block, so no readout row is rotated.
     """
-    rows, weights = _canonical_form(plan)
-    alpha = np.cumsum(weights ** 2, axis=-2)[..., -1, :]  # left to right, as add.accumulate runs
-    n_patterns, d = rows.shape[-2:]
+    alpha = np.cumsum(plan.weights ** 2, axis=-2)[..., -1, :]  # left to right, as add.accumulate runs
+    n_patterns, d = plan.rows.shape[-2:]
     scale = np.repeat(alpha, n_patterns, axis=-1)[..., None]
-    rows = rows.reshape(rows.shape[:-3] + (1, -1, d))
+    rows = plan.rows.reshape(plan.rows.shape[:-3] + (1, -1, d))
     return rows.conj().swapaxes(-1, -2) @ (scale * rows)
 
 

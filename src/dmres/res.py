@@ -241,8 +241,7 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
     Diagonal entries come from post-selection statistics alone; the
     upper triangle is read batch by batch, every member's estimate from
     the batch's one canonical product and the member's block of the
-    state, and the lower triangle
-    is filled by conjugation.  No positivity projection is applied.
+    state, and the lower triangle is filled by conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)

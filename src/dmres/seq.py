@@ -258,10 +258,10 @@ def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
     reads.
 
     For a plan this returns (weights, info), with weights (2,
-    n_settings, 2) as the plan stores them, in its own index order.  For
-    a ``PlanBatch`` it solves once per strength and returns the
-    canonical weights (G, 2, n_settings, 2) with one ``CalibrationInfo``
-    per strength.  The first strength whose residual exceeds
+    n_settings, 2) as the plan stores them, blocks s then s'.  For a
+    ``PlanBatch`` it solves once per strength and returns the canonical
+    weights (G, 2, n_settings, 2) with one ``CalibrationInfo`` per
+    strength.  The first strength whose residual exceeds
     ``RESIDUAL_TOL`` raises ``CalibrationError``.
     """
     single = isinstance(plan, ProtocolPlan)
@@ -269,9 +269,7 @@ def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
     rows = _correlator_response(plan.rows)
     z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(canonical_element(element)), gs)
     weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), 2, -1, 2))
-    if not single:
-        return weights, infos
-    return (weights[0, ..., ::-1] if element.s_flat > element.s_prime_flat else weights[0]), infos[0]
+    return (weights[0], infos[0]) if single else (weights, infos)
 
 
 def singular_strength(g: float) -> bool:

@@ -49,8 +49,8 @@ class ShotPolicy:
             raise InvalidStateError(f"unknown allocation {self.allocation!r}")
 
     def exposure(self, n_settings: int) -> float:
-        """Observation time per setting."""
-        return 1.0 if self.allocation == PER_SETTING else 1.0 / n_settings
+        """Observation time per setting: the inverse of ``allocation_factor``."""
+        return 1.0 / allocation_factor(self.allocation, n_settings)
 
 
 def allocation_factor(allocation: str, n_settings: int) -> float:
@@ -114,11 +114,16 @@ def _shot_means(plan: ProtocolPlan, rho: DensityMatrix | Ket, rate: float) -> tu
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho and held_rate == rate:
         return held
     p = _born(plan.block_amplitudes, rho, plan.support)
-    held = (_means(p.reshape(1, -1), rate)[0], (plan.weights[..., None] * sign_products(plan.n_meters)).reshape(2, -1))
+    held = (_means(p.reshape(1, -1), rate)[0], _coefficients(plan.weights, plan.n_meters))
     for array in held:
         array.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), rate, held)
     return held
+
+
+def _coefficients(weights: np.ndarray, n_meters: int) -> np.ndarray:
+    """The (2, cells) Re and Im coefficients of block weights (2, n_settings, 2), in readout cell order."""
+    return (weights[..., None] * sign_products(n_meters)).reshape(2, -1)
 
 
 def _means(p: np.ndarray, rate: float) -> np.ndarray:
@@ -161,28 +166,20 @@ def simulate_shots(
 def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy, rngs) -> list[complex]:
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
-    The members of each block order, index order or swapped when s > s',
-    read the canonical element's two blocks rotated once in that order
-    and one coefficient table: their Born probabilities, each the
-    ``block_amplitudes`` of the member's plan against its block of
-    ``rho``, come from one stacked product, ``MEMBER_ENTRIES`` worth at a
-    time.  One check covers every member, and each member's draw gives
+    Every member reads the canonical element's two blocks, s then s',
+    rotated once, and one coefficient table: their Born probabilities,
+    each the ``block_amplitudes`` of the member's plan against its block
+    of ``rho``, come from one stacked product, ``MEMBER_ENTRIES`` worth at
+    a time.  One check covers every member, and each member's draw gives
     the value ``simulate_shots`` gives on its plan with the same
     generator.  ``rho`` must have the batch's dims.
     """
     (rows,), (weights,) = batch.rows, batch.weights
-    swapped = [element.s_flat > element.s_prime_flat for element in batch.elements]
-    signs = sign_products(batch.n_meters)
-    p = np.empty((len(swapped), batch.n_settings * rows[..., 0].size))
-    coefficients = {}
-    for order in set(swapped):
-        amps = readout_amplitudes(rows[::-1] if order else rows)
-        members = np.flatnonzero(np.equal(swapped, order))
-        step = max(1, MEMBER_ENTRIES // amps.size)
-        for lo in range(0, len(members), step):
-            part = members[lo:lo + step]
-            p[part] = _born(amps, rho, batch.supports[part]).reshape(len(part), -1)
-        coefficients[order] = ((weights[..., ::-1] if order else weights)[..., None] * signs).reshape(2, -1)
+    amps = readout_amplitudes(rows)
+    p = np.empty((len(batch.elements), amps[..., 0].size))
+    step = max(1, MEMBER_ENTRIES // amps.size)
+    for lo in range(0, len(p), step):
+        p[lo:lo + step] = _born(amps, rho, batch.supports[lo:lo + step]).reshape(-1, p.shape[1])
+    coefficients = _coefficients(weights, batch.n_meters)
     rate = policy.n_t * policy.exposure(batch.n_settings)
-    return [_draw(means, coefficients[order], rate, rng)
-            for means, order, rng in zip(_means(p, rate), swapped, rngs)]
+    return [_draw(means, coefficients, rate, rng) for means, rng in zip(_means(p, rate), rngs)]

@@ -64,8 +64,8 @@ def check_exactness() -> tuple[bool, str]:
 
 
 def check_conjugate_pairs() -> tuple[bool, str]:
-    # a lower-triangle plan reads its canonical element's weights with the
-    # two blocks swapped, so both schemes are checked
+    # an element and its conjugate read one canonical plan through supports
+    # that exchange s and s', so both schemes are checked
     passed, parts = True, []
     for name, builder, bound in (("res", plan_res, 1e-10), ("seq", plan_seq, 1e-8)):
         worst = 0.0

@@ -448,13 +448,13 @@ def einsum_correlator_response(blocks):
 
 
 def own_block_rows(plan):
-    """The plan's unrotated rows of blocks s and s', in index order, from its
+    """The plan's unrotated rows of blocks s and s', in that order, from its
     own full-space columns ``base_amplitudes(dims, couplings, g)``: (2, 2^m, D)."""
     from dmres.plans import base_amplitudes
 
     dim = plan.element.dim
     own = base_amplitudes(plan.element.dims, plan.couplings, plan.g).reshape(dim, -1, dim)
-    return own[list(plan.blocks)]
+    return own[list(plan.post_selectors)]
 
 
 def own_calibrated_weights(plan):
@@ -470,7 +470,7 @@ def own_calibrated_weights(plan):
 
 def own_block_grams(plan, weights):
     """Estimator pair G and variance pair W, each (2, D, D), of block
-    weights (2, settings, 2) in index order, from the plan's own block rows
+    weights (2, settings, 2), blocks s then s', from the plan's own block rows
     B_k: G_t = sum_k B_k^dag diag(phi_tk) J B_k, with phi_tk the weights
     summed against the Pauli phase table and J the pattern reversal, and
     W_t = sum_k alpha_tk B_k^dag B_k, alpha_tk the squared weights summed

@@ -40,6 +40,11 @@ class TestParsing:
         with pytest.raises(DmresError):
             parse_angle("four")
 
+    @pytest.mark.parametrize("text", ["pi/0", "pi/0.0", "-2pi / 0"])
+    def test_zero_denominator_is_a_domain_error(self, text):
+        with pytest.raises(DmresError, match="divides by zero"):
+            parse_angle(text)
+
     def test_elements(self):
         e = parse_element("01,10", (2, 2))
         assert e.s == (0, 1) and e.s_prime == (1, 0)
@@ -238,6 +243,12 @@ class TestBadInput:
         (["extract", "--scheme", "seq", "--element", "0,1", "--g", "nan"],
          "coupling strength g=nan is not finite"),
         (["extract", "--element", "0,1", "--g", "pi/4", "--shots", "inf"], "photon rate n_t=inf"),
+        (["extract", "--element", "0,1", "--g", "pi/0.0"], "cannot parse angle 'pi/0.0': it divides by zero"),
+        (["precision", "--system", "qutrit", "--g", "pi/0", "--samples", "150"],
+         "cannot parse angle 'pi/0': it divides by zero"),
+        (["precision", "--system", "qutrit", "--g-grid", "0.4,pi/0", "--samples", "150"],
+         "cannot parse angle 'pi/0': it divides by zero"),
+        (["scenario", "fig3a", "--g", "pi/0"], "cannot parse angle 'pi/0': it divides by zero"),
         (["precision", "--system", "qutrit", "--scheme", "res,res", "--samples", "150"],
          "scheme 'res' is requested twice"),
         (["precision", "--system", "0,2", "--g", "0.5", "--samples", "150"],
@@ -276,6 +287,7 @@ class TestCharacterizeBadInput:
     @pytest.mark.parametrize("extra, code, cause", [
         (["--g", "0"], 3, "sin(2g)=0"),
         (["--g", "nan"], 3, "coupling strength g=nan is not finite"),
+        (["--g", "pi/0"], 3, "cannot parse angle 'pi/0': it divides by zero"),
         (["--g", "pi/4", "--shots", "inf"], 3, "photon rate n_t=inf"),
         (["--g", "pi/4", "--truth", "MISSING"], 2, "cannot parse state file"),
         (["--g", "pi/4", "--truth", "BELL"], 3, "truth dims (2, 2) differ from state dims (3,)"),

@@ -312,7 +312,7 @@ class TestStrengthFamilies:
 def stored_rows_of(amplitudes, plan):
     """The rows of a full (..., settings, outcomes, D) stack on the plan's stored blocks."""
     lead, dim = amplitudes.shape[:-2], amplitudes.shape[-1]
-    blocks = amplitudes.reshape(lead + (plan.element.dim, -1, dim))[..., list(plan.blocks), :, :]
+    blocks = amplitudes.reshape(lead + (plan.element.dim, -1, dim))[..., list(plan.post_selectors), :, :]
     return blocks.reshape(lead + (-1, dim))
 
 
@@ -352,8 +352,7 @@ class TestRelabeling:
                     assert [c.qudit for c in plan.couplings] == [n for n, _ in want_couplings]
                     for c, (_, op) in zip(plan.couplings, want_couplings):
                         assert_allclose(c.op, op, rtol=0, atol=1e-15)
-                    own = own_block_rows(plan)[..., plan.support]  # blocks in index order
-                    assert_rel_close(own if element.s_flat < element.s_prime_flat else own[::-1], plan.rows)
+                    assert_rel_close(own_block_rows(plan)[..., plan.support], plan.rows)
                     unit = np.zeros((element.dim, element.dim))
                     unit[element.s_flat, element.s_prime_flat] = 1.0
                     assert np.max(np.abs(functional_matrix(plan) - unit)) <= tol
@@ -456,9 +455,8 @@ class TestStoredBlocks:
            kind=st.sampled_from(sorted(BUILDERS)))
     def test_stored_rows_are_rows_of_the_full_stack(self, element, g, kind):
         plan = BUILDERS[kind](element, g)
-        pair = tuple(sorted((element.s_flat, element.s_prime_flat)))
-        assert plan.blocks == pair
-        assert plan.block_amplitudes.shape == (plan.n_settings, len(plan.blocks) * 2 ** plan.n_meters,
+        assert plan.post_selectors == (element.s_flat, element.s_prime_flat)
+        assert plan.block_amplitudes.shape == (plan.n_settings, 2 * 2 ** plan.n_meters,
                                                canonical_element(element).dim)
         rows = np.zeros(plan.block_amplitudes.shape[:-1] + (element.dim,), dtype=complex)
         rows[..., plan.support] = plan.block_amplitudes
@@ -534,7 +532,7 @@ class TestStoredBlocks:
         plan = dataclasses.replace(plan, weights=weights)
         signs = sign_products(plan.n_meters)
         tables = np.zeros((2, plan.n_settings, element.dim, 2 ** plan.n_meters))
-        tables[:, :, list(plan.blocks)] = weights[..., None] * signs
+        tables[:, :, list(plan.post_selectors)] = weights[..., None] * signs
         tables = tables.reshape(2, plan.n_settings, -1)
         rho = random_mixed_state(element.dims, stream(9, "block-weights"))
         p = all_probabilities(plan, rho)

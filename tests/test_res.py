@@ -438,7 +438,7 @@ class TestConfigurationPlans:
             for plan in member_plans(dims, g, builder):
                 single = builder(plan.element, g)
                 assert plan.element == single.element and plan.g == single.g
-                assert plan.blocks == single.blocks and plan.settings == single.settings
+                assert plan.post_selectors == single.post_selectors and plan.settings == single.settings
                 assert [(c.qudit, c.kind, c.label) for c in plan.couplings] == \
                     [(c.qudit, c.kind, c.label) for c in single.couplings]
                 for c, c_single in zip(plan.couplings, single.couplings):
@@ -463,6 +463,25 @@ class TestConfigurationPlans:
             values = re.findall(r'"(?:re|im)": ([^,}]+)', doc)
             assert len(values) == 2 * plan.n_settings * plan.outcomes_per_setting
             assert "-0" not in values
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+    def test_members_hold_the_stack_arrays_in_post_selector_order(self, scheme, dims):
+        # every member, s < s' or s > s', reads its stack's canonical
+        # blocks as (s, s') unchanged: no member holds a reordered copy
+        elements = all_offdiagonal_elements(dims, ordered=True)
+        seen = 0
+        for stack in configuration_stacks(elements, scheme, (0.4, 0.9)):
+            for k in range(len(stack.gs)):
+                want_amplitudes = plans_module.readout_amplitudes(stack.rows[k])
+                for i, element in enumerate(stack.elements):
+                    plan = stack[k, i]
+                    assert plan.weights.tobytes() == stack.weights[k].tobytes()
+                    assert plan.rows.tobytes() == stack.rows[k].tobytes()
+                    assert plan.post_selectors == (element.s_flat, element.s_prime_flat)
+                    assert plan.block_amplitudes.tobytes() == want_amplitudes.tobytes()
+                    seen += element.s_flat > element.s_prime_flat
+        assert seen == len(elements)  # each lower element once per strength
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 3)])

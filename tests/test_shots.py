@@ -232,7 +232,7 @@ class TestDrawPath:
         p = means / rate
         want = reference_plan_probabilities(rho.entries, element.dims, element.s, element.s_prime,
                                             g, kind[:3])
-        rows = want.reshape(plan.n_settings, element.dim, -1)[:, list(plan.blocks)]
+        rows = want.reshape(plan.n_settings, element.dim, -1)[:, list(plan.post_selectors)]
         assert_allclose(p, rows.reshape(-1), rtol=0, atol=1e-12)
         got = complex(c_re @ p, c_im @ p)
         # the Born sum rounds at about 0.02 eps sum_o |c_o| p_o, so this
@@ -242,13 +242,13 @@ class TestDrawPath:
 
 
 class TestBatchShots:
-    """A shape stack's draws, both block orders in one batch, against per-plan draws."""
+    """A shape stack's draws, elements with s < s' and s > s' in one batch, against per-plan draws."""
 
     DIMS = (2, 2, 2)
 
     @staticmethod
     def two_qubit_shape(dims):
-        """The ordered elements of ``dims`` that couple two qubits: three coupled sets, both block orders."""
+        """The ordered elements of ``dims`` that couple two qubits: three coupled sets, both triangles."""
         (members,) = [m for m in res_module.configurations(all_offdiagonal_elements(dims, ordered=True))
                       if m[0].n_couplings == 2]
         assert len({e.coupled_set for e in members}) == 3
