@@ -4,15 +4,17 @@ Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
 ``stream`` hands Philox its SHA-256 key as the seed sequence, which
 gives the state of ``Philox(key=...)`` without drawing OS entropy.
-There is one Haar construction: Box-Muller normals from raw words, a
-stacked Ginibre QR, then the states, all on plain arrays.  A precision
-family (n_qudits, d, seed) has the one key of ``stream(seed,
-f"haar/{n_qudits}x{d}")``, and its sample j reads the words Philox
-gives from counter j B (``haar_stream``), B blocks of four words each.
+There is one Haar construction: Box-Muller normals from raw words,
+stacked two-pass Gram-Schmidt on the Ginibre columns, then the states,
+all on plain arrays.  A precision family (n_qudits, d, seed) has the one
+key of ``stream(seed, f"haar/{n_qudits}x{d}")``, and its sample j reads
+the words Philox gives from counter j B (``haar_stream``), B blocks of
+four words each.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -68,47 +70,68 @@ def _ginibre(words: np.ndarray, n_qudits: int, d: int) -> np.ndarray:
     return normals[:, :n_qudits * 2 * d * d].reshape(-1, n_qudits, 2, d, d)
 
 
-def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
-    """Haar unitaries from (..., 2, d, d) real and imaginary Ginibre normals.
+def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` from index 0 up, so each member of a stack sums as it would alone."""
+    return functools.reduce(np.add, np.moveaxis(terms, axis, 0))
 
-    Column phases are fixed so the triangular factor has a positive real
-    diagonal, which makes the QR construction exactly Haar (Mezzadri
-    2007).  Stacked inputs run one batched QR.
+
+def _haar_unitaries(normals: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """First ``columns`` (all by default) columns of Haar unitaries from
+    (..., 2, d, d) real and imaginary Ginibre normals, shape (..., d, columns).
+
+    Two-pass classical Gram-Schmidt on the columns z_k of Z = X + iY:
+    twice, v loses its projections on q_0 ... q_{k-1}, all taken from the
+    same v; then q_k = v / ||v||.  Sums over rows and over earlier columns
+    run in index order.  R's diagonal is ||v|| > 0, the phase fix that
+    makes Q exactly Haar (Mezzadri 2007), and the second pass keeps Q
+    unitary to rounding (Giraud, Langou and Rozloznik 2005).  Column 0 is
+    z_0 / ||z_0||, all a one-qudit state V|0> reads.
     """
-    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    d = normals.shape[-1]
+    columns = d if columns is None else columns
+    z = np.moveaxis(normals[..., :columns], -3, -1).copy().view(complex)[..., 0]
+    q = np.empty_like(z)
+    for k in range(columns):
+        v = z[..., k]
+        for _ in range(2 if k else 0):
+            coeffs = _sum_in_order(q[..., :k].conj() * v[..., None], -2)
+            v = v - _sum_in_order(q[..., :k] * coeffs[..., None, :], -1)
+        q[..., k] = v / np.sqrt(_sum_in_order(v.real * v.real + v.imag * v.imag, -1))[..., None]
+    return q
 
 
 def _entangled_amplitudes(unitaries: np.ndarray) -> np.ndarray:
     """(count, D) amplitudes of (U_1 x ... x U_N) applied to the maximally
-    entangled state, for stacked local unitaries of shape (count, N, d, d)."""
+    entangled state, for stacked local unitaries of shape (count, N, d, d):
+    psi[i_1 ... i_N] = sum_m prod_n U_n[i_n, m] / sqrt(d), m summed in order."""
     count, n_qudits, d, _ = unitaries.shape
-    psi = np.zeros((count,) + (d,) * n_qudits, dtype=complex)
-    for m in range(d):
-        psi[(slice(None),) + (m,) * n_qudits] = 1.0 / np.sqrt(d)
-    for n in range(n_qudits):
-        moved = np.moveaxis(psi, n + 1, 1)
-        out = np.matmul(unitaries[:, n], moved.reshape(count, d, d ** (n_qudits - 1)))
-        psi = np.moveaxis(out.reshape(moved.shape), 1, n + 1)
-    return psi.reshape(count, d ** n_qudits)
+    terms = unitaries[:, 0]
+    for n in range(1, n_qudits):
+        terms = (terms[:, :, None, :] * unitaries[:, n, None, :, :]).reshape(count, d ** (n + 1), d)
+    return _sum_in_order(terms, -1) / np.sqrt(d)
 
 
 def _precision_densities(unitaries: np.ndarray) -> np.ndarray:
-    """(count, D, D) precision states from (count, N, d, d) local unitaries.
+    """(count, D, D) precision states from (count, N, d, columns) local unitaries.
 
-    One qudit gives V|0><0|V'; more qudits give the local unitaries
-    applied to the maximally entangled state.
+    One qudit gives V|0><0|V' and reads column 0 only; more qudits give
+    the local unitaries applied to the maximally entangled state.
     """
     vecs = unitaries[:, 0, :, 0] if unitaries.shape[1] == 1 else _entangled_amplitudes(unitaries)
     return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
+def _states(words: np.ndarray, n_qudits: int, d: int) -> np.ndarray:
+    """(count, D, D) precision states from (count, 4 B) raw Philox words:
+    one Haar column per sample for one qudit, all d per qudit otherwise."""
+    unitaries = _haar_unitaries(_ginibre(words, n_qudits, d), 1 if n_qudits == 1 else d)
+    return _precision_densities(unitaries)
+
+
 def sample_precision_state(n_qudits: int, d: int, rng: np.random.Generator) -> DensityMatrix:
     """One validated state of the precision family from the next 4 B raw words of ``rng``."""
     words = rng.bit_generator.random_raw((1, 4 * _blocks(n_qudits, d)))
-    rho = _precision_densities(_haar_unitaries(_ginibre(words, n_qudits, d)))[0]
+    rho = _states(words, n_qudits, d)[0]
     return DensityMatrix.create(rho, (d,) * n_qudits)
 
 
@@ -116,13 +139,13 @@ def precision_states(n_qudits: int, d: int, seed: int, count: int, start: int = 
     """Read-only (count, D, D) batch of the precision state family.
 
     Entry ``j`` is sample ``start + j``, drawn with every other in one
-    ``random_raw`` call and one stacked QR; it equals
+    ``random_raw`` call and one stacked Gram-Schmidt; it equals
     ``sample_precision_state`` on ``haar_stream(n_qudits, d, seed, start
     + j)`` bit for bit.  The states are valid by construction and are
     not validated one by one.
     """
     words = haar_stream(n_qudits, d, seed, start).bit_generator.random_raw((count, 4 * _blocks(n_qudits, d)))
-    rhos = _precision_densities(_haar_unitaries(_ginibre(words, n_qudits, d)))
+    rhos = _states(words, n_qudits, d)
     rhos.setflags(write=False)
     return rhos
 

@@ -217,35 +217,53 @@ def reference_normals(n_qudits, d, seed, index):
     return [x for pair in pairs for x in pair][:size]
 
 
+def _sum_rows(terms):
+    """Sum a 2-D array's rows from row 0 down."""
+    total = terms[0]
+    for row in terms[1:]:
+        total = total + row
+    return total
+
+
 def reference_haar_unitary(normals):
-    """Haar unitary from one (2, d, d) Ginibre draw: QR, then each column
-    times the phase of the triangular factor's diagonal (Mezzadri 2007)."""
-    z = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))[None, :]
+    """Haar unitary from one (2, d, d) Ginibre draw X, Y by two-pass
+    classical Gram-Schmidt on the columns z_k of Z = X + iY.
+
+    For column k, v = z_k; twice, c_j = sum_i conj(q_ij) v_i for every
+    j < k, then v = v - sum_j c_j q_j, sums taken in index order; then
+    q_k = v / sqrt(sum_i (Re v_i^2 + Im v_i^2)).
+    """
+    d = normals.shape[-1]
+    z = np.empty((d, d), dtype=complex)
+    z.real, z.imag = normals[0], normals[1]
+    q = np.empty((d, d), dtype=complex)
+    for k in range(d):
+        v = z[:, k]
+        for _ in range(2 if k else 0):
+            c = _sum_rows(q[:, :k].conj() * v[:, None])
+            v = v - _sum_rows((q[:, :k] * c[None, :]).T)
+        q[:, k] = v / np.sqrt(_sum_rows(v.real * v.real + v.imag * v.imag))
+    return q
 
 
 def reference_precision_state(n_qudits, d, seed, index):
     """Sample ``index`` of a precision family drawn qudit by qudit, as a (D, D) array.
 
-    Qudit n's unitary takes the n-th (2, d, d) run of the sample's
-    normals.  One qudit gives V|0><0|V'.  More qudits start from the
-    maximally entangled state (1/sqrt(d)) sum_m |m,...,m> and apply each
-    qudit's own Haar unitary to its axis.
+    Qudit n's unitary U_n takes the n-th (2, d, d) run of the sample's
+    normals.  One qudit gives V|0><0|V'.  More qudits give the local
+    unitaries applied to the maximally entangled state (1/sqrt(d))
+    sum_m |m,...,m>: psi[i_1 ... i_N] = sum_m prod_n U_n[i_n, m] / sqrt(d),
+    the products taken from n = 1 up and m summed in order.
     """
     normals = np.array(reference_normals(n_qudits, d, seed, index)).reshape(n_qudits, 2, d, d)
     unitaries = [reference_haar_unitary(normals[n]) for n in range(n_qudits)]
     if n_qudits == 1:
         vec = unitaries[0][:, 0]
     else:
-        psi = np.zeros((d,) * n_qudits, dtype=complex)
-        for m in range(d):
-            psi[(m,) * n_qudits] = 1.0 / np.sqrt(d)
-        for n, u in enumerate(unitaries):
-            moved = np.moveaxis(psi, n, 0)
-            psi = np.moveaxis((u @ moved.reshape(d, -1)).reshape(moved.shape), 0, n)
-        vec = psi.reshape(-1)
+        terms = unitaries[0]
+        for u in unitaries[1:]:
+            terms = (terms[:, None, :] * u[None, :, :]).reshape(-1, d)
+        vec = _sum_rows(terms.T) / np.sqrt(d)
     return np.outer(vec, vec.conj())
 
 

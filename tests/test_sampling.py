@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 
 from dmres import random_mixed_state, stream
 from dmres.sampling import (
+    _entangled_amplitudes,
     _ginibre,
     _haar_unitaries,
     _precision_densities,
@@ -139,6 +140,33 @@ class TestHaarUnitary:
         u2 = _haar_unitaries(stream(1, "haar-det", 0).standard_normal((2, 4, 4)))
         assert np.array_equal(u1, u2)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_phase_fixed_lapack_qr(self, d):
+        # Householder QR, each column times the phase of R's diagonal
+        # (Mezzadri 2007), gives the same Q up to rounding
+        normals = stream(3, "haar-qr", d).standard_normal((10 ** 4, 2, d, d))
+        q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert_allclose(_haar_unitaries(normals), q * (diag / np.abs(diag))[:, None, :], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_unitary_for_nearly_parallel_columns(self, d):
+        # every column is column 0 plus a 1e-8 perturbation, so the
+        # condition number of X + iY is about 1e8
+        normals = stream(5, "haar-ill", d).standard_normal((2, d, d))
+        normals[:, :, 1:] = normals[:, :, :1] + 1e-8 * normals[:, :, 1:]
+        z = normals[0] + 1j * normals[1]
+        assert 1e7 < np.linalg.cond(z) < 1e10
+        u = _haar_unitaries(normals)
+        assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_column_is_column_zero(self, d):
+        normals = stream(6, "haar-col", d).standard_normal((50, 3, 2, d, d))
+        column = _haar_unitaries(normals, 1)
+        assert column.shape == (50, 3, d, 1)
+        assert np.array_equal(column, _haar_unitaries(normals)[..., :1])
+
     def test_first_moment_matches_haar(self):
         # E |<0|V|0>|^2 = 1/d for the Haar measure
         d, n = 3, 100000
@@ -183,6 +211,20 @@ class TestStateSamplers:
         bell[0] = bell[3] = 1 / np.sqrt(2)
         assert_allclose(rho[0], np.outer(bell, bell), atol=1e-15)
 
+    @pytest.mark.parametrize("system", [(2, 2), (2, 3), (3, 2), (4, 2)])
+    def test_entangled_amplitudes_match_qudit_by_qudit(self, system):
+        # each qudit's unitary applied to its own axis of the maximally
+        # entangled state, one matmul per qudit
+        n, d = system
+        us = _haar_unitaries(stream(9, "entangled", n).standard_normal((40, n, 2, d, d)))
+        for psi, local in zip(_entangled_amplitudes(us), us):
+            want = np.zeros((d,) * n, dtype=complex)
+            for m in range(d):
+                want[(m,) * n] = 1 / np.sqrt(d)
+            for k, u in enumerate(local):
+                want = np.moveaxis(np.tensordot(u, want, axes=(1, k)), 0, k)
+            assert_allclose(psi, want.reshape(-1), rtol=0, atol=1e-15)
+
     def test_entangled_norm_and_marginal(self):
         rng = stream(7, "marginal")
         for _ in range(20):
@@ -201,7 +243,7 @@ class TestStateSamplers:
 class TestBatchedPrecisionStates:
     @settings(max_examples=40, deadline=None)
     @given(
-        system=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]),
+        system=st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 5)]),
         seed=st.integers(min_value=0, max_value=2 ** 32),
         count=st.integers(min_value=0, max_value=24),
         cut=st.integers(min_value=0, max_value=24),
