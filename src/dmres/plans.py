@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -88,8 +88,9 @@ SEQ_SCHEME = "seq"
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
-# one stack may hold at once: a coupled shape's members are yielded that
-# many at a time, at least one.
+# one stack may hold at once: ``member_traces`` (d_C^2 per member) and a
+# batch shot draw gather that many entries' worth of members at a time,
+# at least one.
 MEMBER_ENTRIES = 2 ** 18
 
 
@@ -267,21 +268,6 @@ class PlanBatch(_PlanLayout):
             support=self.supports[i],
             calibration=None if self.calibrations is None else self.calibrations[k],
         )
-
-
-def member_chunks(batch: PlanBatch):
-    """Yield ``batch``'s members in order, stacked at most ``MEMBER_ENTRIES`` entries' worth at a time.
-
-    The canonical arrays are shared by every chunk.  A member's variance
-    operator in a sweep, embedded in the full space, holds dim^2 entries
-    per strength, more than its block of the state; a chunk holds at
-    least one member.
-    """
-    d = batch.elements[0].dim
-    step = max(1, MEMBER_ENTRIES // (d * d * len(batch.gs)))
-    for lo in range(0, len(batch.elements), step):
-        part = slice(lo, lo + step)
-        yield replace(batch, elements=batch.elements[part], supports=batch.supports[part])
 
 
 def canonical_element(element: ElementIndex) -> ElementIndex:
@@ -518,19 +504,22 @@ def member_traces(operators: np.ndarray, state: DensityMatrix | Ket, supports: n
     """Tr(O rho_i) for each canonical operator O of a (..., t, d_C, d_C) stack and each member's block rho_i.
 
     ``supports`` is one support (d_C,) or one per member (M, d_C), giving
-    (..., t) or (..., M, t).  Each block is one gather of the state; a
-    Ket is read as its amplitudes, never as a density matrix.  Real for
-    Hermitian O.
+    (..., t) or (..., M, t).  Each block is one gather of the state,
+    ``MEMBER_ENTRIES // d_C^2`` members at a time; a Ket is read as its
+    amplitudes, never as a density matrix.  Real for Hermitian O.
     """
     members = supports.reshape(-1, supports.shape[-1])
-    if isinstance(state, Ket):
-        block = state.amplitudes[members]
-        values = np.einsum("...tvu,mv,mu->...mt", operators, block.conj(), block).real
-    else:
-        # rho_i transposed, so both operands share one layout and each
-        # member's sum runs in one order however many members there are
-        block = state.entries[members[:, None, :], members[:, :, None]]
-        values = np.einsum("...tvu,mvu->...mt", operators, block).real
+    step, parts = max(1, MEMBER_ENTRIES // members.shape[-1] ** 2), []
+    for part in (members[lo:lo + step] for lo in range(0, len(members), step)):
+        if isinstance(state, Ket):
+            block = state.amplitudes[part]
+            parts.append(np.einsum("...tvu,mv,mu->...mt", operators, block.conj(), block).real)
+        else:
+            # rho_i transposed, so both operands share one layout and each
+            # member's sum runs in one order however many members there are
+            block = state.entries[part[:, None, :], part[:, :, None]]
+            parts.append(np.einsum("...tvu,mvu->...mt", operators, block).real)
+    values = np.concatenate(parts, axis=-2)
     return values.reshape(values.shape[:-2] + supports.shape[:-1] + values.shape[-1:])
 
 

@@ -45,7 +45,6 @@ from .plans import (
     check_state_dims,
     enumerate_settings,
     finite_strengths,
-    member_chunks,
     member_traces,
     supports,
 )
@@ -140,8 +139,11 @@ class OutcomeDistribution:
 def outcome_distribution(
     rho: DensityMatrix | Ket, plan: ProtocolPlan, setting: MeasurementSetting | int
 ) -> OutcomeDistribution:
+    """The outcome probabilities of one of the plan's settings, by index or value; any other raises ``InvalidCouplingError``."""
     check_state_dims(rho, plan)
-    idx = setting if isinstance(setting, int) else plan.settings.index(setting)
+    idx = plan.settings.index(setting) if setting in plan.settings else setting
+    if isinstance(idx, MeasurementSetting) or not 0 <= idx < plan.n_settings:
+        raise InvalidCouplingError(f"setting {setting!r} is not one of the plan's {plan.n_settings} settings")
     return OutcomeDistribution(plan.settings[idx], _born(plan.amplitudes[idx], rho))
 
 
@@ -161,8 +163,11 @@ def extract_element(rho: DensityMatrix | Ket, plan: ProtocolPlan) -> complex:
 
 
 def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
-    """<s| rho |s>: the probability of system outcome s, no meters needed; |psi_s|^2 for a ``Ket``."""
-    idx = np.ravel_multi_index(tuple(int(a) for a in s), rho.dims)
+    """<s| rho |s>: the probability of system outcome s, no meters needed; |psi_s|^2 for a ``Ket``.
+
+    An ``s`` outside ``rho.dims`` raises ``InvalidElementError``.
+    """
+    idx = ElementIndex.create(rho.dims, s, s).s_flat
     if isinstance(rho, Ket):
         amplitude = rho.amplitudes[idx:idx + 1]  # the array product np.outer forms: the densified bytes
         return float((amplitude * amplitude.conj()).real[0])
@@ -205,8 +210,8 @@ def configuration_stacks(elements, scheme: str, gs):
 
     The one path from an element list to plans: each coupled shape of
     ``configurations`` is built once by the scheme's stack builder and
-    yielded in ``plans.member_chunks``, so ``stack[k, i]`` is member i's
-    plan at ``gs[k]``.  The joint dimension d_C 2^m of the largest
+    yielded as one stack holding every member, so ``stack[k, i]`` is
+    member i's plan at ``gs[k]``.  The joint dimension d_C 2^m of the largest
     configuration, d_C the dimension of its coupled qudits and m the
     scheme's meters per coupled qudit times their number, is checked
     before anything is built.
@@ -216,7 +221,7 @@ def configuration_stacks(elements, scheme: str, gs):
     check_joint_dim(max((canonical_element(g[0]).dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups),
                         default=0))
     for members in groups:
-        yield from member_chunks(entry.stack(members, gs))
+        yield entry.stack(members, gs)
 
 
 def configuration_batches(dims, g: float, plan_builder=plan_res):

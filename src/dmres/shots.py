@@ -167,19 +167,20 @@ def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolic
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
     Every member reads the canonical element's two blocks, s then s',
-    rotated once, and one coefficient table: their Born probabilities,
-    each the ``block_amplitudes`` of the member's plan against its block
-    of ``rho``, come from one stacked product, ``MEMBER_ENTRIES`` worth at
-    a time.  One check covers every member, and each member's draw gives
-    the value ``simulate_shots`` gives on its plan with the same
-    generator.  ``rho`` must have the batch's dims.
+    rotated once per batch, and one coefficient table.  Members draw in
+    order, their Born probabilities, each the ``block_amplitudes`` of the
+    member's plan against its block of ``rho``, formed ``MEMBER_ENTRIES``
+    worth at a time in one stacked product; the first member holding a
+    negative probability raises.  Each member's draw gives the value
+    ``simulate_shots`` gives on its plan with the same generator.  ``rho``
+    must have the batch's dims.
     """
     (rows,), (weights,) = batch.rows, batch.weights
     amps = readout_amplitudes(rows)
-    p = np.empty((len(batch.elements), amps[..., 0].size))
-    step = max(1, MEMBER_ENTRIES // amps.size)
-    for lo in range(0, len(p), step):
-        p[lo:lo + step] = _born(amps, rho, batch.supports[lo:lo + step]).reshape(-1, p.shape[1])
     coefficients = _coefficients(weights, batch.n_meters)
     rate = policy.n_t * policy.exposure(batch.n_settings)
-    return [_draw(means, coefficients, rate, rng) for means, rng in zip(_means(p, rate), rngs)]
+    rngs, step, draws = iter(rngs), max(1, MEMBER_ENTRIES // amps.size), []
+    for part in (batch.supports[lo:lo + step] for lo in range(0, len(batch.supports), step)):
+        p = _born(amps, rho, part).reshape(len(part), -1)
+        draws += [_draw(means, coefficients, rate, rng) for means, rng in zip(_means(p, rate), rngs)]
+    return draws

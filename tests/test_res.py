@@ -32,6 +32,7 @@ from dmres import (
 )
 from dmres.elements import all_offdiagonal_elements, element_from_flat
 from dmres.errors import DmresError, InvalidStateError
+from dmres.linalg import MAX_JOINT_DIM
 from dmres.plans import (
     PlanBatch,
     ProtocolPlan,
@@ -226,6 +227,19 @@ class TestOutcomeDistribution:
         want = reference_setting_probabilities(rho.entries, (2,), (0,), (1,), math.pi / 4, ("y",))
         assert_allclose(got, want, atol=1e-12)
 
+    def test_setting_outside_the_plan_is_a_domain_error(self):
+        # -1 would read the last setting, and a setting the plan lacks
+        # would miss its index
+        rho = random_mixed_state((2, 2), stream(3, "dist-setting"))
+        plan = plan_res(ElementIndex.create((2, 2), (0, 1), (1, 0)), 0.9)
+        assert plan.n_settings == 4
+        for setting in (-1, 4, MeasurementSetting(("x",)), MeasurementSetting(("x", "z"))):
+            with pytest.raises(InvalidCouplingError, match="is not one of the plan's 4 settings"):
+                outcome_distribution(rho, plan, setting)
+        want = outcome_distribution(rho, plan, 3).probabilities.tobytes()
+        for setting in (MeasurementSetting(("y", "y")), np.int64(3)):
+            assert outcome_distribution(rho, plan, setting).probabilities.tobytes() == want
+
 
 class TestExtraction:
     @pytest.mark.parametrize("g", [1e-2, 2e-2])
@@ -342,6 +356,17 @@ class TestDiagonalAndCharacterize:
         for s in ((0,) * 16, (1, 0) * 8, tuple(int(b) for b in rng.integers(0, 2, 16))):
             amp = ket.amplitudes[np.ravel_multi_index(s, dims)]
             assert_allclose(diagonal_element(ket, s), abs(amp) ** 2, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("s, match", [
+        ((3, 0), r"out of range for qudit 0"), ((0, -1), r"out of range for qudit 1"),
+        ((0,), r"index lengths 1/1 do not match 2 qudits"), ((0, 1, 2), r"index lengths 3/3"),
+    ])
+    def test_diagonal_index_outside_the_state_is_a_domain_error(self, s, match):
+        rho = random_mixed_state((3, 3), stream(7, "diag-bad"))
+        ket = Ket.create(np.full(9, 1 / 3), (3, 3))
+        for state in (rho, ket):
+            with pytest.raises(InvalidElementError, match=match):
+                diagonal_element(state, s)
 
     def test_characterize_recovers_state(self):
         for dims in ((3,), (2, 2)):
@@ -631,6 +656,51 @@ class TestShapeStacks:
         rho = random_mixed_state(dims, stream(33, f"shape-builds{dims}"))
         characterize(rho, 0.7, TestConfigurationPlans.BUILDERS[scheme])
         assert len(calls) == len(set(calls)) == builds
+
+    @pytest.mark.parametrize("budget", ["default", "one member per gather"])
+    def test_one_stack_holds_every_member_of_its_shape(self, budget, monkeypatch):
+        # (2,)*6 res has shapes of up to 640 members; however small the
+        # member budget, each shape is one stack
+        if budget != "default":
+            monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
+        dims = (2,) * 6
+        stacks = list(configuration_stacks(all_offdiagonal_elements(dims), "res", (0.7,)))
+        assert [[(e.s_flat, e.s_prime_flat) for e in stack.elements] for stack in stacks] == \
+            configurations(dims, "res")
+        assert [len(stack.supports) for stack in stacks] == [len(stack.elements) for stack in stacks]
+
+    def test_one_gram_pair_and_one_rotation_per_coupled_shape(self, monkeypatch, readout_calls):
+        # (2,)*6 res has 6 shapes; characterize forms each stack's Gram
+        # pair once, and characterize --shots rotates its readout rows once
+        calls = []
+        grams = res_module._estimator_grams
+        monkeypatch.setattr(res_module, "_estimator_grams", lambda *args: calls.append(args) or grams(*args))
+        rho = random_mixed_state((2,) * 6, stream(34, "shape-grams"))
+        characterize(rho, 0.7, plan_res)
+        assert len(calls) == 6 and readout_calls == []
+        _characterize_shots(rho, 0.7, ShotPolicy(n_t=1e5), seed=0)
+        assert len(calls) == 6 and len(readout_calls) == 6
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("dims", [(2,) * 6, (3, 3, 3), (2, 3, 2)])
+    def test_member_traces_do_not_depend_on_the_gather_budget(self, scheme, dims, monkeypatch):
+        # one gather of every member, or one per member, reads the same bytes
+        rho = random_mixed_state(dims, stream(35, f"gathers{dims}"))
+        amps = [1, 1j] @ stream(35, f"gathers-ket{dims}").standard_normal((2, rho.dim))
+        ket = Ket.create(amps / np.linalg.norm(amps), dims)
+        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
+            meters = SCHEMES[scheme].meters * members[0].n_couplings
+            if canonical_element(members[0]).dim * 2 ** meters > MAX_JOINT_DIM:
+                continue  # seq refuses five or more coupled qubits
+            stack = SCHEMES[scheme].stack(members, (0.4, 0.9))
+            for operators in (plans_module._estimator_grams(stack), plans_module.estimator_operators(stack)):
+                for state in (rho, ket):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(plans_module, "MEMBER_ENTRIES", 1)
+                        one_by_one = plans_module.member_traces(operators, state, stack.supports)
+                    want = plans_module.member_traces(operators, state, stack.supports)
+                    assert one_by_one.shape == want.shape == (2, len(members), 2)
+                    assert one_by_one.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     @pytest.mark.parametrize("dims", CONFIGURATION_DIMS + [(2, 3, 2)])
