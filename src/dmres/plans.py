@@ -13,9 +13,12 @@ each (setting, block) of those two its coefficients are one weight
 times the product of meter signs, and every other block has none.  So
 a plan stores its estimator as those weights, ``weights[t, b, k]`` for
 part t (0 Re, 1 Im), setting b and block k; ``coefficient_tables``
-alone writes them out as full tables, for export.  The readout
-amplitudes of blocks s and s', ``block_amplitudes``, which shot draws
-read, are rotated from the stored block rows on first use and kept.  The
+alone writes them out as full tables, for export.  A draw therefore
+needs one Poisson count per sign class, the patterns of one (setting,
+block) whose sign product is +1 or -1 (see ``shots``).  The readout
+amplitudes of blocks s and s', ``block_amplitudes``, whose cells shot
+draws read and sum into those classes, are rotated from the stored
+block rows on first use and kept.  The
 full-space columns ``base`` and the full stack ``amplitudes``, which
 only outcome distributions, the response map and tests read, are built
 on first use.

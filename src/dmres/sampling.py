@@ -4,12 +4,12 @@ Streams are counter-based (Philox) and keyed by (seed, tag, index), so
 any sample can be regenerated independently with bit-identical results.
 ``stream`` hands Philox its SHA-256 key as the seed sequence, which
 gives the state of ``Philox(key=...)`` without drawing OS entropy.
-There is one Haar construction: Box-Muller normals from raw words,
-stacked two-pass Gram-Schmidt on the Ginibre columns, then the states,
-all on plain arrays.  A precision family (n_qudits, d, seed) has the one
-key of ``stream(seed, f"haar/{n_qudits}x{d}")``, and its sample j reads
-the words Philox gives from counter j B (``haar_stream``), B blocks of
-four words each.
+There is one Haar construction: Box-Muller normals from raw words, only
+for the Ginibre columns a state reads, stacked two-pass Gram-Schmidt on
+those columns, then the states, all on plain arrays.  A precision
+family (n_qudits, d, seed) has the one key of ``stream(seed,
+f"haar/{n_qudits}x{d}")``, and its sample j reads the words Philox gives
+from counter j B (``haar_stream``), B blocks of four words each.
 """
 
 from __future__ import annotations
@@ -55,19 +55,45 @@ def haar_stream(n_qudits: int, d: int, seed: int, index: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(_Key(key), counter=index * _blocks(n_qudits, d)))
 
 
-def _ginibre(words: np.ndarray, n_qudits: int, d: int) -> np.ndarray:
-    """(count, n_qudits, 2, d, d) normals from (count, 4 B) raw Philox words.
+@functools.cache
+def _normal_layout(n_qudits: int, d: int, columns: int) -> tuple[np.ndarray, ...]:
+    """Where the normals of a sample's first ``columns`` Ginibre columns come from.
+
+    Of the normals read, in (qudit, part, row, column) order, the even
+    ones are their word pair's r cos theta and the odd ones its
+    r sin theta.  Returns the pairs read, each once and in order, the
+    index into those pairs of each even and of each odd normal read, and
+    the permutation taking the even normals then the odd ones into read
+    order; all read-only.
+    """
+    read = np.arange(n_qudits * 2 * d * d).reshape(n_qudits, 2, d, d)[..., :columns].reshape(-1)
+    even = read % 2 == 0
+    pairs = np.array(sorted(set(read // 2)))
+    layout = (pairs, np.searchsorted(pairs, read[even] // 2), np.searchsorted(pairs, read[~even] // 2),
+              np.argsort(np.concatenate([np.flatnonzero(even), np.flatnonzero(~even)])))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def _ginibre(words: np.ndarray, n_qudits: int, d: int, columns: int | None = None) -> np.ndarray:
+    """(count, n_qudits, 2, d, columns) normals from (count, 4 B) raw Philox words.
 
     Box-Muller on each (even, odd) word pair of a row, with u = (w >> 11)
     2^-53: r = sqrt(-2 ln(1 - u_even)) and theta = 2 pi u_odd give the
-    normals r cos theta and r sin theta, in that order.  A row keeps its
-    first n_qudits 2 d^2 normals.
+    normals r cos theta and r sin theta, in that order.  A row's first
+    n_qudits 2 d^2 normals fill (n_qudits, 2, d, d), of which the first
+    ``columns`` columns (all by default) are kept.  Only the word pairs
+    those columns read are transformed, each normal by its own cos or
+    sin alone.
     """
-    u = (words >> np.uint64(11)) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    theta = 2.0 * np.pi * u[:, 1::2]
-    normals = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(words.shape)
-    return normals[:, :n_qudits * 2 * d * d].reshape(-1, n_qudits, 2, d, d)
+    columns = d if columns is None else columns
+    pairs, cos_of, sin_of, order = _normal_layout(n_qudits, d, columns)
+    u = (words[:, np.concatenate([2 * pairs, 2 * pairs + 1])] >> np.uint64(11)) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :len(pairs)]))
+    theta = 2.0 * np.pi * u[:, len(pairs):]
+    normals = np.concatenate([r[:, cos_of] * np.cos(theta[:, cos_of]), r[:, sin_of] * np.sin(theta[:, sin_of])], 1)
+    return normals[:, order].reshape(len(words), n_qudits, 2, d, columns)
 
 
 def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -75,9 +101,10 @@ def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(terms, axis, 0))
 
 
-def _haar_unitaries(normals: np.ndarray, columns: int | None = None) -> np.ndarray:
-    """First ``columns`` (all by default) columns of Haar unitaries from
-    (..., 2, d, d) real and imaginary Ginibre normals, shape (..., d, columns).
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """First c columns of Haar unitaries from (..., 2, d, c) real and
+    imaginary Ginibre normals, the first c columns of d x d Ginibre
+    matrices, shape (..., d, c).
 
     Two-pass classical Gram-Schmidt on the columns z_k of Z = X + iY:
     twice, v loses its projections on q_0 ... q_{k-1}, all taken from the
@@ -87,11 +114,9 @@ def _haar_unitaries(normals: np.ndarray, columns: int | None = None) -> np.ndarr
     unitary to rounding (Giraud, Langou and Rozloznik 2005).  Column 0 is
     z_0 / ||z_0||, all a one-qudit state V|0> reads.
     """
-    d = normals.shape[-1]
-    columns = d if columns is None else columns
-    z = np.moveaxis(normals[..., :columns], -3, -1).copy().view(complex)[..., 0]
+    z = np.moveaxis(normals, -3, -1).copy().view(complex)[..., 0]
     q = np.empty_like(z)
-    for k in range(columns):
+    for k in range(z.shape[-1]):
         v = z[..., k]
         for _ in range(2 if k else 0):
             coeffs = _sum_in_order(q[..., :k].conj() * v[..., None], -2)
@@ -124,7 +149,7 @@ def _precision_densities(unitaries: np.ndarray) -> np.ndarray:
 def _states(words: np.ndarray, n_qudits: int, d: int) -> np.ndarray:
     """(count, D, D) precision states from (count, 4 B) raw Philox words:
     one Haar column per sample for one qudit, all d per qudit otherwise."""
-    unitaries = _haar_unitaries(_ginibre(words, n_qudits, d), 1 if n_qudits == 1 else d)
+    unitaries = _haar_unitaries(_ginibre(words, n_qudits, d, 1 if n_qudits == 1 else d))
     return _precision_densities(unitaries)
 
 

@@ -1,7 +1,18 @@
-"""Poisson photon-counting model: exposure policies, variances, sampling."""
+"""Poisson photon-counting model: exposure policies, variances, sampling.
+
+Counts are independent Poisson per outcome cell.  An estimate weighs the
+cells of each (setting, post-selected block) by one weight times the
+cell's meter-sign product (see the ``plans`` docstring), so it reads the
+counts only through two sums per (setting, block): the cells of sign +1
+and those of sign -1.  A sum of independent Poisson counts is one
+Poisson count at the summed mean, so a draw takes one count per such
+sign class, 4 n_settings of them in (setting, block, +/-) order, and the
+estimate keeps the distribution a count per cell would give it.
+"""
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -25,8 +36,9 @@ PER_SETTING = "per-setting-unit-time"
 SPLIT_TOTAL = "split-total"
 ALLOCATIONS = (PER_SETTING, SPLIT_TOTAL)
 
-# Largest photon rate n_t.  A drawn cell's Poisson mean n_t T p never
-# exceeds n_t, and numpy's Poisson sampler takes means up to about 9.2e18.
+# Largest photon rate n_t.  A drawn class's Poisson mean n_t T p, p the
+# summed probability of its cells, never exceeds n_t, and numpy's Poisson
+# sampler takes means up to about 9.2e18.
 MAX_PHOTON_RATE = 1e18
 
 
@@ -93,19 +105,21 @@ def batch_variances(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolicy) ->
 
 
 # One (plan, state) pair, the photon rate, and what its draws read: the
-# read-only Poisson means rate * p of the stored outcome cells, p their
-# checked, clipped Born probabilities, and the (2, cells) Re and Im
-# coefficients.  Weak references: the memo never keeps a plan alive.
+# read-only Poisson means of the sign classes, each the sum of its cells'
+# rate * p, p their checked, clipped Born probabilities, and the
+# (2, classes) Re and Im class coefficients.  Weak references: the memo
+# never keeps a plan alive.
 _PROBABILITY_MEMO: tuple = (None, None, None, None)
 
 
 def _shot_means(plan: ProtocolPlan, rho: DensityMatrix | Ket, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """(means, coefficients) over the stored outcome cells, computed once per (plan, state, rate).
+    """(means, coefficients) over the sign classes, computed once per (plan, state, rate).
 
     The cells are the rows of ``plan.block_amplitudes``, blocks s and
     s', the outcomes the estimator weighs, read against the element's
     coupled block of the state; the full stack ``plan.amplitudes`` is
-    never read.
+    never read.  Each cell is checked and clipped before the cells of a
+    class are summed.
     Plans and states are immutable (their arrays are read-only), so
     repeated draws for the same two objects at one rate reuse the last.
     """
@@ -114,16 +128,11 @@ def _shot_means(plan: ProtocolPlan, rho: DensityMatrix | Ket, rate: float) -> tu
     if plan_ref is not None and plan_ref() is plan and rho_ref() is rho and held_rate == rate:
         return held
     p = _born(plan.block_amplitudes, rho, plan.support)
-    held = (_means(p.reshape(1, -1), rate)[0], _coefficients(plan.weights, plan.n_meters))
+    held = (_class_means(_means(p.reshape(1, -1), rate), plan.n_meters)[0], _class_coefficients(plan.weights))
     for array in held:
         array.setflags(write=False)
     _PROBABILITY_MEMO = (weakref.ref(plan), weakref.ref(rho), rate, held)
     return held
-
-
-def _coefficients(weights: np.ndarray, n_meters: int) -> np.ndarray:
-    """The (2, cells) Re and Im coefficients of block weights (2, n_settings, 2), in readout cell order."""
-    return (weights[..., None] * sign_products(n_meters)).reshape(2, -1)
 
 
 def _means(p: np.ndarray, rate: float) -> np.ndarray:
@@ -138,8 +147,34 @@ def _means(p: np.ndarray, rate: float) -> np.ndarray:
     return rate * np.clip(p, 0.0, None)
 
 
+@functools.cache
+def _sign_order(n_meters: int) -> np.ndarray:
+    """The meter patterns of sign product +1, then those of -1, each in readout order; read-only."""
+    signs = sign_products(n_meters)
+    order = np.concatenate([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
+    order.setflags(write=False)
+    return order
+
+
+def _class_means(cells: np.ndarray, n_meters: int) -> np.ndarray:
+    """Sum each member's cell means, a row (settings, blocks, patterns) flat, into its sign-class means.
+
+    Gives (members, 4 n_settings) in (setting, block, +/-) order, the
+    cells of a class summed in readout order, so each member's sums are
+    those it would have alone.
+    """
+    n = 2 ** n_meters
+    grouped = cells.reshape(len(cells), -1, n)[..., _sign_order(n_meters)].reshape(len(cells), -1, 2, n // 2)
+    return functools.reduce(np.add, np.moveaxis(grouped, -1, 0)).reshape(len(cells), -1)
+
+
+def _class_coefficients(weights: np.ndarray) -> np.ndarray:
+    """The (2, 4 n_settings) Re and Im coefficients of the sign classes: each block weight times +1, then -1."""
+    return (weights[..., None] * np.array([1.0, -1.0])).reshape(2, -1)
+
+
 def _draw(means: np.ndarray, coefficients: np.ndarray, rate: float, rng: np.random.Generator) -> complex:
-    """One Poisson draw of the cells at ``means``, normalized by the ``rate`` and weighed row by row."""
+    """One Poisson draw of the classes at ``means``, normalized by the ``rate`` and weighed row by row."""
     re, im = coefficients @ (rng.poisson(means) / rate)
     return complex(re, im)
 
@@ -155,8 +190,10 @@ def simulate_shots(
     Counts are independent Poisson variables per outcome, so only the
     stored outcome blocks, the cells the estimator weighs, are drawn;
     every other cell has a zero coefficient and would not change the
-    estimate.  Counts are normalized by the known exposure, which keeps
-    the estimator exactly unbiased.
+    estimate.  One count is drawn per sign class of those blocks (see
+    the module docstring), which gives the estimate the distribution of
+    one count per cell.  Counts are normalized by the known exposure,
+    which keeps the estimator exactly unbiased.
     """
     check_state_dims(rho, plan)
     rate = policy.n_t * policy.exposure(plan.n_settings)
@@ -167,20 +204,22 @@ def simulate_batch_shots(batch: PlanBatch, rho: DensityMatrix, policy: ShotPolic
     """``simulate_shots`` of every member of a one-strength batch, member i drawing from the i-th of ``rngs``.
 
     Every member reads the canonical element's two blocks, s then s',
-    rotated once per batch, and one coefficient table.  Members draw in
-    order, their Born probabilities, each the ``block_amplitudes`` of the
-    member's plan against its block of ``rho``, formed ``MEMBER_ENTRIES``
-    worth at a time in one stacked product; the first member holding a
+    rotated once per batch, and one table of class coefficients.
+    Members draw in order, their Born probabilities, each the
+    ``block_amplitudes`` of the member's plan against its block of
+    ``rho``, formed ``MEMBER_ENTRIES`` worth at a time in one stacked
+    product and summed into sign-class means; the first member holding a
     negative probability raises.  Each member's draw gives the value
     ``simulate_shots`` gives on its plan with the same generator.  ``rho``
     must have the batch's dims.
     """
     (rows,), (weights,) = batch.rows, batch.weights
     amps = readout_amplitudes(rows)
-    coefficients = _coefficients(weights, batch.n_meters)
+    coefficients = _class_coefficients(weights)
     rate = policy.n_t * policy.exposure(batch.n_settings)
     rngs, step, draws = iter(rngs), max(1, MEMBER_ENTRIES // amps.size), []
     for part in (batch.supports[lo:lo + step] for lo in range(0, len(batch.supports), step)):
         p = _born(amps, rho, part).reshape(len(part), -1)
-        draws += [_draw(means, coefficients, rate, rng) for means, rng in zip(_means(p, rate), rngs)]
+        means = _class_means(_means(p, rate), batch.n_meters)
+        draws += [_draw(row, coefficients, rate, rng) for row, rng in zip(means, rngs)]
     return draws

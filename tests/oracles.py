@@ -19,7 +19,7 @@ from dmres.elements import element_from_flat
 from dmres.errors import InvalidCouplingError
 from dmres.linalg import DensityMatrix, Ket, Observable, UnitaryMatrix, as_density, check_joint_dim
 from dmres.operators import coupling_gate
-from dmres.plans import check_state_dims
+from dmres.plans import check_state_dims, coefficient_tables
 from dmres.res import extract_element, plan_res
 from dmres.sampling import stream
 from dmres.shots import element_variance, simulate_shots
@@ -371,6 +371,36 @@ def reference_plan_probabilities(rho, dims, s, sp, g, scheme):
     """
     amps = reference_plan_amplitudes(dims, s, sp, g, scheme)
     return np.einsum("sou,uv,sov->so", amps, rho, amps.conj(), optimize=True).real
+
+
+def reference_class_probabilities(plan, rho):
+    """(4 n_settings,) probabilities of the sign classes of ``plan``:
+    per setting and post-selected block, s then s', the summed reference
+    probability of its patterns of sign +1, then of sign -1.
+
+    A pattern's sign is (-1)^(number of - outcomes), patterns in the
+    plans' order (meter 0 most significant, + before -).
+    """
+    e = plan.element
+    cells = reference_plan_probabilities(rho.entries, e.dims, e.s, e.s_prime, plan.g, plan.scheme)
+    blocks = cells.reshape(plan.n_settings, e.dim, -1)[:, list(plan.post_selectors)]
+    signs = np.array([(-1.0) ** bin(o).count("1") for o in range(2 ** plan.n_meters)])
+    return np.stack([blocks[..., signs > 0].sum(-1), blocks[..., signs < 0].sum(-1)], axis=-1).reshape(-1)
+
+
+def reference_cell_draws(plan, rho, rate, rng, count):
+    """``count`` shot estimates of ``plan`` from one Poisson count per
+    outcome cell of every setting.
+
+    The means are rate * p, p the reference Born probabilities clipped
+    at 0, and each count, over the rate, weighs in by its entry of the
+    full coefficient tables.
+    """
+    e = plan.element
+    p = reference_plan_probabilities(rho.entries, e.dims, e.s, e.s_prime, plan.g, plan.scheme).reshape(-1)
+    tables = coefficient_tables(plan.weights, plan.post_selectors, e.dim).reshape(2, -1)
+    re, im = tables @ (rng.poisson(rate * np.clip(p, 0.0, None), size=(count, p.size)) / rate).T
+    return re + 1j * im
 
 
 def hermitian_basis_element(dim, label):

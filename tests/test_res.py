@@ -49,7 +49,7 @@ from dmres.res import SCHEMES, configuration_batches, configuration_stacks
 from dmres.seq import plan_seq
 
 from dmres.cli import _characterize_shots
-from dmres.shots import ALLOCATIONS
+from dmres.shots import ALLOCATIONS, batch_variances
 
 from oracles import (
     joint_state,
@@ -539,7 +539,8 @@ class TestConfigurationPlans:
         # plan and its arrays (block rows, coefficient tables) must be dead
         # by the time the next member's plan is sliced from its batch, and
         # a batch by the time the next batch's weights are built, once the
-        # caller has dropped them.
+        # caller has dropped them.  Each batch's variances gather its
+        # members, one at a time under the one-member budget, in between.
         if budget != "default":
             monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
         held_plan, held_batch, alive, builds = [], [], [], []
@@ -556,8 +557,10 @@ class TestConfigurationPlans:
 
         monkeypatch.setattr(module, step, built)
         monkeypatch.setattr(PlanBatch, "__getitem__", sliced)
+        rho, policy = random_mixed_state((3, 3), stream(12, "freed")), ShotPolicy(n_t=1e4)
         for batch in configuration_batches((3, 3), 0.6, self.BUILDERS[scheme]):
             held_batch = [weakref.ref(batch), weakref.ref(batch.weights)]
+            assert np.isfinite(batch_variances(batch, rho, policy)).all()
             for i in range(len(batch.elements)):
                 plan = batch[0, i]
                 arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
@@ -594,11 +597,11 @@ class TestConfigurationPlans:
             assert np.array([variances[uv] for uv in sorted(variances)]).tobytes() == \
                 np.array([want_variances[uv] for uv in sorted(variances)]).tobytes()
 
-    @pytest.mark.parametrize("budget", ["default", "one member per batch"])
-    def test_infeasible_member_raises_its_single_build_error(self, monkeypatch, budget):
+    def test_infeasible_member_raises_its_single_build_error(self, monkeypatch):
         # (0, 2) shares the coupled set of (0, 1), its canonical element,
         # whose one solve serves both; skewed targets for (0, 1) leave the
-        # span of its correlator rows, so every member of the set fails
+        # span of its correlator rows, so every member of the set fails,
+        # at the build, before any member is gathered
         infeasible = (0, 1)
         targets = seq_module._targets
 
@@ -609,8 +612,6 @@ class TestConfigurationPlans:
             return t
 
         monkeypatch.setattr(seq_module, "_targets", skewed)
-        if budget != "default":
-            monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
         with pytest.raises(CalibrationError) as single:
             plan_seq(element_from_flat((3, 3), 0, 2), 0.7)
         rho = random_mixed_state((3, 3), stream(11, "infeasible"))

@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 
 from dmres import random_mixed_state, stream
 from dmres.sampling import (
+    _blocks,
     _entangled_amplitudes,
     _ginibre,
     _haar_unitaries,
@@ -115,6 +116,16 @@ class TestNormalSource:
         words = haar_stream(2, 3, 4, 9).bit_generator.random_raw((1, 36))
         assert np.array_equal(_ginibre(words, 2, 3).reshape(-1), reference_normals(2, 3, 4, 9))
 
+    @pytest.mark.parametrize("system", [(1, 2), (1, 3), (1, 5), (2, 3), (3, 2)])
+    def test_leading_columns_are_those_of_all_normals(self, system):
+        # a family that reads fewer columns transforms fewer words, to
+        # the same bits
+        n, d = system
+        words = haar_stream(n, d, 8, 0).bit_generator.random_raw((50, 4 * _blocks(n, d)))
+        normals = _ginibre(words, n, d)
+        for columns in range(1, d + 1):
+            assert np.array_equal(_ginibre(words, n, d, columns), normals[..., :columns])
+
     def test_samples_continue_one_counter(self):
         # sample j + 1's words follow sample j's on one generator
         rng = haar_stream(2, 2, 3, 5)
@@ -163,7 +174,7 @@ class TestHaarUnitary:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_one_column_is_column_zero(self, d):
         normals = stream(6, "haar-col", d).standard_normal((50, 3, 2, d, d))
-        column = _haar_unitaries(normals, 1)
+        column = _haar_unitaries(normals[..., :1])
         assert column.shape == (50, 3, d, 1)
         assert np.array_equal(column, _haar_unitaries(normals)[..., :1])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import ks_2samp
 
 import dmres.plans as plans_module
 import dmres.res as res_module
@@ -25,7 +26,7 @@ from dmres import (
 )
 from dmres.elements import all_offdiagonal_elements
 
-from oracles import reference_plan_probabilities
+from oracles import ks_critical_value, reference_cell_draws, reference_class_probabilities
 from test_engine import BUILDERS, elements
 
 
@@ -230,15 +231,51 @@ class TestDrawPath:
         assert "amplitudes" not in plan.__dict__
         _, _, rate, (means, (c_re, c_im)) = shots_module._PROBABILITY_MEMO
         p = means / rate
-        want = reference_plan_probabilities(rho.entries, element.dims, element.s, element.s_prime,
-                                            g, kind[:3])
-        rows = want.reshape(plan.n_settings, element.dim, -1)[:, list(plan.post_selectors)]
-        assert_allclose(p, rows.reshape(-1), rtol=0, atol=1e-12)
+        assert_allclose(p, reference_class_probabilities(plan, rho), rtol=0, atol=1e-12)
         got = complex(c_re @ p, c_im @ p)
         # the Born sum rounds at about 0.02 eps sum_o |c_o| p_o, so this
         # bound is some 50 times that, and a real mismatch still fails
         rounding = np.finfo(float).eps * float((np.abs(c_re) + np.abs(c_im)) @ p)
         assert abs(got - extract_element(rho, plan)) <= 1e-12 + rounding
+
+
+class TestClassDraws:
+    """One count per sign class against the per-cell oracle: one distribution, and the same exact moments."""
+
+    PLANS = [
+        ("seq", ElementIndex.create((2, 2), (0, 1), (1, 0))),
+        ("res", ElementIndex.create((3, 3), (0, 1), (1, 2))),
+    ]
+
+    @pytest.mark.parametrize("kind,element", PLANS)
+    def test_class_draws_match_per_cell_draws_in_law(self, kind, element):
+        plan = BUILDERS[kind](element, 0.7)
+        rho = random_mixed_state(element.dims, stream(41, "class-draws"))
+        policy, n = ShotPolicy(n_t=1e2), 2 * 10 ** 4
+        rng = stream(41, "class-draws", kind)
+        classes = np.array([simulate_shots(plan, rho, policy, rng) for _ in range(n)])
+        cells = reference_cell_draws(plan, rho, policy.n_t, stream(41, "cell-draws", kind), n)
+        # estimates sit on a lattice whose atoms carry percents of the
+        # mass; the two sums round one atom apart (0 against -1e-19), so
+        # both samples are rounded to 1e-12 before the ECDFs are compared
+        for part in (np.real, np.imag):
+            stat = ks_2samp(part(classes).round(12), part(cells).round(12)).statistic
+            assert stat < ks_critical_value(n, n, alpha=1e-3)
+
+    @pytest.mark.parametrize("kind,element", PLANS)
+    @pytest.mark.parametrize("allocation", shots_module.ALLOCATIONS)
+    def test_class_moments_are_the_exact_estimate_and_variance(self, kind, element, allocation):
+        plan = BUILDERS[kind](element, 0.7)
+        rho = random_mixed_state(element.dims, stream(42, "class-moments"))
+        policy = ShotPolicy(n_t=128.0, allocation=allocation)
+        simulate_shots(plan, rho, policy, stream(42, "class-moments-shots"))
+        _, _, rate, (means, coefficients) = shots_module._PROBABILITY_MEMO
+        p = means / rate
+        got = complex(*(coefficients @ p))
+        rounding = np.finfo(float).eps * float(np.abs(coefficients).sum(0) @ p)
+        assert abs(got - extract_element(rho, plan)) <= 1e-12 + rounding
+        factor = shots_module.allocation_factor(allocation, plan.n_settings)
+        assert_allclose(factor * (coefficients ** 2 @ p), element_variance(plan, rho, policy), rtol=1e-12, atol=0)
 
 
 class TestBatchShots:
