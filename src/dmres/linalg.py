@@ -68,6 +68,12 @@ def _as_dims(dims: Sequence[int] | int | None, total: int) -> tuple[int, ...]:
     return dims
 
 
+def _check_finite(entries: np.ndarray, what: str) -> None:
+    """Reject NaN and inf by name: a comparison with NaN is False, so tolerance checks let NaN through."""
+    if not np.isfinite(entries).all():
+        raise InvalidStateError(f"{what} has a non-finite entry (NaN or inf)")
+
+
 @dataclass(frozen=True)
 class Ket:
     """Normalized complex state vector over a product of local dimensions."""
@@ -78,6 +84,7 @@ class Ket:
     @classmethod
     def create(cls, amplitudes: Sequence[complex], dims: Sequence[int] | int | None = None) -> "Ket":
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        _check_finite(vec, "ket")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_STRICT:
             raise InvalidStateError(f"ket norm {float(norm)!r} differs from 1 beyond {ATOL_STRICT}")
@@ -116,6 +123,7 @@ class DensityMatrix:
         mat = np.asarray(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
+        _check_finite(mat, "density matrix")
         if not is_hermitian(mat):
             raise InvalidStateError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(mat)

@@ -34,10 +34,12 @@ one small product per block however many settings there are.  Its
 squares, constant on the block's patterns, weigh B_k^dag B_k whatever
 the setting.
 
-The engine never forms a joint-space matrix.  Amplitudes live in a
-(d_1, ..., d_N, 2, ..., 2, columns) tensor; each coupling is its
-closed-form 2d x 2d gate on one (qudit, meter) axis pair, and readout
-rotations are applied meter by meter for all settings at once.
+Every coupling meets a fresh meter, still in |0>, so amplitudes grow
+one meter at a time in a (d_1, ..., d_N, 2, ..., 2, columns) tensor:
+each coupling contracts only the meter-input-0 columns of its
+closed-form gate, 2d x d, on its qudit's axis.  Only ``joint_unitary``
+forms a joint-space matrix, read off those columns.  Readout rotations
+are applied meter by meter for all settings at once.
 
 Elements with one coupled shape dims[C], C the qudits where s and s'
 differ, share one plan up to a relabeling.  Every other qudit is left
@@ -389,54 +391,49 @@ def _flip_phases(n_meters: int) -> np.ndarray:
     return phase
 
 
-def _apply_couplings(tensor: np.ndarray, dims: tuple[int, ...], couplings: Sequence[Coupling],
-                     gs: np.ndarray) -> np.ndarray:
-    """Apply each coupling's local gate, first coupling first, at every strength.
-
-    ``tensor`` has axes (G, d_1, ..., d_N, 2, ..., 2, rest) with strength
-    ``gs[k]`` on slice k and meter i on axis 1 + N + i; each coupling is
-    one batched matmul of its (G, 2d, 2d) gate stack on the (qudit,
-    meter i) axis pair.
-    """
-    n = len(dims)
-    for i, c in enumerate(couplings):
-        pair = (1 + c.qudit, 1 + n + i)
-        order = (0,) + pair + tuple(k for k in range(1, tensor.ndim) if k not in pair)
-        moved = tensor.transpose(order)
-        gate = coupling_gate(c.kind, c.op, gs)
-        moved = (gate @ moved.reshape(gate.shape[:2] + (-1,))).reshape(moved.shape)
-        tensor = moved.transpose([order.index(k) for k in range(len(order))])
-    return tensor
-
-
-def joint_unitary(dims: Sequence[int], couplings: Sequence[Coupling], g: float) -> np.ndarray:
-    """Total coupling unitary on system (x) meters; first coupling acts first."""
-    dims = tuple(dims)
-    m = len(couplings)
-    joint = math.prod(dims) * 2 ** m
-    check_joint_dim(joint)
-    eye = np.eye(joint, dtype=complex).reshape((1,) + dims + (2,) * m + (joint,))
-    return _apply_couplings(eye, dims, couplings, np.reshape(g, 1)).reshape(joint, joint)
-
-
 def base_amplitudes(dims: Sequence[int], couplings: Sequence[Coupling], g) -> np.ndarray:
     """Columns are U |u> (x) |0...0> for each system basis ket |u>.
 
     Rows are (system outcome, meter pattern) with meter 0 most
     significant: shape (d_sys * 2^m, d_sys), or a leading strength axis
-    (G, d_sys * 2^m, d_sys) for an array ``g`` of G strengths.
+    (G, d_sys * 2^m, d_sys) for an array ``g`` of G strengths.  Each
+    coupling, first coupling first, meets a fresh meter: it contracts its
+    gate's meter-input-0 columns on its qudit's axis and appends the meter.
     """
     dims = tuple(dims)
     d_sys = math.prod(dims)
-    m = len(couplings)
-    check_joint_dim(d_sys * 2 ** m)
+    check_joint_dim(d_sys * 2 ** len(couplings))
     gs = np.asarray(g, dtype=float)
     stack = gs.reshape(-1)
-    start = np.zeros((stack.size, d_sys, 2 ** m, d_sys), dtype=complex)
-    start[:, np.arange(d_sys), 0, np.arange(d_sys)] = 1.0
-    out = _apply_couplings(start.reshape((stack.size,) + dims + (2,) * m + (d_sys,)),
-                           dims, couplings, stack)
-    return out.reshape(gs.shape + (d_sys * 2 ** m, d_sys))
+    # axes (G, d_1, ..., d_N, meters so far, columns)
+    tensor = np.eye(d_sys, dtype=complex)[None].repeat(stack.size, 0).reshape((stack.size,) + dims + (d_sys,))
+    for c in couplings:
+        q, axes = 1 + c.qudit, tuple(range(tensor.ndim))
+        tensor = tensor.transpose((0, q) + axes[1:q] + axes[q + 1:])
+        shape = tensor.shape
+        # (G, 2d, d) meter-input-0 columns, each output row (v, p)
+        tensor = coupling_gate(c.kind, c.op, stack)[..., ::2] @ tensor.reshape(shape[:2] + (-1,))
+        tensor = tensor.reshape(shape[:2] + (2,) + shape[2:])
+        # axes (G, v, p, the others): v back to axis q, p before the columns
+        tensor = tensor.transpose((0,) + axes[3:q + 2] + (1,) + axes[q + 2:] + (2, len(axes)))
+    return tensor.reshape(gs.shape + (d_sys * 2 ** len(couplings), d_sys))
+
+
+def joint_unitary(dims: Sequence[int], couplings: Sequence[Coupling], g: float) -> np.ndarray:
+    """Total coupling unitary on system (x) meters; first coupling acts first.
+
+    Read off the columns of ``base_amplitudes``: each gate exp(-i g op (x)
+    sigma_y) commutes with Y = -i sigma_y on its own meter, and Y takes
+    |0> to |1>, so U[(v, p), (u, q)] = (-1)^#{i: q_i = 1, p_i = 0}
+    base[(v, p xor q), u].
+    """
+    d_sys, n_patterns = math.prod(dims), 2 ** len(couplings)
+    base = base_amplitudes(dims, couplings, g).reshape(d_sys, n_patterns, d_sys)
+    p = np.arange(n_patterns)
+    # signs[p, q], one factor [[1, -1], [1, 1]][p_i, q_i] per meter
+    signs = functools.reduce(np.kron, [np.array([[1, -1], [1, 1]])] * len(couplings), np.ones((1, 1)))
+    joint = base[:, p[:, None] ^ p] * signs[:, :, None]  # (v, p, q, u)
+    return joint.swapaxes(2, 3).reshape(d_sys * n_patterns, -1)
 
 
 def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:

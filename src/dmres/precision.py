@@ -40,8 +40,9 @@ from .stateio import format_float
 # most 16 bytes each (256 KiB), counted per strength by ``_stored_entries``.
 # The count bounds the arrays a build keeps, not its transient copies:
 # traced peaks of a whole-grid stack build with its variance operators
-# run to 2.1x the count for qutrit seq and 3.6x for three-qubit res,
-# whose transient canonical columns outweigh what the stack keeps.
+# run to 2.1x the count for qutrit seq and three-qubit res and 2.7x for
+# two-qubit res, whose transient canonical columns outweigh what the
+# stack keeps.
 # This budget gives a three-qubit seq sweep, whose four elements share
 # one coupled set, one strength per chunk: a 1,000-sample sweep then
 # peaks at 0.77 MB traced, against 0.93 MB for single plan_seq builds
@@ -457,8 +458,8 @@ def resource_report(
     """
     if plan_a.element != plan_b.element:
         raise InvalidStateError("resource comparison needs both plans to target the same element")
-    if target_sigma <= 0:
-        raise InvalidStateError("target_sigma must be positive")
+    if not (math.isfinite(target_sigma) and target_sigma > 0):
+        raise InvalidStateError(f"target_sigma must be finite and positive, got {target_sigma!r}")
     element = plan_a.element
     if len(set(element.dims)) != 1:
         raise InvalidStateError("resource averages support homogeneous local dimensions only")

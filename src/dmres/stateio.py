@@ -72,10 +72,13 @@ def write_manifest(out_dir: str | Path, payload: dict) -> None:
     (out / "manifest.json").write_text(text + "\n")
 
 
-def _complex_array(data, depth: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _complex_array(data, depth: int, path: str | Path) -> np.ndarray:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # a non-numeric entry or ragged rows
+        raise StateFormatError(f"state file {path} holds data that is not an array of numbers: {exc}") from exc
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
-        raise StateFormatError(f"data has shape {arr.shape}, expected [re, im] pairs")
+        raise StateFormatError(f"state file {path} holds data of shape {arr.shape}, expected [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -92,9 +95,9 @@ def read_state(path: str | Path, check_positive: bool = True) -> Ket | DensityMa
         raise StateFormatError(f"state file {path} is missing required fields: {exc}") from exc
     try:
         if kind == "ket":
-            return Ket.create(_complex_array(data, 1), dims)
+            return Ket.create(_complex_array(data, 1, path), dims)
         if kind == "density":
-            return DensityMatrix.create(_complex_array(data, 2), dims, check_positive=check_positive)
+            return DensityMatrix.create(_complex_array(data, 2, path), dims, check_positive=check_positive)
     except InvalidStateError as exc:
         raise StateFormatError(f"state file {path} holds an invalid state: {exc}") from exc
     raise StateFormatError(f"unknown state kind {kind!r} in {path}")

@@ -3,10 +3,11 @@
 Everything here is built from first principles (dense operators,
 scipy's matrix exponential, explicit projector contractions) without
 touching the package's plan machinery, so agreement is meaningful.
-The dense joint-space helpers (``joint_state``, ``coupling_unitary``,
-``projector_coupling_unitary``, ``partial_trace``) are the exception:
-they expand the package's own gates and plans into joint-space
-matrices for tests that read those directly.
+The dense joint-space helpers (``dense_base_amplitudes``,
+``joint_state``, ``coupling_unitary``, ``projector_coupling_unitary``,
+``partial_trace``) are the exception: they expand the package's own
+gates and plans into joint-space arrays for tests that read those
+directly.
 """
 
 import hashlib
@@ -103,8 +104,35 @@ def reference_setting_probabilities(rho, dims, s, sp, g, bases):
 
 
 # Dense joint-space forms of the package's objects.  The package applies
-# each coupling as a 2d x 2d gate and never forms a joint system-meter
-# matrix; these helpers do, so tests can read the joint state directly.
+# only the meter-input-0 columns of each coupling's gate, since every
+# coupling meets a fresh meter, and forms a joint system-meter matrix
+# only in ``joint_unitary``, read off those columns; these helpers form
+# joint-space arrays, so tests can read the joint state directly.
+
+
+def dense_base_amplitudes(dims, couplings, g):
+    """``dmres.plans.base_amplitudes`` by the full gates on every meter.
+
+    Every meter axis is allocated up front in |0...0>, and each coupling
+    is one batched matmul of its whole (G, 2d, 2d) gate stack on its
+    (qudit, meter i) axis pair, moved in front and back by transposes:
+    (d_sys * 2^m, d_sys), or (G, d_sys * 2^m, d_sys) for an array ``g``.
+    """
+    dims = tuple(dims)
+    n, m, d_sys = len(dims), len(couplings), int(np.prod(dims))
+    gs = np.asarray(g, dtype=float)
+    stack = gs.reshape(-1)
+    start = np.zeros((stack.size, d_sys, 2 ** m, d_sys), dtype=complex)
+    start[:, np.arange(d_sys), 0, np.arange(d_sys)] = 1.0
+    tensor = start.reshape((stack.size,) + dims + (2,) * m + (d_sys,))
+    for i, c in enumerate(couplings):
+        pair = (1 + c.qudit, 1 + n + i)
+        order = (0,) + pair + tuple(k for k in range(1, tensor.ndim) if k not in pair)
+        moved = tensor.transpose(order)
+        gate = coupling_gate(c.kind, c.op, stack)
+        moved = (gate @ moved.reshape(gate.shape[:2] + (-1,))).reshape(moved.shape)
+        tensor = moved.transpose([order.index(k) for k in range(len(order))])
+    return tensor.reshape(gs.shape + (d_sys * 2 ** m, d_sys))
 
 
 def joint_state(rho: DensityMatrix | Ket, plan) -> DensityMatrix:

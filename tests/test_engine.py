@@ -31,6 +31,7 @@ from dmres import (
 from dmres.elements import all_offdiagonal_elements, precision_element_set
 from dmres.plans import (
     all_probabilities,
+    base_amplitudes,
     canonical_element,
     embedded,
     estimator_operators,
@@ -54,6 +55,7 @@ from dmres.seq import response_map, seq_stack
 from oracles import (
     basis_path_correlator_rows,
     basis_path_targets,
+    dense_base_amplitudes,
     embed,
     embedded_coupling,
     hermitian_basis_element,
@@ -102,14 +104,38 @@ class TestAgainstDenseOracle:
         want = reference_plan_probabilities(rho.entries, *args)
         assert_allclose(all_probabilities(plan, rho), want, rtol=0, atol=1e-12)
 
-    def test_joint_unitary_is_the_expm_product(self):
-        element = ElementIndex.create((2, 3), (0, 2), (1, 0))
-        plan = plan_seq(element, 0.45)
-        want = np.eye(6 * 16, dtype=complex)
-        for j, c in enumerate(plan.couplings):
-            ham = 0.45 * np.kron(embed(c.op, (2, 3), c.qudit), embed(SY, (2,) * 4, j))
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("element", [
+        ElementIndex.create((3,), (0,), (2,)),
+        ElementIndex.create((2, 3), (0, 2), (1, 0)),
+        ElementIndex.create((2, 3, 2), (0, 2, 1), (1, 0, 0)),
+    ], ids=lambda e: e.label())
+    def test_joint_unitary_is_the_expm_product(self, element, scheme):
+        couplings = BUILDERS[scheme](element, 0.45).couplings
+        dims, m = element.dims, len(couplings)
+        want = np.eye(element.dim * 2 ** m, dtype=complex)
+        for j, c in enumerate(couplings):
+            ham = 0.45 * np.kron(embed(c.op, dims, c.qudit), embed(SY, (2,) * m, j))
             want = scipy.linalg.expm(-1j * ham) @ want
-        assert_allclose(joint_unitary((2, 3), plan.couplings, 0.45), want, atol=1e-12)
+        joint = joint_unitary(dims, couplings, 0.45)
+        assert_allclose(joint, want, atol=1e-12)
+        # its meter-input-0 columns are the engine's columns, bit for bit
+        columns = joint.reshape(element.dim * 2 ** m, element.dim, 2 ** m)[..., 0]
+        assert np.array_equal(columns, base_amplitudes(dims, couplings, 0.45))
+
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("element", [
+        ElementIndex.create((3,), (0,), (1,)),
+        ElementIndex.create((2, 2), (0, 0), (1, 1)),
+        ElementIndex.create((3, 3), (0, 0), (1, 1)),
+        ElementIndex.create((2, 3, 2), (0, 0, 0), (1, 1, 1)),
+        ElementIndex.create((2, 3, 2), (0, 2, 1), (1, 0, 1)),  # qudit 2 uncoupled
+    ], ids=lambda e: e.label())
+    @pytest.mark.parametrize("g", [0.7, np.array([0.05, 0.7, 1.3])], ids=["one", "stack"])
+    def test_base_amplitudes_are_the_dense_engine(self, element, scheme, g):
+        couplings = res_module.scheme_entry(scheme).couplings(element)
+        got = base_amplitudes(element.dims, couplings, g)
+        assert np.array_equal(got, dense_base_amplitudes(element.dims, couplings, g))
 
     def test_local_exponentials_embed_as_the_joint_one(self):
         dims, m, g = (2, 3), 4, 0.45
@@ -140,6 +166,19 @@ class TestLargerSystems:
         rho = random_mixed_state((2, 2, 2, 2), stream(1, "engine-2x4"))
         est = characterize(rho, 0.55)
         assert np.max(np.abs(est.entries - rho.entries)) <= 1e-10
+
+    def test_fully_coupled_six_qubit_res_build_stays_small(self):
+        # the (64 * 2^6, 64) columns hold 4 MiB; growing them one fresh
+        # meter at a time keeps at most two copies alive
+        members = [ElementIndex.create((2,) * 6, (0,) * 6, (1,) * 6)]
+        res_stack(members, (0.7,))  # first-call caches
+        tracemalloc.start()
+        try:
+            res_stack(members, (0.7,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
     def test_oversized_element_rejected_before_allocating(self):
         # 81 * 2^8 = 20,736 exceeds the joint limit; the dense path would

@@ -405,6 +405,13 @@ class TestResourceReport:
         with pytest.raises(InvalidStateError):
             resource_report(a, b, target_sigma=0.1)
 
+    @pytest.mark.parametrize("target", [0.0, -0.1, math.nan, math.inf])
+    def test_target_must_be_finite_and_positive(self, target):
+        # nan gave an all-NaN report and inf a bare ZeroDivisionError
+        plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
+        with pytest.raises(InvalidStateError, match="target_sigma must be finite and positive"):
+            resource_report(plan, plan, target_sigma=target, samples=10)
+
     def test_empty_sample_count_rejected(self):
         plan = plan_res(ElementIndex.create((3,), (0,), (1,)), 0.5)
         with pytest.raises(InvalidStateError, match="samples >= 1, got 0"):

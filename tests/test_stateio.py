@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmres import Ket, StateFormatError, random_mixed_state, read_state, stream, write_state
+from dmres.cli import main
 from dmres.stateio import format_float, state_document
 
 
@@ -70,3 +71,30 @@ def test_invalid_state_message_prints_plain_numbers(tmp_path, kind, data, cause)
         read_state(path)
     assert cause in str(err.value)
     assert "np." not in str(err.value)
+
+
+MALFORMED_DATA = {
+    "non-numeric entry": ("ket", [["x", "0"], [0, 0]]),
+    "ragged rows": ("density", [[[1, 0], [0, 0]], [[0, 0]]]),
+    "null entry": ("ket", [[None, 0], [1, 0]]),
+    "NaN entry": ("density", [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]),
+    "inf entry": ("density", [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]),
+}
+
+
+@pytest.mark.parametrize("kind, data", MALFORMED_DATA.values(), ids=MALFORMED_DATA.keys())
+def test_malformed_data_is_a_format_error(tmp_path, kind, data):
+    path = tmp_path / "bad.state"
+    path.write_text(json.dumps({"dims": [2], "kind": kind, "data": data}))
+    with pytest.raises(StateFormatError):
+        read_state(path)
+
+
+@pytest.mark.parametrize("kind, data", MALFORMED_DATA.values(), ids=MALFORMED_DATA.keys())
+def test_cli_exits_2_on_malformed_data(tmp_path, capsys, kind, data):
+    # exit 1 is kept for a failed validation; a bad state file exits 2
+    path = tmp_path / "bad.state"
+    path.write_text(json.dumps({"dims": [2], "kind": kind, "data": data}))
+    code = main(["extract", "--scheme", "res", "--element", "0,1", "--g", "0.7", "--state", str(path)])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from dmres import (
     DensityMatrix,
     InvalidStateError,
+    Ket,
     PrepParams,
     dephase,
     prepare_qutrit,
@@ -116,3 +117,19 @@ class TestDephase:
         out = dephase(rho, 0.2, mode="completely-offdiag")
         assert not out.positive
         assert abs(np.trace(out.entries) - 1) < 1e-12
+
+
+class TestNonFiniteEntries:
+    # a comparison with NaN is False, so the norm check let a NaN ket through
+    # and extract_element read nan+nanj from it
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_ket_rejects_a_non_finite_amplitude(self, bad):
+        with pytest.raises(InvalidStateError, match="ket has a non-finite entry"):
+            Ket.create([bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, math.nan)])
+    def test_density_matrix_rejects_a_non_finite_entry(self, bad):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(InvalidStateError, match="density matrix has a non-finite entry"):
+            DensityMatrix.create(mat, check_positive=False)
