@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import ElementIndex
+from .elements import ElementIndex, pair_labels
 from .errors import DmresError, InvalidElementError, InvalidStateError, StateFormatError
 from .linalg import DensityMatrix
 from .plans import plan_document
@@ -121,7 +121,7 @@ def cmd_characterize(args) -> int:
     if truth is not None and truth.dims != rho.dims:
         raise InvalidStateError(f"truth dims {truth.dims} differ from state dims {rho.dims}")
     if policy is None:
-        estimate, variances = characterize(rho, g), {}
+        estimate, variances = characterize(rho, g), None
     else:
         estimate, variances = _characterize_shots(rho, g, policy, args.seed)
 
@@ -151,9 +151,9 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
     Diagonal probabilities come from the relative frequencies of one
     meterless post-selection run, which keeps the estimate unit trace;
     each off-diagonal entry is one finite-statistics extraction from its
-    own keyed stream, read batch by batch.  Returns the estimate and n_t
-    (var Re + var Im) of each upper-triangle pair (u, v), from the plan
-    that drew it.
+    own keyed stream, named by its label, read batch by batch.  Returns
+    the estimate and n_t (var Re + var Im) of each upper-triangle pair
+    (u, v), from the plan that drew it, at [u, v] of a D x D array.
     """
     diag_rng = stream(seed, "cli/characterize/diag")
     diag_counts = diag_rng.poisson(policy.n_t * np.clip(np.diag(rho.entries).real, 0, None))
@@ -163,16 +163,15 @@ def _characterize_shots(rho: DensityMatrix, g: float, policy: ShotPolicy, seed: 
             "so no diagonal entry can be estimated: raise --shots"
         )
     est = np.diag(diag_counts / diag_counts.sum()).astype(complex)
-    variances = {}
+    variances = np.zeros(est.shape)
     for batch in configuration_batches(rho.dims, g, plan_res):
-        rngs = (stream(seed, f"cli/characterize/{e.label()}") for e in batch.elements)
-        draws = simulate_batch_shots(batch, rho, policy, rngs)
+        u, v = batch.pairs.T
+        rngs = (stream(seed, f"cli/characterize/{label}") for label in pair_labels(rho.dims, u, v))
+        draws = np.array(simulate_batch_shots(batch, rho, policy, rngs))
         (variance,) = batch_variances(batch, rho, policy)
-        for element, value, (var_re, var_im) in zip(batch.elements, draws, variance):
-            u, v = element.s_flat, element.s_prime_flat
-            est[u, v] = value
-            est[v, u] = np.conj(value)
-            variances[u, v] = float(var_re + var_im)
+        est[u, v] = draws
+        est[v, u] = draws.conj()
+        variances[u, v] = variance[:, 0] + variance[:, 1]
         del batch  # freed before the next batch is built
     return DensityMatrix.create(est, rho.dims, check_positive=False), variances
 

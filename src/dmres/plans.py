@@ -57,10 +57,13 @@ weights; those two blocks are every member's s and s', in that order.  A
 ``PlanBatch`` is the one plan stack: elements with one coupled shape at
 G strengths, holding ``rows`` and weights once and one support per
 member.  Each scheme builds its plans only as such a stack, a single
-plan being the stack of one.  The estimate, variance and readout
-contractions run on the canonical arrays, once per stack, and meet each
-member's block of the state in one gather; ``embedded`` puts a
-canonical operator into the full space where a caller needs it there.
+plan being the stack of one.  A stack names its members as flat-index
+pairs (u, v) on ``dims`` (see ``dmres.elements``) and builds a member's
+``ElementIndex`` only when its plan is asked for.  The estimate,
+variance and readout contractions run on the canonical arrays, once per
+stack, and meet each member's block of the state in one gather;
+``embedded`` puts a canonical operator into the full space where a
+caller needs it there.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import ElementIndex
+from .elements import ElementIndex, element_from_flat, pair_labels
 from .errors import InvalidCouplingError, InvalidElementError
 from .linalg import SIGMA_X, SIGMA_Y, DensityMatrix, Ket, check_joint_dim
 from .operators import coupling_gate, meter_readout_basis
@@ -237,15 +240,17 @@ class PlanBatch(_PlanLayout):
     Every member reads the canonical element of the coupled shape (see
     the module docstring), so the stack holds that element's block
     ``rows`` (G, 2, 2^m, d_C), its ``weights`` (G, 2, n_settings, 2) and
-    its ``calibrations[k]`` at ``gs[k]``, if any, once, and
-    ``supports[i]`` (M, d_C), the support of member i, on its own
-    coupled set.  ``batch[k, i]`` is member i's plan at ``gs[k]``, with
-    the couplings the scheme's rule gives member i.  The engine's
-    estimate and variance contractions accept a batch and run once on
-    the canonical arrays.
+    its ``calibrations[k]`` at ``gs[k]``, if any, once.  Member i is
+    the element of flat indices ``pairs[i]`` (M, 2) on ``dims``, and
+    ``supports[i]`` (M, d_C) its support, on its own coupled set.
+    ``batch[k, i]`` is member i's plan at ``gs[k]``, with its
+    ``ElementIndex`` built then and the couplings the scheme's rule
+    gives it.  The engine's estimate and variance contractions accept a
+    batch and run once on the canonical arrays.
     """
 
-    elements: tuple[ElementIndex, ...]
+    dims: tuple[int, ...]
+    pairs: np.ndarray  # (M, 2) flat indices (s, s')
     scheme: str
     gs: tuple[float, ...]
     settings: tuple[MeasurementSetting, ...]
@@ -256,12 +261,12 @@ class PlanBatch(_PlanLayout):
 
     @property
     def outcomes_per_setting(self) -> int:
-        return self.elements[0].dim * self.n_settings
+        return math.prod(self.dims) * self.n_settings
 
     def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
         from .res import scheme_entry  # the scheme table sits above the engine
         k, i = key
-        element = self.elements[i]
+        element = element_from_flat(self.dims, *self.pairs[i])
         return ProtocolPlan(
             element=element,
             scheme=self.scheme,
@@ -275,43 +280,10 @@ class PlanBatch(_PlanLayout):
         )
 
 
-def canonical_element(element: ElementIndex) -> ElementIndex:
-    """(0...0, 1...1) on dims[C]: the element of ``element``'s coupled shape that every member reads."""
-    return _canonical_element(tuple(element.dims[n] for n in element.coupled_set))
-
-
 @functools.cache
 def _canonical_element(dims: tuple[int, ...]) -> ElementIndex:
+    """(0...0, 1...1) on ``dims``: the element every member of coupled shape ``dims`` reads, built once per shape."""
     return ElementIndex(dims, (0,) * len(dims), (1,) * len(dims))
-
-
-def supports(elements: Sequence[ElementIndex]) -> np.ndarray:
-    """(M, d_C) full-basis indices of each element's coupled block, in the canonical element's column order.
-
-    On each coupled qudit canonical level 0 is s_n, level 1 is s'_n and
-    the other levels follow in their order; every other qudit stays at
-    s_n.  So column 0...0 is s and column 1...1 is s'.  Elements must
-    share their coupled shape; each reads its own coupled set.
-    """
-    dims, shape = elements[0].dims, canonical_element(elements[0]).dims
-    strides = [math.prod(dims[n + 1:]) for n in range(len(dims))]
-    # s_n, s'_n and the stride of each member's j-th coupled qudit, (M, l) each
-    a, b, stride = np.array([[(e.s[n], e.s_prime[n], strides[n]) for n in e.coupled_set]
-                             for e in elements]).transpose(2, 0, 1)
-    digits = np.indices(shape).reshape(len(shape), -1)  # canonical, row-major
-    index = (np.array([e.s for e in elements]).reshape(len(elements), -1) @ strides)[:, None]
-    for j, d in enumerate(shape):
-        levels = _level_orders(d)[a[:, j], b[:, j]]  # (M, d): canonical level -> level
-        index = index + (levels[:, digits[j]] - a[:, j, None]) * stride[:, j, None]
-    return index
-
-
-@functools.cache
-def _level_orders(d: int) -> np.ndarray:
-    """Read-only (d, d, d) table: [a, b] lists a d-level qudit's levels a and b, then the rest in order."""
-    table = np.array([[list(dict.fromkeys([a, b, *range(d)])) for b in range(d)] for a in range(d)])
-    table.setflags(write=False)
-    return table
 
 
 def canonical_rows(canonical: ElementIndex, couplings: Sequence[Coupling], gs) -> np.ndarray:
@@ -345,11 +317,12 @@ def finite_strengths(gs) -> tuple[float, ...]:
     return gs
 
 
-def check_off_diagonal(elements: Sequence[ElementIndex]) -> None:
-    """Reject diagonal elements: they are read without meters."""
-    for e in elements:
-        if e.is_diagonal:
-            raise InvalidElementError(f"element {e.label()} is diagonal; use diagonal_element instead")
+def check_off_diagonal(dims: Sequence[int], pairs: np.ndarray) -> None:
+    """Reject diagonal elements among flat-index pairs (M, 2): they are read without meters."""
+    diagonal = np.flatnonzero(pairs[:, 0] == pairs[:, 1])[:1]
+    if diagonal.size:
+        (label,) = pair_labels(dims, pairs[diagonal, 0], pairs[diagonal, 1])
+        raise InvalidElementError(f"element {label} is diagonal; use diagonal_element instead")
 
 
 @functools.cache

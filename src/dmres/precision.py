@@ -4,10 +4,11 @@ Per-state shot variances are linear functionals of the state, so each
 plan contributes one Hermitian operator per quadrature and the Monte
 Carlo reduces to traces Tr(W rho) against sampled states, with W the
 mean variance operator over the element set.  Every Haar average takes
-W from one path, ``mean_variance_operators``, which builds the element
-set through ``res.configuration_stacks`` for a chunk of strengths at a
-time, so the elements of each coupled shape share one stacked build; a
-single strength is the grid of one.  The operators come from the plans'
+W from one path, ``mean_variance_operators``, which groups the element
+set by coupled shape once and builds it through
+``res.configuration_stacks`` for a chunk of strengths at a time, so the
+elements of each coupled shape share one stacked build; a single
+strength is the grid of one.  The operators come from the plans'
 unrotated columns, so no precision path rotates a readout row.  A
 sweep's report keeps W for every (scheme, strength) it covered, and
 histograms and the reference comparison handed that report read W from
@@ -28,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import ElementIndex, precision_element_set
+from .elements import completely_offdiagonal_pairs, coupled_shape, shape_groups
 from .errors import DmresError, InvalidStateError
 from . import res
-from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, canonical_element, embedded, estimator_operators
+from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, embedded, estimator_operators
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
@@ -113,7 +114,7 @@ def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
     w = estimator_operators(plan)
     mean = 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
     if isinstance(plan, PlanBatch):
-        return embedded(mean, plan.supports, plan.elements[0].dim)
+        return embedded(mean, plan.supports, math.prod(plan.dims))
     return embedded(mean, plan.support, plan.element.dim)
 
 
@@ -181,11 +182,12 @@ def per_state_values(
     return _unit_values(system, scheme, g, seed, samples)[0]
 
 
-def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
+def _stored_entries(dims, pairs, scheme: str) -> int:
     """Array entries per strength that a sweep chunk budgets for the stack of one coupled shape.
 
     With D the system dimension, d_C that of the coupled qudits and
-    S = 2^m settings, the stack of ``members`` keeps the canonical block
+    S = 2^m settings, the stack of the flat-index ``pairs`` (M, 2) on
+    ``dims``, all of that shape, keeps the canonical block
     rows (2 S d_C) and weights (2 S 2), its variance operator pair
     (2 d_C d_C) and, for ``seq``, the Gram stack A_k^dag Sigma_b A_k its
     calibration reads (2 S d_C d_C); each member its support (d_C) and
@@ -194,19 +196,36 @@ def _stored_entries(members: list[ElementIndex], scheme: str) -> int:
     ``seq.FLIP_ENTRIES``) are not counted: the count bounds the arrays a
     build keeps, not its transient copies.
     """
-    first = members[0]
-    settings = 2 ** (res.SCHEMES[scheme].meters * first.n_couplings)
-    d = canonical_element(first).dim
-    entries = 2 * settings * d + 2 * settings * 2 + 2 * d * d + len(members) * (d + first.dim ** 2)
+    shape = coupled_shape(dims, *pairs[0])
+    settings = 2 ** (res.SCHEMES[scheme].meters * len(shape))
+    d = math.prod(shape)
+    entries = 2 * settings * d + 2 * settings * 2 + 2 * d * d + len(pairs) * (d + math.prod(dims) ** 2)
     if scheme == SEQ_SCHEME:
         entries += settings * 2 * d * d
     return entries
 
 
-def _chunk_step(elements: list[ElementIndex], scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one."""
-    return max(1, CHUNK_ENTRIES // max(_stored_entries(members, scheme)
-                                       for members in res.configurations(elements)))
+@functools.cache
+def _element_set(system: SystemSpec):
+    """The system's element set, the completely off-diagonal pairs of ``precision_element_set``, grouped once.
+
+    Returns its dims, the read-only flat-index pairs (M, 2) and their
+    ``shape_groups``, kept for the process: every sweep of a system
+    reads one set.
+    """
+    u, v = completely_offdiagonal_pairs(system.dims)
+    pairs, groups = np.stack([u, v], -1), tuple(shape_groups(system.dims, u, v))
+    for array in (pairs, *groups):
+        array.setflags(write=False)
+    return system.dims, pairs, groups
+
+
+def _chunk_step(dims, pairs, groups, scheme: str) -> int:
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one.
+
+    ``groups`` is ``shape_groups`` of the flat-index ``pairs`` (M, 2) on ``dims``.
+    """
+    return max(1, CHUNK_ENTRIES // max(_stored_entries(dims, pairs[members], scheme) for members in groups))
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
@@ -215,23 +234,23 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     W is the mean variance operator over the element set and both
     quadratures, summed in element-set order, the same bit for bit
     whatever the chunking; counts are the plans' (couplings, settings,
-    outcomes per setting).  The element set is built through
-    ``res.configuration_stacks`` a chunk of strengths at a time, as many
-    as fit ``CHUNK_ENTRIES`` for the largest configuration, and each
-    member's W is its stack's one ``estimator_operators`` pair, embedded
-    at its support.
+    outcomes per setting).  The element set is grouped by coupled shape
+    once and built through ``res.configuration_stacks`` a chunk of
+    strengths at a time, as many as fit ``CHUNK_ENTRIES`` for the largest
+    shape, and each member's W is its stack's one ``estimator_operators``
+    pair, embedded at its support and put at the member's position in the set.
     """
-    elements = precision_element_set(system.n_qudits, system.d)
+    dims, pairs, groups = _element_set(system)
     gs = list(gs)
-    step = _chunk_step(elements, scheme)
+    step = _chunk_step(dims, pairs, groups, scheme)
     for lo in range(0, len(gs), step):
         chunk = gs[lo:lo + step]
-        operators = {}
-        for stack in res.configuration_stacks(elements, scheme, chunk):
-            operators.update(zip(stack.elements, _variance_operator(stack).swapaxes(0, 1)))
+        operators = np.empty((len(pairs), len(chunk)) + (math.prod(dims),) * 2, dtype=complex)
+        for members, stack in zip(groups, res.configuration_stacks(dims, pairs, groups, scheme, chunk)):
+            operators[members] = _variance_operator(stack).swapaxes(0, 1)
         counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
         del stack  # not held while the caller works on this chunk
-        yield from ((g, w, counts) for g, w in zip(chunk, _mean([operators[e] for e in elements])))
+        yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
 
 
 @dataclass

@@ -7,13 +7,14 @@ make the extraction an exact identity at any strength with
 sin(2g) != 0.
 
 ``SCHEMES`` holds every fact that differs between ``res`` and ``seq``,
-and ``configuration_stacks`` is the one path from an element list to
+and ``configuration_stacks`` is the one path from an element set to
 plan stacks: full-matrix characterization and precision sweeps both
-read their plans from it.  Elements are grouped by coupled shape
+read their plans from it.  An element set is a pair of flat-index
+arrays on ``dims`` (see ``dmres.elements``), grouped by coupled shape
 dims[C], C the qudits where s and s' differ, since every element of that
 shape reads the plan of (0...0, 1...1) on dims[C] through its support
 (see ``dmres.plans``), whichever qudits C names: each group's plan is
-built once, for that element.
+built once, for that element, and no member's ``ElementIndex`` is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elements import ElementIndex, all_offdiagonal_elements
+from .elements import ElementIndex, coupled_shape, offdiagonal_pairs, shape_groups, supports
 from .errors import DmresError, InvalidCouplingError, InvalidElementError, InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density, check_joint_dim
 from .operators import make_involution
@@ -38,15 +39,14 @@ from .plans import (
     SEQ_SCHEME,
     SINGULAR_TOL,
     _born,
+    _canonical_element,
     _estimator_grams,
-    canonical_element,
     canonical_rows,
     check_off_diagonal,
     check_state_dims,
     enumerate_settings,
     finite_strengths,
     member_traces,
-    supports,
 )
 from . import seq
 
@@ -98,26 +98,28 @@ def _res_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     return tuple(couplings)
 
 
-def res_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The res plans of elements with one coupled shape at every strength of ``gs``.
+def res_stack(dims, pairs, gs) -> PlanBatch:
+    """The res plans of flat-index pairs (M, 2) on ``dims``, all of one coupled shape, at each of ``gs``.
 
     The block rows and the weights are built once, for the canonical
     element (0...0, 1...1) on dims[C], at every strength; each member
     keeps its support.  Nothing rotates a readout row.  ``stack[k, i]``
     is member i's plan at ``gs[k]``, with its own involutions.
     """
-    check_off_diagonal(members)
+    dims, pairs = tuple(dims), np.asarray(pairs).reshape(-1, 2)
+    check_off_diagonal(dims, pairs)
     gs = finite_strengths(gs)
-    canonical = canonical_element(members[0])
+    canonical = _canonical_element(coupled_shape(dims, *pairs[0]))
     settings = enumerate_settings(canonical.n_couplings)
-    return PlanBatch(elements=tuple(members), scheme=RES_SCHEME, gs=gs, settings=settings,
+    return PlanBatch(dims=dims, pairs=pairs, scheme=RES_SCHEME, gs=gs, settings=settings,
                      weights=_res_weights(gs, settings, canonical.n_couplings),
-                     rows=canonical_rows(canonical, _res_couplings(canonical), gs), supports=supports(members))
+                     rows=canonical_rows(canonical, _res_couplings(canonical), gs),
+                     supports=supports(dims, *pairs.T))
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
     """Build the single-coupling plan for an off-diagonal element: ``res_stack`` of one."""
-    return res_stack([element], (g,))[0, 0]
+    return res_stack(element.dims, [(element.s_flat, element.s_prime_flat)], (g,))[0, 0]
 
 
 class OutcomeDistribution:
@@ -178,7 +180,7 @@ class Scheme(NamedTuple):
     """What one scheme builds its plans from."""
 
     plan: Callable  # (element, g) -> ProtocolPlan
-    stack: Callable  # (elements with one coupled shape, gs) -> PlanBatch
+    stack: Callable  # (dims, pairs of one coupled shape, gs) -> PlanBatch
     couplings: Callable  # element -> its couplings, in order
     singular: Callable  # g -> whether the scheme is undefined there
     meters: int  # meters per coupled qudit
@@ -197,35 +199,27 @@ def scheme_entry(name: str) -> Scheme:
     return SCHEMES[name]
 
 
-def configurations(elements) -> list[list[ElementIndex]]:
-    """``elements`` grouped by coupled shape, in first-element and list order: one plan stack each."""
-    groups: dict[tuple, list[ElementIndex]] = {}
-    for element in elements:
-        groups.setdefault(canonical_element(element).dims, []).append(element)
-    return list(groups.values())
+def configuration_stacks(dims, pairs, groups, scheme: str, gs):
+    """Yield the ``scheme`` plans of the flat-index pairs (M, 2) on ``dims`` at every strength of ``gs``.
 
-
-def configuration_stacks(elements, scheme: str, gs):
-    """Yield the ``scheme`` plans of ``elements`` at every strength of ``gs``, one stack per configuration.
-
-    The one path from an element list to plans: each coupled shape of
-    ``configurations`` is built once by the scheme's stack builder and
-    yielded as one stack holding every member, so ``stack[k, i]`` is
-    member i's plan at ``gs[k]``.  The joint dimension d_C 2^m of the largest
-    configuration, d_C the dimension of its coupled qudits and m the
-    scheme's meters per coupled qudit times their number, is checked
-    before anything is built.
+    The one path from an element set to plans: ``groups`` is
+    ``shape_groups`` of the pairs, and each coupled shape is built once
+    by the scheme's stack builder and yielded as one stack holding the
+    pairs at its positions, so ``stack[k, i]`` is member i's plan at
+    ``gs[k]``.  The joint dimension d_C 2^m of the largest shape, d_C
+    the dimension of its coupled qudits and m the scheme's meters per
+    coupled qudit times their number, is checked before anything is
+    built.
     """
     entry = scheme_entry(scheme)
-    groups = configurations(elements)
-    check_joint_dim(max((canonical_element(g[0]).dim * 2 ** (entry.meters * g[0].n_couplings) for g in groups),
-                        default=0))
+    shapes = [coupled_shape(dims, *pairs[members[0]]) for members in groups]
+    check_joint_dim(max((math.prod(shape) * 2 ** (entry.meters * len(shape)) for shape in shapes), default=0))
     for members in groups:
-        yield entry.stack(members, gs)
+        yield entry.stack(dims, pairs[members], gs)
 
 
 def configuration_batches(dims, g: float, plan_builder=plan_res):
-    """``configuration_stacks`` of every upper-triangle element u < v, row-major, at the one strength ``g``.
+    """``configuration_stacks`` of every upper-triangle pair u < v, row-major, at the one strength ``g``.
 
     ``plan_builder`` names the scheme: a ``SCHEMES`` plan builder, also
     behind ``functools.wraps`` wrappers; any other raises ``DmresError``.
@@ -237,7 +231,8 @@ def configuration_batches(dims, g: float, plan_builder=plan_res):
             f"plan builder {getattr(plan_builder, '__name__', plan_builder)!r} has no "
             "configuration stack: use plan_res or plan_seq"
         )
-    yield from configuration_stacks(all_offdiagonal_elements(dims), names[0], (g,))
+    u, v = offdiagonal_pairs(dims)
+    yield from configuration_stacks(dims, np.stack([u, v], -1), shape_groups(dims, u, v), names[0], (g,))
 
 
 def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> DensityMatrix:
@@ -246,15 +241,17 @@ def characterize(rho: DensityMatrix | Ket, g: float, plan_builder=plan_res) -> D
     Diagonal entries come from post-selection statistics alone; the
     upper triangle is read batch by batch, every member's estimate from
     the batch's one canonical product and the member's block of the
-    state, and the lower triangle is filled by conjugation.  No positivity projection is applied.
+    state, and scattered to its pairs (u, v), the lower triangle by
+    conjugation.  No positivity projection is applied.
     """
     rho = as_density(rho)
     est = np.diag(np.diag(rho.entries).real).astype(complex)
     for batch in configuration_batches(rho.dims, g, plan_builder):
         (values,) = member_traces(_estimator_grams(batch), rho, batch.supports)
-        for element, (re, im) in zip(batch.elements, values):
-            u, v, value = element.s_flat, element.s_prime_flat, complex(re, im)
-            est[u, v] = value
-            est[v, u] = np.conj(value)
+        value = np.empty(len(values), dtype=complex)
+        value.real, value.imag = values.T
+        u, v = batch.pairs.T
+        est[u, v] = value
+        est[v, u] = value.conj()
         del batch, values  # freed before the next batch is built
     return DensityMatrix.create(est, rho.dims, check_positive=False)

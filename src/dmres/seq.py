@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import ElementIndex
+from .elements import ElementIndex, coupled_shape, supports
 from .errors import CalibrationError, InvalidCouplingError
 from .linalg import projector
 from .operators import uniform_superposition_projector
@@ -39,14 +39,13 @@ from .plans import (
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
+    _canonical_element,
     _flip_phases,
-    canonical_element,
     canonical_rows,
     check_off_diagonal,
     enumerate_settings,
     finite_strengths,
     sign_products,
-    supports,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -265,9 +264,11 @@ def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
     ``RESIDUAL_TOL`` raises ``CalibrationError``.
     """
     single = isinstance(plan, ProtocolPlan)
-    element, gs = (plan.element, (plan.g,)) if single else (plan.elements[0], plan.gs)
+    gs = (plan.g,) if single else plan.gs
+    dims, pair = (plan.element.dims, plan.post_selectors) if single else (plan.dims, plan.pairs[0])
     rows = _correlator_response(plan.rows)
-    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(canonical_element(element)), gs)
+    canonical = _canonical_element(coupled_shape(dims, *pair))
+    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(canonical), gs)
     weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), 2, -1, 2))
     return (weights[0], infos[0]) if single else (weights, infos)
 
@@ -277,8 +278,8 @@ def singular_strength(g: float) -> bool:
     return abs(math.sin(g)) <= SINGULAR_TOL
 
 
-def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
-    """The calibrated seq plans of elements with one coupled shape at every strength of ``gs``.
+def seq_stack(dims, pairs, gs) -> PlanBatch:
+    """The calibrated seq plans of flat-index pairs (M, 2) on ``dims``, all of one coupled shape, at each of ``gs``.
 
     The block rows are built and ``calibrate_estimator`` solved once, for
     the canonical element (0...0, 1...1) on dims[C], at every strength;
@@ -286,7 +287,8 @@ def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
     strength, in order, that is singular raises, and then the first that
     fails calibration raises the error every member's ``plan_seq`` would.
     """
-    check_off_diagonal(members)
+    dims, pairs = tuple(dims), np.asarray(pairs).reshape(-1, 2)
+    check_off_diagonal(dims, pairs)
     gs = finite_strengths(gs)
     for g in gs:
         if singular_strength(g):
@@ -294,16 +296,16 @@ def seq_stack(members: list[ElementIndex], gs) -> PlanBatch:
                 f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
                 "meters blank and the sequential estimator is undefined"
             )
-    canonical = canonical_element(members[0])
+    canonical = _canonical_element(coupled_shape(dims, *pairs[0]))
     couplings = seq_couplings(canonical)
     settings = enumerate_settings(len(couplings))
-    bare = PlanBatch(elements=tuple(members), scheme=SEQ_SCHEME, gs=gs, settings=settings,
+    bare = PlanBatch(dims=dims, pairs=pairs, scheme=SEQ_SCHEME, gs=gs, settings=settings,
                      weights=np.zeros((len(gs), 2, len(settings), 2)),
-                     rows=canonical_rows(canonical, couplings, gs), supports=supports(members))
+                     rows=canonical_rows(canonical, couplings, gs), supports=supports(dims, *pairs.T))
     weights, infos = calibrate_estimator(bare)
     return replace(bare, weights=weights, calibrations=infos)
 
 
 def plan_seq(element: ElementIndex, g: float) -> ProtocolPlan:
     """Build and calibrate the sequential baseline plan: ``seq_stack`` of one."""
-    return seq_stack([element], (g,))[0, 0]
+    return seq_stack(element.dims, [(element.s_flat, element.s_prime_flat)], (g,))[0, 0]

@@ -7,7 +7,8 @@ The dense joint-space helpers (``dense_base_amplitudes``,
 ``joint_state``, ``coupling_unitary``, ``projector_coupling_unitary``,
 ``partial_trace``) are the exception: they expand the package's own
 gates and plans into joint-space arrays for tests that read those
-directly.
+directly; ``flat_pairs``, ``element_stacks`` and ``shape_members`` only
+turn element lists into the flat-index pairs the stack builders take.
 """
 
 import hashlib
@@ -16,12 +17,12 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from dmres.elements import element_from_flat
+from dmres.elements import ElementIndex, element_from_flat, shape_groups
 from dmres.errors import InvalidCouplingError
 from dmres.linalg import DensityMatrix, Ket, Observable, UnitaryMatrix, as_density, check_joint_dim
 from dmres.operators import coupling_gate
 from dmres.plans import check_state_dims, coefficient_tables
-from dmres.res import extract_element, plan_res
+from dmres.res import configuration_stacks, extract_element, plan_res
 from dmres.sampling import stream
 from dmres.shots import element_variance, simulate_shots
 
@@ -559,3 +560,57 @@ def own_block_grams(plan, weights):
     grams = np.einsum("kvp,tkp,kpu->tvu", adjoint, phi, own[:, ::-1])
     variances = np.einsum("kvp,tk,kpu->tvu", adjoint, (weights ** 2).sum(1), own)
     return grams, variances
+
+
+def _reference_level_orders(d):
+    return np.array([[list(dict.fromkeys([a, b, *range(d)])) for b in range(d)] for a in range(d)])
+
+
+def _reference_supports(members):
+    """Each element's coupled-block support, one element at a time (see ``reference_shape_groups``)."""
+    dims = members[0].dims
+    shape = tuple(dims[n] for n in members[0].coupled_set)
+    strides = [int(np.prod(dims[n + 1:])) for n in range(len(dims))]
+    a, b, stride = np.array([[(e.s[n], e.s_prime[n], strides[n]) for n in e.coupled_set]
+                             for e in members]).transpose(2, 0, 1)
+    digits = np.indices(shape).reshape(len(shape), -1)
+    index = (np.array([e.s for e in members]).reshape(len(members), -1) @ strides)[:, None]
+    for j, d in enumerate(shape):
+        levels = _reference_level_orders(d)[a[:, j], b[:, j]]
+        index = index + (levels[:, digits[j]] - a[:, j, None]) * stride[:, j, None]
+    return index
+
+
+def reference_shape_groups(elements):
+    """``elements`` grouped by coupled shape dims[C], one ``ElementIndex`` at a time.
+
+    Groups come in the order of their first element and members in list
+    order; each group is (member positions, supports (M, d_C)), the
+    supports built per element from its indices and the row-major strides.
+    """
+    groups = {}
+    for i, e in enumerate(elements):
+        groups.setdefault(tuple(e.dims[n] for n in e.coupled_set), []).append(i)
+    return [(np.array(pos), _reference_supports([elements[i] for i in pos])) for pos in groups.values()]
+
+
+def reference_canonical(element):
+    """(0...0, 1...1) on dims[C], C the element's coupled set: the element its plan's rows belong to."""
+    shape = tuple(element.dims[n] for n in element.coupled_set)
+    return ElementIndex(shape, (0,) * len(shape), (1,) * len(shape))
+
+
+def flat_pairs(elements):
+    """The (M, 2) flat indices (s, s') of elements on one dims, the form stack builders take."""
+    return np.array([(e.s_flat, e.s_prime_flat) for e in elements]).reshape(-1, 2)
+
+
+def element_stacks(elements, scheme, gs):
+    """``res.configuration_stacks`` of a non-empty element list on one dims, grouped by the library."""
+    dims, pairs = elements[0].dims, flat_pairs(elements)
+    return configuration_stacks(dims, pairs, shape_groups(dims, *pairs.T), scheme, gs)
+
+
+def shape_members(elements):
+    """``elements`` grouped as ``reference_shape_groups`` groups them, one list of members per coupled shape."""
+    return [[elements[i] for i in positions] for positions, _ in reference_shape_groups(elements)]

@@ -173,11 +173,11 @@ class TestCharacterize:
         built = []
         counted = res_module.supports
         monkeypatch.setattr(res_module, "supports",
-                            lambda elements: built.extend(elements) or counted(elements))
+                            lambda dims, u, v: built.extend(zip(u.tolist(), v.tolist())) or counted(dims, u, v))
         code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
                      "--truth", str(src), "--shots", "1e5", "--seed", "2"])
         assert code == 0
-        assert sorted((e.s_flat, e.s_prime_flat) for e in built) == [
+        assert sorted(built) == [
             (u, v) for u in range(4) for v in range(u + 1, 4)]
         stderr = {}
         for row in (tmp_path / "out" / "deviation.csv").read_text().splitlines()[1:]:

@@ -1,10 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmres import (
     ElementIndex,
     InvalidElementError,
+    InvalidStateError,
     all_offdiagonal_elements,
     completely_offdiagonal_elements,
     element_from_flat,
@@ -12,6 +16,9 @@ from dmres import (
     plan_res,
     precision_element_set,
 )
+from dmres.elements import offdiagonal_pairs, pair_labels, shape_groups, supports
+
+from oracles import reference_shape_groups
 
 
 def test_coupled_set_and_size():
@@ -76,3 +83,45 @@ def test_labels_name_one_element_each():
 def test_digit_labels_unchanged(dims):
     for e in all_offdiagonal_elements(dims, ordered=True):
         assert e.label() == "".join(map(str, e.s)) + "," + "".join(map(str, e.s_prime))
+
+
+@pytest.mark.parametrize("s_flat, sp_flat, shown",
+                         [(5, 0, "5"), (-1, 0, "-1"), (0, 3, "3"), (0.5, 1, "0.5"), ("1", 0, "'1'")])
+def test_flat_index_outside_the_levels_is_an_element_error(s_flat, sp_flat, shown):
+    with pytest.raises(InvalidElementError, match=rf"flat index {shown} .*D=3"):
+        element_from_flat((3,), s_flat, sp_flat)
+
+
+def test_create_takes_integers_only():
+    with pytest.raises(InvalidElementError, match="not all integers"):
+        ElementIndex.create((3,), (1.7,), (0,))
+    e = ElementIndex.create((3,), (np.int64(1),), (np.int32(0),))
+    assert e == ElementIndex.create((3,), (1,), (0,))
+    assert all(type(i) is int for i in e.s + e.s_prime)
+
+
+@pytest.mark.parametrize("n_qudits, d", [(0, 2), (1, 1), (-1, 3)])
+def test_precision_set_of_an_empty_system_is_refused(n_qudits, d):
+    with pytest.raises(InvalidStateError, match=rf"invalid system \({n_qudits} qudits of dimension {d}\)"):
+        precision_element_set(n_qudits, d)
+
+
+small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=4).map(tuple).filter(lambda dims: math.prod(dims) <= 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=small_dims, ordered=st.booleans())
+def test_array_groups_and_supports_equal_the_per_element_oracle(dims, ordered):
+    u, v = offdiagonal_pairs(dims, ordered)
+    elements = all_offdiagonal_elements(dims, ordered)
+    assert list(zip(u.tolist(), v.tolist())) == [(e.s_flat, e.s_prime_flat) for e in elements]
+    assert pair_labels(dims, u, v) == [e.label() for e in elements]
+    got, want = shape_groups(dims, u, v), reference_shape_groups(elements)
+    assert len(got) == len(want)
+    for members, (positions, support) in zip(got, want):
+        assert np.array_equal(members, positions)
+        assert np.array_equal(supports(dims, u[members], v[members]), support)
+
+
+def test_pair_labels_separate_indices_past_ten_levels():
+    assert pair_labels((12, 12), [0, 0], [22, 132]) == ["0.0,1.10", "0.0,11.0"]

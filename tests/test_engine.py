@@ -28,17 +28,23 @@ from dmres import (
     random_mixed_state,
     stream,
 )
-from dmres.elements import all_offdiagonal_elements, precision_element_set
+from dmres.elements import (
+    all_offdiagonal_elements,
+    coupled_shape,
+    offdiagonal_pairs,
+    precision_element_set,
+    shape_groups,
+    supports,
+)
 from dmres.plans import (
+    _canonical_element,
     all_probabilities,
     base_amplitudes,
-    canonical_element,
     embedded,
     estimator_operators,
     functional_matrix,
     joint_unitary,
     sign_products,
-    supports,
 )
 from dmres.precision import (
     SystemSpec,
@@ -57,12 +63,16 @@ from oracles import (
     basis_path_targets,
     dense_base_amplitudes,
     embed,
+    element_stacks,
     embedded_coupling,
+    flat_pairs,
     hermitian_basis_element,
     own_block_grams,
     own_block_rows,
     own_calibrated_weights,
+    reference_canonical,
     reference_couplings,
+    reference_shape_groups,
     reference_plan_amplitudes,
     reference_plan_probabilities,
     SY,
@@ -170,11 +180,11 @@ class TestLargerSystems:
     def test_fully_coupled_six_qubit_res_build_stays_small(self):
         # the (64 * 2^6, 64) columns hold 4 MiB; growing them one fresh
         # meter at a time keeps at most two copies alive
-        members = [ElementIndex.create((2,) * 6, (0,) * 6, (1,) * 6)]
-        res_stack(members, (0.7,))  # first-call caches
+        members = [(0, 2 ** 6 - 1)]
+        res_stack((2,) * 6, members, (0.7,))  # first-call caches
         tracemalloc.start()
         try:
-            res_stack(members, (0.7,))
+            res_stack((2,) * 6, members, (0.7,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -201,7 +211,7 @@ class TestIndexedCalibration:
         # a 64-level system whose coupled block has 8 levels: 64 Hermitian
         # basis elements of 8 x 8
         plan = plan_seq(self.ELEMENT, 0.7)
-        labels = seq_module.hermitian_labels(canonical_element(self.ELEMENT).dim)
+        labels = seq_module.hermitian_labels(reference_canonical(self.ELEMENT).dim)
         monkeypatch.setattr(seq_module, "_correlator_response",
                             lambda rows: basis_path_correlator_rows(plan, rows, labels))
         monkeypatch.setattr(seq_module, "_targets", lambda element: np.stack(basis_path_targets(element, labels)))
@@ -250,10 +260,12 @@ class TestStrengthFamilies:
     @given(dims=st.sampled_from([(3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)]),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids(), data=st.data())
     def test_stack_over_members_and_strengths_equals_single_builds(self, dims, scheme, grid, data):
-        members = data.draw(st.sampled_from(res_module.configurations(all_offdiagonal_elements(dims))))
-        stack = STACKS[scheme](members, grid)
+        elements = all_offdiagonal_elements(dims)
+        positions, _ = data.draw(st.sampled_from(reference_shape_groups(elements)))
+        members = [elements[i] for i in positions]
+        stack = STACKS[scheme](dims, flat_pairs(members), grid)
         assert stack.weights.shape[:1] == stack.rows.shape[:1] == (len(grid),)
-        assert stack.supports.shape == (len(members), canonical_element(members[0]).dim)
+        assert stack.supports.shape == (len(members), reference_canonical(members[0]).dim)
         for k, g in enumerate(grid):
             for i, element in enumerate(members):
                 got, want = stack[k, i], BUILDERS[scheme](element, g)
@@ -283,8 +295,9 @@ class TestStrengthFamilies:
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (2, 2, 2))),
            scheme=st.sampled_from(["res", "seq"]), grid=strength_grids())
     def test_family_slices_equal_single_builds(self, element, scheme, grid):
-        stack = STACKS[scheme]([element], grid)
-        assert stack.gs == tuple(grid) and stack.elements == (element,)
+        stack = STACKS[scheme](element.dims, flat_pairs([element]), grid)
+        assert stack.gs == tuple(grid) and stack.dims == element.dims
+        assert stack.pairs.tolist() == [[element.s_flat, element.s_prime_flat]]
         for k, g in enumerate(grid):
             got, want = stack[k, 0], BUILDERS[scheme](element, g)
             assert got.g == want.g
@@ -310,7 +323,7 @@ class TestStrengthFamilies:
         with pytest.raises(CalibrationError) as single:
             plan_seq(element, grid[1])
         with pytest.raises(CalibrationError) as family:
-            seq_stack([element], grid)
+            seq_stack(element.dims, flat_pairs([element]), grid)
         assert str(family.value) == str(single.value)
 
     @pytest.mark.parametrize("chunk", [1, 2 ** 14, 2 ** 30])
@@ -380,13 +393,14 @@ class TestRelabeling:
     def test_every_ordered_element_against_its_own_couplings(self, dims, scheme, tol):
         elements = all_offdiagonal_elements(dims, ordered=True)
         read = []
-        for stack in res_module.configuration_stacks(elements, scheme, RELABELING_STRENGTHS):
-            canonical = canonical_element(stack.elements[0])
+        for stack in element_stacks(elements, scheme, RELABELING_STRENGTHS):
+            canonical = reference_canonical(stack[0, 0].element)
             for k, g in enumerate(RELABELING_STRENGTHS):
                 calibration = BUILDERS[scheme](canonical, g).calibration
-                for i, element in enumerate(stack.elements):
+                for i, (u, v) in enumerate(stack.pairs.tolist()):
                     plan = stack[k, i]
-                    assert plan.element == element and plan.g == g
+                    element = plan.element
+                    assert (element.s_flat, element.s_prime_flat) == (u, v) and plan.g == g
                     want_couplings = reference_couplings(dims, element.s, element.s_prime, scheme)
                     assert [c.qudit for c in plan.couplings] == [n for n, _ in want_couplings]
                     for c, (_, op) in zip(plan.couplings, want_couplings):
@@ -403,8 +417,8 @@ class TestRelabeling:
     @settings(max_examples=200, deadline=None)
     @given(element=elements(((2,), (3,), (4,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 4))))
     def test_support_sends_the_canonical_element_to_the_element(self, element):
-        (support,) = supports([element])
-        canonical = canonical_element(element)
+        (support,) = supports(element.dims, [element.s_flat], [element.s_prime_flat])
+        canonical = _canonical_element(coupled_shape(element.dims, element.s_flat, element.s_prime_flat))
         coupled = element.coupled_set
         assert canonical.dims == tuple(element.dims[n] for n in coupled)
         assert canonical.s == (0,) * len(coupled) and canonical.s_prime == (1,) * len(coupled)
@@ -433,8 +447,9 @@ class TestCoupledBlockOracle:
     def test_embedded_operators_are_the_grams_of_the_own_columns(self, dims, scheme, tol):
         # res weights are closed-form; seq's are solved as the element of
         # the full space it is, against the D x D Hermitian basis
-        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
-            stack = STACKS[scheme](members, ORACLE_STRENGTHS)
+        u, v = offdiagonal_pairs(dims, ordered=True)
+        for members in shape_groups(dims, u, v):
+            stack = STACKS[scheme](dims, np.stack([u[members], v[members]], -1), ORACLE_STRENGTHS)
             for k in range(len(ORACLE_STRENGTHS)):
                 for i in {0, len(members) - 1}:
                     plan = stack[k, i]
@@ -472,7 +487,7 @@ class TestBaseBlockOperators:
     @given(element=elements(((2,), (3,), (2, 2), (2, 3), (3, 3))), gs=st.tuples(STRENGTHS, STRENGTHS),
            kind=st.sampled_from(sorted(STACKS)))
     def test_operators_equal_the_full_stack_gram(self, element, gs, kind):
-        stack = STACKS[kind]([element], gs)
+        stack = STACKS[kind](element.dims, flat_pairs([element]), gs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plans_module, "readout_amplitudes", None)  # any rotation would fail
             stacks = estimator_operators(stack)
@@ -496,7 +511,7 @@ class TestStoredBlocks:
         plan = BUILDERS[kind](element, g)
         assert plan.post_selectors == (element.s_flat, element.s_prime_flat)
         assert plan.block_amplitudes.shape == (plan.n_settings, 2 * 2 ** plan.n_meters,
-                                               canonical_element(element).dim)
+                                               reference_canonical(element).dim)
         rows = np.zeros(plan.block_amplitudes.shape[:-1] + (element.dim,), dtype=complex)
         rows[..., plan.support] = plan.block_amplitudes
         assert np.array_equal(rows, stored_rows_of(plan.amplitudes, plan))
@@ -525,7 +540,7 @@ class TestStoredBlocks:
         assert_rel_close(w_im, full_gram(plan.amplitudes, c_im ** 2))
         assert_rel_close(functional_matrix(plan), full_gram(plan.amplitudes, c_re + 1j * c_im).T)
 
-        stack = STACKS[kind]([element], [0.4, 0.9])
+        stack = STACKS[kind](dims, flat_pairs([element]), [0.4, 0.9])
         stacks = embedded(estimator_operators(stack), stack.supports[0], element.dim)
         for k in range(2):
             for w, c in zip(stacks[k], (stack[k, 0].coeff_re, stack[k, 0].coeff_im)):
@@ -547,7 +562,7 @@ class TestStoredBlocks:
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_coefficient_tables_are_read_only(self, kind):
         plan = BUILDERS[kind](ElementIndex.create((2, 3), (1, 0), (0, 2)), 0.7)
-        stack = STACKS[kind]([plan.element], [0.4, 0.7])
+        stack = STACKS[kind]((2, 3), flat_pairs([plan.element]), [0.4, 0.7])
         for tables in (plan, stack[1, 0]):
             for name in ("coeff_re", "coeff_im"):
                 table = getattr(tables, name)

@@ -22,7 +22,7 @@ from dmres import (
 import dmres.precision as precision_module
 import dmres.res as res_module
 import dmres.seq as seq_module
-from dmres.elements import precision_element_set
+from dmres.elements import pair_labels, precision_element_set
 from dmres.errors import DmresError
 from dmres.plans import estimator_operators
 from dmres.precision import (
@@ -33,7 +33,7 @@ from dmres.precision import (
 )
 from dmres.sampling import sample_precision_state
 
-from oracles import exact_haar_mean, mean_stderr
+from oracles import exact_haar_mean, flat_pairs, mean_stderr, shape_members
 
 PER = ShotPolicy(n_t=1.0)
 SPLIT = ShotPolicy(n_t=1.0, allocation="split-total")
@@ -50,9 +50,9 @@ def count_builds(monkeypatch):
     builds = []
     stacks = res_module.configuration_stacks
 
-    def counted(elements, scheme, gs):
-        for stack in stacks(elements, scheme, gs):
-            builds.append((tuple(e.label() for e in stack.elements), scheme, stack.gs))
+    def counted(dims, pairs, groups, scheme, gs):
+        for stack in stacks(dims, pairs, groups, scheme, gs):
+            builds.append((tuple(pair_labels(dims, *stack.pairs.T)), scheme, stack.gs))
             yield stack
 
     monkeypatch.setattr(res_module, "configuration_stacks", counted)
@@ -189,7 +189,7 @@ def held_entries(members, scheme, gs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
-        stack = res_module.SCHEMES[scheme].stack(members, gs)
+        stack = res_module.SCHEMES[scheme].stack(members[0].dims, flat_pairs(members), gs)
     arrays = [stack.rows.size, stack.weights.size, stack.supports.size, estimator_operators(stack).size,
               precision_module._variance_operator(stack).size]
     if scheme == "seq":
@@ -202,14 +202,15 @@ class TestChunkSizing:
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_is_the_built_stacks_size(self, system, scheme):
         elements = precision_element_set(system.n_qudits, system.d)
-        for members in res_module.configurations(elements):
-            assert precision_module._stored_entries(members, scheme) == sum(held_entries(members, scheme, [0.6]))
+        for members in shape_members(elements):
+            count = precision_module._stored_entries(members[0].dims, flat_pairs(members), scheme)
+            assert count == sum(held_entries(members, scheme, [0.6]))
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_covers_every_array_a_build_holds(self, dims, scheme):
-        for members in res_module.configurations(all_offdiagonal_elements(dims)):
-            count = precision_module._stored_entries(members, scheme)
+        for members in shape_members(all_offdiagonal_elements(dims)):
+            count = precision_module._stored_entries(dims, flat_pairs(members), scheme)
             assert count >= sum(held_entries(members, scheme, [0.3, 0.6, 1.1])), members[0].label()
 
     @pytest.mark.parametrize("system, scheme, stacks", [

@@ -30,14 +30,13 @@ from dmres import (
     simulate_shots,
     stream,
 )
-from dmres.elements import all_offdiagonal_elements, element_from_flat
+from dmres.elements import all_offdiagonal_elements, element_from_flat, pair_labels
 from dmres.errors import DmresError, InvalidStateError
 from dmres.linalg import MAX_JOINT_DIM
 from dmres.plans import (
     PlanBatch,
     ProtocolPlan,
     RES_SCHEME,
-    canonical_element,
     canonical_rows,
     enumerate_settings,
     functional_matrix,
@@ -45,19 +44,23 @@ from dmres.plans import (
 import dmres.plans as plans_module
 import dmres.res as res_module
 import dmres.seq as seq_module
-from dmres.res import SCHEMES, configuration_batches, configuration_stacks
+from dmres.res import SCHEMES, configuration_batches
 from dmres.seq import plan_seq
 
 from dmres.cli import _characterize_shots
 from dmres.shots import ALLOCATIONS, batch_variances
 
 from oracles import (
+    element_stacks,
+    flat_pairs,
     joint_state,
     partial_trace,
     per_pair_characterize,
     per_pair_shots,
+    reference_canonical,
     reference_extract,
     reference_setting_probabilities,
+    shape_members,
 )
 
 
@@ -80,7 +83,7 @@ def plus_state():
 def bare_res_plan(element, g):
     """A res plan without estimator weights, so g may be singular (sin 2g = 0)."""
     plan = plan_res(element, 0.5)  # the couplings and the support do not depend on g
-    canonical = canonical_element(element)
+    canonical = reference_canonical(element)
     settings = enumerate_settings(len(plan.couplings))
     (rows,) = canonical_rows(canonical, plan_res(canonical, 0.5).couplings, (g,))
     return ProtocolPlan(
@@ -92,7 +95,7 @@ def bare_res_plan(element, g):
 def member_plans(dims, g, builder):
     """Every member's plan ``batch[0, i]``, batch by batch as ``configuration_batches`` yields them."""
     for batch in configuration_batches(dims, g, builder):
-        yield from (batch[0, i] for i in range(len(batch.elements)))
+        yield from (batch[0, i] for i in range(len(batch.pairs)))
 
 
 def pair(plan):
@@ -125,8 +128,11 @@ class TestPlanStructure:
             assert plan.outcomes_per_setting == e.dim * 2 ** l
 
     def test_rejects_diagonal_element(self):
-        with pytest.raises(InvalidElementError):
+        with pytest.raises(InvalidElementError, match="^element 1,1 is diagonal; use diagonal_element instead$"):
             plan_res(ElementIndex.create((3,), (1,), (1,)), 0.5)
+        for stack in (SCHEMES["res"].stack, SCHEMES["seq"].stack):
+            with pytest.raises(InvalidElementError, match="^element 11,11 is diagonal"):
+                stack((3, 3), [(0, 1), (4, 4), (8, 8)], (0.5,))
 
     def test_rejects_singular_strength(self):
         for g in (0.0, math.pi / 2, math.pi):
@@ -409,7 +415,7 @@ class TestRefusedBeforeAnyBuild:
 
     def test_unknown_scheme_is_a_domain_error(self):
         with pytest.raises(InvalidStateError, match="unknown scheme 'foo'"):
-            next(configuration_stacks([element_from_flat((3,), 0, 1)], "foo", (0.5,)))
+            next(element_stacks([element_from_flat((3,), 0, 1)], "foo", (0.5,)))
 
     @pytest.mark.parametrize("scheme, groups", [
         (scheme, [["12,21", "01,10", "10,01"], ["00,01", "00,02", "02,01", "00,10"]]) for scheme in ("res", "seq")
@@ -420,10 +426,10 @@ class TestRefusedBeforeAnyBuild:
         # couples qudit 0 where the other single couplings couple qudit 1
         pairs = [(5, 7), (0, 1), (1, 3), (0, 2), (3, 1), (2, 1), (0, 3)]
         elements = [element_from_flat((3, 3), u, v) for u, v in pairs]
-        stacks = list(configuration_stacks(elements, scheme, (0.4, 0.9)))
-        assert [[e.label() for e in stack.elements] for stack in stacks] == groups
+        stacks = list(element_stacks(elements, scheme, (0.4, 0.9)))
+        assert [pair_labels((3, 3), *stack.pairs.T) for stack in stacks] == groups
         for stack in stacks:
-            want = SCHEMES[scheme].stack(list(stack.elements), (0.4, 0.9))
+            want = SCHEMES[scheme].stack((3, 3), stack.pairs, (0.4, 0.9))
             assert stack.weights.tobytes() == want.weights.tobytes()
             assert stack.rows.tobytes() == want.rows.tobytes()
             assert stack.supports.tobytes() == want.supports.tobytes()
@@ -496,11 +502,13 @@ class TestConfigurationPlans:
         # blocks as (s, s') unchanged: no member holds a reordered copy
         elements = all_offdiagonal_elements(dims, ordered=True)
         seen = 0
-        for stack in configuration_stacks(elements, scheme, (0.4, 0.9)):
+        for stack in element_stacks(elements, scheme, (0.4, 0.9)):
             for k in range(len(stack.gs)):
                 want_amplitudes = plans_module.readout_amplitudes(stack.rows[k])
-                for i, element in enumerate(stack.elements):
+                for i, (u, v) in enumerate(stack.pairs.tolist()):
                     plan = stack[k, i]
+                    element = plan.element
+                    assert (element.s_flat, element.s_prime_flat) == (u, v)
                     assert plan.weights.tobytes() == stack.weights[k].tobytes()
                     assert plan.rows.tobytes() == stack.rows[k].tobytes()
                     assert plan.post_selectors == (element.s_flat, element.s_prime_flat)
@@ -561,7 +569,7 @@ class TestConfigurationPlans:
         for batch in configuration_batches((3, 3), 0.6, self.BUILDERS[scheme]):
             held_batch = [weakref.ref(batch), weakref.ref(batch.weights)]
             assert np.isfinite(batch_variances(batch, rho, policy)).all()
-            for i in range(len(batch.elements)):
+            for i in range(len(batch.pairs)):
                 plan = batch[0, i]
                 arrays = (plan.block_amplitudes, plan.coeff_re, plan.coeff_im)
                 held_plan = [weakref.ref(plan)] + [weakref.ref(a if a.base is None else a.base) for a in arrays]
@@ -593,9 +601,12 @@ class TestConfigurationPlans:
             est, variances = _characterize_shots(rho, g, policy, seed=k)
             want_est, want_variances = per_pair_shots(rho, g, policy, seed=k)
             assert est.entries.tobytes() == want_est.tobytes()
-            assert sorted(variances) == sorted(want_variances)
-            assert np.array([variances[uv] for uv in sorted(variances)]).tobytes() == \
-                np.array([want_variances[uv] for uv in sorted(variances)]).tobytes()
+            upper = tuple(np.array(sorted(want_variances)).T)
+            held = np.zeros(variances.shape, dtype=bool)
+            held[upper] = True
+            assert not variances[~held].any()  # only upper-triangle pairs hold a variance
+            assert variances[upper].tobytes() == \
+                np.array([want_variances[uv] for uv in sorted(want_variances)]).tobytes()
 
     def test_infeasible_member_raises_its_single_build_error(self, monkeypatch):
         # (0, 2) shares the coupled set of (0, 1), its canonical element,
@@ -665,10 +676,20 @@ class TestShapeStacks:
         if budget != "default":
             monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
         dims = (2,) * 6
-        stacks = list(configuration_stacks(all_offdiagonal_elements(dims), "res", (0.7,)))
-        assert [[(e.s_flat, e.s_prime_flat) for e in stack.elements] for stack in stacks] == \
-            configurations(dims, "res")
-        assert [len(stack.supports) for stack in stacks] == [len(stack.elements) for stack in stacks]
+        stacks = list(element_stacks(all_offdiagonal_elements(dims), "res", (0.7,)))
+        assert [[tuple(pair) for pair in stack.pairs.tolist()] for stack in stacks] == configurations(dims, "res")
+        assert [len(stack.supports) for stack in stacks] == [len(stack.pairs) for stack in stacks]
+
+    def test_exact_characterize_builds_no_member_element(self, monkeypatch):
+        # the members are flat-index pairs; the only elements built are
+        # the cached canonical ones, one per coupled shape of (2,2,2)
+        built = []
+        post_init = ElementIndex.__post_init__
+        monkeypatch.setattr(ElementIndex, "__post_init__", lambda self: built.append(self.dims) or post_init(self))
+        plans_module._canonical_element.cache_clear()
+        rho = random_mixed_state((2, 2, 2), stream(36, "element-count"))
+        characterize(rho, 0.7, plan_res)
+        assert len(built) == len(set(built)) <= 3
 
     def test_one_gram_pair_and_one_rotation_per_coupled_shape(self, monkeypatch, readout_calls):
         # (2,)*6 res has 6 shapes; characterize forms each stack's Gram
@@ -689,11 +710,11 @@ class TestShapeStacks:
         rho = random_mixed_state(dims, stream(35, f"gathers{dims}"))
         amps = [1, 1j] @ stream(35, f"gathers-ket{dims}").standard_normal((2, rho.dim))
         ket = Ket.create(amps / np.linalg.norm(amps), dims)
-        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
+        for members in shape_members(all_offdiagonal_elements(dims, ordered=True)):
             meters = SCHEMES[scheme].meters * members[0].n_couplings
-            if canonical_element(members[0]).dim * 2 ** meters > MAX_JOINT_DIM:
+            if reference_canonical(members[0]).dim * 2 ** meters > MAX_JOINT_DIM:
                 continue  # seq refuses five or more coupled qubits
-            stack = SCHEMES[scheme].stack(members, (0.4, 0.9))
+            stack = SCHEMES[scheme].stack(dims, flat_pairs(members), (0.4, 0.9))
             for operators in (plans_module._estimator_grams(stack), plans_module.estimator_operators(stack)):
                 for state in (rho, ket):
                     with monkeypatch.context() as mp:
@@ -708,13 +729,13 @@ class TestShapeStacks:
     def test_shape_stacks_equal_coupled_set_stacks_bytes(self, scheme, dims):
         gs = (0.3, 0.7, 1.1)
         stack_of = SCHEMES[scheme].stack
-        for members in res_module.configurations(all_offdiagonal_elements(dims, ordered=True)):
-            shape = stack_of(members, gs)
+        for members in shape_members(all_offdiagonal_elements(dims, ordered=True)):
+            shape = stack_of(dims, flat_pairs(members), gs)
             sets = {}
             for i, element in enumerate(members):
                 sets.setdefault(element.coupled_set, []).append(i)
             for indices in sets.values():
-                want = stack_of([members[i] for i in indices], gs)
+                want = stack_of(dims, flat_pairs([members[i] for i in indices]), gs)
                 assert shape.weights.tobytes() == want.weights.tobytes()
                 assert shape.rows.tobytes() == want.rows.tobytes()
                 assert shape.calibrations == want.calibrations

@@ -26,15 +26,15 @@ from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
 from dmres.seq import _correlator_response, _min_norm_solve, _targets, seq_couplings, seq_stack
-from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_element, canonical_rows, enumerate_settings
+from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_rows, enumerate_settings
 
-from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron
+from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron, reference_canonical
 
 
 def bare_seq_plan(element, g):
     couplings = seq_couplings(element)
     settings = enumerate_settings(len(couplings))
-    canonical = canonical_element(element)
+    canonical = reference_canonical(element)
     (rows,) = canonical_rows(canonical, seq_couplings(canonical), (g,))
     return ProtocolPlan(
         element=element, scheme=SEQ_SCHEME, g=g, couplings=couplings, settings=settings,
@@ -155,7 +155,7 @@ class TestCalibration:
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
             plan_seq(ElementIndex.create((2,), (0,), (1,)), g)
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
-            seq_stack([ElementIndex.create((2,), (0,), (1,))], [0.4, g])
+            seq_stack((2,), [(0, 1)], [0.4, g])
 
 
 class TestMinNormSolve:

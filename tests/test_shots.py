@@ -26,7 +26,7 @@ from dmres import (
 )
 from dmres.elements import all_offdiagonal_elements
 
-from oracles import ks_critical_value, reference_cell_draws, reference_class_probabilities
+from oracles import flat_pairs, ks_critical_value, reference_cell_draws, reference_class_probabilities, shape_members
 from test_engine import BUILDERS, elements
 
 
@@ -286,7 +286,7 @@ class TestBatchShots:
     @staticmethod
     def two_qubit_shape(dims):
         """The ordered elements of ``dims`` that couple two qubits: three coupled sets, both triangles."""
-        (members,) = [m for m in res_module.configurations(all_offdiagonal_elements(dims, ordered=True))
+        (members,) = [m for m in shape_members(all_offdiagonal_elements(dims, ordered=True))
                       if m[0].n_couplings == 2]
         assert len({e.coupled_set for e in members}) == 3
         assert {e.s_flat > e.s_prime_flat for e in members} == {False, True}
@@ -298,7 +298,7 @@ class TestBatchShots:
         if budget != "default":
             monkeypatch.setattr(shots_module, "MEMBER_ENTRIES", 1)
         members = self.two_qubit_shape(self.DIMS)
-        batch = res_module.SCHEMES[scheme].stack(members, (0.7,))
+        batch = res_module.SCHEMES[scheme].stack(self.DIMS, flat_pairs(members), (0.7,))
         rho = random_mixed_state(self.DIMS, stream(31, "batch-shots"))
         policy = ShotPolicy(n_t=1e4)
         got = shots_module.simulate_batch_shots(
@@ -316,7 +316,7 @@ class TestBatchShots:
         u, v = members[-1].s_flat, members[-1].s_prime_flat
         entries[u, v] = entries[v, u] = 0.4
         rho = DensityMatrix.create(entries, self.DIMS, check_positive=False)
-        batch = res_module.SCHEMES[scheme].stack(members, (0.7,))
+        batch = res_module.SCHEMES[scheme].stack(self.DIMS, flat_pairs(members), (0.7,))
         policy = ShotPolicy(n_t=1e3)
         errors = []
         for i in range(len(members)):
