@@ -39,8 +39,8 @@ class ElementIndex:
 
     @classmethod
     def create(cls, dims: Sequence[int], s: Sequence[int], s_prime: Sequence[int]) -> "ElementIndex":
-        """The element of integer indices ``s`` and ``s_prime``; any other index raises ``InvalidElementError``."""
-        return cls(tuple(int(d) for d in dims), _indices(s), _indices(s_prime))
+        """The element of integer ``dims``, ``s`` and ``s_prime``; any other entry raises ``InvalidElementError``."""
+        return cls(_integers(dims, "dims"), _integers(s, "indices"), _integers(s_prime, "indices"))
 
     @property
     def n_qudits(self) -> int:
@@ -79,12 +79,13 @@ class ElementIndex:
         return _labels(self.dims, [self.s], [self.s_prime])[0]
 
 
-def _indices(values) -> tuple[int, ...]:
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints, numpy integers included; a float, string or other entry raises ``InvalidElementError``."""
     values = tuple(values)
     try:
         return tuple(operator.index(a) for a in values)
     except TypeError:
-        raise InvalidElementError(f"indices {values!r} are not all integers") from None
+        raise InvalidElementError(f"{what} {values!r} are not all integers") from None
 
 
 def _labels(dims, s_rows, s_prime_rows) -> list[str]:
@@ -120,7 +121,8 @@ def element_from_flat(dims: Sequence[int], s_flat: int, sp_flat: int) -> Element
     Each must be an integer in 0..D-1, D the product of ``dims``; any
     other raises ``InvalidElementError``.
     """
-    dims, dim = tuple(int(d) for d in dims), math.prod(dims)
+    dims = _integers(dims, "dims")
+    dim = math.prod(dims)
     for flat in (s_flat, sp_flat):
         if not isinstance(flat, (int, np.integer)) or not 0 <= flat < dim:
             raise InvalidElementError(f"flat index {flat!r} is not an integer in 0..{dim - 1} (D={dim})")
@@ -205,13 +207,13 @@ def _elements(dims: tuple[int, ...], u, v) -> list[ElementIndex]:
 
 def all_offdiagonal_elements(dims: Sequence[int], ordered: bool = False) -> list[ElementIndex]:
     """Every off-diagonal element in row-major (s, s') order; upper triangle only unless ``ordered``."""
-    dims = tuple(int(d) for d in dims)
+    dims = _integers(dims, "dims")
     return _elements(dims, *offdiagonal_pairs(dims, ordered))
 
 
 def completely_offdiagonal_elements(dims: Sequence[int], ordered: bool = False) -> list[ElementIndex]:
     """Elements with every per-qudit index differing (all-qudit coherences)."""
-    dims = tuple(int(d) for d in dims)
+    dims = _integers(dims, "dims")
     return _elements(dims, *completely_offdiagonal_pairs(dims, ordered))
 
 

@@ -3,21 +3,28 @@
 Per-state shot variances are linear functionals of the state, so each
 plan contributes one Hermitian operator per quadrature and the Monte
 Carlo reduces to traces Tr(W rho) against sampled states, with W the
-mean variance operator over the element set.  Every Haar average takes
-W from one path, ``mean_variance_operators``, which groups the element
-set by coupled shape once and builds it through
-``res.configuration_stacks`` for a chunk of strengths at a time, so the
-elements of each coupled shape share one stacked build; a single
-strength is the grid of one.  The operators come from the plans'
-unrotated columns, so no precision path rotates a readout row.  A
-sweep's report keeps W for every (scheme, strength) it covered, and
-histograms and the reference comparison handed that report read W from
-it at strengths on its grid, so one fig4 run computes each operator
-once.  Samples are addressed by counter in one Philox per state family
-(sample j at counter j B, see ``sampling``), so every strength, scheme
-and report sees the same states, each drawn once a run and memoised.
-A sweep's means and standard errors come from one stacked reduction
-over its points.
+mean variance operator over the element set.  Every trace is one real
+product, the rows of W against a float view of the states that copies
+nothing (``_trace``), and a sweep puts all the points of a chunk
+through that product stacked, each point with the bits it has alone.
+Every Haar average takes W from one path, ``mean_variance_operators``,
+which groups the element set by coupled shape once and builds it
+through ``res.configuration_stacks`` for a chunk of strengths at a
+time, so the elements of each coupled shape share one stacked build; a
+single strength is the grid of one.  The operators come from the
+plans' unrotated columns, so no precision path rotates a readout row.
+A sweep's report keeps W for every (scheme, strength) it covered, and
+each coupled shape's canonical operator there.  Histograms and the
+reference comparison handed that report read W from it at strengths on
+its grid, and the photon budget of one element at a swept point
+(``PrecisionReport.element_operator``, ``photon_budget``) embeds its
+shape's canonical operator at its support, so one fig4 run computes
+each operator once and builds no plan outside its sweep.  Samples are
+addressed by counter in one Philox per state family (sample j at
+counter j B, see ``sampling``), so every strength, scheme and report
+sees the same states, each drawn once a run and memoised.  A sweep's
+means and standard errors come from one stacked reduction over its
+points.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .elements import completely_offdiagonal_pairs, coupled_shape, shape_groups
+from .elements import ElementIndex, completely_offdiagonal_pairs, coupled_shape, shape_groups, supports
 from .errors import DmresError, InvalidStateError
 from . import res
-from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, embedded, estimator_operators
+from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, embedded, estimator_operators, finite_strengths
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
@@ -50,8 +58,9 @@ from .stateio import format_float
 # per strength.
 CHUNK_ENTRIES = 2 ** 14
 
-# Entries of the (points, policies, samples) stack a sweep reduces at
-# once (256 KiB): one point of a default 10^4-sample, two-policy run.
+# Entries of the (points, samples) traces and the (points, policies,
+# samples) stack a sweep holds at once (256 KiB): one point of a default
+# 10^4-sample, two-policy run.
 STAT_ENTRIES = 2 ** 15
 
 # Distinct (n_qudits, d, seed) keys whose states are kept between calls.
@@ -109,13 +118,17 @@ class SystemSpec:
         return cls(n, d)
 
 
-def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
-    """Mean of a plan's Re and Im variance operators in the full space, (D, D); (G, M, D, D) for a batch."""
+def _canonical_mean(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
+    """Mean of a plan's Re and Im variance operators on its coupled block, (d_C, d_C); (G, d_C, d_C) for a batch."""
     w = estimator_operators(plan)
-    mean = 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
+    return 0.5 * (w[..., 0, :, :] + w[..., 1, :, :])
+
+
+def _variance_operator(plan: ProtocolPlan | PlanBatch) -> np.ndarray:
+    """``_canonical_mean`` in the full space at the plan's support, (D, D); (G, M, D, D) for a batch."""
     if isinstance(plan, PlanBatch):
-        return embedded(mean, plan.supports, math.prod(plan.dims))
-    return embedded(mean, plan.support, plan.element.dim)
+        return embedded(_canonical_mean(plan), plan.supports, math.prod(plan.dims))
+    return embedded(_canonical_mean(plan), plan.support, plan.element.dim)
 
 
 def _mean(operators: list) -> np.ndarray:
@@ -123,9 +136,34 @@ def _mean(operators: list) -> np.ndarray:
     return functools.reduce(np.add, operators) / len(operators)
 
 
+def _trace_rows(operators: np.ndarray) -> np.ndarray:
+    """Real rows (..., 1, 2 D^2) of operators W (..., D, D), one per operator.
+
+    Tr(W rho) is the sum of W[u, v] rho[v, u], whose real part is
+    Re(conj(a)) Re(b) + Im(conj(a)) Im(b) for a = W^T[v, u] and
+    b = rho[v, u]; so a row holds conj(W^T) as (re, im) pairs, in the
+    order ``_readout`` reads each state's entries.
+    """
+    rows = np.ascontiguousarray(np.conj(np.swapaxes(operators, -1, -2)))
+    return rows.view(float).reshape(rows.shape[:-2] + (1, -1))
+
+
+def _readout(states: np.ndarray) -> np.ndarray:
+    """The (2 D^2, n) float view of a C-contiguous (n, D, D) state batch: column j holds state j's entries as (re, im) pairs.
+
+    A view, never a copy.
+    """
+    return states.view(float).reshape(len(states), -1).T
+
+
 def _trace(w_mean: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Tr(W rho) for every state of a (n, D, D) batch."""
-    return np.einsum("uv,nvu->n", w_mean, states).real
+    """Tr(W rho) for every state of a (n, D, D) batch: (n,), or (P, n) for a stack of P operators.
+
+    One real product, ``_trace_rows(W) @ _readout(states)``.  A stack is
+    one matrix-vector product per operator, the very call a single
+    operator makes, so each row keeps the bits it has alone.
+    """
+    return (_trace_rows(w_mean) @ _readout(states))[..., 0, :]
 
 
 def sampled_states(system: SystemSpec, seed: int, samples: int) -> np.ndarray:
@@ -205,27 +243,77 @@ def _stored_entries(dims, pairs, scheme: str) -> int:
     return entries
 
 
+class _ElementSet(NamedTuple):
+    """A system's element set as flat-index arrays, grouped by coupled shape."""
+
+    dims: tuple[int, ...]
+    pairs: np.ndarray  # (M, 2) flat indices (s, s')
+    groups: tuple[np.ndarray, ...]  # ``shape_groups`` of the pairs
+    shapes: tuple[tuple[int, ...], ...]  # each group's coupled shape dims[C]
+    supports: tuple[np.ndarray, ...]  # each group's member supports (M_g, d_C)
+
+
 @functools.cache
-def _element_set(system: SystemSpec):
+def _element_set(system: SystemSpec) -> _ElementSet:
     """The system's element set, the completely off-diagonal pairs of ``precision_element_set``, grouped once.
 
-    Returns its dims, the read-only flat-index pairs (M, 2) and their
-    ``shape_groups``, kept for the process: every sweep of a system
-    reads one set.
+    Its arrays are read-only and kept for the process: every sweep of a
+    system reads one set.
     """
-    u, v = completely_offdiagonal_pairs(system.dims)
-    pairs, groups = np.stack([u, v], -1), tuple(shape_groups(system.dims, u, v))
-    for array in (pairs, *groups):
+    dims = system.dims
+    u, v = completely_offdiagonal_pairs(dims)
+    groups = tuple(shape_groups(dims, u, v))
+    elements = _ElementSet(dims, np.stack([u, v], -1), groups,
+                           tuple(coupled_shape(dims, u[members[0]], v[members[0]]) for members in groups),
+                           tuple(supports(dims, u[members], v[members]) for members in groups))
+    for array in (elements.pairs, *groups, *elements.supports):
         array.setflags(write=False)
-    return system.dims, pairs, groups
+    return elements
 
 
-def _chunk_step(dims, pairs, groups, scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one.
+def _chunk_step(system: SystemSpec, scheme: str) -> int:
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one."""
+    elements = _element_set(system)
+    return max(1, CHUNK_ENTRIES // max(_stored_entries(elements.dims, elements.pairs[members], scheme)
+                                       for members in elements.groups))
 
-    ``groups`` is ``shape_groups`` of the flat-index ``pairs`` (M, 2) on ``dims``.
+
+def _canonical_chunks(system: SystemSpec, scheme: str, gs):
+    """Yield ``(chunk, counts, means)`` for the strengths of ``gs``, a chunk of them at a time, in order.
+
+    A chunk holds as many strengths as fit ``CHUNK_ENTRIES`` for the
+    largest coupled shape; each shape of the element set is built for
+    it through ``res.configuration_stacks``, and ``means`` holds each
+    shape's canonical mean variance operators (G, d_C, d_C),
+    ``_canonical_mean`` of its stack, in ``_element_set`` group order.
+    ``counts`` are the plans' (couplings, settings, outcomes per
+    setting).  No stack is held once its chunk is yielded.
     """
-    return max(1, CHUNK_ENTRIES // max(_stored_entries(dims, pairs[members], scheme) for members in groups))
+    elements = _element_set(system)
+    gs = list(gs)
+    step = _chunk_step(system, scheme)
+    for lo in range(0, len(gs), step):
+        chunk, means = gs[lo:lo + step], []
+        for stack in res.configuration_stacks(elements.dims, elements.pairs, elements.groups, scheme, chunk):
+            means.append(_canonical_mean(stack))
+        counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
+        del stack  # not held while the caller works on this chunk
+        yield chunk, counts, means
+
+
+def _set_means(system: SystemSpec, means) -> np.ndarray:
+    """The mean variance operators W (G, D, D) over the element set of one chunk's ``means``.
+
+    Each member's operator is its shape's canonical mean embedded at its
+    support, put at the member's position in the set, and the set is
+    summed in that order.
+    """
+    elements = _element_set(system)
+    dim = math.prod(elements.dims)
+    operators = np.empty((len(elements.pairs), len(means[0]), dim, dim), dtype=complex)
+    for members, support, mean in zip(elements.groups, elements.supports, means):
+        operators[members] = embedded(mean, support, dim).swapaxes(0, 1)
+    return _mean(operators)
 
 
 def mean_variance_operators(system: SystemSpec, scheme: str, gs):
@@ -240,17 +328,8 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     shape, and each member's W is its stack's one ``estimator_operators``
     pair, embedded at its support and put at the member's position in the set.
     """
-    dims, pairs, groups = _element_set(system)
-    gs = list(gs)
-    step = _chunk_step(dims, pairs, groups, scheme)
-    for lo in range(0, len(gs), step):
-        chunk = gs[lo:lo + step]
-        operators = np.empty((len(pairs), len(chunk)) + (math.prod(dims),) * 2, dtype=complex)
-        for members, stack in zip(groups, res.configuration_stacks(dims, pairs, groups, scheme, chunk)):
-            operators[members] = _variance_operator(stack).swapaxes(0, 1)
-        counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
-        del stack  # not held while the caller works on this chunk
-        yield from ((g, w, counts) for g, w in zip(chunk, _mean(operators)))
+    for chunk, counts, means in _canonical_chunks(system, scheme, gs):
+        yield from ((g, w, counts) for g, w in zip(chunk, _set_means(system, means)))
 
 
 @dataclass
@@ -282,12 +361,27 @@ class PrecisionReport:
 
     ``operators`` maps (system, scheme, g) to the mean variance operator
     and the plans' counts at that point, as ``mean_variance_operators``
-    yielded them.
+    yielded them, and ``shape_operators`` maps it to the canonical mean
+    variance operator (d_C, d_C) of each coupled shape dims[C] there.
     """
 
     rows: list[ReportRow]
     argmin: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
+    shape_operators: dict = field(default_factory=dict)
+
+    def element_operator(self, system: SystemSpec, scheme: str, g: float,
+                         element: ElementIndex) -> tuple[np.ndarray, int]:
+        """The mean variance operator (D, D) of one element of the system's set at a swept point, and the plans' setting count.
+
+        It is its coupled shape's canonical operator embedded at the
+        element's support, as ``_variance_operator`` embeds a plan's, so
+        it equals that of the element's own plan at ``g`` bit for bit.
+        """
+        u, v = element.s_flat, element.s_prime_flat
+        canonical = self.shape_operators[(system, scheme, g)][coupled_shape(element.dims, u, v)]
+        settings = self.operators[(system, scheme, g)][1][1]
+        return embedded(canonical, supports(element.dims, [u], [v])[0], element.dim), settings
 
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
@@ -314,23 +408,26 @@ def _mean_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sweep_statistics(operators: list, factors: np.ndarray, states: np.ndarray):
     """Yield ``_mean_stderr`` of f * Tr(W rho) over the states for each W and its factors f.
 
-    ``factors`` is (points, policies).  The (points, policies, samples)
-    stack is formed ``STAT_ENTRIES`` at a time, at least one point,
-    and each part is reduced in one pass per statistic.
+    ``factors`` is (points, policies).  Points are taken as many at a
+    time as fit ``STAT_ENTRIES`` for their (points, samples) traces and
+    (points, policies, samples) stack together, at least one: the
+    traces of a part are one stacked ``_trace``, and each statistic is
+    one reduction of the stack.
     """
-    step = max(1, STAT_ENTRIES // (factors.shape[1] * len(states)))
+    step = max(1, STAT_ENTRIES // ((factors.shape[1] + 1) * len(states)))
     for lo in range(0, len(operators), step):
-        part = list(zip(operators[lo:lo + step], factors[lo:lo + step]))
-        stack = np.empty((len(part), factors.shape[1], len(states)))
-        for row, (w_mean, f) in zip(stack, part):
-            np.multiply(f[:, None], _trace(w_mean, states), out=row)
-        yield from zip(*_mean_stderr(stack))
+        traces = _trace(np.stack(operators[lo:lo + step]), states)
+        yield from zip(*_mean_stderr(factors[lo:lo + step, :, None] * traces[:, None, :]))
 
 
 def filter_grid(scheme: str, grid) -> list[float]:
-    """Drop strengths where the scheme's estimator is undefined, by the scheme's own rule."""
+    """Drop strengths where the scheme's estimator is undefined, by the scheme's own rule.
+
+    A non-finite strength is not dropped but refused, with
+    ``InvalidCouplingError``: it is no strength at all.
+    """
     singular = res.scheme_entry(scheme).singular
-    return [float(g) for g in grid if not singular(g)]
+    return [g for g in finite_strengths(grid) if not singular(g)]
 
 
 def default_g_grid(points: int = 33) -> np.ndarray:
@@ -361,30 +458,34 @@ def g_sweep(
         policies = (policies,)
     if samples < 100:
         raise InvalidStateError(f"precision averages need samples >= 100, got {samples}")
-    g_grid = list(g_grid)
+    g_grid = finite_strengths(g_grid)
     if not g_grid:
         raise InvalidStateError("empty g grid")
-    # a list per scheme, so that a repeated strength keeps its repeated row
-    operators = {}
+    # every scheme is built before a W is formed or a state drawn; a list
+    # per scheme, so that a repeated strength keeps its repeated row
+    built = {}
     for scheme in schemes:
-        if scheme in operators:
+        if scheme in built:
             raise InvalidStateError(f"scheme {scheme!r} is requested twice")
-        points = filter_grid(scheme, g_grid) or g_grid[:1]
-        operators[scheme] = list(mean_variance_operators(system, scheme, points))
+        built[scheme] = list(_canonical_chunks(system, scheme, filter_grid(scheme, g_grid) or g_grid[:1]))
+    shapes = _element_set(system).shapes
+    points = [(scheme, g, w_mean, counts, {shape: mean[k] for shape, mean in zip(shapes, means)})
+              for scheme, chunks in built.items() for chunk, counts, means in chunks
+              for k, (g, w_mean) in enumerate(zip(chunk, _set_means(system, means)))]
     report = PrecisionReport(rows=[])
-    points = [(scheme, *point) for scheme, held in operators.items() for point in held]
     factors = np.array([[allocation_factor(policy.allocation, counts[1]) for policy in policies]
-                        for *_, counts in points])
-    statistics = _sweep_statistics([w_mean for _, _, w_mean, _ in points], factors,
+                        for *_, counts, _ in points])
+    statistics = _sweep_statistics([w_mean for _, _, w_mean, _, _ in points], factors,
                                    sampled_states(system, seed, samples))
-    for (scheme, g, w_mean, counts), (means, stderrs) in zip(points, statistics):
+    for (scheme, g, w_mean, counts, canonical), (means, stderrs) in zip(points, statistics):
         report.operators[(system, scheme, g)] = (w_mean, counts)
+        report.shape_operators[(system, scheme, g)] = canonical
         for policy, mean, stderr in zip(policies, means.tolist(), stderrs.tolist()):
             report.rows.append(
                 ReportRow(scheme, system.n_qudits, system.d, g, policy.allocation,
                           samples, mean, stderr, *counts)
             )
-    for scheme in operators:
+    for scheme in built:
         for policy in policies:
             rows = [r for r in report.rows if r.scheme == scheme and r.policy == policy.allocation]
             report.argmin[(scheme, policy.allocation)] = min(rows, key=lambda r: r.nt_delta2).g
@@ -462,6 +563,18 @@ class ResourceReport:
     samples: int
 
 
+def photon_budget(w: np.ndarray, settings: int, states: np.ndarray, target_sigma: float) -> float:
+    """Photons to reach standard error ``target_sigma`` with variance operator W, Haar-averaged over ``states``.
+
+    With per-setting exposure T, variance sigma^2 needs n_t T = V /
+    sigma^2 per setting, V the mean of Tr(W rho), summed left to right as
+    a per-state accumulation would give; the total is ``settings``
+    times that.
+    """
+    mean_v = np.add.accumulate(_trace(w, states))[-1] / len(states)
+    return settings * float(mean_v) / target_sigma ** 2
+
+
 def resource_report(
     plan_a: ProtocolPlan,
     plan_b: ProtocolPlan,
@@ -483,15 +596,8 @@ def resource_report(
     if len(set(element.dims)) != 1:
         raise InvalidStateError("resource averages support homogeneous local dimensions only")
     rhos = sampled_states(SystemSpec(element.n_qudits, element.dims[0]), seed, samples)
-
-    budgets = []
-    for plan in (plan_a, plan_b):
-        acc = 0.0
-        # left-to-right sum, as a per-state accumulation would give
-        for v in _trace(_variance_operator(plan), rhos).tolist():
-            acc += v
-        mean_v = acc / samples
-        budgets.append(plan.n_settings * mean_v / target_sigma ** 2)
+    budgets = [photon_budget(_variance_operator(plan), plan.n_settings, rhos, target_sigma)
+               for plan in (plan_a, plan_b)]
 
     def counts(plan: ProtocolPlan) -> tuple[int, int, int]:
         return (plan.n_meters, plan.n_settings, plan.outcomes_per_setting)

@@ -231,18 +231,16 @@ def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
     and one ``CalibrationInfo`` per entry.
     """
     z, residuals, smallest = _min_norm_solve(rows.swapaxes(-1, -2), targets)  # basis x subspace
-    for g, res, sv in zip(gs, residuals, smallest):
-        if max(res) > RESIDUAL_TOL:
-            raise CalibrationError(
-                f"calibration infeasible at g={g!r}: residual {max(res):.3e} "
-                f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {sv:.3e}, "
-                f"relative floor {SV_FLOOR:g})"
-            )
-    infos = tuple(
-        CalibrationInfo(residual_re=float(res[0]), residual_im=float(res[1]),
-                        smallest_singular_value=float(sv))
-        for res, sv in zip(residuals, smallest)
-    )
+    worst = residuals.max(-1)
+    failed = np.flatnonzero(worst > RESIDUAL_TOL)
+    if failed.size:
+        k = failed[0]
+        raise CalibrationError(
+            f"calibration infeasible at g={gs[k]!r}: residual {worst[k]:.3e} "
+            f"exceeds {RESIDUAL_TOL:g} (smallest usable singular value {smallest[k]:.3e}, "
+            f"relative floor {SV_FLOOR:g})"
+        )
+    infos = tuple(map(CalibrationInfo, *residuals.T.tolist(), smallest.tolist()))
     return z, infos
 
 

@@ -19,7 +19,6 @@ from .plans import functional_matrix
 from .precision import (
     SystemSpec,
     _chunk_step,
-    _element_set,
     _mean,
     _trace,
     _variance_operator,
@@ -191,7 +190,7 @@ def check_determinism() -> tuple[bool, str]:
     # and last point of every chunk the sweep builds
     two_qubit, grid = SystemSpec(2, 2), default_g_grid()
     elements = precision_element_set(2, 2)
-    step = _chunk_step(*_element_set(two_qubit), "seq")
+    step = _chunk_step(two_qubit, "seq")
     edges = sorted({k for lo in range(0, len(grid), step) for k in (lo, min(lo + step, len(grid)) - 1)})
     states = sampled_states(two_qubit, 9, 300)
     report = g_sweep(two_qubit, ("seq",), grid, 300, ShotPolicy(n_t=1.0), seed=9)

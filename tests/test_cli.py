@@ -237,6 +237,10 @@ class TestBadInput:
         (["precision", "--system", "qutrit", "--g-grid", "0,pi/2", "--samples", "150"], "sin(2g)=0 at g=0.0"),
         (["precision", "--system", "qutrit", "--g-grid", "nan,0.5", "--samples", "150"],
          "coupling strength g=nan is not finite"),
+        (["precision", "--system", "qutrit", "--g", "inf", "--samples", "100"],
+         "coupling strength g=inf is not finite"),
+        (["precision", "--system", "qutrit", "--g-grid", "0.5,-inf", "--samples", "100"],
+         "coupling strength g=-inf is not finite"),
         (["scenario", "fig4a", "--samples", "0"], "samples >= 100, got 0"),
         (["extract", "--scheme", "res", "--element", "0,1", "--g", "nan"],
          "coupling strength g=nan is not finite"),

@@ -100,6 +100,27 @@ def test_create_takes_integers_only():
     assert all(type(i) is int for i in e.s + e.s_prime)
 
 
+@pytest.mark.parametrize("build", [
+    lambda dims: ElementIndex.create(dims, (0,), (2,)),
+    lambda dims: element_from_flat(dims, 0, 2),
+    lambda dims: all_offdiagonal_elements(dims),
+    lambda dims: completely_offdiagonal_elements(dims),
+], ids=["create", "element_from_flat", "all_offdiagonal_elements", "completely_offdiagonal_elements"])
+class TestIntegerDims:
+    """Every entry point that takes dims reads them as integers; int() truncated 3.7 to 3."""
+
+    @pytest.mark.parametrize("dims", [(3.7,), ("3",), (np.float64(3.0),)])
+    def test_non_integer_dims_are_refused(self, build, dims):
+        with pytest.raises(InvalidElementError, match=r"dims .* are not all integers"):
+            build(dims)
+
+    def test_numpy_integer_dims_are_read(self, build):
+        got, want = build((np.int64(3),)), build((3,))
+        assert got == want
+        for element in got if isinstance(got, list) else [got]:
+            assert all(type(d) is int for d in element.dims)
+
+
 @pytest.mark.parametrize("n_qudits, d", [(0, 2), (1, 1), (-1, 3)])
 def test_precision_set_of_an_empty_system_is_refused(n_qudits, d):
     with pytest.raises(InvalidStateError, match=rf"invalid system \({n_qudits} qudits of dimension {d}\)"):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from dmres import (
     ElementIndex,
+    InvalidCouplingError,
     InvalidStateError,
     ShotPolicy,
     all_offdiagonal_elements,
@@ -265,10 +266,27 @@ class TestStackedStatistics:
             assert float_bytes(hist.delta2_stderr) == float_bytes(stderr)
 
 
+class TestTraceProduct:
+    """Tr(W rho) is one real product against the states read in place."""
+
+    @pytest.mark.parametrize("system", [SystemSpec(1, 3), SystemSpec(2, 2), SystemSpec(3, 2)])
+    def test_equals_the_complex_contraction(self, system):
+        states = sampled_states(system, 31, 500)
+        assert np.shares_memory(precision_module._readout(states), states)
+        for scheme in ("res", "seq"):
+            for g, w_mean, _ in precision_module.mean_variance_operators(system, scheme, [0.3, 1.2]):
+                want = np.einsum("uv,nvu->n", w_mean, states).real
+                # a sum of 2 D^2 products, each within one rounding of its value
+                tol = 4 * w_mean.size * np.finfo(float).eps * np.abs(want).max()
+                assert np.max(np.abs(precision_module._trace(w_mean, states) - want)) <= tol
+
+
 class TestRejectedSweepDrawsNothing:
     @pytest.mark.parametrize("schemes, grid, cause", [
         (["foo"], [0.5], "unknown scheme 'foo'"),
         (["res"], [math.nan, 0.5], "g=nan is not finite"),
+        (["res"], [math.inf], "g=inf is not finite"),
+        (["res", "seq"], [0.5, -math.inf], "g=-inf is not finite"),
         (["res"], [0.0, math.pi / 2], "sin(2g)=0"),
         (["res", "res"], [0.5], "scheme 'res' is requested twice"),
     ])
@@ -280,6 +298,19 @@ class TestRejectedSweepDrawsNothing:
         # a seed no other test draws, so the state memo cannot serve it
         with pytest.raises(DmresError, match=re.escape(cause)):
             g_sweep(SystemSpec(1, 3), schemes, grid, 150, PER, seed=1011)
+
+
+class TestFilterGrid:
+    @pytest.mark.parametrize("scheme", ["res", "seq"])
+    @pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+    def test_non_finite_strength_is_refused_not_dropped(self, scheme, g):
+        # math.sin(inf) raised a bare ValueError here, and nan was kept
+        with pytest.raises(InvalidCouplingError, match=rf"coupling strength g={g!r} is not finite"):
+            precision_module.filter_grid(scheme, [0.5, g])
+
+    def test_singular_strengths_are_dropped(self):
+        assert precision_module.filter_grid("res", [0.0, 0.5, math.pi / 2]) == [0.5]
+        assert precision_module.filter_grid("seq", [0.0, 0.5, math.pi / 2]) == [0.5, math.pi / 2]
 
 
 class TestExactHaarMean:

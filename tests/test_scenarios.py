@@ -11,7 +11,13 @@ from dmres import (
     ShotPolicy,
     element_variance,
     plan_res,
+    plan_seq,
+    resource_report,
 )
+import dmres.precision as precision_module
+import dmres.res as res_module
+import dmres.scenarios as scenarios_module
+import dmres.seq as seq_module
 from dmres.scenarios import (
     ScenarioSpec,
     default_spec,
@@ -22,7 +28,10 @@ from dmres.scenarios import (
     run_fig3d,
     run_scenario,
     two_qubit_sweep_state,
+    QUTRIT_ELEMENTS,
+    TWO_QUBIT_ELEMENTS,
 )
+from dmres.stateio import format_float
 
 
 def rows_by_element(result, name):
@@ -156,6 +165,72 @@ class TestFig4:
         # sin(2g) vanishes at pi, so res has no point to sweep: its builder says why
         with pytest.raises(InvalidCouplingError, match=r"sin\(2g\)=0"):
             run_scenario(default_spec("fig4a", grid=(math.pi,)))
+
+
+PLAN_BINDINGS = ((scenarios_module, "plan_res"), (scenarios_module, "plan_seq"),
+                 (res_module, "plan_res"), (seq_module, "plan_seq"))
+
+
+def forbid_plan_builds(monkeypatch):
+    """Make every binding of plan_res and plan_seq a scenario could call raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fig4 run built a plan")
+
+    for module, name in PLAN_BINDINGS:
+        monkeypatch.setattr(module, name, refuse)
+
+
+class TestFig4Builds:
+    """A fig4 run reads every operator off its sweep: it builds no plan and calibrates only there."""
+
+    @pytest.mark.parametrize("panel, calibrations", [("fig4a", 1), ("fig4b", 2)])
+    def test_default_run_calibrates_only_inside_the_sweep(self, monkeypatch, panel, calibrations):
+        calls, builds, inside = [], [], []
+        calibrate, sweep = seq_module.calibrate_estimator, scenarios_module.g_sweep
+
+        def counted_calibrate(plan):
+            calls.append(bool(inside))
+            return calibrate(plan)
+
+        def marked_sweep(*args, **kwargs):
+            inside.append(True)
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted(name, build):
+            return lambda *args: builds.append(name) or build(*args)
+
+        monkeypatch.setattr(seq_module, "calibrate_estimator", counted_calibrate)
+        monkeypatch.setattr(scenarios_module, "g_sweep", marked_sweep)
+        for module, name in PLAN_BINDINGS:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        run_scenario(default_spec(panel))
+        assert calls == [True] * calibrations
+        assert builds == []
+
+    @pytest.mark.parametrize("panel, element", [("fig4a", QUTRIT_ELEMENTS[0]), ("fig4b", TWO_QUBIT_ELEMENTS[0])])
+    def test_efficiency_is_the_resource_report_at_the_optima(self, monkeypatch, panel, element):
+        samples, seed = 2500, 23
+        with monkeypatch.context() as patched:
+            forbid_plan_builds(patched)
+            efficiency = run_scenario(default_spec(panel, samples=samples, seed=seed)).manifest["efficiency"]
+        g_res, g_seq = float(efficiency["g_res"]), float(efficiency["g_seq"])
+        want = resource_report(plan_res(element, g_res), plan_seq(element, g_seq), 0.1,
+                               min(samples, 2000), seed)
+        assert efficiency["ratio_seq_over_res"] == format_float(want.ratio_b_over_a)
+
+    def test_element_operator_equals_the_single_plan_operator(self):
+        system = precision_module.SystemSpec(2, 2)
+        report = precision_module.g_sweep(system, ("res", "seq"), [0.4, 1.1], 100, ShotPolicy(n_t=1.0), seed=5)
+        builders = {"res": plan_res, "seq": plan_seq}
+        for element in TWO_QUBIT_ELEMENTS:
+            for scheme, g in (("res", 0.4), ("seq", 1.1)):
+                w, settings = report.element_operator(system, scheme, g, element)
+                plan = builders[scheme](element, g)
+                assert np.array_equal(w, precision_module._variance_operator(plan))
+                assert settings == plan.n_settings
 
 
 class TestCsvTables:
