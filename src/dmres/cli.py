@@ -18,7 +18,7 @@ import numpy as np
 from .elements import ElementIndex, pair_labels
 from .errors import DmresError, InvalidElementError, InvalidStateError, StateFormatError
 from .linalg import DensityMatrix
-from .plans import plan_document
+from .plans import plan_document, stack
 from .precision import SystemSpec, default_g_grid, g_sweep
 from .res import SCHEMES, characterize, configuration_batches, diagonal_element, extract_element, plan_res
 from .sampling import stream
@@ -96,7 +96,7 @@ def cmd_extract(args) -> int:
             )
         value = complex(diagonal_element(rho, element.s), 0.0)
     else:
-        plan = SCHEMES[args.scheme].plan(element, g)
+        plan = stack(rho.dims, [(element.s_flat, element.s_prime_flat)], SCHEMES[args.scheme], (g,))[0, 0]
         value = extract_element(rho, plan)
     print(f"element {element.label()}  scheme {args.scheme}  g {format_float(g)}")
     print(f"Re = {format_float(value.real)}")

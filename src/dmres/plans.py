@@ -56,8 +56,9 @@ rows of its blocks 0...0 and 1...1, ``rows``, (2, 2^m, d_C), and its
 weights; those two blocks are every member's s and s', in that order.  A
 ``PlanBatch`` is the one plan stack: elements with one coupled shape at
 G strengths, holding ``rows`` and weights once and one support per
-member.  Each scheme builds its plans only as such a stack, a single
-plan being the stack of one.  A stack names its members as flat-index
+member.  ``stack`` builds every plan, a single plan being the stack of
+one, from the canonical element and the scheme's ``Scheme`` row, which
+gives only the canonical weights.  A stack names its members as flat-index
 pairs (u, v) on ``dims`` (see ``dmres.elements``) and builds a member's
 ``ElementIndex`` only when its plan is asked for.  The estimate,
 variance and readout contractions run on the canonical arrays, once per
@@ -71,13 +72,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import ElementIndex, element_from_flat, pair_labels
+from .elements import ElementIndex, coupled_shape, element_from_flat, pair_labels, supports
 from .errors import InvalidCouplingError, InvalidElementError
 from .linalg import SIGMA_X, SIGMA_Y, DensityMatrix, Ket, check_joint_dim
 from .operators import coupling_gate, meter_readout_basis
@@ -91,8 +92,8 @@ SEQ_SCHEME = "seq"
 # since its projector couplings otherwise leave the meters blank and the
 # relative calibration floor would keep rounding noise.  Each scheme
 # states its rule once (``res.singular_strength``,
-# ``seq.singular_strength``, both in ``res.SCHEMES``); its builder
-# refuses those strengths and strength grids drop them.
+# ``seq.singular_strength``, both in ``res.SCHEMES``); its weights
+# refuse those strengths and strength grids drop them.
 SINGULAR_TOL = 1e-9
 
 # Entries, at most 16 bytes each (4 MiB), that the per-member arrays of
@@ -128,6 +129,20 @@ class CalibrationInfo:
     residual_re: float
     residual_im: float
     smallest_singular_value: float
+
+
+class Scheme(NamedTuple):
+    """One row of the scheme table ``res.SCHEMES``: what a scheme builds its plans from."""
+
+    name: str
+    couplings: Callable  # element -> its couplings, in order
+    # (canonical element, its block rows (G, 2, 2^m, d_C), gs) -> its weights
+    # (G, 2, n_settings, 2) and a CalibrationInfo per strength or None;
+    # refuses the scheme's singular strengths
+    weights: Callable
+    singular: Callable  # g -> whether the scheme is undefined there
+    meters: int  # meters per coupled qudit
+    calibrated: bool  # whether its weights are solved from a Gram stack of the rows
 
 
 class _PlanLayout:
@@ -244,14 +259,14 @@ class PlanBatch(_PlanLayout):
     the element of flat indices ``pairs[i]`` (M, 2) on ``dims``, and
     ``supports[i]`` (M, d_C) its support, on its own coupled set.
     ``batch[k, i]`` is member i's plan at ``gs[k]``, with its
-    ``ElementIndex`` built then and the couplings the scheme's rule
+    ``ElementIndex`` built then and the couplings its ``scheme`` row
     gives it.  The engine's estimate and variance contractions accept a
     batch and run once on the canonical arrays.
     """
 
     dims: tuple[int, ...]
     pairs: np.ndarray  # (M, 2) flat indices (s, s')
-    scheme: str
+    scheme: Scheme
     gs: tuple[float, ...]
     settings: tuple[MeasurementSetting, ...]
     weights: np.ndarray  # (G, 2, n_settings, 2), the canonical element's
@@ -264,14 +279,13 @@ class PlanBatch(_PlanLayout):
         return math.prod(self.dims) * self.n_settings
 
     def __getitem__(self, key: tuple[int, int]) -> ProtocolPlan:
-        from .res import scheme_entry  # the scheme table sits above the engine
         k, i = key
         element = element_from_flat(self.dims, *self.pairs[i])
         return ProtocolPlan(
             element=element,
-            scheme=self.scheme,
+            scheme=self.scheme.name,
             g=self.gs[k],
-            couplings=scheme_entry(self.scheme).couplings(element),
+            couplings=self.scheme.couplings(element),
             settings=self.settings,
             weights=self.weights[k],
             rows=self.rows[k],
@@ -291,6 +305,36 @@ def canonical_rows(canonical: ElementIndex, couplings: Sequence[Coupling], gs) -
     d = canonical.dim
     base = base_amplitudes(canonical.dims, couplings, gs)
     return base.reshape(len(gs), d, -1, d)[:, [canonical.s_flat, canonical.s_prime_flat]]
+
+
+def canonical_stack(shape: tuple[int, ...], scheme: Scheme, gs) -> PlanBatch:
+    """The ``scheme`` stack of the canonical element (0...0, 1...1) alone on ``shape``, at each strength of ``gs``.
+
+    Its couplings, settings and block rows are formed once and the row
+    gives the weights; its support is the whole space, 0..d_C-1.
+    """
+    gs = finite_strengths(gs)
+    canonical = _canonical_element(shape)
+    couplings = scheme.couplings(canonical)
+    rows = canonical_rows(canonical, couplings, gs)
+    weights, calibrations = scheme.weights(canonical, rows, gs)
+    return PlanBatch(dims=shape, pairs=np.array([[canonical.s_flat, canonical.s_prime_flat]]), scheme=scheme,
+                     gs=gs, settings=enumerate_settings(len(couplings)), weights=weights, rows=rows,
+                     supports=np.arange(canonical.dim)[None], calibrations=calibrations)
+
+
+def stack(dims, pairs, scheme: Scheme, gs) -> PlanBatch:
+    """The ``scheme`` plans of flat-index pairs (M, 2) on ``dims``, all of one coupled shape, at each of ``gs``.
+
+    The pairs must be off-diagonal and the strengths finite.  It is the
+    ``canonical_stack`` of the coupled shape with each member's support:
+    ``stack[k, i]`` is member i's plan at ``gs[k]``.  The first singular
+    strength, in order, raises, then the first failing calibration.
+    """
+    dims, pairs = tuple(dims), np.asarray(pairs).reshape(-1, 2)
+    check_off_diagonal(dims, pairs)
+    built = canonical_stack(coupled_shape(dims, *pairs[0]), scheme, gs)
+    return replace(built, dims=dims, pairs=pairs, supports=supports(dims, *pairs.T))
 
 
 def coefficient_tables(weights: np.ndarray, blocks: Sequence[int], dim: int) -> np.ndarray:
@@ -377,15 +421,15 @@ def base_amplitudes(dims: Sequence[int], couplings: Sequence[Coupling], g) -> np
     d_sys = math.prod(dims)
     check_joint_dim(d_sys * 2 ** len(couplings))
     gs = np.asarray(g, dtype=float)
-    stack = gs.reshape(-1)
+    flat = gs.reshape(-1)
     # axes (G, d_1, ..., d_N, meters so far, columns)
-    tensor = np.eye(d_sys, dtype=complex)[None].repeat(stack.size, 0).reshape((stack.size,) + dims + (d_sys,))
+    tensor = np.eye(d_sys, dtype=complex)[None].repeat(flat.size, 0).reshape((flat.size,) + dims + (d_sys,))
     for c in couplings:
         q, axes = 1 + c.qudit, tuple(range(tensor.ndim))
         tensor = tensor.transpose((0, q) + axes[1:q] + axes[q + 1:])
         shape = tensor.shape
         # (G, 2d, d) meter-input-0 columns, each output row (v, p)
-        tensor = coupling_gate(c.kind, c.op, stack)[..., ::2] @ tensor.reshape(shape[:2] + (-1,))
+        tensor = coupling_gate(c.kind, c.op, flat)[..., ::2] @ tensor.reshape(shape[:2] + (-1,))
         tensor = tensor.reshape(shape[:2] + (2,) + shape[2:])
         # axes (G, v, p, the others): v back to axis q, p before the columns
         tensor = tensor.transpose((0,) + axes[3:q + 2] + (1,) + axes[q + 2:] + (2, len(axes)))
@@ -409,8 +453,8 @@ def joint_unitary(dims: Sequence[int], couplings: Sequence[Coupling], g: float) 
     return joint.swapaxes(2, 3).reshape(d_sys * n_patterns, -1)
 
 
-def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Apply one of the 2x2 matrices ``stack[b]`` to each meter, for every choice.
+def per_meter(blocks: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply one of the 2x2 matrices ``mats[b]`` to each meter, for every choice.
 
     ``blocks`` is (rows, 2^m, cols) with meter 0 most significant in the
     middle axis.  The result is (2^m, rows * 2^m, cols): one slice per
@@ -421,7 +465,7 @@ def per_meter(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
     out = blocks[None]
     for i in range(m):
         tail = 2 ** (m - i - 1) * cols
-        out = np.einsum("boi,spir->sbpor", stack, out.reshape(-1, rows * 2 ** i, 2, tail))
+        out = np.einsum("boi,spir->sbpor", mats, out.reshape(-1, rows * 2 ** i, 2, tail))
     return out.reshape(-1, rows * n_patterns, cols)
 
 

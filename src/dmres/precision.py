@@ -8,11 +8,12 @@ product, the rows of W against a float view of the states that copies
 nothing (``_trace``), and a sweep puts all the points of a chunk
 through that product stacked, each point with the bits it has alone.
 Every Haar average takes W from one path, ``mean_variance_operators``,
-which groups the element set by coupled shape once and builds it
-through ``res.configuration_stacks`` for a chunk of strengths at a
-time, so the elements of each coupled shape share one stacked build; a
-single strength is the grid of one.  The operators come from the
-plans' unrotated columns, so no precision path rotates a readout row.
+which groups the element set by coupled shape once and builds one
+``plans.canonical_stack`` per coupled shape for a chunk of strengths at
+a time, which the elements of that shape share, each read at its
+support; a single strength is the grid of one.  The operators come
+from the plans' unrotated columns, so no precision path rotates a
+readout row.
 A sweep's report keeps W for every (scheme, strength) it covered, and
 each coupled shape's canonical operator there.  Histograms and the
 reference comparison handed that report read W from it at strengths on
@@ -40,7 +41,7 @@ import numpy as np
 from .elements import ElementIndex, completely_offdiagonal_pairs, coupled_shape, shape_groups, supports
 from .errors import DmresError, InvalidStateError
 from . import res
-from .plans import SEQ_SCHEME, PlanBatch, ProtocolPlan, embedded, estimator_operators, finite_strengths
+from .plans import PlanBatch, ProtocolPlan, Scheme, canonical_stack, embedded, estimator_operators, finite_strengths
 from .sampling import precision_states
 from .shots import ALLOCATIONS, ShotPolicy, allocation_factor
 from .stateio import format_float
@@ -220,27 +221,22 @@ def per_state_values(
     return _unit_values(system, scheme, g, seed, samples)[0]
 
 
-def _stored_entries(dims, pairs, scheme: str) -> int:
-    """Array entries per strength that a sweep chunk budgets for the stack of one coupled shape.
+def _stored_entries(dims, shape: tuple[int, ...], members: int, scheme: Scheme) -> int:
+    """Array entries per strength that a sweep chunk budgets for one coupled shape of ``members`` elements.
 
-    With D the system dimension, d_C that of the coupled qudits and
-    S = 2^m settings, the stack of the flat-index ``pairs`` (M, 2) on
-    ``dims``, all of that shape, keeps the canonical block
-    rows (2 S d_C) and weights (2 S 2), its variance operator pair
-    (2 d_C d_C) and, for ``seq``, the Gram stack A_k^dag Sigma_b A_k its
-    calibration reads (2 S d_C d_C); each member its support (d_C) and
-    its mean operator embedded in the full space (D D).  Readout rows
-    (a sweep rotates none) and the flipped blocks (under
-    ``seq.FLIP_ENTRIES``) are not counted: the count bounds the arrays a
-    build keeps, not its transient copies.
+    With D the system dimension, d_C that of the coupled qudits
+    ``shape`` and S = 2^m settings, the shape's canonical stack keeps
+    the block rows (2 S d_C) and weights (2 S 2), its variance operator
+    pair (2 d_C d_C) and, for a calibrated scheme, the Gram stack
+    A_k^dag Sigma_b A_k its calibration reads (2 S d_C d_C); each member
+    its support (d_C) and its mean operator embedded in the full space
+    (D D).  Readout rows (a sweep rotates none) and the flipped blocks
+    (under ``seq.FLIP_ENTRIES``) are not counted: the count bounds the
+    arrays a build keeps, not its transient copies.
     """
-    shape = coupled_shape(dims, *pairs[0])
-    settings = 2 ** (res.SCHEMES[scheme].meters * len(shape))
-    d = math.prod(shape)
-    entries = 2 * settings * d + 2 * settings * 2 + 2 * d * d + len(pairs) * (d + math.prod(dims) ** 2)
-    if scheme == SEQ_SCHEME:
-        entries += settings * 2 * d * d
-    return entries
+    settings, d = 2 ** (scheme.meters * len(shape)), math.prod(shape)
+    entries = 2 * settings * d + 2 * settings * 2 + 2 * d * d + members * (d + math.prod(dims) ** 2)
+    return entries + scheme.calibrated * 2 * settings * d * d
 
 
 class _ElementSet(NamedTuple):
@@ -272,32 +268,33 @@ def _element_set(system: SystemSpec) -> _ElementSet:
 
 
 def _chunk_step(system: SystemSpec, scheme: str) -> int:
-    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape's stack, at least one."""
-    elements = _element_set(system)
-    return max(1, CHUNK_ENTRIES // max(_stored_entries(elements.dims, elements.pairs[members], scheme)
-                                       for members in elements.groups))
+    """Strengths per sweep chunk: as many as fit ``CHUNK_ENTRIES`` for the largest shape, at least one."""
+    elements, entry = _element_set(system), res.scheme_entry(scheme)
+    return max(1, CHUNK_ENTRIES // max(_stored_entries(elements.dims, shape, len(members), entry)
+                                       for shape, members in zip(elements.shapes, elements.groups)))
 
 
 def _canonical_chunks(system: SystemSpec, scheme: str, gs):
     """Yield ``(chunk, counts, means)`` for the strengths of ``gs``, a chunk of them at a time, in order.
 
     A chunk holds as many strengths as fit ``CHUNK_ENTRIES`` for the
-    largest coupled shape; each shape of the element set is built for
-    it through ``res.configuration_stacks``, and ``means`` holds each
+    largest coupled shape; each shape of the element set builds its one
+    ``canonical_stack`` for it, no member's, and ``means`` holds each
     shape's canonical mean variance operators (G, d_C, d_C),
-    ``_canonical_mean`` of its stack, in ``_element_set`` group order.
+    ``_canonical_mean`` of that stack, in ``_element_set`` group order.
     ``counts`` are the plans' (couplings, settings, outcomes per
     setting).  No stack is held once its chunk is yielded.
     """
-    elements = _element_set(system)
+    elements, entry = _element_set(system), res.scheme_entry(scheme)
     gs = list(gs)
     step = _chunk_step(system, scheme)
     for lo in range(0, len(gs), step):
         chunk, means = gs[lo:lo + step], []
-        for stack in res.configuration_stacks(elements.dims, elements.pairs, elements.groups, scheme, chunk):
-            means.append(_canonical_mean(stack))
-        counts = (stack.n_meters, stack.n_settings, stack.outcomes_per_setting)
-        del stack  # not held while the caller works on this chunk
+        for shape in elements.shapes:
+            built = canonical_stack(shape, entry, chunk)
+            means.append(_canonical_mean(built))
+        counts = (built.n_meters, built.n_settings, math.prod(elements.dims) * built.n_settings)
+        del built  # not held while the caller works on this chunk
         yield chunk, counts, means
 
 
@@ -323,10 +320,10 @@ def mean_variance_operators(system: SystemSpec, scheme: str, gs):
     quadratures, summed in element-set order, the same bit for bit
     whatever the chunking; counts are the plans' (couplings, settings,
     outcomes per setting).  The element set is grouped by coupled shape
-    once and built through ``res.configuration_stacks`` a chunk of
-    strengths at a time, as many as fit ``CHUNK_ENTRIES`` for the largest
-    shape, and each member's W is its stack's one ``estimator_operators``
-    pair, embedded at its support and put at the member's position in the set.
+    once and each shape's canonical stack built a chunk of strengths at
+    a time, as many as fit ``CHUNK_ENTRIES`` for the largest shape, and
+    each member's W is its shape's one ``estimator_operators`` pair,
+    embedded at its support and put at the member's position in the set.
     """
     for chunk, counts, means in _canonical_chunks(system, scheme, gs):
         yield from ((g, w, counts) for g, w in zip(chunk, _set_means(system, means)))

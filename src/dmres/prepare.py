@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elements import completely_offdiagonal_pairs
 from .errors import InvalidStateError
 from .linalg import DensityMatrix, Ket
 
@@ -97,9 +98,8 @@ def dephase(rho: DensityMatrix, gamma: float, mode: str = "all-offdiag") -> Dens
     if mode == "all-offdiag":
         mask = ~np.eye(rho.dim, dtype=bool)
     elif mode == "completely-offdiag":
-        dims = rho.dims
-        idx = np.array([np.unravel_index(k, dims) for k in range(rho.dim)])
-        mask = np.all(idx[:, None, :] != idx[None, :, :], axis=2)
+        mask = np.zeros((rho.dim, rho.dim), dtype=bool)
+        mask[completely_offdiagonal_pairs(rho.dims, ordered=True)] = True
     else:
         raise InvalidStateError(f"unknown dephasing mode {mode!r}")
     mat[mask] *= gamma

@@ -7,14 +7,15 @@ make the extraction an exact identity at any strength with
 sin(2g) != 0.
 
 ``SCHEMES`` holds every fact that differs between ``res`` and ``seq``,
-and ``configuration_stacks`` is the one path from an element set to
-plan stacks: full-matrix characterization and precision sweeps both
-read their plans from it.  An element set is a pair of flat-index
-arrays on ``dims`` (see ``dmres.elements``), grouped by coupled shape
-dims[C], C the qudits where s and s' differ, since every element of that
-shape reads the plan of (0...0, 1...1) on dims[C] through its support
-(see ``dmres.plans``), whichever qudits C names: each group's plan is
-built once, for that element, and no member's ``ElementIndex`` is built.
+one ``plans.Scheme`` row each: its couplings and its canonical weights,
+from which ``plans.stack`` builds every plan.  ``configuration_stacks``
+is the one path from an element set to plan stacks for full-matrix
+characterization.  An element set is a pair of flat-index arrays on
+``dims`` (see ``dmres.elements``), grouped by coupled shape dims[C], C
+the qudits where s and s' differ, since every element of that shape
+reads the plan of (0...0, 1...1) on dims[C] through its support (see
+``dmres.plans``), whichever qudits C names: each group's plan is built
+once, for that element, and no member's ``ElementIndex`` is built.
 """
 
 from __future__ import annotations
@@ -22,31 +23,27 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elements import ElementIndex, coupled_shape, offdiagonal_pairs, shape_groups, supports
+from .elements import ElementIndex, coupled_shape, offdiagonal_pairs, shape_groups
 from .errors import DmresError, InvalidCouplingError, InvalidElementError, InvalidStateError
 from .linalg import DensityMatrix, Ket, as_density, check_joint_dim
 from .operators import make_involution
 from .plans import (
     Coupling,
     MeasurementSetting,
-    PlanBatch,
     ProtocolPlan,
     RES_SCHEME,
     SEQ_SCHEME,
     SINGULAR_TOL,
+    Scheme,
     _born,
-    _canonical_element,
     _estimator_grams,
-    canonical_rows,
-    check_off_diagonal,
     check_state_dims,
     enumerate_settings,
-    finite_strengths,
     member_traces,
+    stack,
 )
 from . import seq
 
@@ -64,13 +61,15 @@ def _check_strength(g: float, l: int) -> float:
     return float(np.sin(2.0 * g))
 
 
-def _res_weights(gs, settings, n_meters: int) -> np.ndarray:
-    """The canonical element's block weights (G, 2, n_settings, 2), realizing the exact extraction identity.
+def _res_weights(canonical: ElementIndex, rows: np.ndarray, gs):
+    """The canonical element's block weights (G, 2, n_settings, 2) realizing the exact extraction identity; no calibration.
 
     Per setting b the weight on block s' = 1...1 is prod_j (i if b_j = y)
     and its conjugate on block s = 0...0, times the 1/(2 sin^l 2g)
-    normalization at each strength of ``gs``.
+    normalization at each strength of ``gs``; no block row is read.
     """
+    n_meters = canonical.n_couplings
+    settings = enumerate_settings(n_meters)
     w = np.array([1, 1j, -1, -1j])[[s.meter_bases.count("y") % 4 for s in settings]]
     unit = np.zeros((len(settings), 2), dtype=complex)
     unit[:, 0] += w.conj()  # += keeps every zero +0
@@ -78,7 +77,7 @@ def _res_weights(gs, settings, n_meters: int) -> np.ndarray:
     norm = np.array([1.0 / (2.0 * _check_strength(g, n_meters) ** n_meters) for g in gs])
     coeff = np.zeros((len(gs),) + unit.shape, dtype=complex)
     coeff += norm[:, None, None] * unit
-    return np.stack([coeff.real, coeff.imag], axis=1)
+    return np.stack([coeff.real, coeff.imag], axis=1), None
 
 
 @functools.cache
@@ -98,28 +97,12 @@ def _res_couplings(element: ElementIndex) -> tuple[Coupling, ...]:
     return tuple(couplings)
 
 
-def res_stack(dims, pairs, gs) -> PlanBatch:
-    """The res plans of flat-index pairs (M, 2) on ``dims``, all of one coupled shape, at each of ``gs``.
-
-    The block rows and the weights are built once, for the canonical
-    element (0...0, 1...1) on dims[C], at every strength; each member
-    keeps its support.  Nothing rotates a readout row.  ``stack[k, i]``
-    is member i's plan at ``gs[k]``, with its own involutions.
-    """
-    dims, pairs = tuple(dims), np.asarray(pairs).reshape(-1, 2)
-    check_off_diagonal(dims, pairs)
-    gs = finite_strengths(gs)
-    canonical = _canonical_element(coupled_shape(dims, *pairs[0]))
-    settings = enumerate_settings(canonical.n_couplings)
-    return PlanBatch(dims=dims, pairs=pairs, scheme=RES_SCHEME, gs=gs, settings=settings,
-                     weights=_res_weights(gs, settings, canonical.n_couplings),
-                     rows=canonical_rows(canonical, _res_couplings(canonical), gs),
-                     supports=supports(dims, *pairs.T))
+RES = Scheme(RES_SCHEME, _res_couplings, _res_weights, singular_strength, meters=1, calibrated=False)
 
 
 def plan_res(element: ElementIndex, g: float) -> ProtocolPlan:
-    """Build the single-coupling plan for an off-diagonal element: ``res_stack`` of one."""
-    return res_stack(element.dims, [(element.s_flat, element.s_prime_flat)], (g,))[0, 0]
+    """Build the single-coupling plan for an off-diagonal element: the res ``stack`` of one."""
+    return stack(element.dims, [(element.s_flat, element.s_prime_flat)], RES, (g,))[0, 0]
 
 
 class OutcomeDistribution:
@@ -176,20 +159,10 @@ def diagonal_element(rho: DensityMatrix | Ket, s) -> float:
     return float(rho.entries[idx, idx].real)
 
 
-class Scheme(NamedTuple):
-    """What one scheme builds its plans from."""
+SCHEMES = {row.name: row for row in (RES, seq.SEQ)}
 
-    plan: Callable  # (element, g) -> ProtocolPlan
-    stack: Callable  # (dims, pairs of one coupled shape, gs) -> PlanBatch
-    couplings: Callable  # element -> its couplings, in order
-    singular: Callable  # g -> whether the scheme is undefined there
-    meters: int  # meters per coupled qudit
-
-
-SCHEMES = {
-    RES_SCHEME: Scheme(plan_res, res_stack, _res_couplings, singular_strength, 1),
-    SEQ_SCHEME: Scheme(seq.plan_seq, seq.seq_stack, seq.seq_couplings, seq.singular_strength, 2),
-}
+# each scheme's single-plan builder, by which ``characterize`` is told the scheme
+PLAN_BUILDERS = {plan_res: RES_SCHEME, seq.plan_seq: SEQ_SCHEME}
 
 
 def scheme_entry(name: str) -> Scheme:
@@ -204,7 +177,7 @@ def configuration_stacks(dims, pairs, groups, scheme: str, gs):
 
     The one path from an element set to plans: ``groups`` is
     ``shape_groups`` of the pairs, and each coupled shape is built once
-    by the scheme's stack builder and yielded as one stack holding the
+    by ``plans.stack`` and yielded as one stack holding the
     pairs at its positions, so ``stack[k, i]`` is member i's plan at
     ``gs[k]``.  The joint dimension d_C 2^m of the largest shape, d_C
     the dimension of its coupled qudits and m the scheme's meters per
@@ -215,17 +188,17 @@ def configuration_stacks(dims, pairs, groups, scheme: str, gs):
     shapes = [coupled_shape(dims, *pairs[members[0]]) for members in groups]
     check_joint_dim(max((math.prod(shape) * 2 ** (entry.meters * len(shape)) for shape in shapes), default=0))
     for members in groups:
-        yield entry.stack(dims, pairs[members], gs)
+        yield stack(dims, pairs[members], entry, gs)
 
 
 def configuration_batches(dims, g: float, plan_builder=plan_res):
     """``configuration_stacks`` of every upper-triangle pair u < v, row-major, at the one strength ``g``.
 
-    ``plan_builder`` names the scheme: a ``SCHEMES`` plan builder, also
+    ``plan_builder`` names the scheme: a ``PLAN_BUILDERS`` builder, also
     behind ``functools.wraps`` wrappers; any other raises ``DmresError``.
     """
     builder = inspect.unwrap(plan_builder)
-    names = [name for name, entry in SCHEMES.items() if entry.plan is builder]
+    names = [name for known, name in PLAN_BUILDERS.items() if known is builder]
     if not names:
         raise DmresError(
             f"plan builder {getattr(plan_builder, '__name__', plan_builder)!r} has no "

@@ -23,12 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .elements import ElementIndex, coupled_shape, supports
+from .elements import ElementIndex, coupled_shape
 from .errors import CalibrationError, InvalidCouplingError
 from .linalg import projector
 from .operators import uniform_superposition_projector
@@ -39,13 +38,11 @@ from .plans import (
     ProtocolPlan,
     SEQ_SCHEME,
     SINGULAR_TOL,
+    Scheme,
     _canonical_element,
     _flip_phases,
-    canonical_rows,
-    check_off_diagonal,
-    enumerate_settings,
-    finite_strengths,
     sign_products,
+    stack,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -244,30 +241,41 @@ def _solve(rows: np.ndarray, targets: np.ndarray, gs: Sequence[float]):
     return z, infos
 
 
-def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
-    """Minimum-norm unbiased weights for the Re and Im functionals.
+def calibrated_weights(canonical: ElementIndex, rows: np.ndarray, gs):
+    """The seq row's canonical weights: minimum-norm unbiased weights for the Re and Im functionals.
 
     The estimator is restricted to full-product meter correlators at the
     two post-selection outcomes, the joint statistics the sequential
-    readout actually uses; their rows come from the unrotated block rows
-    ``rows``, and the plan's own weights are not read.  The solve is the
-    canonical element's (0...0, 1...1) on dims[C], which every member
-    reads.
+    readout actually uses; their rows come from the canonical element's
+    unrotated block ``rows`` (G, 2, 2^m, d_C), solved once per strength.
+    Returns the weights (G, 2, n_settings, 2) and a ``CalibrationInfo``
+    per strength.  The first singular strength, in order, raises, then
+    the first whose residual exceeds ``RESIDUAL_TOL``.
+    """
+    for g in gs:
+        if singular_strength(g):
+            raise InvalidCouplingError(
+                f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
+                "meters blank and the sequential estimator is undefined"
+            )
+    response = _correlator_response(rows)
+    z, infos = _solve(response.reshape(len(gs), -1, response.shape[-1]), _targets(canonical), gs)
+    n_meters = rows.shape[-2].bit_length() - 1
+    return _correlator_weights(z, n_meters).reshape((len(gs), 2, -1, 2)), infos
+
+
+def calibrate_estimator(plan: ProtocolPlan | PlanBatch):
+    """``calibrated_weights`` of a plan's or a stack's block rows; its own weights are not read.
 
     For a plan this returns (weights, info), with weights (2,
-    n_settings, 2) as the plan stores them, blocks s then s'.  For a
-    ``PlanBatch`` it solves once per strength and returns the canonical
-    weights (G, 2, n_settings, 2) with one ``CalibrationInfo`` per
-    strength.  The first strength whose residual exceeds
-    ``RESIDUAL_TOL`` raises ``CalibrationError``.
+    n_settings, 2) as the plan stores them.  For a ``PlanBatch`` it
+    solves once per strength and returns the canonical weights (G, 2,
+    n_settings, 2) with one ``CalibrationInfo`` per strength.
     """
     single = isinstance(plan, ProtocolPlan)
     gs = (plan.g,) if single else plan.gs
     dims, pair = (plan.element.dims, plan.post_selectors) if single else (plan.dims, plan.pairs[0])
-    rows = _correlator_response(plan.rows)
-    canonical = _canonical_element(coupled_shape(dims, *pair))
-    z, infos = _solve(rows.reshape(len(gs), -1, rows.shape[-1]), _targets(canonical), gs)
-    weights = _correlator_weights(z, plan.n_meters).reshape((len(gs), 2, -1, 2))
+    weights, infos = calibrated_weights(_canonical_element(coupled_shape(dims, *pair)), plan.rows, gs)
     return (weights[0], infos[0]) if single else (weights, infos)
 
 
@@ -276,34 +284,9 @@ def singular_strength(g: float) -> bool:
     return abs(math.sin(g)) <= SINGULAR_TOL
 
 
-def seq_stack(dims, pairs, gs) -> PlanBatch:
-    """The calibrated seq plans of flat-index pairs (M, 2) on ``dims``, all of one coupled shape, at each of ``gs``.
-
-    The block rows are built and ``calibrate_estimator`` solved once, for
-    the canonical element (0...0, 1...1) on dims[C], at every strength;
-    each member keeps its support.  The first
-    strength, in order, that is singular raises, and then the first that
-    fails calibration raises the error every member's ``plan_seq`` would.
-    """
-    dims, pairs = tuple(dims), np.asarray(pairs).reshape(-1, 2)
-    check_off_diagonal(dims, pairs)
-    gs = finite_strengths(gs)
-    for g in gs:
-        if singular_strength(g):
-            raise InvalidCouplingError(
-                f"sin(g)=0 at g={g!r}: no coupling, the projector couplings leave the "
-                "meters blank and the sequential estimator is undefined"
-            )
-    canonical = _canonical_element(coupled_shape(dims, *pairs[0]))
-    couplings = seq_couplings(canonical)
-    settings = enumerate_settings(len(couplings))
-    bare = PlanBatch(dims=dims, pairs=pairs, scheme=SEQ_SCHEME, gs=gs, settings=settings,
-                     weights=np.zeros((len(gs), 2, len(settings), 2)),
-                     rows=canonical_rows(canonical, couplings, gs), supports=supports(dims, *pairs.T))
-    weights, infos = calibrate_estimator(bare)
-    return replace(bare, weights=weights, calibrations=infos)
+SEQ = Scheme(SEQ_SCHEME, seq_couplings, calibrated_weights, singular_strength, meters=2, calibrated=True)
 
 
 def plan_seq(element: ElementIndex, g: float) -> ProtocolPlan:
-    """Build and calibrate the sequential baseline plan: ``seq_stack`` of one."""
-    return seq_stack(element.dims, [(element.s_flat, element.s_prime_flat)], (g,))[0, 0]
+    """Build and calibrate the sequential baseline plan: the seq ``stack`` of one."""
+    return stack(element.dims, [(element.s_flat, element.s_prime_flat)], SEQ, (g,))[0, 0]

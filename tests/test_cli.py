@@ -165,14 +165,14 @@ class TestCharacterize:
     def test_shot_report_builds_each_plan_once(self, tmp_path, monkeypatch):
         # each pair's plan serves both its draw and the deviation report;
         # entry (v, u) shares the shot variances of its conjugate (u, v)
-        import dmres.res as res_module
+        import dmres.plans as plans_module
 
         rho = random_mixed_state((2, 2), stream(4, "cli"))
         src = tmp_path / "in.state"
         write_state(src, rho)
         built = []
-        counted = res_module.supports
-        monkeypatch.setattr(res_module, "supports",
+        counted = plans_module.supports
+        monkeypatch.setattr(plans_module, "supports",
                             lambda dims, u, v: built.extend(zip(u.tolist(), v.tolist())) or counted(dims, u, v))
         code = main(["characterize", "--state", str(src), "--g", "0.6", "--out", str(tmp_path / "out"),
                      "--truth", str(src), "--shots", "1e5", "--seed", "2"])

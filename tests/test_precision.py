@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,18 +24,21 @@ from dmres import (
 import dmres.precision as precision_module
 import dmres.res as res_module
 import dmres.seq as seq_module
-from dmres.elements import pair_labels, precision_element_set
+import dmres.elements as elements_module
+from dmres.elements import precision_element_set
 from dmres.errors import DmresError
+import dmres.plans as plans_module
 from dmres.plans import estimator_operators
 from dmres.precision import (
     SystemSpec,
     default_g_grid,
+    filter_grid,
     per_state_values,
     sampled_states,
 )
 from dmres.sampling import sample_precision_state
 
-from oracles import exact_haar_mean, flat_pairs, mean_stderr, shape_members
+from oracles import exact_haar_mean, flat_pairs, mean_stderr, reference_canonical, shape_members
 
 PER = ShotPolicy(n_t=1.0)
 SPLIT = ShotPolicy(n_t=1.0, allocation="split-total")
@@ -47,16 +51,16 @@ def element_plans(system, scheme, g):
 
 
 def count_builds(monkeypatch):
-    """A list that records (member labels, scheme, strengths) for every configuration stack built."""
+    """A list that records (coupled shape, scheme, strengths) for every canonical stack a precision path builds."""
     builds = []
-    stacks = res_module.configuration_stacks
+    build = precision_module.canonical_stack
 
-    def counted(dims, pairs, groups, scheme, gs):
-        for stack in stacks(dims, pairs, groups, scheme, gs):
-            builds.append((tuple(pair_labels(dims, *stack.pairs.T)), scheme, stack.gs))
-            yield stack
+    def counted(shape, scheme, gs):
+        stack = build(shape, scheme, gs)
+        builds.append((shape, scheme.name, stack.gs))
+        return stack
 
-    monkeypatch.setattr(res_module, "configuration_stacks", counted)
+    monkeypatch.setattr(precision_module, "canonical_stack", counted)
     return builds
 
 
@@ -190,7 +194,7 @@ def held_entries(members, scheme, gs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seq_module, "basis_traces", recorded)
-        stack = res_module.SCHEMES[scheme].stack(members[0].dims, flat_pairs(members), gs)
+        stack = plans_module.stack(members[0].dims, flat_pairs(members), res_module.SCHEMES[scheme], gs)
     arrays = [stack.rows.size, stack.weights.size, stack.supports.size, estimator_operators(stack).size,
               precision_module._variance_operator(stack).size]
     if scheme == "seq":
@@ -204,26 +208,61 @@ class TestChunkSizing:
     def test_layout_count_is_the_built_stacks_size(self, system, scheme):
         elements = precision_element_set(system.n_qudits, system.d)
         for members in shape_members(elements):
-            count = precision_module._stored_entries(members[0].dims, flat_pairs(members), scheme)
+            count = precision_module._stored_entries(members[0].dims, reference_canonical(members[0]).dims,
+                                                     len(members), res_module.SCHEMES[scheme])
             assert count == sum(held_entries(members, scheme, [0.6]))
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("scheme", ["res", "seq"])
     def test_layout_count_covers_every_array_a_build_holds(self, dims, scheme):
         for members in shape_members(all_offdiagonal_elements(dims)):
-            count = precision_module._stored_entries(dims, flat_pairs(members), scheme)
+            count = precision_module._stored_entries(dims, reference_canonical(members[0]).dims, len(members),
+                                                     res_module.SCHEMES[scheme])
             assert count >= sum(held_entries(members, scheme, [0.3, 0.6, 1.1])), members[0].label()
 
-    @pytest.mark.parametrize("system, scheme, stacks", [
-        (SystemSpec(1, 3), "res", [("0,1", "0,2", "1,2")]),
-        (SystemSpec(1, 3), "seq", [("0,1", "0,2", "1,2")]),
-        (SystemSpec(2, 2), "res", [("00,11", "01,10")]),
-        (SystemSpec(2, 2), "seq", [("00,11", "01,10")]),
+    @pytest.mark.parametrize("system, scheme, shapes", [
+        (SystemSpec(1, 3), "res", [(3,)]),
+        (SystemSpec(1, 3), "seq", [(3,)]),
+        (SystemSpec(2, 2), "res", [(2, 2)]),
+        (SystemSpec(2, 2), "seq", [(2, 2)]),
     ])
-    def test_short_grid_builds_each_configuration_once(self, monkeypatch, system, scheme, stacks):
+    def test_short_grid_builds_each_configuration_once(self, monkeypatch, system, scheme, shapes):
         builds = count_builds(monkeypatch)
         g_sweep(system, [scheme], [0.5, 0.9], 150, PER, seed=1)
-        assert builds == [(members, scheme, (0.5, 0.9)) for members in stacks]
+        assert builds == [(shape, scheme, (0.5, 0.9)) for shape in shapes]
+
+
+def count_calls(monkeypatch, function):
+    """A list that records the arguments of every call of ``function`` through any dmres module's binding of it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dmres") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+class TestSweepBuilds:
+    @pytest.mark.parametrize("system", [SystemSpec(2, 2), SystemSpec(3, 2)])
+    def test_warm_sweep_builds_one_canonical_stack_per_shape_and_chunk(self, monkeypatch, system):
+        # the element set and its supports are kept for the process, so a
+        # warm sweep maps no member to its support: it builds each coupled
+        # shape's canonical plan once per chunk and reads the members off it
+        grid = default_g_grid()
+        g_sweep(system, ("res", "seq"), grid, 100, PER)
+        supports_calls = count_calls(monkeypatch, elements_module.supports)
+        rows_calls = count_calls(monkeypatch, plans_module.canonical_rows)
+        g_sweep(system, ("res", "seq"), grid, 100, PER)
+        assert supports_calls == []
+        want = []
+        for scheme in ("res", "seq"):
+            gs, step = filter_grid(scheme, grid), precision_module._chunk_step(system, scheme)
+            want += [(system.dims, tuple(gs[lo:lo + step])) for lo in range(0, len(gs), step)]
+        assert [(canonical.dims, tuple(gs)) for canonical, _, gs in rows_calls] == want
 
 
 def float_bytes(x):

@@ -130,9 +130,9 @@ class TestPlanStructure:
     def test_rejects_diagonal_element(self):
         with pytest.raises(InvalidElementError, match="^element 1,1 is diagonal; use diagonal_element instead$"):
             plan_res(ElementIndex.create((3,), (1,), (1,)), 0.5)
-        for stack in (SCHEMES["res"].stack, SCHEMES["seq"].stack):
+        for scheme in (SCHEMES["res"], SCHEMES["seq"]):
             with pytest.raises(InvalidElementError, match="^element 11,11 is diagonal"):
-                stack((3, 3), [(0, 1), (4, 4), (8, 8)], (0.5,))
+                plans_module.stack((3, 3), [(0, 1), (4, 4), (8, 8)], scheme, (0.5,))
 
     def test_rejects_singular_strength(self):
         for g in (0.0, math.pi / 2, math.pi):
@@ -429,7 +429,7 @@ class TestRefusedBeforeAnyBuild:
         stacks = list(element_stacks(elements, scheme, (0.4, 0.9)))
         assert [pair_labels((3, 3), *stack.pairs.T) for stack in stacks] == groups
         for stack in stacks:
-            want = SCHEMES[scheme].stack((3, 3), stack.pairs, (0.4, 0.9))
+            want = plans_module.stack((3, 3), stack.pairs, SCHEMES[scheme], (0.4, 0.9))
             assert stack.weights.tobytes() == want.weights.tobytes()
             assert stack.rows.tobytes() == want.rows.tobytes()
             assert stack.supports.tobytes() == want.supports.tobytes()
@@ -539,16 +539,17 @@ class TestConfigurationPlans:
 
     @pytest.mark.parametrize("budget", ["default", "one member per batch"])
     @pytest.mark.parametrize("scheme, module, step", [
-        ("res", res_module, "_res_weights"),
+        ("res", plans_module, "canonical_rows"),
         ("seq", seq_module, "_solve"),
     ])
     def test_dropped_plans_are_freed_before_the_next_build(self, scheme, module, step, budget, monkeypatch):
         # (3,3) has configurations of several members for both schemes.  A
         # plan and its arrays (block rows, coefficient tables) must be dead
         # by the time the next member's plan is sliced from its batch, and
-        # a batch by the time the next batch's weights are built, once the
-        # caller has dropped them.  Each batch's variances gather its
-        # members, one at a time under the one-member budget, in between.
+        # a batch by the time the next batch's block rows (res) or weights
+        # (seq) are built, once the caller has dropped them.  Each batch's
+        # variances gather its members, one at a time under the one-member
+        # budget, in between.
         if budget != "default":
             monkeypatch.setattr(plans_module, "MEMBER_ENTRIES", 1)
         held_plan, held_batch, alive, builds = [], [], [], []
@@ -655,16 +656,13 @@ class TestConfigurationPlans:
 class TestShapeStacks:
     """One stack per coupled shape: its arrays are those of every coupled set of that shape."""
 
-    MODULES = {"res": res_module, "seq": seq_module}
-
     @pytest.mark.parametrize("scheme, dims, builds", [
         ("res", (2, 2, 2), 3), ("seq", (2, 2, 2), 3), ("res", (2,) * 6, 6),
     ])
     def test_characterize_builds_once_per_coupled_shape(self, scheme, dims, builds, monkeypatch):
         # (2,2,2) has 7 coupled sets and (2,)*6 has 63, but as many shapes as qubits
-        calls, module = [], self.MODULES[scheme]
-        build = module.canonical_rows
-        monkeypatch.setattr(module, "canonical_rows", lambda *args: calls.append(args[0].dims) or build(*args))
+        calls, build = [], plans_module.canonical_rows
+        monkeypatch.setattr(plans_module, "canonical_rows", lambda *args: calls.append(args[0].dims) or build(*args))
         rho = random_mixed_state(dims, stream(33, f"shape-builds{dims}"))
         characterize(rho, 0.7, TestConfigurationPlans.BUILDERS[scheme])
         assert len(calls) == len(set(calls)) == builds
@@ -714,7 +712,7 @@ class TestShapeStacks:
             meters = SCHEMES[scheme].meters * members[0].n_couplings
             if reference_canonical(members[0]).dim * 2 ** meters > MAX_JOINT_DIM:
                 continue  # seq refuses five or more coupled qubits
-            stack = SCHEMES[scheme].stack(dims, flat_pairs(members), (0.4, 0.9))
+            stack = plans_module.stack(dims, flat_pairs(members), SCHEMES[scheme], (0.4, 0.9))
             for operators in (plans_module._estimator_grams(stack), plans_module.estimator_operators(stack)):
                 for state in (rho, ket):
                     with monkeypatch.context() as mp:
@@ -728,14 +726,13 @@ class TestShapeStacks:
     @pytest.mark.parametrize("dims", CONFIGURATION_DIMS + [(2, 3, 2)])
     def test_shape_stacks_equal_coupled_set_stacks_bytes(self, scheme, dims):
         gs = (0.3, 0.7, 1.1)
-        stack_of = SCHEMES[scheme].stack
         for members in shape_members(all_offdiagonal_elements(dims, ordered=True)):
-            shape = stack_of(dims, flat_pairs(members), gs)
+            shape = plans_module.stack(dims, flat_pairs(members), SCHEMES[scheme], gs)
             sets = {}
             for i, element in enumerate(members):
                 sets.setdefault(element.coupled_set, []).append(i)
             for indices in sets.values():
-                want = stack_of(dims, flat_pairs([members[i] for i in indices]), gs)
+                want = plans_module.stack(dims, flat_pairs([members[i] for i in indices]), SCHEMES[scheme], gs)
                 assert shape.weights.tobytes() == want.weights.tobytes()
                 assert shape.rows.tobytes() == want.rows.tobytes()
                 assert shape.calibrations == want.calibrations

@@ -186,11 +186,11 @@ class TestFig4Builds:
     @pytest.mark.parametrize("panel, calibrations", [("fig4a", 1), ("fig4b", 2)])
     def test_default_run_calibrates_only_inside_the_sweep(self, monkeypatch, panel, calibrations):
         calls, builds, inside = [], [], []
-        calibrate, sweep = seq_module.calibrate_estimator, scenarios_module.g_sweep
+        calibrate, sweep = seq_module._solve, scenarios_module.g_sweep
 
-        def counted_calibrate(plan):
+        def counted_calibrate(*args):
             calls.append(bool(inside))
-            return calibrate(plan)
+            return calibrate(*args)
 
         def marked_sweep(*args, **kwargs):
             inside.append(True)
@@ -202,7 +202,7 @@ class TestFig4Builds:
         def counted(name, build):
             return lambda *args: builds.append(name) or build(*args)
 
-        monkeypatch.setattr(seq_module, "calibrate_estimator", counted_calibrate)
+        monkeypatch.setattr(seq_module, "_solve", counted_calibrate)
         monkeypatch.setattr(scenarios_module, "g_sweep", marked_sweep)
         for module, name in PLAN_BINDINGS:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

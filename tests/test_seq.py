@@ -25,8 +25,8 @@ from dmres import (
 from dmres.elements import element_from_flat
 from dmres.plans import _flip_phases, all_probabilities, functional_matrix, sign_products
 import dmres.seq as seq_module
-from dmres.seq import _correlator_response, _min_norm_solve, _targets, seq_couplings, seq_stack
-from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_rows, enumerate_settings
+from dmres.seq import SEQ, _correlator_response, _min_norm_solve, _targets, seq_couplings
+from dmres.plans import ProtocolPlan, SEQ_SCHEME, base_amplitudes, canonical_rows, enumerate_settings, stack
 
 from oracles import SX, SY, einsum_correlator_response, hermitian_coordinates, kron, reference_canonical
 
@@ -155,7 +155,7 @@ class TestCalibration:
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
             plan_seq(ElementIndex.create((2,), (0,), (1,)), g)
         with pytest.raises(InvalidCouplingError, match=r"sin\(g\)=0"):
-            seq_stack((2,), [(0, 1)], [0.4, g])
+            stack((2,), [(0, 1)], SEQ, [0.4, g])
 
 
 class TestMinNormSolve:

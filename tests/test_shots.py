@@ -298,7 +298,7 @@ class TestBatchShots:
         if budget != "default":
             monkeypatch.setattr(shots_module, "MEMBER_ENTRIES", 1)
         members = self.two_qubit_shape(self.DIMS)
-        batch = res_module.SCHEMES[scheme].stack(self.DIMS, flat_pairs(members), (0.7,))
+        batch = plans_module.stack(self.DIMS, flat_pairs(members), res_module.SCHEMES[scheme], (0.7,))
         rho = random_mixed_state(self.DIMS, stream(31, "batch-shots"))
         policy = ShotPolicy(n_t=1e4)
         got = shots_module.simulate_batch_shots(
@@ -316,7 +316,7 @@ class TestBatchShots:
         u, v = members[-1].s_flat, members[-1].s_prime_flat
         entries[u, v] = entries[v, u] = 0.4
         rho = DensityMatrix.create(entries, self.DIMS, check_positive=False)
-        batch = res_module.SCHEMES[scheme].stack(self.DIMS, flat_pairs(members), (0.7,))
+        batch = plans_module.stack(self.DIMS, flat_pairs(members), res_module.SCHEMES[scheme], (0.7,))
         policy = ShotPolicy(n_t=1e3)
         errors = []
         for i in range(len(members)):
